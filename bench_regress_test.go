@@ -17,11 +17,14 @@
 // regenerate the baseline on the reference machine and commit the
 // diff.
 //
-// With runtime kernel dispatch, ns/op additionally depends on the
-// architecture and the selected kernel tier, so the JSON records both
-// and the ns/op gate warns-and-skips when they differ from the running
-// process (a go-tier CI leg must not be held to an avx2 baseline). The
-// zero-alloc contract is tier-independent and is enforced regardless.
+// With runtime kernel dispatch and GOMAXPROCS-wide fan-out, ns/op
+// additionally depends on the architecture, the selected kernel tier
+// and the core count, so the JSON records all three and the ns/op gate
+// warns-and-skips when they differ from the running process (a go-tier
+// CI leg must not be held to an avx2 baseline, nor a 1-core box to a
+// 2-core one). Allocations are gated only where a case declares
+// zeroAlloc; that contract is host-independent and is enforced
+// regardless.
 package recsys_test
 
 import (
@@ -39,8 +42,17 @@ import (
 // catch an accidental O(n) on the hot path).
 const regressThreshold = 1.25
 
+// allCoresThreshold is the allowed growth for the cases whose kernel
+// spreads over every core. `go test ./...` runs GOMAXPROCS packages
+// side by side, and a kernel that finds one of two cores taken runs up
+// to 2× slower through no fault of the code: gemm_parallel_b256
+// measured 1.4–1.7× its quiet-host ns/op on every `go test ./...` of
+// this 2-vCPU host (EXPERIMENTS.md "Bench gate on 2 cores").
+const allCoresThreshold = 2.0
+
 // maxAttempts bounds the re-runs used to shake off scheduler noise:
-// only the fastest attempt must clear the bar.
+// only the fastest attempt must clear the bar. Recording a baseline
+// takes the fastest of all maxAttempts.
 const maxAttempts = 3
 
 const baselineFile = "BENCH_baseline.json"
@@ -55,11 +67,12 @@ type benchStat struct {
 // benchFile is the on-disk schema: the environment the numbers were
 // recorded in plus the per-case stats. Files written before kernel
 // dispatch were a bare case map; readBenchFile still accepts those
-// (legacy files carry no arch/tier, so the ns/op gate treats them as
-// matching).
+// (legacy files carry no arch/tier/GOMAXPROCS, so the ns/op gate
+// treats them as matching).
 type benchFile struct {
 	Arch       string               `json:"arch"`
 	KernelTier string               `json:"kernel_tier"`
+	GOMAXPROCS int                  `json:"gomaxprocs"`
 	Cases      map[string]benchStat `json:"cases"`
 }
 
@@ -80,12 +93,13 @@ func readBenchFile(t *testing.T, path string) benchFile {
 	return benchFile{Cases: legacy}
 }
 
-// tierMatches reports whether baseline numbers are comparable to this
-// process: same GOARCH and same selected kernel tier. Legacy files
-// (empty fields) are assumed comparable.
-func tierMatches(f benchFile) bool {
+// hostMatches reports whether baseline numbers are comparable to this
+// process: same GOARCH, same selected kernel tier, same GOMAXPROCS.
+// Legacy files (empty fields) are assumed comparable.
+func hostMatches(f benchFile) bool {
 	return (f.Arch == "" || f.Arch == runtime.GOARCH) &&
-		(f.KernelTier == "" || f.KernelTier == tensor.KernelTier())
+		(f.KernelTier == "" || f.KernelTier == tensor.KernelTier()) &&
+		(f.GOMAXPROCS == 0 || f.GOMAXPROCS == runtime.GOMAXPROCS(0))
 }
 
 type benchCase struct {
@@ -94,15 +108,18 @@ type benchCase struct {
 	// zeroAlloc marks the cases carrying the allocation contract:
 	// allocs/op must be exactly 0 regardless of the ns/op budget.
 	zeroAlloc bool
+	// allCores marks the cases gated at allCoresThreshold instead of
+	// regressThreshold.
+	allCores bool
 }
 
 // regressionCases lists the guarded hot paths: the packed GEMM and SLS
 // kernels (the paper's compute- and memory-bound operator classes),
-// the arena-backed full forward pass, and the end-to-end engine
-// RankInto lifecycle with tracing off.
+// the arena-backed full forward pass, the end-to-end engine RankInto
+// lifecycle with tracing off, and the HTTP ingest in front of it.
 func regressionCases() []benchCase {
 	return []benchCase{
-		{name: "gemm_hot_b64", run: func(b *testing.B) { benchmarkGemm(b, true) }},
+		{name: "gemm_hot_b64", allCores: true, run: func(b *testing.B) { benchmarkGemm(b, true) }},
 		{name: "sls_serial_b64", run: func(b *testing.B) { benchmarkSLS(b, 1) }},
 		{name: "forward_hot_rmc1_b16", zeroAlloc: true,
 			run: func(b *testing.B) { benchmarkForwardHot(b, model.RMC1Small().Scaled(10), 16, 1) }},
@@ -140,13 +157,24 @@ func regressionCases() []benchCase {
 		// closure and shard bookkeeping on multi-core hosts.
 		{name: "gemm_i8_rm_b256", zeroAlloc: true,
 			run: func(b *testing.B) { benchmarkGemmI8RM(b) }},
-		{name: "gemm_parallel_b256",
+		{name: "gemm_parallel_b256", allCores: true,
 			run: func(b *testing.B) { benchmarkGemmParallel(b) }},
 		// The fixed-bucket histogram Observe (binary-searched bucket
 		// pick): called on every Rank and every formed batch, and the
 		// windowed-quantile substrate of the adaptive scheduling
 		// controller.
 		{name: "hist_observe", zeroAlloc: true, run: benchmarkHistObserve},
+		// HTTP ingest: the in-place POST /rank body parser on the system
+		// benchmark's float-heavy and integer-heavy bodies (zero-alloc
+		// once its buffers have grown), and the whole handler, body read
+		// to response written, whose few allocations are net/http's and
+		// the response encoder's.
+		{name: "http_decode_rmc3_b16", zeroAlloc: true,
+			run: func(b *testing.B) { benchmarkHTTPDecode(b, model.RMC3Small().Scaled(10), 16) }},
+		{name: "http_decode_rmc2_b4", zeroAlloc: true,
+			run: func(b *testing.B) { benchmarkHTTPDecode(b, model.RMC2Small().Scaled(10), 4) }},
+		{name: "http_rank_rmc3_b16",
+			run: func(b *testing.B) { benchmarkHTTPRank(b, 16) }},
 	}
 }
 
@@ -160,13 +188,14 @@ func TestBenchRegression(t *testing.T) {
 	if !updating {
 		bf := readBenchFile(t, baselineFile)
 		baseline = bf.Cases
-		if !tierMatches(bf) {
-			// Different architecture or kernel tier: the baseline's ns/op
-			// is not comparable, so only the tier-independent zero-alloc
-			// contract is enforced. Regenerate on the reference machine
-			// to re-arm the ns/op gate.
-			t.Logf("warning: baseline recorded on %s/%s, running on %s/%s — ns/op gate skipped",
-				bf.Arch, bf.KernelTier, runtime.GOARCH, tensor.KernelTier())
+		if !hostMatches(bf) {
+			// Different architecture, kernel tier or core count: the
+			// baseline's ns/op is not comparable, so only the
+			// host-independent zero-alloc contract is enforced.
+			// Regenerate on the reference machine to re-arm the ns/op
+			// gate.
+			t.Logf("warning: baseline recorded on %s/%s/GOMAXPROCS=%d, running on %s/%s/GOMAXPROCS=%d — ns/op gate skipped",
+				bf.Arch, bf.KernelTier, bf.GOMAXPROCS, runtime.GOARCH, tensor.KernelTier(), runtime.GOMAXPROCS(0))
 			gateNsOp = false
 		}
 	}
@@ -174,7 +203,11 @@ func TestBenchRegression(t *testing.T) {
 	current := make(map[string]benchStat)
 	for _, c := range regressionCases() {
 		base, known := baseline[c.name]
-		limit := base.NsOp * regressThreshold
+		threshold := regressThreshold
+		if c.allCores {
+			threshold = allCoresThreshold
+		}
+		limit := base.NsOp * threshold
 		best := benchStat{NsOp: -1}
 		for attempt := 1; attempt <= maxAttempts; attempt++ {
 			r := testing.Benchmark(c.run)
@@ -191,7 +224,7 @@ func TestBenchRegression(t *testing.T) {
 			}
 			// Fast exit once the bar is cleared; keep re-running only
 			// while the measurement looks like a regression.
-			if (!known || !gateNsOp || best.NsOp <= limit) && (!c.zeroAlloc || best.AllocsOp == 0) {
+			if !updating && (!known || !gateNsOp || best.NsOp <= limit) && (!c.zeroAlloc || best.AllocsOp == 0) {
 				break
 			}
 		}
@@ -210,10 +243,7 @@ func TestBenchRegression(t *testing.T) {
 		}
 		if gateNsOp && best.NsOp > limit {
 			t.Errorf("%s: %.0f ns/op exceeds %.0f (baseline %.0f × %.2f) after %d attempts",
-				c.name, best.NsOp, limit, base.NsOp, regressThreshold, maxAttempts)
-		}
-		if base.AllocsOp == 0 && best.AllocsOp > 0 {
-			t.Errorf("%s: %d allocs/op, baseline had 0", c.name, best.AllocsOp)
+				c.name, best.NsOp, limit, base.NsOp, threshold, maxAttempts)
 		}
 	}
 
@@ -231,6 +261,7 @@ func writeBenchJSON(t *testing.T, path string, stats map[string]benchStat) {
 	raw, err := json.MarshalIndent(benchFile{
 		Arch:       runtime.GOARCH,
 		KernelTier: tensor.KernelTier(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Cases:      stats,
 	}, "", "  ")
 	if err != nil {

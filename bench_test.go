@@ -11,7 +11,11 @@
 package recsys_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -717,6 +721,87 @@ func benchmarkEngineRank(b *testing.B, batch int) {
 }
 
 func BenchmarkEngineRankBatch16(b *testing.B) { benchmarkEngineRank(b, 16) }
+
+// rankBody marshals req as a client does: engine.RankRequest through
+// encoding/json.
+func rankBody(b *testing.B, req model.Request) []byte {
+	rr := engine.RankRequest{SparseIDs: req.SparseIDs}
+	for i := 0; i < req.Batch; i++ {
+		rr.Dense = append(rr.Dense, req.Dense.Row(i))
+	}
+	body, err := json.Marshal(rr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// benchmarkHTTPDecode times the POST /rank body parser alone on one
+// body of cfg's shape: the float-heavy RMC3 body and the integer-heavy
+// RMC2 body of the system benchmark. A warm decoder must not allocate.
+func benchmarkHTTPDecode(b *testing.B, cfg model.Config, batch int) {
+	body := rankBody(b, model.NewRandomRequest(cfg, batch, stats.NewRNG(2)))
+	var d engine.RankDecoder
+	decode := func() {
+		if _, _, _, err := d.Decode(cfg, body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	decode() // grows the buffers
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
+	}
+}
+
+func BenchmarkHTTPDecodeRMC3Batch16(b *testing.B) {
+	benchmarkHTTPDecode(b, model.RMC3Small().Scaled(10), 16)
+}
+func BenchmarkHTTPDecodeRMC2Batch4(b *testing.B) {
+	benchmarkHTTPDecode(b, model.RMC2Small().Scaled(10), 4)
+}
+
+// benchmarkHTTPRank times one POST /rank through the engine's handler,
+// body read to response written, on an RMC3-shaped model (tables
+// shrunk; the 512-wide dense path is what the body and the forward
+// pass are made of).
+func benchmarkHTTPRank(b *testing.B, batch int) {
+	cfg := model.RMC3Small().Scaled(2000)
+	m, err := model.Build(cfg, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := engine.New(m, engine.Options{
+		Workers: 1, QueueDepth: 8, MaxBatch: 1,
+		MaxWait: time.Millisecond, IntraOpWorkers: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	body := rankBody(b, model.NewRandomRequest(cfg, batch, stats.NewRNG(2)))
+	post := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	for i := 0; i < 20; i++ { // warm the pools and the worker scratch
+		post()
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
+func BenchmarkHTTPRankRMC3Batch16(b *testing.B) { benchmarkHTTPRank(b, 16) }
 
 // benchmarkEngineRankZipf is benchmarkEngineRank with the hot-row
 // cache on and Zipf(1.1) sparse IDs rotating across a request pool:

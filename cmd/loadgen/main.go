@@ -501,6 +501,9 @@ func printSlowest(d obs.Dump) {
 	}
 	sum := tr.StageSumUS()
 	fmt.Printf("  %-11s %10.1fµs  (%.1f%% of end-to-end)\n", "stage sum", sum, 100*sum/tr.TotalUS)
+	// HTTP ingest ends before admission, so it stands beside the stages;
+	// requests ranked in process, as -real makes them, have no body.
+	fmt.Printf("  %-11s %10.1fµs  (%d-byte body; before admission, outside end-to-end)\n", "decode", tr.DecodeUS, tr.BodyBytes)
 	if len(tr.Ops) > 0 {
 		fmt.Println("  execute operator spans:")
 		for _, op := range tr.Ops {

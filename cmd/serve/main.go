@@ -220,24 +220,14 @@ func main() {
 	if upd != nil && upd.Router() != nil {
 		handler = abMiddleware(eng, upd.Router(), handler)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
+	// The signal handler is installed before the listener exists: a
+	// SIGINT that lands while the port comes up must drain and exit 0,
+	// not kill the process.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	select {
-	case err := <-errCh:
+	if err := serve(ctx, newHTTPServer(*addr, handler), *drain); err != nil {
 		eng.Close()
 		log.Fatal(err)
-	case <-ctx.Done():
-	}
-
-	log.Printf("shutting down (draining up to %v)", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("forced shutdown: %v", err)
 	}
 	if ctrl != nil {
 		ctrl.Stop()
@@ -254,6 +244,45 @@ func main() {
 	}
 	eng.Close()
 	log.Print("bye")
+}
+
+// Bounds on what a connection may hold open without sending a request:
+// slow request headers, and keep-alive idleness between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the server main listens with. Bodies are bounded by
+// the engine's handler; a request's own time is -timeout's business.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// serve listens with srv until ctx is done, then stops accepting and
+// waits up to drain for the requests in flight. It returns the listen
+// error, if that is what ended it. ctx may already be done: the server
+// then shuts down without having served.
+func serve(ctx context.Context, srv *http.Server, drain time.Duration) error {
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.ListenAndServe() }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+	}
+	log.Printf("shutting down (draining up to %v)", drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		log.Printf("forced shutdown: %v", err)
+	}
+	return nil
 }
 
 // onlineConfig carries the -online* flags into startOnline.

@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os/signal"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -237,5 +241,84 @@ func TestBuildSpec(t *testing.T) {
 			t.Errorf("buildSpec(%q): tables=%v mlps=%v, want %v/%v",
 				c.spec, m.Quantized(), m.Int8MLPs(), wantTables, wantMLPs)
 		}
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// TestServeSignalBeforeListen is main's start-up order: the signal
+// handler first, then the listen. A SIGINT that has already landed when
+// serve starts must end in a clean return with the port released, where
+// the old order (listen, then install the handler) let it kill the
+// process.
+func TestServeSignalBeforeListen(t *testing.T) {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT)
+	defer stop()
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("SIGINT was not delivered to the handler")
+	}
+	addr := freeAddr(t)
+	if err := serve(ctx, newHTTPServer(addr, http.NotFoundHandler()), time.Second); err != nil {
+		t.Fatalf("serve after an early SIGINT: %v", err)
+	}
+	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		conn.Close()
+		t.Error("the server still listens after serve returned")
+	}
+}
+
+// TestServeDrainsOnSignal: serve answers until its context ends, then
+// returns nil; a port it cannot bind is returned as the error. The
+// server it runs bounds idle and header-less connections.
+func TestServeDrainsOnSignal(t *testing.T) {
+	addr := freeAddr(t)
+	srv := newHTTPServer(addr, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "ok")
+	}))
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("server timeouts unset: header %v, idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, srv, time.Second) }()
+	var resp *http.Response
+	var err error
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if resp, err = http.Get("http://" + addr + "/"); err == nil || time.Now().After(deadline) {
+			break
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	// The port is taken: a second serve reports it instead of waiting.
+	if err := serve(context.Background(), newHTTPServer(addr, nil), time.Second); err == nil {
+		t.Error("serve on a bound port returned nil")
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("serve after cancel: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("serve did not return after its context ended")
 	}
 }

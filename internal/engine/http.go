@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"recsys/internal/model"
 	"recsys/internal/shard"
@@ -28,7 +30,10 @@ import (
 // The request's batch size is inferred from the dense rows (or, for
 // models without a dense path, from the first table's ID count).
 
-// RankRequest is the JSON body of POST /rank and POST /rank/{model}.
+// RankRequest is the JSON body of POST /rank and POST /rank/{model}:
+// the schema clients marshal. The server does not unmarshal into it;
+// RankDecoder (ingest.go) parses the same shape in place, and the
+// tests hold that parser to encoding/json's reading of this type.
 type RankRequest struct {
 	// Dense holds batch rows of continuous features; omit for models
 	// without a dense path.
@@ -69,33 +74,83 @@ func (e *Engine) Handler() http.Handler {
 func (s *Server) Handler() http.Handler { return s.eng.Handler() }
 
 func (e *Engine) handleRank(w http.ResponseWriter, r *http.Request, name string) {
-	m, err := e.Model(name)
+	mq, err := e.lookup(name)
 	if err != nil {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	var body RankRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if r.ContentLength > maxBodyBytes {
+		// Refused on the header alone: no pooled buffer is taken and no
+		// body byte is read.
+		httpError(w, http.StatusRequestEntityTooLarge, &http.MaxBytesError{Limit: maxBodyBytes})
 		return
 	}
-	req, err := body.toRequest(m.Config)
+	s := rankScratchPool.Get().(*rankScratch)
+	req, in, err := e.ingest(w, r, mq, s)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctr, err := e.Rank(r.Context(), name, req)
-	if err != nil {
+		putRankScratch(s)
 		httpError(w, rankStatus(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(RankResponse{CTR: ctr}); err != nil {
-		// Headers already sent; nothing more to do.
+	ctr, err := e.rankIngested(r.Context(), name, s.scores, req, in)
+	if err != nil {
+		// RankInto's ownership contract: once the request's context is
+		// done, a worker may still be reading the features and writing
+		// the scores, so an abandoned request leaves s to the GC.
+		if r.Context().Err() == nil {
+			putRankScratch(s)
+		}
+		httpError(w, rankStatus(err), err)
 		return
 	}
+	s.scores = ctr
+	w.Header().Set("Content-Type", "application/json")
+	// A failed write means the client is gone; headers are already sent.
+	_ = json.NewEncoder(w).Encode(RankResponse{CTR: ctr})
+	putRankScratch(s)
+}
+
+// ingestStats is what the HTTP front-end measured on a request before
+// admission; a traced request carries it into its obs.Trace.
+type ingestStats struct {
+	decodeUS  float64
+	bodyBytes int
+}
+
+// ingest reads r's body into s and decodes it against mq's model. The
+// returned request aliases s. The decode is timed only when mq traces
+// requests.
+func (e *Engine) ingest(w http.ResponseWriter, r *http.Request, mq *modelQueue, s *rankScratch) (model.Request, ingestStats, error) {
+	s.body.Reset()
+	if n := min(r.ContentLength, maxBodyPresize); n > 0 {
+		// Sized once: ReadFrom wants MinRead spare bytes before each read.
+		s.body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := s.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = fmt.Errorf("%w: reading request body: %v", ErrBadRequest, err)
+		}
+		return model.Request{}, ingestStats{}, err
+	}
+	body := s.body.Bytes()
+	in := ingestStats{bodyBytes: len(body)}
+	cfg := mq.model.Load().Config
+	var begin time.Time
+	if mq.ring != nil {
+		begin = e.now()
+	}
+	batch, dense, sparse, err := s.dec.Decode(cfg, body)
+	if err != nil {
+		return model.Request{}, ingestStats{}, err
+	}
+	req := model.Request{Batch: batch, SparseIDs: sparse}
+	if cfg.DenseIn > 0 {
+		req.Dense = tensor.FromSlice(dense, batch, cfg.DenseIn)
+	}
+	if mq.ring != nil {
+		in.decodeUS = float64(e.now().Sub(begin)) / 1e3
+	}
+	return req, in, nil
 }
 
 // statsJSON flattens one Stats snapshot for the JSON endpoints.
@@ -180,6 +235,7 @@ func (e *Engine) handleModels(w http.ResponseWriter, _ *http.Request) {
 // (the table in README.md):
 //
 //	ErrBadRequest           → 400 client sent a malformed request
+//	*http.MaxBytesError     → 413 body larger than maxBodyBytes
 //	context deadline/cancel → 408 request shed or abandoned in time
 //	ErrModelNotFound        → 404 unknown model (or unregistered mid-flight)
 //	ErrClosed               → 503 engine shutting down
@@ -189,6 +245,8 @@ func rankStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		// The request's deadline lapsed (shed before dispatch, or
 		// overran mid-queue) or the client went away.
@@ -211,47 +269,4 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// toRequest validates the JSON payload against the model config and
-// builds a model.Request.
-func (rr RankRequest) toRequest(cfg model.Config) (model.Request, error) {
-	batch := 0
-	if cfg.DenseIn > 0 {
-		if len(rr.Dense) == 0 {
-			return model.Request{}, errors.New("engine: model requires dense features")
-		}
-		batch = len(rr.Dense)
-		for i, row := range rr.Dense {
-			if len(row) != cfg.DenseIn {
-				return model.Request{}, fmt.Errorf("engine: dense row %d has %d features, want %d", i, len(row), cfg.DenseIn)
-			}
-		}
-	} else if len(rr.SparseIDs) > 0 && len(cfg.Tables) > 0 {
-		if rr.SparseIDs[0] == nil || len(rr.SparseIDs[0])%cfg.Tables[0].Lookups != 0 {
-			return model.Request{}, errors.New("engine: cannot infer batch from sparse IDs")
-		}
-		batch = len(rr.SparseIDs[0]) / cfg.Tables[0].Lookups
-	}
-	if batch <= 0 {
-		return model.Request{}, errors.New("engine: empty request")
-	}
-	if len(rr.SparseIDs) != len(cfg.Tables) {
-		return model.Request{}, fmt.Errorf("engine: %d sparse inputs, want %d", len(rr.SparseIDs), len(cfg.Tables))
-	}
-	req := model.Request{Batch: batch}
-	if cfg.DenseIn > 0 {
-		req.Dense = tensor.New(batch, cfg.DenseIn)
-		for i, row := range rr.Dense {
-			copy(req.Dense.Row(i), row)
-		}
-	}
-	req.SparseIDs = rr.SparseIDs
-	// Shared admission check (ID counts and ranges): the same
-	// ErrBadRequest family the engine's Rank enforces, applied before
-	// the request is even admitted.
-	if err := model.ValidateRequest(cfg, req); err != nil {
-		return model.Request{}, err
-	}
-	return req, nil
 }

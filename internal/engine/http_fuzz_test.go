@@ -1,61 +1,28 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"recsys/internal/model"
 )
 
-// FuzzRankRequestDecode feeds arbitrary bytes through the exact
-// pipeline handleRank applies to a request body — strict JSON decode
-// into RankRequest, then toRequest against the model config. The
-// contract: no panic on any input, and every accepted request passes
-// the full admission validator (a decoder acceptance that admission
-// would reject means the two layers disagree about what "well-formed"
-// means). Both config shapes are exercised: a dense DLRM-style model
-// and a sparse-only one whose batch is inferred from the first table.
+// FuzzRankRequestDecode is a differential fuzzer: arbitrary bytes go
+// through RankDecoder plus the admission validator (what POST /rank
+// does with a body) and through the encoding/json path it replaced
+// (oracleDecode), on a dense model and on a sparse-only one whose batch
+// is inferred from the first table. checkAgainstOracle holds the
+// contract: no panic; whatever the decoder accepts, encoding/json
+// accepts with a bitwise-equal model.Request; whatever only
+// encoding/json accepts falls in a divergence class DESIGN.md
+// documents.
 func FuzzRankRequestDecode(f *testing.F) {
-	dense := model.Config{
-		Name:    "dense",
-		DenseIn: 2,
-		Tables:  []model.TableSpec{{Rows: 8, Dim: 4, Lookups: 2}},
+	for _, seed := range decodeSeeds {
+		f.Add([]byte(seed.body))
 	}
-	sparse := model.Config{
-		Name: "sparse",
-		Tables: []model.TableSpec{
-			{Rows: 8, Dim: 4, Lookups: 2},
-			{Rows: 4, Dim: 4, Lookups: 1},
-		},
-	}
-
-	f.Add([]byte(`{"dense": [[1, 2]], "sparse_ids": [[0, 7]]}`))
-	f.Add([]byte(`{"sparse_ids": [[0, 1, 2, 3], [3, 0]]}`))
-	f.Add([]byte(`{"dense": [[1]], "sparse_ids": [[0, 8]]}`))
-	f.Add([]byte(`{"dense": [], "sparse_ids": []}`))
-	f.Add([]byte(`{"sparse_ids": [[-1, 0]]}`))
-	f.Add([]byte(`{"unknown": 1}`))
-	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"dense": [[1e308, -1e308]], "sparse_ids": [[0, 0]]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, cfg := range []model.Config{dense, sparse} {
-			var rr RankRequest
-			dec := json.NewDecoder(bytes.NewReader(body))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&rr); err != nil {
-				continue
-			}
-			req, err := rr.toRequest(cfg)
-			if err != nil {
-				continue
-			}
-			if req.Batch <= 0 {
-				t.Fatalf("%s: decoder accepted batch %d", cfg.Name, req.Batch)
-			}
-			if verr := model.ValidateRequest(cfg, req); verr != nil {
-				t.Fatalf("%s: decoder accepted what admission rejects: %v\nbody: %q", cfg.Name, verr, body)
-			}
+		var d RankDecoder
+		for _, cfg := range []model.Config{fuzzDense, fuzzSparse} {
+			checkAgainstOracle(t, &d, cfg, body)
 		}
 	})
 }

@@ -28,27 +28,7 @@ func httpServer(t *testing.T) (*Server, *httptest.Server) {
 
 func rankBody(t *testing.T, cfg model.Config, batch int) []byte {
 	t.Helper()
-	rng := stats.NewRNG(3)
-	req := RankRequest{}
-	for b := 0; b < batch; b++ {
-		row := make([]float32, cfg.DenseIn)
-		for i := range row {
-			row[i] = rng.Float32()
-		}
-		req.Dense = append(req.Dense, row)
-	}
-	for _, tab := range cfg.Tables {
-		ids := make([]int, batch*tab.Lookups)
-		for i := range ids {
-			ids[i] = rng.Intn(tab.Rows)
-		}
-		req.SparseIDs = append(req.SparseIDs, ids)
-	}
-	data, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return marshalRequest(t, model.NewRandomRequest(cfg, batch, stats.NewRNG(3)))
 }
 
 func TestHTTPRank(t *testing.T) {

@@ -1,0 +1,392 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"strconv"
+	"sync"
+
+	"recsys/internal/model"
+)
+
+// HTTP ingest: the body path of POST /rank. A request body is read once
+// into a pooled byte buffer and parsed in place by a scanner that knows
+// the one grammar the endpoint accepts (RankRequest's JSON shape),
+// writing features straight into the flat buffers the model reads — no
+// reflection, no [][]float32 intermediate, no per-request garbage.
+// DESIGN.md "HTTP ingest" has the grammar and where it is stricter than
+// encoding/json.
+
+// maxBodyBytes caps a POST /rank body. A body past it is refused with
+// 413, and a pooled buffer a request grew past it is dropped instead of
+// retained. 8 MiB admits over a thousand RMC3-sized items per request.
+const maxBodyBytes = 8 << 20
+
+// maxBodyPresize caps what a request's declared Content-Length alone
+// makes the server buffer; past it the body buffer grows only as bytes
+// arrive, so a client that declares megabytes and stalls pins 256 KiB.
+const maxBodyPresize = 256 << 10
+
+// RankDecoder parses POST /rank bodies into buffers it reuses across
+// calls, so steady-state decoding does not allocate. The zero value is
+// ready to use; a RankDecoder is not safe for concurrent use.
+type RankDecoder struct {
+	dense  []float32 // batch × DenseIn features, row-major
+	ids    []int     // every table's IDs, back to back
+	ends   []int     // ends[t] is len(ids) after table t
+	tables [][]int   // per-table views of ids
+}
+
+// Decode parses body, which must be one JSON object of RankRequest's
+// shape, against cfg. It returns the batch size (the dense row count,
+// or for a model without a dense path the first table's ID count over
+// its lookups), the dense features as one row-major batch × cfg.DenseIn
+// slice, and one ID list per table. The slices alias d's buffers and
+// are valid until the next Decode.
+//
+// Decode bounds what a body can make it buffer by what cfg admits: it
+// stops at the first dense row wider than cfg.DenseIn and at the first
+// table past len(cfg.Tables). ID counts and ranges are left to
+// model.ValidateRequest. Every failure wraps ErrBadRequest.
+func (d *RankDecoder) Decode(cfg model.Config, body []byte) (batch int, dense []float32, sparse [][]int, err error) {
+	s := bodyScanner{b: body}
+	d.dense, d.ids, d.ends = d.dense[:0], d.ids[:0], d.ends[:0]
+	rows := 0
+	var sawDense, sawSparse bool
+	if !s.consume('{') {
+		return 0, nil, nil, s.fail("want '{'")
+	}
+	for first := true; !s.consume('}'); first = false {
+		if !first && !s.consume(',') {
+			return 0, nil, nil, s.fail("want ',' or '}'")
+		}
+		key, err := s.key()
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		// Keys match byte for byte; the conversions only compare, so
+		// they do not allocate.
+		isDense, isSparse := string(key) == "dense", string(key) == "sparse_ids"
+		switch {
+		case isDense && !sawDense:
+			sawDense = true
+			rows, err = d.scanDense(&s, cfg.DenseIn)
+		case isSparse && !sawSparse:
+			sawSparse = true
+			err = d.scanSparse(&s, len(cfg.Tables))
+		case isDense || isSparse:
+			err = s.fail("duplicate key")
+		default:
+			err = s.fail("unknown key")
+		}
+		if err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	if s.peek(); s.i < len(s.b) {
+		return 0, nil, nil, s.fail("data after the request object")
+	}
+
+	d.tables = d.tables[:0]
+	start := 0
+	for _, end := range d.ends {
+		d.tables = append(d.tables, d.ids[start:end])
+		start = end
+	}
+	switch {
+	case cfg.DenseIn > 0:
+		if rows == 0 {
+			return 0, nil, nil, fmt.Errorf("%w: model %s requires dense features", ErrBadRequest, cfg.Name)
+		}
+		batch = rows
+	case len(d.tables) > 0 && len(cfg.Tables) > 0:
+		n, lookups := len(d.tables[0]), cfg.Tables[0].Lookups
+		if n == 0 || n%lookups != 0 {
+			return 0, nil, nil, fmt.Errorf("%w: cannot infer batch from %d IDs at %d lookups per sample", ErrBadRequest, n, lookups)
+		}
+		batch = n / lookups
+	default:
+		return 0, nil, nil, fmt.Errorf("%w: empty request", ErrBadRequest)
+	}
+	return batch, d.dense, d.tables, nil
+}
+
+// scanDense parses the "dense" member: null, or an array of rows, each
+// null or an array of exactly width numbers. It appends the features to
+// d.dense and returns the row count. A model without a dense path
+// (width 0) has its rows checked and dropped, as encoding/json's caller
+// ignored them.
+func (d *RankDecoder) scanDense(s *bodyScanner, width int) (rows int, err error) {
+	if s.null() {
+		return 0, nil
+	}
+	if !s.consume('[') {
+		return 0, s.fail("dense: want '[' or null")
+	}
+	for more := !s.consume(']'); more; rows++ {
+		n := 0
+		if !s.null() {
+			if !s.consume('[') {
+				return 0, s.fail("dense: want a row")
+			}
+			for inRow := !s.consume(']'); inRow; n++ {
+				v, err := s.float32()
+				if err != nil {
+					return 0, err
+				}
+				if width > 0 {
+					if n == width {
+						return 0, s.fail(fmt.Sprintf("dense row %d has more than %d features", rows, width))
+					}
+					d.dense = append(d.dense, v)
+				}
+				if inRow, err = s.more("dense"); err != nil {
+					return 0, err
+				}
+			}
+		}
+		if width > 0 && n != width {
+			return 0, s.fail(fmt.Sprintf("dense row %d has %d features, want %d", rows, n, width))
+		}
+		if more, err = s.more("dense"); err != nil {
+			return 0, err
+		}
+	}
+	return rows, nil
+}
+
+// scanSparse parses the "sparse_ids" member: null, or an array of at
+// most tables ID lists, each null or an array of integers. It appends
+// the IDs to d.ids and each list's end to d.ends.
+func (d *RankDecoder) scanSparse(s *bodyScanner, tables int) (err error) {
+	if s.null() {
+		return nil
+	}
+	if !s.consume('[') {
+		return s.fail("sparse_ids: want '[' or null")
+	}
+	for more := !s.consume(']'); more; {
+		if len(d.ends) == tables {
+			return s.fail(fmt.Sprintf("more than %d sparse inputs", tables))
+		}
+		if !s.null() {
+			if !s.consume('[') {
+				return s.fail("sparse_ids: want an ID list")
+			}
+			for inList := !s.consume(']'); inList; {
+				id, err := s.int()
+				if err != nil {
+					return err
+				}
+				d.ids = append(d.ids, id)
+				if inList, err = s.more("sparse_ids"); err != nil {
+					return err
+				}
+			}
+		}
+		d.ends = append(d.ends, len(d.ids))
+		if more, err = s.more("sparse_ids"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bodyScanner is a cursor over a request body. Its methods skip JSON
+// whitespace before looking at a token; none recurses, so nesting depth
+// in a hostile body costs nothing.
+type bodyScanner struct {
+	b []byte
+	i int
+}
+
+func (s *bodyScanner) fail(msg string) error {
+	return fmt.Errorf("%w: request body offset %d: %s", ErrBadRequest, s.i, msg)
+}
+
+// peek returns the next byte after whitespace without consuming it, or
+// 0 at the end of the body.
+func (s *bodyScanner) peek() byte {
+	for s.i < len(s.b) {
+		switch c := s.b[s.i]; c {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+// consume steps over c if it is the next token.
+func (s *bodyScanner) consume(c byte) bool {
+	if s.peek() != c {
+		return false
+	}
+	s.i++
+	return true
+}
+
+// more steps over the token that follows an array element and reports
+// whether another element comes: ',' or the closing ']'.
+func (s *bodyScanner) more(member string) (bool, error) {
+	switch s.peek() {
+	case ',':
+		s.i++
+		return true, nil
+	case ']':
+		s.i++
+		return false, nil
+	}
+	return false, s.fail(member + ": want ',' or ']'")
+}
+
+// null steps over a null literal if it is the next token.
+func (s *bodyScanner) null() bool {
+	if s.peek() != 'n' || len(s.b)-s.i < 4 || string(s.b[s.i:s.i+4]) != "null" {
+		return false
+	}
+	s.i += 4
+	return true
+}
+
+// key parses `"name" :` and returns the name's bytes as written. A key
+// with an escape is refused rather than unescaped: the two names the
+// endpoint knows need none.
+func (s *bodyScanner) key() ([]byte, error) {
+	if !s.consume('"') {
+		return nil, s.fail("want a key")
+	}
+	start := s.i
+	for s.i < len(s.b) && s.b[s.i] != '"' {
+		if s.b[s.i] == '\\' {
+			return nil, s.fail("escape in a key")
+		}
+		s.i++
+	}
+	if s.i == len(s.b) {
+		return nil, s.fail("unterminated key")
+	}
+	name := s.b[start:s.i]
+	s.i++
+	if !s.consume(':') {
+		return nil, s.fail("want ':'")
+	}
+	return name, nil
+}
+
+// float32 parses one JSON number (or null, which encoding/json decodes
+// as 0) with strconv.ParseFloat at 32 bits, the conversion
+// encoding/json applies to a float32 field, so the value is
+// bit-identical to what RankRequest would have held.
+func (s *bodyScanner) float32() (float32, error) {
+	if s.null() {
+		return 0, nil
+	}
+	// JSON's number grammar, stricter than ParseFloat's:
+	// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+	b, i := s.b, s.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' < 9:
+		i = digits(b, i)
+	default:
+		return 0, s.fail("want a number")
+	}
+	if i < len(b) && b[i] == '.' {
+		if i = digits(b, i+1); b[i-1] == '.' {
+			return 0, s.fail("number has no digits after '.'")
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if j := digits(b, i); j > i {
+			i = j
+		} else {
+			return 0, s.fail("number has no exponent digits")
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[s.i:i]), 32)
+	if err != nil {
+		return 0, s.fail("number overflows float32")
+	}
+	s.i = i
+	return float32(f), nil
+}
+
+// digits returns the index of the first non-digit of b at or after i.
+func digits(b []byte, i int) int {
+	for i < len(b) && b[i]-'0' < 10 {
+		i++
+	}
+	return i
+}
+
+// int parses one base-10 JSON integer (or null, which encoding/json
+// decodes as 0). A number with a fraction or exponent is refused even
+// when its value is integral, as encoding/json refuses it for an int
+// field.
+func (s *bodyScanner) int() (int, error) {
+	if s.null() {
+		return 0, nil
+	}
+	b, i := s.b, s.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	if i == len(b) || b[i]-'0' > 9 {
+		return 0, s.fail("want an integer")
+	}
+	v := 0
+	if b[i] == '0' {
+		i++ // JSON allows no digit after a leading zero; the caller refuses one
+	} else {
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			c := int(b[i] - '0')
+			if v > (math.MaxInt-c)/10 {
+				return 0, s.fail("integer overflows")
+			}
+			v = v*10 + c
+		}
+	}
+	if i < len(b) && (b[i] == '.' || b[i]|0x20 == 'e') {
+		return 0, s.fail("want an integer, got a fraction or exponent")
+	}
+	s.i = i
+	if neg {
+		v = -v
+	}
+	return v, nil
+}
+
+// rankScratch is the reusable state of one POST /rank in flight: the
+// body bytes, the decoded features and the score buffer RankInto
+// appends into.
+type rankScratch struct {
+	body   bytes.Buffer
+	dec    RankDecoder
+	scores []float32
+}
+
+var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
+// putRankScratch returns s to the pool unless a request grew one of its
+// buffers past maxBodyBytes: one giant request must not pin its
+// high-water mark in every pooled scratch.
+func putRankScratch(s *rankScratch) {
+	if s.body.Cap() > maxBodyBytes ||
+		cap(s.dec.dense)*4 > maxBodyBytes ||
+		cap(s.dec.ids)*(strconv.IntSize/8) > maxBodyBytes {
+		return
+	}
+	rankScratchPool.Put(s)
+}

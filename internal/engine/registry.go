@@ -66,6 +66,10 @@ type Engine struct {
 	// lock; nil costs one pointer load per batch.
 	serveTap atomic.Pointer[ServeTap]
 
+	// now is the clock the HTTP ingest stage times a traced decode with;
+	// a field so a test can count its reads.
+	now func() time.Time
+
 	wake    chan struct{} // executor wakeup tokens
 	closing chan struct{} // closed first: reject/abort admissions
 	done    chan struct{} // closed after senders drain: workers may exit
@@ -117,6 +121,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		opts:    opts,
 		queues:  make(map[string]*modelQueue),
 		wrrCur:  make(map[*modelQueue]int),
+		now:     time.Now,
 		wake:    make(chan struct{}, opts.Workers),
 		closing: make(chan struct{}),
 		done:    make(chan struct{}),
@@ -427,20 +432,26 @@ func sealTrace(mq *modelQueue, tr *obs.Trace, outcome string, err error) {
 // sample order (rankSplit) — scores are bit-identical to the unsplit
 // path because the forward pass is row-independent.
 func (e *Engine) RankInto(ctx context.Context, name string, dst []float32, req model.Request) ([]float32, error) {
+	return e.rankIngested(ctx, name, dst, req, ingestStats{})
+}
+
+// rankIngested is RankInto for a request the HTTP front-end decoded:
+// in rides into the request's trace (every chunk's, when split).
+func (e *Engine) rankIngested(ctx context.Context, name string, dst []float32, req model.Request, in ingestStats) ([]float32, error) {
 	if mq, err := e.lookup(name); err == nil {
 		if pol := mq.loadPolicy(); pol.SplitAbove > 0 && req.Batch > pol.SplitAbove {
-			return e.rankSplit(ctx, name, mq, dst, req, pol.SplitAbove)
+			return e.rankSplit(ctx, name, mq, dst, req, pol.SplitAbove, in)
 		}
 	}
 	// Lookup failures fall through: rankOne re-resolves under the
 	// admission lock and reports the authoritative error (not-found or
 	// closed) with the usual counter and trace bookkeeping.
-	return e.rankOne(ctx, name, dst, req)
+	return e.rankOne(ctx, name, dst, req, in)
 }
 
 // rankOne is the unsplit admission path: validate, enqueue, await the
 // executor's response.
-func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req model.Request) ([]float32, error) {
+func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req model.Request, in ingestStats) ([]float32, error) {
 	// Admission: resolve the queue and register as a sender under the
 	// lock, so Close and Unregister wait for the enqueue (or its
 	// abort) before draining.
@@ -466,7 +477,7 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 	// trace-gated clock read below keys off tr != nil.
 	var tr *obs.Trace
 	if mq.ring != nil {
-		tr = &obs.Trace{Model: mq.name, Batch: req.Batch, Start: time.Now()}
+		tr = &obs.Trace{Model: mq.name, Batch: req.Batch, DecodeUS: in.decodeUS, BodyBytes: in.bodyBytes, Start: time.Now()}
 	}
 
 	// Deadline-aware shedding starts at admission: a request whose
@@ -565,7 +576,7 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 // subslice of the parent's result buffer carved before dispatch — the
 // merge is positional, so no ordering is ever recovered after the
 // fact and the concatenation is bit-identical to the unsplit pass.
-func (e *Engine) rankSplit(ctx context.Context, name string, mq *modelQueue, dst []float32, req model.Request, chunkMax int) ([]float32, error) {
+func (e *Engine) rankSplit(ctx context.Context, name string, mq *modelQueue, dst []float32, req model.Request, chunkMax int, in ingestStats) ([]float32, error) {
 	// Validate the parent once up front: a malformed oversized request
 	// is refused with one typed error before any chunk is admitted.
 	cfg := mq.model.Load().Config
@@ -597,7 +608,7 @@ func (e *Engine) rankSplit(ctx context.Context, name string, mq *modelQueue, dst
 		// chunk's rows.
 		buf := res[off : off : off+size]
 		run := func(i int, sub model.Request, buf []float32) {
-			out, err := e.rankOne(ctx, name, buf, sub)
+			out, err := e.rankOne(ctx, name, buf, sub, in)
 			if err != nil {
 				errs[i] = err
 				return

@@ -84,6 +84,14 @@ type Trace struct {
 	// TotalUS spans admission to the reply send.
 	TotalUS float64 `json:"total_us"`
 
+	// DecodeUS is the HTTP front-end's time parsing the request body
+	// and BodyBytes the body's size; both are zero for a request made
+	// in process. Ingest ends before admission, where Start is taken,
+	// so DecodeUS stands beside the stages: it is part of neither
+	// TotalUS nor StageSumUS.
+	DecodeUS  float64 `json:"decode_us,omitempty"`
+	BodyBytes int     `json:"body_bytes,omitempty"`
+
 	// BatchSamples is the total sample count of the coalesced forward
 	// pass (≥ Batch when peers were merged in).
 	BatchSamples int `json:"batch_samples,omitempty"`
