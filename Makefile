@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet fmt-check race lint verify bench bench-hot bench-regress fuzz test-gotier
+.PHONY: build test vet fmt-check race lint verify bench bench-module bench-hot bench-regress fuzz test-gotier
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,7 @@ lint: vet
 
 # The hot-path packages carry the bit-identity and zero-alloc
 # contracts; run them under the race detector too (nn holds the
-# ShardGroup-based ParallelSLS fan-out, embcache the lock-striped
+# ParallelFor fan-out of the SLS gathers, embcache the lock-striped
 # hot-row cache consulted by every planned gather, shard the
 # hedged-fan-out client and loopback servers of the remote tier,
 # sched/adapt the control loop that flips live batch policies under
@@ -39,8 +39,16 @@ lint: vet
 race:
 	$(GO) test -race ./internal/engine ./internal/tensor ./internal/nn ./internal/embcache ./internal/shard ./internal/sched/adapt ./internal/online ./internal/scenario
 
+# The system benchmark is a nested module (bench/go.mod, replace
+# recsys => ../) that `./...` never sees; vet and test it here so that
+# removing a root-module name it compiles against fails tier-1 rather
+# than the benchmark run.
+bench-module:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
+
 # Tier-1 verify recipe (see ROADMAP.md).
-verify: fmt-check build test lint race
+verify: fmt-check build test lint race bench-module
 
 # Full benchmark suite; also re-measures the guarded hot paths and
 # writes them to BENCH_current.json for comparison against
@@ -64,6 +72,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRankRequestDecode -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzGemmKernelEquiv -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run xxx -fuzz FuzzGemmI8KernelEquiv -fuzztime $(FUZZTIME) ./internal/tensor
+	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/shard
 
 # The kernel-bearing packages with dispatch forced to the pure-Go
 # reference tier — the CI matrix leg that keeps the portable fallback

@@ -378,7 +378,7 @@ type slsGatherBench struct {
 	cacheRows int     // hot-row cache capacity (0 = no cache)
 	policy    string  // eviction policy for the cached variants
 	int8Table bool    // row-wise int8 table instead of fp32
-	naive     bool    // ForwardNaiveEx: plan-free per-occurrence reference
+	naive     bool    // SLSOp.Forward: plan-free per-occurrence reference (allocates its output)
 }
 
 func benchmarkSLSGather(b *testing.B, cfg slsGatherBench) {
@@ -407,7 +407,9 @@ func benchmarkSLSGatherAt(b *testing.B, rows int, cfg slsGatherBench) {
 	}
 	forward := op.ForwardEx
 	if cfg.naive {
-		forward = op.ForwardNaiveEx
+		forward = func(ids []int, batch int, _ *tensor.Arena, _ int) *tensor.Tensor {
+			return op.Forward(ids, batch)
+		}
 	}
 	batch := cfg.batch
 	if batch == 0 {
@@ -493,15 +495,12 @@ func BenchmarkShardGatherLocalB64(b *testing.B) { benchmarkShardGatherLocal(b) }
 // with a 5%-of-rows clock cache, held by the regression gate against
 // the uncached BenchmarkSLSGatherZipfNoCache (EXPERIMENTS.md records
 // the speedup). Clock with lazy admission is the measured winner;
-// the LRU and direct variants below keep the policy comparison honest.
+// the LRU variant below keeps the policy comparison honest.
 func BenchmarkSLSGatherZipf(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "clock"})
 }
 func BenchmarkSLSGatherZipfLRU(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "lru"})
-}
-func BenchmarkSLSGatherZipfDirect(b *testing.B) {
-	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "direct"})
 }
 func BenchmarkSLSGatherZipfNoCache(b *testing.B) { benchmarkSLSGather(b, slsGatherBench{s: 1.1}) }
 func BenchmarkSLSGatherZipfMid(b *testing.B) {

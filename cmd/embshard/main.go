@@ -30,6 +30,7 @@ import (
 	"strings"
 	"syscall"
 
+	"recsys/internal/embcache"
 	"recsys/internal/model"
 	"recsys/internal/nn"
 	"recsys/internal/shard"
@@ -43,7 +44,7 @@ func main() {
 		scale      = flag.Int("scale", 100, "embedding-table shrink factor when -model has no explicit :scale")
 		seed       = flag.Uint64("seed", 1, "weight seed; must match the serving node's")
 		embCache   = flag.Int("emb-cache", 0, "hot rows cached per table on this shard (0 = off)")
-		embPolicy  = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: lru, fifo, clock, or direct")
+		embPolicy  = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: "+strings.Join(embcache.Policies(), ", "))
 		stall      = flag.Duration("stall", 0, "fault injection: sleep this long before answering every -stall-every'th gather")
 		stallEvery = flag.Int("stall-every", 0, "fault injection: stall every Nth gather request (0 = off)")
 		rowService = flag.Duration("row-service", 0, "emulated per-row service time for scaling experiments on small hosts (0 = off)")

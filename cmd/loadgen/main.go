@@ -59,6 +59,7 @@ import (
 
 	"recsys/internal/arch"
 	batching "recsys/internal/batch" // the batch flag below shadows the package name
+	"recsys/internal/embcache"
 	"recsys/internal/engine"
 	"recsys/internal/model"
 	"recsys/internal/obs"
@@ -118,7 +119,7 @@ func main() {
 		traceOn     = flag.Bool("trace", false, "in -real mode, trace requests and print the slowest request's per-stage breakdown")
 		zipfS       = flag.Float64("zipf", 0, "in -real mode, draw sparse IDs from a per-table Zipf(s) generator (0 = uniform)")
 		embCache    = flag.Int("emb-cache", 0, "in -real mode, hot embedding rows cached per table (0 = off)")
-		embPolicy   = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: lru, fifo, or clock")
+		embPolicy   = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: "+strings.Join(embcache.Policies(), ", "))
 		embShards   = flag.String("emb-shards", "", "in -real mode, comma-separated cmd/embshard addresses to fan embedding gathers out to (shards must serve the same -model/-scale/-seed)")
 		embHedge    = flag.Duration("emb-hedge-after", 0, "with -emb-shards, fixed hedge floor (0 = adaptive default, negative disables hedging)")
 

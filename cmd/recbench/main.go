@@ -69,7 +69,7 @@ func main() {
 		intraOp      = flag.Int("intra-op", 1, "goroutines per measured forward pass (0 = GOMAXPROCS)")
 		zipfS        = flag.Float64("zipf", 0, "with -measure, draw sparse IDs from a per-table Zipf(s) generator (0 = uniform)")
 		embCache     = flag.Int("emb-cache", 0, "with -measure, hot embedding rows cached per table (0 = off)")
-		embPolicy    = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: lru, fifo, clock, or direct")
+		embPolicy    = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: "+strings.Join(embcache.Policies(), ", "))
 
 		dense    = flag.Int("dense", 13, "custom: dense input features")
 		bottom   = flag.String("bottom", "256-128-32", "custom: Bottom-MLP widths")

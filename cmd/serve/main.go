@@ -88,6 +88,7 @@ import (
 	"syscall"
 	"time"
 
+	"recsys/internal/embcache"
 	"recsys/internal/engine"
 	"recsys/internal/model"
 	"recsys/internal/online"
@@ -123,7 +124,7 @@ func main() {
 		traceRing  = flag.Int("trace", 0, "retain N slowest + N most recent request traces per model (GET /trace/{model}; 0 = off)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		embCache   = flag.Int("emb-cache", 0, "hot embedding rows cached per table (read-through, generation-invalidated; 0 = off)")
-		embPolicy  = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: lru, fifo, clock, or direct")
+		embPolicy  = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: "+strings.Join(embcache.Policies(), ", "))
 		embShards  = flag.String("emb-shards", "", "comma-separated shard addresses of a remote embedding tier (cmd/embshard); empty = in-process tables")
 		embHedge   = flag.Duration("emb-hedge-after", 0, "hedge floor for shard sub-requests (0 = client default, negative = hedging off)")
 		slaTarget  = flag.Duration("sla", 0, "p99 latency target: export windowed tail estimates as recsys_sched_* metrics (0 = off)")

@@ -29,9 +29,6 @@ type Concurrent struct {
 	policy int
 	shift  uint // shard index = top bits of the mixed ID
 	shards []shard
-	// direct replaces the sharded map entirely for the "direct" policy
-	// (direct-mapped slots under per-slot seqlocks — see direct.go).
-	direct *directCache
 	gen    atomic.Uint64
 }
 
@@ -42,11 +39,10 @@ const (
 	polLRU = iota
 	polFIFO
 	polClock
-	polDirect
 )
 
 // Policies lists the eviction policies NewConcurrent accepts.
-func Policies() []string { return []string{"lru", "fifo", "clock", "direct"} }
+func Policies() []string { return []string{"lru", "fifo", "clock"} }
 
 func parsePolicy(p string) (int, error) {
 	switch strings.ToLower(p) {
@@ -56,8 +52,6 @@ func parsePolicy(p string) (int, error) {
 		return polFIFO, nil
 	case "clock":
 		return polClock, nil
-	case "direct":
-		return polDirect, nil
 	default:
 		return 0, fmt.Errorf("embcache: unknown policy %q (want %s)", p, strings.Join(Policies(), ", "))
 	}
@@ -121,12 +115,6 @@ func NewConcurrent(capacity, cols int, policy string, shards int) (*Concurrent, 
 	if err != nil {
 		return nil, err
 	}
-	if pol == polDirect {
-		// Direct-mapped mode has no shards or lock stripes: concurrency
-		// is per-slot (seqlocks), so the shards knob is irrelevant and
-		// capacity is the exact slot count.
-		return &Concurrent{cols: cols, policy: pol, direct: newDirect(capacity, cols)}, nil
-	}
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 		if shards > 16 {
@@ -180,12 +168,8 @@ func (c *Concurrent) Invalidate() { c.gen.Add(1) }
 // Cols returns the row width.
 func (c *Concurrent) Cols() int { return c.cols }
 
-// Capacity returns the total row capacity across shards (or the exact
-// slot count for the direct policy).
+// Capacity returns the total row capacity across shards.
 func (c *Concurrent) Capacity() int {
-	if c.direct != nil {
-		return c.direct.slots
-	}
 	return len(c.shards) * c.shards[0].cap
 }
 
@@ -231,9 +215,6 @@ func (c *Concurrent) Lookup(gen, id uint64, dst []float32) bool {
 	if gen != c.gen.Load() {
 		return false
 	}
-	if c.direct != nil {
-		return c.direct.lookup(gen, id, dst)
-	}
 	s := c.shard(id)
 	s.mu.Lock()
 	if !s.syncGenLocked(gen) {
@@ -268,10 +249,6 @@ func (c *Concurrent) Insert(gen, id uint64, src []float32) {
 		panic(fmt.Sprintf("embcache: Insert src length %d, want %d", len(src), c.cols))
 	}
 	if gen != c.gen.Load() {
-		return
-	}
-	if c.direct != nil {
-		c.direct.insert(gen, id, src)
 		return
 	}
 	s := c.shard(id)
@@ -391,14 +368,6 @@ func (st LiveStats) HitRate() float64 {
 func (c *Concurrent) Stats() LiveStats {
 	cur := c.gen.Load()
 	var st LiveStats
-	if d := c.direct; d != nil {
-		return LiveStats{
-			Hits:      d.hits.Load(),
-			Misses:    d.misses.Load(),
-			Evictions: d.evictions.Load(),
-			Len:       d.len(cur),
-		}
-	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

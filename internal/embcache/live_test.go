@@ -137,56 +137,6 @@ func TestConcurrentClockSecondChance(t *testing.T) {
 	}
 }
 
-// TestConcurrentDirectMapped covers the direct policy's slot
-// semantics: an insert displaces exactly the row sharing its slot
-// (counted as an eviction), rows in other slots are untouched, and
-// packed storage round-trips odd widths.
-func TestConcurrentDirectMapped(t *testing.T) {
-	c := mustConcurrent(t, 4, 3, "direct", 0)
-	if c.PolicyName() != "direct" {
-		t.Fatalf("policy = %q, want direct", c.PolicyName())
-	}
-	if c.Capacity() != 4 {
-		t.Fatalf("Capacity() = %d, want exactly 4", c.Capacity())
-	}
-	gen := c.Gen()
-	d := c.direct
-	// Find two IDs that collide in one slot and one that does not.
-	a := uint64(1)
-	b := a + 1
-	for d.slot(b) != d.slot(a) {
-		b++
-	}
-	other := b + 1
-	for d.slot(other) == d.slot(a) {
-		other++
-	}
-	dst := make([]float32, 3)
-	c.Insert(gen, a, liveRow(a, 3))
-	c.Insert(gen, other, liveRow(other, 3))
-	if !c.Lookup(gen, a, dst) {
-		t.Fatal("miss after insert")
-	}
-	for j, v := range liveRow(a, 3) {
-		if dst[j] != v {
-			t.Fatalf("odd-width row mangled: %v", dst)
-		}
-	}
-	c.Insert(gen, b, liveRow(b, 3)) // displaces a, same slot
-	if c.Lookup(gen, a, dst) {
-		t.Error("displaced row still hit")
-	}
-	if !c.Lookup(gen, b, dst) {
-		t.Error("newly inserted row missed")
-	}
-	if !c.Lookup(gen, other, dst) {
-		t.Error("unrelated slot was disturbed")
-	}
-	if st := c.Stats(); st.Evictions != 1 || st.Len != 2 {
-		t.Errorf("stats = %+v, want 1 eviction, len 2", st)
-	}
-}
-
 func TestConcurrentGenerationInvalidation(t *testing.T) {
 	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) { testGenerationInvalidation(t, pol) })
@@ -232,19 +182,13 @@ func testGenerationInvalidation(t *testing.T, pol string) {
 // so any hit can be checked for staleness-free integrity; run under
 // -race this also exercises the lock striping.
 func TestConcurrentRace(t *testing.T) {
-	for _, pol := range []string{"lru", "direct"} {
-		t.Run(pol, func(t *testing.T) { testConcurrentRace(t, pol) })
-	}
-}
-
-func testConcurrentRace(t *testing.T, pol string) {
 	const (
 		workers = 8
 		iters   = 2000
 		idSpace = 64
 		cols    = 8
 	)
-	c := mustConcurrent(t, 32, cols, pol, 4)
+	c := mustConcurrent(t, 32, cols, "lru", 4)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -161,12 +161,15 @@ func (m *Model) ForwardSpans(req Request, a *tensor.Arena, workers int, obs Span
 
 // ForwardDeadline is ForwardSpans with a deadline that bounds remote
 // embedding gathers (zero means the shard client's request timeout
-// applies). When any SLS op reads from an asynchronous GatherSource —
-// a sharded embedding tier — the pass dispatches every gather first
-// and runs the Bottom-MLP while the rows are in flight, the overlap
-// internal/dist's Estimate prices as max(Bottom, Shard+Net) + Top.
-// With only local tables it is the ordinary serial hot path and the
-// deadline is unused.
+// applies; local tables never read it). It is the one forward body:
+// Begin every SLS, run the Bottom-MLP, Finish every SLS, then concat,
+// interaction, Top-MLP and sigmoid. A local table's Begin only records
+// its arguments, so its whole gather runs — and is timed — in Finish;
+// an op behind an asynchronous GatherSource (a sharded embedding tier)
+// dispatches in Begin, so the Bottom-MLP runs while the rows are in
+// flight, the overlap internal/dist's Estimate prices as max(Bottom,
+// Shard+Net) + Top. Such an op emits a dispatch span and a finish span
+// under the same name (observers sum them).
 func (m *Model) ForwardDeadline(req Request, a *tensor.Arena, workers int, obs SpanObserver, deadline time.Time) *tensor.Tensor {
 	if len(req.SparseIDs) != len(m.SLS) {
 		panic(fmt.Sprintf("model: %s expects %d sparse inputs, got %d", m.Config.Name, len(m.SLS), len(req.SparseIDs)))
@@ -181,64 +184,21 @@ func (m *Model) ForwardDeadline(req Request, a *tensor.Arena, workers int, obs S
 	} else {
 		parts = make([]*tensor.Tensor, n)
 	}
-	if m.asyncSLS() {
-		return m.forwardOverlapped(req, a, workers, obs, deadline, parts)
+	// The in-flight SLS state lives on this frame, so a pass allocates
+	// nothing for it; only a model wider than any preset spills.
+	var slots [maxStackSLS]nn.SLSForward
+	fwds := slots[:]
+	if len(m.SLS) > len(slots) {
+		fwds = make([]nn.SLSForward, len(m.SLS))
 	}
 	var t0 time.Time
-	i := 0
-	if m.Bottom != nil {
-		if req.Dense == nil {
-			panic(fmt.Sprintf("model: %s requires dense features", m.Config.Name))
-		}
-		if obs != nil {
-			t0 = time.Now()
-		}
-		parts[i] = m.Bottom.ForwardEx(req.Dense, a, workers)
-		if obs != nil {
-			obs.OpSpan(m.Bottom.Name(), nn.KindFC, time.Since(t0))
-		}
-		i++
-	}
 	for t, op := range m.SLS {
-		if obs != nil {
-			t0 = time.Now()
-		}
-		parts[i] = op.ForwardEx(req.SparseIDs[t], req.Batch, a, workers)
-		if obs != nil {
-			obs.OpSpan(op.Name(), nn.KindSLS, time.Since(t0))
-		}
-		i++
-	}
-	return m.forwardTail(parts, a, workers, obs)
-}
-
-// asyncSLS reports whether any SLS op gathers through an asynchronous
-// GatherSource (a remote embedding tier).
-func (m *Model) asyncSLS() bool {
-	for _, op := range m.SLS {
-		if op.Async() {
-			return true
-		}
-	}
-	return false
-}
-
-// forwardOverlapped is the remote-tier forward pass: every SLS gather
-// is dispatched before the Bottom-MLP runs, so the network fetch and
-// the dense compute overlap; Finish then waits, completes the hot-row
-// cache protocol, and pools into the same arena buffers the local path
-// uses. Per-op spans split into a dispatch span and a finish span
-// (same op name — observers sum them). This path has no
-// zero-allocation contract; the local fast path never enters it.
-func (m *Model) forwardOverlapped(req Request, a *tensor.Arena, workers int, obs SpanObserver, deadline time.Time, parts []*tensor.Tensor) *tensor.Tensor {
-	fwds := make([]nn.SLSForward, len(m.SLS))
-	var t0 time.Time
-	for t, op := range m.SLS {
-		if obs != nil {
+		timed := obs != nil && op.Async()
+		if timed {
 			t0 = time.Now()
 		}
 		op.Begin(&fwds[t], req.SparseIDs[t], req.Batch, a, workers, deadline)
-		if obs != nil {
+		if timed {
 			obs.OpSpan(op.Name(), nn.KindSLS, time.Since(t0))
 		}
 	}
@@ -266,13 +226,6 @@ func (m *Model) forwardOverlapped(req Request, a *tensor.Arena, workers int, obs
 		}
 		i++
 	}
-	return m.forwardTail(parts, a, workers, obs)
-}
-
-// forwardTail runs the dense back half shared by every forward path:
-// concat, optional dot interaction, Top-MLP, sigmoid.
-func (m *Model) forwardTail(parts []*tensor.Tensor, a *tensor.Arena, workers int, obs SpanObserver) *tensor.Tensor {
-	var t0 time.Time
 	if obs != nil {
 		t0 = time.Now()
 	}
@@ -305,6 +258,9 @@ func (m *Model) forwardTail(parts []*tensor.Tensor, a *tensor.Arena, workers int
 	}
 	return x
 }
+
+// maxStackSLS is the table count of the widest preset (RMC2Large).
+const maxStackSLS = 40
 
 // CTR runs Forward and returns the probabilities as a plain slice.
 func (m *Model) CTR(req Request) []float32 {

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -107,8 +108,19 @@ func (r *spanRecord) OpSpan(name string, kind nn.Kind, d time.Duration) {
 	r.total += d
 }
 
-// TestForwardSpansEmitsEveryStage: the instrumented pass reports one
-// span per operator in execution order and stays bit-identical to the
+// tailSpans is the span sequence every pass ends with.
+func tailSpans(m *Model) []string {
+	names := []string{m.ConcatOp.Name()}
+	if m.Interact != nil {
+		names = append(names, m.Interact.Name())
+	}
+	return append(names, m.Top.Name(), "sigmoid")
+}
+
+// TestForwardSpansEmitsEveryStage: with local tables the instrumented
+// pass reports exactly one span per operator — bottom, every SLS,
+// concat, interaction, top, sigmoid, in that order, with no span for
+// the argument-recording Begin half — and stays bit-identical to the
 // uninstrumented hot path.
 func TestForwardSpansEmitsEveryStage(t *testing.T) {
 	for _, cfg := range []Config{
@@ -127,15 +139,16 @@ func TestForwardSpansEmitsEveryStage(t *testing.T) {
 		if !tensor.GemmClose(got, want, 512) {
 			t.Errorf("%s: instrumented pass deviates from reference", cfg.Name)
 		}
-		wantSpans := len(cfg.Tables) + 3 // SLS each + concat + top + sigmoid
-		if cfg.DenseIn > 0 {
-			wantSpans++ // bottom MLP
+		var wantSpans []string
+		if m.Bottom != nil {
+			wantSpans = append(wantSpans, m.Bottom.Name())
 		}
-		if cfg.Interaction == Dot {
-			wantSpans++ // feature interaction
+		for _, op := range m.SLS {
+			wantSpans = append(wantSpans, op.Name())
 		}
-		if len(rec.names) != wantSpans {
-			t.Errorf("%s: %d spans, want %d (%v)", cfg.Name, len(rec.names), wantSpans, rec.names)
+		wantSpans = append(wantSpans, tailSpans(m)...)
+		if !slices.Equal(rec.names, wantSpans) {
+			t.Errorf("%s: spans %v, want %v", cfg.Name, rec.names, wantSpans)
 		}
 		if rec.total <= 0 {
 			t.Errorf("%s: zero total span time", cfg.Name)
@@ -143,6 +156,70 @@ func TestForwardSpansEmitsEveryStage(t *testing.T) {
 		if last := rec.kinds[len(rec.kinds)-1]; last != nn.KindActivation {
 			t.Errorf("%s: final span kind %v, want activation", cfg.Name, last)
 		}
+	}
+}
+
+// loggedSource is a GatherSource over an op's own tables that logs
+// when gathers are dispatched and waited for.
+type loggedSource struct {
+	nn.RowStore
+	log *[]string
+}
+
+func (s loggedSource) BeginGather(ids []int64, dstRows []int32, dst *tensor.Tensor, _ time.Time) nn.PendingGather {
+	*s.log = append(*s.log, "dispatch")
+	for i, id := range ids {
+		s.ReadRow(id, dst.Row(int(dstRows[i])))
+	}
+	return s
+}
+
+func (s loggedSource) Wait() (bool, error) {
+	*s.log = append(*s.log, "wait")
+	return false, nil
+}
+
+// loggedSpans logs span names into the same sequence.
+type loggedSpans struct{ log *[]string }
+
+func (o loggedSpans) OpSpan(name string, _ nn.Kind, _ time.Duration) {
+	*o.log = append(*o.log, name)
+}
+
+// TestForwardDispatchesEveryGatherBeforeBottom: with every table
+// behind a GatherSource, the one forward body dispatches all gathers
+// (one dispatch span each) before the Bottom-MLP starts and waits for
+// them only after it — the overlap the remote tier exists for — and
+// scores exactly what the local pass scores. The engine-level half of
+// this contract is TestSwapDuringInFlightRemoteGather.
+func TestForwardDispatchesEveryGatherBeforeBottom(t *testing.T) {
+	cfg := RMC1Small().Scaled(50)
+	m, err := Build(cfg, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := NewRandomRequest(cfg, 6, stats.NewRNG(2))
+	want := slices.Clone(m.ForwardEx(req, nil, 1).Data())
+
+	var log []string
+	for _, op := range m.SLS {
+		op.SetRowStore(loggedSource{op.LocalStore(), &log})
+	}
+	got := m.ForwardSpans(req, tensor.NewArena(), 1, loggedSpans{&log})
+	if !slices.Equal(got.Data(), want) {
+		t.Error("pass through gather sources deviates from the local pass")
+	}
+	var wantLog []string
+	for _, op := range m.SLS {
+		wantLog = append(wantLog, "dispatch", op.Name())
+	}
+	wantLog = append(wantLog, m.Bottom.Name())
+	for _, op := range m.SLS {
+		wantLog = append(wantLog, "wait", op.Name())
+	}
+	wantLog = append(wantLog, tailSpans(m)...)
+	if !slices.Equal(log, wantLog) {
+		t.Errorf("event order %v, want %v", log, wantLog)
 	}
 }
 

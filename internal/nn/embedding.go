@@ -110,17 +110,6 @@ func (e *EmbeddingTable) accumRow(dst []float32, rowIDs []int) {
 	}
 }
 
-// gatherRange pools output rows [kLo, kHi) into out; idOff is the
-// index into ids of the first ID belonging to row kLo. All inputs must
-// be pre-validated.
-func (e *EmbeddingTable) gatherRange(out *tensor.Tensor, ids, lengths []int, kLo, kHi, idOff int) {
-	cur := idOff
-	for k := kLo; k < kHi; k++ {
-		e.accumRow(out.Row(k), ids[cur:cur+lengths[k]])
-		cur += lengths[k]
-	}
-}
-
 // SparseLengthsSum implements Algorithm 1 of the paper: for each of the
 // K slices described by lengths, gather the rows of the table addressed
 // by the corresponding IDs and sum them element-wise into one output
@@ -132,62 +121,19 @@ func (e *EmbeddingTable) gatherRange(out *tensor.Tensor, ids, lengths []int, kLo
 // len(ids). Every ID must be in [0, Rows). IDs are validated up front so
 // the gather loop itself runs without per-ID checks.
 func (e *EmbeddingTable) SparseLengthsSum(ids []int, lengths []int) *tensor.Tensor {
+	checkLengths(ids, lengths)
+	e.validateIDs(ids)
 	out := tensor.New(len(lengths), e.Cols)
-	e.SparseLengthsSumInto(out, ids, lengths)
+	cur := 0
+	for k, l := range lengths {
+		e.accumRow(out.Row(k), ids[cur:cur+l])
+		cur += l
+	}
 	return out
 }
 
-// SparseLengthsSumInto pools into out, which must have shape
-// [len(lengths), Cols]; gathered rows are accumulated into whatever out
-// already holds (pass a zeroed — e.g. arena-fresh — tensor for plain
-// pooling).
-func (e *EmbeddingTable) SparseLengthsSumInto(out *tensor.Tensor, ids, lengths []int) {
-	checkLengths(ids, lengths)
-	if out.Rank() != 2 || out.Dim(0) != len(lengths) || out.Dim(1) != e.Cols {
-		panic(fmt.Sprintf("nn: SparseLengthsSumInto output shape %v, want [%d %d]", out.Shape(), len(lengths), e.Cols))
-	}
-	e.validateIDs(ids)
-	e.gatherRange(out, ids, lengths, 0, len(lengths), 0)
-}
-
-// ParallelSLS pools like SparseLengthsSumInto, splitting output rows
-// across workers goroutines (0 = GOMAXPROCS). Each output row is owned
-// by exactly one worker and accumulated in the same ID order as the
-// serial kernel, so results are bit-identical. Small gathers run
-// serially. Shards run under a tensor.ShardGroup (the per-shard ID
-// offsets rule out a plain ParallelFor), so a panicking shard re-raises
-// on the calling goroutine instead of killing the process.
-func (e *EmbeddingTable) ParallelSLS(out *tensor.Tensor, ids, lengths []int, workers int) {
-	checkLengths(ids, lengths)
-	if out.Rank() != 2 || out.Dim(0) != len(lengths) || out.Dim(1) != e.Cols {
-		panic(fmt.Sprintf("nn: ParallelSLS output shape %v, want [%d %d]", out.Shape(), len(lengths), e.Cols))
-	}
-	e.validateIDs(ids)
-	rows := len(lengths)
-	workers = slsWorkers(workers, rows, len(ids)*e.Cols)
-	if workers <= 1 {
-		e.gatherRange(out, ids, lengths, 0, rows, 0)
-		return
-	}
-	var g tensor.ShardGroup
-	chunk := (rows + workers - 1) / workers
-	idOff := 0
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		lo, hi, off := lo, hi, idOff
-		g.Go(func() { e.gatherRange(out, ids, lengths, lo, hi, off) })
-		for k := lo; k < hi; k++ {
-			idOff += lengths[k]
-		}
-	}
-	g.Wait()
-}
-
 // minParallelGather is the gathered-element count (IDs × Cols) below
-// which ParallelSLS runs serially.
+// which an SLS forward runs serially.
 const minParallelGather = 1 << 14
 
 func slsWorkers(workers, rows, elems int) int {
@@ -235,7 +181,7 @@ type SLSOp struct {
 	// training, checkpointing, and re-quantization still read W.
 	Quant *QuantizedTable
 	// cache is the optional read-through hot-row cache (SetRowCache);
-	// when set, ForwardEx takes the planned gather path.
+	// when set, ForwardEx takes the planned gather.
 	cache RowCache
 	// store is where gathers read rows from (SetRowStore): the
 	// in-process tables by default, a remote shard tier when the engine
@@ -286,50 +232,16 @@ func (s *SLSOp) ForwardTrain(ids []int, batch int) *tensor.Tensor {
 	return s.forwardDirect(ids, batch, nil, 1)
 }
 
-// ForwardNaiveEx is the plan-free reference path with arena-backed
-// scratch: fp32 tables gather per occurrence, int8 tables dequantize
-// per occurrence, and the row cache is never consulted. It exists so
-// benchmarks can measure the naive path on the same footing (zero
-// steady-state allocations) as the planned gather it is compared
-// against.
-func (s *SLSOp) ForwardNaiveEx(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
-	if len(ids) != batch*s.Lookups {
-		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
-	}
-	if s.Quant != nil {
-		return s.forwardQuantNaive(ids, batch, a)
-	}
-	return s.forwardDirect(ids, batch, a, workers)
-}
-
 // ForwardEx is Forward with an optional scratch arena for the output
-// tensor and an intra-op worker count (1 = serial, 0 = GOMAXPROCS).
-// The uniform per-sample lookup count means no lengths vector is
-// materialized at all. With a row cache attached or an int8 table in
-// play it takes the locality-aware planned gather (dedup + sorted
-// staging + read-through cache); results are bit-identical to Forward
-// either way.
+// tensor and an intra-op worker count (1 = serial, 0 = GOMAXPROCS):
+// Begin and Finish back to back. Callers that can overlap a remote
+// store's in-flight gather with other work call the two halves
+// themselves (model.ForwardDeadline). Results are bit-identical to
+// Forward whichever gather Finish selects.
 func (s *SLSOp) ForwardEx(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
-	if len(ids) != batch*s.Lookups {
-		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
-	}
-	if s.Async() && len(ids) < maxPlanPositions {
-		// Remote store: dispatch and immediately wait. Callers that can
-		// overlap the in-flight gather with other work use Begin/Finish
-		// directly (model.ForwardDeadline).
-		var f SLSForward
-		s.Begin(&f, ids, batch, a, workers, time.Time{})
-		return f.Finish()
-	}
-	if (s.cache != nil || s.Quant != nil) && len(ids) < maxPlanPositions {
-		return s.forwardGather(ids, batch, a, workers)
-	}
-	if s.Quant != nil {
-		// Gather too large for a plan (> 2^24 positions): dequantize
-		// per occurrence.
-		return s.forwardQuantNaive(ids, batch, a)
-	}
-	return s.forwardDirect(ids, batch, a, workers)
+	var f SLSForward
+	s.Begin(&f, ids, batch, a, workers, time.Time{})
+	return f.Finish()
 }
 
 // forwardDirect is the naive fp32 gather: every occurrence reads its
@@ -351,14 +263,21 @@ func (s *SLSOp) forwardDirect(ids []int, batch int, a *tensor.Arena, workers int
 			s.gatherUniform(out, ids, lo, hi)
 		})
 	}
-	if s.Mean {
-		inv := 1 / float32(s.Lookups)
-		d := out.Data()
-		for i := range d {
-			d[i] *= inv
-		}
-	}
+	s.meanScale(out)
 	return out
+}
+
+// meanScale turns out's pooled sums into means when the op pools by
+// mean (every sample pools exactly Lookups rows).
+func (s *SLSOp) meanScale(out *tensor.Tensor) {
+	if !s.Mean {
+		return
+	}
+	inv := 1 / float32(s.Lookups)
+	d := out.Data()
+	for i := range d {
+		d[i] *= inv
+	}
 }
 
 // gatherUniform pools rows [kLo, kHi) with the op's uniform lookup

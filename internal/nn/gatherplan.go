@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"recsys/internal/tensor"
 )
@@ -47,9 +48,9 @@ type gatherPlan struct {
 	uniq  []int64 // unique row IDs, ascending
 	index []int32 // per original position: row index into the staging buffer
 
-	// Miss-list scratch for the async (GatherSource) path: the unique
-	// rows the cache could not serve, as (row ID, staging row) pairs —
-	// the sub-plan BeginGather fans out per shard.
+	// Miss list: the unique rows the cache could not serve, as (row ID,
+	// staging row) pairs — what the local store reads, and the sub-plan
+	// BeginGather fans out per shard.
 	missIDs  []int64
 	missRows []int32
 }
@@ -151,70 +152,162 @@ func (s *SLSOp) InvalidateCachedRows() {
 	}
 }
 
-// forwardGather is the locality-aware serving path: dedup the merged
-// batch's IDs (co-batched requests share hot rows), gather each unique
-// row once — through the cache when attached, dequantizing at most
-// once per unique row when the table is int8 — into an arena-backed
-// staging buffer, then accumulate pooled sums via plan indices.
-//
-// Output is bit-identical to the naive path: staging rows hold the
-// exact fp32 (or deterministically dequantized) row values, and each
-// output row accumulates them in the original per-sample ID order.
-func (s *SLSOp) forwardGather(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
-	cols := s.Table.Cols
-	out := allocDense(a, batch, cols)
-	s.Table.validateIDs(ids)
-	p := planPool.Get().(*gatherPlan)
-	nUniq := p.build(ids)
-	// Staging can skip the arena's zero fill: stageRows writes every
-	// row in [0, nUniq) before accumStaged reads any of it. (out must
-	// stay zeroed — accumulation is +=.)
-	staging := allocDenseUninit(a, nUniq, cols)
-	var gen uint64
-	if s.cache != nil {
-		gen = s.cache.Gen()
+// SLSForward is one SLS forward in two phases: Begin dispatches the
+// gather, Finish waits and pools. With a local store Begin only
+// records the arguments and Finish runs the whole gather, so the split
+// costs the local path nothing; with a GatherSource the rows are in
+// flight between the two calls and the model runs the Bottom-MLP in
+// the gap — the overlap internal/dist's Estimate models (TotalUS =
+// max(Bottom, Shard+Net) + Top).
+type SLSForward struct {
+	op      *SLSOp
+	ids     []int
+	batch   int
+	workers int
+	a       *tensor.Arena
+
+	// Planned-gather state, set by probe; plan stays nil on the
+	// plan-free paths.
+	plan    *gatherPlan
+	out     *tensor.Tensor
+	staging *tensor.Tensor
+	gen     uint64
+	pending PendingGather
+}
+
+// Begin starts one SLS forward into f. With a GatherSource it builds
+// the gather plan, consults the row cache, and dispatches the miss
+// list; otherwise it just records the arguments for Finish. f is
+// caller-owned scratch (typically a stack value or a pooled slice
+// entry) and must not be reused until Finish returns.
+func (s *SLSOp) Begin(f *SLSForward, ids []int, batch int, a *tensor.Arena, workers int, deadline time.Time) {
+	if len(ids) != batch*s.Lookups {
+		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
 	}
-	workers = slsWorkers(workers, batch, len(ids)*cols)
+	*f = SLSForward{op: s, ids: ids, batch: batch, a: a, workers: workers}
+	if gs, ok := s.src().(GatherSource); ok && len(ids) < maxPlanPositions {
+		f.probe()
+		if p := f.plan; len(p.missIDs) > 0 {
+			f.pending = gs.BeginGather(p.missIDs, p.missRows, f.staging, deadline)
+		}
+	}
+}
+
+// probe opens the planned gather — the locality-aware serving path:
+// dedup the merged batch's IDs (co-batched requests share hot rows)
+// and copy every unique row the cache holds into an arena-backed
+// staging buffer, leaving the rest in the plan's miss list for the
+// store to fetch. Each unique row is read — and an int8 row
+// dequantized — at most once per pass.
+func (f *SLSForward) probe() {
+	s := f.op
+	cols := s.Table.Cols
+	f.out = allocDense(f.a, f.batch, cols)
+	s.Table.validateIDs(f.ids)
+	p := planPool.Get().(*gatherPlan)
+	f.plan = p
+	nUniq := p.build(f.ids)
+	// Staging can skip the arena's zero fill: every row is written
+	// exactly once — by a cache hit here or by the fetch — before
+	// accumStaged reads any of it. (out must stay zeroed: accumulation
+	// is +=.)
+	f.staging = allocDenseUninit(f.a, nUniq, cols)
+	if s.cache != nil {
+		f.gen = s.cache.Gen()
+	}
+	p.missIDs = p.missIDs[:0]
+	p.missRows = p.missRows[:0]
+	for u, id := range p.uniq {
+		if s.cache != nil && s.cache.Lookup(f.gen, uint64(id), f.staging.Row(u)) {
+			continue
+		}
+		p.missIDs = append(p.missIDs, id)
+		p.missRows = append(p.missRows, int32(u))
+	}
+}
+
+// Finish completes the forward begun by Begin and returns the pooled
+// output. What runs is chosen from what the op can observe: the
+// planned gather when a remote store, a row cache or an int8 table is
+// attached (and the gather fits a plan), the plan-free fp32 gather
+// otherwise. The planned gather fetches the rows the cache missed —
+// waiting for the GatherSource, or reading the local store here —
+// completes the cache's generation protocol (insert fetched rows under
+// the captured token, or invalidate when the source's generation
+// moved), and accumulates in the original per-sample ID order, so its
+// output is bit-identical to the plan-free reference as long as the
+// store serves the same row values. A fetch error panics with the
+// source's error value (the engine's recover maps it to its HTTP
+// taxonomy).
+func (f *SLSForward) Finish() *tensor.Tensor {
+	s := f.op
+	local := f.plan == nil
+	if local {
+		if len(f.ids) >= maxPlanPositions || s.cache == nil && s.Quant == nil {
+			if s.Quant != nil {
+				// Too large for a plan (> 2^24 positions): dequantize
+				// per occurrence.
+				return s.forwardQuantNaive(f.ids, f.batch, f.a)
+			}
+			return s.forwardDirect(f.ids, f.batch, f.a, f.workers)
+		}
+		f.probe()
+	}
+	p, out, staging := f.plan, f.out, f.staging
+	// Inline serial paths below: the parallel branches' closures must
+	// not be reached at workers <= 1, or their allocation would break
+	// the steady-state zero-alloc contract.
+	workers := slsWorkers(f.workers, f.batch, len(f.ids)*s.Table.Cols)
+	genChanged := false
+	if local {
+		if workers <= 1 {
+			s.readMisses(p, staging, 0, len(p.missIDs))
+		} else {
+			tensor.ParallelFor(len(p.missIDs), workers, func(lo, hi int) {
+				s.readMisses(p, staging, lo, hi)
+			})
+		}
+	} else if f.pending != nil {
+		gc, err := f.pending.Wait()
+		if err != nil {
+			planPool.Put(p)
+			panic(err)
+		}
+		genChanged = gc
+	}
+	if s.cache != nil {
+		if genChanged {
+			// The source rewrote rows since the last gather: rows read
+			// from the cache this pass may be stale (same in-flight
+			// window a local trainer's invalidation has); dropping the
+			// generation re-fetches everything next pass instead of
+			// inserting possibly-mixed rows under the old token.
+			s.cache.Invalidate()
+		} else {
+			for i, id := range p.missIDs {
+				s.cache.Insert(f.gen, uint64(id), staging.Row(int(p.missRows[i])))
+			}
+		}
+	}
 	if workers <= 1 {
-		// Inline serial path: the parallel branch's closures must not
-		// be reached here, or their allocation would break the
-		// steady-state zero-alloc contract.
-		s.stageRows(staging, p.uniq, 0, nUniq, gen)
-		s.accumStaged(out, staging, p.index, 0, batch)
+		s.accumStaged(out, staging, p.index, 0, f.batch)
 	} else {
-		tensor.ParallelFor(nUniq, workers, func(lo, hi int) {
-			s.stageRows(staging, p.uniq, lo, hi, gen)
-		})
-		tensor.ParallelFor(batch, workers, func(lo, hi int) {
+		tensor.ParallelFor(f.batch, workers, func(lo, hi int) {
 			s.accumStaged(out, staging, p.index, lo, hi)
 		})
 	}
-	if s.Mean {
-		inv := 1 / float32(s.Lookups)
-		d := out.Data()
-		for i := range d {
-			d[i] *= inv
-		}
-	}
+	s.meanScale(out)
 	planPool.Put(p)
 	return out
 }
 
-// stageRows materializes unique rows [lo, hi) into the staging buffer:
-// cache hit, else a row-store read (fp32 copy or int8 dequant through
-// the LocalStore implementation) followed by a read-through insert.
-func (s *SLSOp) stageRows(staging *tensor.Tensor, uniq []int64, lo, hi int, gen uint64) {
+// readMisses is the local store's fetch: missed rows [lo, hi) of the
+// plan's miss list read (fp32 copy or int8 dequant) into their staging
+// rows.
+func (s *SLSOp) readMisses(p *gatherPlan, staging *tensor.Tensor, lo, hi int) {
 	store := s.src()
-	for u := lo; u < hi; u++ {
-		id := uniq[u]
-		dst := staging.Row(u)
-		if s.cache != nil && s.cache.Lookup(gen, uint64(id), dst) {
-			continue
-		}
-		store.ReadRow(id, dst)
-		if s.cache != nil {
-			s.cache.Insert(gen, uint64(id), dst)
-		}
+	for i := lo; i < hi; i++ {
+		store.ReadRow(p.missIDs[i], staging.Row(int(p.missRows[i])))
 	}
 }
 
@@ -273,11 +366,9 @@ func (s *SLSOp) accumStaged(out, staging *tensor.Tensor, index []int32, kLo, kHi
 }
 
 // forwardQuantNaive is the plan-free int8 reference: dequantize every
-// occurrence on the fly via the fused dequantize-accumulate kernel,
-// exactly like QuantizedTable.SparseLengthsSum with a uniform lengths
-// vector. It is the equivalence baseline (and the fallback for gathers
-// too large for a plan); with an arena it runs allocation-free so
-// benchmarks can compare it fairly against the planned gather.
+// occurrence on the fly via the fused dequantize-accumulate kernel. It
+// is the equivalence baseline behind Forward, and the fallback for
+// gathers too large for a plan.
 func (s *SLSOp) forwardQuantNaive(ids []int, batch int, a *tensor.Arena) *tensor.Tensor {
 	cols := s.Table.Cols
 	out := allocDense(a, batch, cols)
@@ -289,12 +380,6 @@ func (s *SLSOp) forwardQuantNaive(ids []int, batch int, a *tensor.Arena) *tensor
 			s.Quant.AccumRow(id, d)
 		}
 	}
-	if s.Mean {
-		inv := 1 / float32(l)
-		d := out.Data()
-		for i := range d {
-			d[i] *= inv
-		}
-	}
+	s.meanScale(out)
 	return out
 }

@@ -16,30 +16,6 @@ func randIDs(r *stats.RNG, n, rows int) []int {
 	return ids
 }
 
-// TestParallelSLSMatchesSerial checks the row-partitioned gather is
-// bit-identical to the serial kernel across the specialized widths
-// (32, 64) and the generic path, including zero-length slices.
-func TestParallelSLSMatchesSerial(t *testing.T) {
-	rng := stats.NewRNG(31)
-	for _, cols := range []int{32, 64, 40, 1} {
-		table := NewEmbeddingTable("t", 500, cols, rng)
-		lengths := []int{3, 0, 7, 1, 0, 12, 2, 5, 9, 0, 4, 6}
-		total := 0
-		for _, l := range lengths {
-			total += l
-		}
-		ids := randIDs(rng, total, table.Rows)
-		want := table.SparseLengthsSum(ids, lengths)
-		for _, workers := range []int{0, 1, 2, 7} {
-			got := tensor.New(len(lengths), cols)
-			table.ParallelSLS(got, ids, lengths, workers)
-			if !tensor.Equal(got, want, 0) {
-				t.Fatalf("cols %d workers %d: parallel SLS not bit-identical", cols, workers)
-			}
-		}
-	}
-}
-
 func TestSLSOpForwardExMatchesForward(t *testing.T) {
 	rng := stats.NewRNG(32)
 	for _, cols := range []int{32, 64, 24} {

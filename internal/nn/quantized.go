@@ -103,31 +103,6 @@ func (q *QuantizedTable) AccumRow(r int, dst []float32) {
 	tensor.DequantAccumI8(dst, q.codes[r*q.Cols:(r+1)*q.Cols], q.scale[r], q.offset[r])
 }
 
-// SparseLengthsSum pools quantized rows exactly like
-// EmbeddingTable.SparseLengthsSum, dequantizing on the fly.
-func (q *QuantizedTable) SparseLengthsSum(ids []int, lengths []int) *tensor.Tensor {
-	total := 0
-	for _, l := range lengths {
-		if l < 0 {
-			panic("nn: SparseLengthsSum negative length")
-		}
-		total += l
-	}
-	if total != len(ids) {
-		panic(fmt.Sprintf("nn: SparseLengthsSum lengths sum to %d but %d IDs given", total, len(ids)))
-	}
-	out := tensor.New(len(lengths), q.Cols)
-	cur := 0
-	for k, l := range lengths {
-		outRow := out.Row(k)
-		for _, id := range ids[cur : cur+l] {
-			q.AccumRow(id, outRow)
-		}
-		cur += l
-	}
-	return out
-}
-
 // MaxAbsError returns the worst-case dequantization error of the table
 // versus its fp32 source.
 func (q *QuantizedTable) MaxAbsError(src *EmbeddingTable) float32 {

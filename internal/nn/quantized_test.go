@@ -41,15 +41,17 @@ func TestQuantizedSLSMatchesFloat(t *testing.T) {
 	q := Quantize(e)
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
-		n1, n2 := 1+r.Intn(30), 1+r.Intn(30)
-		ids := make([]int, n1+n2)
+		lookups := 1 + r.Intn(30)
+		ids := make([]int, 2*lookups)
 		for i := range ids {
 			ids[i] = r.Intn(500)
 		}
-		want := e.SparseLengthsSum(ids, []int{n1, n2})
-		got := q.SparseLengthsSum(ids, []int{n1, n2})
+		op := NewSLSOp(e, lookups)
+		want := op.Forward(ids, 2)
+		op.Quant = q
+		got := op.Forward(ids, 2)
 		// Error accumulates over pooled rows: bound by lookups × step.
-		tol := float32(n1+n2) * 3e-4
+		tol := float32(lookups) * 3e-4
 		return tensor.MaxAbsDiff(got, want) <= tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -79,8 +81,6 @@ func TestQuantizedPanics(t *testing.T) {
 		"row range":      func() { q.Row(10, dst) },
 		"row neg":        func() { q.Row(-1, dst) },
 		"dst len":        func() { q.Row(0, make([]float32, 3)) },
-		"sls mismatch":   func() { q.SparseLengthsSum([]int{0, 1}, []int{1}) },
-		"sls neg length": func() { q.SparseLengthsSum([]int{0}, []int{-1, 2}) },
 		"shape mismatch": func() { q.MaxAbsError(NewEmbeddingTable("x", 5, 4, rng)) },
 	}
 	for name, fn := range cases {
@@ -107,7 +107,8 @@ func TestQuantizedCTREndToEnd(t *testing.T) {
 		ids[i] = rng.Intn(1000)
 	}
 	fl := op.Forward(ids, 3)
-	qt := q.SparseLengthsSum(ids, []int{20, 20, 20})
+	op.Quant = q
+	qt := op.Forward(ids, 3)
 	if d := tensor.MaxAbsDiff(fl, qt); d > 0.01 {
 		t.Errorf("quantized pooling deviates %v", d)
 	}

@@ -146,129 +146,3 @@ func (s *SLSOp) Async() bool {
 	_, ok := s.src().(GatherSource)
 	return ok
 }
-
-// SLSForward is the two-phase form of ForwardEx: Begin dispatches the
-// gather, Finish waits and pools. With a local store Begin only
-// records the arguments and Finish runs the ordinary synchronous path,
-// so the split costs the local fast path nothing; with a GatherSource
-// the rows are in flight between the two calls and the model runs the
-// Bottom-MLP in the gap — the overlap internal/dist's Estimate models
-// (TotalUS = max(Bottom, Shard+Net) + Top).
-type SLSForward struct {
-	op      *SLSOp
-	ids     []int
-	batch   int
-	workers int
-	a       *tensor.Arena
-
-	// Async-path state (unused when async is false).
-	async   bool
-	plan    *gatherPlan
-	out     *tensor.Tensor
-	staging *tensor.Tensor
-	gen     uint64
-	pending PendingGather
-}
-
-// Begin starts one SLS forward into f. With an async store it builds
-// the gather plan, consults the row cache, and dispatches the miss
-// list to the GatherSource; otherwise it just records the arguments
-// for Finish. f is caller-owned scratch (typically a stack value or a
-// pooled slice entry) and must not be reused until Finish returns.
-func (s *SLSOp) Begin(f *SLSForward, ids []int, batch int, a *tensor.Arena, workers int, deadline time.Time) {
-	f.op, f.ids, f.batch, f.a, f.workers = s, ids, batch, a, workers
-	f.pending = nil
-	gs, ok := s.src().(GatherSource)
-	f.async = ok && len(ids) < maxPlanPositions
-	if !f.async {
-		return
-	}
-	if len(ids) != batch*s.Lookups {
-		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
-	}
-	cols := s.Table.Cols
-	f.out = allocDense(a, batch, cols)
-	s.Table.validateIDs(ids)
-	p := planPool.Get().(*gatherPlan)
-	f.plan = p
-	nUniq := p.build(ids)
-	// Staging rows are written exactly once each — by a cache hit here
-	// or by the fetch — before accumStaged reads any of them.
-	f.staging = allocDenseUninit(a, nUniq, cols)
-	f.gen = 0
-	if s.cache != nil {
-		f.gen = s.cache.Gen()
-	}
-	p.missIDs = p.missIDs[:0]
-	p.missRows = p.missRows[:0]
-	for u := 0; u < nUniq; u++ {
-		id := p.uniq[u]
-		dst := f.staging.Row(u)
-		if s.cache != nil && s.cache.Lookup(f.gen, uint64(id), dst) {
-			continue
-		}
-		p.missIDs = append(p.missIDs, id)
-		p.missRows = append(p.missRows, int32(u))
-	}
-	if len(p.missIDs) > 0 {
-		f.pending = gs.BeginGather(p.missIDs, p.missRows, f.staging, deadline)
-	}
-}
-
-// Finish completes the forward begun by Begin and returns the pooled
-// output. On the async path it waits for the in-flight rows, applies
-// the generation protocol (insert fetched rows under the captured
-// token, or invalidate the cache when the source's generation moved),
-// and accumulates — in the same per-sample ID order as every other
-// path, so results are bit-identical to the local gather as long as
-// the source serves the same row values. A fetch error panics with the
-// source's error value (the engine's recover maps it to its HTTP
-// taxonomy).
-func (f *SLSForward) Finish() *tensor.Tensor {
-	if !f.async {
-		return f.op.ForwardEx(f.ids, f.batch, f.a, f.workers)
-	}
-	s := f.op
-	p := f.plan
-	genChanged := false
-	if f.pending != nil {
-		gc, err := f.pending.Wait()
-		if err != nil {
-			planPool.Put(p)
-			panic(err)
-		}
-		genChanged = gc
-	}
-	if s.cache != nil {
-		if genChanged {
-			// The source rewrote rows since the last gather: rows read
-			// from the cache this pass may be stale (same in-flight
-			// window a local trainer's invalidation has); dropping the
-			// generation re-fetches everything next pass instead of
-			// inserting possibly-mixed rows under the old token.
-			s.cache.Invalidate()
-		} else {
-			for i, id := range p.missIDs {
-				s.cache.Insert(f.gen, uint64(id), f.staging.Row(int(p.missRows[i])))
-			}
-		}
-	}
-	workers := slsWorkers(f.workers, f.batch, len(f.ids)*s.Table.Cols)
-	if workers <= 1 {
-		s.accumStaged(f.out, f.staging, p.index, 0, f.batch)
-	} else {
-		out, staging := f.out, f.staging
-		tensor.ParallelFor(f.batch, workers, func(lo, hi int) {
-			s.accumStaged(out, staging, p.index, lo, hi)
-		})
-	}
-	if s.Mean {
-		inv := 1 / float32(s.Lookups)
-		d := f.out.Data()
-		for i := range d {
-			d[i] *= inv
-		}
-	}
-	planPool.Put(p)
-	return f.out
-}

@@ -252,14 +252,13 @@ func (s *Server) handleConn(c net.Conn) {
 	bw := bufio.NewWriterSize(c, 64<<10)
 	var in, out []byte
 	row := make([]float32, s.maxCols())
-	acc := make([]float32, s.maxCols())
 	for {
 		var err error
 		in, err = readFrame(br, in)
 		if err != nil {
 			return // clean EOF or broken peer either way: drop the conn
 		}
-		out = s.handle(in, out[:0], row, acc)
+		out = s.handle(in, out[:0], row)
 		if err := writeFrame(bw, out); err != nil {
 			return
 		}
@@ -277,8 +276,9 @@ func appendErrResp(b []byte, reqID uint32, status byte, msg string) []byte {
 }
 
 // handle serves one decoded request frame, appending the response
-// payload to out.
-func (s *Server) handle(in, out []byte, row, acc []float32) []byte {
+// payload to out. The response never exceeds maxFrame: a request whose
+// rows would not fit is refused before any row is read.
+func (s *Server) handle(in, out []byte, row []float32) []byte {
 	r := reader{b: in}
 	version := r.u8()
 	op := r.u8()
@@ -293,7 +293,7 @@ func (s *Server) handle(in, out []byte, row, acc []float32) []byte {
 		out = append(out, wireVersion, statusOK)
 		out = putU32(out, reqID)
 		return putU16(out, 0)
-	case opGatherRows, opGatherPooled:
+	case opGatherRows:
 	default:
 		return appendErrResp(out, reqID, statusBadRequest, fmt.Sprintf("unknown opcode %d", op))
 	}
@@ -306,7 +306,7 @@ func (s *Server) handle(in, out []byte, row, acc []float32) []byte {
 	out = putU16(out, uint16(nTables))
 	for i := 0; i < nTables; i++ {
 		var err error
-		out, err = s.serveTable(&r, op, out, row, acc)
+		out, err = s.serveTable(&r, out, row)
 		if err != nil {
 			return appendErrResp(out[:0], reqID, statusBadRequest, err.Error())
 		}
@@ -315,16 +315,10 @@ func (s *Server) handle(in, out []byte, row, acc []float32) []byte {
 }
 
 // serveTable decodes one request table section from r and appends its
-// response section.
-func (s *Server) serveTable(r *reader, op byte, out []byte, row, acc []float32) ([]byte, error) {
+// response section: the requested rows in request order.
+func (s *Server) serveTable(r *reader, out []byte, row []float32) ([]byte, error) {
 	idx := r.u32()
 	nIDs := int(r.u32())
-	nOut := nIDs
-	var offsets []byte
-	if op == opGatherPooled {
-		nOut = int(r.u32())
-		offsets = r.bytes((nOut + 1) * 4)
-	}
 	ids := r.bytes(nIDs * 4)
 	if r.err != nil {
 		return out, r.err
@@ -333,10 +327,15 @@ func (s *Server) serveTable(r *reader, op byte, out []byte, row, acc []float32) 
 		return out, fmt.Errorf("no table %d", idx)
 	}
 	t := s.tables[int(idx)]
+	rows, cols := t.store.Rows(), t.store.Cols()
+	// A frame of legal size can ask for more rows than a response frame
+	// holds (16 M IDs × 64 columns is 4 GiB); refuse before growing out.
+	if size := len(out) + tableRespHeader + nIDs*cols*4; size > maxFrame {
+		return out, fmt.Errorf("response of %d bytes exceeds the %d-byte frame limit", size, maxFrame)
+	}
 	if rs := s.rowServiceNS.Load(); rs > 0 {
 		time.Sleep(time.Duration(rs * int64(nIDs)))
 	}
-	rows, cols := t.store.Rows(), t.store.Cols()
 	for i := 0; i < nIDs; i++ {
 		if id := binary.LittleEndian.Uint32(ids[i*4:]); int(id) >= rows {
 			return out, fmt.Errorf("row %d out of range for table %d", id, idx)
@@ -351,43 +350,18 @@ func (s *Server) serveTable(r *reader, op byte, out []byte, row, acc []float32) 
 	out = putU32(out, idx)
 	out = putU64(out, gen)
 	out = putU16(out, uint16(cols))
-	out = putU32(out, uint32(nOut))
-	readRow := func(i int, dst []float32) {
+	out = putU32(out, uint32(nIDs))
+	row = row[:cols]
+	for i := 0; i < nIDs; i++ {
 		id := int64(binary.LittleEndian.Uint32(ids[i*4:]))
-		if t.cache != nil && t.cache.Lookup(cgen, uint64(id), dst[:cols]) {
-			return
-		}
-		t.store.ReadRow(id, dst[:cols])
-		if t.cache != nil {
-			t.cache.Insert(cgen, uint64(id), dst[:cols])
-		}
-	}
-	if op == opGatherRows {
-		for i := 0; i < nIDs; i++ {
-			readRow(i, row)
-			for _, v := range row[:cols] {
-				out = putU32(out, math.Float32bits(v))
+		if t.cache == nil || !t.cache.Lookup(cgen, uint64(id), row) {
+			t.store.ReadRow(id, row)
+			if t.cache != nil {
+				t.cache.Insert(cgen, uint64(id), row)
 			}
 		}
-	} else {
-		for o := 0; o < nOut; o++ {
-			lo := int(binary.LittleEndian.Uint32(offsets[o*4:]))
-			hi := int(binary.LittleEndian.Uint32(offsets[(o+1)*4:]))
-			if lo > hi || hi > nIDs {
-				t.mu.RUnlock()
-				return out, fmt.Errorf("bad pooled offsets [%d,%d) for table %d", lo, hi, idx)
-			}
-			a := acc[:cols]
-			clear(a)
-			for i := lo; i < hi; i++ {
-				readRow(i, row)
-				for j, v := range row[:cols] {
-					a[j] += v
-				}
-			}
-			for _, v := range a {
-				out = putU32(out, math.Float32bits(v))
-			}
+		for _, v := range row {
+			out = putU32(out, math.Float32bits(v))
 		}
 	}
 	t.mu.RUnlock()

@@ -269,67 +269,6 @@ func TestDeadShardSurfacesErrUnavailable(t *testing.T) {
 	remote.ForwardEx(ids, 32, nil, 1)
 }
 
-// TestPooledOpcodeWire exercises opGatherPooled at the wire level
-// against one server: partial pooled sums come back in request-segment
-// order (bit-identical to a local in-order sum on a single shard).
-func TestPooledOpcodeWire(t *testing.T) {
-	rng := stats.NewRNG(41)
-	tab := nn.NewEmbeddingTable("t0", 500, 16, rng)
-	op := nn.NewSLSOp(tab, 4)
-	srv, err := NewServer([]nn.RowStore{op.LocalStore()}, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	ids := []uint32{3, 11, 3, 200, 7, 7}
-	offsets := []uint32{0, 3, 6} // two output rows of three lookups each
-	req := appendPooledReq(nil, 9, 0, 0, ids, offsets)
-	if err := writeFrame(bw, req); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := readFrame(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := decodeResp(payload, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.nRows != 2 || tr.cols != 16 {
-		t.Fatalf("pooled response shape %dx%d, want 2x16", tr.nRows, tr.cols)
-	}
-	row := make([]float32, 16)
-	want := make([]float32, 16)
-	scratch := make([]float32, 16)
-	store := op.LocalStore()
-	for o := 0; o < 2; o++ {
-		clear(want)
-		for _, id := range ids[offsets[o]:offsets[o+1]] {
-			store.ReadRow(int64(id), scratch)
-			for j := range want {
-				want[j] += scratch[j]
-			}
-		}
-		tr.rowF32(o, row)
-		tensorsEqualBits(t, row, want)
-	}
-}
-
 // TestRemoteUpdateRaceHammer runs concurrent forwards against
 // concurrent server-side row updates and generation bumps — the
 // -race-detector coverage for the generation protocol end to end

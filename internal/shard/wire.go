@@ -17,9 +17,7 @@ import (
 //	frame    := u32 payloadLen | payload            (payloadLen ≤ maxFrame)
 //	request  := u8 version | u8 opcode | u32 reqID | u32 deadlineUS |
 //	            u16 nTables | table...
-//	table    := u32 tableIdx | u32 nIDs |
-//	            [opGatherPooled: u32 nOut | (nOut+1)×u32 offsets] |
-//	            nIDs×u32 rowID
+//	table    := u32 tableIdx | u32 nIDs | nIDs×u32 rowID
 //	response := u8 version | u8 status | u32 reqID | body
 //	body(OK) := u16 nTables | tableResp...
 //	tableResp:= u32 tableIdx | u64 gen | u16 cols | u32 nRows |
@@ -29,18 +27,15 @@ import (
 // deadlineUS is the client's remaining budget in microseconds at send
 // time (0 = unbounded) — advisory load-shedding input for the server;
 // the client enforces its deadline with socket deadlines regardless.
-// For opGatherRows the response rows are the requested rows in request
-// order; for opGatherPooled they are nOut partial pooled sums, row i
-// summing request rows offsets[i]..offsets[i+1]. Pooled sums add in
-// the server's (shard-local) order, so a multi-shard pooled gather is
-// NOT bit-identical across shard counts — the engine path uses
-// opGatherRows and accumulates client-side in per-sample ID order.
+// The response rows are the requested rows in request order; pooling
+// happens client-side, in per-sample ID order, which is what keeps
+// scores bit-identical at any shard count. Opcode 2 is retired (it was
+// a shard-side pooled gather); servers answer it statusBadRequest.
 const (
 	wireVersion = 1
 
-	opGatherRows   = 1
-	opGatherPooled = 2
-	opPing         = 3
+	opGatherRows = 1
+	opPing       = 3
 
 	statusOK         = 0
 	statusBadRequest = 1
@@ -50,6 +45,10 @@ const (
 	// response for the largest configured table widths fits with room
 	// to spare) so a corrupt length prefix cannot balloon allocation.
 	maxFrame = 1 << 26
+
+	// tableRespHeader is the fixed part of a tableResp: tableIdx, gen,
+	// cols, nRows.
+	tableRespHeader = 4 + 8 + 2 + 4
 )
 
 // errProto wraps malformed-frame conditions; the side that sees it
@@ -172,26 +171,6 @@ func appendRowsReq(b []byte, reqID, deadlineUS, table uint32, ids []uint32) []by
 	b = putU16(b, 1)
 	b = putU32(b, table)
 	b = putU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		b = putU32(b, id)
-	}
-	return b
-}
-
-// appendPooledReq encodes a single-table opGatherPooled request:
-// offsets is the CSR segmentation of ids into output rows (len nOut+1,
-// offsets[0] == 0, offsets[nOut] == len(ids)).
-func appendPooledReq(b []byte, reqID, deadlineUS, table uint32, ids []uint32, offsets []uint32) []byte {
-	b = append(b, wireVersion, opGatherPooled)
-	b = putU32(b, reqID)
-	b = putU32(b, deadlineUS)
-	b = putU16(b, 1)
-	b = putU32(b, table)
-	b = putU32(b, uint32(len(ids)))
-	b = putU32(b, uint32(len(offsets)-1))
-	for _, o := range offsets {
-		b = putU32(b, o)
-	}
 	for _, id := range ids {
 		b = putU32(b, id)
 	}

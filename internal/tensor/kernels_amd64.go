@@ -22,9 +22,6 @@ func dequantI8(dst *float32, codes *int8, n int, scale, offset float32)
 func dequantAccumI8(dst *float32, codes *int8, n int, scale, offset float32)
 
 //go:noescape
-func dotU8S8(x *uint8, w *int8, n int) int32
-
-//go:noescape
 func gemmI8Kern4x8(a *int16, astride int, tile *int8, y *float32, ldy int, kq int, sx *float32, zp *int32, sw *float32, colSum *int32, bias *float32)
 
 //go:noescape

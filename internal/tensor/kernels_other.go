@@ -22,10 +22,6 @@ func dequantAccumI8(dst *float32, codes *int8, n int, scale, offset float32) {
 	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
 }
 
-func dotU8S8(x *uint8, w *int8, n int) int32 {
-	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
-}
-
 func gemmI8RowsAVX2(x []int16, sx []float32, zp []int32, pb *PackedBI8, bias []float32, y []float32, lo, hi int) {
 	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
 }

@@ -7,7 +7,7 @@ import (
 
 // Equivalence policy (see cpu.go): fp32 GEMM comparisons between the
 // AVX2/FMA tier and the Go reference use FloatsClose — fused rounding
-// differs legitimately — while AddF32, DequantI8, and DotU8S8 must be
+// differs legitimately — while AddF32 and DequantI8 must be
 // bit-identical across tiers. The pure-Go tier is bit-exact by
 // definition (it IS the reference).
 
@@ -246,54 +246,6 @@ func TestDequantAccumI8BitIdentical(t *testing.T) {
 			if dstGo[i] != staged2[i] {
 				t.Fatalf("n=%d: fused accumulate differs from dequant-then-add at %d", n, i)
 			}
-		}
-	}
-}
-
-func TestDotU8S8Exact(t *testing.T) {
-	prev := KernelTier()
-	defer func() { _ = SetKernel(prev) }()
-	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{0, 1, 15, 16, 17, 32, 64, 100, 512, 513} {
-		x := make([]uint8, n)
-		w := make([]int8, n)
-		var want int32
-		for i := range x {
-			x[i] = uint8(rng.Intn(256))
-			w[i] = int8(rng.Intn(256) - 128)
-			want += int32(x[i]) * int32(w[i])
-		}
-		for _, tier := range []string{KernelGo, KernelAVX2} {
-			if !KernelSupported(tier) {
-				continue
-			}
-			if err := SetKernel(tier); err != nil {
-				t.Fatal(err)
-			}
-			if got := DotU8S8(x, w); got != want {
-				t.Fatalf("n=%d tier=%s: DotU8S8 = %d, want %d", n, tier, got, want)
-			}
-		}
-	}
-	// Worst-case magnitudes: saturation in a VPMADDUBSW-style kernel
-	// would corrupt exactly this input; the widening kernel must not.
-	x := make([]uint8, 64)
-	w := make([]int8, 64)
-	var want int32
-	for i := range x {
-		x[i] = 255
-		w[i] = -128
-		want += 255 * -128
-	}
-	for _, tier := range []string{KernelGo, KernelAVX2} {
-		if !KernelSupported(tier) {
-			continue
-		}
-		if err := SetKernel(tier); err != nil {
-			t.Fatal(err)
-		}
-		if got := DotU8S8(x, w); got != want {
-			t.Fatalf("tier=%s: saturation-prone DotU8S8 = %d, want %d", tier, got, want)
 		}
 	}
 }

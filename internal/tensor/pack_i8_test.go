@@ -345,48 +345,6 @@ func benchGemmI8(b *testing.B, batch, k, n int) {
 	b.ReportMetric(2*float64(batch)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GOPS")
 }
 
-// BenchmarkGemmI8PerElementRM reconstructs the pre-tiling int8 path —
-// one DotU8S8 per output element over column-major codes — as the
-// speedup baseline for the register-tiled kernel (EXPERIMENTS.md
-// kernel table).
-func BenchmarkGemmI8PerElementRM(b *testing.B) {
-	batch, k, n := 256, 512, 256
-	rng := rand.New(rand.NewSource(1))
-	codes := make([]int8, k*n)
-	for i := range codes {
-		codes[i] = int8(rng.Intn(255) - 127)
-	}
-	scale := make([]float32, n)
-	colSum := make([]int32, n)
-	for j := 0; j < n; j++ {
-		scale[j] = 0.01
-		var s int32
-		for i := 0; i < k; i++ {
-			s += int32(codes[j*k+i])
-		}
-		colSum[j] = s
-	}
-	xq := make([]uint8, batch*k)
-	for i := range xq {
-		xq[i] = uint8(rng.Intn(256))
-	}
-	bias := make([]float32, n)
-	y := make([]float32, batch*n)
-	b.SetBytes(int64(2 * batch * k * n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < batch; r++ {
-			xrow := xq[r*k : (r+1)*k]
-			sxr, zpr := float32(0.02), int32(128)
-			for j := 0; j < n; j++ {
-				dot := DotU8S8(xrow, codes[j*k:(j+1)*k])
-				y[r*n+j] = float32(dot-zpr*colSum[j])*(sxr*scale[j]) + bias[j]
-			}
-		}
-	}
-}
-
 func BenchmarkQuantizeRowI16(b *testing.B) {
 	src := make([]float32, 512)
 	rng := rand.New(rand.NewSource(1))

@@ -102,21 +102,23 @@ func TestShardGroupNoPanic(t *testing.T) {
 	}
 }
 
-// TestParallelGemmShardPanicRecoverable: a panic raised inside the
-// row-partitioned GEMM fan-out (injected via an undersized output
-// tensor that defeats the shard's slice bounds) is observable with a
-// plain recover on the calling goroutine.
-func TestParallelGemmShardPanicRecoverable(t *testing.T) {
+// TestParallelGemmPackedShardPanicRecoverable: a panic raised inside
+// the row-partitioned GEMM fan-out (injected via an undersized output
+// tensor that defeats the last shard's bounds checks) is observable
+// with a plain recover on the calling goroutine.
+func TestParallelGemmPackedShardPanicRecoverable(t *testing.T) {
 	const m, k, n = 64, 64, 64 // above minParallelMAdds, so fan-out engages
-	a, b := New(m, k), New(k, n)
+	a, pb := New(m, k), PackB(New(k, n))
 	// Hand-build a C whose header claims [m, n] but whose backing array
-	// is too short: the last shard's c.data[lo*n:hi*n] slice must panic
-	// inside the shard goroutine, not on the caller.
-	c := &Tensor{data: make([]float32, (m-1)*n), shape: []int{m, n}}
+	// ends exactly where the last of the four 16-row shards begins: that
+	// shard's first index into C must panic inside the shard goroutine,
+	// not on the caller, while the other shards stay in bounds on both
+	// kernel tiers.
+	c := &Tensor{data: make([]float32, (m-m/4)*n), shape: []int{m, n}}
 	defer func() {
 		if recover() == nil {
 			t.Error("undersized C should have panicked recoverably")
 		}
 	}()
-	ParallelGemm(a, b, c, 4)
+	ParallelGemmPacked(a, pb, c, 4)
 }

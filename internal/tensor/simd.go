@@ -59,26 +59,3 @@ func DequantAccumI8(dst []float32, codes []int8, scale, offset float32) {
 		dst[i] += (float32(code)+128)*scale + offset
 	}
 }
-
-// DotU8S8 returns Σ int32(x[i])·int32(w[i]) — the unsigned-activation
-// × signed-weight inner product of the int8 GEMM path. Integer
-// arithmetic is exact, so asm and Go agree bit-for-bit. The AVX2
-// kernel consumes 16-byte chunks; the tail runs scalar here.
-func DotU8S8(x []uint8, w []int8) int32 {
-	if len(x) != len(w) {
-		panic(fmt.Sprintf("tensor: DotU8S8 length mismatch %d vs %d", len(x), len(w)))
-	}
-	var s int32
-	n := len(x) &^ 15
-	if useAVX2 && n > 0 {
-		s = dotU8S8(&x[0], &w[0], n)
-	} else {
-		for i := 0; i < n; i++ {
-			s += int32(x[i]) * int32(w[i])
-		}
-	}
-	for i := n; i < len(x); i++ {
-		s += int32(x[i]) * int32(w[i])
-	}
-	return s
-}

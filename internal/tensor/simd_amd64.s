@@ -2,11 +2,11 @@
 
 #include "textflag.h"
 
-// SLS accumulation and int8 kernels. Unlike the GEMM micro-kernels,
-// addF32 and dequantI8 deliberately avoid FMA and preserve the Go
-// tier's per-element operation order, so their results are
-// bit-identical to the portable kernels; dotU8S8 is integer arithmetic
-// and exact by construction. See the numerics contract in cpu.go.
+// SLS accumulation and int8 dequantization kernels. Unlike the GEMM
+// micro-kernels, addF32 and dequantI8 deliberately avoid FMA and
+// preserve the Go tier's per-element operation order, so their results
+// are bit-identical to the portable kernels. See the numerics contract
+// in cpu.go.
 
 // 128.0, the row-wise int8 code bias (codes are stored as code-128).
 DATA f128<>+0(SB)/4, $0x43000000
@@ -176,41 +176,5 @@ loop1:
 	JNZ  loop1
 
 done:
-	VZEROUPPER
-	RET
-
-// func dotU8S8(x *uint8, w *int8, n int) int32
-//
-// Σ_{i<n} int32(x[i])·int32(w[i]), n a positive multiple of 16 (the
-// Go wrapper handles tails). Bytes are widened to i16 before VPMADDWD
-// (u8·s8 products fit i16·i16 pair sums in i32 exactly), avoiding
-// VPMADDUBSW's i16 saturation — results are exact, so asm and Go
-// tiers agree bit-for-bit.
-TEXT ·dotU8S8(SB), NOSPLIT, $0-28
-	MOVQ x+0(FP), DI
-	MOVQ w+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHRQ $4, CX
-	VPXOR Y0, Y0, Y0
-
-loop:
-	VPMOVZXBW (DI), Y1    // 16 u8 -> 16 i16
-	VPMOVSXBW (SI), Y2    // 16 s8 -> 16 i16
-	VPMADDWD  Y2, Y1, Y3  // 8 i32 pair sums
-	VPADDD    Y3, Y0, Y0
-	ADDQ $16, DI
-	ADDQ $16, SI
-	DECQ CX
-	JNZ  loop
-
-	// Horizontal i32 sum of Y0.
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD  X1, X0, X0
-	VPSHUFD $0x4E, X0, X1
-	VPADDD  X1, X0, X0
-	VPSHUFD $0xB1, X0, X1
-	VPADDD  X1, X0, X0
-	VMOVD   X0, AX
-	MOVL    AX, ret+24(FP)
 	VZEROUPPER
 	RET
