@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet fmt-check race lint verify bench bench-module bench-hot bench-regress fuzz test-gotier
+.PHONY: build test vet fmt-check race lint verify bench bench-module bench-hot bench-regress fuzz test-gotier loc
 
 build:
 	$(GO) build ./...
@@ -34,10 +34,11 @@ lint: vet
 # hot-row cache consulted by every planned gather, shard the
 # hedged-fan-out client and loopback servers of the remote tier,
 # sched/adapt the control loop that flips live batch policies under
-# traffic, online the background train→quantize→swap updater, and
-# scenario the chaos harness that storms swaps against live load).
+# traffic, online the background train→quantize→swap updater,
+# scenario the chaos harness that storms swaps against live load, and
+# stack the bring-up that starts and stops all of those loops together).
 race:
-	$(GO) test -race ./internal/engine ./internal/tensor ./internal/nn ./internal/embcache ./internal/shard ./internal/sched/adapt ./internal/online ./internal/scenario
+	$(GO) test -race ./internal/engine ./internal/tensor ./internal/nn ./internal/embcache ./internal/shard ./internal/sched/adapt ./internal/online ./internal/scenario ./internal/stack
 
 # The system benchmark is a nested module (bench/go.mod, replace
 # recsys => ../) that `./...` never sees; vet and test it here so that
@@ -79,3 +80,15 @@ fuzz:
 # green (see DESIGN.md "Kernel dispatch").
 test-gotier:
 	RECSYS_KERNEL=go $(GO) test ./internal/tensor ./internal/nn
+
+# Non-test source lines (.go and .s) per cmd/* and internal/* package
+# directory, with the cmd, internal and overall totals: ROADMAP's
+# recurring "net-negative LOC" criterion as one command. Run it at the
+# parent commit and at the change and quote both.
+loc:
+	@find cmd internal -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' \
+		| xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = p[1]; \
+			for (i = 2; i < n; i++) d = d "/" p[i]; \
+			dir[d] += $$1; top[p[1]] += $$1; all += $$1 } \
+		END { for (d in dir) printf "%6d %s\n", dir[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%6d cmd (total)\n%6d internal (total)\n%6d cmd + internal\n", top["cmd"], top["internal"], all }'

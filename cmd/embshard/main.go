@@ -8,11 +8,12 @@
 //
 // Every shard of a tier (and the serving node) must be started with
 // the same -model/-scale/-seed so all replicas materialize identical
-// table weights; clients route each row to its owning shard by row
-// hash, so a shard is only ever asked for its own ~1/n of the rows.
-// An "-int8" model suffix serves row-wise int8-quantized tables
-// (dequantized on read, amortized by -emb-cache exactly like the
-// in-process serving path).
+// table weights (the spec grammar and the weight-stream rule are in
+// DESIGN.md "Bring-up"); clients route each row to its owning shard by
+// row hash, so a shard is only ever asked for its own ~1/n of the rows.
+// An "-int8" spec serves row-wise int8-quantized tables (dequantized
+// on read, amortized by -emb-cache exactly like the in-process serving
+// path).
 //
 // -stall/-stall-every inject a transient per-request stall (every Nth
 // gather sleeps) — the fault shape hedged client requests absorb; used
@@ -26,7 +27,6 @@ import (
 	"log"
 	"net"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -34,13 +34,12 @@ import (
 	"recsys/internal/model"
 	"recsys/internal/nn"
 	"recsys/internal/shard"
-	"recsys/internal/stats"
 )
 
 func main() {
 	var (
 		listen     = flag.String("listen", ":7601", "listen address")
-		preset     = flag.String("model", "rmc1", "preset to serve tables for: rmc1|rmc2|rmc3|ncf, optional -int8 suffix and :scale")
+		preset     = flag.String("model", "rmc1", "tables to serve, as the serving node's -model names them: "+model.SingleSpecUsage)
 		scale      = flag.Int("scale", 100, "embedding-table shrink factor when -model has no explicit :scale")
 		seed       = flag.Uint64("seed", 1, "weight seed; must match the serving node's")
 		embCache   = flag.Int("emb-cache", 0, "hot rows cached per table on this shard (0 = off)")
@@ -93,58 +92,28 @@ func main() {
 	log.Print("bye")
 }
 
-// buildStores materializes the preset's embedding tables (weights
-// identical to a serving node built from the same preset/scale/seed)
-// and returns their row stores in table order.
+// buildStores materializes the spec's embedding tables, from the weight
+// stream a serving node given the same spec and seed draws its first
+// model from, and returns their row stores in table order.
 func buildStores(spec string, defaultScale int, seed uint64) ([]nn.RowStore, string, error) {
-	rest := strings.ToLower(spec)
-	scale := defaultScale
-	if colon := strings.IndexByte(rest, ':'); colon >= 0 {
-		s, err := strconv.Atoi(rest[colon+1:])
-		if err != nil || s <= 0 {
-			return nil, "", fmt.Errorf("embshard: bad scale in %q", spec)
-		}
-		scale = s
-		rest = rest[:colon]
-	}
-	// The MLP-quantization suffix is accepted for symmetry with serve's
-	// specs; only the table representation matters on a shard.
-	base, int8Tables := strings.CutSuffix(rest, "-int8mlp")
-	if !int8Tables {
-		base, int8Tables = strings.CutSuffix(base, "-int8")
-	}
-	var cfg model.Config
-	switch base {
-	case "rmc1":
-		cfg = model.RMC1Small()
-	case "rmc2":
-		cfg = model.RMC2Small()
-	case "rmc3":
-		cfg = model.RMC3Small()
-	case "ncf":
-		cfg = model.MLPerfNCF()
-	default:
-		return nil, "", fmt.Errorf("embshard: unknown preset %q", spec)
-	}
-	if scale > 1 {
-		cfg = cfg.Scaled(scale)
-	}
-	// Match serve's weight stream exactly: it builds its first -model
-	// spec from the seed RNG's first split.
-	m, err := model.Build(cfg, stats.NewRNG(seed).Split())
+	sp, err := model.ParseSingleSpec(spec, defaultScale)
 	if err != nil {
 		return nil, "", err
 	}
-	if int8Tables {
-		m.QuantizeTables()
+	// Only the table representation matters on a shard.
+	sp.Int8MLPs = false
+	models, err := model.BuildSpecs([]model.Spec{sp}, seed)
+	if err != nil {
+		return nil, "", err
 	}
+	m := models[0]
 	stores := make([]nn.RowStore, len(m.SLS))
 	for i, op := range m.SLS {
 		stores[i] = op.LocalStore()
 	}
-	desc := cfg.Name
-	if int8Tables {
+	desc := m.Config.Name
+	if sp.Int8Tables {
 		desc += "-int8"
 	}
-	return stores, fmt.Sprintf("%s (scale %d, seed %d)", desc, scale, seed), nil
+	return stores, fmt.Sprintf("%s (scale %d, seed %d)", desc, sp.Scale, seed), nil
 }

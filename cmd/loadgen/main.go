@@ -9,10 +9,11 @@
 //	loadgen -real -model rmc1 -zipf 1.1 -emb-cache 4096 -requests 5000
 //	loadgen -real -model rmc1 -arrival flash -peak-mult 4 -adapt -sla 5ms
 //
-// With -real, loadgen builds the model and drives the real concurrent
-// engine in-process instead of the discrete-event simulator: measured
-// wall-clock latencies, formed-batch histogram, and per-operator time
-// from the instrumented forward pass.
+// With -real, loadgen brings up the serving stack cmd/serve runs
+// (stack.Start; DESIGN.md "Bring-up", which also has the -model spec
+// grammar) and drives its engine in-process instead of the
+// discrete-event simulator: measured wall-clock latencies, formed-batch
+// histogram, and per-operator time from the instrumented forward pass.
 //
 // -arrival selects the arrival process (real mode): "poisson" (steady),
 // "flash" (rate steps to -peak-mult× at -arrival-period and holds),
@@ -63,48 +64,30 @@ import (
 	"recsys/internal/engine"
 	"recsys/internal/model"
 	"recsys/internal/obs"
-	"recsys/internal/online"
-	"recsys/internal/sched/adapt"
 	"recsys/internal/server"
-	"recsys/internal/shard"
+	"recsys/internal/stack"
 	"recsys/internal/stats"
 	"recsys/internal/tensor"
 	"recsys/internal/trace"
-	"recsys/internal/train"
 )
 
-// realConfig carries the -real mode knobs into runReal.
+// realConfig carries the traffic loop's knobs into runReal; the stack
+// it drives is a stack.Config.
 type realConfig struct {
-	cfg       model.Config
-	scale     int
-	batch     int
-	workers   int
-	qps       float64
-	requests  int
-	sla       time.Duration
-	seed      uint64
-	maxBatch  int
-	maxWait   time.Duration
-	traceOn   bool
-	zipfS     float64
-	embCache  int
-	embPolicy string
-	embShards string
-	embHedge  time.Duration
+	batch    int
+	qps      float64
+	requests int
+	sla      time.Duration
+	zipfS    float64
 
 	arrival       string
 	peakMult      float64
 	arrivalPeriod time.Duration
-	adapt         bool
-	adaptInterval time.Duration
-
-	online         bool
-	onlineInterval time.Duration
 }
 
 func main() {
 	var (
-		preset      = flag.String("model", "rmc1", "rmc1, rmc2, rmc3, or ncf")
+		preset      = flag.String("model", "rmc1", model.SingleSpecUsage)
 		machineName = flag.String("machine", "Broadwell", "Haswell, Broadwell, or Skylake")
 		batch       = flag.Int("batch", 16, "batch size per request")
 		workers     = flag.Int("workers", 4, "co-located model instances (thread pool size)")
@@ -147,39 +130,53 @@ func main() {
 		os.Exit(1)
 	}
 
-	var cfg model.Config
-	switch strings.ToLower(*preset) {
-	case "rmc1":
-		cfg = model.RMC1Small()
-	case "rmc2":
-		cfg = model.RMC2Small()
-	case "rmc3":
-		cfg = model.RMC3Small()
-	case "ncf":
-		cfg = model.MLPerfNCF()
-	default:
-		fmt.Fprintf(os.Stderr, "loadgen: unknown model %q\n", *preset)
+	spec, err := model.ParseSingleSpec(*preset, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 	if *real {
-		runReal(realConfig{
-			cfg: cfg, scale: *scale, batch: *batch, workers: *workers,
-			qps: *qps, requests: *requests, sla: *sla, seed: *seed,
-			maxBatch: *maxBatch, maxWait: *maxWait, traceOn: *traceOn,
-			zipfS: *zipfS, embCache: *embCache, embPolicy: *embPolicy,
-			embShards: *embShards, embHedge: *embHedge,
+		sc := stack.Config{
+			Models:        []model.Spec{spec},
+			Seed:          *seed,
+			Workers:       *workers,
+			MaxBatch:      *maxBatch,
+			MaxWait:       *maxWait,
+			EmbCache:      engine.EmbCacheOptions{RowsPerTable: *embCache, Policy: *embPolicy},
+			EmbShards:     *embShards,
+			EmbHedgeAfter: *embHedge,
+			Adapt:         *adaptOn,
+			AdaptInterval: *adaptInterval,
+			// No held-out gate: the smoke run asserts that swaps land
+			// cleanly under traffic, not training quality.
+			Online:         *onlineOn,
+			OnlineInterval: *onlineInterval,
+			OnlineSteps:    4,
+			OnlineBatch:    16,
+			OnlineLR:       0.02,
+			OnlineBuffer:   1 << 14,
+		}
+		if *adaptOn {
+			// -sla is always set here (it bounds goodput); only -adapt
+			// hands it to a controller.
+			sc.SLA = *sla
+		}
+		if *traceOn {
+			sc.TraceRing = 16
+		}
+		runReal(sc, realConfig{
+			batch: *batch, qps: *qps, requests: *requests, sla: *sla, zipfS: *zipfS,
 			arrival: *arrival, peakMult: *peakMult, arrivalPeriod: *arrivalPeriod,
-			adapt: *adaptOn, adaptInterval: *adaptInterval,
-			online: *onlineOn, onlineInterval: *onlineInterval,
 		})
 		return
 	}
+	cfg := spec.Preset
 	if *traceOn {
 		fmt.Fprintln(os.Stderr, "loadgen: -trace requires -real (the simulator has no request traces)")
 		os.Exit(1)
 	}
-	if *zipfS != 0 || *embCache != 0 || *embShards != "" {
-		fmt.Fprintln(os.Stderr, "loadgen: -zipf, -emb-cache, and -emb-shards require -real (the simulator has no embedding rows)")
+	if spec.Int8Tables || *zipfS != 0 || *embCache != 0 || *embShards != "" {
+		fmt.Fprintln(os.Stderr, "loadgen: -int8 presets, -zipf, -emb-cache, and -emb-shards require -real (the simulator has no embedding rows)")
 		os.Exit(1)
 	}
 	if *arrival != "poisson" || *adaptOn {
@@ -230,113 +227,31 @@ func main() {
 	fmt.Printf("goodput:        %.0f req/s within SLA\n", res.GoodputQPS())
 }
 
-// runReal drives the real concurrent engine with paced requests from
-// the configured arrival process and reports measured latency, SLA
+// runReal brings the stack up, drives its engine with paced requests
+// from the configured arrival process and reports measured latency, SLA
 // goodput, the formed-batch histogram, and the per-operator time split
-// from the instrumented forward pass. With rc.adapt, the adaptive
-// scheduling controller re-tunes the batch policy live while the load
-// plays.
-func runReal(rc realConfig) {
-	cfg := rc.cfg
-	if rc.scale > 1 {
-		cfg = cfg.Scaled(rc.scale)
-	}
-	if rc.adapt && rc.sla <= 0 {
-		fmt.Fprintln(os.Stderr, "loadgen: -adapt requires a positive -sla target")
-		os.Exit(1)
-	}
-	rng := stats.NewRNG(rc.seed)
-	m, err := model.Build(cfg, rng.Split())
+// from the instrumented forward pass. With -adapt the scheduling
+// controller re-tunes the batch policy live while the load plays; with
+// -online the train→quantize→swap loop hot-swaps candidates under it.
+func runReal(sc stack.Config, rc realConfig) {
+	stk, err := stack.Start(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
-	maxBatch := rc.maxBatch
-	if maxBatch <= 0 {
-		maxBatch = 1
-	}
-	opts := engine.Options{
-		Workers:    rc.workers,
-		QueueDepth: 4 * rc.workers * maxBatch,
-		MaxBatch:   maxBatch,
-		MaxWait:    rc.maxWait,
-		EmbCache:   engine.EmbCacheOptions{RowsPerTable: rc.embCache, Policy: rc.embPolicy},
-	}
-	if rc.traceOn {
-		opts.TraceRing = 16
-	}
+	eng := stk.Engine
+	cfg := sc.Models[0].Config()
+	// The traffic streams continue the seed's RNG past the split the
+	// model's weights took (model.BuildSpecs).
+	rng := stats.NewRNG(sc.Seed)
+	rng.Split()
 	// shardCount is stamped into the output header alongside the kernel
 	// tier: "local" for in-process tables, the shard count when gathers
 	// fan out to a remote tier (the full topology prints below it).
 	shardCount := "local"
-	var mo engine.ModelOptions
-	if rc.embShards != "" {
-		client, err := shard.Dial(shard.Options{
-			Addrs:      strings.Split(rc.embShards, ","),
-			HedgeAfter: rc.embHedge,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer client.Close()
-		mo.EmbShards = client
-		shardCount = fmt.Sprintf("%d", client.NumShards())
+	if stk.Shards != nil {
+		shardCount = fmt.Sprintf("%d", stk.Shards.NumShards())
 	}
-	srv, err := engine.NewWithModelOptions(m, opts, mo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	var ctrl *adapt.Controller
-	if rc.adapt {
-		ctrl, err = adapt.New(srv.Engine(), adapt.Config{
-			SLA:      rc.sla,
-			Interval: rc.adaptInterval,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ctrl.Start()
-	}
-
-	// With -online, the continuous train→quantize→swap loop runs on its
-	// own cadence while the load plays: served traffic is labeled by a
-	// synthetic teacher into a replay buffer the background trainer
-	// samples from, and each cycle hot-swaps a fresh candidate under
-	// the live traffic. No held-out gate here — the smoke run asserts
-	// swaps land cleanly, not training quality.
-	var upd *online.Updater
-	var buf *online.ClickBuffer
-	if rc.online {
-		teacher, err := train.NewTeacher(cfg, rc.seed+1)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		buf, err = online.NewClickBuffer(cfg, 1<<14, rc.seed+2)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		srv.Engine().SetServeTap(buf.Tap(teacher))
-		upd, err = online.New(srv.Engine(), online.Config{
-			Model:         engine.DefaultModelName,
-			Stream:        buf,
-			StepsPerCycle: 4,
-			BatchSize:     16,
-			LR:            0.02,
-			Interval:      rc.onlineInterval,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		upd.Start()
-	}
-
 	// Per-table sparse-ID generators (Zipf skew or uniform) plus unique
 	// tracking, so the achieved unique-ID fraction of the offered
 	// traffic is reported alongside the latency numbers.
@@ -353,9 +268,9 @@ func runReal(rc realConfig) {
 	drawn := make([]int, len(cfg.Tables))
 
 	fmt.Printf("%s real engine  batch=%d workers=%d offered=%.0f QPS (%s)  coalesce<=%d wait<=%v  SLA=%v  ids=%s kernel=%s shards=%s adapt=%v\n",
-		cfg.Name, rc.batch, rc.workers, rc.qps, rc.arrival, maxBatch, rc.maxWait, rc.sla, idGens[0].Name(), tensor.KernelTier(), shardCount, rc.adapt)
-	if mo.EmbShards != nil {
-		fmt.Printf("embedding tier: %s\n", mo.EmbShards.Topology())
+		cfg.Name, rc.batch, sc.Workers, rc.qps, rc.arrival, max(sc.MaxBatch, 1), sc.MaxWait, rc.sla, idGens[0].Name(), tensor.KernelTier(), shardCount, sc.Adapt)
+	if stk.Shards != nil {
+		fmt.Printf("embedding tier: %s\n", stk.Shards.Topology())
 	}
 	fmt.Println()
 	gen, err := trace.NewArrivalSource(rc.arrival, rc.qps, rc.peakMult, rc.arrivalPeriod, rc.batch, rng.Split())
@@ -386,7 +301,7 @@ func runReal(rc realConfig) {
 		go func() {
 			defer wg.Done()
 			t0 := time.Now()
-			if _, err := srv.Rank(context.Background(), req); err != nil {
+			if _, err := eng.Rank(context.Background(), engine.DefaultModelName, req); err != nil {
 				return
 			}
 			l := float64(time.Since(t0).Microseconds())
@@ -400,13 +315,9 @@ func runReal(rc realConfig) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if ctrl != nil {
-		ctrl.Stop()
-	}
-	if upd != nil {
-		upd.Stop()
-	}
-	srv.Close()
+	// Counters and traces outlive Close: the summaries below read a
+	// stack that has stopped moving.
+	stk.Close()
 
 	s := lat.Summarize()
 	fmt.Printf("requests:       %d\n", lat.Len())
@@ -417,17 +328,17 @@ func runReal(rc realConfig) {
 	fmt.Printf("SLA violations: %d (%.2f%%)\n", violations, 100*float64(violations)/float64(lat.Len()))
 	fmt.Printf("throughput:     %.0f req/s\n", float64(lat.Len())/elapsed.Seconds())
 	fmt.Printf("goodput:        %.0f req/s within SLA\n", float64(lat.Len()-violations)/elapsed.Seconds())
-	if ctrl != nil {
+	if stk.Controller != nil {
 		fmt.Println()
-		fmt.Println(ctrl.String())
+		fmt.Println(stk.Controller.String())
 	}
-	if upd != nil {
-		ost := upd.Stats()
+	if stk.Updater != nil {
+		ost := stk.Updater.Stats()
 		fmt.Printf("\nonline updater: gen=%d swaps=%d rollbacks=%d steps=%d examples=%d labeled=%d\n",
-			ost.Generation, ost.Swaps, ost.Rollbacks, ost.Steps, ost.Examples, buf.Fed())
+			ost.Generation, ost.Swaps, ost.Rollbacks, ost.Steps, ost.Examples, stk.Clicks.Fed())
 	}
 
-	st := srv.Stats()
+	st, _ := eng.ModelStats(engine.DefaultModelName) // Start registered it
 	fmt.Printf("\nformed batches: %d (avg %.1f samples)\n", st.Batches, st.AvgBatch())
 	sizes := make([]int, 0, len(st.BatchHist))
 	for sz := range st.BatchHist {
@@ -465,15 +376,16 @@ func runReal(rc realConfig) {
 				ec.Table, ec.Capacity, 100*ec.HitRate, ec.Hits, ec.Misses, ec.Evictions)
 		}
 	}
-	if mo.EmbShards != nil {
+	if stk.Shards != nil {
 		fmt.Println("embedding shard tier:")
-		for _, ss := range mo.EmbShards.Stats() {
+		for _, ss := range stk.Shards.Stats() {
 			fmt.Printf("  %s: %d requests, %d hedges (%d wins), %d retries, %d errors\n",
 				ss.Addr, ss.Requests, ss.Hedges, ss.HedgeWins, ss.Retries, ss.Errors)
 		}
 	}
-	if rc.traceOn {
-		printSlowest(srv.Traces())
+	if sc.TraceRing > 0 {
+		d, _ := eng.Traces(engine.DefaultModelName) // Start registered it
+		printSlowest(d)
 	}
 }
 

@@ -13,9 +13,8 @@
 //	recbench -model rmc2-int8 -measure -zipf 1.1 -emb-cache 4096
 //	recbench -fig10 -peak-gflops 67.2         # GEMM roofline sweep
 //
-// With -measure, an "-int8" preset suffix serves row-wise quantized
-// embedding tables and an "-int8mlp" suffix additionally runs the
-// bottom/top MLPs in int8 compute; -zipf s draws sparse IDs from a
+// -model takes the single-model spec grammar of DESIGN.md "Bring-up";
+// its quantized forms need -measure. -zipf s draws sparse IDs from a
 // per-table Zipf(s) generator (fresh draw every pass; 0 = uniform),
 // and -emb-cache N attaches a read-through hot-row cache of N rows per
 // table and reports its hit rates — the measurement harness behind the
@@ -52,7 +51,7 @@ import (
 
 func main() {
 	var (
-		preset      = flag.String("model", "", "preset: rmc1, rmc1-large, rmc2, rmc2-large, rmc3, rmc3-large, ncf, optionally with an -int8 suffix (overrides custom knobs)")
+		preset      = flag.String("model", "", model.SingleSpecUsage+" (overrides custom knobs)")
 		configPath  = flag.String("config", "", "JSON model-config file (overrides preset and custom knobs)")
 		saveConfig  = flag.String("save-config", "", "write the resolved config as JSON and exit")
 		machineName = flag.String("machine", "Broadwell", "Haswell, Broadwell, or Skylake")
@@ -87,32 +86,32 @@ func main() {
 		return
 	}
 
-	// An "-int8" preset suffix (e.g. rmc2-int8) requests row-wise
-	// int8-quantized embedding tables on the measured path; "-int8mlp"
-	// (e.g. rmc1-int8mlp) additionally runs the MLPs in int8 compute.
-	presetBase, int8MLPs := strings.CutSuffix(strings.ToLower(*preset), "-int8mlp")
-	int8Tables := int8MLPs
-	if !int8MLPs {
-		presetBase, int8Tables = strings.CutSuffix(presetBase, "-int8")
+	// The analytic model prices the preset at production size; -measure
+	// builds it, shrunk by -measure-scale unless the spec has its own.
+	scale := 1
+	if *measure {
+		scale = *measureScale
 	}
-	var cfg model.Config
+	spec := model.Spec{Scale: scale}
 	var err error
-	if *configPath != "" {
-		cfg, err = model.LoadConfig(*configPath)
-		int8Tables, int8MLPs = false, false
-	} else {
-		cfg, err = resolveConfig(presetBase, *dense, *bottom, *top, *tables, int(*rows), *dim, *lookups, *interact)
+	switch {
+	case *configPath != "":
+		spec.Preset, err = model.LoadConfig(*configPath)
+	case *preset != "":
+		spec, err = model.ParseSingleSpec(*preset, scale)
+	default:
+		spec.Preset, err = customConfig(*dense, *bottom, *top, *tables, int(*rows), *dim, *lookups, *interact)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if (int8Tables || *zipfS != 0 || *embCache != 0) && !*measure {
+	if (spec.Int8Tables || *zipfS != 0 || *embCache != 0) && !*measure {
 		fmt.Fprintln(os.Stderr, "recbench: -int8/-int8mlp presets, -zipf, and -emb-cache require -measure (the analytic model is fp32/uniform)")
 		os.Exit(1)
 	}
 	if *saveConfig != "" {
-		if err := model.SaveConfig(cfg, *saveConfig); err != nil {
+		if err := model.SaveConfig(spec.Preset, *saveConfig); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -120,7 +119,7 @@ func main() {
 		return
 	}
 	if *measure {
-		if err := runMeasure(cfg, *batch, *measureScale, *measureIters, *intraOp, int8Tables, int8MLPs, *zipfS, *embCache, *embPolicy); err != nil {
+		if err := runMeasure(spec, *batch, *measureIters, *intraOp, *zipfS, *embCache, *embPolicy); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -132,6 +131,7 @@ func main() {
 		os.Exit(1)
 	}
 
+	cfg := spec.Config()
 	mt := perf.Estimate(cfg, perf.Context{Machine: m, Batch: *batch, Tenants: *tenants, Hyperthread: *ht})
 	fmt.Printf("%s on %s  batch=%d tenants=%d ht=%v\n", cfg.Name, m.Name, *batch, *tenants, *ht)
 	fmt.Printf("embedding storage: %.2f GB, MLP parameters: %d\n\n", float64(cfg.EmbeddingBytes())/(1<<30), cfg.MLPParams())
@@ -147,23 +147,15 @@ func main() {
 // machine (as opposed to the analytic cycle model) and reports the
 // measured latency distribution — the same hot path cmd/serve runs,
 // so the -intra-op knob here mirrors engine.Options.IntraOpWorkers.
-func runMeasure(cfg model.Config, batch, scale, iters, intraOp int, int8Tables, int8MLPs bool, zipfS float64, embCacheRows int, embPolicy string) error {
+func runMeasure(spec model.Spec, batch, iters, intraOp int, zipfS float64, embCacheRows int, embPolicy string) error {
 	if iters < 1 {
 		return fmt.Errorf("recbench: -measure-iters must be >= 1, got %d", iters)
 	}
-	if scale > 1 {
-		cfg = cfg.Scaled(scale)
-	}
-	m, err := model.Build(cfg, stats.NewRNG(1))
+	m, err := spec.Build(stats.NewRNG(1))
 	if err != nil {
 		return err
 	}
-	if int8Tables {
-		m.QuantizeTables()
-	}
-	if int8MLPs {
-		m.QuantizeMLPs()
-	}
+	cfg := m.Config
 	var caches []*embcache.Concurrent
 	if embCacheRows > 0 {
 		for _, op := range m.SLS {
@@ -227,11 +219,11 @@ func runMeasure(cfg model.Config, batch, scale, iters, intraOp int, int8Tables, 
 	sample := stats.NewSample(len(lat))
 	sample.AddAll(lat)
 	tableKind := "fp32"
-	if int8Tables {
+	if spec.Int8Tables {
 		tableKind = "int8"
 	}
 	mlpKind := "fp32"
-	if int8MLPs {
+	if spec.Int8MLPs {
 		mlpKind = "int8"
 	}
 	idKind := "fixed-uniform"
@@ -242,7 +234,7 @@ func runMeasure(cfg model.Config, batch, scale, iters, intraOp int, int8Tables, 
 	// remote-tier analogue is loadgen -real -emb-shards, which stamps
 	// the tier topology in the same position.
 	fmt.Printf("%s measured on this host  batch=%d scale=%d intra-op=%d iters=%d tables=%s mlps=%s ids=%s kernel=%s shards=local\n",
-		cfg.Name, batch, scale, intraOp, iters, tableKind, mlpKind, idKind, tensor.KernelTier())
+		cfg.Name, batch, spec.Scale, intraOp, iters, tableKind, mlpKind, idKind, tensor.KernelTier())
 	fmt.Printf("p50 %.1fµs  p95 %.1fµs  p99 %.1fµs  mean %.1fµs\n",
 		sample.Percentile(50), sample.Percentile(95), sample.Percentile(99),
 		float64(total.Microseconds())/float64(iters))
@@ -376,26 +368,8 @@ func runFig10Parallel(iters, workers int) {
 	}
 }
 
-func resolveConfig(preset string, dense int, bottom, top string, tables, rows, dim, lookups int, interact string) (model.Config, error) {
-	switch strings.ToLower(preset) {
-	case "rmc1":
-		return model.RMC1Small(), nil
-	case "rmc1-large":
-		return model.RMC1Large(), nil
-	case "rmc2":
-		return model.RMC2Small(), nil
-	case "rmc2-large":
-		return model.RMC2Large(), nil
-	case "rmc3":
-		return model.RMC3Small(), nil
-	case "rmc3-large":
-		return model.RMC3Large(), nil
-	case "ncf":
-		return model.MLPerfNCF(), nil
-	case "":
-	default:
-		return model.Config{}, fmt.Errorf("recbench: unknown preset %q", preset)
-	}
+// customConfig builds the model the custom knobs describe.
+func customConfig(dense int, bottom, top string, tables, rows, dim, lookups int, interact string) (model.Config, error) {
 	bot, err := parseWidths(bottom)
 	if err != nil {
 		return model.Config{}, err

@@ -19,28 +19,8 @@ func TestParseWidths(t *testing.T) {
 	}
 }
 
-func TestResolveConfigPresets(t *testing.T) {
-	cases := map[string]model.Class{
-		"rmc1": model.RMC1, "rmc1-large": model.RMC1,
-		"rmc2": model.RMC2, "RMC2-LARGE": model.RMC2,
-		"rmc3": model.RMC3, "ncf": model.NCF,
-	}
-	for preset, class := range cases {
-		cfg, err := resolveConfig(preset, 0, "", "", 0, 0, 0, 0, "")
-		if err != nil {
-			t.Fatalf("%s: %v", preset, err)
-		}
-		if cfg.Class != class {
-			t.Errorf("%s: class %v, want %v", preset, cfg.Class, class)
-		}
-	}
-	if _, err := resolveConfig("rmc9", 0, "", "", 0, 0, 0, 0, ""); err == nil {
-		t.Error("unknown preset should error")
-	}
-}
-
-func TestResolveConfigCustom(t *testing.T) {
-	cfg, err := resolveConfig("", 13, "64-16", "16-1", 4, 1000, 16, 8, "dot")
+func TestCustomConfig(t *testing.T) {
+	cfg, err := customConfig(13, "64-16", "16-1", 4, 1000, 16, 8, "dot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +28,14 @@ func TestResolveConfigCustom(t *testing.T) {
 		t.Errorf("custom config wrong: %+v", cfg)
 	}
 	// Dot with mismatched dims must be rejected by validation.
-	if _, err := resolveConfig("", 13, "64-32", "16-1", 4, 1000, 8, 8, "dot"); err == nil {
+	if _, err := customConfig(13, "64-32", "16-1", 4, 1000, 8, 8, "dot"); err == nil {
 		t.Error("dot dim mismatch should fail validation")
 	}
 	// Bad widths propagate.
-	if _, err := resolveConfig("", 13, "64-x", "16-1", 4, 1000, 16, 8, "cat"); err == nil {
+	if _, err := customConfig(13, "64-x", "16-1", 4, 1000, 16, 8, "cat"); err == nil {
 		t.Error("bad bottom widths should error")
 	}
-	if _, err := resolveConfig("", 13, "64-32", "x", 4, 1000, 16, 8, "cat"); err == nil {
+	if _, err := customConfig(13, "64-32", "x", 4, 1000, 16, 8, "cat"); err == nil {
 		t.Error("bad top widths should error")
 	}
 }

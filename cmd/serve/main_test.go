@@ -15,29 +15,35 @@ import (
 	"time"
 
 	"recsys/internal/engine"
+	"recsys/internal/model"
 	"recsys/internal/obs"
-	"recsys/internal/stats"
+	"recsys/internal/stack"
 )
 
-// startServer boots the exact stack the binary serves — registerModels
-// over the flag-shaped spec strings, buildHandler with pprof on — on a
-// real loopback listener (httptest binds 127.0.0.1:0).
-func startServer(t *testing.T, specs modelSpecs, opts engine.Options, timeout time.Duration) (*engine.Engine, *httptest.Server) {
+// startServer boots the stack the binary serves — stack.Start over a
+// flag-shaped config, with -pprof on — and serves its handler on a real
+// loopback listener (httptest binds 127.0.0.1:0).
+func startServer(t *testing.T, cfg stack.Config, specs ...string) (*stack.Stack, *httptest.Server) {
 	t.Helper()
-	eng, err := engine.NewEngine(opts)
+	for _, s := range specs {
+		spec, err := model.ParseSpec(s, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Models = append(cfg.Models, spec)
+	}
+	cfg.Seed = 1
+	cfg.Pprof = true
+	st, err := stack.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := registerModels(eng, "", specs, 1000, 1, nil); err != nil {
-		eng.Close()
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(buildHandler(eng, timeout, true))
+	srv := httptest.NewServer(st.Handler())
 	t.Cleanup(func() {
 		srv.Close()
-		eng.Close()
+		st.Close()
 	})
-	return eng, srv
+	return st, srv
 }
 
 // rankBody builds a valid POST /rank payload for the registered model.
@@ -79,12 +85,12 @@ type RankRequestDoc struct {
 // TestServeEndToEnd drives the full binary surface over HTTP: rank a
 // request, scrape /metrics, fetch the request trace, and hit pprof.
 func TestServeEndToEnd(t *testing.T) {
-	opts := engine.Options{
-		Workers: 2, QueueDepth: 32, MaxBatch: 4,
-		MaxWait: 200 * time.Microsecond, IntraOpWorkers: 1,
+	st, srv := startServer(t, stack.Config{
+		Workers: 2, MaxBatch: 4, // queue depth 4·2·4 = 32, asserted below
+		MaxWait: 200 * time.Microsecond, IntraOp: 1,
 		TraceRing: 8,
-	}
-	eng, srv := startServer(t, modelSpecs{"rmc1"}, opts, 0)
+	}, "rmc1")
+	eng := st.Engine
 
 	const batch = 3
 	resp, err := http.Post(srv.URL+"/rank", "application/json",
@@ -185,11 +191,9 @@ func TestServeEndToEnd(t *testing.T) {
 // shape-invalid body is rejected with 400 before execution and counted
 // in /metrics as rejected.
 func TestServeBadRequest(t *testing.T) {
-	opts := engine.Options{
-		Workers: 1, QueueDepth: 8, MaxBatch: 1,
-		MaxWait: time.Millisecond, IntraOpWorkers: 1,
-	}
-	_, srv := startServer(t, modelSpecs{"rmc1"}, opts, 0)
+	_, srv := startServer(t, stack.Config{
+		Workers: 1, MaxBatch: 1, MaxWait: time.Millisecond, IntraOp: 1,
+	}, "rmc1")
 
 	resp, err := http.Post(srv.URL+"/rank", "application/json",
 		strings.NewReader(`{"dense": [[1,2]], "sparse_ids": []}`))
@@ -202,44 +206,61 @@ func TestServeBadRequest(t *testing.T) {
 	}
 }
 
-// TestBuildSpec covers the -model spec grammar.
-func TestBuildSpec(t *testing.T) {
-	cases := []struct {
-		spec   string
-		name   string
-		weight int
-		ok     bool
-	}{
-		{"rmc1", "default", 1, true},
-		{"filter=rmc1:500@2", "filter", 2, true},
-		{"ranker=rmc3:500", "ranker", 1, true},
-		{"q=rmc2-int8:500", "q", 1, true},
-		{"qm=rmc1-int8mlp:500", "qm", 1, true},
-		{"=rmc1", "", 0, false},
-		{"rmc1@0", "", 0, false},
-		{"rmc1:-5", "", 0, false},
-		{"nope", "", 0, false},
-		{"rmc1-int8mlpx", "", 0, false},
+// TestServeSplitAndSLA boots two co-located models with -split and -sla
+// set, the way main does: every model is registered under the split
+// threshold (not patched afterwards), and the observe-only controller's
+// recsys_sched_* families ride the same /metrics scrape.
+func TestServeSplitAndSLA(t *testing.T) {
+	st, srv := startServer(t, stack.Config{
+		Workers: 2, MaxBatch: 4, MaxWait: 200 * time.Microsecond, IntraOp: 1,
+		SplitAbove: 2, SLA: 50 * time.Millisecond, AdaptInterval: time.Hour,
+	}, "filter=rmc1@2", "ranker=rmc3")
+	for _, name := range []string{"filter", "ranker"} {
+		pol, err := st.Engine.Policy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pol.SplitAbove != 2 || pol.MaxBatch != 4 || pol.MaxWait != 200*time.Microsecond {
+			t.Errorf("%s registered under %+v, want MaxBatch 4, MaxWait 200µs, SplitAbove 2", name, pol)
+		}
 	}
-	rng := stats.NewRNG(1)
-	for _, c := range cases {
-		name, m, weight, err := buildSpec(c.spec, 1000, rng.Split())
-		if c.ok != (err == nil) {
-			t.Errorf("buildSpec(%q): err=%v, want ok=%v", c.spec, err, c.ok)
-			continue
-		}
-		if !c.ok {
-			continue
-		}
-		if name != c.name || weight != c.weight || m == nil {
-			t.Errorf("buildSpec(%q) = (%q, %v, %d), want (%q, _, %d)", c.spec, name, m, weight, c.name, c.weight)
-		}
-		// Suffix semantics: -int8 quantizes tables only, -int8mlp both.
-		wantTables := strings.Contains(c.spec, "-int8")
-		wantMLPs := strings.Contains(c.spec, "-int8mlp")
-		if m.Quantized() != wantTables || m.Int8MLPs() != wantMLPs {
-			t.Errorf("buildSpec(%q): tables=%v mlps=%v, want %v/%v",
-				c.spec, m.Quantized(), m.Int8MLPs(), wantTables, wantMLPs)
+
+	// A five-sample request is over the threshold: it is served in
+	// chunks and comes back whole.
+	resp, err := http.Post(srv.URL+"/rank", "application/json", bytes.NewReader(rankBody(t, st.Engine, "filter", 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ranked struct {
+		CTR []float32 `json:"ctr"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ranked); err != nil || len(ranked.CTR) != 5 {
+		t.Fatalf("split POST /rank: status %d, %d scores, err %v", resp.StatusCode, len(ranked.CTR), err)
+	}
+
+	// One control tick by hand (the hour-long interval never fires)
+	// gives every model its per-model series.
+	st.Controller.Step()
+	mresp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	mb, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"recsys_sched_sla_seconds 0.05",
+		"recsys_sched_adapt_enabled 0",
+		`recsys_sched_max_batch{model="filter"} 4`,
+		`recsys_sched_max_batch{model="ranker"} 4`,
+		`recsys_sched_holds_total{model="ranker"}`,
+		`recsys_splits_total{model="filter"} 1`,
+	} {
+		if !strings.Contains(string(mb), want) {
+			t.Errorf("GET /metrics missing %q", want)
 		}
 	}
 }

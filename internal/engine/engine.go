@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"recsys/internal/model"
-	"recsys/internal/obs"
 )
 
 // Options configures the engine.
@@ -129,13 +128,6 @@ type Server struct {
 // New starts a server for the model. It returns an error on nil model
 // or non-positive worker/queue options.
 func New(m *model.Model, opts Options) (*Server, error) {
-	return NewWithModelOptions(m, opts, ModelOptions{})
-}
-
-// NewWithModelOptions is New with per-model registration options — the
-// single-model API's route to e.g. a remote embedding tier
-// (ModelOptions.EmbShards).
-func NewWithModelOptions(m *model.Model, opts Options, mo ModelOptions) (*Server, error) {
 	if m == nil {
 		return nil, errors.New("engine: nil model")
 	}
@@ -143,7 +135,7 @@ func NewWithModelOptions(m *model.Model, opts Options, mo ModelOptions) (*Server
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.Register(DefaultModelName, m, mo); err != nil {
+	if err := eng.Register(DefaultModelName, m, ModelOptions{}); err != nil {
 		eng.Close()
 		return nil, err
 	}
@@ -164,15 +156,6 @@ func (s *Server) Rank(ctx context.Context, req model.Request) ([]float32, error)
 // Engine.RankInto for the ownership contract.
 func (s *Server) RankInto(ctx context.Context, dst []float32, req model.Request) ([]float32, error) {
 	return s.eng.RankInto(ctx, DefaultModelName, dst, req)
-}
-
-// Traces returns the retained request traces (Options.TraceRing).
-func (s *Server) Traces() obs.Dump {
-	d, err := s.eng.Traces(DefaultModelName)
-	if err != nil {
-		return obs.Dump{}
-	}
-	return d
 }
 
 // Close stops accepting requests, drains the queue, and waits for

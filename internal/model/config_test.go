@@ -268,20 +268,6 @@ func TestScaled(t *testing.T) {
 	}()
 }
 
-func TestByClass(t *testing.T) {
-	for _, c := range []Class{RMC1, RMC2, RMC3, NCF} {
-		if got := ByClass(c).Class; got != c {
-			t.Errorf("ByClass(%v).Class = %v", c, got)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("ByClass(Custom) should panic")
-		}
-	}()
-	ByClass(Custom)
-}
-
 // TestFigure12Gap checks the paper's §VII claim: production models have
 // orders-of-magnitude larger embedding tables and more FC parameters
 // than MLPerf-NCF.

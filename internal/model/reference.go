@@ -1,7 +1,5 @@
 package model
 
-import "recsys/internal/nn"
-
 // ReferenceWorkload is a non-recommendation DNN used as a comparison
 // point in Figure 2 (FLOPs vs bytes read) — the CNNs and RNNs whose
 // optimization techniques the paper argues do not transfer to
@@ -68,10 +66,4 @@ func Figure2Points() []WorkloadPoint {
 		pts = append(pts, WorkloadPoint{Name: ref.Name, Family: ref.Family, FLOPs: ref.FLOPs, Bytes: ref.BytesRead})
 	}
 	return pts
-}
-
-// kindIsMatMul reports whether a kind is counted as "compute" in the
-// paper's FC/BatchMatMul groupings.
-func kindIsMatMul(k nn.Kind) bool {
-	return k == nn.KindFC || k == nn.KindBatchMM
 }

@@ -164,19 +164,3 @@ func Zoo() []Config {
 func Defaults() []Config {
 	return []Config{RMC1Small(), RMC2Small(), RMC3Small()}
 }
-
-// ByClass returns the small representative of the given class.
-func ByClass(c Class) Config {
-	switch c {
-	case RMC1:
-		return RMC1Small()
-	case RMC2:
-		return RMC2Small()
-	case RMC3:
-		return RMC3Small()
-	case NCF:
-		return MLPerfNCF()
-	default:
-		panic("model: no default config for class " + c.String())
-	}
-}

@@ -135,10 +135,6 @@ func (s *SLSOp) SetRowStore(rs RowStore) {
 	s.store = rs
 }
 
-// RowStoreRef returns the attached row store (the in-process tables
-// unless SetRowStore installed a remote source).
-func (s *SLSOp) RowStoreRef() RowStore { return s.src() }
-
 // Async reports whether gathers dispatch through a GatherSource (a
 // remote tier) — the condition under which the model overlaps the
 // Bottom-MLP with in-flight gathers.

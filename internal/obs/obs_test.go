@@ -239,24 +239,6 @@ func TestQuantileSpansBuckets(t *testing.T) {
 	}
 }
 
-func TestWindowAdvance(t *testing.T) {
-	h := NewHistogram([]int64{10, 100})
-	w := NewWindow(h)
-	h.Observe(5)
-	h.Observe(5)
-	if d := w.Advance(); d.Count != 2 {
-		t.Fatalf("first window count %d, want 2", d.Count)
-	}
-	h.Observe(50)
-	if d := w.Advance(); d.Count != 1 || d.Counts[1] != 1 {
-		t.Fatalf("second window %+v, want one value in bucket 1", d)
-	}
-	// An idle window is empty, not a replay.
-	if d := w.Advance(); d.Count != 0 {
-		t.Fatalf("idle window count %d, want 0", d.Count)
-	}
-}
-
 func TestWriteHistogramCumulativeAndScaled(t *testing.T) {
 	h := NewHistogram([]int64{1_000_000, 10_000_000}) // 1ms, 10ms in ns
 	h.Observe(500_000)

@@ -80,27 +80,3 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	}
 	return float64(s.Bounds[len(s.Bounds)-1])
 }
-
-// Window turns a cumulative histogram into a sequence of delta
-// snapshots: each Advance returns the distribution of everything
-// observed since the previous Advance (the full history on the first
-// call). One Window per consumer — the previous snapshot is the
-// consumer's private cursor, so independent controllers or scrapers
-// never steal each other's deltas.
-type Window struct {
-	h    *Histogram
-	prev HistSnapshot
-}
-
-// NewWindow returns a delta cursor over h, positioned at
-// start-of-time.
-func NewWindow(h *Histogram) *Window { return &Window{h: h} }
-
-// Advance snapshots the histogram and returns the delta since the
-// last Advance.
-func (w *Window) Advance() HistSnapshot {
-	cur := w.h.Snapshot()
-	d := cur.Sub(w.prev)
-	w.prev = cur
-	return d
-}

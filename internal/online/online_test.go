@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"recsys/internal/batch"
 	"recsys/internal/engine"
 	"recsys/internal/model"
 	"recsys/internal/stats"
@@ -340,12 +341,14 @@ func TestUpdaterRollback(t *testing.T) {
 }
 
 // TestUpdaterABCanary: with ABWeight set, a passing candidate is
-// co-located as <model>-next with the configured split, then promoted
-// into the primary slot at the start of the next cycle.
+// co-located as <model>-next with the configured split and under the
+// primary's live batch policy, then promoted into the primary slot at
+// the start of the next cycle.
 func TestUpdaterABCanary(t *testing.T) {
 	cfg := testConfig()
 	eng := newTestEngine(t)
-	if err := eng.Register("m", buildModel(t, cfg, 1), engine.ModelOptions{}); err != nil {
+	primaryPolicy := batch.Policy{MaxBatch: 2, MaxWait: 3 * time.Millisecond, SplitAbove: 2}
+	if err := eng.Register("m", buildModel(t, cfg, 1), engine.ModelOptions{Policy: primaryPolicy}); err != nil {
 		t.Fatal(err)
 	}
 	upd, err := New(eng, Config{Model: "m", ABWeight: 25})
@@ -374,6 +377,17 @@ func TestUpdaterABCanary(t *testing.T) {
 	}
 	rng := stats.NewRNG(5)
 	ctx := context.Background()
+	// The canary is scheduled like the primary, not under the engine
+	// default: same policy, so a request over the threshold splits.
+	if pol, err := eng.Policy("m-next"); err != nil || pol != primaryPolicy {
+		t.Fatalf("canary policy %+v (err %v), want the primary's %+v", pol, err, primaryPolicy)
+	}
+	if _, err := eng.Rank(ctx, "m-next", model.NewRandomRequest(cfg, 5, rng)); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := eng.ModelStats("m-next"); err != nil || st.Splits != 1 {
+		t.Fatalf("canary served a 5-sample request with %d splits (err %v), want 1", st.Splits, err)
+	}
 	for i := 0; i < 40; i++ {
 		if _, _, err := router.Rank(ctx, model.NewRandomRequest(cfg, 1, rng)); err != nil {
 			t.Fatal(err)

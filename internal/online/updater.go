@@ -402,7 +402,14 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 		res.Swapped = true
 		return res, u.notePublished(&res, cand)
 	}
-	if err := u.eng.Register(u.canaryName, cand, engine.ModelOptions{}); err != nil {
+	// The canary serves under the primary's live batch policy (split
+	// threshold, tuned MaxBatch/MaxWait), so its share of traffic is
+	// scheduled like the arm it is compared against.
+	pol, err := u.eng.Policy(u.name)
+	if err != nil {
+		return res, err
+	}
+	if err := u.eng.Register(u.canaryName, cand, engine.ModelOptions{Policy: pol}); err != nil {
 		return res, err
 	}
 	u.canary = cand

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -81,8 +80,8 @@ type Result struct {
 	Shed        int // context deadline/cancel — admission or deadline shed
 	Failed      int // non-shed errors: the "zero" a chaos run must hold
 	WithinSLA   int
-	Errors      []error // first few non-shed errors, for the test log
-	Latencies   []time.Duration
+	Errors      []error        // first few non-shed errors, for the test log
+	Latencies   *stats.Sample  // successful-request latencies, in nanoseconds
 	ServedCount map[string]int // successful requests by serving model
 	Samples     []Sample
 	Wall        time.Duration
@@ -97,20 +96,10 @@ func (r *Result) Goodput() float64 {
 }
 
 // P50 is the median successful-request latency.
-func (r *Result) P50() time.Duration { return r.quantile(0.50) }
+func (r *Result) P50() time.Duration { return time.Duration(r.Latencies.Percentile(50)) }
 
 // P99 is the 99th-percentile successful-request latency.
-func (r *Result) P99() time.Duration { return r.quantile(0.99) }
-
-func (r *Result) quantile(q float64) time.Duration {
-	if len(r.Latencies) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), r.Latencies...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(q * float64(len(s)-1))
-	return s[i]
-}
+func (r *Result) P99() time.Duration { return time.Duration(r.Latencies.Percentile(99)) }
 
 // Run replays cfg.Requests arrivals against the rank function,
 // concurrently with whatever chaos the caller is injecting. Requests
@@ -197,7 +186,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 
-	res := &Result{Sent: cfg.Requests, Wall: time.Since(start), ServedCount: make(map[string]int)}
+	res := &Result{
+		Sent: cfg.Requests, Wall: time.Since(start), ServedCount: make(map[string]int),
+		Latencies: stats.NewSample(cfg.Requests),
+	}
 	for i := range outcomes {
 		o := &outcomes[i]
 		if o.err != nil {
@@ -213,7 +205,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.OK++
 		res.ServedCount[o.served]++
-		res.Latencies = append(res.Latencies, o.latency)
+		res.Latencies.Add(float64(o.latency))
 		if o.latency <= cfg.SLA {
 			res.WithinSLA++
 		}

@@ -1,0 +1,211 @@
+package stack
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"recsys/internal/engine"
+	"recsys/internal/model"
+	"recsys/internal/stats"
+)
+
+// specs parses flag-shaped -model values at -scale 1000.
+func specs(t *testing.T, in ...string) []model.Spec {
+	t.Helper()
+	var out []model.Spec
+	for _, s := range in {
+		spec, err := model.ParseSpec(s, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, spec)
+	}
+	return out
+}
+
+func start(t *testing.T, cfg Config) *Stack {
+	t.Helper()
+	st, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
+
+// TestCrossFlagRules: every rule that relates two flags is refused by
+// Start, before anything is built.
+func TestCrossFlagRules(t *testing.T) {
+	one, two := specs(t, "rmc1"), specs(t, "a=rmc1", "b=rmc3")
+	cases := []struct {
+		name   string
+		cfg    Config
+		errHas string
+	}{
+		{"adapt without sla", Config{Models: one, Adapt: true}, "-adapt requires a positive -sla"},
+		{"shards with a checkpoint", Config{Checkpoint: "m.ckpt", EmbShards: "127.0.0.1:1"}, "-emb-shards requires a preset -model"},
+		{"shards with two models", Config{Models: two, EmbShards: "127.0.0.1:1"}, "-emb-shards serves a single model"},
+		{"watch without a checkpoint", Config{Models: one, Watch: time.Second}, "-watch requires -checkpoint"},
+		{"checkpoint and model", Config{Models: one, Checkpoint: "m.ckpt"}, "mutually exclusive"},
+		{"nothing to serve", Config{}, "nothing to serve"},
+		{"unknown quantize mode", Config{Models: one, Online: true, OnlineQuantize: "fp16", OnlineBuffer: 64}, "-online-quantize must be"},
+	}
+	for _, c := range cases {
+		c.cfg.Workers = 1
+		st, err := Start(c.cfg)
+		if err == nil {
+			st.Close()
+			t.Errorf("%s: Start succeeded", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.errHas) {
+			t.Errorf("%s: err %q, want one mentioning %q", c.name, err, c.errHas)
+		}
+	}
+}
+
+// TestBatchingOff: -max-batch 0 (and below) is the engine's own spelling
+// of "batching off"; the queue depth is derived after that clamp, so the
+// stack starts, with room for four single-sample batches per worker.
+func TestBatchingOff(t *testing.T) {
+	for _, maxBatch := range []int{0, -3} {
+		st := start(t, Config{Models: specs(t, "rmc1"), Workers: 4, MaxBatch: maxBatch})
+		if got := st.Engine.QueueDepth(); got != 16 {
+			t.Errorf("-max-batch %d: queue depth %d, want 16", maxBatch, got)
+		}
+		pol, err := st.Engine.Policy(engine.DefaultModelName)
+		if err != nil || pol.MaxBatch != 1 || pol.SplitAbove != 0 {
+			t.Errorf("-max-batch %d: policy %+v (err %v), want MaxBatch 1, no split", maxBatch, pol, err)
+		}
+	}
+}
+
+// rankBody is a valid POST /rank body of the given batch for m.
+func rankBody(m *model.Model, batch int) []byte {
+	var b bytes.Buffer
+	b.WriteString(`{"dense":[`)
+	for i := 0; i < batch; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("[" + strings.TrimSuffix(strings.Repeat("0.5,", m.Config.DenseIn), ",") + "]")
+	}
+	b.WriteString(`],"sparse_ids":[`)
+	for t, tb := range m.Config.Tables {
+		if t > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("[" + strings.TrimSuffix(strings.Repeat("1,", batch*tb.Lookups), ",") + "]")
+	}
+	b.WriteString(`]}`)
+	return b.Bytes()
+}
+
+// TestOnlineABWiring: with -online -online-ab the updater is built over
+// the default model, its families join /metrics, its canary inherits the
+// registration policy (-split included), and the handler spreads bare
+// POST /rank across the two arms.
+func TestOnlineABWiring(t *testing.T) {
+	st := start(t, Config{
+		Models: specs(t, "rmc1"), Seed: 1, Workers: 2, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+		SplitAbove: 2, Online: true, OnlineInterval: time.Hour, OnlineAB: 50, OnlineBuffer: 256, OnlineHoldout: 16,
+	})
+	if st.Updater == nil || st.Clicks == nil || st.Updater.Router() == nil {
+		t.Fatalf("updater %v, buffer %v: -online -online-ab started neither", st.Updater, st.Clicks)
+	}
+	// One cycle by hand (the hour-long interval never fires) publishes
+	// the first canary.
+	if _, err := st.Updater.RunCycle(); err != nil {
+		t.Fatal(err)
+	}
+	canary := engine.DefaultModelName + "-next"
+	want, _ := st.Engine.Policy(engine.DefaultModelName)
+	if got, err := st.Engine.Policy(canary); err != nil || got != want || got.SplitAbove != 2 {
+		t.Fatalf("canary policy %+v (err %v), want the primary's %+v", got, err, want)
+	}
+
+	srv := httptest.NewServer(st.Handler())
+	defer srv.Close()
+	m, err := st.Engine.Model(engine.DefaultModelName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		resp, err := http.Post(srv.URL+"/rank", "application/json", bytes.NewReader(rankBody(m, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /rank: status %d", resp.StatusCode)
+		}
+	}
+	var metrics strings.Builder
+	st.Engine.WriteMetrics(&metrics)
+	for _, arm := range []string{engine.DefaultModelName, canary} {
+		for _, line := range []string{
+			fmt.Sprintf(`recsys_online_route_picks_total{model="default",arm=%q} 4`, arm),
+			fmt.Sprintf(`recsys_requests_total{model=%q} 4`, arm),
+		} {
+			if !strings.Contains(metrics.String(), line) {
+				t.Errorf("metrics missing %q", line)
+			}
+		}
+	}
+	if st.Clicks.Fed() != 8 {
+		t.Errorf("serve tap labeled %d samples, want 8", st.Clicks.Fed())
+	}
+}
+
+// TestCheckpointWatch: a -checkpoint stack serves the saved model, and
+// with -watch picks up a newer file as the next generation.
+func TestCheckpointWatch(t *testing.T) {
+	cfg := model.RMC1Small().Scaled(1000)
+	path := filepath.Join(t.TempDir(), "m.ckpt")
+	save := func(seed uint64) *model.Model {
+		m, err := model.Build(cfg, stats.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	first := save(1)
+	st := start(t, Config{Checkpoint: path, Workers: 1, MaxBatch: 1, Watch: 5 * time.Millisecond})
+
+	req := model.NewRandomRequest(cfg, 2, stats.NewRNG(9))
+	got, err := st.Engine.Rank(context.Background(), engine.DefaultModelName, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := first.CTR(req); got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("checkpoint stack scored %v, the saved model %v", got, want)
+	}
+
+	gen0, _ := st.Engine.Generation(engine.DefaultModelName)
+	second := save(2)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if gen, _ := st.Engine.Generation(engine.DefaultModelName); gen > gen0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the watcher never swapped the rewritten checkpoint in")
+		}
+	}
+	got, err = st.Engine.Rank(context.Background(), engine.DefaultModelName, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := second.CTR(req); got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("after the swap the stack scored %v, the new checkpoint %v", got, want)
+	}
+}

@@ -29,17 +29,10 @@ type Arena struct {
 
 	ptrs []*Tensor // scratch for Ptrs
 
-	// u8slab is a separate byte slab for integer scratch (the int8
-	// compute path's quantized activations), bump-allocated like the
-	// float slab so the int8 hot path also reaches zero steady-state
-	// allocations.
-	u8slab  []uint8
-	u8off   int
-	u8total int
-
 	// i16slab/i32slab: integer scratch for the register-tiled int8 GEMM
-	// (widened activation codes and per-row zero points), following the
-	// same bump-and-right-size discipline as u8slab.
+	// (widened activation codes and per-row zero points), bump-allocated
+	// and right-sized like the float slab so the int8 hot path also
+	// reaches zero steady-state allocations.
 	i16slab  []int16
 	i16off   int
 	i16total int
@@ -141,34 +134,12 @@ func (a *Arena) allocRaw(n int) []float32 {
 	return d
 }
 
-// AllocU8 carves n uninitialized bytes from the arena's byte slab.
-// Like AllocUninit, the contents are whatever a previous pass left
-// behind — only for scratch fully overwritten before any read (the
-// int8 activation buffer is written row by row before each dot). The
-// slice is invalidated by Reset.
-func (a *Arena) AllocU8(n int) []uint8 {
-	a.u8total += n
-	if a.u8off+n > len(a.u8slab) {
-		size := 2 * len(a.u8slab)
-		if size < a.u8total {
-			size = a.u8total
-		}
-		if size < 1024 {
-			size = 1024
-		}
-		a.u8slab = make([]uint8, size)
-		a.u8off = 0
-	}
-	d := a.u8slab[a.u8off : a.u8off+n : a.u8off+n]
-	a.u8off += n
-	return d
-}
-
 // AllocI16 carves n uninitialized int16s from the arena's i16 slab —
 // the widened activation-code buffer of the register-tiled int8 GEMM
-// (VPMADDWD consumes i16 lanes, so codes are stored pre-widened). Same
-// contract as AllocU8: contents are stale until overwritten, and the
-// slice is invalidated by Reset.
+// (VPMADDWD consumes i16 lanes, so codes are stored pre-widened). Like
+// AllocUninit, the contents are whatever a previous pass left behind —
+// only for scratch fully overwritten before any read — and the slice
+// is invalidated by Reset.
 func (a *Arena) AllocI16(n int) []int16 {
 	a.i16total += n
 	if a.i16off+n > len(a.i16slab) {
@@ -189,7 +160,7 @@ func (a *Arena) AllocI16(n int) []int16 {
 
 // AllocI32 carves n uninitialized int32s from the arena's i32 slab —
 // per-row zero points for the int8 GEMM epilogue. Same contract as
-// AllocU8.
+// AllocI16.
 func (a *Arena) AllocI32(n int) []int32 {
 	a.i32total += n
 	if a.i32off+n > len(a.i32slab) {
@@ -230,9 +201,6 @@ func (a *Arena) Reset() {
 	if a.total > len(a.slab) {
 		a.slab = make([]float32, a.total)
 	}
-	if a.u8total > len(a.u8slab) {
-		a.u8slab = make([]uint8, a.u8total)
-	}
 	if a.i16total > len(a.i16slab) {
 		a.i16slab = make([]int16, a.i16total)
 	}
@@ -242,8 +210,6 @@ func (a *Arena) Reset() {
 	a.off = 0
 	a.total = 0
 	a.used = 0
-	a.u8off = 0
-	a.u8total = 0
 	a.i16off = 0
 	a.i16total = 0
 	a.i32off = 0
