@@ -83,12 +83,22 @@ test-gotier:
 
 # Non-test source lines (.go and .s) per cmd/* and internal/* package
 # directory, with the cmd, internal and overall totals: ROADMAP's
-# recurring "net-negative LOC" criterion as one command. Run it at the
-# parent commit and at the change and quote both.
+# recurring "net-negative LOC" criterion as one command. With
+# BASE=<ref> (`make loc BASE=HEAD~2`) each row is that commit's count,
+# the working tree's, and the difference: the table a PR description
+# quotes.
 loc:
-	@find cmd internal -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' \
-		| xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = p[1]; \
-			for (i = 2; i < n; i++) d = d "/" p[i]; \
-			dir[d] += $$1; top[p[1]] += $$1; all += $$1 } \
-		END { for (d in dir) printf "%6d %s\n", dir[d], d | "sort -k2"; close("sort -k2"); \
-			printf "%6d cmd (total)\n%6d internal (total)\n%6d cmd + internal\n", top["cmd"], top["internal"], all }'
+	@{ find cmd internal -type f \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' \
+		| xargs wc -l | awk '$$2 != "total" { print "tree", $$1, $$2 }'; \
+	if [ -n "$(BASE)" ]; then \
+		git grep -c '' $(BASE) -- 'cmd/*.go' 'cmd/*.s' 'internal/*.go' 'internal/*.s' ':!*_test.go' \
+			| awk -F: '{ print "base", $$NF, $$(NF-1) }'; \
+	fi; } | awk -v base="$(BASE)" ' \
+		function row(d) { return base == "" ? sprintf("%6d %s", n["tree", d], d) \
+			: sprintf("%6d %6d %+6d %s", n["base", d], n["tree", d], n["tree", d] - n["base", d], d) } \
+		{ k = split($$3, p, "/"); d = p[1]; for (i = 2; i < k; i++) d = d "/" p[i]; \
+			dirs[d]; n[$$1, d] += $$2; n[$$1, p[1] " (total)"] += $$2; n[$$1, "cmd + internal"] += $$2 } \
+		END { if (base != "") printf "%6s %6s %6s\n", base, "tree", "delta"; \
+			sorter = "sort -k" (base == "" ? 2 : 4); \
+			for (d in dirs) print row(d) | sorter; close(sorter); \
+			print row("cmd (total)"); print row("internal (total)"); print row("cmd + internal") }'

@@ -65,10 +65,7 @@ type benchStat struct {
 }
 
 // benchFile is the on-disk schema: the environment the numbers were
-// recorded in plus the per-case stats. Files written before kernel
-// dispatch were a bare case map; readBenchFile still accepts those
-// (legacy files carry no arch/tier/GOMAXPROCS, so the ns/op gate
-// treats them as matching).
+// recorded in plus the per-case stats.
 type benchFile struct {
 	Arch       string               `json:"arch"`
 	KernelTier string               `json:"kernel_tier"`
@@ -83,23 +80,21 @@ func readBenchFile(t *testing.T, path string) benchFile {
 		t.Fatalf("missing %s (regenerate with UPDATE_BENCH_BASELINE=1): %v", path, err)
 	}
 	var f benchFile
-	if err := json.Unmarshal(raw, &f); err == nil && f.Cases != nil {
-		return f
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatalf("parsing %s (regenerate with UPDATE_BENCH_BASELINE=1): %v", path, err)
 	}
-	var legacy map[string]benchStat
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatalf("parsing %s: %v", path, err)
+	if f.Cases == nil {
+		t.Fatalf("%s has no \"cases\": not a stamped baseline (regenerate with UPDATE_BENCH_BASELINE=1)", path)
 	}
-	return benchFile{Cases: legacy}
+	return f
 }
 
 // hostMatches reports whether baseline numbers are comparable to this
 // process: same GOARCH, same selected kernel tier, same GOMAXPROCS.
-// Legacy files (empty fields) are assumed comparable.
 func hostMatches(f benchFile) bool {
-	return (f.Arch == "" || f.Arch == runtime.GOARCH) &&
-		(f.KernelTier == "" || f.KernelTier == tensor.KernelTier()) &&
-		(f.GOMAXPROCS == 0 || f.GOMAXPROCS == runtime.GOMAXPROCS(0))
+	return f.Arch == runtime.GOARCH &&
+		f.KernelTier == tensor.KernelTier() &&
+		f.GOMAXPROCS == runtime.GOMAXPROCS(0)
 }
 
 type benchCase struct {

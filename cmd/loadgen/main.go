@@ -9,11 +9,15 @@
 //	loadgen -real -model rmc1 -zipf 1.1 -emb-cache 4096 -requests 5000
 //	loadgen -real -model rmc1 -arrival flash -peak-mult 4 -adapt -sla 5ms
 //
-// With -real, loadgen brings up the serving stack cmd/serve runs
-// (stack.Start; DESIGN.md "Bring-up", which also has the -model spec
-// grammar) and drives its engine in-process instead of the
-// discrete-event simulator: measured wall-clock latencies, formed-batch
-// histogram, and per-operator time from the instrumented forward pass.
+// Both modes replay one arrival process (trace.LoadGenerator). Without
+// -real its times are the virtual clock of the discrete-event simulator
+// (internal/server). With -real, loadgen brings up the serving stack
+// cmd/serve runs (stack.Start; DESIGN.md "Bring-up", which also has the
+// -model spec grammar) and the open-loop driver the chaos scenarios use
+// (scenario.Run) sleeps until each arrival and ranks it in-process:
+// measured wall-clock latencies, formed-batch histogram, and
+// per-operator time from the instrumented forward pass. DESIGN.md "One
+// mechanism, two drivers" has the table.
 //
 // -arrival selects the arrival process (real mode): "poisson" (steady),
 // "flash" (rate steps to -peak-mult× at -arrival-period and holds),
@@ -49,13 +53,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"recsys/internal/arch"
@@ -64,6 +66,7 @@ import (
 	"recsys/internal/engine"
 	"recsys/internal/model"
 	"recsys/internal/obs"
+	"recsys/internal/scenario"
 	"recsys/internal/server"
 	"recsys/internal/stack"
 	"recsys/internal/stats"
@@ -122,18 +125,15 @@ func main() {
 	// non-positive request count measures nothing — refuse them up
 	// front instead of hanging or printing NaN percentiles.
 	if *qps <= 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: -qps must be positive, got %g\n", *qps)
-		os.Exit(1)
+		fatal(fmt.Sprintf("-qps must be positive, got %g", *qps))
 	}
 	if *requests <= 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: -requests must be positive, got %d\n", *requests)
-		os.Exit(1)
+		fatal(fmt.Sprintf("-requests must be positive, got %d", *requests))
 	}
 
 	spec, err := model.ParseSingleSpec(*preset, *scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if *real {
 		sc := stack.Config{
@@ -172,26 +172,21 @@ func main() {
 	}
 	cfg := spec.Preset
 	if *traceOn {
-		fmt.Fprintln(os.Stderr, "loadgen: -trace requires -real (the simulator has no request traces)")
-		os.Exit(1)
+		fatal("-trace requires -real (the simulator has no request traces)")
 	}
 	if spec.Int8Tables || *zipfS != 0 || *embCache != 0 || *embShards != "" {
-		fmt.Fprintln(os.Stderr, "loadgen: -int8 presets, -zipf, -emb-cache, and -emb-shards require -real (the simulator has no embedding rows)")
-		os.Exit(1)
+		fatal("-int8 presets, -zipf, -emb-cache, and -emb-shards require -real (the simulator has no embedding rows)")
 	}
 	if *arrival != "poisson" || *adaptOn {
-		fmt.Fprintln(os.Stderr, "loadgen: -arrival and -adapt require -real (the simulator is steady-state Poisson only)")
-		os.Exit(1)
+		fatal("-arrival and -adapt require -real (the simulator is steady-state Poisson only)")
 	}
 	if *onlineOn {
-		fmt.Fprintln(os.Stderr, "loadgen: -online requires -real (the simulator has no trainable weights)")
-		os.Exit(1)
+		fatal("-online requires -real (the simulator has no trainable weights)")
 	}
 
 	m, err := arch.ByName(*machineName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	sc := server.SimConfig{
@@ -216,19 +211,31 @@ func main() {
 		res = server.Simulate(sc)
 		fmt.Printf("%s on %s  batch=%d workers=%d offered=%.0f QPS  SLA=%v\n\n", cfg.Name, m.Name, *batch, *workers, *qps, *sla)
 	}
-	s := res.Latencies.Summarize()
-	fmt.Printf("requests:       %d\n", res.Completed)
-	fmt.Printf("latency mean:   %.1fµs\n", s.Mean)
-	fmt.Printf("latency p50:    %.1fµs\n", s.P50)
-	fmt.Printf("latency p95:    %.1fµs\n", s.P95)
-	fmt.Printf("latency p99:    %.1fµs\n", s.P99)
-	fmt.Printf("SLA violations: %d (%.2f%%)\n", res.SLAViolations, 100*float64(res.SLAViolations)/float64(res.Completed))
+	report(res.Latencies, 1, res.SLAViolations)
 	fmt.Printf("throughput:     %.0f req/s (%.0f items/s)\n", res.ThroughputQPS, res.ThroughputQPS*float64(*batch))
 	fmt.Printf("goodput:        %.0f req/s within SLA\n", res.GoodputQPS())
 }
 
-// runReal brings the stack up, drives its engine with paced requests
-// from the configured arrival process and reports measured latency, SLA
+// fatal reports a usage or bring-up error and exits.
+func fatal(args ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"loadgen:"}, args...)...)
+	os.Exit(1)
+}
+
+// report prints the latency block both modes share. usPer converts the
+// sample's unit to microseconds.
+func report(lat *stats.Sample, usPer float64, violations int) {
+	s := lat.Summarize()
+	fmt.Printf("requests:       %d\n", lat.Len())
+	fmt.Printf("latency mean:   %.1fµs\n", s.Mean*usPer)
+	fmt.Printf("latency p50:    %.1fµs\n", s.P50*usPer)
+	fmt.Printf("latency p95:    %.1fµs\n", s.P95*usPer)
+	fmt.Printf("latency p99:    %.1fµs\n", s.P99*usPer)
+	fmt.Printf("SLA violations: %d (%.2f%%)\n", violations, 100*float64(violations)/float64(lat.Len()))
+}
+
+// runReal brings the stack up, has scenario.Run drive its engine with
+// the configured arrival process and reports measured latency, SLA
 // goodput, the formed-batch histogram, and the per-operator time split
 // from the instrumented forward pass. With -adapt the scheduling
 // controller re-tunes the batch policy live while the load plays; with
@@ -236,8 +243,7 @@ func main() {
 func runReal(sc stack.Config, rc realConfig) {
 	stk, err := stack.Start(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	eng := stk.Engine
 	cfg := sc.Models[0].Config()
@@ -265,7 +271,7 @@ func runReal(sc stack.Config, rc realConfig) {
 		}
 		seen[i] = make(map[int]struct{})
 	}
-	drawn := make([]int, len(cfg.Tables))
+	drawn := 0
 
 	fmt.Printf("%s real engine  batch=%d workers=%d offered=%.0f QPS (%s)  coalesce<=%d wait<=%v  SLA=%v  ids=%s kernel=%s shards=%s adapt=%v\n",
 		cfg.Name, rc.batch, sc.Workers, rc.qps, rc.arrival, max(sc.MaxBatch, 1), sc.MaxWait, rc.sla, idGens[0].Name(), tensor.KernelTier(), shardCount, sc.Adapt)
@@ -275,59 +281,43 @@ func runReal(sc stack.Config, rc realConfig) {
 	fmt.Println()
 	gen, err := trace.NewArrivalSource(rc.arrival, rc.qps, rc.peakMult, rc.arrivalPeriod, rc.batch, rng.Split())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen: "+err.Error())
-		os.Exit(1)
+		fatal(err)
 	}
-	arrivals := gen.Take(rc.requests)
-	lat := stats.NewSample(rc.requests)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	violations := 0
-	start := time.Now()
-	for _, ev := range arrivals {
-		at := time.Duration(ev.TimeUS * float64(time.Microsecond))
-		if d := at - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		req := model.NewRandomRequest(cfg, rc.batch, rng)
-		for t := range idGens {
-			idGens[t].Fill(req.SparseIDs[t])
-			for _, id := range req.SparseIDs[t] {
-				seen[t][id] = struct{}{}
+	res, err := scenario.Run(scenario.Config{
+		Engine: eng,
+		// Requests draw from the seed's own stream (rng), not the
+		// driver's: one -seed names the weights and the traffic.
+		NewRequest: func(*stats.RNG) model.Request {
+			req := model.NewRandomRequest(cfg, rc.batch, rng)
+			for t := range idGens {
+				idGens[t].Fill(req.SparseIDs[t])
+				for _, id := range req.SparseIDs[t] {
+					seen[t][id] = struct{}{}
+				}
+				drawn += len(req.SparseIDs[t])
 			}
-			drawn[t] += len(req.SparseIDs[t])
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			if _, err := eng.Rank(context.Background(), engine.DefaultModelName, req); err != nil {
-				return
-			}
-			l := float64(time.Since(t0).Microseconds())
-			mu.Lock()
-			lat.Add(l)
-			if rc.sla > 0 && l > float64(rc.sla.Microseconds()) {
-				violations++
-			}
-			mu.Unlock()
-		}()
+			return req
+		},
+		Arrivals: gen,
+		Requests: rc.requests,
+		SLA:      rc.sla,
+		// Nothing here replays samples against a reference model; keep
+		// only the first instead of every 16th request body.
+		SampleEvery: rc.requests,
+	})
+	if err != nil {
+		fatal(err)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
 	// Counters and traces outlive Close: the summaries below read a
 	// stack that has stopped moving.
 	stk.Close()
+	if n := res.Failed + res.Shed; n > 0 {
+		fmt.Fprintf(os.Stderr, "loadgen: %d of %d requests failed (first errors: %v)\n", n, res.Sent, res.Errors)
+	}
 
-	s := lat.Summarize()
-	fmt.Printf("requests:       %d\n", lat.Len())
-	fmt.Printf("latency mean:   %.1fµs\n", s.Mean)
-	fmt.Printf("latency p50:    %.1fµs\n", s.P50)
-	fmt.Printf("latency p95:    %.1fµs\n", s.P95)
-	fmt.Printf("latency p99:    %.1fµs\n", s.P99)
-	fmt.Printf("SLA violations: %d (%.2f%%)\n", violations, 100*float64(violations)/float64(lat.Len()))
-	fmt.Printf("throughput:     %.0f req/s\n", float64(lat.Len())/elapsed.Seconds())
-	fmt.Printf("goodput:        %.0f req/s within SLA\n", float64(lat.Len()-violations)/elapsed.Seconds())
+	report(res.Latencies, 1e-3, res.OK-res.WithinSLA)
+	fmt.Printf("throughput:     %.0f req/s\n", float64(res.OK)/res.Wall.Seconds())
+	fmt.Printf("goodput:        %.0f req/s within SLA\n", float64(res.WithinSLA)/res.Wall.Seconds())
 	if stk.Controller != nil {
 		fmt.Println()
 		fmt.Println(stk.Controller.String())
@@ -362,13 +352,12 @@ func runReal(sc stack.Config, rc realConfig) {
 		}
 	}
 
-	var uniq, totalIDs int
+	uniq := 0
 	for t := range seen {
 		uniq += len(seen[t])
-		totalIDs += drawn[t]
 	}
 	fmt.Printf("\nsparse IDs (%s): achieved unique-ID fraction %.1f%% (%d unique of %d drawn across %d tables)\n",
-		idGens[0].Name(), 100*float64(uniq)/float64(totalIDs), uniq, totalIDs, len(seen))
+		idGens[0].Name(), 100*float64(uniq)/float64(drawn), uniq, drawn, len(seen))
 	if len(st.EmbCache) > 0 {
 		fmt.Println("embedding hot-row cache:")
 		for _, ec := range st.EmbCache {

@@ -27,127 +27,50 @@ func checkCapacity(capacity int) {
 	}
 }
 
-// lruNode is a doubly-linked-list node for LRU and FIFO.
-type lruNode struct {
-	id         uint64
-	prev, next *lruNode
+// replay drives the replacement core (core.go) offline: no row data,
+// no generations, and every miss admitted — the textbook policy, where
+// the serving cache (Concurrent) admits a full shard's misses lazily.
+type replay struct{ core }
+
+func newReplay(policy, capacity int) replay {
+	checkCapacity(capacity)
+	return replay{newCore(policy, capacity, 1)}
+}
+
+// Len implements Policy.
+func (r *replay) Len() int { return r.used }
+
+// Capacity implements Policy.
+func (r *replay) Capacity() int { return r.cap }
+
+// Access implements Policy.
+func (r *replay) Access(id uint64) bool {
+	if slot, ok := r.find(id); ok {
+		r.touch(slot)
+		return true
+	}
+	r.admit(id)
+	return false
 }
 
 // LRU is a least-recently-used cache.
-type LRU struct {
-	capacity   int
-	items      map[uint64]*lruNode
-	head, tail *lruNode // head = MRU
-}
+type LRU struct{ replay }
 
 // NewLRU returns an LRU cache holding capacity rows.
-func NewLRU(capacity int) *LRU {
-	checkCapacity(capacity)
-	return &LRU{capacity: capacity, items: make(map[uint64]*lruNode, capacity)}
-}
+func NewLRU(capacity int) *LRU { return &LRU{newReplay(polLRU, capacity)} }
 
 // Name implements Policy.
-func (c *LRU) Name() string { return "LRU" }
-
-// Len implements Policy.
-func (c *LRU) Len() int { return len(c.items) }
-
-// Capacity implements Policy.
-func (c *LRU) Capacity() int { return c.capacity }
-
-// Access implements Policy.
-func (c *LRU) Access(id uint64) bool {
-	if n, ok := c.items[id]; ok {
-		c.moveToFront(n)
-		return true
-	}
-	if len(c.items) >= c.capacity {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.items, victim.id)
-	}
-	n := &lruNode{id: id}
-	c.pushFront(n)
-	c.items[id] = n
-	return false
-}
-
-func (c *LRU) pushFront(n *lruNode) {
-	n.next = c.head
-	n.prev = nil
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *LRU) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-}
-
-func (c *LRU) moveToFront(n *lruNode) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
-}
+func (*LRU) Name() string { return "LRU" }
 
 // FIFO is a first-in-first-out cache: admission order, no recency
 // update on hit.
-type FIFO struct {
-	capacity int
-	items    map[uint64]struct{}
-	queue    []uint64
-	qhead    int
-}
+type FIFO struct{ replay }
 
 // NewFIFO returns a FIFO cache holding capacity rows.
-func NewFIFO(capacity int) *FIFO {
-	checkCapacity(capacity)
-	return &FIFO{capacity: capacity, items: make(map[uint64]struct{}, capacity)}
-}
+func NewFIFO(capacity int) *FIFO { return &FIFO{newReplay(polFIFO, capacity)} }
 
 // Name implements Policy.
-func (c *FIFO) Name() string { return "FIFO" }
-
-// Len implements Policy.
-func (c *FIFO) Len() int { return len(c.items) }
-
-// Capacity implements Policy.
-func (c *FIFO) Capacity() int { return c.capacity }
-
-// Access implements Policy.
-func (c *FIFO) Access(id uint64) bool {
-	if _, ok := c.items[id]; ok {
-		return true
-	}
-	if len(c.items) >= c.capacity {
-		victim := c.queue[c.qhead]
-		c.qhead++
-		delete(c.items, victim)
-		// Compact the queue occasionally to bound memory.
-		if c.qhead > c.capacity {
-			c.queue = append([]uint64(nil), c.queue[c.qhead:]...)
-			c.qhead = 0
-		}
-	}
-	c.items[id] = struct{}{}
-	c.queue = append(c.queue, id)
-	return false
-}
+func (*FIFO) Name() string { return "FIFO" }
 
 // LFU is a least-frequently-used cache with O(1) operations via
 // frequency buckets; ties within a frequency evict the least recently

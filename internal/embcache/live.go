@@ -2,8 +2,8 @@ package embcache
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -12,9 +12,9 @@ import (
 // policy work: a sharded, lock-striped, fixed-capacity row cache that
 // SLSOp.ForwardEx consults read-through — the software analogue of
 // RecNMP's hot-row memoization, exploiting the skewed sparse-ID
-// popularity of the paper's Figure 14/15. Each shard owns a slot map,
-// a flat row store, and its policy state under one mutex, so lookups
-// from different executor workers stripe across locks instead of
+// popularity of the paper's Figure 14/15. Each shard owns a replacement
+// core (core.go) and a flat row store under one mutex, so lookups from
+// different executor workers stripe across locks instead of
 // serializing.
 //
 // Coherence is generation-based. Every pass captures Gen() once and
@@ -26,68 +26,20 @@ import (
 // packed-weight invalidation.
 type Concurrent struct {
 	cols   int
-	policy int
 	shift  uint // shard index = top bits of the mixed ID
 	shards []shard
 	gen    atomic.Uint64
 }
 
-// Eviction policies. LFU stays offline-only (embcache.LFU): its
-// frequency buckets allocate per access, which the zero-alloc serving
-// contract rules out.
-const (
-	polLRU = iota
-	polFIFO
-	polClock
-)
-
-// Policies lists the eviction policies NewConcurrent accepts.
-func Policies() []string { return []string{"lru", "fifo", "clock"} }
-
-func parsePolicy(p string) (int, error) {
-	switch strings.ToLower(p) {
-	case "", "lru":
-		return polLRU, nil
-	case "fifo":
-		return polFIFO, nil
-	case "clock":
-		return polClock, nil
-	default:
-		return 0, fmt.Errorf("embcache: unknown policy %q (want %s)", p, strings.Join(Policies(), ", "))
-	}
-}
-
-// ValidatePolicy reports whether policy names a live eviction policy
-// ("" selects the lru default), so config errors surface at engine
-// construction instead of first lookup.
-func ValidatePolicy(policy string) error {
-	_, err := parsePolicy(policy)
-	return err
-}
-
-// shard is one lock stripe: a slot map over a flat row store plus the
-// policy state. prev/next/head/tail form the intrusive recency list
-// (slot indices, -1 = none) for lru and fifo; ref/hand are the
-// second-chance bits for clock.
+// shard is one lock stripe: the replacement core, one row of data per
+// core slot, and the generation the contents belong to.
 type shard struct {
-	mu   sync.Mutex
-	gen  uint64
-	cap  int
-	used int
+	mu  sync.Mutex
+	gen uint64
+	core
+	data []float32 // slot-major row store, cap×cols
 
-	slots map[uint64]int32
-	ids   []uint64  // slot → row ID
-	data  []float32 // slot-major row store, cap×cols
-
-	prev, next []int32
-	head, tail int32
-	ref        []bool
-	hand       int32
-
-	// admitTick throttles evicting admissions (see admitEvery).
-	admitTick uint64
-
-	hits, misses, evictions int64
+	hits, misses int64
 }
 
 // admitEvery is the lazy-admission rate once a shard is full: only
@@ -121,28 +73,13 @@ func NewConcurrent(capacity, cols int, policy string, shards int) (*Concurrent, 
 			shards = 16
 		}
 	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	c := &Concurrent{cols: cols, policy: pol, shift: uint(64 - bits), shards: make([]shard, n)}
+	lg := bits.Len(uint(shards - 1)) // log2 of shards rounded up to a power of two
+	n := 1 << lg
+	c := &Concurrent{cols: cols, shift: uint(64 - lg), shards: make([]shard, n)}
 	per := (capacity + n - 1) / n
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.cap = per
-		s.slots = make(map[uint64]int32, per)
-		s.ids = make([]uint64, per)
-		s.data = make([]float32, per*cols)
-		s.prev = make([]int32, per)
-		s.next = make([]int32, per)
-		s.head, s.tail = -1, -1
-		if pol == polClock {
-			s.ref = make([]bool, per)
-		}
+		c.shards[i].core = newCore(pol, per, admitEvery)
+		c.shards[i].data = make([]float32, per*cols)
 	}
 	return c, nil
 }
@@ -174,21 +111,7 @@ func (c *Concurrent) Capacity() int {
 }
 
 // PolicyName returns the eviction policy ("lru", "fifo", or "clock").
-func (c *Concurrent) PolicyName() string { return Policies()[c.policy] }
-
-// resetLocked clears the shard for a new generation. The map is
-// cleared in place (clear keeps its buckets), so steady-state reuse
-// after an invalidation does not reallocate.
-func (s *shard) resetLocked(gen uint64) {
-	clear(s.slots)
-	s.used = 0
-	s.head, s.tail = -1, -1
-	s.hand = 0
-	if s.ref != nil {
-		clear(s.ref)
-	}
-	s.gen = gen
-}
+func (c *Concurrent) PolicyName() string { return Policies()[c.shards[0].policy] }
 
 // syncGenLocked reconciles the shard with the caller's generation. It
 // reports whether the caller may use the shard: false means the shard
@@ -201,7 +124,8 @@ func (s *shard) syncGenLocked(gen uint64) bool {
 	if s.gen > gen {
 		return false
 	}
-	s.resetLocked(gen)
+	s.reset()
+	s.gen = gen
 	return true
 }
 
@@ -222,19 +146,14 @@ func (c *Concurrent) Lookup(gen, id uint64, dst []float32) bool {
 		s.mu.Unlock()
 		return false
 	}
-	slot, ok := s.slots[id]
+	slot, ok := s.find(id)
 	if !ok {
 		s.misses++
 		s.mu.Unlock()
 		return false
 	}
 	copy(dst, s.data[int(slot)*c.cols:(int(slot)+1)*c.cols])
-	switch c.policy {
-	case polLRU:
-		s.moveToFront(slot)
-	case polClock:
-		s.ref[slot] = true
-	}
+	s.touch(slot)
 	s.hits++
 	s.mu.Unlock()
 	return true
@@ -257,92 +176,16 @@ func (c *Concurrent) Insert(gen, id uint64, src []float32) {
 		s.mu.Unlock()
 		return
 	}
-	slot, ok := s.slots[id]
+	slot, ok := s.find(id)
 	if !ok {
-		if s.used < s.cap {
-			slot = int32(s.used)
-			s.used++
-		} else {
-			// Full shard: lazy admission. The tick starts the cycle on
-			// an admit so a lone post-fill insert (and a hot row
-			// re-offered within a few misses) still gets in.
-			s.admitTick++
-			if s.admitTick&(admitEvery-1) != 1 {
-				s.mu.Unlock()
-				return
-			}
-			slot = s.evictLocked()
-			delete(s.slots, s.ids[slot])
-			s.evictions++
-		}
-		s.ids[slot] = id
-		s.slots[id] = slot
-		switch c.policy {
-		case polLRU, polFIFO:
-			s.pushFront(slot)
-		case polClock:
-			s.ref[slot] = false
+		// A full shard admits lazily (admitEvery).
+		if slot, ok = s.admit(id); !ok {
+			s.mu.Unlock()
+			return
 		}
 	}
 	copy(s.data[int(slot)*c.cols:(int(slot)+1)*c.cols], src)
 	s.mu.Unlock()
-}
-
-// evictLocked selects and unlinks a victim slot. lru and fifo evict
-// the list tail (fifo never reorders on hit, so its tail is the oldest
-// admission); clock sweeps the hand, giving referenced slots a second
-// chance.
-func (s *shard) evictLocked() int32 {
-	if s.ref != nil {
-		for {
-			h := s.hand
-			s.hand++
-			if int(s.hand) >= s.cap {
-				s.hand = 0
-			}
-			if s.ref[h] {
-				s.ref[h] = false
-				continue
-			}
-			return h
-		}
-	}
-	victim := s.tail
-	s.unlink(victim)
-	return victim
-}
-
-func (s *shard) pushFront(n int32) {
-	s.prev[n] = -1
-	s.next[n] = s.head
-	if s.head >= 0 {
-		s.prev[s.head] = n
-	}
-	s.head = n
-	if s.tail < 0 {
-		s.tail = n
-	}
-}
-
-func (s *shard) unlink(n int32) {
-	if s.prev[n] >= 0 {
-		s.next[s.prev[n]] = s.next[n]
-	} else {
-		s.head = s.next[n]
-	}
-	if s.next[n] >= 0 {
-		s.prev[s.next[n]] = s.prev[n]
-	} else {
-		s.tail = s.prev[n]
-	}
-}
-
-func (s *shard) moveToFront(n int32) {
-	if s.head == n {
-		return
-	}
-	s.unlink(n)
-	s.pushFront(n)
 }
 
 // LiveStats is a point-in-time counter snapshot of a Concurrent cache.

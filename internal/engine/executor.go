@@ -212,16 +212,6 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 	if len(live) == 0 {
 		return
 	}
-	if traced {
-		// Batch formation ends here: everything between the job's pop
-		// and this instant was spent holding the batch open.
-		now := time.Now()
-		for _, j := range live {
-			if j.tr != nil {
-				j.tr.BatchFormUS = float64(now.Sub(j.popAt)) / 1e3
-			}
-		}
-	}
 	// The pass lock pairs the model pointer with the embedding caches'
 	// generation: Swap bumps the generation and publishes the new model
 	// under the write side, so no forward here can stage rows from one
@@ -235,8 +225,8 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 	if err != nil {
 		// Fall back to per-request execution so one malformed request
 		// cannot poison its batch peers.
-		for _, j := range live {
-			out, execUS, spans, ferr := e.forward(mq, m, j.req, scratch, j.tr != nil, j.deadline)
+		for i, j := range live {
+			out, execUS, spans, ferr := e.forward(mq, m, j.req, scratch, passStart(j.tr != nil, live[i:i+1]), j.deadline)
 			if ferr != nil {
 				fail(mq, j, ferr)
 				continue
@@ -248,7 +238,7 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 		}
 		return
 	}
-	out, execUS, spans, err := e.forward(mq, m, merged, scratch, traced, deadline)
+	out, execUS, spans, err := e.forward(mq, m, merged, scratch, passStart(traced, live), deadline)
 	if err != nil {
 		for _, j := range live {
 			fail(mq, j, err)
@@ -272,6 +262,24 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 	}
 }
 
+// passStart reads the clock once for a traced pass (zero when no job
+// is traced): the instant ends the batch-form stage of every traced
+// job — everything since its pop went into holding the batch open,
+// waiting for the pass lock and merging — and starts the execute stage
+// forward measures, so the two abut.
+func passStart(traced bool, jobs []*job) time.Time {
+	if !traced {
+		return time.Time{}
+	}
+	now := time.Now()
+	for _, j := range jobs {
+		if j.tr != nil {
+			j.tr.BatchFormUS = float64(now.Sub(j.popAt)) / 1e3
+		}
+	}
+	return now
+}
+
 // forward runs the instrumented model forward pass on the arena-backed
 // hot path, converting panics into ErrInference-wrapped errors. The
 // recover is airtight against intra-op parallelism because every
@@ -280,13 +288,13 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 // aliases the worker's arena and is valid until the next forward on
 // the same worker — callers copy rows out per job before returning.
 // Per-operator spans always land in the queue's kind accumulators;
-// when traced they are additionally captured (with the wall-clock
-// execute time) into the worker's reusable span buffer, returned as
-// spans. deadline bounds remote embedding gathers (zero = none); a
-// dead shard tier panics out of the gather with shard.ErrUnavailable,
-// which the recover keeps in the error chain so the HTTP front-end can
-// answer 503 instead of 500.
-func (e *Engine) forward(mq *modelQueue, m *model.Model, req model.Request, scratch *workerScratch, traced bool, deadline time.Time) (out *tensor.Tensor, execUS float64, spans []obs.Span, err error) {
+// when traced (a non-zero start, from passStart) they are additionally
+// captured, with the wall-clock execute time since start, into the
+// worker's reusable span buffer, returned as spans. deadline bounds
+// remote embedding gathers (zero = none); a dead shard tier panics out
+// of the gather with shard.ErrUnavailable, which the recover keeps in
+// the error chain so the HTTP front-end can answer 503 instead of 500.
+func (e *Engine) forward(mq *modelQueue, m *model.Model, req model.Request, scratch *workerScratch, start time.Time, deadline time.Time) (out *tensor.Tensor, execUS float64, spans []obs.Span, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
@@ -299,15 +307,12 @@ func (e *Engine) forward(mq *modelQueue, m *model.Model, req model.Request, scra
 	}()
 	scratch.arena.Reset()
 	scratch.tap.counters = &mq.counters
+	traced := !start.IsZero()
 	scratch.tap.capture = traced
 	scratch.tap.spans = scratch.tap.spans[:0]
-	var t0 time.Time
-	if traced {
-		t0 = time.Now()
-	}
 	out = m.ForwardDeadline(req, scratch.arena, e.opts.IntraOpWorkers, &scratch.tap, deadline)
 	if traced {
-		execUS = float64(time.Since(t0)) / 1e3
+		execUS = float64(time.Since(start)) / 1e3
 		spans = scratch.tap.spans
 	}
 	mq.recordBatch(req.Batch)

@@ -28,9 +28,9 @@ type job struct {
 
 	// tr is the request's lifecycle trace, nil when tracing is off.
 	// Every trace-related clock read below is gated on tr != nil, so a
-	// disabled trace costs the hot path nothing. enqueuedAt and popAt
-	// are the intermediate timestamps the queue-wait and batch-form
-	// stages are computed from.
+	// disabled trace costs the hot path nothing. enqueuedAt (end of
+	// validation) and popAt are two of the boundary timestamps
+	// consecutive stages share; passStart reads the third.
 	tr         *obs.Trace
 	enqueuedAt time.Time
 	popAt      time.Time

@@ -496,13 +496,14 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 	// request validated against the current model stays valid for any
 	// later swap-in.
 	cfg := mq.model.Load().Config
-	var verr error
+	verr := model.ValidateRequest(cfg, req)
+	// The trace's stages share their boundary timestamps, so they tile
+	// the request with no gap between one and the next: validate runs
+	// from admission to here, queue wait from here to the pop.
+	var validated time.Time
 	if tr != nil {
-		v0 := time.Now()
-		verr = model.ValidateRequest(cfg, req)
-		tr.ValidateUS = float64(time.Since(v0)) / 1e3
-	} else {
-		verr = model.ValidateRequest(cfg, req)
+		validated = time.Now()
+		tr.ValidateUS = float64(validated.Sub(tr.Start)) / 1e3
 	}
 	if verr != nil {
 		mq.senders.Done()
@@ -515,9 +516,7 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 	deadline, _ := ctx.Deadline()
 	j := getJob()
 	j.ctx, j.req, j.deadline, j.dst, j.tr = ctx, req, deadline, dst, tr
-	if tr != nil {
-		j.enqueuedAt = time.Now()
-	}
+	j.enqueuedAt = validated
 	select {
 	case mq.q <- j:
 		mq.senders.Done()

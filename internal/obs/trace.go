@@ -50,10 +50,11 @@ type Span struct {
 // Trace is the lifecycle record of one request through the serving
 // engine: admission → validate → queue wait → batch formation →
 // execute → reply, or one of the early terminal events (shed,
-// rejected). Stage durations are microseconds; they are disjoint, so
-// ValidateUS+QueueWaitUS+BatchFormUS+ExecuteUS accounts for almost all
-// of TotalUS (the remainder is admission bookkeeping and response
-// delivery).
+// rejected). Stage durations are microseconds. Consecutive stages share
+// their boundary timestamp, so they tile the request from admission to
+// the end of the forward pass with no gap: every stage is ≥ 0 and
+// ValidateUS+QueueWaitUS+BatchFormUS+ExecuteUS ≤ TotalUS by
+// construction (the remainder is response delivery).
 //
 // A Trace is mutated only by the goroutine currently carrying its
 // request; once it reaches a Ring it is immutable and may be read
@@ -70,13 +71,15 @@ type Trace struct {
 	// Err holds the failure message for non-ok outcomes.
 	Err string `json:"err,omitempty"`
 
-	// ValidateUS is the admission-time request-validation cost.
+	// ValidateUS spans admission to the end of request validation.
 	ValidateUS float64 `json:"validate_us"`
-	// QueueWaitUS spans enqueue (including any time blocked on a full
-	// queue — admission backpressure) to the pop by a batch former.
+	// QueueWaitUS spans the end of validation (including any time
+	// blocked on a full queue — admission backpressure) to the pop by
+	// a batch former.
 	QueueWaitUS float64 `json:"queue_wait_us"`
 	// BatchFormUS spans the pop to the start of the coalesced forward
-	// pass: time spent holding the batch open for peers to join.
+	// pass: time spent holding the batch open for peers to join, then
+	// taking the pass lock and merging them.
 	BatchFormUS float64 `json:"batch_form_us"`
 	// ExecuteUS is the coalesced forward pass this request rode in
 	// (shared with its batch peers, not divided among them).
@@ -100,9 +103,9 @@ type Trace struct {
 	Ops []Span `json:"ops,omitempty"`
 }
 
-// StageSumUS returns the sum of the disjoint per-stage durations — the
-// accounted fraction of TotalUS (the paper's Fig. 13-style breakdown
-// should sum to within a few percent of end-to-end).
+// StageSumUS returns the sum of the abutting per-stage durations — the
+// accounted part of TotalUS (the paper's Fig. 13-style breakdown), at
+// most TotalUS and in practice within a few percent of it.
 func (t *Trace) StageSumUS() float64 {
 	return t.ValidateUS + t.QueueWaitUS + t.BatchFormUS + t.ExecuteUS
 }

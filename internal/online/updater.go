@@ -48,8 +48,6 @@ type Config struct {
 	BatchSize int
 	// LR is the learning rate (default 0.01).
 	LR float32
-	// Optimizer selects "adagrad" (default) or "sgd".
-	Optimizer string
 	// Interval is Start's cycle cadence (default 1s).
 	Interval time.Duration
 	// Quantize controls candidate quantization (default QuantizeAuto).
@@ -209,16 +207,7 @@ func New(eng *engine.Engine, cfg Config) (*Updater, error) {
 		return nil, err
 	}
 
-	var opt train.Optimizer
-	switch cfg.Optimizer {
-	case "", "adagrad":
-		opt = train.NewAdaGrad(cfg.LR)
-	case "sgd":
-		opt = train.NewSGD(cfg.LR)
-	default:
-		return nil, fmt.Errorf("online: unknown optimizer %q", cfg.Optimizer)
-	}
-	u.trainer = train.NewTrainerWithOptimizer(u.twin, opt)
+	u.trainer = train.NewTrainerWithOptimizer(u.twin, train.NewAdaGrad(cfg.LR))
 
 	u.baseLoss = math.NaN()
 	if len(cfg.HoldoutLabels) > 0 {

@@ -4,76 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
-	"testing"
 
 	"recsys/internal/engine"
 	"recsys/internal/model"
-	"recsys/internal/tensor"
 )
-
-// VerifyGenerations proves no request ever saw a mixed model/cache
-// state: every sampled request's scores must be bitwise identical to
-// what SOME single reference generation in the request's in-flight
-// window [GenBefore, GenAfter] produces on the hot path. A request that
-// matches no whole generation was served by a torn state (new model
-// with stale cache rows, or vice versa) — exactly the corruption the
-// passMu swap protocol exists to rule out.
-//
-// refs maps generation → the exact model published at that generation
-// (record them from the swap driver, e.g. Updater.OnSwap). Samples
-// whose window includes generations missing from refs fall back to
-// "any known generation in window"; a window with no known generation
-// at all is an error in the test's bookkeeping and fails loudly.
-func VerifyGenerations(t *testing.T, samples []Sample, refs map[uint64]*model.Model) {
-	t.Helper()
-	if len(samples) == 0 {
-		t.Fatal("scenario: no samples to verify")
-	}
-	arena := tensor.NewArena()
-	checked := 0
-	for i, s := range samples {
-		matched := false
-		known := 0
-		for g := s.GenBefore; g <= s.GenAfter && !matched; g++ {
-			ref, ok := refs[g]
-			if !ok {
-				continue
-			}
-			known++
-			want := ref.AppendCTR(nil, s.Req, arena, 1)
-			matched = bitsEqual(s.Scores, want)
-		}
-		if known == 0 {
-			t.Fatalf("sample %d: no reference model for generation window [%d, %d]", i, s.GenBefore, s.GenAfter)
-		}
-		if !matched {
-			t.Fatalf("sample %d: scores match no single generation in window [%d, %d] — mixed model/cache state", i, s.GenBefore, s.GenAfter)
-		}
-		checked++
-	}
-	t.Logf("scenario: %d samples bit-matched a single generation each", checked)
-}
-
-// VerifyServedGenerations is VerifyGenerations for A/B runs: each
-// sample must bitwise match the reference registered under the model
-// name that served it (generation windows don't apply across arms).
-func VerifyServedGenerations(t *testing.T, samples []Sample, refs map[string]*model.Model) {
-	t.Helper()
-	arena := tensor.NewArena()
-	for i, s := range samples {
-		ref, ok := refs[s.Served]
-		if !ok {
-			t.Fatalf("sample %d: no reference for served model %q", i, s.Served)
-		}
-		want := ref.AppendCTR(nil, s.Req, arena, 1)
-		if !bitsEqual(s.Scores, want) {
-			t.Fatalf("sample %d: scores differ from reference for arm %q", i, s.Served)
-		}
-	}
-}
 
 // FreshCopy round-trips a model through the checkpoint format and
 // re-applies its quantization — "a freshly loaded copy" in the
@@ -95,20 +31,6 @@ func FreshCopy(m *model.Model) (*model.Model, error) {
 		fresh.QuantizeMLPs()
 	}
 	return fresh, nil
-}
-
-// bitsEqual compares float32 slices bitwise (NaN-safe, -0 ≠ +0 — the
-// strictest possible identity).
-func bitsEqual(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Metrics is a parsed Prometheus exposition: "name{label="v"}" → value.

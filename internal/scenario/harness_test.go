@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -100,5 +101,29 @@ func requireClean(t *testing.T, res *scenario.Result) {
 	}
 	if res.OK == 0 {
 		t.Fatalf("no request succeeded (%d sent, %d shed)", res.Sent, res.Shed)
+	}
+}
+
+// goroutineBaseline is the teardown half of the harness: it records the
+// goroutine count before a bring-up and returns the check to call after
+// the teardown (Engine.Close, Stack.Close), which waits up to two
+// seconds for the count to come back down to the baseline and fails
+// with every goroutine's stack when it does not. Executor workers,
+// batch formers, the controller, the updater and the request goroutines
+// of Run must all be gone once Close returns; the wait only covers
+// goroutines that have been released but not yet descheduled.
+func goroutineBaseline(t *testing.T) (check func()) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n > base {
+			stacks := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after teardown, %d before bring-up:\n%s", n, base, stacks[:runtime.Stack(stacks, true)])
+		}
 	}
 }

@@ -46,13 +46,13 @@ type Config struct {
 	NewRequest func(rng *stats.RNG) model.Request
 	// Arrivals paces dispatch by each arrival's absolute TimeUS offset
 	// from the run start. Nil dispatches back-to-back.
-	Arrivals trace.ArrivalSource
+	Arrivals *trace.LoadGenerator
 	// Requests is the number of requests to send (must be positive).
 	Requests int
-	// Timeout is the per-request context deadline (must be positive).
+	// Timeout is the per-request context deadline (0 = none).
 	Timeout time.Duration
 	// SLA is the latency bound WithinSLA counts against (default
-	// Timeout).
+	// Timeout; with neither, every success counts).
 	SLA time.Duration
 	// SampleEvery records every Nth successful request as a Sample for
 	// bit-identity verification (default 16; sampling keeps verification
@@ -118,8 +118,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("scenario: Requests must be positive, got %d", cfg.Requests)
 	}
-	if cfg.Timeout <= 0 {
-		return nil, fmt.Errorf("scenario: Timeout must be positive, got %v", cfg.Timeout)
+	if cfg.Timeout < 0 {
+		return nil, fmt.Errorf("scenario: negative Timeout %v", cfg.Timeout)
 	}
 	if cfg.SLA <= 0 {
 		cfg.SLA = cfg.Timeout
@@ -140,20 +140,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	type outcome struct {
-		scores  []float32
-		served  string
 		err     error
 		latency time.Duration
-		genB    uint64
-		genA    uint64
-		req     model.Request
-		sampled bool
+		served  string
+		sample  *Sample // sampled successes only
 	}
 	outcomes := make([]outcome, cfg.Requests)
 	var wg sync.WaitGroup
 	rng := stats.NewRNG(cfg.Seed)
 	start := time.Now()
-	for i := 0; i < cfg.Requests; i++ {
+	for i := range outcomes {
 		req := cfg.NewRequest(rng)
 		if cfg.Arrivals != nil {
 			a := cfg.Arrivals.Next()
@@ -164,25 +160,27 @@ func Run(cfg Config) (*Result, error) {
 		}
 		genB, _ := cfg.Engine.Generation(name)
 		wg.Add(1)
-		go func(slot int, req model.Request, genB uint64, sampled bool) {
+		// Each goroutine owns exactly its outcome slot.
+		go func(o *outcome, sampled bool) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-			defer cancel()
+			ctx := context.Background()
+			if cfg.Timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+				defer cancel()
+			}
 			t0 := time.Now()
 			scores, served, err := rank(ctx, req)
-			lat := time.Since(t0)
-			genA, _ := cfg.Engine.Generation(name)
-			o := &outcomes[slot] // each goroutine owns exactly its slot
-			o.err = err
-			o.latency = lat
-			o.genB, o.genA = genB, genA
-			o.served = served
+			o.latency = time.Since(t0)
+			o.err, o.served = err, served
 			if err == nil && sampled {
-				o.req = req
-				o.scores = append([]float32(nil), scores...)
-				o.sampled = true
+				genA, _ := cfg.Engine.Generation(name)
+				o.sample = &Sample{
+					Req: req, Scores: append([]float32(nil), scores...), Served: served,
+					GenBefore: genB, GenAfter: genA,
+				}
 			}
-		}(i, req, genB, i%cfg.SampleEvery == 0)
+		}(&outcomes[i], i%cfg.SampleEvery == 0)
 	}
 	wg.Wait()
 
@@ -206,14 +204,11 @@ func Run(cfg Config) (*Result, error) {
 		res.OK++
 		res.ServedCount[o.served]++
 		res.Latencies.Add(float64(o.latency))
-		if o.latency <= cfg.SLA {
+		if cfg.SLA <= 0 || o.latency <= cfg.SLA {
 			res.WithinSLA++
 		}
-		if o.sampled {
-			res.Samples = append(res.Samples, Sample{
-				Req: o.req, Scores: o.scores, Served: o.served,
-				GenBefore: o.genB, GenAfter: o.genA,
-			})
+		if o.sample != nil {
+			res.Samples = append(res.Samples, *o.sample)
 		}
 	}
 	return res, nil

@@ -13,7 +13,7 @@
 //     is answered by backing it off;
 //   - p99 below the headroom band → grow MaxBatch and MaxWait to buy
 //     throughput with the spare latency budget;
-//   - p99 inside the band [Headroom·SLA, SLA] → hold. The deadband is
+//   - p99 inside the band [headroom·SLA, SLA] → hold. The deadband is
 //     what keeps the climb from oscillating around the target.
 //
 // The step size doubles while consecutive moves keep direction
@@ -58,56 +58,27 @@ type Config struct {
 	// Interval is the control period (default 500ms). Each tick
 	// evaluates one window per model.
 	Interval time.Duration
-	// Quantile is the controlled tail quantile (default 0.99).
-	Quantile float64
-	// MinWindow is the minimum number of requests a window must hold
-	// before it is trusted (default 32); thinner windows are held, not
-	// acted on — a quiet model must not be tuned on noise.
-	MinWindow int
-	// Headroom sets the deadband floor as a fraction of the SLA
-	// (default 0.75): p99 in [Headroom·SLA, SLA] is converged.
-	Headroom float64
-	// MaxBatchCap optionally lowers the MaxBatch ceiling below the
-	// queue depth (0 = queue depth).
-	MaxBatchCap int
-	// MaxWaitCap bounds the tuned MaxWait (default SLA/4 — a batch
-	// former sleeping longer than a quarter of the budget has already
-	// lost the tail).
-	MaxWaitCap time.Duration
 	// Observe makes the controller estimate and export without ever
 	// calling SetPolicy — the monitor-only mode behind serve's -sla
 	// without -adapt.
 	Observe bool
 }
 
-// maxStep caps the doubling climb step in samples.
-const maxStep = 64
-
-// withDefaults validates cfg and fills the documented defaults.
-func (cfg Config) withDefaults(depth int) (Config, error) {
-	if cfg.SLA <= 0 {
-		return cfg, errors.New("adapt: Config.SLA must be positive")
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * time.Millisecond
-	}
-	if cfg.Quantile <= 0 || cfg.Quantile > 1 {
-		cfg.Quantile = 0.99
-	}
-	if cfg.MinWindow <= 0 {
-		cfg.MinWindow = 32
-	}
-	if cfg.Headroom <= 0 || cfg.Headroom >= 1 {
-		cfg.Headroom = 0.75
-	}
-	if cfg.MaxBatchCap <= 0 || cfg.MaxBatchCap > depth {
-		cfg.MaxBatchCap = depth
-	}
-	if cfg.MaxWaitCap <= 0 {
-		cfg.MaxWaitCap = cfg.SLA / 4
-	}
-	return cfg, nil
-}
+// The loop's fixed constants: every controller runs with these values,
+// so they are not Config fields.
+const (
+	// quantile is the controlled tail quantile.
+	quantile = 0.99
+	// minWindow is the number of requests a window must hold before it
+	// is trusted; thinner windows are held, not acted on — a quiet
+	// model must not be tuned on noise.
+	minWindow = 32
+	// headroom sets the deadband floor as a fraction of the SLA: p99 in
+	// [headroom·SLA, SLA] is converged.
+	headroom = 0.75
+	// maxStep caps the doubling climb step in samples.
+	maxStep = 64
+)
 
 // modelState is one model's control-loop memory.
 type modelState struct {
@@ -153,9 +124,11 @@ type Controller struct {
 // Start (or explicit Step calls — the deterministic path tests and
 // single-shot tools use).
 func New(t Target, cfg Config) (*Controller, error) {
-	cfg, err := cfg.withDefaults(t.QueueDepth())
-	if err != nil {
-		return nil, err
+	if cfg.SLA <= 0 {
+		return nil, errors.New("adapt: Config.SLA must be positive")
+	}
+	if cfg.Interval <= 0 {
+		cfg.Interval = 500 * time.Millisecond
 	}
 	return &Controller{
 		t:      t,
@@ -165,9 +138,6 @@ func New(t Target, cfg Config) (*Controller, error) {
 		done:   make(chan struct{}),
 	}, nil
 }
-
-// Config returns the resolved configuration (defaults applied).
-func (c *Controller) Config() Config { return c.cfg }
 
 // Start launches the background control loop. Idempotent.
 func (c *Controller) Start() {
@@ -235,11 +205,11 @@ func (c *Controller) stepModel(name string, st *modelState) {
 	}
 	delta := snap.Sub(st.prev)
 	st.prev = snap
-	if delta.Count < int64(c.cfg.MinWindow) {
+	if delta.Count < minWindow {
 		st.holds++
 		return // window too thin to trust
 	}
-	p99 := time.Duration(delta.Quantile(c.cfg.Quantile))
+	p99 := time.Duration(delta.Quantile(quantile))
 	st.p99, st.window = p99, delta.Count
 
 	pol, err := c.t.Policy(name)
@@ -252,7 +222,7 @@ func (c *Controller) stepModel(name string, st *modelState) {
 	switch {
 	case float64(p99) > sla:
 		want = -1
-	case float64(p99) < c.cfg.Headroom*sla:
+	case float64(p99) < headroom*sla:
 		want = +1
 	}
 	if want == 0 {
@@ -287,14 +257,16 @@ func (c *Controller) stepModel(name string, st *modelState) {
 	if next.MaxBatch < 1 {
 		next.MaxBatch = 1
 	}
-	if next.MaxBatch > c.cfg.MaxBatchCap {
-		next.MaxBatch = c.cfg.MaxBatchCap
+	if depth := c.t.QueueDepth(); next.MaxBatch > depth {
+		next.MaxBatch = depth
 	}
 	if next.MaxWait < 0 {
 		next.MaxWait = 0
 	}
-	if next.MaxWait > c.cfg.MaxWaitCap {
-		next.MaxWait = c.cfg.MaxWaitCap
+	// A batch former sleeping longer than a quarter of the budget has
+	// already lost the tail.
+	if next.MaxWait > c.cfg.SLA/4 {
+		next.MaxWait = c.cfg.SLA / 4
 	}
 	if next == pol || c.cfg.Observe {
 		st.holds++
@@ -395,7 +367,7 @@ func (c *Controller) WriteMetrics(w io.Writer) {
 // and shutdown logs.
 func (c *Controller) String() string {
 	states := c.Snapshot()
-	out := fmt.Sprintf("adaptive controller: sla=%v quantile=%.2f", c.cfg.SLA, c.cfg.Quantile)
+	out := fmt.Sprintf("adaptive controller: sla=%v quantile=%.2f", c.cfg.SLA, quantile)
 	for _, s := range states {
 		out += fmt.Sprintf("\n  %s: p99=%v window=%d → MaxBatch=%d MaxWait=%v (%d adjustments, %d reversals, %d holds)",
 			s.Model, s.P99, s.Window, s.MaxBatch, s.MaxWait, s.Adjustments, s.Reversals, s.Holds)

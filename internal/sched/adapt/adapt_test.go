@@ -104,7 +104,7 @@ func newTestController(t *testing.T, ft *fakeTarget, cfg Config) *Controller {
 // — one impossible to meet (forces the climb to the floor) and one
 // trivially met (forces it to the ceiling) — and checks the invariant
 // after every tick: MaxBatch ∈ [1, queue depth] and MaxWait ∈
-// [0, MaxWaitCap].
+// [0, SLA/4].
 func TestMaxBatchStaysInBounds(t *testing.T) {
 	cases := []struct {
 		name string
@@ -123,8 +123,8 @@ func TestMaxBatchStaysInBounds(t *testing.T) {
 				if ft.pol.MaxBatch < 1 || ft.pol.MaxBatch > ft.depth {
 					t.Fatalf("step %d: MaxBatch %d outside [1, %d]", i, ft.pol.MaxBatch, ft.depth)
 				}
-				if ft.pol.MaxWait < 0 || ft.pol.MaxWait > c.Config().MaxWaitCap {
-					t.Fatalf("step %d: MaxWait %v outside [0, %v]", i, ft.pol.MaxWait, c.Config().MaxWaitCap)
+				if ft.pol.MaxWait < 0 || ft.pol.MaxWait > tc.sla/4 {
+					t.Fatalf("step %d: MaxWait %v outside [0, %v]", i, ft.pol.MaxWait, tc.sla/4)
 				}
 			}
 		})
@@ -134,7 +134,7 @@ func TestMaxBatchStaysInBounds(t *testing.T) {
 // TestConvergesOnConvexCurve starts far below the optimum and checks
 // the climb lands inside the deadband and then stays put: the last 20
 // ticks issue no policy change, and the settled p99 is within
-// [Headroom·SLA, SLA].
+// [headroom·SLA, SLA].
 func TestConvergesOnConvexCurve(t *testing.T) {
 	sla := 2 * time.Millisecond
 	ft := newFakeTarget(128, 1, linear(200*time.Microsecond, 40*time.Microsecond))
@@ -152,7 +152,7 @@ func TestConvergesOnConvexCurve(t *testing.T) {
 	}
 
 	st := c.Snapshot()[0]
-	lo := time.Duration(c.Config().Headroom * float64(sla))
+	lo := time.Duration(headroom * float64(sla))
 	if st.P99 < lo || st.P99 > sla {
 		t.Fatalf("settled p99 %v outside deadband [%v, %v] (MaxBatch=%d)", st.P99, lo, sla, st.MaxBatch)
 	}
@@ -212,11 +212,11 @@ func TestObserveModeNeverActuates(t *testing.T) {
 	}
 }
 
-// TestThinWindowHolds: a window below MinWindow must be ignored —
+// TestThinWindowHolds: a window below minWindow must be ignored —
 // tuning a quiet model on a handful of samples is tuning on noise.
 func TestThinWindowHolds(t *testing.T) {
 	ft := newFakeTarget(128, 4, linear(200*time.Microsecond, 40*time.Microsecond))
-	ft.feed = 3 // < default MinWindow of 32
+	ft.feed = 3 // < minWindow
 	c := newTestController(t, ft, Config{SLA: 2 * time.Millisecond})
 	for i := 0; i < 20; i++ {
 		c.Step()
@@ -266,15 +266,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("New accepted a zero SLA")
 	}
 	c := newTestController(t, ft, Config{SLA: time.Millisecond})
-	cfg := c.Config()
-	if cfg.Interval != 500*time.Millisecond || cfg.Quantile != 0.99 || cfg.MinWindow != 32 {
-		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	if cfg.MaxBatchCap != 64 {
-		t.Fatalf("MaxBatchCap = %d, want queue depth 64", cfg.MaxBatchCap)
-	}
-	if cfg.MaxWaitCap != cfg.SLA/4 {
-		t.Fatalf("MaxWaitCap = %v, want SLA/4", cfg.MaxWaitCap)
+	if c.cfg.Interval != 500*time.Millisecond {
+		t.Fatalf("defaults not applied: %+v", c.cfg)
 	}
 }
 

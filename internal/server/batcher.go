@@ -34,38 +34,47 @@ func SimulateBatched(bc BatcherConfig) Result {
 	if err := bc.Policy.Validate(); err != nil {
 		panic(fmt.Sprintf("server: %v", err))
 	}
+	return simulate(bc, 1)
+}
+
+// simulate draws bc.Requests Poisson arrivals of items items each and
+// runs them through the worker pool. The seed splits into the arrival
+// stream first and the service-time noise second.
+func simulate(bc BatcherConfig, items int) Result {
 	rng := stats.NewRNG(bc.Seed)
-	gen := trace.NewLoadGenerator(bc.QPS, 1, rng.Split())
-	events := gen.Take(bc.Requests)
+	events := trace.NewLoadGenerator(bc.QPS, items, rng.Split()).Take(bc.Requests)
 	arrivals := make([]float64, len(events))
 	for i, ev := range events {
 		arrivals[i] = ev.TimeUS
 	}
-	return runBatched(bc, arrivals, rng)
+	return runBatched(bc, items, arrivals, rng)
 }
 
-// runBatched is the simulation core over an explicit arrival-time
-// stream (non-decreasing, in µs), so dispatch edge cases — simultaneous
-// arrivals, deadline ties, final flushes — can be driven directly.
-func runBatched(bc BatcherConfig, arrivalsUS []float64, rng *stats.RNG) Result {
+// runBatched is the one worker-pool event loop, over an explicit
+// arrival-time stream (non-decreasing, in µs) of items items per
+// arrival, so dispatch edge cases — simultaneous arrivals, deadline
+// ties, final flushes — can be driven directly. Each batch the policy
+// cuts goes to the earliest-free worker.
+func runBatched(bc BatcherConfig, items int, arrivalsUS []float64, rng *stats.RNG) Result {
 	noise := newNoise(bc.Machine, bc.Workers, rng.Split())
 
 	// Memoize per-batch-size service latency.
 	baseLat := make(map[int]float64, bc.Policy.MaxBatch)
-	serviceUS := func(batch int) float64 {
-		if v, ok := baseLat[batch]; ok {
+	serviceUS := func(arrivals int) float64 {
+		if v, ok := baseLat[arrivals]; ok {
 			return v
 		}
 		v := perf.Estimate(bc.Model, perf.Context{
 			Machine:     bc.Machine,
-			Batch:       batch,
-			Tenants:     minInt(bc.Workers, bc.Machine.CoresPerSocket),
+			Batch:       arrivals * items,
+			Tenants:     min(bc.Workers, bc.Machine.CoresPerSocket),
 			Hyperthread: bc.Workers > bc.Machine.CoresPerSocket,
 		}).TotalUS
-		baseLat[batch] = v
+		baseLat[arrivals] = v
 		return v
 	}
 
+	// workerFree[w] is the time worker w next becomes idle.
 	workerFree := make([]float64, bc.Workers)
 	res := Result{Latencies: stats.NewSample(len(arrivalsUS))}
 	var lastDone float64

@@ -121,7 +121,7 @@ func TestSimultaneousArrivalsAtDeadline(t *testing.T) {
 	// Arrivals: one at t=0, three exactly at the 1000µs deadline, one
 	// just past it.
 	arrivals := []float64{0, 1000, 1000, 1000, 1000.01}
-	res := runBatched(bc, arrivals, stats.NewRNG(bc.Seed))
+	res := runBatched(bc, 1, arrivals, stats.NewRNG(bc.Seed))
 	if res.Completed != 5 {
 		t.Fatalf("completed %d, want 5", res.Completed)
 	}
@@ -149,7 +149,7 @@ func TestSimultaneousArrivalsAtDeadline(t *testing.T) {
 	// MaxWait=0: only exactly-simultaneous arrivals coalesce.
 	bc.Policy = batch.Policy{MaxBatch: 8, MaxWait: 0}
 	arrivals = []float64{0, 0, 0, 5}
-	res = runBatched(bc, arrivals, stats.NewRNG(bc.Seed))
+	res = runBatched(bc, 1, arrivals, stats.NewRNG(bc.Seed))
 	lats = res.Latencies.Values()
 	if lats[0] != lats[1] || lats[1] != lats[2] {
 		t.Error("simultaneous arrivals must share one zero-wait batch")
@@ -171,7 +171,7 @@ func TestFinalFlushSmallerThanMaxBatch(t *testing.T) {
 	for i := range arrivals {
 		arrivals[i] = float64(i) // 1µs apart
 	}
-	res := runBatched(bc, arrivals, stats.NewRNG(bc.Seed))
+	res := runBatched(bc, 1, arrivals, stats.NewRNG(bc.Seed))
 	if res.Completed != 10 {
 		t.Fatalf("completed %d, want 10", res.Completed)
 	}

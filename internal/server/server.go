@@ -12,10 +12,9 @@ import (
 	"math"
 
 	"recsys/internal/arch"
+	"recsys/internal/batch"
 	"recsys/internal/model"
-	"recsys/internal/perf"
 	"recsys/internal/stats"
-	"recsys/internal/trace"
 )
 
 // Result summarizes one simulated serving run.
@@ -60,55 +59,16 @@ type SimConfig struct {
 }
 
 // Simulate runs a discrete-event simulation of the serving tier:
-// Poisson arrivals enter a FIFO queue drained by Workers co-located
-// model instances whose service times come from the performance model
-// plus production variability.
+// Poisson arrivals of Batch items each enter a FIFO queue drained by
+// Workers co-located model instances whose service times come from the
+// performance model plus production variability. It is the batching
+// simulation (batcher.go) with coalescing off: every arrival is its own
+// forward pass.
 func Simulate(sc SimConfig) Result {
 	if sc.Workers <= 0 || sc.Requests <= 0 || sc.Batch <= 0 || sc.QPS <= 0 {
 		panic(fmt.Sprintf("server: invalid sim config %+v", sc))
 	}
-	rng := stats.NewRNG(sc.Seed)
-	gen := trace.NewLoadGenerator(sc.QPS, sc.Batch, rng.Split())
-	noise := newNoise(sc.Machine, sc.Workers, rng.Split())
-
-	base := perf.Estimate(sc.Model, perf.Context{
-		Machine:     sc.Machine,
-		Batch:       sc.Batch,
-		Tenants:     minInt(sc.Workers, sc.Machine.CoresPerSocket),
-		Hyperthread: sc.Workers > sc.Machine.CoresPerSocket,
-	}).TotalUS
-
-	// workerFree[i] is the time worker i next becomes idle.
-	workerFree := make([]float64, sc.Workers)
-	res := Result{Latencies: stats.NewSample(sc.Requests)}
-	var lastDone float64
-	for i := 0; i < sc.Requests; i++ {
-		a := gen.Next()
-		// Earliest-available worker serves the request.
-		w := 0
-		for j := 1; j < sc.Workers; j++ {
-			if workerFree[j] < workerFree[w] {
-				w = j
-			}
-		}
-		start := math.Max(a.TimeUS, workerFree[w])
-		service := base * noise.factor()
-		done := start + service
-		workerFree[w] = done
-		lat := done - a.TimeUS
-		res.Latencies.Add(lat)
-		res.Completed++
-		if sc.SLAUS > 0 && lat > sc.SLAUS {
-			res.SLAViolations++
-		}
-		if done > lastDone {
-			lastDone = done
-		}
-	}
-	if lastDone > 0 {
-		res.ThroughputQPS = float64(res.Completed) / (lastDone * 1e-6)
-	}
-	return res
+	return simulate(BatcherConfig{SimConfig: sc, Policy: batch.Policy{MaxBatch: 1}}, sc.Batch)
 }
 
 // noise models production service-time variability. Its magnitude grows
@@ -158,11 +118,4 @@ func (n *noise) factor() float64 {
 		f *= n.spikeMag
 	}
 	return f
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

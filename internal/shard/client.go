@@ -19,14 +19,15 @@ import (
 // without knowing transport details.
 var ErrUnavailable = errors.New("shard: embedding tier unavailable")
 
+// connsPerShard bounds the idle connections kept per shard: one for
+// the primary request, one warm for a hedge.
+const connsPerShard = 2
+
 // Options configures a client pool over a fixed shard topology.
 type Options struct {
 	// Addrs lists the shard servers (host:port); their order defines
 	// shard indices and must match across every client of the tier.
 	Addrs []string
-	// ConnsPerShard bounds the idle connections kept per shard
-	// (default 2 — one for the primary request, one warm for a hedge).
-	ConnsPerShard int
 	// DialTimeout bounds connection establishment (default 500ms).
 	DialTimeout time.Duration
 	// RequestTimeout bounds a gather when the caller passes no
@@ -47,9 +48,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ConnsPerShard <= 0 {
-		o.ConnsPerShard = 2
-	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 500 * time.Millisecond
 	}
@@ -222,7 +220,7 @@ func (p *peer) get(deadline time.Time) (*wconn, error) {
 func (p *peer) put(wc *wconn) {
 	wc.c.SetDeadline(time.Time{})
 	p.mu.Lock()
-	if !p.c.closed.Load() && len(p.idle) < p.c.opts.ConnsPerShard {
+	if !p.c.closed.Load() && len(p.idle) < connsPerShard {
 		p.idle = append(p.idle, wc)
 		p.mu.Unlock()
 		return

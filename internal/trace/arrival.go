@@ -9,12 +9,12 @@ import (
 	"recsys/internal/stats"
 )
 
-// Time-varying arrival processes. The homogeneous Poisson generator
-// (loadgen.go) models steady offered load; the SLA experiments need
-// the opposite — load that *shifts* — because an adaptive scheduler
-// only proves itself when the operating point it tuned for stops being
-// the operating point. The generators here draw from an inhomogeneous
-// Poisson process via the piecewise-exponential approximation: each
+// Time-varying arrival processes. A constant rate models steady
+// offered load; the SLA experiments need the opposite — load that
+// *shifts* — because an adaptive scheduler only proves itself when the
+// operating point it tuned for stops being the operating point.
+// LoadGenerator (loadgen.go) draws from an inhomogeneous Poisson
+// process via the piecewise-exponential approximation: each
 // inter-arrival gap is Exp(1)/rate(now), i.e. the rate is held
 // constant across one gap. For rates that change slowly relative to a
 // gap (every profile here) this is indistinguishable from exact
@@ -67,58 +67,6 @@ func DiurnalRate(qps, mult float64, period time.Duration) RateFunc {
 	}
 }
 
-// VariableLoadGenerator produces arrivals from an inhomogeneous
-// Poisson process with the configured rate function.
-type VariableLoadGenerator struct {
-	// Rate is the instantaneous arrival rate.
-	Rate RateFunc
-	// Batch is the per-request batch size.
-	Batch int
-
-	rng *stats.RNG
-	now float64
-}
-
-// NewVariableLoadGenerator returns a generator over rate with the
-// given per-request batch size.
-func NewVariableLoadGenerator(rate RateFunc, batch int, rng *stats.RNG) *VariableLoadGenerator {
-	if rate == nil {
-		panic("trace: nil rate function")
-	}
-	if batch <= 0 {
-		panic("trace: batch must be positive")
-	}
-	return &VariableLoadGenerator{Rate: rate, Batch: batch, rng: rng}
-}
-
-// Next returns the next arrival. The gap is exponential with mean
-// 1e6/rate(now) microseconds; a rate at or below zero is clamped to
-// one query per second rather than stalling the generator forever.
-func (g *VariableLoadGenerator) Next() Arrival {
-	r := g.Rate(g.now)
-	if r <= 0 {
-		r = 1
-	}
-	g.now += g.rng.ExpFloat64() * 1e6 / r
-	return Arrival{TimeUS: g.now, Batch: g.Batch}
-}
-
-// Take returns the next n arrivals.
-func (g *VariableLoadGenerator) Take(n int) []Arrival {
-	out := make([]Arrival, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
-// ArrivalSource is any arrival generator — the homogeneous
-// LoadGenerator or a VariableLoadGenerator over a rate profile.
-type ArrivalSource interface {
-	Next() Arrival
-	Take(n int) []Arrival
-}
-
 // NewArrivalSource builds the named arrival process:
 //
 //	"poisson"  steady qps (mult and period unused)
@@ -127,7 +75,7 @@ type ArrivalSource interface {
 //	"diurnal"  sinusoid with the given period between qps and mult×qps
 //
 // It is the single point cmd/loadgen's -arrival flag maps through.
-func NewArrivalSource(kind string, qps, mult float64, period time.Duration, batch int, rng *stats.RNG) (ArrivalSource, error) {
+func NewArrivalSource(kind string, qps, mult float64, period time.Duration, batch int, rng *stats.RNG) (*LoadGenerator, error) {
 	if qps <= 0 {
 		return nil, fmt.Errorf("trace: arrival qps must be positive, got %g", qps)
 	}
@@ -139,16 +87,18 @@ func NewArrivalSource(kind string, qps, mult float64, period time.Duration, batc
 			return nil, fmt.Errorf("trace: arrival period must be positive, got %v", period)
 		}
 	}
+	var rate RateFunc
 	switch strings.ToLower(kind) {
 	case "poisson":
-		return NewLoadGenerator(qps, batch, rng), nil
+		rate = ConstantRate(qps)
 	case "flash":
-		return NewVariableLoadGenerator(FlashCrowd(qps, mult, period), batch, rng), nil
+		rate = FlashCrowd(qps, mult, period)
 	case "bursty":
-		return NewVariableLoadGenerator(BurstyRate(qps, mult, period), batch, rng), nil
+		rate = BurstyRate(qps, mult, period)
 	case "diurnal":
-		return NewVariableLoadGenerator(DiurnalRate(qps, mult, period), batch, rng), nil
+		rate = DiurnalRate(qps, mult, period)
 	default:
 		return nil, fmt.Errorf("trace: unknown arrival process %q (want poisson, flash, bursty, or diurnal)", kind)
 	}
+	return NewVariableLoadGenerator(rate, batch, rng), nil
 }

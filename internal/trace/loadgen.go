@@ -10,12 +10,15 @@ type Arrival struct {
 	Batch int
 }
 
-// LoadGenerator produces Poisson request arrivals at a configured
-// queries-per-second rate — the paper's load model for studying
-// latency-bounded throughput under SLA.
+// LoadGenerator produces request arrivals from a Poisson process with
+// the configured rate function (arrival.go) — the paper's load model
+// for studying latency-bounded throughput under SLA. It is the one
+// arrival process: the discrete-event simulator (internal/server)
+// reads its times as virtual time, the traffic driver
+// (internal/scenario) sleeps until them.
 type LoadGenerator struct {
-	// QPS is the mean arrival rate in queries per second.
-	QPS float64
+	// Rate is the instantaneous arrival rate.
+	Rate RateFunc
 	// Batch is the per-request batch size.
 	Batch int
 
@@ -23,22 +26,36 @@ type LoadGenerator struct {
 	now float64
 }
 
-// NewLoadGenerator returns a Poisson generator with the given rate and
-// per-request batch size.
+// NewLoadGenerator returns the homogeneous generator: a steady qps
+// with the given per-request batch size.
 func NewLoadGenerator(qps float64, batch int, rng *stats.RNG) *LoadGenerator {
 	if qps <= 0 {
 		panic("trace: QPS must be positive")
 	}
+	return NewVariableLoadGenerator(ConstantRate(qps), batch, rng)
+}
+
+// NewVariableLoadGenerator returns a generator over rate with the
+// given per-request batch size.
+func NewVariableLoadGenerator(rate RateFunc, batch int, rng *stats.RNG) *LoadGenerator {
+	if rate == nil {
+		panic("trace: nil rate function")
+	}
 	if batch <= 0 {
 		panic("trace: batch must be positive")
 	}
-	return &LoadGenerator{QPS: qps, Batch: batch, rng: rng}
+	return &LoadGenerator{Rate: rate, Batch: batch, rng: rng}
 }
 
-// Next returns the next arrival; inter-arrival gaps are exponential
-// with mean 1e6/QPS microseconds.
+// Next returns the next arrival. The gap is exponential with mean
+// 1e6/rate(now) microseconds; a rate at or below zero is clamped to
+// one query per second rather than stalling the generator forever.
 func (g *LoadGenerator) Next() Arrival {
-	g.now += g.rng.ExpFloat64() * 1e6 / g.QPS
+	r := g.Rate(g.now)
+	if r <= 0 {
+		r = 1
+	}
+	g.now += g.rng.ExpFloat64() * 1e6 / r
 	return Arrival{TimeUS: g.now, Batch: g.Batch}
 }
 
