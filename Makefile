@@ -1,7 +1,11 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet fmt-check race lint verify bench bench-module bench-hot bench-regress fuzz test-gotier loc
+PARENT ?=
+N ?= 10
+SEED ?= 1
+
+.PHONY: build test vet fmt-check race lint verify bench bench-module bench-hot bench-regress bench-pairs fuzz test-gotier loc
 
 build:
 	$(GO) build ./...
@@ -60,6 +64,14 @@ bench:
 # Just the regression gate (it also runs as part of `make test`).
 bench-regress:
 	BENCH_JSON=BENCH_current.json $(GO) test -run TestBenchRegression -v .
+
+# The system benchmark on PARENT and on the working tree in N
+# alternating pairs, printed as the table EXPERIMENTS.md records for a
+# performance change (tools/benchpairs; three workloads take about
+# 100 s a pair and side, so ten pairs run for about an hour).
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<ref> [N=10] [SEED=1]" >&2; exit 2; }
+	$(GO) run ./tools/benchpairs -parent $(PARENT) -n $(N) -seed $(SEED)
 
 # Before/after numbers for the inference hot path (EXPERIMENTS.md,
 # "Hot-path benchmarks").

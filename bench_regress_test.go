@@ -120,6 +120,9 @@ func regressionCases() []benchCase {
 			run: func(b *testing.B) { benchmarkForwardHot(b, model.RMC1Small().Scaled(10), 16, 1) }},
 		{name: "engine_rank_b16", zeroAlloc: true,
 			run: func(b *testing.B) { benchmarkEngineRank(b, 16) }},
+		// Batching on, the other worker idle: nothing may be held.
+		{name: "engine_rank_coalesce_b4", zeroAlloc: true,
+			run: func(b *testing.B) { benchmarkEngineRankCoalesce(b, 4) }},
 		// The locality-aware gather: dedup plan + 5%-of-rows hot-row
 		// cache on Zipf(1.1) traffic, and the cached end-to-end
 		// lifecycle; both carry the zero-alloc contract with the cache

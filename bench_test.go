@@ -688,15 +688,30 @@ func BenchmarkForwardHotParallelRMC2Batch64(b *testing.B) {
 // must report 0 allocs/op: the whole-engine extension of the
 // ForwardEx allocation contract, enforced by TestBenchRegression.
 func benchmarkEngineRank(b *testing.B, batch int) {
+	benchmarkEngineRankWith(b, engine.Options{
+		Workers: 1, QueueDepth: 8, MaxBatch: 1,
+		MaxWait: time.Millisecond, IntraOpWorkers: 1,
+	}, batch)
+}
+
+// benchmarkEngineRankCoalesce is the same lifecycle with batching on at
+// the serving defaults (32 samples / 2 ms) and a second worker: one
+// caller at a time always finds an executor free, so the batch former
+// must dispatch each request at once, holding nothing and touching no
+// timer. A former that waits out MaxWait shows here as 2 ms/op.
+func benchmarkEngineRankCoalesce(b *testing.B, batch int) {
+	opts := engine.DefaultOptions()
+	opts.Workers, opts.QueueDepth, opts.IntraOpWorkers = 2, 8, 1
+	benchmarkEngineRankWith(b, opts, batch)
+}
+
+func benchmarkEngineRankWith(b *testing.B, opts engine.Options, batch int) {
 	cfg := model.RMC1Small().Scaled(500)
 	m, err := model.Build(cfg, stats.NewRNG(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := engine.New(m, engine.Options{
-		Workers: 1, QueueDepth: 8, MaxBatch: 1,
-		MaxWait: time.Millisecond, IntraOpWorkers: 1,
-	})
+	srv, err := engine.New(m, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -720,6 +735,8 @@ func benchmarkEngineRank(b *testing.B, batch int) {
 }
 
 func BenchmarkEngineRankBatch16(b *testing.B) { benchmarkEngineRank(b, 16) }
+
+func BenchmarkEngineRankCoalesceBatch4(b *testing.B) { benchmarkEngineRankCoalesce(b, 4) }
 
 // rankBody marshals req as a client does: engine.RankRequest through
 // encoding/json.

@@ -99,7 +99,7 @@ func main() {
 		sla         = flag.Duration("sla", 10*time.Millisecond, "latency SLA")
 		seed        = flag.Uint64("seed", 1, "random seed")
 		maxBatch    = flag.Int("max-batch", 0, "enable dynamic batching up to this many samples (0 = fixed batches)")
-		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "dynamic-batching wait bound")
+		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "longest a partial batch is held while every other worker is busy (never held while one is free)")
 		real        = flag.Bool("real", false, "drive the real in-process engine instead of the simulator")
 		scale       = flag.Int("scale", 100, "embedding-table shrink factor in -real mode")
 		traceOn     = flag.Bool("trace", false, "in -real mode, trace requests and print the slowest request's per-stage breakdown")
@@ -329,7 +329,8 @@ func runReal(sc stack.Config, rc realConfig) {
 	}
 
 	st, _ := eng.ModelStats(engine.DefaultModelName) // Start registered it
-	fmt.Printf("\nformed batches: %d (avg %.1f samples)\n", st.Batches, st.AvgBatch())
+	fmt.Printf("\nformed batches: %d (avg %.1f samples); cut because full %d, executor free %d, MaxWait %d, deadline %d, drain %d\n",
+		st.Batches, st.AvgBatch(), st.Cuts["full"], st.Cuts["free"], st.Cuts["wait"], st.Cuts["deadline"], st.Cuts["drain"])
 	sizes := make([]int, 0, len(st.BatchHist))
 	for sz := range st.BatchHist {
 		sizes = append(sizes, sz)
@@ -400,6 +401,9 @@ func printSlowest(d obs.Dump) {
 	}
 	for _, s := range stages {
 		fmt.Printf("  %-11s %10.1fµs  (%.1f%%)\n", s.name, s.us, 100*s.us/tr.TotalUS)
+	}
+	if tr.BatchCut != "" {
+		fmt.Printf("  %-11s %s\n", "batch cut", tr.BatchCut)
 	}
 	sum := tr.StageSumUS()
 	fmt.Printf("  %-11s %10.1fµs  (%.1f%% of end-to-end)\n", "stage sum", sum, 100*sum/tr.TotalUS)

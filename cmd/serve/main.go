@@ -110,7 +110,7 @@ func main() {
 	flag.IntVar(&cfg.Workers, "workers", 4, "inference workers shared by all models")
 	flag.IntVar(&cfg.IntraOp, "intra-op", 0, "goroutines per forward pass (0 = GOMAXPROCS/workers)")
 	flag.IntVar(&cfg.MaxBatch, "max-batch", 32, "cross-request batch limit (samples)")
-	flag.DurationVar(&cfg.MaxWait, "max-wait", 2*time.Millisecond, "batch formation wait bound")
+	flag.DurationVar(&cfg.MaxWait, "max-wait", 2*time.Millisecond, "longest a partial batch is held while every other worker is busy (never held while one is free)")
 	flag.DurationVar(&cfg.Timeout, "timeout", 0, "per-request deadline; expired requests are shed, not executed (0 = none)")
 	drain := flag.Duration("drain", 10*time.Second, "shutdown grace period for in-flight requests")
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "weight seed for presets")

@@ -3,9 +3,13 @@
 // concurrent inference engine (internal/engine). Both tiers coalesce
 // single requests into larger forward passes — the batching lever of
 // the paper's §III — and both must answer the same two questions: when
-// is a forming batch full, and how long may the oldest request wait?
-// Keeping the policy in one type guarantees the simulated and real
-// batch formers cannot drift apart.
+// is a forming batch full (Full), and is a partial batch worth holding
+// open (Hold)? A batch is worth waiting for only when there is a queue
+// to form it from (DeepRecSys), so the answer to the second depends on
+// the executor pool, not on the clock alone: a former holds only while
+// every other worker is inside a forward pass, for at most MaxWait.
+// Keeping the rule in one type guarantees the simulated and real batch
+// formers cannot drift apart.
 package batch
 
 import (
@@ -14,16 +18,18 @@ import (
 )
 
 // Policy bounds one model's batch former: coalesce queued requests
-// until the batch reaches MaxBatch items, or the oldest queued request
-// has waited MaxWait, whichever comes first.
+// until the batch reaches MaxBatch items, the queue runs dry with an
+// executor free, or a hold under load has lasted MaxWait, whichever
+// comes first (see Hold).
 type Policy struct {
 	// MaxBatch is the largest coalesced batch, in items (queries for
 	// the simulator, samples for the real engine). 1 disables
 	// coalescing.
 	MaxBatch int
-	// MaxWait bounds the queueing delay spent forming a batch. 0
-	// dispatches immediately — only requests already queued (or
-	// arriving at the same instant, for the simulator) share a batch.
+	// MaxWait is the longest a partial batch is held open while every
+	// other executor worker is busy; with a worker free nothing is held
+	// at all. 0 never holds — only requests already queued (or arriving
+	// at the same instant, for the simulator) share a batch.
 	MaxWait time.Duration
 	// SplitAbove, when positive, splits requests carrying more than
 	// this many items into near-equal chunks dispatched independently
@@ -57,24 +63,20 @@ func (p Policy) Full(n int) bool { return n >= p.MaxBatch }
 // WaitUS is MaxWait in the simulator's microsecond clock.
 func (p Policy) WaitUS() float64 { return float64(p.MaxWait) / float64(time.Microsecond) }
 
-// CutUS forms one batch from a time-ordered arrival sequence: given
-// arrival times in microseconds and the index i of the first queued
-// arrival, it returns the end index j of the half-open batch [i, j)
-// and the dispatch time. The batch dispatches when it fills, when the
-// wait timer of arrival i fires, or when the stream ends (final
-// flush, possibly smaller than MaxBatch). Arrivals exactly at the
-// deadline are included — simultaneous arrivals always share a batch,
-// even with MaxWait 0.
-func (p Policy) CutUS(arrivalsUS []float64, i int) (j int, readyUS float64) {
-	deadline := arrivalsUS[i] + p.WaitUS()
-	j = i + 1
-	for j < len(arrivalsUS) && j-i < p.MaxBatch && arrivalsUS[j] <= deadline {
-		j++
-	}
-	readyUS = arrivalsUS[j-1]
-	if j-i < p.MaxBatch && j < len(arrivalsUS) {
-		// The batch did not fill: it dispatched on the wait timer.
-		readyUS = deadline
-	}
-	return j, readyUS
+// Hold is the cut rule both batch formers share. A former first takes
+// everything already queued; when the queue runs dry with n items
+// taken it asks Hold, and dispatches at once unless Hold says to wait.
+// others is the number of executor workers besides the asker and free
+// is how many of those are not inside a forward pass at this instant.
+//
+// The rule is work-conserving: hold only while every other worker is
+// busy, because only then does waiting cost nothing (the batch could
+// not have started sooner on a free executor) and only then is there a
+// backlog about to arrive that a bigger batch amortizes. A pool of one
+// has no peer whose pass could end the hold, so it never holds: its
+// batches come from the backlog that builds while it executes. The
+// caller bounds a hold by MaxWait and re-asks whenever a pass ends, so
+// MaxWait is a cap paid under load, not a toll on every request.
+func (p Policy) Hold(n, others, free int) bool {
+	return p.Enabled() && !p.Full(n) && p.MaxWait > 0 && others > 0 && free == 0
 }

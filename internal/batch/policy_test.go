@@ -30,78 +30,28 @@ func TestEnabledAndFull(t *testing.T) {
 	}
 }
 
-// TestCutUSZeroWait: with MaxWait 0 only simultaneous arrivals share a
-// batch; the cut dispatches at the arrival instant.
-func TestCutUSZeroWait(t *testing.T) {
-	p := Policy{MaxBatch: 8}
-	arrivals := []float64{0, 0, 0, 5, 6}
-	j, ready := p.CutUS(arrivals, 0)
-	if j != 3 || ready != 0 {
-		t.Errorf("cut = [0,%d) at %v, want [0,3) at 0", j, ready)
-	}
-	j, ready = p.CutUS(arrivals, 3)
-	if j != 4 || ready != 5 {
-		t.Errorf("cut = [3,%d) at %v, want [3,4) at 5", j, ready)
-	}
-}
-
-// TestCutUSDeadlineInclusive: an arrival landing exactly on the
-// dispatch deadline joins the batch.
-func TestCutUSDeadlineInclusive(t *testing.T) {
-	p := Policy{MaxBatch: 8, MaxWait: 20 * time.Microsecond}
-	arrivals := []float64{0, 10, 20, 21}
-	j, ready := p.CutUS(arrivals, 0)
-	if j != 3 {
-		t.Fatalf("arrival at deadline excluded: j = %d, want 3", j)
-	}
-	if ready != 20 {
-		t.Errorf("ready = %v, want deadline 20", ready)
-	}
-}
-
-// TestCutUSFinalFlush: when the stream ends before the batch fills,
-// the partial batch dispatches at the last arrival, not the deadline.
-func TestCutUSFinalFlush(t *testing.T) {
-	p := Policy{MaxBatch: 64, MaxWait: time.Second}
-	arrivals := []float64{0, 1, 2}
-	j, ready := p.CutUS(arrivals, 0)
-	if j != 3 {
-		t.Fatalf("final flush should take every remaining arrival, j = %d", j)
-	}
-	if ready != 2 {
-		t.Errorf("final flush dispatches at last arrival: ready = %v, want 2", ready)
-	}
-}
-
-// TestCutUSFillsBeforeDeadline: a full batch dispatches at its last
-// member's arrival even though the timer has not fired.
-func TestCutUSFillsBeforeDeadline(t *testing.T) {
-	p := Policy{MaxBatch: 2, MaxWait: time.Second}
-	arrivals := []float64{0, 3, 4, 5}
-	j, ready := p.CutUS(arrivals, 0)
-	if j != 2 || ready != 3 {
-		t.Errorf("cut = [0,%d) at %v, want [0,2) at 3", j, ready)
-	}
-}
-
-// TestCutUSCoversStream: successive cuts partition any arrival stream
-// with no request dropped or duplicated.
-func TestCutUSCoversStream(t *testing.T) {
-	p := Policy{MaxBatch: 3, MaxWait: 7 * time.Microsecond}
-	arrivals := []float64{0, 1, 2, 3, 10, 11, 30, 100, 100, 100, 100}
-	covered := 0
-	for i := 0; i < len(arrivals); {
-		j, ready := p.CutUS(arrivals, i)
-		if j <= i || j-i > p.MaxBatch {
-			t.Fatalf("cut [%d,%d) violates batch bounds", i, j)
+// TestHold is the cut rule's truth table: hold a partial batch only
+// when there is a peer and every peer is busy.
+func TestHold(t *testing.T) {
+	p := Policy{MaxBatch: 8, MaxWait: time.Millisecond}
+	for _, tc := range []struct {
+		name            string
+		pol             Policy
+		n, others, free int
+		want            bool
+	}{
+		{"every peer busy", p, 3, 1, 0, true},
+		{"every one of three peers busy", p, 3, 3, 0, true},
+		{"one peer free", p, 3, 1, 1, false},
+		{"one of three peers free", p, 3, 3, 1, false},
+		{"no peer: a pool of one never holds", p, 3, 0, 0, false},
+		{"full batch", p, 8, 1, 0, false},
+		{"over-full batch", p, 20, 1, 0, false},
+		{"coalescing off", Policy{MaxBatch: 1, MaxWait: time.Millisecond}, 1, 1, 0, false},
+		{"zero MaxWait", Policy{MaxBatch: 8}, 3, 1, 0, false},
+	} {
+		if got := tc.pol.Hold(tc.n, tc.others, tc.free); got != tc.want {
+			t.Errorf("%s: Hold(%d, %d, %d) = %v, want %v", tc.name, tc.n, tc.others, tc.free, got, tc.want)
 		}
-		if ready < arrivals[j-1] {
-			t.Fatalf("dispatch at %v precedes last member arrival %v", ready, arrivals[j-1])
-		}
-		covered += j - i
-		i = j
-	}
-	if covered != len(arrivals) {
-		t.Fatalf("cuts covered %d of %d arrivals", covered, len(arrivals))
 	}
 }

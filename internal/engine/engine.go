@@ -5,8 +5,8 @@
 //   - a model registry of named, hot-registerable/swappable models
 //     (registry.go);
 //   - one admission queue and batch former per model, sharing the
-//     dispatch policy type with the serving simulator (queue.go,
-//     internal/batch);
+//     dispatch policy and its work-conserving cut rule with the serving
+//     simulator (queue.go, internal/batch);
 //   - a shared executor worker pool that drains every queue with a
 //     weighted-fair pick (executor.go);
 //   - an instrumented forward pass whose per-operator spans feed
@@ -37,8 +37,10 @@ type Options struct {
 	// in samples per forward pass; 1 disables batching. Individual
 	// models can override it via ModelOptions.Policy.
 	MaxBatch int
-	// MaxWait is the default bound on how long a batch former waits to
-	// fill a batch.
+	// MaxWait is the default bound on how long a batch former holds a
+	// partial batch open. A hold happens only while every other worker
+	// is inside a forward pass and ends when one of them finishes; with
+	// an executor free a batch dispatches at once (batch.Policy.Hold).
 	MaxWait time.Duration
 	// IntraOpWorkers is the goroutine fan-out inside one forward pass
 	// (packed GEMM and SLS row partitioning). 0 derives

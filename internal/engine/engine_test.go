@@ -52,7 +52,9 @@ func TestRankMatchesDirectForward(t *testing.T) {
 
 // TestBatchingIsTransparent: with cross-request coalescing on, results
 // are still bit-identical to direct execution, because the forward pass
-// is row-independent.
+// is row-independent. A lone worker never holds a batch open, so the
+// coalescing comes from a backlog: the requests queue while the worker
+// is parked inside a pass, and it takes them all in one batch after.
 func TestBatchingIsTransparent(t *testing.T) {
 	m := testModel(t)
 	s, err := New(m, Options{Workers: 1, QueueDepth: 64, MaxBatch: 64, MaxWait: 20 * time.Millisecond})
@@ -68,6 +70,7 @@ func TestBatchingIsTransparent(t *testing.T) {
 		reqs[i] = model.NewRandomRequest(m.Config, 1+i%3, stats.NewRNG(uint64(i)+10))
 		wants[i] = m.CTR(reqs[i])
 	}
+	release := parkWorkers(t, s.Engine(), DefaultModelName, reqs[0])
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	gots := make([][]float32, n)
@@ -78,6 +81,8 @@ func TestBatchingIsTransparent(t *testing.T) {
 			gots[i], errs[i] = s.Rank(context.Background(), reqs[i])
 		}(i)
 	}
+	waitQueued(t, s.Engine(), DefaultModelName, n)
+	release()
 	wg.Wait()
 	for i := range reqs {
 		if errs[i] != nil {
@@ -222,6 +227,10 @@ func TestCloseWhileQueueFull(t *testing.T) {
 	}
 }
 
+// TestMalformedRequestDoesNotPoisonBatch: a malformed job that reaches
+// the executor in the same batch as a good one (injected past
+// admission, which would have refused it) fails alone; merge falls back
+// to per-request execution and the good request is still served.
 func TestMalformedRequestDoesNotPoisonBatch(t *testing.T) {
 	m := testModel(t)
 	s, err := New(m, Options{Workers: 1, QueueDepth: 16, MaxBatch: 8, MaxWait: 20 * time.Millisecond})
@@ -234,16 +243,26 @@ func TestMalformedRequestDoesNotPoisonBatch(t *testing.T) {
 	bad := model.NewRandomRequest(m.Config, 1, stats.NewRNG(3))
 	bad.SparseIDs = bad.SparseIDs[:1] // wrong table count
 
+	// Both wait in the queue behind a parked pass, so they share a batch.
+	release := parkWorkers(t, s.Engine(), DefaultModelName, good)
+	mq, _ := s.Engine().lookup(DefaultModelName)
+	badJob := liveJob(bad)
+	mq.q <- badJob
 	var wg sync.WaitGroup
-	var goodErr, badErr error
-	wg.Add(2)
+	var goodErr error
+	wg.Add(1)
 	go func() { defer wg.Done(); _, goodErr = s.Rank(context.Background(), good) }()
-	go func() { defer wg.Done(); _, badErr = s.Rank(context.Background(), bad) }()
+	waitQueued(t, s.Engine(), DefaultModelName, 2)
+	release()
 	wg.Wait()
+	badErr := (<-badJob.resp).err
 	if goodErr != nil {
 		t.Errorf("good request failed alongside bad one: %v", goodErr)
 	}
 	if badErr == nil {
 		t.Error("malformed request should fail")
+	}
+	if st := s.Stats(); st.BatchHist[2] != 0 || st.Batches != 2 {
+		t.Errorf("batch hist %v: the poisoned pair should have run as one pass each after the parked one", st.BatchHist)
 	}
 }

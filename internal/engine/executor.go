@@ -48,6 +48,7 @@ type workerScratch struct {
 	arena *tensor.Arena
 	tap   spanTap
 	batch []*job    // forming-batch buffer, reused across dispatches
+	form  former    // this worker's view of the pool and its hold timer
 	dense []float32 // merged dense features, grown to high-water mark
 	ids   [][]int   // per-table merged ID lists, capacities reused
 }
@@ -61,8 +62,10 @@ func (w *workerScratch) tables(n int) [][]int {
 	return w.ids[:n]
 }
 
-// kick wakes an idle worker (non-blocking; dropped tokens are safe
-// because every woken worker rescans all queues until they are empty).
+// kick wakes an idle worker. The send is non-blocking and wake holds
+// one token per worker, so a token is dropped only when every worker
+// already has a wake-up pending; each of those rescans every queue
+// after the enqueue that was refused its token, so the job is found.
 func (e *Engine) kick() {
 	select {
 	case e.wake <- struct{}{}:
@@ -122,7 +125,7 @@ func (e *Engine) tryPick(buf []*modelQueue) (*modelQueue, *job, []*modelQueue) {
 // only when every queue is empty.
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	scratch := &workerScratch{arena: tensor.NewArena()}
+	scratch := &workerScratch{arena: tensor.NewArena(), form: former{pool: e.pool}}
 	var order []*modelQueue
 	for {
 		var mq *modelQueue
@@ -144,11 +147,26 @@ func (e *Engine) worker() {
 				}
 			}
 		}
-		// Surplus work may remain on other queues; hand scanning off
-		// to an idle peer before committing to this batch.
-		e.kick()
+		// Hand scanning off to an idle peer before committing to this
+		// batch, but only if something is left to scan for: every enqueue
+		// kicks for itself (see kick for why a dropped token loses
+		// nothing), so on an otherwise idle system a kick here would cost
+		// the peer one wake, one empty scan and one park per request.
+		if queued(order) {
+			e.kick()
+		}
 		e.dispatch(mq, j, scratch)
 	}
+}
+
+// queued reports whether any of the queues has a job waiting.
+func queued(queues []*modelQueue) bool {
+	for _, mq := range queues {
+		if len(mq.q) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // dispatch forms batches behind first and processes them. A job the
@@ -162,9 +180,11 @@ func (e *Engine) dispatch(mq *modelQueue, first *job, scratch *workerScratch) {
 			mq.shed(first)
 			return
 		}
-		jobs, samples, carry := mq.formBatch(first, scratch.batch, e.done)
+		jobs, samples, carry := mq.formBatch(first, scratch.batch, &scratch.form)
 		scratch.batch = jobs[:0]
+		e.pool.enterPass()
 		e.process(mq, jobs, samples, scratch)
+		e.pool.leavePass()
 		first = carry
 	}
 }

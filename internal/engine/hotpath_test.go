@@ -30,6 +30,8 @@ func TestResolveIntraOpDefault(t *testing.T) {
 // worker and checks results stay bit-identical to direct execution —
 // the merge scratch (dense + per-table IDs) is reused across batches,
 // so any aliasing bug between consecutive batches would corrupt CTRs.
+// Each round queues its requests behind a parked pass, so each round is
+// one coalesced batch.
 func TestMergeBufferReuse(t *testing.T) {
 	m := testModel(t)
 	s, err := New(m, Options{Workers: 1, QueueDepth: 64, MaxBatch: 64, MaxWait: 10 * time.Millisecond, IntraOpWorkers: 2})
@@ -37,14 +39,15 @@ func TestMergeBufferReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for round := 0; round < 8; round++ {
-		const n = 6
+	const rounds, n = 8, 6
+	for round := 0; round < rounds; round++ {
 		reqs := make([]model.Request, n)
 		wants := make([][]float32, n)
 		for i := range reqs {
 			reqs[i] = model.NewRandomRequest(m.Config, 1+i%4, stats.NewRNG(uint64(round*100+i+1)))
 			wants[i] = m.CTR(reqs[i])
 		}
+		release := parkWorkers(t, s.Engine(), DefaultModelName, reqs[0])
 		errc := make(chan error, n)
 		for i := range reqs {
 			go func(i int) {
@@ -55,14 +58,17 @@ func TestMergeBufferReuse(t *testing.T) {
 				errc <- err
 			}(i)
 		}
+		waitQueued(t, s.Engine(), DefaultModelName, n)
+		release()
 		for i := 0; i < n; i++ {
 			if err := <-errc; err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
 	}
-	if st := s.Stats(); st.AvgBatch() <= 1 {
-		t.Logf("warning: no coalescing observed (avg batch %.2f); reuse path unexercised", st.AvgBatch())
+	// Per round: the plug's pass, then one pass for the whole backlog.
+	if st := s.Stats(); st.Batches != 2*rounds {
+		t.Fatalf("%d passes for %d rounds of %d requests (avg batch %.2f): the backlog did not coalesce, reuse path unexercised", st.Batches, rounds, n, st.AvgBatch())
 	}
 }
 

@@ -171,6 +171,9 @@ func statsJSON(st Stats) map[string]any {
 	if len(st.BatchHist) > 0 {
 		out["batch_hist"] = st.BatchHist
 	}
+	if len(st.Cuts) > 0 {
+		out["batch_cuts"] = st.Cuts
+	}
 	if len(st.KindUS) > 0 {
 		out["kind_us"] = st.KindUS
 	}

@@ -248,14 +248,23 @@ func queueForBatching(pol batch.Policy) *modelQueue {
 // formBatch never looks past it.
 func simpleReq(batch int) model.Request { return model.Request{Batch: batch} }
 
-// closedStop returns an already-closed drain signal: formBatch still
-// pops everything already queued (greedy path) but returns instead of
-// waiting, which keeps the non-full-batch tests deterministic and fast.
-func closedStop() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
+// loneFormer is the former of a one-worker pool. It never holds:
+// formBatch pops everything already queued (greedy path) and returns,
+// which keeps the non-full-batch tests deterministic and fast.
+func loneFormer() *former { return &former{pool: newPool(1, make(chan struct{}))} }
+
+// holdingFormer is a former whose workers-1 peers are all marked inside
+// a forward pass, the one situation in which formBatch holds a partial
+// batch; stop is its pool's drain signal.
+func holdingFormer(workers int) (f *former, stop chan struct{}) {
+	stop = make(chan struct{})
+	f = &former{pool: newPool(workers, stop)}
+	f.pool.inPass.Store(int32(workers - 1))
+	return f, stop
 }
+
+// cutCounts reads the queue's cut counters by reason name.
+func cutCounts(mq *modelQueue) map[string]int64 { return mq.counters.snapshot().Cuts }
 
 // TestFormBatchHardCap pins the fixed overshoot: a popped job that
 // would push the batch past MaxBatch must be carried to the next
@@ -265,8 +274,8 @@ func TestFormBatchHardCap(t *testing.T) {
 	first := liveJob(simpleReq(7))
 	next := liveJob(simpleReq(4))
 	mq.q <- next
-	stop := closedStop()
-	jobs, samples, carry := mq.formBatch(first, nil, stop)
+	f := loneFormer()
+	jobs, samples, carry := mq.formBatch(first, nil, f)
 	if len(jobs) != 1 || samples != 7 {
 		t.Fatalf("batch = %d jobs / %d samples, want 1 job / 7 samples", len(jobs), samples)
 	}
@@ -274,7 +283,7 @@ func TestFormBatchHardCap(t *testing.T) {
 		t.Fatalf("carry = %v, want the popped 4-sample job", carry)
 	}
 	// The carried job seeds the next batch at full size.
-	jobs, samples, carry = mq.formBatch(carry, jobs[:0], stop)
+	jobs, samples, carry = mq.formBatch(carry, jobs[:0], f)
 	if len(jobs) != 1 || samples != 4 || carry != nil {
 		t.Fatalf("carried batch = %d jobs / %d samples / carry %v, want 1 / 4 / nil", len(jobs), samples, carry)
 	}
@@ -288,7 +297,8 @@ func TestFormBatchFillsToCap(t *testing.T) {
 		mq.q <- liveJob(simpleReq(2))
 	}
 	start := time.Now()
-	jobs, samples, carry := mq.formBatch(liveJob(simpleReq(2)), nil, make(chan struct{}))
+	busy, _ := holdingFormer(2) // would hold for MaxWait if the batch did not fill
+	jobs, samples, carry := mq.formBatch(liveJob(simpleReq(2)), nil, busy)
 	if len(jobs) != 4 || samples != 8 || carry != nil {
 		t.Fatalf("batch = %d jobs / %d samples / carry %v, want 4 / 8 / nil", len(jobs), samples, carry)
 	}
@@ -301,29 +311,48 @@ func TestFormBatchFillsToCap(t *testing.T) {
 // split — it dispatches alone, immediately.
 func TestFormBatchOversizedSingle(t *testing.T) {
 	mq := queueForBatching(batch.Policy{MaxBatch: 8, MaxWait: time.Minute})
-	jobs, samples, carry := mq.formBatch(liveJob(simpleReq(20)), nil, make(chan struct{}))
+	busy, _ := holdingFormer(2)
+	jobs, samples, carry := mq.formBatch(liveJob(simpleReq(20)), nil, busy)
 	if len(jobs) != 1 || samples != 20 || carry != nil {
 		t.Fatalf("oversized request: %d jobs / %d samples / carry %v, want 1 / 20 / nil", len(jobs), samples, carry)
 	}
 }
 
 // TestFormBatchGoneUnblocks: q is never closed, so an Unregister must
-// cut the batch-forming wait short via the gone channel — the receive
-// on q would otherwise block for MaxWait against a channel nobody will
-// ever send to again.
+// cut a hold short via the gone channel — the receive on q would
+// otherwise block for MaxWait against a channel nobody will ever send
+// to again. The former is really holding (its peer is in a pass that
+// never ends and MaxWait is an hour), so only gone can return it.
 func TestFormBatchGoneUnblocks(t *testing.T) {
 	mq := queueForBatching(batch.Policy{MaxBatch: 8, MaxWait: time.Hour})
+	busy, _ := holdingFormer(2)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		close(mq.gone)
 	}()
-	start := time.Now()
-	jobs, samples, _ := mq.formBatch(liveJob(simpleReq(1)), nil, make(chan struct{}))
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("formBatch ignored gone for %v", elapsed)
-	}
+	jobs, samples, _ := mq.formBatch(liveJob(simpleReq(1)), nil, busy)
 	if len(jobs) != 1 || samples != 1 {
 		t.Fatalf("batch = %d jobs / %d samples, want the first job alone", len(jobs), samples)
+	}
+	if got := cutCounts(mq); got["drain"] != 1 || len(got) != 1 {
+		t.Fatalf("cuts = %v, want one drain cut", got)
+	}
+}
+
+// TestFormBatchStopUnblocks is the same for the engine's drain signal.
+func TestFormBatchStopUnblocks(t *testing.T) {
+	mq := queueForBatching(batch.Policy{MaxBatch: 8, MaxWait: time.Hour})
+	busy, stop := holdingFormer(2)
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		close(stop)
+	}()
+	jobs, samples, _ := mq.formBatch(liveJob(simpleReq(1)), nil, busy)
+	if len(jobs) != 1 || samples != 1 {
+		t.Fatalf("batch = %d jobs / %d samples, want the first job alone", len(jobs), samples)
+	}
+	if got := cutCounts(mq); got["drain"] != 1 || len(got) != 1 {
+		t.Fatalf("cuts = %v, want one drain cut", got)
 	}
 }
 
@@ -336,7 +365,7 @@ func TestFormBatchShedsExpiredQueued(t *testing.T) {
 	live := liveJob(simpleReq(3))
 	mq.q <- dead
 	mq.q <- live
-	jobs, samples, carry := mq.formBatch(liveJob(simpleReq(2)), nil, closedStop())
+	jobs, samples, carry := mq.formBatch(liveJob(simpleReq(2)), nil, loneFormer())
 	if len(jobs) != 2 || samples != 5 || carry != nil {
 		t.Fatalf("batch = %d jobs / %d samples, want 2 jobs / 5 samples (dead job excluded)", len(jobs), samples)
 	}
@@ -353,21 +382,25 @@ func TestFormBatchShedsExpiredQueued(t *testing.T) {
 	}
 }
 
-// TestFormBatchDeadlineBoundsWait: the batch-forming wait never extends
-// past the oldest job's deadline, even when MaxWait is much longer.
+// TestFormBatchDeadlineBoundsWait: a hold never extends past the oldest
+// job's deadline, even when MaxWait is much longer and the peer never
+// comes free.
 func TestFormBatchDeadlineBoundsWait(t *testing.T) {
 	mq := queueForBatching(batch.Policy{MaxBatch: 8, MaxWait: time.Hour})
+	busy, _ := holdingFormer(2)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	deadline, _ := ctx.Deadline()
 	first := &job{ctx: ctx, req: simpleReq(1), resp: make(chan jobResult, 1), deadline: deadline}
-	start := time.Now()
-	jobs, samples, _ := mq.formBatch(first, nil, make(chan struct{}))
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("formBatch waited %v past a 20ms deadline", elapsed)
-	}
+	jobs, samples, _ := mq.formBatch(first, nil, busy)
 	if len(jobs) != 1 || samples != 1 {
 		t.Fatalf("batch = %d jobs / %d samples, want the deadline job alone", len(jobs), samples)
+	}
+	if got := cutCounts(mq); got["deadline"] != 1 || len(got) != 1 {
+		t.Fatalf("cuts = %v, want one deadline cut", got)
+	}
+	if time.Now().Before(deadline) {
+		t.Fatal("hold was cut before the deadline it should have been clamped to")
 	}
 }
 

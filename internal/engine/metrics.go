@@ -34,6 +34,7 @@ import (
 //	recsys_model_generation               gauge
 //	recsys_rank_latency_seconds           histogram
 //	recsys_batch_size_samples             histogram
+//	recsys_batch_cuts_total{model,reason} counter
 //	recsys_op_seconds_total{model,kind}   counter
 //	recsys_embcache_capacity_rows{model,table}    gauge   (only when EmbCache on)
 //	recsys_embcache_hits_total{model,table}       counter (")
@@ -132,6 +133,14 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	obs.WriteFamily(w, "recsys_batch_size_samples", "histogram", "Formed-batch size in samples.")
 	for _, v := range views {
 		obs.WriteHistogram(w, "recsys_batch_size_samples", lbl(v), v.mq.batchHist.Snapshot(), 1)
+	}
+
+	obs.WriteFamily(w, "recsys_batch_cuts_total", "counter", "Formed batches by why the former cut them: full, free executor, MaxWait under load, oldest deadline, drain.")
+	for _, v := range views {
+		for r := range v.mq.cuts {
+			labels := append(lbl(v), obs.Label{Name: "reason", Value: cutReason(r).String()})
+			obs.WriteIntSample(w, "recsys_batch_cuts_total", labels, v.mq.cuts[r].Load())
+		}
 	}
 
 	obs.WriteFamily(w, "recsys_op_seconds_total", "counter", "Cumulative forward-pass time by operator kind.")

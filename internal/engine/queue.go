@@ -303,16 +303,116 @@ func (mq *modelQueue) tryPop() (*job, bool) {
 	}
 }
 
-// formBatch coalesces queued jobs behind first into one dispatch,
-// bounded by the queue's policy: stop strictly at MaxBatch samples, or
-// when the wait timer fires. Queued jobs are always taken greedily
-// before waiting, so a closing engine still drains promptly. stop is
-// the engine's drain signal; a closed stop (or a removed model) cuts
-// the wait short but never abandons jobs already taken.
+// pool is what the executor's workers know about each other, which is
+// all a batch former needs to decide a hold: how many workers there
+// are, how many are inside a forward pass right now, and a signal that
+// a pass has just ended.
+type pool struct {
+	workers int
+	// inPass counts workers inside process. A former is never in a pass
+	// itself, so the other workers not in one number
+	// workers-1-inPass.
+	inPass atomic.Int32
+	// passEnded carries one token from a worker leaving process to the
+	// former that may be holding. One slot is enough: a hold needs every
+	// other worker in a pass, so at most one former holds at a time. The
+	// token can be stale (left by a pass that ended while nobody held),
+	// which is why a holder re-asks the rule after taking it instead of
+	// treating it as the answer.
+	passEnded chan struct{}
+	// stop is the engine's drain signal.
+	stop <-chan struct{}
+}
+
+func newPool(workers int, stop <-chan struct{}) *pool {
+	return &pool{workers: workers, passEnded: make(chan struct{}, 1), stop: stop}
+}
+
+// free is the number of other workers not inside a forward pass, as
+// seen by a worker that is forming a batch.
+func (p *pool) free() int { return p.workers - 1 - int(p.inPass.Load()) }
+
+// enterPass and leavePass bracket process. The count drops before the
+// token is sent, so a holder woken by the token reads the new count.
+func (p *pool) enterPass() { p.inPass.Add(1) }
+
+func (p *pool) leavePass() {
+	p.inPass.Add(-1)
+	select {
+	case p.passEnded <- struct{}{}:
+	default:
+	}
+}
+
+// former is one executor worker's side of batch forming: the pool it
+// asks before holding, and the hold timer, created on the worker's
+// first hold and re-armed for each later one, so a batch that does not
+// hold touches no timer at all.
+type former struct {
+	pool  *pool
+	timer *time.Timer
+}
+
+// arm starts the hold timer.
+func (f *former) arm(d time.Duration) {
+	if f.timer == nil {
+		f.timer = time.NewTimer(d)
+		return
+	}
+	f.timer.Reset(d)
+}
+
+// disarm stops the hold timer after a hold it did not end. The drain
+// is non-blocking because, depending on the module's Go version, a
+// stopped timer's channel either holds the tick or never will; in the
+// first case a tick racing this drain cuts one later hold short, which
+// the rule allows (a cut is never wrong, only early).
+func (f *former) disarm() {
+	if !f.timer.Stop() {
+		select {
+		case <-f.timer.C:
+		default:
+		}
+	}
+}
+
+// cutReason says why a batch stopped growing.
+type cutReason int
+
+const (
+	// cutFull: the batch reached MaxBatch, the next job would overshoot
+	// it (carry), or coalescing is off.
+	cutFull cutReason = iota
+	// cutFree: the queue ran dry and the rule did not hold — an
+	// executor was free (at once, or when a pass ended mid-hold), the
+	// pool has one worker, or MaxWait is 0.
+	cutFree
+	// cutWait: a hold lasted MaxWait.
+	cutWait
+	// cutDeadline: the oldest job's deadline ended (or forbade) a hold.
+	cutDeadline
+	// cutDrain: the engine is closing or the model was unregistered.
+	cutDrain
+	nCutReasons
+)
+
+var cutNames = [nCutReasons]string{"full", "free", "wait", "deadline", "drain"}
+
+func (r cutReason) String() string { return cutNames[r] }
+
+// formBatch coalesces queued jobs behind first into one dispatch.
+// Queued jobs are always taken greedily, stopping strictly at MaxBatch
+// samples. When the queue runs dry with the batch not full, the
+// policy's Hold rule decides: dispatch at once unless every other
+// executor worker is inside a forward pass; only then hold, for at most
+// MaxWait, and ask again each time a pass ends — so no request is held
+// while an executor is free, and a one-worker engine never holds. A
+// closed stop (or a removed model) cuts a hold short but never abandons
+// jobs already taken.
 //
 // Robustness properties of the request lifecycle:
 //
-//   - Deadline-aware waiting: the wait never extends past first's
+//   - Deadline-aware waiting: a hold never extends past first's
 //     deadline — holding a batch open beyond the oldest job's deadline
 //     would turn the whole dispatch into shed work.
 //   - Pop-time shedding: jobs whose context is already done are failed
@@ -322,44 +422,52 @@ func (mq *modelQueue) tryPop() (*job, bool) {
 //     batch with, so Policy.MaxBatch bounds every dispatch. (A single
 //     request larger than MaxBatch still dispatches alone — requests
 //     are never split.)
-func (mq *modelQueue) formBatch(first *job, buf []*job, stop <-chan struct{}) (jobs []*job, samples int, carry *job) {
+func (mq *modelQueue) formBatch(first *job, buf []*job, f *former) (jobs []*job, samples int, carry *job) {
 	// One policy snapshot per formed batch: a SetPolicy racing this
 	// dispatch applies to the next batch, never to half of this one.
 	pol := mq.loadPolicy()
 	jobs = append(buf[:0], first)
 	samples = first.req.Batch
-	if !pol.Enabled() || pol.Full(samples) {
-		return jobs, samples, nil
-	}
-	wait := pol.MaxWait
-	if !first.deadline.IsZero() {
-		rem := time.Until(first.deadline)
-		if rem <= 0 {
-			// Already due: dispatch what we have immediately.
-			return jobs, samples, nil
-		}
-		if rem < wait {
-			wait = rem
-		}
-	}
-	var timer *time.Timer
-	for {
-		// Greedy: take whatever is already queued before waiting.
+	reason := cutFull
+	holding := false
+	var expiry cutReason // what the hold timer firing means
+fill:
+	for pol.Enabled() && !pol.Full(samples) {
 		next, ok := mq.tryPop()
 		if !ok {
-			if timer == nil {
-				timer = time.NewTimer(wait)
-				defer timer.Stop()
+			if !pol.Hold(samples, f.pool.workers-1, f.pool.free()) {
+				reason = cutFree
+				break
+			}
+			if !holding {
+				wait := pol.MaxWait
+				expiry = cutWait
+				if !first.deadline.IsZero() {
+					if rem := time.Until(first.deadline); rem < wait {
+						wait, expiry = rem, cutDeadline
+					}
+				}
+				if wait <= 0 {
+					reason = expiry
+					break
+				}
+				f.arm(wait)
+				holding = true
 			}
 			select {
 			case next = <-mq.q: // q is never closed; see the field comment
 				notePop(next)
-			case <-timer.C:
-				return jobs, samples, nil
-			case <-stop:
-				return jobs, samples, nil
+			case <-f.pool.passEnded:
+				continue // take what arrived meanwhile, then ask again
+			case <-f.timer.C:
+				reason, holding = expiry, false
+				break fill
+			case <-f.pool.stop:
+				reason = cutDrain
+				break fill
 			case <-mq.gone:
-				return jobs, samples, nil
+				reason = cutDrain
+				break fill
 			}
 		}
 		if next.expired() {
@@ -367,12 +475,29 @@ func (mq *modelQueue) formBatch(first *job, buf []*job, stop <-chan struct{}) (j
 			continue
 		}
 		if samples+next.req.Batch > pol.MaxBatch {
-			return jobs, samples, next
+			carry = next
+			break
 		}
 		jobs = append(jobs, next)
 		samples += next.req.Batch
-		if pol.Full(samples) {
-			return jobs, samples, nil
+	}
+	if holding {
+		f.disarm()
+	}
+	mq.recordCut(reason, jobs)
+	return jobs, samples, carry
+}
+
+// recordCut counts why a batch was cut and, when tracing, writes the
+// reason on each member's trace beside its batch-form time.
+func (mq *modelQueue) recordCut(reason cutReason, jobs []*job) {
+	mq.cuts[reason].Add(1)
+	if mq.ring == nil {
+		return
+	}
+	for _, j := range jobs {
+		if j.tr != nil {
+			j.tr.BatchCut = reason.String()
 		}
 	}
 }

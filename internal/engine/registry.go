@@ -71,6 +71,7 @@ type Engine struct {
 	now func() time.Time
 
 	wake    chan struct{} // executor wakeup tokens
+	pool    *pool         // in-pass count and pass-ended signal (queue.go)
 	closing chan struct{} // closed first: reject/abort admissions
 	done    chan struct{} // closed after senders drain: workers may exit
 	wg      sync.WaitGroup
@@ -126,6 +127,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		closing: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	e.pool = newPool(opts.Workers, e.done)
 	e.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go e.worker()

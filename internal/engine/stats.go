@@ -35,6 +35,10 @@ type Stats struct {
 	// anomalous AvgBatch can be traced to its size distribution (e.g.
 	// a bimodal mix of timer flushes and full batches).
 	BatchHist map[int]int64
+	// Cuts counts formed batches by why the former stopped growing them
+	// ("full", "free", "wait", "deadline", "drain"; see cutReason): the
+	// answer to "is MaxWait being paid, and by whom".
+	Cuts map[string]int64
 	// KindUS is cumulative per-operator-kind execution time in
 	// microseconds, from the instrumented forward pass — the live
 	// analogue of the paper's Figure 7 operator breakdowns.
@@ -79,6 +83,12 @@ func (s *Stats) merge(other Stats) {
 			s.BatchHist = make(map[int]int64)
 		}
 		s.BatchHist[sz] += n
+	}
+	for r, n := range other.Cuts {
+		if s.Cuts == nil {
+			s.Cuts = make(map[string]int64)
+		}
+		s.Cuts[r] += n
 	}
 	for k, us := range other.KindUS {
 		if s.KindUS == nil {
@@ -131,6 +141,9 @@ type counters struct {
 	rejected atomic.Int64 // admission-validation refusals
 	sheds    atomic.Int64 // deadline sheds (no forward pass run)
 	splits   atomic.Int64 // oversized requests split across the pool
+
+	// cuts counts formed batches by cut reason (formBatch).
+	cuts [nCutReasons]atomic.Int64
 
 	// kindNS accumulates instrumented forward-pass time per operator
 	// kind, in nanoseconds. Executor workers add concurrently.
@@ -232,6 +245,14 @@ func (c *counters) snapshot() Stats {
 		}
 	}
 	c.histMu.Unlock()
+	for r := range c.cuts {
+		if n := c.cuts[r].Load(); n > 0 {
+			if st.Cuts == nil {
+				st.Cuts = make(map[string]int64, nCutReasons)
+			}
+			st.Cuts[cutReason(r).String()] = n
+		}
+	}
 	for k := 0; k < nKinds; k++ {
 		if ns := c.kindNS[k].Load(); ns > 0 {
 			if st.KindUS == nil {

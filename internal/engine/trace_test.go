@@ -62,6 +62,10 @@ func TestTraceStagesTile(t *testing.T) {
 		if tr.ExecuteUS <= 0 || len(tr.Ops) == 0 {
 			t.Fatalf("execute stage missing: %+v", tr)
 		}
+		// One caller at a time on two workers: never held, never full.
+		if tr.BatchCut != cutFree.String() {
+			t.Fatalf("batch cut %q, want %q: %+v", tr.BatchCut, cutFree, tr)
+		}
 		for _, us := range []float64{tr.ValidateUS, tr.QueueWaitUS, tr.BatchFormUS} {
 			if us < 0 {
 				t.Fatalf("negative stage: %+v", tr)

@@ -81,6 +81,9 @@ type Trace struct {
 	// pass: time spent holding the batch open for peers to join, then
 	// taking the pass lock and merging them.
 	BatchFormUS float64 `json:"batch_form_us"`
+	// BatchCut is why the batch former stopped growing this request's
+	// batch: full, free, wait, deadline or drain.
+	BatchCut string `json:"batch_cut,omitempty"`
 	// ExecuteUS is the coalesced forward pass this request rode in
 	// (shared with its batch peers, not divided among them).
 	ExecuteUS float64 `json:"execute_us"`

@@ -12,12 +12,15 @@ import (
 
 // BatcherConfig configures a dynamically batching serving tier:
 // single-item queries are coalesced into batches of up to
-// Policy.MaxBatch, or dispatched early once the oldest query has waited
-// Policy.MaxWait. This is how production systems convert request
-// streams into the large batches that make AVX-512 and co-location pay
-// off (§III, §V). The same batch.Policy type drives the real engine's
-// batch formers, so simulated and measured dispatch decisions share one
-// definition.
+// Policy.MaxBatch. A worker forming a batch takes what is queued and
+// dispatches at once while any other worker is idle; it holds a partial
+// batch open, for at most Policy.MaxWait, only while every other worker
+// is busy (batch.Policy.Hold). This is how production systems convert
+// request streams into the large batches that make AVX-512 and
+// co-location pay off (§III, §V) without charging the wait to requests
+// that arrive at an idle server. The real engine's batch formers ask
+// the same batch.Policy, so simulated and measured dispatch decisions
+// share one definition.
 type BatcherConfig struct {
 	SimConfig
 	// Policy is the dispatch policy (batch cap and wait bound).
@@ -53,8 +56,10 @@ func simulate(bc BatcherConfig, items int) Result {
 // runBatched is the one worker-pool event loop, over an explicit
 // arrival-time stream (non-decreasing, in µs) of items items per
 // arrival, so dispatch edge cases — simultaneous arrivals, deadline
-// ties, final flushes — can be driven directly. Each batch the policy
-// cuts goes to the earliest-free worker.
+// ties, holds cut by a peer — can be driven directly. The earliest-free
+// worker forms each batch, as an executor worker of the real engine
+// does: it takes everything queued at its virtual instant, then asks
+// Policy.Hold with the other workers' state at that instant.
 func runBatched(bc BatcherConfig, items int, arrivalsUS []float64, rng *stats.RNG) Result {
 	noise := newNoise(bc.Machine, bc.Workers, rng.Split())
 
@@ -80,16 +85,50 @@ func runBatched(bc BatcherConfig, items int, arrivalsUS []float64, rng *stats.RN
 	var lastDone float64
 
 	for i := 0; i < len(arrivalsUS); {
-		j, ready := bc.Policy.CutUS(arrivalsUS, i)
-
 		w := 0
 		for k := 1; k < bc.Workers; k++ {
 			if workerFree[k] < workerFree[w] {
 				w = k
 			}
 		}
-		start := math.Max(ready, workerFree[w])
-		done := start + serviceUS(j-i)*noise.factor()
+		// Worker w pops arrival i at now and forms [i, j) behind it. A
+		// hold, if there is one, starts right here (the first greedy take
+		// empties the queue), so its MaxWait cap is known up front.
+		now := math.Max(arrivalsUS[i], workerFree[w])
+		holdUntil := now + bc.Policy.WaitUS()
+		j := i + 1
+		for {
+			// Greedy: everything that has arrived by now joins, up to
+			// the cap (so simultaneous arrivals always share a batch, and
+			// one landing exactly when a hold ends is still included).
+			for j < len(arrivalsUS) && !bc.Policy.Full(j-i) && arrivalsUS[j] <= now {
+				j++
+			}
+			// nextFree is when the first busy peer's pass ends.
+			free, nextFree := 0, math.Inf(1)
+			for k, t := range workerFree {
+				if k == w {
+					continue
+				}
+				if t <= now {
+					free++
+				} else if t < nextFree {
+					nextFree = t
+				}
+			}
+			if now >= holdUntil || !bc.Policy.Hold(j-i, bc.Workers-1, free) {
+				break
+			}
+			// Hold until something changes: the next arrival, the end of
+			// a peer's pass (which frees an executor and cuts the hold),
+			// or the MaxWait cap.
+			now = math.Min(holdUntil, nextFree)
+			if j < len(arrivalsUS) && arrivalsUS[j] < now {
+				now = arrivalsUS[j]
+			}
+		}
+
+		done := now + serviceUS(j-i)*noise.factor()
 		workerFree[w] = done
 		for k := i; k < j; k++ {
 			lat := done - arrivalsUS[k]
