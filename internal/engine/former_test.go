@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -199,16 +198,19 @@ func TestSequentialRankNeverWaits(t *testing.T) {
 	}
 }
 
-// parkWorkers parks every executor worker of e inside a forward pass of
-// the named model: it installs a serve tap that blocks, ranks one plug
-// request per worker and returns once each is inside the tap. Requests
-// admitted after that queue up behind the parked pool, which is how the
-// coalescing tests build a backlog deterministically. release lets the
-// passes finish.
+// parkWorkers parks the worker of a one-worker engine inside a forward
+// pass of the named model: it installs a serve tap that blocks, ranks
+// one plug request and returns once the pass is inside the tap.
+// Requests admitted after that queue up behind the parked worker, which
+// is how the coalescing tests build a backlog deterministically.
+// release lets the pass finish.
 func parkWorkers(t *testing.T, e *Engine, name string, plug model.Request) (release func()) {
 	t.Helper()
+	if e.opts.Workers != 1 {
+		t.Fatalf("parkWorkers wants one worker, engine has %d", e.opts.Workers)
+	}
 	gate := make(chan struct{})
-	entered := make(chan struct{}, e.opts.Workers)
+	entered := make(chan struct{}, 1)
 	e.SetServeTap(func(string, model.Request, []float32) {
 		select {
 		case <-gate: // released: later passes run straight through
@@ -217,21 +219,17 @@ func parkWorkers(t *testing.T, e *Engine, name string, plug model.Request) (rele
 			<-gate
 		}
 	})
-	var wg sync.WaitGroup
-	for i := 0; i < e.opts.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := e.Rank(context.Background(), name, plug); err != nil {
-				t.Errorf("plug request: %v", err)
-			}
-		}()
-		// One plug at a time, so that no two share a pass.
-		<-entered
-	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := e.Rank(context.Background(), name, plug); err != nil {
+			t.Errorf("plug request: %v", err)
+		}
+	}()
+	<-entered
 	return func() {
 		close(gate)
-		wg.Wait()
+		<-done
 	}
 }
 

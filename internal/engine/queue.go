@@ -362,11 +362,12 @@ func (f *former) arm(d time.Duration) {
 	f.timer.Reset(d)
 }
 
-// disarm stops the hold timer after a hold it did not end. The drain
-// is non-blocking because, depending on the module's Go version, a
-// stopped timer's channel either holds the tick or never will; in the
-// first case a tick racing this drain cuts one later hold short, which
-// the rule allows (a cut is never wrong, only early).
+// disarm stops the hold timer when a hold ends, whether or not the
+// timer ended it. The drain is non-blocking because the tick may have
+// been received already and, depending on the module's Go version, a
+// stopped timer's channel either holds an unreceived tick or never
+// will; in the first case a tick racing this drain cuts one later hold
+// short, which the rule allows (a cut is never wrong, only early).
 func (f *former) disarm() {
 	if !f.timer.Stop() {
 		select {
@@ -460,7 +461,7 @@ fill:
 			case <-f.pool.passEnded:
 				continue // take what arrived meanwhile, then ask again
 			case <-f.timer.C:
-				reason, holding = expiry, false
+				reason = expiry
 				break fill
 			case <-f.pool.stop:
 				reason = cutDrain

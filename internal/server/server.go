@@ -4,7 +4,11 @@
 // tail-latency phenomena of §VI-A and Figure 11: multi-modal operator
 // latency on inclusive-cache Broadwell under mixed co-location, p99
 // blow-up past ~20 co-located jobs on Broadwell, and Skylake's gradual
-// degradation.
+// degradation. With dynamic batching on (batcher.go) the worker forming
+// a batch cuts it by the same rule as the real engine's batch former,
+// batch.Policy.Hold: it holds a partial batch open only while every
+// other worker is busy, so the simulated and the served queue are one
+// mechanism under two clocks.
 package server
 
 import (

@@ -2,7 +2,8 @@
 // parent commit and on the working tree in alternating pairs and
 // prints the table EXPERIMENTS.md records for a performance change:
 // per workload and end-to-end metric, each side's median [q1, q3],
-// change / parent, the pairs the change won, and a verdict.
+// change / parent, each side's spread, the pairs the change won, and a
+// verdict.
 //
 //	make bench-pairs PARENT=HEAD~1 [N=10] [SEED=1]
 //	go run ./tools/benchpairs -parent HEAD~1 -n 10 -seed 1 [-workloads a,b] [-work dir] [-log runs.jsonl]
@@ -147,18 +148,18 @@ func run(parent string, n int, seed uint64, only, work, logPath string) error {
 	fmt.Printf("%d alternating pairs, seed %d, %d s a run; parent %s, change = working tree on %s.\n", n, seed, sp.RunSeconds, parentRev, mustRev(root))
 	fmt.Println("Median [q1, q3]; a pair is won by the side with the better value, ties by neither.")
 	fmt.Println()
-	fmt.Println("| workload | metric | parent | change | change / parent | pairs won | verdict |")
-	fmt.Println("|---|---|---|---|---|---|---|")
+	fmt.Println("| workload | metric | parent | change | change / parent | spread parent / change | pairs won | verdict |")
+	fmt.Println("|---|---|---|---|---|---|---|---|")
 	for _, w := range names {
 		for _, m := range sp.EndToEnd {
 			p, c := values(runs[w][0], m.Name), values(runs[w][1], m.Name)
 			v := judge(m, p, c)
-			fmt.Printf("| `%s` | `%s` (%s) | %s | %s | %.3f | %d of %d | %s |\n",
-				w, m.Name, m.Unit, summary(p), summary(c), v.ratio, v.won, len(p), v.verdict)
+			fmt.Printf("| `%s` | `%s` (%s) | %s | %s | %.3f | %.3f / %.3f | %s | %s |\n",
+				w, m.Name, m.Unit, summary(p), summary(c), v.ratio, spread(p), spread(c), v.pairs(len(p)), v.verdict)
 		}
 		pf, pa := failures(runs[w][0])
 		cf, ca := failures(runs[w][1])
-		fmt.Printf("| `%s` | failed / attempted | %d / %d | %d / %d | | | %s |\n", w, pf, pa, cf, ca, failVerdict(pf, pa, cf, ca))
+		fmt.Printf("| `%s` | failed / attempted | %d / %d | %d / %d | | | | %s |\n", w, pf, pa, cf, ca, failVerdict(runs[w][0], runs[w][1]))
 	}
 	return nil
 }
@@ -259,14 +260,24 @@ func failures(rs []result) (failed, attempted int) {
 	return failed, attempted
 }
 
-func failVerdict(pf, pa, cf, ca int) string {
-	if pa == 0 || ca == 0 {
-		return "no operations"
+// failVerdict compares the shares of operations that failed and says
+// whether every run's score check passed.
+func failVerdict(parent, change []result) string {
+	pf, pa := failures(parent)
+	cf, ca := failures(change)
+	v := "no larger share failed"
+	switch {
+	case pa == 0 || ca == 0:
+		v = "no operations"
+	case float64(cf)/float64(ca) > float64(pf)/float64(pa):
+		v = "**LARGER SHARE FAILED**"
 	}
-	if float64(cf)/float64(ca) > float64(pf)/float64(pa) {
-		return "LARGER SHARE FAILED"
+	for _, r := range append(append([]result(nil), parent...), change...) {
+		if !r.Correct {
+			return v + "; **a run's score check failed**"
+		}
 	}
-	return "no larger share failed"
+	return v + "; every score check passed"
 }
 
 // quartiles returns q1, the median and q3 by the exclusive method
@@ -289,15 +300,44 @@ func quartiles(vs []float64) (q1, med, q3 float64) {
 	return at(0.25), at(0.5), at(0.75)
 }
 
+// spread is the interquartile range as a share of the median, the
+// benchmark's own measure of run-to-run noise.
+func spread(vs []float64) float64 {
+	q1, med, q3 := quartiles(vs)
+	if med == 0 {
+		return 0
+	}
+	return (q3 - q1) / math.Abs(med)
+}
+
 func summary(vs []float64) string {
 	q1, med, q3 := quartiles(vs)
-	return fmt.Sprintf("%.4g [%.4g, %.4g]", med, q1, q3)
+	return fmt.Sprintf("%s [%s, %s]", sig4(med), sig4(q1), sig4(q3))
+}
+
+// sig4 prints about four significant digits without an exponent, so
+// 37210 items/s and 0.0314 ms read alike in one table.
+func sig4(x float64) string {
+	decimals := 4
+	for a := math.Abs(x); a >= 1 && decimals > 0; a /= 10 {
+		decimals--
+	}
+	return strconv.FormatFloat(x, 'f', decimals, 64)
 }
 
 type judgement struct {
 	ratio   float64 // change's median / parent's
 	won     int     // pairs in which the change had the better value
+	ties    int     // pairs with equal values, won by neither side
 	verdict string
+}
+
+func (j judgement) pairs(n int) string {
+	s := fmt.Sprintf("%d of %d", j.won, n)
+	if j.ties > 0 {
+		s += fmt.Sprintf(" (%d ties)", j.ties)
+	}
+	return s
 }
 
 // judge applies the rule of the choosing-metrics guide. A gain needs
@@ -313,8 +353,11 @@ func judge(m metric, parent, change []float64) judgement {
 	}
 	var j judgement
 	for i := range parent {
-		if d := sign * (change[i] - parent[i]); d > 0 {
+		switch d := sign * (change[i] - parent[i]); {
+		case d > 0:
 			j.won++
+		case d == 0:
+			j.ties++
 		}
 	}
 	pq1, pmed, pq3 := quartiles(parent)
@@ -327,12 +370,12 @@ func judge(m metric, parent, change []float64) judgement {
 	switch {
 	case 10*j.won >= 9*len(parent) && gain > iqr:
 		j.verdict = "**better**"
-	case pmed != 0 && iqr/math.Abs(pmed) > m.Bound:
-		j.verdict = "UNRESOLVED (parent spread " + strconv.FormatFloat(iqr/math.Abs(pmed), 'f', 3, 64) + " > bound)"
+	case spread(parent) > m.Bound:
+		j.verdict = fmt.Sprintf("UNRESOLVED (parent spread %.3f > bound %g)", spread(parent), m.Bound)
 	case pmed != 0 && -gain/math.Abs(pmed) > m.Bound:
-		j.verdict = "**WORSE** beyond bound " + strconv.FormatFloat(m.Bound, 'g', -1, 64)
+		j.verdict = fmt.Sprintf("**WORSE** beyond bound %g", m.Bound)
 	default:
-		j.verdict = "within bound " + strconv.FormatFloat(m.Bound, 'g', -1, 64)
+		j.verdict = fmt.Sprintf("within bound %g", m.Bound)
 	}
 	return j
 }

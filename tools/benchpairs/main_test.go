@@ -47,3 +47,14 @@ func TestJudge(t *testing.T) {
 		}
 	}
 }
+
+func TestSig4(t *testing.T) {
+	for x, want := range map[float64]string{
+		37210.4: "37210", 5252: "5252", 925.93: "925.9", 19.716: "19.72",
+		2.9624: "2.962", 0.84541: "0.8454", 0.031432: "0.0314", 1: "1.000", 0: "0.0000",
+	} {
+		if got := sig4(x); got != want {
+			t.Errorf("sig4(%v) = %q, want %q", x, got, want)
+		}
+	}
+}
