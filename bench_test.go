@@ -755,8 +755,15 @@ func rankBody(b *testing.B, req model.Request) []byte {
 // benchmarkHTTPDecode times the POST /rank body parser alone on one
 // body of cfg's shape: the float-heavy RMC3 body and the integer-heavy
 // RMC2 body of the system benchmark. A warm decoder must not allocate.
+// ns/number is the time over every float and ID in the body, the rung
+// ROADMAP's ladder names.
 func benchmarkHTTPDecode(b *testing.B, cfg model.Config, batch int) {
-	body := rankBody(b, model.NewRandomRequest(cfg, batch, stats.NewRNG(2)))
+	req := model.NewRandomRequest(cfg, batch, stats.NewRNG(2))
+	body := rankBody(b, req)
+	numbers := batch * cfg.DenseIn
+	for _, ids := range req.SparseIDs {
+		numbers += len(ids)
+	}
 	var d engine.RankDecoder
 	decode := func() {
 		if _, _, _, err := d.Decode(cfg, body); err != nil {
@@ -770,6 +777,7 @@ func benchmarkHTTPDecode(b *testing.B, cfg model.Config, batch int) {
 	for i := 0; i < b.N; i++ {
 		decode()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*numbers), "ns/number")
 }
 
 func BenchmarkHTTPDecodeRMC3Batch16(b *testing.B) {

@@ -1,15 +1,19 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os/signal"
+	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -341,5 +345,126 @@ func TestServeDrainsOnSignal(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("serve did not return after its context ended")
+	}
+}
+
+// TestServeCutsTricklingBody is the slow-body row of the failure table:
+// clients that declare an 8 MiB POST /rank body and send it a byte at a
+// time are answered 400 and hung up on once the server's read deadline
+// passes, hold a presized buffer each (not the declared 8 MiB) while
+// they trickle, and leave no goroutine behind.
+func TestServeCutsTricklingBody(t *testing.T) {
+	spec, err := model.ParseSpec("rmc1", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := stack.Start(stack.Config{Models: []model.Spec{spec}, Seed: 1, Workers: 1, MaxBatch: 1, IntraOp: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	addr := freeAddr(t)
+	srv := newHTTPServer(addr, st.Handler())
+	if srv.ReadTimeout <= 0 {
+		t.Fatalf("server read timeout unset: %v", srv.ReadTimeout)
+	}
+	srv.ReadTimeout = 500 * time.Millisecond // the mechanism, not readTimeout's 30 s
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, srv, time.Second) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	// One healthy request first: the listener is up, and the pools and
+	// net/http's per-server state exist before the baselines are taken.
+	body := rankBody(t, st.Engine, "", 2)
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	var resp *http.Response
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if resp, err = client.Post("http://"+addr+"/rank", "application/json", bytes.NewReader(body)); err == nil || time.Now().After(deadline) {
+			break
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy request: status %d", resp.StatusCode)
+	}
+	goroutines := runtime.NumGoroutine()
+	var before, during runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	const (
+		conns    = 16
+		declared = 8 << 20
+		presize  = 256 << 10 // engine.maxBodyPresize
+	)
+	stop := make(chan struct{})
+	var tricklers sync.WaitGroup
+	cut := make(chan int, conns) // each connection's status once the server hung up
+	for c := 0; c < conns; c++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		fmt.Fprintf(conn, "POST /rank HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", addr, declared)
+		tricklers.Add(1)
+		go func() {
+			defer tricklers.Done()
+			for i := 0; ; i++ {
+				if _, err := conn.Write(body[i%len(body) : i%len(body)+1]); err != nil {
+					return
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+		}()
+		go func() {
+			status := 0
+			if resp, err := http.ReadResponse(bufio.NewReader(conn), nil); err == nil {
+				status = resp.StatusCode
+				io.Copy(io.Discard, resp.Body) // to EOF: the server closed the connection
+				resp.Body.Close()
+			}
+			cut <- status
+		}()
+	}
+	time.Sleep(100 * time.Millisecond) // every handler is reading its body by now
+	runtime.GC()
+	runtime.ReadMemStats(&during)
+	if grew := int64(during.HeapAlloc) - int64(before.HeapAlloc); grew > conns*2*presize {
+		t.Errorf("%d trickling bodies declaring %d bytes each hold %d bytes of heap, want at most %d", conns, declared, grew, conns*2*presize)
+	}
+	for c := 0; c < conns; c++ {
+		select {
+		case status := <-cut:
+			if status != http.StatusBadRequest {
+				t.Errorf("trickling connection: status %d, want 400 and a closed connection", status)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a trickling connection was not cut")
+		}
+	}
+	close(stop)
+	tricklers.Wait()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > goroutines && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > goroutines {
+		stacks := make([]byte, 1<<16)
+		t.Errorf("%d goroutines after the cut, %d before the trickle:\n%s", n, goroutines, stacks[:runtime.Stack(stacks, true)])
 	}
 }

@@ -19,6 +19,9 @@ func FuzzRankRequestDecode(f *testing.F) {
 	for _, seed := range decodeSeeds {
 		f.Add([]byte(seed.body))
 	}
+	for _, tok := range float32TokenSeeds() {
+		f.Add([]byte(`{"dense": [[` + tok + `, 0]], "sparse_ids": [[0, 0]]}`))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var d RankDecoder
 		for _, cfg := range []model.Config{fuzzDense, fuzzSparse} {

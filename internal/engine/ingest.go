@@ -141,16 +141,22 @@ func (d *RankDecoder) scanDense(s *bodyScanner, width int) (rows int, err error)
 					}
 					d.dense = append(d.dense, v)
 				}
-				if inRow, err = s.more("dense"); err != nil {
-					return 0, err
+				switch s.sep() {
+				case ']':
+					inRow = false
+				case 0:
+					return 0, s.fail("dense: want ',' or ']'")
 				}
 			}
 		}
 		if width > 0 && n != width {
 			return 0, s.fail(fmt.Sprintf("dense row %d has %d features, want %d", rows, n, width))
 		}
-		if more, err = s.more("dense"); err != nil {
-			return 0, err
+		switch s.sep() {
+		case ']':
+			more = false
+		case 0:
+			return 0, s.fail("dense: want ',' or ']'")
 		}
 	}
 	return rows, nil
@@ -180,14 +186,20 @@ func (d *RankDecoder) scanSparse(s *bodyScanner, tables int) (err error) {
 					return err
 				}
 				d.ids = append(d.ids, id)
-				if inList, err = s.more("sparse_ids"); err != nil {
-					return err
+				switch s.sep() {
+				case ']':
+					inList = false
+				case 0:
+					return s.fail("sparse_ids: want ',' or ']'")
 				}
 			}
 		}
 		d.ends = append(d.ends, len(d.ids))
-		if more, err = s.more("sparse_ids"); err != nil {
-			return err
+		switch s.sep() {
+		case ']':
+			more = false
+		case 0:
+			return s.fail("sparse_ids: want ',' or ']'")
 		}
 	}
 	return nil
@@ -199,6 +211,9 @@ func (d *RankDecoder) scanSparse(s *bodyScanner, tables int) (err error) {
 type bodyScanner struct {
 	b []byte
 	i int
+	// slow counts the numbers float32 handed to strconv.ParseFloat; the
+	// bit-pattern sweep reports it as the share off the fast path.
+	slow int
 }
 
 func (s *bodyScanner) fail(msg string) error {
@@ -228,18 +243,16 @@ func (s *bodyScanner) consume(c byte) bool {
 	return true
 }
 
-// more steps over the token that follows an array element and reports
-// whether another element comes: ',' or the closing ']'.
-func (s *bodyScanner) more(member string) (bool, error) {
-	switch s.peek() {
-	case ',':
-		s.i++
-		return true, nil
-	case ']':
-		s.i++
-		return false, nil
+// sep steps over the token that follows an array element and returns
+// it: ',' when another element comes, ']' at the end of the array. For
+// anything else it steps over nothing and returns 0.
+func (s *bodyScanner) sep() byte {
+	c := s.peek()
+	if c != ',' && c != ']' {
+		return 0
 	}
-	return false, s.fail(member + ": want ',' or ']'")
+	s.i++
+	return c
 }
 
 // null steps over a null literal if it is the next token.
@@ -277,43 +290,91 @@ func (s *bodyScanner) key() ([]byte, error) {
 }
 
 // float32 parses one JSON number (or null, which encoding/json decodes
-// as 0) with strconv.ParseFloat at 32 bits, the conversion
-// encoding/json applies to a float32 field, so the value is
-// bit-identical to what RankRequest would have held.
+// as 0) to the float32 strconv.ParseFloat(tok, 32) returns, the
+// conversion encoding/json applies to a float32 field, so the value is
+// bit-identical to what RankRequest would have held. One pass checks
+// JSON's number grammar, stricter than ParseFloat's,
+//
+//	-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+//
+// while it accumulates the decimal significand and exponent. A token of
+// at most 19 digits whose significand is below 2^53 and whose exponent
+// is within ±22 converts exactly (DESIGN.md "HTTP ingest" has the
+// argument); every other token goes to ParseFloat on the bytes the pass
+// delimited.
 func (s *bodyScanner) float32() (float32, error) {
-	if s.null() {
+	if s.peek() == 'n' && s.null() {
 		return 0, nil
 	}
-	// JSON's number grammar, stricter than ParseFloat's:
-	// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
 	b, i := s.b, s.i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	// mant wraps past 19 digits; nd counts them, so a wrapped mant is
+	// never used.
+	var mant uint64
+	first := i
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && b[i]-'1' < 9:
-		i = digits(b, i)
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+		}
 	default:
 		return 0, s.fail("want a number")
 	}
+	nd, exp := i-first, 0
 	if i < len(b) && b[i] == '.' {
-		if i = digits(b, i+1); b[i-1] == '.' {
+		for i, first = i+1, i+1; i < len(b) && b[i]-'0' < 10; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+		}
+		if i == first {
 			return 0, s.fail("number has no digits after '.'")
 		}
+		nd, exp = nd+i-first, first-i
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		eneg := i < len(b) && b[i] == '-'
+		if eneg || i < len(b) && b[i] == '+' {
 			i++
 		}
-		if j := digits(b, i); j > i {
-			i = j
-		} else {
+		e := 0
+		for first = i; i < len(b) && b[i]-'0' < 10; i++ {
+			if e < 1e6 { // saturate, not wrap: past the fast path whatever the fraction adds
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == first {
 			return 0, s.fail("number has no exponent digits")
 		}
+		if eneg {
+			e = -e
+		}
+		exp += e
 	}
+	if nd <= 19 && mant < 1<<53 && -maxExp10 <= exp && exp <= maxExp10 {
+		// mant and 10^|exp| are exact doubles, so d is the token's
+		// value rounded once; |d| is 0 or in [1e-22, 2^53·1e22], inside
+		// float32's normal range. float32(d) rounds a second time, which
+		// shows only when d sits exactly on the midpoint of two float32s.
+		d := float64(int64(mant))
+		if exp < 0 {
+			d /= pow10[-exp]
+		} else {
+			d *= pow10[exp]
+		}
+		if math.Float64bits(d)&(1<<29-1) != 1<<28 {
+			s.i = i
+			if neg {
+				d = -d
+			}
+			return float32(d), nil
+		}
+	}
+	s.slow++
 	f, err := strconv.ParseFloat(string(b[s.i:i]), 32)
 	if err != nil {
 		return 0, s.fail("number overflows float32")
@@ -322,12 +383,12 @@ func (s *bodyScanner) float32() (float32, error) {
 	return float32(f), nil
 }
 
-// digits returns the index of the first non-digit of b at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && b[i]-'0' < 10 {
-		i++
-	}
-	return i
+// maxExp10 is the largest power of ten a float64 holds exactly.
+const maxExp10 = 22
+
+var pow10 = [maxExp10 + 1]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
 // int parses one base-10 JSON integer (or null, which encoding/json
@@ -335,7 +396,7 @@ func digits(b []byte, i int) int {
 // when its value is integral, as encoding/json refuses it for an int
 // field.
 func (s *bodyScanner) int() (int, error) {
-	if s.null() {
+	if s.peek() == 'n' && s.null() {
 		return 0, nil
 	}
 	b, i := s.b, s.i
@@ -346,26 +407,28 @@ func (s *bodyScanner) int() (int, error) {
 	if i == len(b) || b[i]-'0' > 9 {
 		return 0, s.fail("want an integer")
 	}
-	v := 0
+	// 19 digits cannot wrap a uint64, so one check after the run finds
+	// every overflow.
+	var v uint64
+	first := i
 	if b[i] == '0' {
 		i++ // JSON allows no digit after a leading zero; the caller refuses one
 	} else {
 		for ; i < len(b) && b[i]-'0' < 10; i++ {
-			c := int(b[i] - '0')
-			if v > (math.MaxInt-c)/10 {
-				return 0, s.fail("integer overflows")
-			}
-			v = v*10 + c
+			v = v*10 + uint64(b[i]-'0')
 		}
+	}
+	if i-first > 19 || v > math.MaxInt {
+		return 0, s.fail("integer overflows")
 	}
 	if i < len(b) && (b[i] == '.' || b[i]|0x20 == 'e') {
 		return 0, s.fail("want an integer, got a fraction or exponent")
 	}
 	s.i = i
 	if neg {
-		v = -v
+		return -int(v), nil
 	}
-	return v, nil
+	return int(v), nil
 }
 
 // rankScratch is the reusable state of one POST /rank in flight: the

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"recsys/internal/model"
 	"recsys/internal/stats"
@@ -254,6 +255,12 @@ var decodeSeeds = []struct {
 	{`{"dense": [[1, 2]], "sparse_ids": [[9223372036854775808, 0]]}`, false, false},
 	{`{"dense": [[1, 2]], "sparse_ids": [[-9223372036854775808, 0]]}`, false, false},
 	{`{"dense": [[1, 2]], "sparse_ids": [[99999999999999999999999, 0]]}`, false, false},
+	{`{"dense": [[1, 2]], "sparse_ids": [[9999999999999999999, 0]]}`, false, false},  // 19 digits, past MaxInt64
+	{`{"dense": [[1, 2]], "sparse_ids": [[18446744073709551616, 0]]}`, false, false}, // 2^64: wraps a uint64 to 0
+	{`{"dense": [[1, 2]], "sparse_ids": [[18446744073709551623, 0]]}`, false, false}, // wraps to 7
+	{`{"dense": [[1, 2]], "sparse_ids": [[-18446744073709551617, 0]]}`, false, false},
+	{`{"dense": [[1, 2]], "sparse_ids": [[184467440737095516167, 0]]}`, false, false},
+	{`{"dense": [[1, 2]], "sparse_ids": [[99999999999999999999999.5, 0]]}`, false, false},
 	// null where encoding/json takes it: a member, a row, an element.
 	{`{"dense": null, "sparse_ids": [[0, 1], [3]]}`, false, true},
 	{`{"dense": [[1, 2]], "sparse_ids": null}`, false, false},
@@ -402,6 +409,29 @@ func TestDecodeHostileBodies(t *testing.T) {
 		if cap(d.dense) > 64 || cap(d.ids) > 64 {
 			t.Errorf("%s: decoder buffers grew to %d floats, %d IDs", name, cap(d.dense), cap(d.ids))
 		}
+	}
+}
+
+// TestDecodeHostileLongNumbers: 8 MiB of 40-digit numbers, every one
+// off the exact path and through strconv's, decodes in bounded time.
+// (Apart from TestDecodeHostileBodies because this body is accepted.)
+func TestDecodeHostileLongNumbers(t *testing.T) {
+	const row = "[0.1234567890123456789012345678901234567890,-12345678901234567890123456789012345678.90]"
+	rows := maxBodyBytes/(len(row)+1) - 1
+	body := []byte(`{"dense":[` + strings.Repeat(row+",", rows-1) + row + `]}`)
+	var d RankDecoder
+	start := time.Now()
+	batch, dense, _, err := d.Decode(fuzzDense, body)
+	took := time.Since(start)
+	if err != nil || batch != rows || len(dense) != 2*rows {
+		t.Fatalf("batch %d, %d floats, %v; want %d rows", batch, len(dense), err, rows)
+	}
+	if dense[0] != 0.12345679 || dense[2*rows-1] != -1.2345678e37 {
+		t.Errorf("dense[0] = %v, dense[last] = %v", dense[0], dense[2*rows-1])
+	}
+	// ≈200 k numbers at a few hundred ns each; the limit is 50× that.
+	if limit := 5 * time.Second; took > limit {
+		t.Errorf("decoding a %d-byte body of 40-digit numbers took %v, want under %v", len(body), took, limit)
 	}
 }
 

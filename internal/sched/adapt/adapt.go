@@ -8,11 +8,11 @@
 // hill-climbs the model's batch.Policy against a p99 SLA target:
 //
 //   - p99 above the SLA → shrink MaxBatch (adaptive step, with a
-//     multiplicative panic shrink when the tail is ≥ 2× the target)
-//     and halve MaxWait — batching is the latency lever, so violation
-//     is answered by backing it off;
-//   - p99 below the headroom band → grow MaxBatch and MaxWait to buy
-//     throughput with the spare latency budget;
+//     multiplicative panic shrink when the tail is ≥ 2× the target):
+//     batching is the latency lever, so violation is answered by
+//     backing it off;
+//   - p99 below the headroom band → grow MaxBatch to buy throughput
+//     with the spare latency budget;
 //   - p99 inside the band [headroom·SLA, SLA] → hold. The deadband is
 //     what keeps the climb from oscillating around the target.
 //
@@ -20,6 +20,10 @@
 // (climbing a long slope costs O(log) windows, not O(n)) and resets
 // to 1 on every reversal, so the walk tightens as it brackets the
 // optimum. MaxBatch stays within [1, queue depth] by construction.
+// Every other policy field (MaxWait, SplitAbove) is left as configured:
+// the batch former holds a partial batch only while every worker is
+// busy, so MaxWait moves neither goodput nor the tail (EXPERIMENTS.md
+// "The MaxWait lever").
 package adapt
 
 import (
@@ -100,7 +104,6 @@ type State struct {
 	P99         time.Duration // last windowed tail estimate (0 until trusted)
 	Window      int64         // requests in that window
 	MaxBatch    int           // current policy
-	MaxWait     time.Duration
 	Adjustments int64
 	Reversals   int64
 	Holds       int64
@@ -243,7 +246,6 @@ func (c *Controller) stepModel(name string, st *modelState) {
 	next := pol
 	if want > 0 {
 		next.MaxBatch = pol.MaxBatch + st.step
-		next.MaxWait = pol.MaxWait + c.cfg.SLA/16
 	} else {
 		next.MaxBatch = pol.MaxBatch - st.step
 		if p99 >= 2*c.cfg.SLA && pol.MaxBatch/2 < next.MaxBatch {
@@ -252,21 +254,12 @@ func (c *Controller) stepModel(name string, st *modelState) {
 			// walking down.
 			next.MaxBatch = pol.MaxBatch / 2
 		}
-		next.MaxWait = pol.MaxWait / 2
 	}
 	if next.MaxBatch < 1 {
 		next.MaxBatch = 1
 	}
 	if depth := c.t.QueueDepth(); next.MaxBatch > depth {
 		next.MaxBatch = depth
-	}
-	if next.MaxWait < 0 {
-		next.MaxWait = 0
-	}
-	// A batch former sleeping longer than a quarter of the budget has
-	// already lost the tail.
-	if next.MaxWait > c.cfg.SLA/4 {
-		next.MaxWait = c.cfg.SLA / 4
 	}
 	if next == pol || c.cfg.Observe {
 		st.holds++
@@ -293,7 +286,7 @@ func (c *Controller) Snapshot() []State {
 			Holds:       st.holds,
 		}
 		if pol, err := c.t.Policy(name); err == nil {
-			s.MaxBatch, s.MaxWait = pol.MaxBatch, pol.MaxWait
+			s.MaxBatch = pol.MaxBatch
 		}
 		out = append(out, s)
 	}
@@ -305,14 +298,13 @@ func (c *Controller) Snapshot() []State {
 // WriteMetrics emits the recsys_sched_* Prometheus families —
 // registered into the engine's exposition via AddMetricsWriter so one
 // scrape shows the loop's inputs (windowed p99) next to its outputs
-// (live MaxBatch/MaxWait):
+// (live MaxBatch):
 //
 //	recsys_sched_sla_seconds                 gauge (controller-wide)
 //	recsys_sched_adapt_enabled               gauge (0 = observe-only)
 //	recsys_sched_p99_seconds{model}          gauge
 //	recsys_sched_window_requests{model}      gauge
 //	recsys_sched_max_batch{model}            gauge
-//	recsys_sched_max_wait_seconds{model}     gauge
 //	recsys_sched_adjustments_total{model}    counter
 //	recsys_sched_reversals_total{model}      counter
 //	recsys_sched_holds_total{model}          counter
@@ -338,7 +330,6 @@ func (c *Controller) WriteMetrics(w io.Writer) {
 		{"recsys_sched_p99_seconds", "Windowed tail-latency estimate the last control tick acted on.", func(s State) float64 { return s.P99.Seconds() }},
 		{"recsys_sched_window_requests", "Requests in the last trusted control window.", func(s State) float64 { return float64(s.Window) }},
 		{"recsys_sched_max_batch", "Live batch policy MaxBatch.", func(s State) float64 { return float64(s.MaxBatch) }},
-		{"recsys_sched_max_wait_seconds", "Live batch policy MaxWait.", func(s State) float64 { return s.MaxWait.Seconds() }},
 	}
 	for _, g := range gauges {
 		obs.WriteFamily(w, g.name, "gauge", g.help)
@@ -369,8 +360,8 @@ func (c *Controller) String() string {
 	states := c.Snapshot()
 	out := fmt.Sprintf("adaptive controller: sla=%v quantile=%.2f", c.cfg.SLA, quantile)
 	for _, s := range states {
-		out += fmt.Sprintf("\n  %s: p99=%v window=%d → MaxBatch=%d MaxWait=%v (%d adjustments, %d reversals, %d holds)",
-			s.Model, s.P99, s.Window, s.MaxBatch, s.MaxWait, s.Adjustments, s.Reversals, s.Holds)
+		out += fmt.Sprintf("\n  %s: p99=%v window=%d → MaxBatch=%d (%d adjustments, %d reversals, %d holds)",
+			s.Model, s.P99, s.Window, s.MaxBatch, s.Adjustments, s.Reversals, s.Holds)
 	}
 	return out
 }

@@ -103,8 +103,8 @@ func newTestController(t *testing.T, ft *fakeTarget, cfg Config) *Controller {
 // TestMaxBatchStaysInBounds drives the controller against extreme SLAs
 // — one impossible to meet (forces the climb to the floor) and one
 // trivially met (forces it to the ceiling) — and checks the invariant
-// after every tick: MaxBatch ∈ [1, queue depth] and MaxWait ∈
-// [0, SLA/4].
+// after every tick: MaxBatch ∈ [1, queue depth], and MaxWait is what
+// the operator configured (the controller has no MaxWait lever).
 func TestMaxBatchStaysInBounds(t *testing.T) {
 	cases := []struct {
 		name string
@@ -117,14 +117,15 @@ func TestMaxBatchStaysInBounds(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ft := newFakeTarget(48, 8, linear(200*time.Microsecond, 40*time.Microsecond))
+			ft.pol.MaxWait = 2 * time.Millisecond
 			c := newTestController(t, ft, Config{SLA: tc.sla})
 			for i := 0; i < 200; i++ {
 				c.Step()
 				if ft.pol.MaxBatch < 1 || ft.pol.MaxBatch > ft.depth {
 					t.Fatalf("step %d: MaxBatch %d outside [1, %d]", i, ft.pol.MaxBatch, ft.depth)
 				}
-				if ft.pol.MaxWait < 0 || ft.pol.MaxWait > tc.sla/4 {
-					t.Fatalf("step %d: MaxWait %v outside [0, %v]", i, ft.pol.MaxWait, tc.sla/4)
+				if ft.pol.MaxWait != 2*time.Millisecond {
+					t.Fatalf("step %d: MaxWait moved to %v", i, ft.pol.MaxWait)
 				}
 			}
 		})
@@ -288,7 +289,6 @@ func TestWriteMetricsFamilies(t *testing.T) {
 		"recsys_sched_p99_seconds",
 		"recsys_sched_window_requests",
 		"recsys_sched_max_batch",
-		"recsys_sched_max_wait_seconds",
 		"recsys_sched_adjustments_total",
 		"recsys_sched_reversals_total",
 		"recsys_sched_holds_total",
