@@ -123,21 +123,21 @@ func regressionCases() []benchCase {
 		// Batching on, the other worker idle: nothing may be held.
 		{name: "engine_rank_coalesce_b4", zeroAlloc: true,
 			run: func(b *testing.B) { benchmarkEngineRankCoalesce(b, 4) }},
-		// The locality-aware gather: dedup plan + 5%-of-rows hot-row
-		// cache on Zipf(1.1) traffic, and the cached end-to-end
-		// lifecycle; both carry the zero-alloc contract with the cache
-		// on.
+		// One gather per store kind. In-process rows: the plan-free
+		// int8 gather on Zipf(1.1) IDs (what rmc2_zipf serves), alone
+		// and as the end-to-end lifecycle of an RMC2-shaped int8 model.
+		// Rows behind a GatherSource: the dedup plan with a 5%-of-rows
+		// row cache, Begin/Finish over a synchronous source (the only
+		// place the plan runs; the real tier's framing has no zero-alloc
+		// contract). All three carry it.
 		{name: "sls_gather_zipf_b64", zeroAlloc: true,
-			run: func(b *testing.B) {
-				benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "clock"})
-			}},
+			run: func(b *testing.B) { benchmarkSLSGather(b, slsGatherBench{s: 1.1, int8Table: true}) }},
 		{name: "engine_rank_zipf_b16", zeroAlloc: true,
 			run: func(b *testing.B) { benchmarkEngineRankZipf(b, 16) }},
-		// The sharded-tier row-store extraction: the same planned gather
-		// driven two-phase (Begin/Finish) through the local RowStore —
-		// the "local shard" fast path must stay zero-alloc.
 		{name: "shard_gather_b64", zeroAlloc: true,
-			run: func(b *testing.B) { benchmarkShardGatherLocal(b) }},
+			run: func(b *testing.B) {
+				benchmarkSLSGather(b, slsGatherBench{s: 1.1, planned: true, cacheRows: 5000})
+			}},
 		// The kernel-dispatch acceptance shapes: the RM-scale FC GEMM
 		// (batch 256, 512→256) on one worker, fp32 and int8 compute.
 		// Both carry the zero-alloc contract (arena float and byte

@@ -361,43 +361,64 @@ func benchmarkSLS(b *testing.B, workers int) {
 	}
 }
 
-// --- Locality-aware gather benchmarks: dedup plan + hot-row cache ---
+// --- Gather benchmarks: one gather per store kind ---
 //
 // benchmarkSLSGather replays a rotating pool of generator-drawn ID
-// sets through one SLS op, so steady state reflects cross-batch row
-// reuse rather than a pure replay of a single warm batch. The table is
-// the 100k×64 shape of benchmarkSLS; the cached variants use the
-// EXPERIMENTS.md operating point of 5% of rows (5000). With Zipf(1.1)
-// traffic one merged batch touches ~1.8k unique rows, so the hot head
-// stays resident across batches while the tail churns — the regime the
-// read-through cache is built for.
+// sets through one SLS op (batch 64 × 80 lookups × 64 columns, the
+// shape of benchmarkSLS), so steady state reflects cross-batch row
+// reuse rather than a pure replay of a single warm batch. The default
+// is what serves in-process tables: the plan-free local gather. The
+// planned variants put the op behind a GatherSource (the only store
+// the dedup plan and the row cache run in front of), here a
+// synchronous in-process one, so they time the plan, the staging copy
+// and the cache without a socket; the cached one uses the
+// EXPERIMENTS.md operating point of 5 % of rows. With Zipf(1.1)
+// traffic one merged batch touches ~1.8k unique rows of 100k, so the
+// hot head stays resident across batches while the tail churns.
 type slsGatherBench struct {
+	rows      int     // table height (0 = 100k)
 	s         float64 // Zipf skew (0 = uniform)
-	batch     int     // merged batch size (0 = 64)
-	nSets     int     // rotating pre-drawn ID-set pool size (0 = 64)
-	cacheRows int     // hot-row cache capacity (0 = no cache)
-	policy    string  // eviction policy for the cached variants
 	int8Table bool    // row-wise int8 table instead of fp32
-	naive     bool    // SLSOp.Forward: plan-free per-occurrence reference (allocates its output)
+	planned   bool    // gather through a syncSource: dedup plan + staged accumulate
+	cacheRows int     // with planned, LRU row cache in front of the source (0 = none)
 }
+
+// syncSource is a GatherSource over an op's own tables whose gather
+// completes inside BeginGather and which is its own PendingGather, so
+// a pass through it allocates nothing (internal/nn's tests have the
+// same stand-in for the remote tier).
+type syncSource struct{ nn.RowStore }
+
+func (s *syncSource) BeginGather(ids []int64, dstRows []int32, dst *tensor.Tensor, _ time.Time) nn.PendingGather {
+	for i, id := range ids {
+		s.ReadRow(id, dst.Row(int(dstRows[i])))
+	}
+	return s
+}
+
+func (s *syncSource) Wait() (bool, error) { return false, nil }
 
 func benchmarkSLSGather(b *testing.B, cfg slsGatherBench) {
-	benchmarkSLSGatherAt(b, 100_000, cfg)
-}
-
-func benchmarkSLSGatherAt(b *testing.B, rows int, cfg slsGatherBench) {
+	rows := cfg.rows
+	if rows == 0 {
+		rows = 100_000
+	}
 	rng := stats.NewRNG(7)
 	table := nn.NewEmbeddingTable("bench", rows, 64, rng)
 	op := nn.NewSLSOp(table, 80)
 	if cfg.int8Table {
 		op.Quant = nn.Quantize(table)
 	}
-	if cfg.cacheRows > 0 {
-		cache, err := embcache.NewConcurrent(cfg.cacheRows, 64, cfg.policy, 1)
-		if err != nil {
-			b.Fatal(err)
+	var cache *embcache.Concurrent
+	if cfg.planned {
+		op.SetRowStore(&syncSource{op.LocalStore()})
+		if cfg.cacheRows > 0 {
+			var err error
+			if cache, err = embcache.NewConcurrent(cfg.cacheRows, 64, "lru", 1); err != nil {
+				b.Fatal(err)
+			}
+			op.SetRowCache(cache)
 		}
-		op.SetRowCache(cache)
 	}
 	var gen trace.IDGenerator
 	if cfg.s == 0 {
@@ -405,24 +426,11 @@ func benchmarkSLSGatherAt(b *testing.B, rows int, cfg slsGatherBench) {
 	} else {
 		gen = trace.NewZipfian(table.Rows, cfg.s, rng.Split())
 	}
-	forward := op.ForwardEx
-	if cfg.naive {
-		forward = func(ids []int, batch int, _ *tensor.Arena, _ int) *tensor.Tensor {
-			return op.Forward(ids, batch)
-		}
-	}
-	batch := cfg.batch
-	if batch == 0 {
-		batch = 64
-	}
 	// The pool must be large enough that its cumulative distinct-row
 	// set far exceeds the cache, or steady state degenerates into a
 	// pure replay where even the coldest tail row is resident and the
 	// hit rate reads ~100%.
-	nSets := cfg.nSets
-	if nSets == 0 {
-		nSets = 64
-	}
+	const batch, nSets = 64, 64
 	sets := make([][]int, nSets)
 	for i := range sets {
 		sets[i] = make([]int, batch*op.Lookups)
@@ -431,112 +439,61 @@ func benchmarkSLSGatherAt(b *testing.B, rows int, cfg slsGatherBench) {
 	arena := tensor.NewArena()
 	for i := 0; i < nSets; i++ { // warm: slab, plan pool, cache
 		arena.Reset()
-		forward(sets[i], batch, arena, 1)
+		op.ForwardEx(sets[i], batch, arena, 1)
 	}
 	arena.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arena.Reset()
-		forward(sets[i%nSets], batch, arena, 1)
+		op.ForwardEx(sets[i%nSets], batch, arena, 1)
 	}
 	b.StopTimer()
-	if c, ok := op.RowCacheRef().(*embcache.Concurrent); ok {
-		b.ReportMetric(100*c.Stats().HitRate(), "hit-%")
+	if cache != nil {
+		b.ReportMetric(100*cache.Stats().HitRate(), "hit-%")
 	}
 }
 
-// benchmarkShardGatherLocal drives the batch-64 planned gather through
-// the two-phase Begin/Finish form against the explicitly-attached
-// in-process RowStore — the "local shard" configuration of the
-// scale-out embedding tier, on the same Zipf(1.1)/5%-cache operating
-// point as BenchmarkSLSGatherZipf. The case guards the interface
-// extraction: routing row reads through the RowStore indirection and
-// the two-phase split must keep the single-process path zero-alloc
-// (the remote path, with its per-request framing, has no such
-// contract).
-func benchmarkShardGatherLocal(b *testing.B) {
-	rng := stats.NewRNG(7)
-	table := nn.NewEmbeddingTable("bench", 100_000, 64, rng)
-	op := nn.NewSLSOp(table, 80)
-	cache, err := embcache.NewConcurrent(5000, 64, "clock", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	op.SetRowCache(cache)
-	op.SetRowStore(op.LocalStore())
-	const batch, nSets = 64, 64
-	gen := trace.NewZipfian(table.Rows, 1.1, rng.Split())
-	sets := make([][]int, nSets)
-	for i := range sets {
-		sets[i] = make([]int, batch*op.Lookups)
-		gen.Fill(sets[i])
-	}
-	arena := tensor.NewArena()
-	var f nn.SLSForward
-	for i := 0; i < nSets; i++ { // warm: slab, plan pool, cache
-		arena.Reset()
-		op.Begin(&f, sets[i], batch, arena, 1, time.Time{})
-		f.Finish()
-	}
-	arena.Reset()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arena.Reset()
-		op.Begin(&f, sets[i%nSets], batch, arena, 1, time.Time{})
-		f.Finish()
-	}
-}
-
-func BenchmarkShardGatherLocalB64(b *testing.B) { benchmarkShardGatherLocal(b) }
-
-// BenchmarkSLSGatherZipf is the guarded cache case: Zipf(1.1) IDs
-// with a 5%-of-rows clock cache, held by the regression gate against
-// the uncached BenchmarkSLSGatherZipfNoCache (EXPERIMENTS.md records
-// the speedup). Clock with lazy admission is the measured winner;
-// the LRU variant below keeps the policy comparison honest.
-func BenchmarkSLSGatherZipf(b *testing.B) {
-	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "clock"})
-}
-func BenchmarkSLSGatherZipfLRU(b *testing.B) {
-	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "lru"})
-}
-func BenchmarkSLSGatherZipfNoCache(b *testing.B) { benchmarkSLSGather(b, slsGatherBench{s: 1.1}) }
-func BenchmarkSLSGatherZipfMid(b *testing.B) {
-	benchmarkSLSGather(b, slsGatherBench{s: 0.8, cacheRows: 5000, policy: "clock"})
-}
-func BenchmarkSLSGatherUniform(b *testing.B) {
-	benchmarkSLSGather(b, slsGatherBench{cacheRows: 5000, policy: "clock"})
-}
-
-// The int8 trio isolates dequantization amortization: the naive path
-// dequantizes every occurrence, the planned path every unique row of
-// the batch, the cached path only the misses.
+// The plan-free local gather, fp32 and int8 (the fused
+// dequantize-accumulate kernel), on Zipf(1.1) and uniform IDs. The
+// int8 Zipf case is the gated sls_gather_zipf_b64: what rmc2_zipf
+// serves.
+func BenchmarkSLSGatherZipf(b *testing.B) { benchmarkSLSGather(b, slsGatherBench{s: 1.1}) }
 func BenchmarkSLSGatherZipfInt8(b *testing.B) {
-	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "clock", int8Table: true})
-}
-func BenchmarkSLSGatherZipfInt8NoCache(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{s: 1.1, int8Table: true})
 }
-func BenchmarkSLSGatherZipfInt8Naive(b *testing.B) {
-	benchmarkSLSGather(b, slsGatherBench{s: 1.1, int8Table: true, naive: true})
+func BenchmarkSLSGatherUniformInt8(b *testing.B) {
+	benchmarkSLSGather(b, slsGatherBench{int8Table: true})
 }
 
-// The 1M-row trio is the EXPERIMENTS.md headline: at 64 MB the fp32
-// table is far beyond the LLC, every naive gather is a DRAM miss plus
-// a dequantization, and the 5% cache (50k rows, clock + lazy
-// admission) holds the Zipf head at ~88% hits — the regime the paper's
-// Figure 14 locality argument (and RecNMP's hot-row memoization)
-// describes.
+// At 1M rows the fp32 table (256 MB) and the int8 one (64 MB) are far
+// beyond the LLC: every tail row is a DRAM miss, and the hot head is
+// held by the hardware hierarchy instead of a software cache.
+func BenchmarkSLSGatherBig(b *testing.B) {
+	benchmarkSLSGather(b, slsGatherBench{rows: 1_000_000, s: 1.1})
+}
 func BenchmarkSLSGatherBigInt8(b *testing.B) {
-	benchmarkSLSGatherAt(b, 1_000_000, slsGatherBench{s: 1.1, cacheRows: 50_000, policy: "clock", int8Table: true})
+	benchmarkSLSGather(b, slsGatherBench{rows: 1_000_000, s: 1.1, int8Table: true})
 }
-func BenchmarkSLSGatherBigInt8NoCache(b *testing.B) {
-	benchmarkSLSGatherAt(b, 1_000_000, slsGatherBench{s: 1.1, int8Table: true})
+
+// The planned gather in front of a GatherSource, without and with the
+// 5 % row cache. The cached fp32 case is the gated shard_gather_b64
+// (ForwardEx is Begin and Finish back to back): the only place the
+// plan runs, less the socket.
+func BenchmarkSLSGatherPlanned(b *testing.B) {
+	benchmarkSLSGather(b, slsGatherBench{s: 1.1, planned: true})
 }
-func BenchmarkSLSGatherBigInt8Naive(b *testing.B) {
-	benchmarkSLSGatherAt(b, 1_000_000, slsGatherBench{s: 1.1, int8Table: true, naive: true})
+func BenchmarkSLSGatherPlannedCached(b *testing.B) {
+	benchmarkSLSGather(b, slsGatherBench{s: 1.1, planned: true, cacheRows: 5000})
+}
+func BenchmarkSLSGatherPlannedInt8(b *testing.B) {
+	benchmarkSLSGather(b, slsGatherBench{s: 1.1, int8Table: true, planned: true})
+}
+func BenchmarkSLSGatherPlannedCachedInt8(b *testing.B) {
+	benchmarkSLSGather(b, slsGatherBench{s: 1.1, int8Table: true, planned: true, cacheRows: 5000})
+}
+func BenchmarkSLSGatherPlannedCachedBigInt8(b *testing.B) {
+	benchmarkSLSGather(b, slsGatherBench{rows: 1_000_000, s: 1.1, int8Table: true, planned: true, cacheRows: 50_000})
 }
 
 // benchmarkFCRM times the acceptance-shape FC layer (batch 256,
@@ -827,22 +784,20 @@ func benchmarkHTTPRank(b *testing.B, batch int) {
 
 func BenchmarkHTTPRankRMC3Batch16(b *testing.B) { benchmarkHTTPRank(b, 16) }
 
-// benchmarkEngineRankZipf is benchmarkEngineRank with the hot-row
-// cache on and Zipf(1.1) sparse IDs rotating across a request pool:
-// the zero-alloc contract extended over the full cached lifecycle
-// (plan build, cache lookups, staged accumulation). RowsPerTable 512
-// clamps to the 120-row tables, so steady state is the pure-hit
-// regime.
+// benchmarkEngineRankZipf is benchmarkEngineRank on an RMC2-shaped
+// int8 model (32 tables × 80 lookups, tables shrunk to 1 500 rows)
+// with Zipf(1.1) sparse IDs rotating across a request pool: the
+// zero-alloc contract over the lifecycle rmc2_zipf runs, SLS-bound
+// through the local int8 gather.
 func benchmarkEngineRankZipf(b *testing.B, batch int) {
-	cfg := model.RMC1Small().Scaled(500)
+	cfg := model.RMC2Small().Scaled(1000)
 	m, err := model.Build(cfg, stats.NewRNG(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := engine.New(m, engine.Options{
+	srv, err := engine.New(m.QuantizeTables(), engine.Options{
 		Workers: 1, QueueDepth: 8, MaxBatch: 1,
 		MaxWait: time.Millisecond, IntraOpWorkers: 1,
-		EmbCache: engine.EmbCacheOptions{RowsPerTable: 512, Policy: "lru", Shards: 1},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -863,7 +818,7 @@ func benchmarkEngineRankZipf(b *testing.B, batch int) {
 	}
 	dst := make([]float32, 0, batch)
 	ctx := context.Background()
-	for i := 0; i < 50; i++ { // warm pools and cache
+	for i := 0; i < 50; i++ { // warm pools and the worker arena
 		if _, err := srv.RankInto(ctx, dst, reqs[i%nReq]); err != nil {
 			b.Fatal(err)
 		}

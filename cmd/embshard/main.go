@@ -11,9 +11,9 @@
 // table weights (the spec grammar and the weight-stream rule are in
 // DESIGN.md "Bring-up"); clients route each row to its owning shard by
 // row hash, so a shard is only ever asked for its own ~1/n of the rows.
-// An "-int8" spec serves row-wise int8-quantized tables (dequantized
-// on read, amortized by -emb-cache exactly like the in-process serving
-// path).
+// An "-int8" spec serves row-wise int8-quantized tables, dequantized
+// on read. A shard keeps no row cache of its own: its rows are local to
+// it; the cache that saves wire bytes is the serving node's -emb-cache.
 //
 // -stall/-stall-every inject a transient per-request stall (every Nth
 // gather sleeps) — the fault shape hedged client requests absorb; used
@@ -27,10 +27,8 @@ import (
 	"log"
 	"net"
 	"os/signal"
-	"strings"
 	"syscall"
 
-	"recsys/internal/embcache"
 	"recsys/internal/model"
 	"recsys/internal/nn"
 	"recsys/internal/shard"
@@ -42,8 +40,6 @@ func main() {
 		preset     = flag.String("model", "rmc1", "tables to serve, as the serving node's -model names them: "+model.SingleSpecUsage)
 		scale      = flag.Int("scale", 100, "embedding-table shrink factor when -model has no explicit :scale")
 		seed       = flag.Uint64("seed", 1, "weight seed; must match the serving node's")
-		embCache   = flag.Int("emb-cache", 0, "hot rows cached per table on this shard (0 = off)")
-		embPolicy  = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: "+strings.Join(embcache.Policies(), ", "))
 		stall      = flag.Duration("stall", 0, "fault injection: sleep this long before answering every -stall-every'th gather")
 		stallEvery = flag.Int("stall-every", 0, "fault injection: stall every Nth gather request (0 = off)")
 		rowService = flag.Duration("row-service", 0, "emulated per-row service time for scaling experiments on small hosts (0 = off)")
@@ -54,10 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := shard.NewServer(stores, shard.ServerOptions{
-		CacheRows:   *embCache,
-		CachePolicy: *embPolicy,
-	})
+	srv, err := shard.NewServer(stores)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //
 //	loadgen -model rmc2 -machine Skylake -workers 8 -qps 2000 -sla 10ms
 //	loadgen -real -model rmc1 -scale 500 -qps 2000 -requests 5000
-//	loadgen -real -model rmc1 -zipf 1.1 -emb-cache 4096 -requests 5000
+//	loadgen -real -model rmc1 -zipf 1.1 -emb-shards :7601,:7602 -emb-cache 4096
 //	loadgen -real -model rmc1 -arrival flash -peak-mult 4 -adapt -sla 5ms
 //
 // Both modes replay one arrival process (trace.LoadGenerator). Without
@@ -34,15 +34,17 @@
 // -zipf s (real mode) draws sparse IDs from a per-table Zipf(s)
 // generator instead of uniform (0 keeps uniform) and reports the
 // achieved unique-ID fraction — the locality axis of the paper's
-// Fig. 14. -emb-cache N attaches the engine's hot-row cache and
-// reports its hit rates, so the two flags together sweep cache
-// effectiveness against traffic skew.
+// Fig. 14.
 //
 // -emb-shards a:9001,b:9001 (real mode) fans the engine's embedding
 // gathers out to a remote cmd/embshard tier instead of the in-process
 // tables; every shard must serve the same -model/-scale/-seed so the
 // weights match. The output header stamps the kernel tier and the
-// shard topology so saved runs are comparable.
+// shard topology so saved runs are comparable. -emb-cache N puts the
+// engine's hot-row cache in front of that tier and reports its hit
+// rates, so with -zipf it sweeps cache effectiveness against traffic
+// skew; without -emb-shards the rows are read in place, no cache is
+// attached, and the report says so.
 //
 // -online (real mode) runs the continuous train→quantize→swap loop
 // in-process while the load plays: served traffic is labeled by a
@@ -57,12 +59,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"recsys/internal/arch"
 	batching "recsys/internal/batch" // the batch flag below shadows the package name
-	"recsys/internal/embcache"
 	"recsys/internal/engine"
 	"recsys/internal/model"
 	"recsys/internal/obs"
@@ -104,8 +104,7 @@ func main() {
 		scale       = flag.Int("scale", 100, "embedding-table shrink factor in -real mode")
 		traceOn     = flag.Bool("trace", false, "in -real mode, trace requests and print the slowest request's per-stage breakdown")
 		zipfS       = flag.Float64("zipf", 0, "in -real mode, draw sparse IDs from a per-table Zipf(s) generator (0 = uniform)")
-		embCache    = flag.Int("emb-cache", 0, "in -real mode, hot embedding rows cached per table (0 = off)")
-		embPolicy   = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: "+strings.Join(embcache.Policies(), ", "))
+		embCache    = flag.Int("emb-cache", 0, "with -emb-shards, hot embedding rows cached per table in front of the shard tier (0 = off; ignored without -emb-shards)")
 		embShards   = flag.String("emb-shards", "", "in -real mode, comma-separated cmd/embshard addresses to fan embedding gathers out to (shards must serve the same -model/-scale/-seed)")
 		embHedge    = flag.Duration("emb-hedge-after", 0, "with -emb-shards, fixed hedge floor (0 = adaptive default, negative disables hedging)")
 
@@ -142,7 +141,7 @@ func main() {
 			Workers:       *workers,
 			MaxBatch:      *maxBatch,
 			MaxWait:       *maxWait,
-			EmbCache:      engine.EmbCacheOptions{RowsPerTable: *embCache, Policy: *embPolicy},
+			EmbCache:      engine.EmbCacheOptions{RowsPerTable: *embCache},
 			EmbShards:     *embShards,
 			EmbHedgeAfter: *embHedge,
 			Adapt:         *adaptOn,
@@ -365,6 +364,8 @@ func runReal(sc stack.Config, rc realConfig) {
 			fmt.Printf("  table %d: cap %5d rows  hit rate %5.1f%%  (%d hits, %d misses, %d evictions)\n",
 				ec.Table, ec.Capacity, 100*ec.HitRate, ec.Hits, ec.Misses, ec.Evictions)
 		}
+	} else if sc.EmbCache.Enabled() {
+		fmt.Printf("-emb-cache %d ignored: the row cache fronts -emb-shards only; in-process rows are read in place\n", sc.EmbCache.RowsPerTable)
 	}
 	if stk.Shards != nil {
 		fmt.Println("embedding shard tier:")

@@ -10,15 +10,15 @@
 //	recbench -model rmc2                      # a Table I class
 //	recbench -tables 8 -rows 1e6 -lookups 32  # a custom model
 //	recbench -model rmc3 -machine Skylake -batch 128 -tenants 4
-//	recbench -model rmc2-int8 -measure -zipf 1.1 -emb-cache 4096
+//	recbench -model rmc2-int8 -measure -zipf 1.1
 //	recbench -fig10 -peak-gflops 67.2         # GEMM roofline sweep
 //
 // -model takes the single-model spec grammar of DESIGN.md "Bring-up";
 // its quantized forms need -measure. -zipf s draws sparse IDs from a
-// per-table Zipf(s) generator (fresh draw every pass; 0 = uniform),
-// and -emb-cache N attaches a read-through hot-row cache of N rows per
-// table and reports its hit rates — the measurement harness behind the
-// cache experiments in EXPERIMENTS.md.
+// per-table Zipf(s) generator (fresh draw every pass; 0 = uniform).
+// The tables are in-process, so rows are read in place; the hot-row
+// cache belongs to the remote tier (loadgen -real -emb-shards
+// -emb-cache).
 //
 // -fig10 reproduces the paper's Figure 10 axis on this host: an
 // RM-scale FC GEMM (512→256) swept over batch 1..256, reporting
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"recsys/internal/arch"
-	"recsys/internal/embcache"
 	"recsys/internal/model"
 	"recsys/internal/nn"
 	"recsys/internal/perf"
@@ -67,8 +66,6 @@ func main() {
 		measureScale = flag.Int("measure-scale", 100, "embedding-table shrink factor for -measure")
 		intraOp      = flag.Int("intra-op", 1, "goroutines per measured forward pass (0 = GOMAXPROCS)")
 		zipfS        = flag.Float64("zipf", 0, "with -measure, draw sparse IDs from a per-table Zipf(s) generator (0 = uniform)")
-		embCache     = flag.Int("emb-cache", 0, "with -measure, hot embedding rows cached per table (0 = off)")
-		embPolicy    = flag.String("emb-cache-policy", "lru", "emb-cache eviction policy: "+strings.Join(embcache.Policies(), ", "))
 
 		dense    = flag.Int("dense", 13, "custom: dense input features")
 		bottom   = flag.String("bottom", "256-128-32", "custom: Bottom-MLP widths")
@@ -106,8 +103,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if (spec.Int8Tables || *zipfS != 0 || *embCache != 0) && !*measure {
-		fmt.Fprintln(os.Stderr, "recbench: -int8/-int8mlp presets, -zipf, and -emb-cache require -measure (the analytic model is fp32/uniform)")
+	if (spec.Int8Tables || *zipfS != 0) && !*measure {
+		fmt.Fprintln(os.Stderr, "recbench: -int8/-int8mlp presets and -zipf require -measure (the analytic model is fp32/uniform)")
 		os.Exit(1)
 	}
 	if *saveConfig != "" {
@@ -119,7 +116,7 @@ func main() {
 		return
 	}
 	if *measure {
-		if err := runMeasure(spec, *batch, *measureIters, *intraOp, *zipfS, *embCache, *embPolicy); err != nil {
+		if err := runMeasure(spec, *batch, *measureIters, *intraOp, *zipfS); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -147,7 +144,7 @@ func main() {
 // machine (as opposed to the analytic cycle model) and reports the
 // measured latency distribution — the same hot path cmd/serve runs,
 // so the -intra-op knob here mirrors engine.Options.IntraOpWorkers.
-func runMeasure(spec model.Spec, batch, iters, intraOp int, zipfS float64, embCacheRows int, embPolicy string) error {
+func runMeasure(spec model.Spec, batch, iters, intraOp int, zipfS float64) error {
 	if iters < 1 {
 		return fmt.Errorf("recbench: -measure-iters must be >= 1, got %d", iters)
 	}
@@ -156,34 +153,15 @@ func runMeasure(spec model.Spec, batch, iters, intraOp int, zipfS float64, embCa
 		return err
 	}
 	cfg := m.Config
-	var caches []*embcache.Concurrent
-	if embCacheRows > 0 {
-		for _, op := range m.SLS {
-			rows := embCacheRows
-			if rows > op.Table.Rows {
-				rows = op.Table.Rows
-			}
-			c, err := embcache.NewConcurrent(rows, op.Table.Cols, embPolicy, 0)
-			if err != nil {
-				return err
-			}
-			op.SetRowCache(c)
-			caches = append(caches, c)
-		}
-	}
-	// With skewed or cached sparse traffic a fixed request would turn
-	// into a pure-hit replay after the first pass; refill the IDs from
-	// the generators before every pass instead (the fill is noise next
-	// to the forward itself).
+	// With skewed sparse traffic a fixed request would replay one draw's
+	// hot rows from the CPU caches after the first pass; refill the IDs
+	// from the generators before every pass instead (the fill is noise
+	// next to the forward itself).
 	var idGens []trace.IDGenerator
-	if zipfS != 0 || embCacheRows > 0 {
+	if zipfS != 0 {
 		rng := stats.NewRNG(3)
 		for _, tb := range cfg.Tables {
-			if zipfS == 0 {
-				idGens = append(idGens, trace.NewUniform(tb.Rows, rng.Split()))
-			} else {
-				idGens = append(idGens, trace.NewZipfian(tb.Rows, zipfS, rng.Split()))
-			}
+			idGens = append(idGens, trace.NewZipfian(tb.Rows, zipfS, rng.Split()))
 		}
 	}
 	req := model.NewRandomRequest(cfg, batch, stats.NewRNG(2))
@@ -241,11 +219,6 @@ func runMeasure(spec model.Spec, batch, iters, intraOp int, zipfS float64, embCa
 	fmt.Printf("throughput: %.0f items/s  allocs/op: %.1f\n",
 		float64(batch*iters)/total.Seconds(),
 		float64(msAfter.Mallocs-msBefore.Mallocs)/float64(iters))
-	for i, c := range caches {
-		ls := c.Stats()
-		fmt.Printf("emb-cache table %d: cap %d rows  hit rate %.1f%%  (%d hits, %d misses, %d evictions)\n",
-			i, c.Capacity(), 100*ls.HitRate(), ls.Hits, ls.Misses, ls.Evictions)
-	}
 	return nil
 }
 

@@ -26,10 +26,11 @@
 // per-operator spans), served as JSON by GET /trace/{model}. -pprof
 // additionally mounts net/http/pprof under /debug/pprof/.
 //
-// -emb-cache N attaches a read-through hot-row cache of N rows per
-// embedding table (eviction policy via -emb-cache-policy); hit/miss/
-// eviction counters appear in GET /stats and /metrics. For an "-int8"
-// spec the cache also amortizes dequantization.
+// -emb-cache N, with -emb-shards, puts a read-through LRU hot-row cache
+// of N rows per embedding table in front of the shard tier; hit/miss/
+// eviction counters appear in GET /stats and /metrics. Without
+// -emb-shards the rows are in this process and are read in place: the
+// flag is accepted, attaches nothing, and a start-up log line says so.
 //
 // -emb-shards host:port,... fans embedding gathers out to a remote
 // sharded tier (cmd/embshard processes), overlapping the Bottom-MLP
@@ -82,7 +83,6 @@ import (
 	"syscall"
 	"time"
 
-	"recsys/internal/embcache"
 	"recsys/internal/model"
 	"recsys/internal/stack"
 )
@@ -116,8 +116,7 @@ func main() {
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "weight seed for presets")
 	flag.IntVar(&cfg.TraceRing, "trace", 0, "retain N slowest + N most recent request traces per model (GET /trace/{model}; 0 = off)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	flag.IntVar(&cfg.EmbCache.RowsPerTable, "emb-cache", 0, "hot embedding rows cached per table (read-through, generation-invalidated; 0 = off)")
-	flag.StringVar(&cfg.EmbCache.Policy, "emb-cache-policy", "lru", "emb-cache eviction policy: "+strings.Join(embcache.Policies(), ", "))
+	flag.IntVar(&cfg.EmbCache.RowsPerTable, "emb-cache", 0, "hot embedding rows cached per table in front of -emb-shards (read-through LRU, generation-invalidated; 0 = off; ignored without -emb-shards)")
 	flag.StringVar(&cfg.EmbShards, "emb-shards", "", "comma-separated shard addresses of a remote embedding tier (cmd/embshard); empty = in-process tables")
 	flag.DurationVar(&cfg.EmbHedgeAfter, "emb-hedge-after", 0, "hedge floor for shard sub-requests (0 = client default, negative = hedging off)")
 	flag.DurationVar(&cfg.SLA, "sla", 0, "p99 latency target: export windowed tail estimates as recsys_sched_* metrics (0 = off)")

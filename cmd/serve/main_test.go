@@ -210,6 +210,43 @@ func TestServeBadRequest(t *testing.T) {
 	}
 }
 
+// TestServeEmbCacheWithoutShards: -emb-cache without -emb-shards is
+// accepted (bench/ passes it to in-process workloads), attaches
+// nothing, says so in one start-up log line, and serves.
+func TestServeEmbCacheWithoutShards(t *testing.T) {
+	var logged []string
+	cfg := stack.Config{
+		Workers: 1, MaxBatch: 1, MaxWait: time.Millisecond, IntraOp: 1,
+		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
+	}
+	cfg.EmbCache.RowsPerTable = 64
+	st, srv := startServer(t, cfg, "rmc2-int8")
+	if len(logged) != 1 || !strings.Contains(logged[0], "-emb-cache 64 ignored") {
+		t.Errorf("start-up log = %q, want the one -emb-cache notice", logged)
+	}
+	resp, err := http.Post(srv.URL+"/rank", "application/json",
+		bytes.NewReader(rankBody(t, st.Engine, engine.DefaultModelName, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /rank: status %d", resp.StatusCode)
+	}
+	mresp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	mb, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(mb), "recsys_embcache_") {
+		t.Error("GET /metrics carries recsys_embcache_* lines with no shard tier")
+	}
+}
+
 // TestServeSplitAndSLA boots two co-located models with -split and -sla
 // set, the way main does: every model is registered under the split
 // threshold (not patched afterwards), and the observe-only controller's

@@ -31,14 +31,6 @@ func parsePolicy(p string) (int, error) {
 	}
 }
 
-// ValidatePolicy reports whether policy names a live eviction policy
-// ("" selects the lru default), so config errors surface at engine
-// construction instead of first lookup.
-func ValidatePolicy(policy string) error {
-	_, err := parsePolicy(policy)
-	return err
-}
-
 // core is the replacement state machine: which row IDs hold one of cap
 // slots, and which slot the next admission takes. It is the only
 // implementation of lru, fifo and clock in the package and has two

@@ -34,12 +34,9 @@ func TestConcurrentConstructor(t *testing.T) {
 	if _, err := NewConcurrent(8, 8, "arc", 1); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if err := ValidatePolicy("nope"); err == nil {
-		t.Error("ValidatePolicy accepted nope")
-	}
 	for _, p := range append(Policies(), "") {
-		if err := ValidatePolicy(p); err != nil {
-			t.Errorf("ValidatePolicy(%q): %v", p, err)
+		if _, err := NewConcurrent(8, 8, p, 1); err != nil {
+			t.Errorf("NewConcurrent policy %q: %v", p, err)
 		}
 	}
 	c := mustConcurrent(t, 10, 4, "", 3) // shards round up to 4

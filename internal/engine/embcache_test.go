@@ -8,18 +8,38 @@ import (
 	"time"
 
 	"recsys/internal/model"
+	"recsys/internal/shard"
 	"recsys/internal/stats"
 	"recsys/internal/trace"
 )
 
-// cacheOpts is the deterministic single-worker engine configuration
-// the equivalence tests run under, with the hot-row cache on.
+// cacheOpts is the engine configuration the equivalence tests run
+// under, with the hot-row cache on. The cache fronts a remote tier
+// only, so every test here registers its model against startEmbTier's
+// loopback shards.
 func cacheOpts(rowsPerTable int) Options {
 	return Options{
 		Workers: 2, QueueDepth: 32, MaxBatch: 8,
 		MaxWait: 200 * time.Microsecond, IntraOpWorkers: 1,
-		EmbCache: EmbCacheOptions{RowsPerTable: rowsPerTable, Policy: "lru"},
+		EmbCache: EmbCacheOptions{RowsPerTable: rowsPerTable},
 	}
+}
+
+// withTables returns a model with seed's dense weights and tables's
+// embedding rows (re-quantized when int8Tables): a second generation
+// to swap in over a tier that keeps serving tables's rows, whose local
+// plan-free Forward is therefore the reference for what the engine
+// scores through the tier.
+func withTables(t *testing.T, cfg model.Config, seed uint64, tables *model.Model, int8Tables bool) *model.Model {
+	t.Helper()
+	m := buildModel(t, cfg, seed)
+	for i, op := range m.SLS {
+		copy(op.Table.W.Data(), tables.SLS[i].Table.W.Data())
+	}
+	if int8Tables {
+		m.QuantizeTables()
+	}
+	return m
 }
 
 // genRequest draws one request with generator-driven sparse IDs (one
@@ -52,15 +72,17 @@ func tableGens(cfg model.Config, s float64, rng *stats.RNG) []trace.IDGenerator 
 // more.
 func f32Equal(a, b []float32) bool { return ctrClose(a, b) }
 
-// TestEmbCacheEquivalence: with dedup + cache on, engine output must
-// be bit-identical to the model's naive plan-free Forward across
-// uniform and Zipf traffic, and stay so after a hot swap (a stale
-// cached row from the old model would break identity).
+// TestEmbCacheEquivalence: with dedup + cache on in front of a 2-shard
+// tier, engine output must match the model's plan-free local Forward
+// across uniform and Zipf traffic, and stay so after the tier's rows
+// are rewritten and a model with those rows is hot-swapped in (a stale
+// cached row from the old generation would break identity).
 func TestEmbCacheEquivalence(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(32)) // 32 < 120 rows: real evictions
 	m := buildModel(t, cfg, 1)
-	if err := e.Register("m", m, ModelOptions{}); err != nil {
+	servers, client := startEmbTier(t, cfg, 1, false, 2, shard.Options{})
+	if err := e.Register("m", m, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(21)
@@ -80,9 +102,19 @@ func TestEmbCacheEquivalence(t *testing.T) {
 		}
 	}
 
-	// Hot swap to fresh weights: the cache is warm with the old
-	// model's rows; generation invalidation must keep them unservable.
+	// Hot swap to fresh weights, the tier's rows rewritten to match: the
+	// cache is warm with the old generation's rows; invalidation must
+	// keep them unservable.
 	next := buildModel(t, cfg, 2)
+	for ti, op := range next.SLS {
+		for id := 0; id < op.Table.Rows; id++ {
+			for _, srv := range servers {
+				if err := srv.UpdateRow(ti, int64(id), op.Table.W.Row(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 	if err := e.Swap("m", next); err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +132,16 @@ func TestEmbCacheEquivalence(t *testing.T) {
 }
 
 // TestEmbCacheQuantEquivalence runs an int8 model through the cached
-// engine: output must match the model's naive per-occurrence dequant
-// reference bit for bit (cached dequantized rows are byte-copies of
-// deterministic dequantization).
+// engine over a tier of int8 shards: output must match the model's
+// naive per-occurrence dequant reference bit for bit (the rows the
+// shards send, and the cache keeps, are byte-copies of deterministic
+// dequantization).
 func TestEmbCacheQuantEquivalence(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(48))
 	m := buildModel(t, cfg, 3).QuantizeTables()
-	if err := e.Register("q", m, ModelOptions{}); err != nil {
+	_, client := startEmbTier(t, cfg, 3, true, 2, shard.Options{})
+	if err := e.Register("q", m, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(22)
@@ -125,18 +159,22 @@ func TestEmbCacheQuantEquivalence(t *testing.T) {
 	}
 }
 
-// TestEmbCacheSwapRace hammers Rank with Zipf traffic while the model
-// hot-swaps back and forth. Every result must bit-match one of the two
-// models' naive reference outputs — a cache row served across a
-// generation (stale weights leaking into a fresh pass) would match
-// neither. Run under -race this also exercises the attach/invalidate/
-// store protocol against concurrent forwards.
+// TestEmbCacheSwapRace hammers Rank with Zipf traffic through the
+// cached remote gather while the model hot-swaps back and forth
+// between two generations that share the tier's rows. Every result
+// must match one of the two models' plan-free local references — a
+// pass torn across the swap (one generation's dense weights over the
+// other's pass) would match neither. Run under -race this also
+// exercises the attach/invalidate/store protocol, passMu included,
+// against concurrent forwards; TestSwapDuringInFlightRemoteGather pins
+// the quiescence half deterministically.
 func TestEmbCacheSwapRace(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(32))
 	mA := buildModel(t, cfg, 4)
-	mB := buildModel(t, cfg, 5)
-	if err := e.Register("m", mA, ModelOptions{}); err != nil {
+	mB := withTables(t, cfg, 5, mA, false)
+	_, client := startEmbTier(t, cfg, 4, false, 2, shard.Options{})
+	if err := e.Register("m", mA, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,11 +242,12 @@ func TestEmbCacheSwapRaceInt8MLP(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(32))
 	mA := buildModel(t, cfg, 7).QuantizeTables().QuantizeMLPs()
-	mB := buildModel(t, cfg, 8).QuantizeTables().QuantizeMLPs()
+	mB := withTables(t, cfg, 8, mA, true).QuantizeMLPs()
 	if !mA.Int8MLPs() || !mB.Int8MLPs() {
 		t.Fatal("QuantizeMLPs did not enable int8 compute")
 	}
-	if err := e.Register("m", mA, ModelOptions{}); err != nil {
+	_, client := startEmbTier(t, cfg, 7, true, 2, shard.Options{})
+	if err := e.Register("m", mA, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -272,15 +311,14 @@ func TestEmbCacheSwapRaceInt8MLP(t *testing.T) {
 func TestEmbCacheStatsAndMetrics(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	// RowsPerTable above the 120-row tables: capacity clamps to the
-	// table size, every row stays resident after the first pass, and
-	// hits are guaranteed. (An undersized LRU over these tiny tables
+	// table size, nearly every row stays resident after the first pass,
+	// and hits are guaranteed. (An undersized LRU over these tiny tables
 	// would scan-thrash: each pass walks ~110 unique rows in sorted
 	// order, evicting every row before its next use — see DESIGN.md.)
-	opts := cacheOpts(200)
-	opts.EmbCache.Shards = 1 // capacity == clamped request, no round-up
-	e := testEngine(t, opts)
+	e := testEngine(t, cacheOpts(200))
 	m := buildModel(t, cfg, 6)
-	if err := e.Register("m", m, ModelOptions{}); err != nil {
+	_, client := startEmbTier(t, cfg, 6, false, 2, shard.Options{})
+	if err := e.Register("m", m, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(24)
@@ -299,8 +337,10 @@ func TestEmbCacheStatsAndMetrics(t *testing.T) {
 		t.Fatalf("EmbCache entries = %d, want %d", len(st.EmbCache), len(cfg.Tables))
 	}
 	for _, ec := range st.EmbCache {
-		if ec.Capacity != 120 {
-			t.Errorf("table %d capacity = %d, want 120 (clamped to table rows)", ec.Table, ec.Capacity)
+		// Clamped to the table's 120 rows, then rounded up to a whole
+		// number of rows per lock stripe (at most 16 stripes).
+		if ec.Capacity < 120 || ec.Capacity >= 120+16 {
+			t.Errorf("table %d capacity = %d, want 120 (clamped to table rows) plus stripe round-up", ec.Table, ec.Capacity)
 		}
 		if ec.Hits+ec.Misses == 0 {
 			t.Errorf("table %d: no accesses recorded", ec.Table)
@@ -336,14 +376,43 @@ func TestEmbCacheStatsAndMetrics(t *testing.T) {
 	}
 }
 
+// TestEmbCacheLocalModelHasNone: a model whose tables are in-process
+// gets no row cache however Options.EmbCache is set — local rows are
+// read where they lie — so nothing of the cache shows in its ops, its
+// stats or the exposition.
+func TestEmbCacheLocalModelHasNone(t *testing.T) {
+	cfg := model.RMC1Small().Scaled(500)
+	e := testEngine(t, cacheOpts(64))
+	m := buildModel(t, cfg, 9)
+	if err := e.Register("m", m, ModelOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Rank(context.Background(), "m", model.NewRandomRequest(cfg, 4, stats.NewRNG(26))); err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range m.SLS {
+		if op.RowCacheRef() != nil || op.Async() {
+			t.Errorf("table %d: local op has a row cache or a remote store attached", i)
+		}
+	}
+	st, err := e.ModelStats("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EmbCache != nil || e.AggregateStats().EmbCache != nil {
+		t.Errorf("Stats.EmbCache = %v for a local model, want nil", st.EmbCache)
+	}
+	var sb strings.Builder
+	e.WriteMetrics(&sb)
+	if strings.Contains(sb.String(), "recsys_embcache_") {
+		t.Error("/metrics carries recsys_embcache_* lines for a local model")
+	}
+}
+
 // TestEmbCacheOptionValidation: bad cache options fail at engine
 // construction, not first lookup.
 func TestEmbCacheOptionValidation(t *testing.T) {
 	opts := DefaultOptions()
-	opts.EmbCache = EmbCacheOptions{RowsPerTable: 64, Policy: "arc"}
-	if _, err := NewEngine(opts); err == nil {
-		t.Error("unknown policy accepted")
-	}
 	opts.EmbCache = EmbCacheOptions{RowsPerTable: -1}
 	if _, err := NewEngine(opts); err == nil {
 		t.Error("negative RowsPerTable accepted")

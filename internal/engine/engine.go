@@ -56,30 +56,31 @@ type Options struct {
 	// GET /trace/{model} and Engine.Traces. 0 disables tracing — the
 	// hot path then performs no trace clock reads or allocations.
 	TraceRing int
-	// EmbCache configures the per-model, per-table read-through
-	// embedding hot-row cache consulted by the SLS gather. The zero
-	// value disables it; fp32 cache-off serving keeps the direct gather
-	// path.
+	// EmbCache sizes the per-model, per-table read-through hot-row
+	// cache in front of a model's remote embedding tier
+	// (ModelOptions.EmbShards). The zero value disables it, and a model
+	// whose tables are in-process never gets one: local rows are read
+	// where they lie.
 	EmbCache EmbCacheOptions
 }
 
 // EmbCacheOptions sizes the embedding hot-row cache (the serving-path
-// exploitation of the paper's Figure 14/15 sparse-ID locality). When
-// enabled, every registered model gets one sharded embcache.Concurrent
-// per embedding table, attached before the model is published and
-// invalidated on hot swap; the per-table hit/miss/evict counters land
-// in Stats.EmbCache and the /metrics exposition.
+// exploitation of the paper's Figure 14/15 sparse-ID locality, placed
+// where a hit saves an RPC's worth of bytes rather than a local load).
+// When enabled, every model registered with EmbShards gets one
+// lock-striped LRU embcache.Concurrent per embedding table, attached
+// before the model is published and invalidated on hot swap; the
+// per-table hit/miss/evict counters land in Stats.EmbCache and the
+// /metrics exposition.
 type EmbCacheOptions struct {
 	// RowsPerTable is the cache capacity in rows per table, clamped to
 	// the table's row count. 0 disables the cache.
 	RowsPerTable int
-	// Policy selects the eviction policy: "lru" (default), "fifo", or
-	// "clock".
-	Policy string
-	// Shards overrides the lock-stripe count (0 = derived from
-	// GOMAXPROCS, capped at 16, rounded up to a power of two).
-	Shards int
 }
+
+// embCachePolicy is the serving caches' eviction policy. Every caller
+// ran LRU; the other embcache policies stay for the offline study.
+const embCachePolicy = "lru"
 
 // Enabled reports whether the cache is configured on.
 func (o EmbCacheOptions) Enabled() bool { return o.RowsPerTable > 0 }

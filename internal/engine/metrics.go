@@ -36,7 +36,7 @@ import (
 //	recsys_batch_size_samples             histogram
 //	recsys_batch_cuts_total{model,reason} counter
 //	recsys_op_seconds_total{model,kind}   counter
-//	recsys_embcache_capacity_rows{model,table}    gauge   (only when EmbCache on)
+//	recsys_embcache_capacity_rows{model,table}    gauge   (only with EmbCache on and a remote tier)
 //	recsys_embcache_hits_total{model,table}       counter (")
 //	recsys_embcache_misses_total{model,table}     counter (")
 //	recsys_embcache_evictions_total{model,table}  counter (")
@@ -155,9 +155,7 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 		}
 	}
 
-	if e.opts.EmbCache.Enabled() {
-		e.writeEmbCacheMetrics(w, views, lbl)
-	}
+	writeEmbCacheMetrics(w, views, lbl)
 	writeShardMetrics(w, views, lbl)
 
 	e.mu.Lock()
@@ -234,12 +232,17 @@ func writeShardMetrics(w io.Writer, views []metricsView, lbl func(metricsView) [
 
 // writeEmbCacheMetrics emits the per-table embedding hot-row cache
 // families, labelled {model, table} with the table's position index.
-// Counts are access-derived (no timing), so the golden exposition test
-// covers them unmasked.
-func (e *Engine) writeEmbCacheMetrics(w io.Writer, views []metricsView, lbl func(metricsView) []obs.Label) {
+// Only a model gathering from a remote tier has caches; with none at
+// all, no embcache family is written.
+func writeEmbCacheMetrics(w io.Writer, views []metricsView, lbl func(metricsView) []obs.Label) {
 	snaps := make([][]EmbCacheStats, len(views))
+	cached := false
 	for i, v := range views {
 		snaps[i] = v.mq.snapshot().EmbCache
+		cached = cached || len(snaps[i]) > 0
+	}
+	if !cached {
+		return
 	}
 	tableLbl := func(v metricsView, table int) []obs.Label {
 		return append(lbl(v), obs.Label{Name: "table", Value: strconv.Itoa(table)})

@@ -26,10 +26,6 @@ func goldenEngine(t *testing.T) *Engine {
 		Workers: 1, QueueDepth: 8, MaxBatch: 1,
 		MaxWait: time.Millisecond, IntraOpWorkers: 1,
 		TraceRing: 2,
-		// Shards:1 keeps the per-table cache capacity (and thus the
-		// emb-cache gauge values) independent of GOMAXPROCS; the fixed
-		// request sequence makes hit/miss/evict counts exact.
-		EmbCache: EmbCacheOptions{RowsPerTable: 64, Policy: "lru", Shards: 1},
 	})
 	cfg := model.RMC1Small().Scaled(500)
 	if err := e.Register("beta", buildModel(t, cfg, 2), ModelOptions{Weight: 3}); err != nil {

@@ -129,23 +129,24 @@ type modelQueue struct {
 	// late send.
 	senders sync.WaitGroup
 
-	// embCaches holds one read-through hot-row cache per embedding
-	// table (nil when Options.EmbCache is off). The caches outlive
-	// model swaps: attachEmbCaches re-wires them into the incoming
-	// model's SLS ops and Swap bumps their generation so stale rows
-	// can never be served. embRows remembers the clamped capacity each
-	// cache was built with. swapMu serializes Swap's
-	// attach/invalidate/store sequence (and guards embCaches/embRows
-	// after registration).
-	swapMu    sync.Mutex
-	embCaches []*embcache.Concurrent
-	embRows   []int
-
 	// embClient, when non-nil, is the remote embedding tier this model
 	// gathers from (ModelOptions.EmbShards). It outlives swaps:
 	// attachRowStores re-points the incoming model's SLS ops at it, and
 	// the metrics exposition reads its per-shard counters.
 	embClient *shard.Client
+
+	// embCaches holds one read-through hot-row cache per embedding
+	// table in front of embClient (nil without a remote tier, or when
+	// Options.EmbCache is off: in-process rows are read in place and
+	// have no cache). The caches outlive model swaps: attachRowStores
+	// re-wires them into the incoming model's SLS ops and Swap bumps
+	// their generation so stale rows can never be served. embRows
+	// remembers the clamped capacity each cache was built with. swapMu
+	// serializes Swap's attach/invalidate/store sequence (and guards
+	// embCaches/embRows after registration).
+	swapMu    sync.Mutex
+	embCaches []*embcache.Concurrent
+	embRows   []int
 
 	// passMu fences forward passes against Swap's publish. Workers hold
 	// the read side from loading the model pointer until the forward
@@ -169,14 +170,26 @@ type modelQueue struct {
 	counters
 }
 
-// attachEmbCaches wires the queue's per-table caches into m's SLS ops,
+// attachRowStores points m's SLS ops at the queue's remote embedding
+// tier and, when o is on, at the per-table row caches in front of it,
 // creating a cache on first use and recreating it when the table's
-// width or clamped capacity changes. Callers must ensure m is not yet
-// published (Register runs before the queue exists to workers, Swap
-// holds swapMu and attaches before the model pointer store), so ops
-// are never serving while their cache reference is written;
-// re-attaching an unchanged cache is a no-op inside SetRowCache.
-func (mq *modelQueue) attachEmbCaches(m *model.Model, o EmbCacheOptions) error {
+// width or clamped capacity changes. Without a remote tier it does
+// nothing: in-process rows are read where they lie. Callers must
+// ensure m is not yet published (Register runs before the queue exists
+// to workers, Swap holds swapMu and attaches before the model pointer
+// store), so ops are never serving while their store and cache
+// references are written; re-attaching an unchanged cache is a no-op
+// inside SetRowCache. The per-table sources are created fresh per
+// attach: their per-shard generation trackers start at "never seen",
+// which at worst costs one cache-insert pass after a swap, never a
+// stale read.
+func (mq *modelQueue) attachRowStores(m *model.Model, o EmbCacheOptions) error {
+	if mq.embClient == nil {
+		return nil
+	}
+	for i, op := range m.SLS {
+		op.SetRowStore(mq.embClient.Source(i, op.Table.Rows, op.Table.Cols))
+	}
 	if !o.Enabled() {
 		return nil
 	}
@@ -185,13 +198,10 @@ func (mq *modelQueue) attachEmbCaches(m *model.Model, o EmbCacheOptions) error {
 		mq.embRows = make([]int, len(m.SLS))
 	}
 	for i, op := range m.SLS {
-		want := o.RowsPerTable
-		if want > op.Table.Rows {
-			want = op.Table.Rows
-		}
+		want := min(o.RowsPerTable, op.Table.Rows)
 		c := mq.embCaches[i]
 		if c == nil || c.Cols() != op.Table.Cols || mq.embRows[i] != want {
-			fresh, err := embcache.NewConcurrent(want, op.Table.Cols, o.Policy, o.Shards)
+			fresh, err := embcache.NewConcurrent(want, op.Table.Cols, embCachePolicy, 0)
 			if err != nil {
 				return err
 			}
@@ -201,22 +211,6 @@ func (mq *modelQueue) attachEmbCaches(m *model.Model, o EmbCacheOptions) error {
 		op.SetRowCache(mq.embCaches[i])
 	}
 	return nil
-}
-
-// attachRowStores points m's SLS ops at the queue's remote embedding
-// tier (a no-op without one). Same publication contract as
-// attachEmbCaches: m is not yet serving when this runs, so the store
-// writes race nothing. The per-table sources are created fresh per
-// attach — their per-shard generation trackers start at "never seen",
-// which at worst costs one cache-insert pass after a swap, never a
-// stale read.
-func (mq *modelQueue) attachRowStores(m *model.Model) {
-	if mq.embClient == nil {
-		return
-	}
-	for i, op := range m.SLS {
-		op.SetRowStore(mq.embClient.Source(i, op.Table.Rows, op.Table.Cols))
-	}
 }
 
 // invalidateEmbCaches bumps every table cache's generation; rows

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"recsys/internal/batch"
-	"recsys/internal/embcache"
 	"recsys/internal/model"
 	"recsys/internal/obs"
 	"recsys/internal/shard"
@@ -112,11 +111,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	if opts.EmbCache.RowsPerTable < 0 {
 		return nil, fmt.Errorf("engine: negative EmbCache.RowsPerTable %d", opts.EmbCache.RowsPerTable)
 	}
-	if opts.EmbCache.Enabled() {
-		if err := embcache.ValidatePolicy(opts.EmbCache.Policy); err != nil {
-			return nil, err
-		}
-	}
 	opts.IntraOpWorkers = resolveIntraOp(opts)
 	e := &Engine{
 		opts:    opts,
@@ -173,10 +167,9 @@ func (e *Engine) Register(name string, m *model.Model, mo ModelOptions) error {
 	}
 	mq := newModelQueue(name, m, weight, pol, e.opts.QueueDepth, e.opts.TraceRing)
 	mq.embClient = mo.EmbShards
-	if err := mq.attachEmbCaches(m, e.opts.EmbCache); err != nil {
+	if err := mq.attachRowStores(m, e.opts.EmbCache); err != nil {
 		return err
 	}
-	mq.attachRowStores(m)
 	e.queues[name] = mq
 	e.order = append(e.order, mq)
 	e.wrrTotal += weight
@@ -221,10 +214,9 @@ func (e *Engine) Swap(name string, next *model.Model) error {
 	if err := compatibleShape(cur.Config, next.Config); err != nil {
 		return err
 	}
-	if err := mq.attachEmbCaches(next, e.opts.EmbCache); err != nil {
+	if err := mq.attachRowStores(next, e.opts.EmbCache); err != nil {
 		return err
 	}
-	mq.attachRowStores(next)
 	mq.passMu.Lock()
 	mq.invalidateEmbCaches()
 	// Store the model before bumping the generation: a reader that

@@ -45,7 +45,7 @@ func startEmbTier(t *testing.T, cfg model.Config, seed uint64, int8Tables bool, 
 		for ti, op := range m.SLS {
 			stores[ti] = op.LocalStore()
 		}
-		srv, err := shard.NewServer(stores, shard.ServerOptions{})
+		srv, err := shard.NewServer(stores)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,8 @@ type Stats struct {
 	// analogue of the paper's Figure 7 operator breakdowns.
 	KindUS map[string]float64
 	// EmbCache holds the per-table embedding hot-row cache counters,
-	// indexed by table position; nil when Options.EmbCache is off.
+	// indexed by table position; nil when Options.EmbCache is off or
+	// the model's tables are in-process (only a remote tier is cached).
 	EmbCache []EmbCacheStats
 }
 

@@ -205,39 +205,35 @@ func TestTraceConcurrentScrape(t *testing.T) {
 // TestRankIntoNoAllocs is the inline version of the bench-regression
 // gate: with tracing disabled, the steady-state RankInto path performs
 // no allocations on the caller side (the executor's arena and pooled
-// buffers absorb the rest). The cache-on variant extends the contract
-// to the planned gather: with every hot row resident (RowsPerTable ≥
-// table rows), pure-hit steady state must stay allocation-free too.
+// buffers absorb the rest), for fp32 tables and for int8 ones (the
+// local gather's fused dequantize-accumulate into the arena).
 func TestRankIntoNoAllocs(t *testing.T) {
-	cases := map[string]Options{
-		"cache-off": {
-			Workers: 1, QueueDepth: 4, MaxBatch: 1,
-			MaxWait: time.Millisecond, IntraOpWorkers: 1,
-		},
-		"cache-on": {
-			Workers: 1, QueueDepth: 4, MaxBatch: 1,
-			MaxWait: time.Millisecond, IntraOpWorkers: 1,
-			EmbCache: EmbCacheOptions{RowsPerTable: 512, Policy: "lru", Shards: 1},
-		},
+	if raceEnabled {
+		// The job pool is a sync.Pool; the race detector drops a quarter
+		// of its puts, and every dropped job is re-allocated with its
+		// buffers. The contract is enforced without -race, here and by
+		// the bench-regression gate.
+		t.Skip("sync.Pool drops puts under -race; alloc counts meaningless")
 	}
-	for name, opts := range cases {
-		t.Run(name, func(t *testing.T) {
-			if name == "cache-on" && raceEnabled {
-				// The planned gather leans on a sync.Pool for plan
-				// scratch; the race detector drops pool puts at random,
-				// so the zero-alloc measurement only holds without -race
-				// (where the contract is still enforced, along with the
-				// bench-regression gate).
-				t.Skip("sync.Pool drops puts under -race; alloc counts meaningless")
-			}
+	for _, int8Tables := range []bool{false, true} {
+		t.Run(map[bool]string{false: "fp32", true: "int8"}[int8Tables], func(t *testing.T) {
 			cfg := model.RMC1Small().Scaled(500)
-			e := traceEngine(t, opts, cfg)
+			e := testEngine(t, Options{
+				Workers: 1, QueueDepth: 4, MaxBatch: 1,
+				MaxWait: time.Millisecond, IntraOpWorkers: 1,
+			})
+			m := buildModel(t, cfg, 1)
+			if int8Tables {
+				m.QuantizeTables()
+			}
+			if err := e.Register("m", m, ModelOptions{}); err != nil {
+				t.Fatal(err)
+			}
 			rng := stats.NewRNG(11)
 			req := model.NewRandomRequest(cfg, 4, rng)
 			ctx := context.Background()
 			dst := make([]float32, 0, req.Batch)
-			// Warm the job pool, the worker scratch, the plan pool, and
-			// the row cache.
+			// Warm the job pool and the worker scratch.
 			for i := 0; i < 50; i++ {
 				if _, err := e.RankInto(ctx, "m", dst, req); err != nil {
 					t.Fatal(err)

@@ -176,17 +176,17 @@ type SLSOp struct {
 	// Mean selects average pooling (SparseLengthsMean) instead of sum.
 	Mean bool
 	// Quant, when non-nil, redirects the serving gather to the int8
-	// row-wise representation (dequantized at most once per unique row
-	// by the planned gather). Table remains the fp32 source of truth —
-	// training, checkpointing, and re-quantization still read W.
+	// row-wise representation (the fused dequantize-accumulate kernel).
+	// Table remains the fp32 source of truth: training, checkpointing,
+	// and re-quantization still read W.
 	Quant *QuantizedTable
-	// cache is the optional read-through hot-row cache (SetRowCache);
-	// when set, ForwardEx takes the planned gather.
+	// remote, when non-nil, is the shard tier gathers fetch rows from
+	// (SetRowStore), and only then does the plan/dedup/cache machinery
+	// run; nil reads the in-process tables in place (gatherLocal).
+	remote GatherSource
+	// cache is the optional read-through hot-row cache in front of
+	// remote (SetRowCache); always nil without one.
 	cache RowCache
-	// store is where gathers read rows from (SetRowStore): the
-	// in-process tables by default, a remote shard tier when the engine
-	// attaches one. The plan/dedup/cache machinery sits above it.
-	store RowStore
 }
 
 // NewSLSOp wires a table with its per-sample lookup count.
@@ -194,9 +194,7 @@ func NewSLSOp(table *EmbeddingTable, lookups int) *SLSOp {
 	if lookups <= 0 {
 		panic("nn: SLSOp lookups must be positive")
 	}
-	s := &SLSOp{Table: table, Lookups: lookups}
-	s.store = (*localStore)(s)
-	return s
+	return &SLSOp{Table: table, Lookups: lookups}
 }
 
 // Name returns the underlying table's label.
@@ -206,30 +204,29 @@ func (s *SLSOp) Name() string { return s.Table.label }
 func (s *SLSOp) Kind() Kind { return KindSLS }
 
 // Forward pools Lookups rows per sample for a batch of ID lists. ids
-// must contain batch×Lookups entries. This is the plan-free reference
-// path: fp32 tables gather directly, int8 tables dequantize every
-// occurrence — never consulting the row cache — so equivalence tests
-// can compare the optimized ForwardEx against it.
+// must contain batch×Lookups entries. It always reads the in-process
+// tables, serially and without an arena: the reference the planned
+// remote gather is compared against, and the same body (gatherLocal)
+// that serves every op without a remote store.
 func (s *SLSOp) Forward(ids []int, batch int) *tensor.Tensor {
-	if len(ids) != batch*s.Lookups {
-		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
-	}
-	if s.Quant != nil {
-		return s.forwardQuantNaive(ids, batch, nil)
-	}
-	return s.forwardDirect(ids, batch, nil, 1)
+	s.checkIDCount(ids, batch)
+	return s.gatherLocal(s.Quant, ids, batch, nil, 1)
 }
 
 // ForwardTrain is the training-time forward: it always pools from the
-// fp32 table — the source of truth the optimizer updates — never from
-// the int8 snapshot or the row cache. Routing the trainer through
-// Forward instead would pin a fine-tuned quantized model to its frozen
-// pre-training int8 codes, silently training against stale weights.
+// fp32 table, the source of truth the optimizer updates, never from
+// the int8 snapshot. Routing the trainer through Forward instead would
+// pin a fine-tuned quantized model to its frozen pre-training int8
+// codes, silently training against stale weights.
 func (s *SLSOp) ForwardTrain(ids []int, batch int) *tensor.Tensor {
+	s.checkIDCount(ids, batch)
+	return s.gatherLocal(nil, ids, batch, nil, 1)
+}
+
+func (s *SLSOp) checkIDCount(ids []int, batch int) {
 	if len(ids) != batch*s.Lookups {
 		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
 	}
-	return s.forwardDirect(ids, batch, nil, 1)
 }
 
 // ForwardEx is Forward with an optional scratch arena for the output
@@ -237,17 +234,20 @@ func (s *SLSOp) ForwardTrain(ids []int, batch int) *tensor.Tensor {
 // Begin and Finish back to back. Callers that can overlap a remote
 // store's in-flight gather with other work call the two halves
 // themselves (model.ForwardDeadline). Results are bit-identical to
-// Forward whichever gather Finish selects.
+// Forward whichever gather the store kind selects.
 func (s *SLSOp) ForwardEx(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
 	var f SLSForward
 	s.Begin(&f, ids, batch, a, workers, time.Time{})
 	return f.Finish()
 }
 
-// forwardDirect is the naive fp32 gather: every occurrence reads its
-// table row, no dedup, no cache. Cache-off fp32 serving stays on this
-// path so uniform traffic pays zero plan overhead.
-func (s *SLSOp) forwardDirect(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
+// gatherLocal is the one gather over in-process tables: every
+// occurrence reads its row where it lies, fp32 rows through accumRow,
+// int8 rows (q non-nil) through the fused dequantize-accumulate
+// kernel. No dedup plan, no staging, no cache: a row repeated within
+// the pass is a hit in the hardware's own hierarchy, which is closer
+// to the rows than any software cache in the same address space.
+func (s *SLSOp) gatherLocal(q *QuantizedTable, ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
 	out := allocDense(a, batch, s.Table.Cols)
 	s.Table.validateIDs(ids)
 	workers = slsWorkers(workers, batch, len(ids)*s.Table.Cols)
@@ -255,16 +255,32 @@ func (s *SLSOp) forwardDirect(ids []int, batch int, a *tensor.Arena, workers int
 		// Inline serial path: the parallel branch's closure must not be
 		// reached here, or its allocation would break the steady-state
 		// zero-alloc contract.
-		s.gatherUniform(out, ids, 0, batch)
+		s.poolRows(q, out, ids, 0, batch)
 	} else {
 		// Panic-isolating fan-out: a bad shard re-raises on this
 		// goroutine.
 		tensor.ParallelFor(batch, workers, func(lo, hi int) {
-			s.gatherUniform(out, ids, lo, hi)
+			s.poolRows(q, out, ids, lo, hi)
 		})
 	}
 	s.meanScale(out)
 	return out
+}
+
+// poolRows pools output rows [kLo, kHi) with the op's uniform lookup
+// count. IDs must be pre-validated.
+func (s *SLSOp) poolRows(q *QuantizedTable, out *tensor.Tensor, ids []int, kLo, kHi int) {
+	l := s.Lookups
+	for k := kLo; k < kHi; k++ {
+		row, rowIDs := out.Row(k), ids[k*l:(k+1)*l]
+		if q == nil {
+			s.Table.accumRow(row, rowIDs)
+			continue
+		}
+		for _, id := range rowIDs {
+			q.AccumRow(id, row)
+		}
+	}
 }
 
 // meanScale turns out's pooled sums into means when the op pools by
@@ -277,15 +293,6 @@ func (s *SLSOp) meanScale(out *tensor.Tensor) {
 	d := out.Data()
 	for i := range d {
 		d[i] *= inv
-	}
-}
-
-// gatherUniform pools rows [kLo, kHi) with the op's uniform lookup
-// count. IDs must be pre-validated.
-func (s *SLSOp) gatherUniform(out *tensor.Tensor, ids []int, kLo, kHi int) {
-	l := s.Lookups
-	for k := kLo; k < kHi; k++ {
-		s.Table.accumRow(out.Row(k), ids[k*l:(k+1)*l])
 	}
 }
 

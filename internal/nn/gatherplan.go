@@ -8,9 +8,11 @@ import (
 	"recsys/internal/tensor"
 )
 
-// RowCache is the read-through hot-row cache the serving gather
-// consults before touching the table (satisfied by
-// embcache.Concurrent). Generation tokens make invalidation safe
+// RowCache is the read-through hot-row cache the planned gather
+// consults before asking a GatherSource for a row (satisfied by
+// embcache.Concurrent). It sits only in front of a remote store: there
+// a hit saves bytes on the wire, whereas a local row is cheaper to read
+// in place (gatherLocal). Generation tokens make invalidation safe
 // against in-flight passes: a pass captures Gen() once, stale-token
 // lookups always miss, and stale-token inserts are dropped.
 type RowCache interface {
@@ -24,7 +26,7 @@ type RowCache interface {
 // Gather plans pack (row ID, position) into one int64 so the dedup
 // sort is a single allocation-free pass over machine words.
 // planPosBits bounds the positions (batch × lookups) a plan can
-// address; larger gathers fall back to the direct path.
+// address: 16 M, twice what the 8 MiB request-body limit lets in.
 const planPosBits = 24
 const maxPlanPositions = 1 << planPosBits
 
@@ -49,8 +51,7 @@ type gatherPlan struct {
 	index []int32 // per original position: row index into the staging buffer
 
 	// Miss list: the unique rows the cache could not serve, as (row ID,
-	// staging row) pairs — what the local store reads, and the sub-plan
-	// BeginGather fans out per shard.
+	// staging row) pairs — the sub-plan BeginGather fans out per shard.
 	missIDs  []int64
 	missRows []int32
 }
@@ -63,6 +64,9 @@ var planPool = sync.Pool{New: func() any { return new(gatherPlan) }}
 // keys distinct without affecting ID order.
 func (p *gatherPlan) build(ids []int) int {
 	n := len(ids)
+	if n > maxPlanPositions {
+		panic(fmt.Sprintf("nn: gather of %d positions exceeds the plan's %d", n, maxPlanPositions))
+	}
 	if cap(p.keys) < n {
 		p.keys = make([]int64, n)
 		p.tmp = make([]int64, n)
@@ -126,13 +130,18 @@ func (p *gatherPlan) sortByID(maxID uint64) {
 }
 
 // SetRowCache attaches (or, with nil, detaches) a read-through row
-// cache; ForwardEx then takes the planned gather path. The op must not
-// be serving when the attached cache changes — the engine attaches
-// before a model is published and the same-cache re-attach on hot swap
-// is a guarded no-op, so swap traffic never races this write.
+// cache in front of the op's GatherSource. Attaching one to an op that
+// reads its rows locally panics: gatherLocal would never consult it.
+// The op must not be serving when the attached cache changes — the
+// engine attaches before a model is published and the same-cache
+// re-attach on hot swap is a guarded no-op, so swap traffic never races
+// this write.
 func (s *SLSOp) SetRowCache(c RowCache) {
 	if c == s.cache {
 		return
+	}
+	if c != nil && s.remote == nil {
+		panic("nn: a row cache needs a remote store behind it (SetRowStore first); local rows are read in place")
 	}
 	if c != nil && c.Cols() != s.Table.Cols {
 		panic(fmt.Sprintf("nn: row cache width %d does not match table width %d", c.Cols(), s.Table.Cols))
@@ -166,8 +175,8 @@ type SLSForward struct {
 	workers int
 	a       *tensor.Arena
 
-	// Planned-gather state, set by probe; plan stays nil on the
-	// plan-free paths.
+	// Planned-gather state, set by probe; plan stays nil for the local
+	// store.
 	plan    *gatherPlan
 	out     *tensor.Tensor
 	staging *tensor.Tensor
@@ -177,28 +186,25 @@ type SLSForward struct {
 
 // Begin starts one SLS forward into f. With a GatherSource it builds
 // the gather plan, consults the row cache, and dispatches the miss
-// list; otherwise it just records the arguments for Finish. f is
-// caller-owned scratch (typically a stack value or a pooled slice
+// list; with the local store it just records the arguments for Finish.
+// f is caller-owned scratch (typically a stack value or a pooled slice
 // entry) and must not be reused until Finish returns.
 func (s *SLSOp) Begin(f *SLSForward, ids []int, batch int, a *tensor.Arena, workers int, deadline time.Time) {
-	if len(ids) != batch*s.Lookups {
-		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
-	}
+	s.checkIDCount(ids, batch)
 	*f = SLSForward{op: s, ids: ids, batch: batch, a: a, workers: workers}
-	if gs, ok := s.src().(GatherSource); ok && len(ids) < maxPlanPositions {
+	if s.remote != nil {
 		f.probe()
 		if p := f.plan; len(p.missIDs) > 0 {
-			f.pending = gs.BeginGather(p.missIDs, p.missRows, f.staging, deadline)
+			f.pending = s.remote.BeginGather(p.missIDs, p.missRows, f.staging, deadline)
 		}
 	}
 }
 
-// probe opens the planned gather — the locality-aware serving path:
-// dedup the merged batch's IDs (co-batched requests share hot rows)
-// and copy every unique row the cache holds into an arena-backed
-// staging buffer, leaving the rest in the plan's miss list for the
-// store to fetch. Each unique row is read — and an int8 row
-// dequantized — at most once per pass.
+// probe opens the planned gather in front of a GatherSource: dedup the
+// merged batch's IDs (co-batched requests share hot rows) and copy
+// every unique row the cache holds into an arena-backed staging
+// buffer, leaving the rest in the plan's miss list for the source to
+// fetch. Each unique row crosses the wire at most once per pass.
 func (f *SLSForward) probe() {
 	s := f.op
 	cols := s.Table.Cols
@@ -227,47 +233,22 @@ func (f *SLSForward) probe() {
 }
 
 // Finish completes the forward begun by Begin and returns the pooled
-// output. What runs is chosen from what the op can observe: the
-// planned gather when a remote store, a row cache or an int8 table is
-// attached (and the gather fits a plan), the plan-free fp32 gather
-// otherwise. The planned gather fetches the rows the cache missed —
-// waiting for the GatherSource, or reading the local store here —
-// completes the cache's generation protocol (insert fetched rows under
-// the captured token, or invalidate when the source's generation
-// moved), and accumulates in the original per-sample ID order, so its
-// output is bit-identical to the plan-free reference as long as the
-// store serves the same row values. A fetch error panics with the
-// source's error value (the engine's recover maps it to its HTTP
-// taxonomy).
+// output. For the local store that is gatherLocal, whole. For a
+// GatherSource it waits for the rows the cache missed, completes the
+// cache's generation protocol (insert fetched rows under the captured
+// token, or invalidate when the source's generation moved), and
+// accumulates in the original per-sample ID order, so its output is
+// bit-identical to gatherLocal's as long as the source serves the same
+// row values. A fetch error panics with the source's error value (the
+// engine's recover maps it to its HTTP taxonomy).
 func (f *SLSForward) Finish() *tensor.Tensor {
 	s := f.op
-	local := f.plan == nil
-	if local {
-		if len(f.ids) >= maxPlanPositions || s.cache == nil && s.Quant == nil {
-			if s.Quant != nil {
-				// Too large for a plan (> 2^24 positions): dequantize
-				// per occurrence.
-				return s.forwardQuantNaive(f.ids, f.batch, f.a)
-			}
-			return s.forwardDirect(f.ids, f.batch, f.a, f.workers)
-		}
-		f.probe()
+	if f.plan == nil {
+		return s.gatherLocal(s.Quant, f.ids, f.batch, f.a, f.workers)
 	}
 	p, out, staging := f.plan, f.out, f.staging
-	// Inline serial paths below: the parallel branches' closures must
-	// not be reached at workers <= 1, or their allocation would break
-	// the steady-state zero-alloc contract.
-	workers := slsWorkers(f.workers, f.batch, len(f.ids)*s.Table.Cols)
 	genChanged := false
-	if local {
-		if workers <= 1 {
-			s.readMisses(p, staging, 0, len(p.missIDs))
-		} else {
-			tensor.ParallelFor(len(p.missIDs), workers, func(lo, hi int) {
-				s.readMisses(p, staging, lo, hi)
-			})
-		}
-	} else if f.pending != nil {
+	if f.pending != nil {
 		gc, err := f.pending.Wait()
 		if err != nil {
 			planPool.Put(p)
@@ -278,8 +259,7 @@ func (f *SLSForward) Finish() *tensor.Tensor {
 	if s.cache != nil {
 		if genChanged {
 			// The source rewrote rows since the last gather: rows read
-			// from the cache this pass may be stale (same in-flight
-			// window a local trainer's invalidation has); dropping the
+			// from the cache this pass may be stale; dropping the
 			// generation re-fetches everything next pass instead of
 			// inserting possibly-mixed rows under the old token.
 			s.cache.Invalidate()
@@ -289,7 +269,10 @@ func (f *SLSForward) Finish() *tensor.Tensor {
 			}
 		}
 	}
-	if workers <= 1 {
+	// Inline serial path: the parallel branch's closure must not be
+	// reached at workers <= 1, or its allocation would break the
+	// steady-state zero-alloc contract.
+	if workers := slsWorkers(f.workers, f.batch, len(f.ids)*s.Table.Cols); workers <= 1 {
 		s.accumStaged(out, staging, p.index, 0, f.batch)
 	} else {
 		tensor.ParallelFor(f.batch, workers, func(lo, hi int) {
@@ -299,16 +282,6 @@ func (f *SLSForward) Finish() *tensor.Tensor {
 	s.meanScale(out)
 	planPool.Put(p)
 	return out
-}
-
-// readMisses is the local store's fetch: missed rows [lo, hi) of the
-// plan's miss list read (fp32 copy or int8 dequant) into their staging
-// rows.
-func (s *SLSOp) readMisses(p *gatherPlan, staging *tensor.Tensor, lo, hi int) {
-	store := s.src()
-	for i := lo; i < hi; i++ {
-		store.ReadRow(p.missIDs[i], staging.Row(int(p.missRows[i])))
-	}
 }
 
 // accumStaged pools output rows [kLo, kHi) from staged rows via plan
@@ -363,23 +336,4 @@ func (s *SLSOp) accumStaged(out, staging *tensor.Tensor, index []int32, kLo, kHi
 			}
 		}
 	}
-}
-
-// forwardQuantNaive is the plan-free int8 reference: dequantize every
-// occurrence on the fly via the fused dequantize-accumulate kernel. It
-// is the equivalence baseline behind Forward, and the fallback for
-// gathers too large for a plan.
-func (s *SLSOp) forwardQuantNaive(ids []int, batch int, a *tensor.Arena) *tensor.Tensor {
-	cols := s.Table.Cols
-	out := allocDense(a, batch, cols)
-	s.Table.validateIDs(ids)
-	l := s.Lookups
-	for k := 0; k < batch; k++ {
-		d := out.Row(k)
-		for _, id := range ids[k*l : (k+1)*l] {
-			s.Quant.AccumRow(id, d)
-		}
-	}
-	s.meanScale(out)
-	return out
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"testing"
+	"time"
 
 	"recsys/internal/embcache"
 	"recsys/internal/stats"
@@ -35,6 +36,39 @@ func TestGatherPlanBuild(t *testing.T) {
 	}
 }
 
+// syncSource is the in-package stand-in for the remote tier: a
+// GatherSource over an op's own tables whose gather completes inside
+// BeginGather. It is its own PendingGather, so a pass through it
+// allocates nothing. The planned gather runs only behind a
+// GatherSource, so this is the store the plan and the row cache are
+// tested against.
+type syncSource struct{ RowStore }
+
+func (s *syncSource) BeginGather(ids []int64, dstRows []int32, dst *tensor.Tensor, _ time.Time) PendingGather {
+	for i, id := range ids {
+		s.ReadRow(id, dst.Row(int(dstRows[i])))
+	}
+	return s
+}
+
+func (s *syncSource) Wait() (bool, error) { return false, nil }
+
+// planned returns a second op over op's tables that gathers through a
+// syncSource, with a row cache of cacheRows rows (0 = none) in front.
+func planned(t testing.TB, op *SLSOp, cacheRows int, policy string, stripes int) *SLSOp {
+	t.Helper()
+	p := &SLSOp{Table: op.Table, Lookups: op.Lookups, Mean: op.Mean, Quant: op.Quant}
+	p.SetRowStore(&syncSource{p.LocalStore()})
+	if cacheRows > 0 {
+		cache, err := embcache.NewConcurrent(cacheRows, op.Table.Cols, policy, stripes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetRowCache(cache)
+	}
+	return p
+}
+
 // drawIDs fills count IDs per sample from a generator for the op.
 func drawIDs(g trace.IDGenerator, batch, lookups int) []int {
 	ids := make([]int, batch*lookups)
@@ -50,25 +84,21 @@ func gatherCases(rows int, rng *stats.RNG) map[string]trace.IDGenerator {
 }
 
 // TestForwardGatherBitIdentical drives the planned fp32 gather (cache
-// attached, cold and warm, serial and parallel) against the naive
-// Forward reference and requires bit-identical outputs.
+// attached, cold and warm, serial and parallel) against the plan-free
+// local reference and requires bit-identical outputs.
 func TestForwardGatherBitIdentical(t *testing.T) {
 	rng := stats.NewRNG(11)
 	for _, cols := range []int{8, 32, 64} {
 		table := NewEmbeddingTable("t", 500, cols, rng)
-		op := NewSLSOp(table, 20)
-		cache, err := embcache.NewConcurrent(64, cols, "lru", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op.SetRowCache(cache)
+		ref := NewSLSOp(table, 20)
+		op := planned(t, ref, 64, "lru", 2)
 		arena := tensor.NewArena()
 		for name, gen := range gatherCases(table.Rows, rng) {
 			for _, workers := range []int{1, 4} {
 				for pass := 0; pass < 3; pass++ { // pass 0 cold cache, 1-2 warm
 					batch := 16
 					ids := drawIDs(gen, batch, op.Lookups)
-					want := op.Forward(ids, batch)
+					want := ref.Forward(ids, batch)
 					arena.Reset()
 					got := op.ForwardEx(ids, batch, arena, workers)
 					if !tensor.Equal(want, got, 0) {
@@ -77,7 +107,6 @@ func TestForwardGatherBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		op.SetRowCache(nil)
 	}
 }
 
@@ -86,9 +115,7 @@ func TestForwardGatherBitIdentical(t *testing.T) {
 func TestForwardGatherMean(t *testing.T) {
 	rng := stats.NewRNG(12)
 	table := NewEmbeddingTable("t", 200, 32, rng)
-	op := &SLSOp{Table: table, Lookups: 8, Mean: true}
-	cache, _ := embcache.NewConcurrent(32, 32, "lru", 1)
-	op.SetRowCache(cache)
+	op := planned(t, &SLSOp{Table: table, Lookups: 8, Mean: true}, 32, "lru", 1)
 	ids := drawIDs(trace.NewZipfian(200, 1.1, rng), 4, 8)
 	want := op.Forward(ids, 4)
 	if got := op.ForwardEx(ids, 4, nil, 1); !tensor.Equal(want, got, 0) {
@@ -103,20 +130,17 @@ func TestForwardGatherMean(t *testing.T) {
 func TestForwardQuantBitIdentical(t *testing.T) {
 	rng := stats.NewRNG(13)
 	table := NewEmbeddingTable("t", 400, 32, rng)
-	op := NewSLSOp(table, 20)
-	op.Quant = Quantize(table)
-	for _, withCache := range []bool{false, true} {
-		if withCache {
-			cache, _ := embcache.NewConcurrent(64, 32, "clock", 2)
-			op.SetRowCache(cache)
-		}
+	ref := NewSLSOp(table, 20)
+	ref.Quant = Quantize(table)
+	for _, cacheRows := range []int{0, 64} {
+		op := planned(t, ref, cacheRows, "clock", 2)
 		for name, gen := range gatherCases(table.Rows, rng) {
 			for pass := 0; pass < 3; pass++ {
 				ids := drawIDs(gen, 16, op.Lookups)
-				want := op.Forward(ids, 16) // naive dequant reference
+				want := ref.Forward(ids, 16) // naive dequant reference
 				got := op.ForwardEx(ids, 16, nil, 1)
 				if !tensor.Equal(want, got, 0) {
-					t.Fatalf("cache=%v %s pass=%d: planned int8 gather differs from naive dequant", withCache, name, pass)
+					t.Fatalf("cache=%d %s pass=%d: planned int8 gather differs from naive dequant", cacheRows, name, pass)
 				}
 			}
 		}
@@ -150,11 +174,30 @@ func TestForwardQuantErrorBound(t *testing.T) {
 
 func TestSetRowCacheWidthMismatch(t *testing.T) {
 	rng := stats.NewRNG(15)
-	op := NewSLSOp(NewEmbeddingTable("t", 10, 32, rng), 2)
+	op := planned(t, NewSLSOp(NewEmbeddingTable("t", 10, 32, rng), 2), 0, "", 0)
 	cache, _ := embcache.NewConcurrent(8, 16, "lru", 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("width-mismatched cache accepted")
+		}
+	}()
+	op.SetRowCache(cache)
+}
+
+// TestSetRowCacheNeedsRemoteStore: a cache beside in-process tables
+// would never be consulted, so attaching one is refused, and restoring
+// the local store drops the cache that fronted the remote one.
+func TestSetRowCacheNeedsRemoteStore(t *testing.T) {
+	rng := stats.NewRNG(18)
+	op := planned(t, NewSLSOp(NewEmbeddingTable("t", 10, 32, rng), 2), 8, "lru", 1)
+	cache := op.RowCacheRef()
+	op.SetRowStore(nil)
+	if op.RowCacheRef() != nil {
+		t.Fatal("row cache survived the return to the local store")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("row cache accepted beside the local store")
 		}
 	}()
 	op.SetRowCache(cache)
@@ -166,9 +209,7 @@ func TestSetRowCacheWidthMismatch(t *testing.T) {
 func TestInvalidateCachedRows(t *testing.T) {
 	rng := stats.NewRNG(16)
 	table := NewEmbeddingTable("t", 50, 32, rng)
-	op := NewSLSOp(table, 4)
-	cache, _ := embcache.NewConcurrent(50, 32, "lru", 1)
-	op.SetRowCache(cache)
+	op := planned(t, NewSLSOp(table, 4), 50, "lru", 1)
 	ids := []int{1, 2, 3, 4}
 	op.ForwardEx(ids, 1, nil, 1) // warm the cache
 	table.W.Row(2)[0] += 42      // sparse update
@@ -179,34 +220,36 @@ func TestInvalidateCachedRows(t *testing.T) {
 	}
 }
 
-// TestForwardGatherNoAllocs: the serial planned path with a warm
-// arena, warm plan pool, and warm cache is allocation-free — the
-// contract that lets the engine keep its zero-alloc RankInto gate with
-// the cache on.
+// TestForwardGatherNoAllocs: both serial gathers are allocation-free
+// in steady state — the planned one with a warm arena, plan pool and
+// cache, and the local one (fp32 and int8) with a warm arena — the
+// contract that lets the engine keep its zero-alloc RankInto gate.
 func TestForwardGatherNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race; alloc counts meaningless")
 	}
 	rng := stats.NewRNG(17)
 	table := NewEmbeddingTable("t", 1000, 32, rng)
-	op := NewSLSOp(table, 40)
-	cache, err := embcache.NewConcurrent(200, 32, "lru", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op.SetRowCache(cache)
-	gen := trace.NewZipfian(1000, 1.1, rng)
-	arena := tensor.NewArena()
-	ids := drawIDs(gen, 16, op.Lookups)
-	for i := 0; i < 20; i++ { // warm arena, pool, cache
-		arena.Reset()
-		op.ForwardEx(ids, 16, arena, 1)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		arena.Reset()
-		op.ForwardEx(ids, 16, arena, 1)
-	})
-	if allocs > 0.5 {
-		t.Fatalf("planned gather allocates %.1f/op in steady state, want 0", allocs)
+	local := NewSLSOp(table, 40)
+	localInt8 := NewSLSOp(table, 40)
+	localInt8.Quant = Quantize(table)
+	ids := drawIDs(trace.NewZipfian(1000, 1.1, rng), 16, 40)
+	for name, op := range map[string]*SLSOp{
+		"planned":    planned(t, local, 200, "lru", 1),
+		"local":      local,
+		"local-int8": localInt8,
+	} {
+		arena := tensor.NewArena()
+		for i := 0; i < 20; i++ { // warm arena, pool, cache
+			arena.Reset()
+			op.ForwardEx(ids, 16, arena, 1)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			arena.Reset()
+			op.ForwardEx(ids, 16, arena, 1)
+		})
+		if allocs > 0.5 {
+			t.Fatalf("%s gather allocates %.1f/op in steady state, want 0", name, allocs)
+		}
 	}
 }

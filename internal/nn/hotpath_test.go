@@ -16,22 +16,31 @@ func randIDs(r *stats.RNG, n, rows int) []int {
 	return ids
 }
 
+// TestSLSOpForwardExMatchesForward: the local gather split across
+// intra-op workers is bit-identical to the serial reference, for fp32
+// and int8 tables. Batch 41 puts every width above minParallelGather,
+// so workers > 1 really fan out, in uneven shares.
 func TestSLSOpForwardExMatchesForward(t *testing.T) {
 	rng := stats.NewRNG(32)
 	for _, cols := range []int{32, 64, 24} {
 		for _, mean := range []bool{false, true} {
-			table := NewEmbeddingTable("t", 300, cols, rng)
-			op := NewSLSOp(table, 20)
-			op.Mean = mean
-			batch := 17
-			ids := randIDs(rng, batch*op.Lookups, table.Rows)
-			want := op.Forward(ids, batch)
-			arena := tensor.NewArena()
-			for _, workers := range []int{0, 1, 2, 5} {
-				arena.Reset()
-				got := op.ForwardEx(ids, batch, arena, workers)
-				if !tensor.Equal(got, want, 0) {
-					t.Fatalf("cols %d mean %v workers %d: ForwardEx not bit-identical", cols, mean, workers)
+			for _, int8Table := range []bool{false, true} {
+				table := NewEmbeddingTable("t", 300, cols, rng)
+				op := NewSLSOp(table, 20)
+				op.Mean = mean
+				if int8Table {
+					op.Quant = Quantize(table)
+				}
+				batch := 41
+				ids := randIDs(rng, batch*op.Lookups, table.Rows)
+				want := op.Forward(ids, batch)
+				arena := tensor.NewArena()
+				for _, workers := range []int{0, 1, 2, 5} {
+					arena.Reset()
+					got := op.ForwardEx(ids, batch, arena, workers)
+					if !tensor.Equal(got, want, 0) {
+						t.Fatalf("cols %d mean %v int8 %v workers %d: ForwardEx not bit-identical", cols, mean, int8Table, workers)
+					}
 				}
 			}
 		}

@@ -8,12 +8,15 @@ import (
 )
 
 // RowStore is the storage interface behind the SLS gather: somewhere a
-// row ID can be materialized as fp32 values. The planned-gather
-// machinery (dedup, sorted staging, read-through hot-row cache) sits
-// above this interface, so the same plan drives the in-process tables
-// (LocalStore — fp32 copy or int8 dequant) and the remote shard tier
-// (internal/shard). Implementations must be safe for concurrent
-// readers: the engine runs multiple forward passes against one op.
+// row ID can be materialized as fp32 values. It is what a shard server
+// serves rows from (LocalStore — fp32 copy or int8 dequant) and,
+// extended to GatherSource, what the remote tier presents to an op
+// (internal/shard). The store kind selects the gather: an op without a
+// remote tier reads its own tables in place (gatherLocal); the
+// planned-gather machinery (dedup, sorted staging, read-through hot-row
+// cache) runs only above a GatherSource, where a row costs an RPC.
+// Implementations must be safe for concurrent readers: the engine runs
+// multiple forward passes against one op.
 type RowStore interface {
 	// Rows is the table height; IDs are validated against it upstream.
 	Rows() int
@@ -21,7 +24,7 @@ type RowStore interface {
 	Cols() int
 	// ReadRow materializes row id into dst (len Cols): the exact fp32
 	// row, or the deterministic int8 dequantization — bit-identical to
-	// what the plan-free reference paths produce.
+	// what gatherLocal accumulates.
 	ReadRow(id int64, dst []float32)
 }
 
@@ -61,11 +64,9 @@ type PendingGather interface {
 
 // localStore adapts an SLSOp's in-process tables to RowStore: the fp32
 // table is the source of truth, with the optional row-wise int8
-// representation taking over serving reads — exactly the fused access
-// the gather paths used before the interface was extracted. It is a
-// type-converted view of the op itself, so attaching Quant after
-// construction is still observed and the interface value costs no
-// allocation.
+// representation taking over serving reads. It is a type-converted
+// view of the op itself, so attaching Quant after construction is
+// still observed and the interface value costs no allocation.
 type localStore SLSOp
 
 // Rows implements RowStore.
@@ -106,39 +107,27 @@ func (t *localStore) WriteRow(id int64, src []float32) {
 // serves rows from.
 func (s *SLSOp) LocalStore() RowStore { return (*localStore)(s) }
 
-// src returns the op's row store, defaulting to the in-process tables
-// for ops constructed as literals (tests); the fallback is a pointer
-// conversion, so it neither allocates nor mutates the op.
-func (s *SLSOp) src() RowStore {
-	if s.store != nil {
-		return s.store
-	}
-	return (*localStore)(s)
-}
-
-// SetRowStore redirects the op's gathers to rs (nil restores the
-// in-process tables). A store that implements GatherSource switches
-// ForwardEx to the asynchronous planned gather — the remote shard
-// path. Like SetRowCache, the op must not be serving when the store
-// changes: the engine attaches stores before a model is published.
-func (s *SLSOp) SetRowStore(rs RowStore) {
-	if rs == nil {
-		s.store = (*localStore)(s)
+// SetRowStore redirects the op's gathers to the remote tier gs (nil
+// restores the in-process tables, and detaches the row cache with the
+// tier it fronted): ForwardEx switches from reading rows in place to
+// the asynchronous planned gather. Like SetRowCache, the op must not be
+// serving when the store changes: the engine attaches stores before a
+// model is published.
+func (s *SLSOp) SetRowStore(gs GatherSource) {
+	if gs == nil {
+		s.remote, s.cache = nil, nil
 		return
 	}
-	if rs.Cols() != s.Table.Cols {
-		panic(fmt.Sprintf("nn: row store width %d does not match table width %d", rs.Cols(), s.Table.Cols))
+	if gs.Cols() != s.Table.Cols {
+		panic(fmt.Sprintf("nn: row store width %d does not match table width %d", gs.Cols(), s.Table.Cols))
 	}
-	if rs.Rows() < s.Table.Rows {
-		panic(fmt.Sprintf("nn: row store has %d rows, table needs %d", rs.Rows(), s.Table.Rows))
+	if gs.Rows() < s.Table.Rows {
+		panic(fmt.Sprintf("nn: row store has %d rows, table needs %d", gs.Rows(), s.Table.Rows))
 	}
-	s.store = rs
+	s.remote = gs
 }
 
 // Async reports whether gathers dispatch through a GatherSource (a
 // remote tier) — the condition under which the model overlaps the
 // Bottom-MLP with in-flight gathers.
-func (s *SLSOp) Async() bool {
-	_, ok := s.src().(GatherSource)
-	return ok
-}
+func (s *SLSOp) Async() bool { return s.remote != nil }

@@ -25,7 +25,6 @@ func scenarioEngineOptions() engine.Options {
 		MaxBatch:       8,
 		MaxWait:        time.Millisecond,
 		IntraOpWorkers: 1,
-		EmbCache:       engine.EmbCacheOptions{RowsPerTable: 64},
 	}
 }
 
@@ -49,9 +48,8 @@ func newTeacher(t *testing.T, cfg model.Config, seed uint64) *train.Teacher {
 
 // genRefs records a detached clone of the model published at each swap
 // generation — the reference set VerifyGenerations checks mixed-state
-// freedom against. Clones matter: the engine attaches its row cache to
-// the registered model, so scoring the served instance later would read
-// cache rows inserted by newer generations. Feed Record to
+// freedom against. Clones keep each reference detached from the served
+// instance and whatever the engine wires into it. Feed Record to
 // online.Config.OnSwap.
 type genRefs struct {
 	t    *testing.T

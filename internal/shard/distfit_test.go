@@ -84,7 +84,7 @@ func TestDistSimulatorCrossValidation(t *testing.T) {
 		// Hedging off: these gathers run longer than the default hedge
 		// floor, so leaving it on would double every sub-request and
 		// measure the tier's load response instead of its scaling.
-		servers, c := startTier(t, n, mk, ServerOptions{}, Options{HedgeAfter: -1})
+		servers, c := startTier(t, n, mk, Options{HedgeAfter: -1})
 		for _, s := range servers {
 			s.SetRowServiceTime(rowService)
 		}

@@ -72,7 +72,7 @@ func TestHedgingBoundsTailLatencyUnderSlowShard(t *testing.T) {
 	// Healthy cluster: every shard serves every gather after the 5ms
 	// base stall (a deterministic stand-in for service time, swamping
 	// scheduler noise).
-	healthyServers, healthyClient := startTier(t, 2, mk, ServerOptions{}, copts)
+	healthyServers, healthyClient := startTier(t, 2, mk, copts)
 	for _, s := range healthyServers {
 		s.SetStall(5*time.Millisecond, 1)
 	}
@@ -82,7 +82,7 @@ func TestHedgingBoundsTailLatencyUnderSlowShard(t *testing.T) {
 
 	// Degraded cluster: shard 0 healthy (5ms per request), shard 1
 	// 10×-slow on every 4th request.
-	slowServers, slowClient := startTier(t, 2, mk, ServerOptions{}, copts)
+	slowServers, slowClient := startTier(t, 2, mk, copts)
 	slowServers[0].SetStall(5*time.Millisecond, 1)
 	slowServers[1].SetStall(50*time.Millisecond, 4)
 	slowSrc := slowClient.Source(0, rows, cols)

@@ -11,27 +11,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"recsys/internal/embcache"
 	"recsys/internal/nn"
 )
-
-// ServerOptions configures one shard server.
-type ServerOptions struct {
-	// CacheRows is the per-table read-through row cache capacity (rows;
-	// 0 disables). On an int8-backed store the cache amortizes
-	// dequantization exactly as the in-process serving path does.
-	CacheRows int
-	// CachePolicy is the eviction policy (embcache.Policies; default
-	// "lru").
-	CachePolicy string
-}
 
 // Server serves embedding rows out of nn.RowStore implementations over
 // the wire protocol — the process behind cmd/embshard. Each store is
 // one table, addressed by its index; a server in an n-shard tier holds
 // full-height tables but is only ever asked for the rows that hash to
-// it (clients partition with ShardOf), so per-shard cache capacity
-// covers 1/n of the hot set.
+// it (clients partition with ShardOf). Rows are read from the store on
+// every request: they are local to this process, so the cache that
+// pays is the one on the client's side of the wire.
 type Server struct {
 	tables []*serverTable
 
@@ -72,30 +61,18 @@ type serverTable struct {
 	// advances on every row update, which is how invalidation crosses
 	// the RPC boundary: clients compare successive response gens and
 	// drop their hot-row caches on change.
-	gen   atomic.Uint64
-	cache *embcache.Concurrent
+	gen atomic.Uint64
 }
 
 // NewServer wraps stores (one per table index) into a server.
-func NewServer(stores []nn.RowStore, opts ServerOptions) (*Server, error) {
+func NewServer(stores []nn.RowStore) (*Server, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("shard: server needs at least one table store")
 	}
-	policy := opts.CachePolicy
-	if policy == "" {
-		policy = "lru"
-	}
 	s := &Server{conns: make(map[net.Conn]struct{})}
-	for i, st := range stores {
+	for _, st := range stores {
 		t := &serverTable{store: st}
 		t.gen.Store(1)
-		if opts.CacheRows > 0 {
-			c, err := embcache.NewConcurrent(opts.CacheRows, st.Cols(), policy, 0)
-			if err != nil {
-				return nil, fmt.Errorf("shard: table %d cache: %w", i, err)
-			}
-			t.cache = c
-		}
 		s.tables = append(s.tables, t)
 	}
 	return s, nil
@@ -121,9 +98,9 @@ func (s *Server) Requests() int64 { return s.requests.Load() }
 func (s *Server) Gen(table int) uint64 { return s.tables[table].gen.Load() }
 
 // UpdateRow applies a trainer sparse update to one row: the store's
-// write (fp32 + int8 re-quantization), a generation bump, and a local
-// cache invalidation. The per-table lock excludes in-flight reads for
-// the duration of the write.
+// write (fp32 + int8 re-quantization) and a generation bump. The
+// per-table lock excludes in-flight reads for the duration of the
+// write.
 func (s *Server) UpdateRow(table int, id int64, row []float32) error {
 	if table < 0 || table >= len(s.tables) {
 		return fmt.Errorf("shard: no table %d", table)
@@ -140,21 +117,12 @@ func (s *Server) UpdateRow(table int, id int64, row []float32) error {
 	w.WriteRow(id, row)
 	t.mu.Unlock()
 	t.gen.Add(1)
-	if t.cache != nil {
-		t.cache.Invalidate()
-	}
 	return nil
 }
 
 // BumpGen advances table's generation without a row write — the hook
 // for out-of-band table mutations (e.g. a direct W rewrite in tests).
-func (s *Server) BumpGen(table int) {
-	t := s.tables[table]
-	t.gen.Add(1)
-	if t.cache != nil {
-		t.cache.Invalidate()
-	}
-}
+func (s *Server) BumpGen(table int) { s.tables[table].gen.Add(1) }
 
 // Serve accepts connections on ln until Close. It returns nil after
 // Close, or the accept error otherwise.
@@ -343,10 +311,6 @@ func (s *Server) serveTable(r *reader, out []byte, row []float32) ([]byte, error
 	}
 	t.mu.RLock()
 	gen := t.gen.Load()
-	var cgen uint64
-	if t.cache != nil {
-		cgen = t.cache.Gen()
-	}
 	out = putU32(out, idx)
 	out = putU64(out, gen)
 	out = putU16(out, uint16(cols))
@@ -354,12 +318,7 @@ func (s *Server) serveTable(r *reader, out []byte, row []float32) ([]byte, error
 	row = row[:cols]
 	for i := 0; i < nIDs; i++ {
 		id := int64(binary.LittleEndian.Uint32(ids[i*4:]))
-		if t.cache == nil || !t.cache.Lookup(cgen, uint64(id), row) {
-			t.store.ReadRow(id, row)
-			if t.cache != nil {
-				t.cache.Insert(cgen, uint64(id), row)
-			}
-		}
+		t.store.ReadRow(id, row)
 		for _, v := range row {
 			out = putU32(out, math.Float32bits(v))
 		}

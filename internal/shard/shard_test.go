@@ -21,12 +21,12 @@ import (
 // built by mkStores (called once per server, so servers that take row
 // updates own their tables and their per-table locks protect them),
 // plus a client pool over the tier.
-func startTier(t testing.TB, n int, mkStores func() []nn.RowStore, sopts ServerOptions, copts Options) ([]*Server, *Client) {
+func startTier(t testing.TB, n int, mkStores func() []nn.RowStore, copts Options) ([]*Server, *Client) {
 	t.Helper()
 	servers := make([]*Server, 0, n)
 	addrs := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		srv, err := NewServer(mkStores(), sopts)
+		srv, err := NewServer(mkStores())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestGatherBitIdenticalAcrossShardCounts(t *testing.T) {
 		local0.Quant, local1.Quant = q0, q1
 		for _, n := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("int8=%v/shards=%d", int8T, n), func(t *testing.T) {
-				_, c := startTier(t, n, mk, ServerOptions{}, Options{})
+				_, c := startTier(t, n, mk, Options{})
 				remote0, remote1 := nn.NewSLSOp(tab0, 30), nn.NewSLSOp(tab1, 8)
 				remote0.SetRowStore(c.Source(0, 5000, 64))
 				remote1.SetRowStore(c.Source(1, 1200, 32))
@@ -162,7 +162,7 @@ func TestGatherWithRowCacheHitsAndStaysIdentical(t *testing.T) {
 	rng := stats.NewRNG(17)
 	tab := nn.NewEmbeddingTable("t0", 2000, 64, rng)
 	mk := func() []nn.RowStore { return []nn.RowStore{nn.NewSLSOp(tab, 20).LocalStore()} }
-	_, c := startTier(t, 2, mk, ServerOptions{}, Options{})
+	_, c := startTier(t, 2, mk, Options{})
 	local := nn.NewSLSOp(tab, 20)
 	remote := nn.NewSLSOp(tab, 20)
 	remote.SetRowStore(c.Source(0, 2000, 64))
@@ -195,7 +195,7 @@ func TestGenInvalidationAcrossRPC(t *testing.T) {
 		rng := stats.NewRNG(21)
 		return []nn.RowStore{nn.NewSLSOp(nn.NewEmbeddingTable("t0", rows, cols, rng), lookups).LocalStore()}
 	}
-	servers, c := startTier(t, 2, mk, ServerOptions{CacheRows: 512}, Options{})
+	servers, c := startTier(t, 2, mk, Options{})
 	localRNG := stats.NewRNG(21)
 	localTab := nn.NewEmbeddingTable("t0", rows, cols, localRNG)
 	local := nn.NewSLSOp(localTab, lookups)
@@ -245,7 +245,7 @@ func TestDeadShardSurfacesErrUnavailable(t *testing.T) {
 	rng := stats.NewRNG(31)
 	tab := nn.NewEmbeddingTable("t0", 4000, 32, rng)
 	mk := func() []nn.RowStore { return []nn.RowStore{nn.NewSLSOp(tab, 16).LocalStore()} }
-	servers, c := startTier(t, 2, mk, ServerOptions{}, Options{
+	servers, c := startTier(t, 2, mk, Options{
 		DialTimeout:    200 * time.Millisecond,
 		RequestTimeout: time.Second,
 	})
@@ -282,7 +282,7 @@ func TestRemoteUpdateRaceHammer(t *testing.T) {
 		op.Quant = nn.Quantize(tab) // exercise WriteRow's re-quantization
 		return []nn.RowStore{op.LocalStore()}
 	}
-	servers, c := startTier(t, 2, mk, ServerOptions{CacheRows: 128}, Options{})
+	servers, c := startTier(t, 2, mk, Options{})
 	mkRemote := func() *nn.SLSOp {
 		rng := stats.NewRNG(55)
 		tab := nn.NewEmbeddingTable("t0", rows, cols, rng)

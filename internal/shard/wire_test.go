@@ -13,7 +13,7 @@ import (
 func newWireServer(t testing.TB, rows, cols int) (*Server, nn.RowStore) {
 	t.Helper()
 	store := nn.NewSLSOp(nn.NewEmbeddingTable("t0", rows, cols, stats.NewRNG(43)), 1).LocalStore()
-	srv, err := NewServer([]nn.RowStore{store}, ServerOptions{})
+	srv, err := NewServer([]nn.RowStore{store})
 	if err != nil {
 		t.Fatal(err)
 	}

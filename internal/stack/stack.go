@@ -38,7 +38,8 @@ type Config struct {
 
 	// The engine: -workers, -intra-op, -max-batch (0 or less is the
 	// engine's own spelling of "batching off"), -max-wait, -trace,
-	// -emb-cache with -emb-cache-policy, and -split.
+	// -emb-cache (sizes the row cache in front of EmbShards; ignored,
+	// with a log line, when there are none), and -split.
 	Workers    int
 	IntraOp    int
 	MaxBatch   int
@@ -191,6 +192,9 @@ func (s *Stack) logf(format string, args ...any) {
 
 func (s *Stack) dialShards() error {
 	if s.cfg.EmbShards == "" {
+		if s.cfg.EmbCache.Enabled() {
+			s.logf("-emb-cache %d ignored: the row cache fronts -emb-shards only; in-process rows are read in place", s.cfg.EmbCache.RowsPerTable)
+		}
 		return nil
 	}
 	client, err := shard.Dial(shard.Options{

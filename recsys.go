@@ -217,9 +217,10 @@ var (
 type (
 	// ServeOptions configures the concurrent inference server.
 	ServeOptions = engine.Options
-	// ServeEmbCacheOptions configures the per-table read-through
-	// hot-row cache consulted by the serving gather path
-	// (ServeOptions.EmbCache).
+	// ServeEmbCacheOptions sizes the per-table read-through hot-row
+	// cache in front of a model's remote embedding tier
+	// (ServeOptions.EmbCache; models with in-process tables read rows in
+	// place and get none).
 	ServeEmbCacheOptions = engine.EmbCacheOptions
 	// ServeEmbCacheStats are one table's cumulative cache counters,
 	// reported in ServeStats.EmbCache and /metrics.
@@ -282,8 +283,9 @@ type (
 	// TieredStore models a DRAM cache over NVM.
 	TieredStore = embcache.TieredStore
 	// ConcurrentRowCache is the sharded, generation-invalidated
-	// hot-row cache the serving gather path reads through (attach with
-	// ServeOptions.EmbCache or nn.SLSOp.SetRowCache).
+	// hot-row cache the planned gather reads through in front of a
+	// remote row store (sized by ServeOptions.EmbCache; on a bare op,
+	// nn.SLSOp.SetRowStore then SetRowCache).
 	ConcurrentRowCache = embcache.Concurrent
 	// RowCacheStats are a ConcurrentRowCache's cumulative counters.
 	RowCacheStats = embcache.LiveStats
