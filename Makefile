@@ -5,7 +5,7 @@ PARENT ?=
 N ?= 10
 SEED ?= 1
 
-.PHONY: build test vet fmt-check race lint verify bench bench-module bench-hot bench-regress bench-pairs fuzz test-gotier loc
+.PHONY: build test vet fmt-check race lint verify deadcode bench bench-module bench-hot bench-regress bench-pairs fuzz test-gotier loc
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,14 @@ bench-module:
 
 # Tier-1 verify recipe (see ROADMAP.md).
 verify: fmt-check build test lint race bench-module
+
+# Functions under internal/ that none of the 13 binaries (cmd/*,
+# examples/*, the bench module) link: builds them without inlining,
+# reads their symbols, and fails on any such function that
+# tools/deadcode/keep.txt does not list with the reason it stays
+# (DESIGN.md "Surface").
+deadcode:
+	$(GO) run ./tools/deadcode
 
 # Full benchmark suite; also re-measures the guarded hot paths and
 # writes them to BENCH_current.json for comparison against

@@ -106,7 +106,6 @@ func main() {
 		zipfS       = flag.Float64("zipf", 0, "in -real mode, draw sparse IDs from a per-table Zipf(s) generator (0 = uniform)")
 		embCache    = flag.Int("emb-cache", 0, "with -emb-shards, hot embedding rows cached per table in front of the shard tier (0 = off; ignored without -emb-shards)")
 		embShards   = flag.String("emb-shards", "", "in -real mode, comma-separated cmd/embshard addresses to fan embedding gathers out to (shards must serve the same -model/-scale/-seed)")
-		embHedge    = flag.Duration("emb-hedge-after", 0, "with -emb-shards, fixed hedge floor (0 = adaptive default, negative disables hedging)")
 
 		arrival       = flag.String("arrival", "poisson", "in -real mode, arrival process: poisson, flash, bursty, or diurnal")
 		peakMult      = flag.Float64("peak-mult", 4, "peak rate multiplier for flash/bursty/diurnal arrivals")
@@ -143,7 +142,6 @@ func main() {
 			MaxWait:       *maxWait,
 			EmbCache:      engine.EmbCacheOptions{RowsPerTable: *embCache},
 			EmbShards:     *embShards,
-			EmbHedgeAfter: *embHedge,
 			Adapt:         *adaptOn,
 			AdaptInterval: *adaptInterval,
 			// No held-out gate: the smoke run asserts that swaps land

@@ -1,24 +1,26 @@
 // Command recbench is the configurable recommendation-model benchmark
 // (the repository's analogue of the paper's open-source DLRM benchmark,
-// Figure 13): it builds a model from command-line knobs — embedding
-// table count/shape, lookups, MLP widths — and reports its per-operator
-// latency on a chosen server architecture, batch size, and co-location
-// degree.
+// Figure 13): it takes a Table I class or a JSON model config — the
+// knobs of Figure 13: embedding table count/shape, lookups, MLP widths —
+// and reports its per-operator latency on a chosen server architecture,
+// batch size, and co-location degree.
 //
 // Usage:
 //
-//	recbench -model rmc2                      # a Table I class
-//	recbench -tables 8 -rows 1e6 -lookups 32  # a custom model
+//	recbench -model rmc2                           # a Table I class
+//	recbench -model rmc2 -save-config custom.json  # start a custom model from it
+//	recbench -config custom.json                   # the edited custom model
 //	recbench -model rmc3 -machine Skylake -batch 128 -tenants 4
 //	recbench -model rmc2-int8 -measure -zipf 1.1
-//	recbench -fig10 -peak-gflops 67.2         # GEMM roofline sweep
+//	recbench -fig10 -peak-gflops 67.2              # GEMM roofline sweep
 //
 // -model takes the single-model spec grammar of DESIGN.md "Bring-up";
-// its quantized forms need -measure. -zipf s draws sparse IDs from a
-// per-table Zipf(s) generator (fresh draw every pass; 0 = uniform).
-// The tables are in-process, so rows are read in place; the hot-row
-// cache belongs to the remote tier (loadgen -real -emb-shards
-// -emb-cache).
+// its quantized forms need -measure. -config reads the JSON that
+// -save-config writes (and cmd/train reads) and wins over -model.
+// -zipf s draws sparse IDs from a per-table Zipf(s) generator (fresh
+// draw every pass; 0 = uniform). The tables are in-process, so rows are
+// read in place; the hot-row cache belongs to the remote tier (loadgen
+// -real -emb-shards -emb-cache).
 //
 // -fig10 reproduces the paper's Figure 10 axis on this host: an
 // RM-scale FC GEMM (512→256) swept over batch 1..256, reporting
@@ -34,9 +36,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
-
 	"time"
 
 	"recsys/internal/arch"
@@ -50,8 +49,8 @@ import (
 
 func main() {
 	var (
-		preset      = flag.String("model", "", model.SingleSpecUsage+" (overrides custom knobs)")
-		configPath  = flag.String("config", "", "JSON model-config file (overrides preset and custom knobs)")
+		preset      = flag.String("model", "rmc1", model.SingleSpecUsage)
+		configPath  = flag.String("config", "", "JSON model-config file (overrides -model)")
 		saveConfig  = flag.String("save-config", "", "write the resolved config as JSON and exit")
 		machineName = flag.String("machine", "Broadwell", "Haswell, Broadwell, or Skylake")
 		batch       = flag.Int("batch", 1, "batch size (user-item pairs per inference)")
@@ -66,15 +65,6 @@ func main() {
 		measureScale = flag.Int("measure-scale", 100, "embedding-table shrink factor for -measure")
 		intraOp      = flag.Int("intra-op", 1, "goroutines per measured forward pass (0 = GOMAXPROCS)")
 		zipfS        = flag.Float64("zipf", 0, "with -measure, draw sparse IDs from a per-table Zipf(s) generator (0 = uniform)")
-
-		dense    = flag.Int("dense", 13, "custom: dense input features")
-		bottom   = flag.String("bottom", "256-128-32", "custom: Bottom-MLP widths")
-		top      = flag.String("top", "128-32-1", "custom: Top-MLP widths")
-		tables   = flag.Int("tables", 8, "custom: number of embedding tables")
-		rows     = flag.Float64("rows", 1e6, "custom: rows per table")
-		dim      = flag.Int("dim", 32, "custom: embedding dimension")
-		lookups  = flag.Int("lookups", 80, "custom: lookups per table per sample")
-		interact = flag.String("interaction", "cat", "custom: cat or dot")
 	)
 	flag.Parse()
 
@@ -91,13 +81,10 @@ func main() {
 	}
 	spec := model.Spec{Scale: scale}
 	var err error
-	switch {
-	case *configPath != "":
+	if *configPath != "" {
 		spec.Preset, err = model.LoadConfig(*configPath)
-	case *preset != "":
+	} else {
 		spec, err = model.ParseSingleSpec(*preset, scale)
-	default:
-		spec.Preset, err = customConfig(*dense, *bottom, *top, *tables, int(*rows), *dim, *lookups, *interact)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -339,42 +326,4 @@ func runFig10Parallel(iters, workers int) {
 		par := timeGemm(workers)
 		fmt.Printf("%7d %14.1f %14.1f %8.2fx\n", batch, serial, par, serial/par)
 	}
-}
-
-// customConfig builds the model the custom knobs describe.
-func customConfig(dense int, bottom, top string, tables, rows, dim, lookups int, interact string) (model.Config, error) {
-	bot, err := parseWidths(bottom)
-	if err != nil {
-		return model.Config{}, err
-	}
-	topW, err := parseWidths(top)
-	if err != nil {
-		return model.Config{}, err
-	}
-	inter := model.Cat
-	if strings.EqualFold(interact, "dot") {
-		inter = model.Dot
-	}
-	cfg := model.Config{
-		Name:        "custom",
-		Class:       model.Custom,
-		DenseIn:     dense,
-		BottomMLP:   bot,
-		TopMLP:      topW,
-		Tables:      model.UniformTables(tables, rows, dim, lookups),
-		Interaction: inter,
-	}
-	return cfg, cfg.Validate()
-}
-
-func parseWidths(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, "-") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("recbench: bad MLP widths %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

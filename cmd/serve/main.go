@@ -34,9 +34,8 @@
 //
 // -emb-shards host:port,... fans embedding gathers out to a remote
 // sharded tier (cmd/embshard processes), overlapping the Bottom-MLP
-// with the in-flight fetch and hedging slow sub-requests
-// (-emb-hedge-after bounds the hedge floor). Every shard must be
-// started with the same preset/scale/seed as the serving node.
+// with the in-flight fetch and hedging slow sub-requests. Every shard
+// must be started with the same preset/scale/seed as the serving node.
 // Single-model only: the tier serves one model's tables.
 //
 // -sla sets a p99 latency target and starts the scheduling observer:
@@ -57,12 +56,12 @@
 // default model: served traffic is labeled (synthetic click feedback)
 // into a replay buffer, a background trainer fits an fp32 twin, and
 // every -online-interval a candidate snapshot is re-quantized to match
-// the serving model, gated on held-out loss (rolling back on
-// regression, -online-rollback-tol), and hot-swapped in without
-// dropping traffic. -online-ab N publishes each candidate as a weighted
-// canary instead — N% of POST /rank traffic routes to <model>-next
-// until the next cycle promotes it. Progress is exported as
-// recsys_online_* families in GET /metrics.
+// the serving model, gated on held-out loss (rolling back on a 5%
+// regression), and hot-swapped in without dropping traffic; the
+// training knobs are the online* constants below. -online-ab N
+// publishes each candidate as a weighted canary instead — N% of POST
+// /rank traffic routes to <model>-next until the next cycle promotes
+// it. Progress is exported as recsys_online_* families in GET /metrics.
 //
 // -watch D polls the -checkpoint file every D and hot-swaps the serving
 // model whenever the file changes — the file-based half of the
@@ -97,9 +96,17 @@ func (s *modelSpecs) Set(v string) error {
 	return nil
 }
 
-// onlineHoldout is the held-out set the online updater's quality gate
-// scores every candidate on, in samples.
-const onlineHoldout = 512
+// The online loop's training knobs: steps of a batch (samples) per
+// cycle at a learning rate, drawn from a click replay buffer (samples),
+// and the held-out set the quality gate scores every candidate on
+// (samples).
+const (
+	onlineSteps   = 8
+	onlineBatch   = 32
+	onlineLR      = 0.01
+	onlineBuffer  = 1 << 16
+	onlineHoldout = 512
+)
 
 func main() {
 	var specs modelSpecs
@@ -118,7 +125,6 @@ func main() {
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.IntVar(&cfg.EmbCache.RowsPerTable, "emb-cache", 0, "hot embedding rows cached per table in front of -emb-shards (read-through LRU, generation-invalidated; 0 = off; ignored without -emb-shards)")
 	flag.StringVar(&cfg.EmbShards, "emb-shards", "", "comma-separated shard addresses of a remote embedding tier (cmd/embshard); empty = in-process tables")
-	flag.DurationVar(&cfg.EmbHedgeAfter, "emb-hedge-after", 0, "hedge floor for shard sub-requests (0 = client default, negative = hedging off)")
 	flag.DurationVar(&cfg.SLA, "sla", 0, "p99 latency target: export windowed tail estimates as recsys_sched_* metrics (0 = off)")
 	flag.BoolVar(&cfg.Adapt, "adapt", false, "with -sla, hill-climb each model's batch policy live against the target")
 	flag.DurationVar(&cfg.AdaptInterval, "adapt-interval", 500*time.Millisecond, "scheduling control-loop period")
@@ -126,13 +132,7 @@ func main() {
 
 	flag.BoolVar(&cfg.Online, "online", false, "run the continuous train→quantize→swap loop on the default model (synthetic click labels)")
 	flag.DurationVar(&cfg.OnlineInterval, "online-interval", time.Second, "online update cycle period")
-	flag.IntVar(&cfg.OnlineSteps, "online-steps", 8, "training steps per online cycle")
-	flag.IntVar(&cfg.OnlineBatch, "online-batch", 32, "online training batch size (samples)")
-	flag.Float64Var(&cfg.OnlineLR, "online-lr", 0.01, "online learning rate")
-	flag.StringVar(&cfg.OnlineQuantize, "online-quantize", "auto", "candidate quantization: auto (mirror serving model), tables, or off")
-	flag.Float64Var(&cfg.OnlineRollbackTol, "online-rollback-tol", 0.05, "relative held-out loss regression that rolls a candidate back")
 	flag.IntVar(&cfg.OnlineAB, "online-ab", 0, "publish candidates as a canary taking N% of POST /rank traffic, promoted next cycle (0 = swap in place)")
-	flag.IntVar(&cfg.OnlineBuffer, "online-buffer", 1<<16, "click replay buffer capacity (samples)")
 	flag.DurationVar(&cfg.Watch, "watch", 0, "poll -checkpoint at this period and hot-swap the model when the file changes (0 = off)")
 	flag.Var(&specs, "model", "model to serve, "+model.SpecUsage+" (repeatable; default rmc1)")
 	flag.Parse()
@@ -147,7 +147,8 @@ func main() {
 		}
 		cfg.Models = append(cfg.Models, spec)
 	}
-	cfg.OnlineHoldout = onlineHoldout
+	cfg.OnlineSteps, cfg.OnlineBatch, cfg.OnlineLR = onlineSteps, onlineBatch, onlineLR
+	cfg.OnlineBuffer, cfg.OnlineHoldout = onlineBuffer, onlineHoldout
 	cfg.Logf = log.Printf
 
 	st, err := stack.Start(cfg)

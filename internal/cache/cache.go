@@ -25,7 +25,6 @@ func LineAddr(byteAddr uint64) uint64 { return byteAddr >> lineShift }
 
 // Cache is one set-associative cache level with true-LRU replacement.
 type Cache struct {
-	name    string
 	sets    int
 	ways    int
 	setMask uint64
@@ -57,23 +56,9 @@ func New(name string, sizeBytes int64, ways int) *Cache {
 	if w := int(sizeBytes) / (sets * LineBytes); w > ways {
 		ways = w
 	}
-	c := &Cache{name: name, sets: sets, ways: ways, setMask: uint64(sets - 1)}
+	c := &Cache{sets: sets, ways: ways, setMask: uint64(sets - 1)}
 	c.lines = make([][]uint64, sets)
 	return c
-}
-
-// Name returns the cache's label.
-func (c *Cache) Name() string { return c.name }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// SizeBytes returns the effective capacity after set rounding.
-func (c *Cache) SizeBytes() int64 {
-	return int64(c.sets) * int64(c.ways) * LineBytes
 }
 
 func (c *Cache) set(line uint64) int { return int(line & c.setMask) }
@@ -91,16 +76,6 @@ func (c *Cache) Lookup(line uint64) bool {
 		}
 	}
 	c.misses++
-	return false
-}
-
-// Contains probes for a line without disturbing LRU order or counters.
-func (c *Cache) Contains(line uint64) bool {
-	for _, l := range c.lines[c.set(line)] {
-		if l == line {
-			return true
-		}
-	}
 	return false
 }
 
@@ -143,19 +118,8 @@ func (c *Cache) Invalidate(line uint64) bool {
 	return false
 }
 
-// Hits returns the hit count since construction or the last ResetStats.
-func (c *Cache) Hits() uint64 { return c.hits }
-
 // Misses returns the miss count.
 func (c *Cache) Misses() uint64 { return c.misses }
 
 // ResetStats zeroes the hit/miss counters without flushing contents.
 func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
-
-// Flush empties the cache contents and counters.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = nil
-	}
-	c.ResetStats()
-}

@@ -7,21 +7,29 @@ import (
 	"recsys/internal/stats"
 )
 
+// contains reports whether line is resident without disturbing LRU
+// order or counters.
+func contains(c *Cache, line uint64) bool {
+	for _, l := range c.lines[c.set(line)] {
+		if l == line {
+			return true
+		}
+	}
+	return false
+}
+
 func TestNewGeometry(t *testing.T) {
 	c := New("t", 32<<10, 8) // 32KB, 8-way, 64B lines → 64 sets
-	if c.Sets() != 64 || c.Ways() != 8 || c.SizeBytes() != 32<<10 {
-		t.Fatalf("geometry sets=%d ways=%d size=%d", c.Sets(), c.Ways(), c.SizeBytes())
-	}
-	if c.Name() != "t" {
-		t.Error("name wrong")
+	if c.sets != 64 || c.ways != 8 {
+		t.Fatalf("geometry sets=%d ways=%d", c.sets, c.ways)
 	}
 }
 
 func TestNewRoundsToPowerOfTwoSets(t *testing.T) {
 	// 27.5MB 11-way: 27.5<<20/64/11 = 40960 sets → rounds down to 32768.
 	c := New("skl-l3", 27<<20+512<<10, 11)
-	if c.Sets() != 32768 {
-		t.Fatalf("sets = %d, want 32768", c.Sets())
+	if c.sets != 32768 {
+		t.Fatalf("sets = %d, want 32768", c.sets)
 	}
 }
 
@@ -51,15 +59,15 @@ func TestLookupInsertBasic(t *testing.T) {
 	if !c.Lookup(line) {
 		t.Fatal("inserted line should hit")
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1,1", c.Hits(), c.Misses())
+	if c.hits != 1 || c.misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1,1", c.hits, c.misses)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	c := New("t", 256, 4) // 1 set, 4 ways
-	if c.Sets() != 1 {
-		t.Fatalf("want single set, got %d", c.Sets())
+	if c.sets != 1 {
+		t.Fatalf("want single set, got %d", c.sets)
 	}
 	for i := uint64(0); i < 4; i++ {
 		if _, ev := c.Insert(i); ev {
@@ -73,7 +81,7 @@ func TestLRUEviction(t *testing.T) {
 	if !ev || victim != 1 {
 		t.Fatalf("victim = %d (evicted=%v), want 1", victim, ev)
 	}
-	if !c.Contains(0) || c.Contains(1) || !c.Contains(4) {
+	if !contains(c, 0) || contains(c, 1) || !contains(c, 4) {
 		t.Error("post-eviction contents wrong")
 	}
 }
@@ -99,7 +107,7 @@ func TestInvalidate(t *testing.T) {
 	if c.Invalidate(5) {
 		t.Fatal("invalidate of absent line should report false")
 	}
-	if c.Contains(5) {
+	if contains(c, 5) {
 		t.Fatal("line survived invalidation")
 	}
 }
@@ -109,33 +117,29 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		c.Insert(i)
 	}
-	c.Contains(0) // must NOT refresh LRU
+	contains(c, 0) // must NOT refresh LRU
 	victim, _ := c.Insert(9)
 	if victim != 0 {
-		t.Fatalf("victim = %d; Contains appears to update LRU", victim)
+		t.Fatalf("victim = %d; contains appears to update LRU", victim)
 	}
-	h, m := c.Hits(), c.Misses()
-	c.Contains(9)
-	if c.Hits() != h || c.Misses() != m {
-		t.Error("Contains changed counters")
+	h, m := c.hits, c.misses
+	contains(c, 9)
+	if c.hits != h || c.misses != m {
+		t.Error("contains changed counters")
 	}
 }
 
-func TestFlushAndResetStats(t *testing.T) {
+func TestResetStatsKeepsContents(t *testing.T) {
 	c := New("t", 256, 4)
 	c.Insert(1)
 	c.Lookup(1)
 	c.Lookup(2)
 	c.ResetStats()
-	if c.Hits() != 0 || c.Misses() != 0 {
+	if c.hits != 0 || c.misses != 0 {
 		t.Fatal("ResetStats failed")
 	}
-	if !c.Contains(1) {
+	if !contains(c, 1) {
 		t.Fatal("ResetStats should not flush contents")
-	}
-	c.Flush()
-	if c.Contains(1) {
-		t.Fatal("Flush should drop contents")
 	}
 }
 
@@ -150,12 +154,12 @@ func TestCacheInvariants(t *testing.T) {
 			if !c.Lookup(line) {
 				c.Insert(line)
 			}
-			if !c.Contains(line) {
+			if !contains(c, line) {
 				return false
 			}
 		}
 		occupied := 0
-		for s := 0; s < c.Sets(); s++ {
+		for s := 0; s < c.sets; s++ {
 			for _, l := range c.lines[s] {
 				if int(l&c.setMask) != s {
 					return false // line in wrong set
@@ -163,7 +167,7 @@ func TestCacheInvariants(t *testing.T) {
 				occupied++
 			}
 		}
-		return occupied <= c.Sets()*c.Ways()
+		return occupied <= c.sets*c.ways
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -181,8 +185,8 @@ func TestCountersConsistent(t *testing.T) {
 			c.Insert(line)
 		}
 	}
-	if int(c.Hits()+c.Misses()) != n {
-		t.Fatalf("hits+misses = %d, want %d", c.Hits()+c.Misses(), n)
+	if int(c.hits+c.misses) != n {
+		t.Fatalf("hits+misses = %d, want %d", c.hits+c.misses, n)
 	}
 }
 
@@ -196,11 +200,11 @@ func TestWorkingSetFitsAllHits(t *testing.T) {
 			}
 		}
 	}
-	if c.Misses() != 256 {
-		t.Errorf("misses = %d, want 256 (cold only)", c.Misses())
+	if c.misses != 256 {
+		t.Errorf("misses = %d, want 256 (cold only)", c.misses)
 	}
-	if c.Hits() != 256 {
-		t.Errorf("hits = %d, want 256", c.Hits())
+	if c.hits != 256 {
+		t.Errorf("hits = %d, want 256", c.hits)
 	}
 }
 
@@ -215,8 +219,8 @@ func TestStreamLargerThanCacheAllMisses(t *testing.T) {
 			}
 		}
 	}
-	if c.Hits() != 0 {
-		t.Errorf("hits = %d, want 0 for a thrashing stream", c.Hits())
+	if c.hits != 0 {
+		t.Errorf("hits = %d, want 0 for a thrashing stream", c.hits)
 	}
 }
 

@@ -17,22 +17,6 @@ const (
 	DRAM
 )
 
-// String returns the level's conventional name.
-func (l Level) String() string {
-	switch l {
-	case L1:
-		return "L1"
-	case L2:
-		return "L2"
-	case L3:
-		return "L3"
-	case DRAM:
-		return "DRAM"
-	default:
-		return fmt.Sprintf("Level(%d)", int(l))
-	}
-}
-
 // CoreStats aggregates per-core access outcomes.
 type CoreStats struct {
 	Accesses  uint64
@@ -45,7 +29,6 @@ type CoreStats struct {
 // Hierarchy simulates one socket: per-core private L1/L2 and a shared
 // LLC, with the machine's inclusive or exclusive policy.
 type Hierarchy struct {
-	machine   arch.Machine
 	inclusive bool
 	cores     int
 	l1, l2    []*Cache
@@ -64,7 +47,6 @@ func NewHierarchy(m arch.Machine, cores int) *Hierarchy {
 		panic(fmt.Sprintf("cache: %d cores requested on a %d-core %s socket", cores, m.CoresPerSocket, m.Name))
 	}
 	h := &Hierarchy{
-		machine:   m,
 		inclusive: m.L3Inclusive,
 		cores:     cores,
 		l3:        New(m.Name+"/L3", m.L3.SizeBytes, m.L3.Ways),
@@ -77,12 +59,6 @@ func NewHierarchy(m arch.Machine, cores int) *Hierarchy {
 	}
 	return h
 }
-
-// Machine returns the architecture the hierarchy models.
-func (h *Hierarchy) Machine() arch.Machine { return h.machine }
-
-// Cores returns the number of simulated cores.
-func (h *Hierarchy) Cores() int { return h.cores }
 
 // Access performs one load/store of the line containing byteAddr from
 // the given core and returns the level that satisfied it.
@@ -162,18 +138,6 @@ func (h *Hierarchy) fillL2(core int, line uint64) {
 		h.l3.Insert(victim)
 	}
 }
-
-// Stats returns the per-core statistics for core.
-func (h *Hierarchy) Stats(core int) CoreStats { return h.stats[core] }
-
-// LLC returns the shared last-level cache (for inspection in tests).
-func (h *Hierarchy) LLC() *Cache { return h.l3 }
-
-// L2Cache returns core's private L2 (for inspection in tests).
-func (h *Hierarchy) L2Cache(core int) *Cache { return h.l2[core] }
-
-// L1Cache returns core's private L1 (for inspection in tests).
-func (h *Hierarchy) L1Cache(core int) *Cache { return h.l1[core] }
 
 // ResetStats clears per-core and per-level counters, keeping contents.
 func (h *Hierarchy) ResetStats() {

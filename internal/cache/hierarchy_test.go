@@ -7,19 +7,10 @@ import (
 	"recsys/internal/stats"
 )
 
-func TestLevelString(t *testing.T) {
-	if L1.String() != "L1" || L2.String() != "L2" || L3.String() != "L3" || DRAM.String() != "DRAM" {
-		t.Error("level names wrong")
-	}
-	if Level(9).String() != "Level(9)" {
-		t.Error("unknown level formatting wrong")
-	}
-}
-
 func TestHierarchyConstruction(t *testing.T) {
 	h := NewHierarchy(arch.Broadwell(), 4)
-	if h.Cores() != 4 || h.Machine().Name != "Broadwell" {
-		t.Fatal("metadata wrong")
+	if h.cores != 4 || len(h.l1) != 4 || len(h.l2) != 4 {
+		t.Fatal("per-core caches wrong")
 	}
 	for _, fn := range []func(){
 		func() { NewHierarchy(arch.Broadwell(), 0) },
@@ -49,7 +40,7 @@ func TestAccessLevels(t *testing.T) {
 	if lvl := h.Access(0, addr+32); lvl != L1 {
 		t.Fatalf("same-line access hit %v, want L1", lvl)
 	}
-	st := h.Stats(0)
+	st := h.stats[0]
 	if st.Accesses != 3 || st.LLCMisses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -82,10 +73,10 @@ func TestInclusiveBackInvalidation(t *testing.T) {
 	for i := uint64(1); i <= llcLines*3; i++ {
 		h.Access(1, i*LineBytes)
 	}
-	if h.L2Cache(0).Contains(LineAddr(target)) || h.L1Cache(0).Contains(LineAddr(target)) {
+	if contains(h.l2[0], LineAddr(target)) || contains(h.l1[0], LineAddr(target)) {
 		t.Fatal("inclusive LLC eviction did not back-invalidate private copies")
 	}
-	if h.Stats(0).BackInval == 0 {
+	if h.stats[0].BackInval == 0 {
 		t.Fatal("back-invalidation not recorded")
 	}
 	// The re-access must go all the way to DRAM.
@@ -109,7 +100,7 @@ func TestExclusiveNoBackInvalidation(t *testing.T) {
 	if lvl := h.Access(0, target); lvl != L1 {
 		t.Fatalf("re-access hit %v, want L1 (private copy must survive)", lvl)
 	}
-	if h.Stats(0).BackInval != 0 {
+	if h.stats[0].BackInval != 0 {
 		t.Fatal("exclusive hierarchy must not back-invalidate")
 	}
 }
@@ -194,7 +185,7 @@ func TestResetStats(t *testing.T) {
 	h := NewHierarchy(arch.Skylake(), 1)
 	h.Access(0, 0)
 	h.ResetStats()
-	if h.Stats(0).Accesses != 0 || h.LLC().Misses() != 0 {
+	if h.stats[0].Accesses != 0 || h.l3.Misses() != 0 {
 		t.Error("ResetStats incomplete")
 	}
 	// Contents survive: next access hits L1.

@@ -10,7 +10,6 @@ import "fmt"
 // — the standard production mitigation for embedding tables — shrink
 // the page working set by 512×.
 type TLB struct {
-	entries  int
 	pageBits uint
 	tlb      *Cache
 	accesses uint64
@@ -41,17 +40,10 @@ func NewTLB(entries, ways, pageSize int) *TLB {
 	// feed it page numbers shifted up by the line bits so each page is
 	// a distinct line.
 	return &TLB{
-		entries:  entries,
 		pageBits: bits,
 		tlb:      New("tlb", int64(entries)*LineBytes, ways),
 	}
 }
-
-// Entries returns the TLB capacity in translations.
-func (t *TLB) Entries() int { return t.entries }
-
-// PageSize returns the page size in bytes.
-func (t *TLB) PageSize() int { return 1 << t.pageBits }
 
 // Access translates one byte address, reporting whether the
 // translation hit.
@@ -64,9 +56,6 @@ func (t *TLB) Access(byteAddr uint64) bool {
 	t.tlb.Insert(page)
 	return false
 }
-
-// Accesses returns the number of translations performed.
-func (t *TLB) Accesses() uint64 { return t.accesses }
 
 // Misses returns the TLB miss count.
 func (t *TLB) Misses() uint64 { return t.tlb.Misses() }

@@ -8,8 +8,8 @@ import (
 
 func TestTLBConstruction(t *testing.T) {
 	tlb := NewTLB(64, 4, Page4K)
-	if tlb.Entries() != 64 || tlb.PageSize() != 4096 {
-		t.Fatalf("entries=%d page=%d", tlb.Entries(), tlb.PageSize())
+	if n := tlb.tlb.sets * tlb.tlb.ways; n != 64 || tlb.pageBits != 12 {
+		t.Fatalf("entries=%d page bits=%d", n, tlb.pageBits)
 	}
 	for _, fn := range []func(){
 		func() { NewTLB(0, 4, Page4K) },
@@ -38,8 +38,8 @@ func TestTLBHitsSamePage(t *testing.T) {
 	if tlb.Access(0x2000) {
 		t.Fatal("next page should miss")
 	}
-	if tlb.Accesses() != 3 || tlb.Misses() != 2 {
-		t.Fatalf("accesses=%d misses=%d", tlb.Accesses(), tlb.Misses())
+	if tlb.accesses != 3 || tlb.Misses() != 2 {
+		t.Fatalf("accesses=%d misses=%d", tlb.accesses, tlb.Misses())
 	}
 }
 
@@ -99,7 +99,7 @@ func TestTLBResetStats(t *testing.T) {
 	tlb := NewTLB(16, 4, Page4K)
 	tlb.Access(0)
 	tlb.ResetStats()
-	if tlb.Accesses() != 0 || tlb.Misses() != 0 || tlb.MissRate() != 0 {
+	if tlb.accesses != 0 || tlb.Misses() != 0 || tlb.MissRate() != 0 {
 		t.Error("ResetStats incomplete")
 	}
 	if !tlb.Access(0) {

@@ -46,25 +46,6 @@ type Placement struct {
 	BytesPerShard []int64
 }
 
-// Imbalance returns max/mean shard storage (1.0 = perfectly balanced).
-func (p Placement) Imbalance() float64 {
-	if len(p.BytesPerShard) == 0 {
-		return 1
-	}
-	var max, sum int64
-	for _, b := range p.BytesPerShard {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	mean := float64(sum) / float64(len(p.BytesPerShard))
-	return float64(max) / mean
-}
-
 // PlaceTables distributes tables over shards with longest-processing-
 // time-first greedy balancing (largest table to the least-loaded
 // shard). It panics if shards is non-positive.
@@ -208,9 +189,4 @@ func Estimate(c Cluster) Time {
 // comparison.
 func SingleNodeUS(c Cluster) float64 {
 	return perf.Estimate(c.Model, perf.Context{Machine: c.Machine, Batch: c.Batch, Tenants: 1}).TotalUS
-}
-
-// Speedup returns single-node latency over distributed latency.
-func Speedup(c Cluster) float64 {
-	return SingleNodeUS(c) / Estimate(c).TotalUS
 }

@@ -5,10 +5,9 @@ import (
 	"strings"
 )
 
-// Eviction policies of the core. LFU and Pinned stay offline-only
-// (embcache.LFU, embcache.Pinned): frequency buckets and profiling
-// counts allocate per access, which the zero-alloc serving contract
-// rules out.
+// Eviction policies of the core. LFU stays offline-only (embcache.LFU):
+// its frequency buckets allocate per access, which the zero-alloc
+// serving contract rules out.
 const (
 	polLRU = iota
 	polFIFO

@@ -18,7 +18,6 @@ type Policy interface {
 	Name() string
 	Access(id uint64) bool
 	Len() int
-	Capacity() int
 }
 
 func checkCapacity(capacity int) {
@@ -39,9 +38,6 @@ func newReplay(policy, capacity int) replay {
 
 // Len implements Policy.
 func (r *replay) Len() int { return r.used }
-
-// Capacity implements Policy.
-func (r *replay) Capacity() int { return r.cap }
 
 // Access implements Policy.
 func (r *replay) Access(id uint64) bool {
@@ -104,9 +100,6 @@ func (c *LFU) Name() string { return "LFU" }
 
 // Len implements Policy.
 func (c *LFU) Len() int { return len(c.items) }
-
-// Capacity implements Policy.
-func (c *LFU) Capacity() int { return c.capacity }
 
 // Access implements Policy.
 func (c *LFU) Access(id uint64) bool {

@@ -110,9 +110,6 @@ func (c *Concurrent) Capacity() int {
 	return len(c.shards) * c.shards[0].cap
 }
 
-// PolicyName returns the eviction policy ("lru", "fifo", or "clock").
-func (c *Concurrent) PolicyName() string { return Policies()[c.shards[0].policy] }
-
 // syncGenLocked reconciles the shard with the caller's generation. It
 // reports whether the caller may use the shard: false means the shard
 // already belongs to a NEWER generation (the caller's pass started

@@ -46,8 +46,8 @@ func TestConcurrentConstructor(t *testing.T) {
 	if c.Capacity() < 10 {
 		t.Errorf("Capacity() = %d, want >= 10", c.Capacity())
 	}
-	if c.PolicyName() != "lru" {
-		t.Errorf("default policy = %q, want lru", c.PolicyName())
+	if got := Policies()[c.shards[0].policy]; got != "lru" {
+		t.Errorf("default policy = %q, want lru", got)
 	}
 }
 

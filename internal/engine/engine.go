@@ -145,10 +145,6 @@ func New(m *model.Model, opts Options) (*Server, error) {
 	return &Server{eng: eng, model: m}, nil
 }
 
-// Engine exposes the underlying registry, e.g. to co-locate more
-// models next to the primary one.
-func (s *Server) Engine() *Engine { return s.eng }
-
 // Rank scores one batched request, blocking until a worker completes
 // it or ctx is done.
 func (s *Server) Rank(ctx context.Context, req model.Request) ([]float32, error) {

@@ -70,7 +70,7 @@ func TestBatchingIsTransparent(t *testing.T) {
 		reqs[i] = model.NewRandomRequest(m.Config, 1+i%3, stats.NewRNG(uint64(i)+10))
 		wants[i] = m.CTR(reqs[i])
 	}
-	release := parkWorkers(t, s.Engine(), DefaultModelName, reqs[0])
+	release := parkWorkers(t, s.eng, DefaultModelName, reqs[0])
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	gots := make([][]float32, n)
@@ -81,7 +81,7 @@ func TestBatchingIsTransparent(t *testing.T) {
 			gots[i], errs[i] = s.Rank(context.Background(), reqs[i])
 		}(i)
 	}
-	waitQueued(t, s.Engine(), DefaultModelName, n)
+	waitQueued(t, s.eng, DefaultModelName, n)
 	release()
 	wg.Wait()
 	for i := range reqs {
@@ -244,15 +244,15 @@ func TestMalformedRequestDoesNotPoisonBatch(t *testing.T) {
 	bad.SparseIDs = bad.SparseIDs[:1] // wrong table count
 
 	// Both wait in the queue behind a parked pass, so they share a batch.
-	release := parkWorkers(t, s.Engine(), DefaultModelName, good)
-	mq, _ := s.Engine().lookup(DefaultModelName)
+	release := parkWorkers(t, s.eng, DefaultModelName, good)
+	mq, _ := s.eng.lookup(DefaultModelName)
 	badJob := liveJob(bad)
 	mq.q <- badJob
 	var wg sync.WaitGroup
 	var goodErr error
 	wg.Add(1)
 	go func() { defer wg.Done(); _, goodErr = s.Rank(context.Background(), good) }()
-	waitQueued(t, s.Engine(), DefaultModelName, 2)
+	waitQueued(t, s.eng, DefaultModelName, 2)
 	release()
 	wg.Wait()
 	badErr := (<-badJob.resp).err

@@ -47,7 +47,7 @@ func TestMergeBufferReuse(t *testing.T) {
 			reqs[i] = model.NewRandomRequest(m.Config, 1+i%4, stats.NewRNG(uint64(round*100+i+1)))
 			wants[i] = m.CTR(reqs[i])
 		}
-		release := parkWorkers(t, s.Engine(), DefaultModelName, reqs[0])
+		release := parkWorkers(t, s.eng, DefaultModelName, reqs[0])
 		errc := make(chan error, n)
 		for i := range reqs {
 			go func(i int) {
@@ -58,7 +58,7 @@ func TestMergeBufferReuse(t *testing.T) {
 				errc <- err
 			}(i)
 		}
-		waitQueued(t, s.Engine(), DefaultModelName, n)
+		waitQueued(t, s.eng, DefaultModelName, n)
 		release()
 		for i := 0; i < n; i++ {
 			if err := <-errc; err != nil {

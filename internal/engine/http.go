@@ -92,7 +92,7 @@ func (e *Engine) handleRank(w http.ResponseWriter, r *http.Request, name string)
 		httpError(w, rankStatus(err), err)
 		return
 	}
-	ctr, err := e.rankIngested(r.Context(), name, s.scores, req, in)
+	ctr, err := e.rankOne(r.Context(), name, s.scores, req, in, true)
 	if err != nil {
 		// RankInto's ownership contract: once the request's context is
 		// done, a worker may still be reading the features and writing

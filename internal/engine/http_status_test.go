@@ -48,7 +48,7 @@ func TestRankStatus(t *testing.T) {
 // rejection rates per model.
 func TestHTTPStatsExposeShedsAndRejected(t *testing.T) {
 	s, ts := httpServer(t)
-	eng := s.Engine()
+	eng := s.eng
 	cfg := s.model.Config
 
 	// One admission rejection (malformed request)...

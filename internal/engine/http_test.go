@@ -136,7 +136,7 @@ func TestHTTPMultiModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Engine().Register("ranker", side, ModelOptions{}); err != nil {
+	if err := s.eng.Register("ranker", side, ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -426,26 +426,15 @@ func sealTrace(mq *modelQueue, tr *obs.Trace, outcome string, err error) {
 // sample order (rankSplit) — scores are bit-identical to the unsplit
 // path because the forward pass is row-independent.
 func (e *Engine) RankInto(ctx context.Context, name string, dst []float32, req model.Request) ([]float32, error) {
-	return e.rankIngested(ctx, name, dst, req, ingestStats{})
+	return e.rankOne(ctx, name, dst, req, ingestStats{}, true)
 }
 
-// rankIngested is RankInto for a request the HTTP front-end decoded:
-// in rides into the request's trace (every chunk's, when split).
-func (e *Engine) rankIngested(ctx context.Context, name string, dst []float32, req model.Request, in ingestStats) ([]float32, error) {
-	if mq, err := e.lookup(name); err == nil {
-		if pol := mq.loadPolicy(); pol.SplitAbove > 0 && req.Batch > pol.SplitAbove {
-			return e.rankSplit(ctx, name, mq, dst, req, pol.SplitAbove, in)
-		}
-	}
-	// Lookup failures fall through: rankOne re-resolves under the
-	// admission lock and reports the authoritative error (not-found or
-	// closed) with the usual counter and trace bookkeeping.
-	return e.rankOne(ctx, name, dst, req, in)
-}
-
-// rankOne is the unsplit admission path: validate, enqueue, await the
-// executor's response.
-func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req model.Request, in ingestStats) ([]float32, error) {
+// rankOne is the admission path: resolve the model, split an oversized
+// request when split is set and the model's policy asks for it,
+// otherwise validate, enqueue and await the executor's response. in is
+// what the HTTP front-end measured (zero for in-process callers) and
+// rides into the request's trace.
+func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req model.Request, in ingestStats, split bool) ([]float32, error) {
 	// Admission: resolve the queue and register as a sender under the
 	// lock, so Close and Unregister wait for the enqueue (or its
 	// abort) before draining.
@@ -462,6 +451,10 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 	if !ok {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrModelNotFound, name)
+	}
+	if pol := mq.loadPolicy(); split && pol.SplitAbove > 0 && req.Batch > pol.SplitAbove {
+		e.mu.Unlock()
+		return e.rankSplit(ctx, name, mq, dst, req, pol.SplitAbove, in)
 	}
 	mq.senders.Add(1)
 	e.mu.Unlock()
@@ -559,11 +552,11 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 // near-equal chunks — DeepRecSys's query splitting: a large candidate
 // set stops serializing behind one forward pass and instead occupies
 // several executor workers concurrently, trading aggregate work for
-// tail latency. Each chunk rides the normal admission path (validated,
-// queued, batched, counted, and latency-recorded like any request —
-// the controller's p99 window therefore sees chunk latencies, which
-// are what the batch policy actually controls), while the parent
-// counts once in Stats.Splits.
+// tail latency. Each chunk rides the normal admission path and is never
+// split again (validated, queued, batched, counted, and
+// latency-recorded like any request — the controller's p99 window
+// therefore sees chunk latencies, which are what the batch policy
+// actually controls), while the parent counts once in Stats.Splits.
 //
 // Ordered merge: chunk i's scores land in res[off_i:off_i+n_i], a
 // subslice of the parent's result buffer carved before dispatch — the
@@ -601,7 +594,7 @@ func (e *Engine) rankSplit(ctx context.Context, name string, mq *modelQueue, dst
 		// chunk's rows.
 		buf := res[off : off : off+size]
 		run := func(i int, sub model.Request, buf []float32) {
-			out, err := e.rankOne(ctx, name, buf, sub, in)
+			out, err := e.rankOne(ctx, name, buf, sub, in, false)
 			if err != nil {
 				errs[i] = err
 				return

@@ -300,15 +300,15 @@ func TestServerWrapperEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.Engine().Models(); len(got) != 1 || got[0] != DefaultModelName {
+	if got := s.eng.Models(); len(got) != 1 || got[0] != DefaultModelName {
 		t.Fatalf("wrapper registry = %v", got)
 	}
 	side := buildModel(t, model.RMC3Small().Scaled(500), 2)
-	if err := s.Engine().Register("side", side, ModelOptions{}); err != nil {
+	if err := s.eng.Register("side", side, ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	req := model.NewRandomRequest(side.Config, 2, stats.NewRNG(5))
-	got, err := s.Engine().Rank(context.Background(), "side", req)
+	got, err := s.eng.Rank(context.Background(), "side", req)
 	if err != nil {
 		t.Fatal(err)
 	}

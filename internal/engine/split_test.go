@@ -24,7 +24,7 @@ func TestSplitEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	eng := s.Engine()
+	eng := s.eng
 
 	// 57 deliberately not a multiple of any chunk size: the near-equal
 	// partition must cover remainder rows exactly once.
@@ -80,7 +80,7 @@ func TestSplitAtOrBelowThresholdUnsplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	eng := s.Engine()
+	eng := s.eng
 	pol, _ := eng.Policy(DefaultModelName)
 	pol.SplitAbove = 8
 	if err := eng.SetPolicy(DefaultModelName, pol); err != nil {
@@ -105,7 +105,7 @@ func TestSplitRejectsBadRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	eng := s.Engine()
+	eng := s.eng
 	pol, _ := eng.Policy(DefaultModelName)
 	pol.SplitAbove = 4
 	if err := eng.SetPolicy(DefaultModelName, pol); err != nil {
@@ -131,7 +131,7 @@ func TestSetPolicyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	eng := s.Engine()
+	eng := s.eng
 
 	if err := eng.SetPolicy("nope", batch.Policy{MaxBatch: 2}); !errors.Is(err, ErrModelNotFound) {
 		t.Fatalf("SetPolicy(unknown) = %v, want ErrModelNotFound", err)
@@ -180,7 +180,7 @@ func TestSetPolicyRaceHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	eng := s.Engine()
+	eng := s.eng
 
 	stop := make(chan struct{})
 	var flips sync.WaitGroup

@@ -100,17 +100,6 @@ func (f Fleet) TopRMCShare() float64 {
 	return total
 }
 
-// CyclesByKind returns fleet-wide cycle share per operator (Figure 4).
-func (f Fleet) CyclesByKind() map[nn.Kind]float64 {
-	out := make(map[nn.Kind]float64)
-	for _, s := range f.Services {
-		for k, v := range s.OpShares {
-			out[k] += s.CycleShare * v
-		}
-	}
-	return out
-}
-
 // CyclesByKindSplit returns the Figure 4 bars: operator shares split
 // into recommendation vs non-recommendation services.
 func (f Fleet) CyclesByKindSplit() (rec, nonRec map[nn.Kind]float64) {

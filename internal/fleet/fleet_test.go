@@ -66,8 +66,10 @@ func TestFigure1Shares(t *testing.T) {
 // alone is ~15% of all AI cycles — about 4× the CNN convolution share
 // and ≥ 10× the recurrent share.
 func TestFigure4OperatorShares(t *testing.T) {
-	f := DefaultFleet()
-	by := f.CyclesByKind()
+	by, nonRec := DefaultFleet().CyclesByKindSplit()
+	for k, v := range nonRec {
+		by[k] += v
+	}
 
 	sls := by[nn.KindSLS]
 	if sls < 0.10 || sls > 0.20 {

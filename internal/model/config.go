@@ -265,18 +265,6 @@ func (c Config) Ops() []nn.Op {
 	return ops
 }
 
-// StatsByKind aggregates per-operator work by category for one
-// inference at the given batch size.
-func (c Config) StatsByKind(batch int) map[nn.Kind]nn.OpStats {
-	out := make(map[nn.Kind]nn.OpStats)
-	for _, op := range c.Ops() {
-		s := out[op.Kind()]
-		s.Add(op.Stats(batch))
-		out[op.Kind()] = s
-	}
-	return out
-}
-
 // TotalStats aggregates all operator work for one inference.
 func (c Config) TotalStats(batch int) nn.OpStats {
 	var total nn.OpStats

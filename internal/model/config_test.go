@@ -7,8 +7,26 @@ import (
 	"recsys/internal/nn"
 )
 
+// zoo is Table I's six production configurations plus the MLPerf-NCF
+// baseline.
+func zoo() []Config {
+	return []Config{RMC1Small(), RMC1Large(), RMC2Small(), RMC2Large(), RMC3Small(), RMC3Large(), MLPerfNCF()}
+}
+
+// statsByKind aggregates per-operator work by category for one
+// inference at the given batch size.
+func statsByKind(c Config, batch int) map[nn.Kind]nn.OpStats {
+	out := make(map[nn.Kind]nn.OpStats)
+	for _, op := range c.Ops() {
+		s := out[op.Kind()]
+		s.Add(op.Stats(batch))
+		out[op.Kind()] = s
+	}
+	return out
+}
+
 func TestZooValidates(t *testing.T) {
-	for _, cfg := range append(Zoo(), MLPerfNCF()) {
+	for _, cfg := range zoo() {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
@@ -214,9 +232,9 @@ func TestOpsPanicsOnInvalid(t *testing.T) {
 
 func TestStatsByKind(t *testing.T) {
 	cfg := RMC2Small()
-	byKind := cfg.StatsByKind(1)
+	byKind := statsByKind(cfg, 1)
 	if byKind[nn.KindSLS].FLOPs == 0 || byKind[nn.KindFC].FLOPs == 0 {
-		t.Fatal("missing kinds in StatsByKind")
+		t.Fatal("missing kinds in the per-kind stats")
 	}
 	total := cfg.TotalStats(1)
 	var sum float64
@@ -228,7 +246,7 @@ func TestStatsByKind(t *testing.T) {
 	}
 	// Embedding reads scale with batch while FC weights are read once:
 	// at batch 16 RMC2 is clearly embedding-read dominated.
-	byKind16 := cfg.StatsByKind(16)
+	byKind16 := statsByKind(cfg, 16)
 	if byKind16[nn.KindSLS].ReadBytes <= byKind16[nn.KindFC].ParamBytes {
 		t.Error("RMC2 should be embedding-read dominated at batch 16")
 	}
@@ -291,7 +309,7 @@ func TestFigure12Gap(t *testing.T) {
 		}
 	}
 	// NCF is FC-dominated: >90% of its FLOPs are in FC layers.
-	byKind := ncf.StatsByKind(1)
+	byKind := statsByKind(ncf, 1)
 	var total float64
 	for _, s := range byKind {
 		total += s.FLOPs

@@ -108,6 +108,65 @@ func (r *spanRecord) OpSpan(name string, kind nn.Kind, d time.Duration) {
 	r.total += d
 }
 
+// kindTime sums span time per operator kind over instrumented passes:
+// the real-execution counterpart of perf.ModelTime's breakdown.
+type kindTime map[nn.Kind]time.Duration
+
+func (k kindTime) OpSpan(_ string, kind nn.Kind, d time.Duration) { k[kind] += d }
+
+// share returns the fraction of span time spent in kinds.
+func (k kindTime) share(kinds ...nn.Kind) float64 {
+	var in, all time.Duration
+	for kind, d := range k {
+		all += d
+		if slices.Contains(kinds, kind) {
+			in += d
+		}
+	}
+	if all == 0 {
+		return 0
+	}
+	return float64(in) / float64(all)
+}
+
+// measureKinds times five serial passes of cfg at batch after one
+// warm-up pass.
+func measureKinds(t *testing.T, cfg Config, batch int, seed uint64) kindTime {
+	t.Helper()
+	m, err := Build(cfg, stats.NewRNG(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := NewRandomRequest(cfg, batch, stats.NewRNG(seed))
+	m.ForwardSpans(req, nil, 1, kindTime{})
+	k := kindTime{}
+	for i := 0; i < 5; i++ {
+		m.ForwardSpans(req, nil, 1, k)
+	}
+	return k
+}
+
+// TestRealRMC3IsFCDominated: the simulated Figure 7 claim (RMC3's time
+// is overwhelmingly FC) must also hold in real execution on the host
+// CPU, since it follows from arithmetic volume, not from machine
+// details.
+func TestRealRMC3IsFCDominated(t *testing.T) {
+	k := measureKinds(t, RMC3Small().Scaled(40), 4, 3)
+	if f := k.share(nn.KindFC, nn.KindBatchMM); f < 0.6 {
+		t.Errorf("real RMC3 FC share = %.2f, want > 0.6 (%v)", f, k)
+	}
+}
+
+// TestRealRMC2SLSShareExceedsRMC3: the relative ordering of SLS shares
+// across model classes survives real execution.
+func TestRealRMC2SLSShareExceedsRMC3(t *testing.T) {
+	r2 := measureKinds(t, RMC2Small().Scaled(200), 8, 4).share(nn.KindSLS)
+	r3 := measureKinds(t, RMC3Small().Scaled(200), 8, 5).share(nn.KindSLS)
+	if r2 <= r3 {
+		t.Errorf("RMC2 SLS share (%.2f) should exceed RMC3's (%.2f) in real execution", r2, r3)
+	}
+}
+
 // tailSpans is the span sequence every pass ends with.
 func tailSpans(m *Model) []string {
 	names := []string{m.ConcatOp.Name()}

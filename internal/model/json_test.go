@@ -9,7 +9,7 @@ import (
 )
 
 func TestJSONRoundTrip(t *testing.T) {
-	for _, cfg := range append(Zoo(), MLPerfNCF()) {
+	for _, cfg := range zoo() {
 		data, err := json.Marshal(cfg)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", cfg.Name, err)

@@ -119,46 +119,6 @@ func MLPerfNCF() Config {
 	}
 }
 
-// WideAndDeep approximates the Google Play Store ranking model of
-// Cheng et al. (the paper's [16]): single-valued categorical features
-// (one lookup per table) and a deep MLP head. It demonstrates the
-// benchmark's flexibility beyond the three Facebook classes (§VII).
-func WideAndDeep() Config {
-	return Config{
-		Name:        "WideAndDeep",
-		Class:       Custom,
-		DenseIn:     26,
-		BottomMLP:   []int{256, 128, 64},
-		TopMLP:      []int{1024, 512, 256, 1},
-		Tables:      UniformTables(16, 100_000, 32, 1),
-		Interaction: Cat,
-	}
-}
-
-// YouTubeRanking approximates the video-ranking model of Covington et
-// al. (the paper's [22]): watch-history embeddings mean-pool ~50 video
-// IDs per table, with a tall tower MLP.
-func YouTubeRanking() Config {
-	return Config{
-		Name:        "YouTubeRanking",
-		Class:       Custom,
-		DenseIn:     64,
-		BottomMLP:   []int{512, 256, 128},
-		TopMLP:      []int{1024, 512, 1},
-		Tables:      UniformTables(4, 1_000_000, 64, 50),
-		Interaction: Cat,
-	}
-}
-
-// Zoo returns the six production-scale configurations of Table I.
-func Zoo() []Config {
-	return []Config{
-		RMC1Small(), RMC1Large(),
-		RMC2Small(), RMC2Large(),
-		RMC3Small(), RMC3Large(),
-	}
-}
-
 // Defaults returns the small representative of each class, the
 // configurations used throughout §V and §VI.
 func Defaults() []Config {

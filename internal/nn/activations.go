@@ -51,16 +51,6 @@ func (a *Activation) Name() string { return a.label }
 // Kind reports KindActivation.
 func (a *Activation) Kind() Kind { return KindActivation }
 
-// Forward applies the activation in place and returns its argument.
-func (a *Activation) Forward(t *tensor.Tensor) *tensor.Tensor {
-	if a.Sigmoid {
-		SigmoidInPlace(t)
-	} else {
-		ReLUInPlace(t)
-	}
-	return t
-}
-
 // Stats reports one FLOP per element for ReLU and four for Sigmoid
 // (exp, add, div, negate), with a read and write of every element.
 func (a *Activation) Stats(batch int) OpStats {

@@ -36,11 +36,6 @@ func NewEmbeddingTable(label string, rows, cols int, rng *stats.RNG) *EmbeddingT
 // Name returns the table label.
 func (e *EmbeddingTable) Name() string { return e.label }
 
-// SizeBytes returns the table's storage footprint in bytes (fp32).
-func (e *EmbeddingTable) SizeBytes() int64 {
-	return int64(e.Rows) * int64(e.Cols) * 4
-}
-
 // validateIDs checks every ID against [0, Rows) up front so the gather
 // inner loops can run check-free.
 func (e *EmbeddingTable) validateIDs(ids []int) {

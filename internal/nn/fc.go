@@ -107,9 +107,6 @@ func (f *FC) InvalidatePacked() {
 	f.quant.Store(nil)
 }
 
-// ParamCount returns the number of learnable parameters.
-func (f *FC) ParamCount() int { return f.In*f.Out + f.Out }
-
 // Stats reports the per-inference work: 2·batch·In·Out FLOPs for the
 // GEMM plus the bias add, streaming reads of W and X, writes of Y.
 func (f *FC) Stats(batch int) OpStats {
@@ -155,9 +152,6 @@ func (m *MLP) Kind() Kind { return KindFC }
 // InDim returns the expected input width.
 func (m *MLP) InDim() int { return m.Layers[0].In }
 
-// OutDim returns the output width.
-func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].Out }
-
 // Forward runs the stack, applying ReLU between layers and after the
 // final layer when FinalReLU is set.
 func (m *MLP) Forward(x *tensor.Tensor) *tensor.Tensor {
@@ -200,15 +194,6 @@ func (m *MLP) ForwardEx(x *tensor.Tensor, a *tensor.Arena, workers int) *tensor.
 		}
 	}
 	return x
-}
-
-// ParamCount returns total learnable parameters across layers.
-func (m *MLP) ParamCount() int {
-	n := 0
-	for _, fc := range m.Layers {
-		n += fc.ParamCount()
-	}
-	return n
 }
 
 // Stats sums the per-layer FC stats (activations excluded; see Kind).

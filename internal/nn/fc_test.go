@@ -47,9 +47,6 @@ func TestFCStats(t *testing.T) {
 	if s.Irregular {
 		t.Error("FC should not be irregular")
 	}
-	if fc.ParamCount() != 100*50+50 {
-		t.Errorf("ParamCount = %d", fc.ParamCount())
-	}
 }
 
 func TestFCXavierScale(t *testing.T) {
@@ -73,8 +70,8 @@ func TestFCXavierScale(t *testing.T) {
 func TestMLPDims(t *testing.T) {
 	rng := stats.NewRNG(3)
 	m := NewMLP("bot", []int{13, 512, 256, 64}, true, rng)
-	if m.InDim() != 13 || m.OutDim() != 64 || len(m.Layers) != 3 {
-		t.Fatalf("MLP dims in=%d out=%d layers=%d", m.InDim(), m.OutDim(), len(m.Layers))
+	if out := m.Layers[len(m.Layers)-1].Out; m.InDim() != 13 || out != 64 || len(m.Layers) != 3 {
+		t.Fatalf("MLP dims in=%d out=%d layers=%d", m.InDim(), out, len(m.Layers))
 	}
 	x := tensor.New(4, 13)
 	for i := range x.Data() {
@@ -123,8 +120,8 @@ func TestMLPStatsSumLayers(t *testing.T) {
 	if s != want {
 		t.Errorf("MLP stats %+v, want %+v", s, want)
 	}
-	if m.ParamCount() != 10*20+20+20*5+5 {
-		t.Errorf("ParamCount = %d", m.ParamCount())
+	if s.ParamBytes != 4*(10*20+20+20*5+5) {
+		t.Errorf("ParamBytes = %v", s.ParamBytes)
 	}
 }
 

@@ -72,9 +72,9 @@ func TestActivationOp(t *testing.T) {
 		t.Errorf("sigmoid stats %+v", sg.Stats(1))
 	}
 	x := tensor.FromSlice([]float32{-2, 3}, 1, 2)
-	a.Forward(x)
+	ReLUInPlace(x)
 	if x.Data()[0] != 0 || x.Data()[1] != 3 {
-		t.Error("activation Forward wrong")
+		t.Error("ReLUInPlace wrong")
 	}
 	func() {
 		defer func() {

@@ -71,12 +71,6 @@ func (q *QuantizedTable) QuantizeRow(r int, src []float32) {
 // Name returns the table label.
 func (q *QuantizedTable) Name() string { return q.label }
 
-// SizeBytes returns the quantized storage footprint: one byte per
-// element plus two fp32 per row.
-func (q *QuantizedTable) SizeBytes() int64 {
-	return int64(q.Rows)*int64(q.Cols) + int64(q.Rows)*8
-}
-
 // Row dequantizes row r into dst (length Cols). The kernel
 // (tensor.DequantI8) is bit-identical across tiers: the AVX2 path
 // converts 8 codes per step but keeps the scalar operation order.

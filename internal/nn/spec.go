@@ -6,7 +6,7 @@ import "fmt"
 // They exist so that production-scale models — whose embedding tables
 // reach tens of gigabytes — can be described, costed, and simulated
 // without materializing parameters. Calling Forward on a spec-only
-// operator panics; Stats, ParamCount, and SizeBytes work normally.
+// operator panics; Stats works normally.
 
 // NewFCSpec returns a shape-only FC layer (no weights; Forward panics).
 func NewFCSpec(label string, in, out int) *FC {
@@ -23,16 +23,4 @@ func NewEmbeddingTableSpec(label string, rows, cols int) *EmbeddingTable {
 		panic(fmt.Sprintf("nn: embedding table dimensions must be positive, got %d×%d", rows, cols))
 	}
 	return &EmbeddingTable{Rows: rows, Cols: cols, label: label}
-}
-
-// NewMLPSpec returns a shape-only MLP.
-func NewMLPSpec(label string, dims []int, finalReLU bool) *MLP {
-	if len(dims) < 2 {
-		panic(fmt.Sprintf("nn: MLP %q needs at least 2 dims, got %v", label, dims))
-	}
-	m := &MLP{FinalReLU: finalReLU, label: label}
-	for i := 0; i+1 < len(dims); i++ {
-		m.Layers = append(m.Layers, NewFCSpec(fmt.Sprintf("%s/fc%d", label, i), dims[i], dims[i+1]))
-	}
-	return m
 }

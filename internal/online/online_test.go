@@ -35,6 +35,14 @@ func newTestEngine(t *testing.T) *engine.Engine {
 	return eng
 }
 
+// add copies every sample of a labeled request into b, as its serve
+// tap does.
+func add(b *ClickBuffer, req model.Request, labels []float32) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.addLocked(req, labels)
+}
+
 // TestClickBufferCopyAndRing: the buffer deep-copies what it stores
 // (mutating the fed request later must not corrupt it), refuses batches
 // it cannot fill, and evicts oldest-first once full.
@@ -51,7 +59,7 @@ func TestClickBufferCopyAndRing(t *testing.T) {
 
 	req := model.NewRandomRequest(cfg, 4, rng)
 	labels := []float32{1, 0, 1, 0}
-	buf.Add(req, labels)
+	add(buf, req, labels)
 	want := req.Dense.Row(0)[0]
 	// Mutate the source after Add: the buffer must have copied.
 	req.Dense.Row(0)[0] = want + 100
@@ -78,7 +86,7 @@ func TestClickBufferCopyAndRing(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		r := model.NewRandomRequest(cfg, 1, rng)
 		r.Dense.Row(0)[0] = float32(1000 + i)
-		buf.Add(r, []float32{1})
+		add(buf, r, []float32{1})
 	}
 	if buf.Len() != 8 {
 		t.Fatalf("ring holds %d samples, want 8", buf.Len())
@@ -119,9 +127,8 @@ func TestABRouterSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	picks := r.Picks()
-	if picks["prod"] != 70 || picks["cand"] != 30 {
-		t.Fatalf("split %v, want prod=70 cand=30", picks)
+	if prod, cand := r.pickCount("prod"), r.pickCount("cand"); prod != 70 || cand != 30 {
+		t.Fatalf("split prod=%d cand=%d, want prod=70 cand=30", prod, cand)
 	}
 	if r.Fallbacks() != 0 {
 		t.Fatalf("unexpected fallbacks: %d", r.Fallbacks())
@@ -177,7 +184,7 @@ func TestUpdaterLearns(t *testing.T) {
 	rng := stats.NewRNG(13)
 	for i := 0; i < 64; i++ {
 		req := model.NewRandomRequest(cfg, 16, rng)
-		buf.Add(req, teacher.Label(req))
+		add(buf, req, teacher.Label(req))
 	}
 
 	upd, err := New(eng, Config{
@@ -371,7 +378,7 @@ func TestUpdaterABCanary(t *testing.T) {
 	if _, err := eng.Model("m-next"); err != nil {
 		t.Fatalf("canary not registered: %v", err)
 	}
-	arms := router.Arms()
+	arms := router.arms
 	if len(arms) != 2 || arms[0].Weight != 75 || arms[1].Weight != 25 {
 		t.Fatalf("arms %+v, want m:75 m-next:25", arms)
 	}
@@ -393,9 +400,8 @@ func TestUpdaterABCanary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	picks := router.Picks()
-	if picks["m"] != 30 || picks["m-next"] != 10 {
-		t.Fatalf("picks %v, want m=30 m-next=10 over 40 (25%% split)", picks)
+	if m, next := router.pickCount("m"), router.pickCount("m-next"); m != 30 || next != 10 {
+		t.Fatalf("picks m=%d m-next=%d, want m=30 m-next=10 over 40 (25%% split)", m, next)
 	}
 
 	// Cycle 2: the canary promotes (gen 2), a fresh canary replaces it.
@@ -433,8 +439,8 @@ func TestUpdaterStartStop(t *testing.T) {
 	}
 	upd.Stop()
 	upd.Stop() // idempotent
-	if err := upd.LastErr(); err != nil {
-		t.Fatal(err)
+	if err := upd.lastErr.Load(); err != nil {
+		t.Fatal(*err)
 	}
 	if s := upd.Stats().Swaps; s < 2 {
 		t.Fatalf("ticker loop produced %d swaps, want >= 2", s)

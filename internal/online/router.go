@@ -84,13 +84,6 @@ func (r *ABRouter) SetArms(arms ...Arm) error {
 	return nil
 }
 
-// Arms returns a copy of the current routing table.
-func (r *ABRouter) Arms() []Arm {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Arm(nil), r.arms...)
-}
-
 // Pick selects the next arm by smooth weighted round-robin and counts
 // the pick.
 func (r *ABRouter) Pick() string {
@@ -111,18 +104,6 @@ func (r *ABRouter) pickLocked() string {
 	name := r.arms[best].Name
 	r.picks[name]++
 	return name
-}
-
-// Picks returns the cumulative per-arm pick counts (including arms no
-// longer routed).
-func (r *ABRouter) Picks() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.picks))
-	for k, v := range r.picks {
-		out[k] = v
-	}
-	return out
 }
 
 // Fallbacks returns how many ranks fell back to the primary after

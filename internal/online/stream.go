@@ -97,13 +97,6 @@ func (b *ClickBuffer) Tap(l Labeler) engine.ServeTap {
 	}
 }
 
-// Add copies every sample of a labeled request into the ring.
-func (b *ClickBuffer) Add(req model.Request, labels []float32) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.addLocked(req, labels)
-}
-
 func (b *ClickBuffer) addLocked(req model.Request, labels []float32) {
 	if len(labels) != req.Batch {
 		panic(fmt.Sprintf("online: %d labels for batch %d", len(labels), req.Batch))

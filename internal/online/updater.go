@@ -236,11 +236,8 @@ func New(eng *engine.Engine, cfg Config) (*Updater, error) {
 // configured split.
 func (u *Updater) Router() *ABRouter { return u.router }
 
-// Name returns the registry name the updater maintains.
-func (u *Updater) Name() string { return u.name }
-
 // Start runs cycles every Config.Interval until Stop. Cycle errors are
-// recorded (Stats/LastErr) without stopping the loop — a transient
+// recorded (the last one is kept) without stopping the loop — a transient
 // failure must not end continuous training.
 func (u *Updater) Start() {
 	u.cycleMu.Lock()
@@ -280,15 +277,6 @@ func (u *Updater) Stop() {
 	}
 	close(stop)
 	<-done
-}
-
-// LastErr returns the most recent cycle error from the Start loop, or
-// nil.
-func (u *Updater) LastErr() error {
-	if p := u.lastErr.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // RunCycle executes one train→snapshot→quantize→gate→publish cycle

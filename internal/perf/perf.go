@@ -23,8 +23,6 @@
 package perf
 
 import (
-	"fmt"
-
 	"recsys/internal/arch"
 	"recsys/internal/model"
 	"recsys/internal/nn"
@@ -168,12 +166,6 @@ func (mt ModelTime) KindFraction(kinds ...nn.Kind) float64 {
 		sum += by[k]
 	}
 	return sum / mt.TotalUS
-}
-
-// String renders the estimate on one line.
-func (mt ModelTime) String() string {
-	return fmt.Sprintf("%s on %s batch=%d tenants=%d: %.1fµs",
-		mt.Config.Name, mt.Context.Machine.Name, mt.Context.Batch, mt.Context.Tenants, mt.TotalUS)
 }
 
 // Footprint is the memory footprint context an operator sequence runs

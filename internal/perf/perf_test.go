@@ -244,9 +244,6 @@ func TestContextDefaults(t *testing.T) {
 	if mt.Context.HotMass != 0.95 || mt.Context.HotFrac != 0.10 {
 		t.Error("locality defaults wrong")
 	}
-	if len(mt.String()) == 0 {
-		t.Error("empty String()")
-	}
 }
 
 func TestByKindSumsToTotal(t *testing.T) {

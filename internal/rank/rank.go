@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"recsys/internal/model"
-	"recsys/internal/tensor"
 )
 
 // Result is one served candidate: its index in the original candidate
@@ -38,27 +37,6 @@ func TopK(scores []float32, k int) []Result {
 		return res[a].Index < res[b].Index
 	})
 	return res[:k]
-}
-
-// SubsetRequest extracts the samples at the given indices from a
-// request, preserving feature alignment — used to hand filtering
-// survivors to the ranking stage when both stages share inputs.
-func SubsetRequest(cfg model.Config, req model.Request, indices []int) model.Request {
-	out := model.Request{Batch: len(indices)}
-	if cfg.DenseIn > 0 {
-		out.Dense = tensor.New(len(indices), cfg.DenseIn)
-		for row, idx := range indices {
-			copy(out.Dense.Row(row), req.Dense.Row(idx))
-		}
-	}
-	for ti, tab := range cfg.Tables {
-		ids := make([]int, 0, len(indices)*tab.Lookups)
-		for _, idx := range indices {
-			ids = append(ids, req.SparseIDs[ti][idx*tab.Lookups:(idx+1)*tab.Lookups]...)
-		}
-		out.SparseIDs = append(out.SparseIDs, ids)
-	}
-	return out
 }
 
 // Pipeline is a filtering→ranking cascade.
@@ -92,27 +70,10 @@ func (p *Pipeline) Run(filterReq model.Request, buildRankReq func(survivors []in
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return runCascade(p.FilterTo, p.ServeTo, filterReq,
-		func(req model.Request) ([]float32, error) { return p.Filter.CTR(req), nil },
-		func(req model.Request) ([]float32, error) { return p.Ranker.CTR(req), nil },
-		buildRankReq)
-}
-
-// runCascade is the two-stage control flow shared by the direct
-// Pipeline and the engine-backed EnginePipeline: filter-score all
-// candidates, keep the top filterTo, re-score them with the ranking
-// stage, serve the top serveTo (indices into the original list).
-func runCascade(filterTo, serveTo int, filterReq model.Request,
-	scoreFilter, scoreRank func(model.Request) ([]float32, error),
-	buildRankReq func(survivors []int) (model.Request, error)) ([]Result, error) {
-	if filterReq.Batch < filterTo {
-		return nil, fmt.Errorf("rank: %d candidates, need at least FilterTo=%d", filterReq.Batch, filterTo)
+	if filterReq.Batch < p.FilterTo {
+		return nil, fmt.Errorf("rank: %d candidates, need at least FilterTo=%d", filterReq.Batch, p.FilterTo)
 	}
-	filterScores, err := scoreFilter(filterReq)
-	if err != nil {
-		return nil, fmt.Errorf("rank: filtering stage: %w", err)
-	}
-	survivors := TopK(filterScores, filterTo)
+	survivors := TopK(p.Filter.CTR(filterReq), p.FilterTo)
 	idx := make([]int, len(survivors))
 	for i, s := range survivors {
 		idx[i] = s.Index
@@ -122,14 +83,10 @@ func runCascade(filterTo, serveTo int, filterReq model.Request,
 	if err != nil {
 		return nil, fmt.Errorf("rank: building ranking request: %w", err)
 	}
-	if rankReq.Batch != filterTo {
-		return nil, fmt.Errorf("rank: ranking request batch %d, want %d", rankReq.Batch, filterTo)
+	if rankReq.Batch != p.FilterTo {
+		return nil, fmt.Errorf("rank: ranking request batch %d, want %d", rankReq.Batch, p.FilterTo)
 	}
-	rankScores, err := scoreRank(rankReq)
-	if err != nil {
-		return nil, fmt.Errorf("rank: ranking stage: %w", err)
-	}
-	final := TopK(rankScores, serveTo)
+	final := TopK(p.Ranker.CTR(rankReq), p.ServeTo)
 	out := make([]Result, len(final))
 	for i, f := range final {
 		out[i] = Result{Index: idx[f.Index], Score: f.Score}

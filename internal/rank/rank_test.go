@@ -6,6 +6,7 @@ import (
 
 	"recsys/internal/model"
 	"recsys/internal/stats"
+	"recsys/internal/tensor"
 )
 
 func TestTopK(t *testing.T) {
@@ -33,11 +34,32 @@ func TestTopKPanics(t *testing.T) {
 	}
 }
 
+// subsetRequest extracts the samples at indices from req, preserving
+// feature alignment: the ranking stage's input when both stages share
+// one model shape.
+func subsetRequest(cfg model.Config, req model.Request, indices []int) model.Request {
+	out := model.Request{Batch: len(indices)}
+	if cfg.DenseIn > 0 {
+		out.Dense = tensor.New(len(indices), cfg.DenseIn)
+		for row, idx := range indices {
+			copy(out.Dense.Row(row), req.Dense.Row(idx))
+		}
+	}
+	for ti, tab := range cfg.Tables {
+		ids := make([]int, 0, len(indices)*tab.Lookups)
+		for _, idx := range indices {
+			ids = append(ids, req.SparseIDs[ti][idx*tab.Lookups:(idx+1)*tab.Lookups]...)
+		}
+		out.SparseIDs = append(out.SparseIDs, ids)
+	}
+	return out
+}
+
 func TestSubsetRequest(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(100)
 	rng := stats.NewRNG(1)
 	req := model.NewRandomRequest(cfg, 10, rng)
-	sub := SubsetRequest(cfg, req, []int{7, 2})
+	sub := subsetRequest(cfg, req, []int{7, 2})
 	if sub.Batch != 2 {
 		t.Fatalf("batch %d", sub.Batch)
 	}
@@ -83,7 +105,7 @@ func TestPipelineRun(t *testing.T) {
 	p, cfg := buildPipeline(t)
 	req := model.NewRandomRequest(cfg, 200, stats.NewRNG(5))
 	results, err := p.Run(req, func(survivors []int) (model.Request, error) {
-		return SubsetRequest(cfg, req, survivors), nil
+		return subsetRequest(cfg, req, survivors), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +128,7 @@ func TestPipelineRun(t *testing.T) {
 	}
 	// The served results must all be filtering survivors: their final
 	// ranker scores must equal direct ranker evaluation.
-	direct := p.Ranker.CTR(SubsetRequest(cfg, req, []int{results[0].Index}))
+	direct := p.Ranker.CTR(subsetRequest(cfg, req, []int{results[0].Index}))
 	if d := float64(direct[0] - results[0].Score); d > 1e-6 || d < -1e-6 {
 		t.Errorf("top score %v inconsistent with direct ranking %v", results[0].Score, direct[0])
 	}
@@ -125,7 +147,7 @@ func TestPipelineErrors(t *testing.T) {
 		t.Error("callback error should propagate")
 	}
 	if _, err := p.Run(req, func(s []int) (model.Request, error) {
-		r := SubsetRequest(cfg, req, s[:len(s)-1]) // wrong batch
+		r := subsetRequest(cfg, req, s[:len(s)-1]) // wrong batch
 		return r, nil
 	}); err == nil {
 		t.Error("wrong ranking batch should error")
@@ -136,23 +158,5 @@ func TestPipelineErrors(t *testing.T) {
 	}
 	if err := (&Pipeline{}).Validate(); err == nil {
 		t.Error("missing stages should be invalid")
-	}
-}
-
-func TestRelatedWorkConfigs(t *testing.T) {
-	for _, cfg := range []model.Config{model.WideAndDeep(), model.YouTubeRanking()} {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%s: %v", cfg.Name, err)
-		}
-	}
-	// Wide&Deep: single-valued categoricals.
-	for _, tab := range model.WideAndDeep().Tables {
-		if tab.Lookups != 1 {
-			t.Error("WideAndDeep should use one lookup per table")
-		}
-	}
-	// YouTube: watch-history pooling dominates lookups.
-	if model.YouTubeRanking().LookupsPerSample() < 100 {
-		t.Error("YouTubeRanking should pool a long watch history")
 	}
 }

@@ -8,7 +8,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"recsys/internal/arch"
 	"recsys/internal/model"
@@ -123,17 +122,4 @@ func LatencyThroughputCurve(cfg model.Config, m arch.Machine, batch, maxTenants 
 		out = append(out, Evaluate(cfg, m, batch, n))
 	}
 	return out
-}
-
-// MinLatencyMachine returns the machine with the lowest single-model
-// latency at the given batch (Broadwell at small batch, per Takeaway 3).
-func MinLatencyMachine(cfg model.Config, machines []arch.Machine, batch int) arch.Machine {
-	best := machines[0]
-	bestLat := math.Inf(1)
-	for _, m := range machines {
-		if lat := Evaluate(cfg, m, batch, 1).LatencyUS; lat < bestLat {
-			best, bestLat = m, lat
-		}
-	}
-	return best
 }

@@ -147,9 +147,6 @@ func Dial(opts Options) (*Client, error) {
 // NumShards returns the tier width.
 func (c *Client) NumShards() int { return len(c.peers) }
 
-// Addrs returns the shard addresses in shard-index order.
-func (c *Client) Addrs() []string { return c.opts.Addrs }
-
 // Topology is the human-readable tier description stamped into
 // benchmark output ("3 shards: a:1,b:2,c:3").
 func (c *Client) Topology() string {

@@ -99,7 +99,7 @@ func TestHedgingBoundsTailLatencyUnderSlowShard(t *testing.T) {
 
 	// Control: same degraded cluster, hedging disabled.
 	unhedgedClient, err := Dial(Options{
-		Addrs:      slowClient.Addrs(),
+		Addrs:      slowClient.opts.Addrs,
 		HedgeAfter: -1,
 	})
 	if err != nil {

@@ -30,8 +30,6 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	requests atomic.Int64
-
 	// Fault injection (tests, cmd/embshard flags): every stallEvery-th
 	// gather request sleeps stallNS before answering — the transient
 	// per-request stall hedging exists to absorb. A constant slowdown
@@ -91,12 +89,6 @@ func (s *Server) SetRowServiceTime(d time.Duration) {
 	s.rowServiceNS.Store(int64(d))
 }
 
-// Requests returns the number of gather requests served.
-func (s *Server) Requests() int64 { return s.requests.Load() }
-
-// Gen returns table's current generation token.
-func (s *Server) Gen(table int) uint64 { return s.tables[table].gen.Load() }
-
 // UpdateRow applies a trainer sparse update to one row: the store's
 // write (fp32 + int8 re-quantization) and a generation bump. The
 // per-table lock excludes in-flight reads for the duration of the
@@ -119,10 +111,6 @@ func (s *Server) UpdateRow(table int, id int64, row []float32) error {
 	t.gen.Add(1)
 	return nil
 }
-
-// BumpGen advances table's generation without a row write — the hook
-// for out-of-band table mutations (e.g. a direct W rewrite in tests).
-func (s *Server) BumpGen(table int) { s.tables[table].gen.Add(1) }
 
 // Serve accepts connections on ln until Close. It returns nil after
 // Close, or the accept error otherwise.
@@ -157,16 +145,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		go s.handleConn(c)
 	}
-}
-
-// Addr returns the listener address (valid once Serve is running).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // Close stops accepting, closes every live connection, and waits for
@@ -265,7 +243,6 @@ func (s *Server) handle(in, out []byte, row []float32) []byte {
 	default:
 		return appendErrResp(out, reqID, statusBadRequest, fmt.Sprintf("unknown opcode %d", op))
 	}
-	s.requests.Add(1)
 	if every := s.stallEvery.Load(); every > 0 && s.stallSeq.Add(1)%every == 0 {
 		time.Sleep(time.Duration(s.stallNS.Load()))
 	}

@@ -323,7 +323,7 @@ func TestRemoteUpdateRaceHammer(t *testing.T) {
 				}
 			}
 			if i%17 == 0 {
-				servers[0].BumpGen(0)
+				servers[0].tables[0].gen.Add(1) // an out-of-band table mutation
 			}
 		}
 	}()

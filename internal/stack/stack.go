@@ -48,10 +48,8 @@ type Config struct {
 	EmbCache   engine.EmbCacheOptions
 	SplitAbove int
 
-	// EmbShards is -emb-shards, comma-separated embshard addresses;
-	// EmbHedgeAfter is -emb-hedge-after.
-	EmbShards     string
-	EmbHedgeAfter time.Duration
+	// EmbShards is -emb-shards, comma-separated embshard addresses.
+	EmbShards string
 
 	// SLA (-sla) starts the scheduling controller, observe-only unless
 	// Adapt (-adapt); AdaptInterval is -adapt-interval.
@@ -60,20 +58,23 @@ type Config struct {
 	AdaptInterval time.Duration
 
 	// Online (-online) runs the train→quantize→swap loop on the default
-	// model; the rest are its -online-* flags. OnlineHoldout is the size
-	// of the held-out set the quality gate scores candidates on, 0 for
-	// no gate (loadgen's smoke run asserts that swaps land, not what
-	// they learned).
-	Online            bool
-	OnlineInterval    time.Duration
-	OnlineSteps       int
-	OnlineBatch       int
-	OnlineLR          float64
-	OnlineQuantize    string
-	OnlineRollbackTol float64
-	OnlineAB          int
-	OnlineBuffer      int
-	OnlineHoldout     int
+	// model every OnlineInterval (-online-interval), publishing canaries
+	// that take OnlineAB% of traffic when -online-ab is set. The
+	// training knobs are constants of each binary, which pick different
+	// ones: OnlineSteps steps of OnlineBatch samples at OnlineLR a cycle,
+	// drawn from a replay buffer of OnlineBuffer samples. OnlineHoldout
+	// is the size of the held-out set the quality gate scores candidates
+	// on, 0 for no gate (loadgen's smoke run asserts that swaps land, not
+	// what they learned). Candidates are quantized like the serving
+	// model, and roll back on a 5% held-out loss regression.
+	Online         bool
+	OnlineInterval time.Duration
+	OnlineAB       int
+	OnlineSteps    int
+	OnlineBatch    int
+	OnlineLR       float64
+	OnlineBuffer   int
+	OnlineHoldout  int
 
 	// Watch (-watch) polls Checkpoint and hot-swaps it in when it changes.
 	Watch time.Duration
@@ -197,10 +198,7 @@ func (s *Stack) dialShards() error {
 		}
 		return nil
 	}
-	client, err := shard.Dial(shard.Options{
-		Addrs:      strings.Split(s.cfg.EmbShards, ","),
-		HedgeAfter: s.cfg.EmbHedgeAfter,
-	})
+	client, err := shard.Dial(shard.Options{Addrs: strings.Split(s.cfg.EmbShards, ",")})
 	if err != nil {
 		return err
 	}
@@ -278,17 +276,6 @@ func (s *Stack) startOnline() error {
 	if !c.Online {
 		return nil
 	}
-	var quant online.QuantizeMode
-	switch c.OnlineQuantize {
-	case "", "auto":
-		quant = online.QuantizeAuto
-	case "tables":
-		quant = online.QuantizeTables
-	case "off":
-		quant = online.QuantizeOff
-	default:
-		return fmt.Errorf("stack: -online-quantize must be auto, tables, or off, got %q", c.OnlineQuantize)
-	}
 	name := s.Engine.DefaultModel()
 	served, err := s.Engine.Model(name)
 	if err != nil {
@@ -304,8 +291,6 @@ func (s *Stack) startOnline() error {
 		BatchSize:     c.OnlineBatch,
 		LR:            float32(c.OnlineLR),
 		Interval:      c.OnlineInterval,
-		Quantize:      quant,
-		RollbackTol:   c.OnlineRollbackTol,
 		ABWeight:      c.OnlineAB,
 		OnSwap: func(gen uint64, _ *model.Model) {
 			s.logf("online: published generation %d of %s", gen, name)
@@ -331,14 +316,15 @@ func (s *Stack) startOnline() error {
 	if c.OnlineAB > 0 {
 		mode = fmt.Sprintf("A/B canary %d%%", c.OnlineAB)
 	}
-	s.logf("online updater: model=%s interval=%v steps=%d batch=%d quantize=%s %s",
-		name, c.OnlineInterval, c.OnlineSteps, c.OnlineBatch, c.OnlineQuantize, mode)
+	s.logf("online updater: model=%s interval=%v steps=%d batch=%d quantize=auto %s",
+		name, c.OnlineInterval, c.OnlineSteps, c.OnlineBatch, mode)
 	return nil
 }
 
 // startWatcher polls the checkpoint file and hot-swaps the default
 // model when its mtime or size changes — the consumer side of
-// cmd/train -snapshot-every.
+// cmd/train -snapshot-every. A refused snapshot keeps the served model
+// and is logged once.
 func (s *Stack) startWatcher() error {
 	every, checkpoint := s.cfg.Watch, s.cfg.Checkpoint
 	if every <= 0 {
@@ -366,9 +352,13 @@ func (s *Stack) startWatcher() error {
 			if err != nil || (fi.ModTime().Equal(lastMod) && fi.Size() == lastSize) {
 				continue
 			}
+			// This version of the file is judged once: a snapshot that
+			// does not load or does not fit the served model is refused
+			// (and logged) until the file changes again, not re-read
+			// every tick.
+			lastMod, lastSize = fi.ModTime(), fi.Size()
 			m, err := model.LoadFile(checkpoint)
 			if err != nil {
-				// A snapshot writer may be mid-rename; retry next tick.
 				s.logf("watch: load %s: %v", checkpoint, err)
 				continue
 			}
@@ -376,7 +366,6 @@ func (s *Stack) startWatcher() error {
 				s.logf("watch: swap: %v", err)
 				continue
 			}
-			lastMod, lastSize = fi.ModTime(), fi.Size()
 			gen, _ := s.Engine.Generation(name)
 			s.logf("watch: hot-swapped %s from %s (generation %d)", name, checkpoint, gen)
 		}

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,7 +57,6 @@ func TestCrossFlagRules(t *testing.T) {
 		{"watch without a checkpoint", Config{Models: one, Watch: time.Second}, "-watch requires -checkpoint"},
 		{"checkpoint and model", Config{Models: one, Checkpoint: "m.ckpt"}, "mutually exclusive"},
 		{"nothing to serve", Config{}, "nothing to serve"},
-		{"unknown quantize mode", Config{Models: one, Online: true, OnlineQuantize: "fp16", OnlineBuffer: 64}, "-online-quantize must be"},
 	}
 	for _, c := range cases {
 		c.cfg.Workers = 1
@@ -207,5 +208,83 @@ func TestCheckpointWatch(t *testing.T) {
 	}
 	if want := second.CTR(req); got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("after the swap the stack scored %v, the new checkpoint %v", got, want)
+	}
+}
+
+// TestWatchRefusesASnapshotOnce: a checkpoint the watcher cannot serve
+// (another model's shape, or bytes model.LoadFile rejects) keeps the
+// served model, is logged once however many ticks see it, and a later
+// compatible rewrite still swaps in as the next generation.
+func TestWatchRefusesASnapshotOnce(t *testing.T) {
+	cfg := model.RMC1Small().Scaled(1000)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.ckpt")
+	// install replaces the checkpoint the way cmd/train -snapshot-every
+	// does: write a temp file, rename it over.
+	install := func(write func(tmp string) error) {
+		t.Helper()
+		tmp := filepath.Join(dir, "m.ckpt.tmp")
+		if err := write(tmp); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	saved := func(c model.Config, seed uint64) func(string) error {
+		return func(tmp string) error {
+			m, err := model.Build(c, stats.NewRNG(seed))
+			if err != nil {
+				return err
+			}
+			return m.SaveFile(tmp)
+		}
+	}
+	install(saved(cfg, 1))
+
+	var mu sync.Mutex
+	var refusals []string
+	const tick = 5 * time.Millisecond
+	st := start(t, Config{Checkpoint: path, Workers: 1, MaxBatch: 1, Watch: tick, Logf: func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "watch: load") || strings.HasPrefix(line, "watch: swap") {
+			mu.Lock()
+			refusals = append(refusals, line)
+			mu.Unlock()
+		}
+	}})
+	refused := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(refusals)
+	}
+	gen0, _ := st.Engine.Generation(engine.DefaultModelName)
+
+	for i, bad := range []func(string) error{
+		saved(model.RMC3Small().Scaled(1000), 1), // loads, but Swap refuses the shape
+		func(tmp string) error { return os.WriteFile(tmp, []byte("not a checkpoint"), 0o644) },
+	} {
+		install(bad)
+		for deadline := time.Now().Add(10 * time.Second); refused() < i+1; time.Sleep(tick) {
+			if time.Now().After(deadline) {
+				t.Fatalf("snapshot %d was never refused", i)
+			}
+		}
+		time.Sleep(30 * tick)
+		if n := refused(); n != i+1 {
+			t.Fatalf("after snapshot %d and 30 more ticks: %d refusal lines, want %d: %q", i, n, i+1, refusals)
+		}
+		if gen, _ := st.Engine.Generation(engine.DefaultModelName); gen != gen0 {
+			t.Fatalf("a refused snapshot moved the generation %d → %d", gen0, gen)
+		}
+	}
+
+	install(saved(cfg, 2))
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(tick) {
+		if gen, _ := st.Engine.Generation(engine.DefaultModelName); gen == gen0+1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the compatible rewrite was never swapped in")
+		}
 	}
 }

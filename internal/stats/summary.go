@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -142,12 +141,6 @@ func (s *Sample) Summarize() Summary {
 	}
 }
 
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f p5=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
-		s.N, s.Mean, s.Std, s.Min, s.P5, s.P50, s.P95, s.P99, s.Max)
-}
-
 // Histogram counts observations into uniform-width bins over [lo, hi).
 // Observations outside the range are clamped into the edge bins so that
 // totals are preserved.
@@ -181,9 +174,6 @@ func (h *Histogram) Add(v float64) {
 	h.Counts[idx]++
 	h.total++
 }
-
-// Total reports the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
 
 // BinCenter returns the midpoint value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {

@@ -215,7 +215,3 @@ func (a *Arena) Reset() {
 	a.i32off = 0
 	a.i32total = 0
 }
-
-// Cap returns the slab capacity in float32 elements (for tests and
-// capacity accounting).
-func (a *Arena) Cap() int { return len(a.slab) }

@@ -53,43 +53,6 @@ func checkGemm(a, b, c *Tensor) (m, k, n int) {
 	return m, k, n
 }
 
-// MatMul allocates and returns A·B.
-func MatMul(a, b *Tensor) *Tensor {
-	c := New(a.shape[0], b.shape[1])
-	Gemm(a, b, c)
-	return c
-}
-
-// Gemv computes y = A·x + y where A is m×n, x has length n, and y has
-// length m.
-func Gemv(a *Tensor, x, y []float32) {
-	if a.Rank() != 2 {
-		panic("tensor: Gemv requires a rank-2 matrix")
-	}
-	m, n := a.shape[0], a.shape[1]
-	if len(x) != n || len(y) != m {
-		panic(fmt.Sprintf("tensor: Gemv shapes A=%v x=%d y=%d", a.shape, len(x), len(y)))
-	}
-	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		var sum float32
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		y[i] += sum
-	}
-}
-
-// Axpy computes y += alpha * x element-wise.
-func Axpy(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // AddBiasRows adds the bias vector to every row of a rank-2 tensor
 // in place.
 func AddBiasRows(t *Tensor, bias []float32) {

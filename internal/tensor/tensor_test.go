@@ -71,24 +71,11 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestReshape(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := a.Reshape(3, 2)
-	if b.At(2, 1) != 6 {
-		t.Errorf("reshaped At(2,1) = %v, want 6", b.At(2, 1))
-	}
-	b.Set(-5, 0, 0)
-	if a.At(0, 0) != -5 {
-		t.Error("Reshape should share storage")
-	}
-}
-
 func TestPanics(t *testing.T) {
 	cases := map[string]func(){
 		"empty shape":       func() { New() },
 		"negative dim":      func() { New(2, -1) },
 		"fromslice len":     func() { FromSlice([]float32{1}, 2, 2) },
-		"reshape volume":    func() { New(2, 3).Reshape(7) },
 		"index rank":        func() { New(2, 3).At(1) },
 		"index range":       func() { New(2, 3).At(2, 0) },
 		"row on rank3":      func() { New(2, 2, 2).Row(0) },
@@ -97,9 +84,6 @@ func TestPanics(t *testing.T) {
 		"bias rank":         func() { AddBiasRows(New(2), []float32{0, 0}) },
 		"bias len":          func() { AddBiasRows(New(2, 3), []float32{0}) },
 		"transpose rank":    func() { Transpose(New(2)) },
-		"gemv rank":         func() { Gemv(New(2), nil, nil) },
-		"gemv shape":        func() { Gemv(New(2, 2), []float32{1}, []float32{1, 2}) },
-		"axpy len":          func() { Axpy(1, []float32{1}, []float32{1, 2}) },
 		"gemm rank":         func() { Gemm(New(2), New(2, 2), New(2, 2)) },
 		"gemm inner":        func() { Gemm(New(2, 3), New(4, 2), New(2, 2)) },
 		"gemm output shape": func() { Gemm(New(2, 3), New(3, 2), New(3, 3)) },
@@ -146,6 +130,13 @@ func TestFill(t *testing.T) {
 	}
 }
 
+// matMul allocates and returns A·B through Gemm.
+func matMul(a, b *Tensor) *Tensor {
+	c := New(a.shape[0], b.shape[1])
+	Gemm(a, b, c)
+	return c
+}
+
 // naiveMatMul is the reference implementation Gemm is checked against.
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
@@ -174,10 +165,10 @@ func randTensor(r *stats.RNG, shape ...int) *Tensor {
 func TestGemmSmallExact(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := FromSlice([]float32{58, 64, 139, 154}, 2, 2)
 	if !Equal(c, want, 0) {
-		t.Errorf("MatMul = %v, want %v", c.Data(), want.Data())
+		t.Errorf("Gemm = %v, want %v", c.Data(), want.Data())
 	}
 }
 
@@ -189,7 +180,7 @@ func TestGemmMatchesNaive(t *testing.T) {
 	} {
 		a := randTensor(r, dims[0], dims[1])
 		b := randTensor(r, dims[1], dims[2])
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		want := naiveMatMul(a, b)
 		if d := MaxAbsDiff(got, want); d > 1e-4 {
 			t.Errorf("dims %v: blocked GEMM deviates from naive by %v", dims, d)
@@ -205,29 +196,6 @@ func TestGemmAccumulates(t *testing.T) {
 	want := FromSlice([]float32{6, 7, 8, 9}, 2, 2)
 	if !Equal(c, want, 0) {
 		t.Errorf("Gemm did not accumulate into C: %v", c.Data())
-	}
-}
-
-func TestGemvMatchesGemm(t *testing.T) {
-	r := stats.NewRNG(103)
-	a := randTensor(r, 40, 30)
-	x := randTensor(r, 30)
-	y := make([]float32, 40)
-	Gemv(a, x.Data(), y)
-	want := MatMul(a, x.Reshape(30, 1))
-	for i := range y {
-		if d := y[i] - want.Data()[i]; d > 1e-4 || d < -1e-4 {
-			t.Fatalf("Gemv[%d] = %v, want %v", i, y[i], want.Data()[i])
-		}
-	}
-}
-
-func TestAxpy(t *testing.T) {
-	x := []float32{1, 2, 3}
-	y := []float32{10, 20, 30}
-	Axpy(2, x, y)
-	if y[0] != 12 || y[1] != 24 || y[2] != 36 {
-		t.Errorf("Axpy = %v", y)
 	}
 }
 
@@ -259,8 +227,8 @@ func TestGemmTransposeIdentity(t *testing.T) {
 		m, k, n := 1+r.Intn(30), 1+r.Intn(30), 1+r.Intn(30)
 		a := randTensor(r, m, k)
 		b := randTensor(r, k, n)
-		lhs := Transpose(MatMul(a, b))
-		rhs := MatMul(Transpose(b), Transpose(a))
+		lhs := Transpose(matMul(a, b))
+		rhs := matMul(Transpose(b), Transpose(a))
 		return MaxAbsDiff(lhs, rhs) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -278,7 +246,7 @@ func TestGemmIdentity(t *testing.T) {
 		for i := 0; i < n; i++ {
 			eye.Set(1, i, i)
 		}
-		return Equal(MatMul(a, eye), a, 1e-6)
+		return Equal(matMul(a, eye), a, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

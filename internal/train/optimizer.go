@@ -104,7 +104,3 @@ func (o *AdaGrad) apply(acc, p, g []float32) {
 		p[i] -= o.LR * gi / (float32(math.Sqrt(float64(acc[i]))) + o.Eps)
 	}
 }
-
-// StateRows reports how many embedding rows hold optimizer state for a
-// table — a measure of the sparse-state footprint.
-func (o *AdaGrad) StateRows(key string) int { return len(o.sparse[key]) }

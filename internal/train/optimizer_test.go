@@ -77,8 +77,8 @@ func TestAdaGradSparseStatePerRow(t *testing.T) {
 	if -cold[0] < float32(hotLast)*5 {
 		t.Errorf("cold-row step %v should dwarf hot-row late step %v", -cold[0], hotLast)
 	}
-	if o.StateRows("t") != 2 {
-		t.Errorf("StateRows = %d, want 2", o.StateRows("t"))
+	if n := len(o.sparse["t"]); n != 2 {
+		t.Errorf("sparse state rows = %d, want 2", n)
 	}
 }
 

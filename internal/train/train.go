@@ -46,9 +46,6 @@ func NewTrainerWithOptimizer(m *model.Model, opt Optimizer) *Trainer {
 	return &Trainer{m: m, opt: opt}
 }
 
-// Model returns the model being trained.
-func (t *Trainer) Model() *model.Model { return t.m }
-
 // tape records the intermediates of one forward pass.
 type tape struct {
 	bottomIn  []*tensor.Tensor // input to each bottom FC

@@ -48,9 +48,6 @@ func TestNewTrainerPanics(t *testing.T) {
 		}()
 	}
 	tr := NewTrainer(m, 0.1)
-	if tr.Model() != m {
-		t.Error("Model() accessor wrong")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("label mismatch should panic")
