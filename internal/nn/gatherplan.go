@@ -152,15 +152,6 @@ func (s *SLSOp) SetRowCache(c RowCache) {
 // RowCacheRef returns the attached row cache, if any.
 func (s *SLSOp) RowCacheRef() RowCache { return s.cache }
 
-// InvalidateCachedRows discards the attached cache's rows (generation
-// bump). The trainer calls this after sparse-row updates, mirroring
-// FC.InvalidatePacked for packed dense weights.
-func (s *SLSOp) InvalidateCachedRows() {
-	if s.cache != nil {
-		s.cache.Invalidate()
-	}
-}
-
 // SLSForward is one SLS forward in two phases: Begin dispatches the
 // gather, Finish waits and pools. With a local store Begin only
 // records the arguments and Finish runs the whole gather, so the split
@@ -234,9 +225,8 @@ func (f *SLSForward) probe() {
 
 // Finish completes the forward begun by Begin and returns the pooled
 // output. For the local store that is gatherLocal, whole. For a
-// GatherSource it waits for the rows the cache missed, completes the
-// cache's generation protocol (insert fetched rows under the captured
-// token, or invalidate when the source's generation moved), and
+// GatherSource it waits for the rows the cache missed, inserts them
+// into the cache under the generation captured at Begin, and
 // accumulates in the original per-sample ID order, so its output is
 // bit-identical to gatherLocal's as long as the source serves the same
 // row values. A fetch error panics with the source's error value (the
@@ -247,26 +237,15 @@ func (f *SLSForward) Finish() *tensor.Tensor {
 		return s.gatherLocal(s.Quant, f.ids, f.batch, f.a, f.workers)
 	}
 	p, out, staging := f.plan, f.out, f.staging
-	genChanged := false
 	if f.pending != nil {
-		gc, err := f.pending.Wait()
-		if err != nil {
+		if _, err := f.pending.Wait(); err != nil {
 			planPool.Put(p)
 			panic(err)
 		}
-		genChanged = gc
 	}
 	if s.cache != nil {
-		if genChanged {
-			// The source rewrote rows since the last gather: rows read
-			// from the cache this pass may be stale; dropping the
-			// generation re-fetches everything next pass instead of
-			// inserting possibly-mixed rows under the old token.
-			s.cache.Invalidate()
-		} else {
-			for i, id := range p.missIDs {
-				s.cache.Insert(f.gen, uint64(id), staging.Row(int(p.missRows[i])))
-			}
+		for i, id := range p.missIDs {
+			s.cache.Insert(f.gen, uint64(id), staging.Row(int(p.missRows[i])))
 		}
 	}
 	// Inline serial path: the parallel branch's closure must not be

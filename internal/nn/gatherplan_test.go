@@ -203,23 +203,6 @@ func TestSetRowCacheNeedsRemoteStore(t *testing.T) {
 	op.SetRowCache(cache)
 }
 
-// TestInvalidateCachedRows: after a table edit plus invalidation the
-// planned path must serve the new values (the trainer's sparse-update
-// hook relies on this).
-func TestInvalidateCachedRows(t *testing.T) {
-	rng := stats.NewRNG(16)
-	table := NewEmbeddingTable("t", 50, 32, rng)
-	op := planned(t, NewSLSOp(table, 4), 50, "lru", 1)
-	ids := []int{1, 2, 3, 4}
-	op.ForwardEx(ids, 1, nil, 1) // warm the cache
-	table.W.Row(2)[0] += 42      // sparse update
-	op.InvalidateCachedRows()
-	want := op.Forward(ids, 1)
-	if got := op.ForwardEx(ids, 1, nil, 1); !tensor.Equal(want, got, 0) {
-		t.Fatal("stale cached row served after InvalidateCachedRows")
-	}
-}
-
 // TestForwardGatherNoAllocs: both serial gathers are allocation-free
 // in steady state — the planned one with a warm arena, plan pool and
 // cache, and the local one (fp32 and int8) with a warm arena — the

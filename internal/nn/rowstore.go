@@ -7,16 +7,10 @@ import (
 	"recsys/internal/tensor"
 )
 
-// RowStore is the storage interface behind the SLS gather: somewhere a
-// row ID can be materialized as fp32 values. It is what a shard server
-// serves rows from (LocalStore — fp32 copy or int8 dequant) and,
-// extended to GatherSource, what the remote tier presents to an op
-// (internal/shard). The store kind selects the gather: an op without a
-// remote tier reads its own tables in place (gatherLocal); the
-// planned-gather machinery (dedup, sorted staging, read-through hot-row
-// cache) runs only above a GatherSource, where a row costs an RPC.
-// Implementations must be safe for concurrent readers: the engine runs
-// multiple forward passes against one op.
+// RowStore is what a shard server serves rows from: somewhere a row ID
+// can be materialized as fp32 values (LocalStore — fp32 copy or int8
+// dequant). Implementations must be safe for concurrent readers: a
+// server answers many connections against one store.
 type RowStore interface {
 	// Rows is the table height; IDs are validated against it upstream.
 	Rows() int
@@ -28,12 +22,21 @@ type RowStore interface {
 	ReadRow(id int64, dst []float32)
 }
 
-// GatherSource extends RowStore with asynchronous batched fetch — the
-// shape a remote shard tier needs: one dispatch for a whole miss list
-// (fanned out per shard under the hood) instead of one virtual call
-// per row, overlappable with dense compute between Begin and Wait.
+// GatherSource is what the remote tier presents to an op
+// (internal/shard): asynchronous batched fetch, one dispatch for a
+// whole miss list (fanned out per shard under the hood) instead of one
+// call per row, overlappable with dense compute between Begin and
+// Wait. The source selects the gather: an op without one reads its own
+// tables in place (gatherLocal); the planned-gather machinery (dedup,
+// sorted staging, read-through hot-row cache) runs only above a
+// GatherSource, where a row costs an RPC. Its rows are fixed for the
+// life of the source, so a fetched row may be cached without a
+// coherence check.
 type GatherSource interface {
-	RowStore
+	// Rows is the table height.
+	Rows() int
+	// Cols is the row width in fp32 elements.
+	Cols() int
 	// BeginGather dispatches an asynchronous fetch of rows ids[i] into
 	// dst.Row(int(dstRows[i])). ids aliases plan scratch and is only
 	// valid until the returned gather's Wait returns. A zero deadline
@@ -42,24 +45,13 @@ type GatherSource interface {
 	BeginGather(ids []int64, dstRows []int32, dst *tensor.Tensor, deadline time.Time) PendingGather
 }
 
-// RowWriter is the optional write side of a RowStore: sparse-row
-// updates with the store's own representation maintenance (the local
-// store re-quantizes the int8 row). A shard server asserts it to apply
-// trainer updates; callers own synchronization against concurrent
-// ReadRows.
-type RowWriter interface {
-	WriteRow(id int64, src []float32)
-}
-
 // PendingGather is one in-flight BeginGather.
 type PendingGather interface {
 	// Wait blocks until every requested row is written into dst (or
-	// the fetch failed). genChanged reports that the store's
-	// generation advanced since the previous gather — rows may have
-	// been rewritten upstream, so the caller must invalidate its
-	// hot-row cache instead of inserting the rows it staged under the
-	// old token.
-	Wait() (genChanged bool, err error)
+	// the fetch failed). The bool is always false, since a source's
+	// rows never change; the two-value shape stays because the system
+	// benchmark (bench/) compiles against it.
+	Wait() (bool, error)
 }
 
 // localStore adapts an SLSOp's in-process tables to RowStore: the fp32
@@ -85,21 +77,6 @@ func (t *localStore) ReadRow(id int64, dst []float32) {
 	cols := t.Table.Cols
 	w := t.Table.W.Data()
 	copy(dst, w[int(id)*cols:(int(id)+1)*cols])
-}
-
-// WriteRow updates row id in the fp32 source of truth and, when the op
-// serves an int8 table, re-quantizes that row — the sparse-update hook
-// a shard server exposes to its trainer. Callers own synchronization
-// against concurrent ReadRows (shard.Server serializes through its
-// per-table lock); the in-process trainer instead updates W directly
-// and invalidates caches.
-func (t *localStore) WriteRow(id int64, src []float32) {
-	cols := t.Table.Cols
-	w := t.Table.W.Data()
-	copy(w[int(id)*cols:(int(id)+1)*cols], src)
-	if t.Quant != nil {
-		t.Quant.QuantizeRow(int(id), src)
-	}
 }
 
 // LocalStore returns the op's in-process tables as a RowStore — the

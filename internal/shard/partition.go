@@ -12,7 +12,9 @@
 // GatherSource, so the dedup/sort/hot-row-cache machinery is shared
 // with the in-process path and results stay bit-identical to local
 // serving (raw-row mode accumulates in the original per-sample ID
-// order, independent of shard count).
+// order, independent of shard count). The tier is read-only: a server's
+// rows are fixed for its lifetime, so the protocol has no write opcode
+// and no coherence traffic.
 package shard
 
 // fibMix is the Fibonacci-hashing multiplier (2^64/phi, same constant

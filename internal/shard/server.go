@@ -18,11 +18,14 @@ import (
 // the wire protocol — the process behind cmd/embshard. Each store is
 // one table, addressed by its index; a server in an n-shard tier holds
 // full-height tables but is only ever asked for the rows that hash to
-// it (clients partition with ShardOf). Rows are read from the store on
-// every request: they are local to this process, so the cache that
-// pays is the one on the client's side of the wire.
+// it (clients partition with ShardOf). The tier is read-only: a
+// server's rows are fixed for its lifetime (cmd/embshard builds them
+// once from preset, scale and seed), so requests read the stores with
+// no lock. Rows are read from the
+// store on every request: they are local to this process, so the cache
+// that pays is the one on the client's side of the wire.
 type Server struct {
-	tables []*serverTable
+	tables []nn.RowStore
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -49,31 +52,12 @@ type Server struct {
 	rowServiceNS atomic.Int64
 }
 
-type serverTable struct {
-	// mu serializes UpdateRow against in-flight reads so a row is never
-	// served half-written; reads share the lock.
-	mu    sync.RWMutex
-	store nn.RowStore
-	// gen is the table's generation token, echoed in every response.
-	// It starts at 1 (0 means "never seen" on the client side) and
-	// advances on every row update, which is how invalidation crosses
-	// the RPC boundary: clients compare successive response gens and
-	// drop their hot-row caches on change.
-	gen atomic.Uint64
-}
-
 // NewServer wraps stores (one per table index) into a server.
 func NewServer(stores []nn.RowStore) (*Server, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("shard: server needs at least one table store")
 	}
-	s := &Server{conns: make(map[net.Conn]struct{})}
-	for _, st := range stores {
-		t := &serverTable{store: st}
-		t.gen.Store(1)
-		s.tables = append(s.tables, t)
-	}
-	return s, nil
+	return &Server{tables: stores, conns: make(map[net.Conn]struct{})}, nil
 }
 
 // SetStall configures fault injection: every every-th gather request
@@ -87,29 +71,6 @@ func (s *Server) SetStall(d time.Duration, every int) {
 // (0 disables) — see rowServiceNS.
 func (s *Server) SetRowServiceTime(d time.Duration) {
 	s.rowServiceNS.Store(int64(d))
-}
-
-// UpdateRow applies a trainer sparse update to one row: the store's
-// write (fp32 + int8 re-quantization) and a generation bump. The
-// per-table lock excludes in-flight reads for the duration of the
-// write.
-func (s *Server) UpdateRow(table int, id int64, row []float32) error {
-	if table < 0 || table >= len(s.tables) {
-		return fmt.Errorf("shard: no table %d", table)
-	}
-	t := s.tables[table]
-	w, ok := t.store.(nn.RowWriter)
-	if !ok {
-		return fmt.Errorf("shard: table %d store is read-only", table)
-	}
-	if id < 0 || int(id) >= t.store.Rows() {
-		return fmt.Errorf("shard: row %d out of range for table %d", id, table)
-	}
-	t.mu.Lock()
-	w.WriteRow(id, row)
-	t.mu.Unlock()
-	t.gen.Add(1)
-	return nil
 }
 
 // Serve accepts connections on ln until Close. It returns nil after
@@ -182,7 +143,7 @@ func (s *Server) dropConn(c net.Conn) {
 func (s *Server) maxCols() int {
 	m := 0
 	for _, t := range s.tables {
-		if c := t.store.Cols(); c > m {
+		if c := t.Cols(); c > m {
 			m = c
 		}
 	}
@@ -272,7 +233,7 @@ func (s *Server) serveTable(r *reader, out []byte, row []float32) ([]byte, error
 		return out, fmt.Errorf("no table %d", idx)
 	}
 	t := s.tables[int(idx)]
-	rows, cols := t.store.Rows(), t.store.Cols()
+	rows, cols := t.Rows(), t.Cols()
 	// A frame of legal size can ask for more rows than a response frame
 	// holds (16 M IDs × 64 columns is 4 GiB); refuse before growing out.
 	if size := len(out) + tableRespHeader + nIDs*cols*4; size > maxFrame {
@@ -286,20 +247,16 @@ func (s *Server) serveTable(r *reader, out []byte, row []float32) ([]byte, error
 			return out, fmt.Errorf("row %d out of range for table %d", id, idx)
 		}
 	}
-	t.mu.RLock()
-	gen := t.gen.Load()
 	out = putU32(out, idx)
-	out = putU64(out, gen)
 	out = putU16(out, uint16(cols))
 	out = putU32(out, uint32(nIDs))
 	row = row[:cols]
 	for i := 0; i < nIDs; i++ {
 		id := int64(binary.LittleEndian.Uint32(ids[i*4:]))
-		t.store.ReadRow(id, row)
+		t.ReadRow(id, row)
 		for _, v := range row {
 			out = putU32(out, math.Float32bits(v))
 		}
 	}
-	t.mu.RUnlock()
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,9 +19,8 @@ import (
 )
 
 // startTier spins up n loopback shard servers, each serving the stores
-// built by mkStores (called once per server, so servers that take row
-// updates own their tables and their per-table locks protect them),
-// plus a client pool over the tier.
+// built by mkStores (called once per server), plus a client pool over
+// the tier.
 func startTier(t testing.TB, n int, mkStores func() []nn.RowStore, copts Options) ([]*Server, *Client) {
 	t.Helper()
 	servers := make([]*Server, 0, n)
@@ -185,59 +185,6 @@ func TestGatherWithRowCacheHitsAndStaysIdentical(t *testing.T) {
 	}
 }
 
-// TestGenInvalidationAcrossRPC covers the generation-token protocol:
-// after a server-side sparse row update, the client observes the gen
-// advance in the next gather's responses, drops its hot-row cache, and
-// the pass after that serves the updated values.
-func TestGenInvalidationAcrossRPC(t *testing.T) {
-	const rows, cols, lookups = 3000, 64, 25
-	mk := func() []nn.RowStore {
-		rng := stats.NewRNG(21)
-		return []nn.RowStore{nn.NewSLSOp(nn.NewEmbeddingTable("t0", rows, cols, rng), lookups).LocalStore()}
-	}
-	servers, c := startTier(t, 2, mk, Options{})
-	localRNG := stats.NewRNG(21)
-	localTab := nn.NewEmbeddingTable("t0", rows, cols, localRNG)
-	local := nn.NewSLSOp(localTab, lookups)
-	remote := nn.NewSLSOp(localTab, lookups)
-	remote.SetRowStore(c.Source(0, rows, cols))
-	cache, err := embcache.NewConcurrent(256, cols, "lru", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote.SetRowCache(cache)
-
-	idRNG := stats.NewRNG(8)
-	const batch = 24
-	ids := randomIDs(idRNG, batch*lookups, rows)
-	got := remote.ForwardEx(ids, batch, nil, 1)
-	tensorsEqualBits(t, got.Data(), local.ForwardEx(ids, batch, nil, 1).Data())
-
-	// Trainer sparse update: rewrite the rows the batch actually uses,
-	// on every server (each holds the full table; only the owning shard
-	// is consulted per row) and on the local reference.
-	newRow := make([]float32, cols)
-	for _, id := range ids[:2*lookups] {
-		for j := range newRow {
-			newRow[j] = float32(id) + float32(j)*0.25
-		}
-		for _, srv := range servers {
-			if err := srv.UpdateRow(0, int64(id), newRow); err != nil {
-				t.Fatal(err)
-			}
-		}
-		local.LocalStore().(nn.RowWriter).WriteRow(int64(id), newRow)
-	}
-
-	// The first pass after the update discovers the gen change at Wait
-	// time — too late for rows it already took from its own cache, the
-	// same one-pass window in-process invalidation has. The pass after
-	// that runs against the dropped cache and must be fully fresh.
-	remote.ForwardEx(ids, batch, nil, 1)
-	got = remote.ForwardEx(ids, batch, nil, 1)
-	tensorsEqualBits(t, got.Data(), local.ForwardEx(ids, batch, nil, 1).Data())
-}
-
 // TestDeadShardSurfacesErrUnavailable: a dead shard must fail the
 // forward with the tier's typed error (the engine maps it to 503), not
 // hang or return partial sums.
@@ -269,78 +216,136 @@ func TestDeadShardSurfacesErrUnavailable(t *testing.T) {
 	remote.ForwardEx(ids, 32, nil, 1)
 }
 
-// TestRemoteUpdateRaceHammer runs concurrent forwards against
-// concurrent server-side row updates and generation bumps — the
-// -race-detector coverage for the generation protocol end to end
-// (server per-table lock, client lastGen swaps, cache invalidation).
-func TestRemoteUpdateRaceHammer(t *testing.T) {
-	const rows, cols, lookups = 1000, 32, 10
-	mk := func() []nn.RowStore {
-		rng := stats.NewRNG(55)
-		tab := nn.NewEmbeddingTable("t0", rows, cols, rng)
-		op := nn.NewSLSOp(tab, lookups)
-		op.Quant = nn.Quantize(tab) // exercise WriteRow's re-quantization
-		return []nn.RowStore{op.LocalStore()}
+// TestConcurrentClientsReadOneTable is the -race coverage of the
+// server's lock-free read path: four clients, each with its own
+// connection pool, gather overlapping rows of one int8 table on one
+// server at once, and every pass is bit-identical to the local gather.
+func TestConcurrentClientsReadOneTable(t *testing.T) {
+	const rows, cols, lookups, hot = 1000, 32, 10, 64
+	tab := nn.NewEmbeddingTable("t0", rows, cols, stats.NewRNG(55))
+	local := nn.NewSLSOp(tab, lookups)
+	local.Quant = nn.Quantize(tab)
+	srv, err := NewServer([]nn.RowStore{local.LocalStore()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	servers, c := startTier(t, 2, mk, Options{})
-	mkRemote := func() *nn.SLSOp {
-		rng := stats.NewRNG(55)
-		tab := nn.NewEmbeddingTable("t0", rows, cols, rng)
-		op := nn.NewSLSOp(tab, lookups)
-		op.SetRowStore(c.Source(0, rows, cols))
-		cache, err := embcache.NewConcurrent(64, cols, "lru", 0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	passes := 60
+	if testing.Short() {
+		passes = 15
+	}
+	const clients, batch = 4, 8
+	// Every client draws from the same hot rows, so their requests
+	// overlap; references are computed before any client starts.
+	ids := make([][][]int, clients)
+	want := make([][][]float32, clients)
+	for g := range ids {
+		rng := stats.NewRNG(uint64(100 + g))
+		for p := 0; p < passes; p++ {
+			pass := randomIDs(rng, batch*lookups, hot)
+			ids[g] = append(ids[g], pass)
+			want[g] = append(want[g], append([]float32(nil), local.ForwardEx(pass, batch, nil, 1).Data()...))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		c, err := Dial(Options{Addrs: []string{ln.Addr().String()}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		op.SetRowCache(cache)
-		return op
-	}
-	passes := 120
-	if testing.Short() {
-		passes = 30
-	}
-	done := make(chan struct{})
-	var hammer sync.WaitGroup
-	hammer.Add(1)
-	go func() {
-		defer hammer.Done()
-		rng := stats.NewRNG(77)
-		row := make([]float32, cols)
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			id := int64(rng.Intn(rows))
-			for j := range row {
-				row[j] = float32(i + j)
-			}
-			for _, srv := range servers {
-				if err := srv.UpdateRow(0, id, row); err != nil {
-					t.Error(err)
-					return
+		t.Cleanup(c.Close)
+		remote := nn.NewSLSOp(tab, lookups)
+		remote.SetRowStore(c.Source(0, rows, cols))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for p, pass := range ids[g] {
+				got := remote.ForwardEx(pass, batch, nil, 1).Data()
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[g][p][i]) {
+						t.Errorf("client %d pass %d element %d: %g, want %g", g, p, i, got[i], want[g][p][i])
+						return
+					}
 				}
 			}
-			if i%17 == 0 {
-				servers[0].tables[0].gen.Add(1) // an out-of-band table mutation
+		}(g)
+	}
+	wg.Wait()
+}
+
+// appendV1RowsResp encodes a one-table OK gather response the way
+// version 1 of the protocol did, with the u64 generation token between
+// tableIdx and cols: the frame a server from before the version bump
+// sends.
+func appendV1RowsResp(b []byte, reqID, table uint32, gen uint64, cols, nRows int) []byte {
+	b = append(b, 1, statusOK)
+	b = putU32(b, reqID)
+	b = putU16(b, 1)
+	b = putU32(b, table)
+	b = binary.LittleEndian.AppendUint64(b, gen)
+	b = putU16(b, uint16(cols))
+	b = putU32(b, uint32(nRows))
+	return append(b, make([]byte, nRows*cols*4)...)
+}
+
+// TestMixedVersionsFailClosed: across a deploy that mixes protocol
+// versions, neither side parses the other's frames. A client dialing a
+// version-1 server fails at Dial with an error naming the version,
+// decodeResp refuses a version-1 gather response instead of reading
+// its gen field as cols and nRows, and a version-1 request to this
+// server is answered statusBadRequest.
+func TestMixedVersionsFailClosed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
 			}
+			go func() {
+				defer c.Close()
+				br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+				for {
+					req, err := readFrame(br, nil)
+					if err != nil || len(req) < 6 {
+						return
+					}
+					resp := append([]byte{1, statusOK}, req[2:6]...) // v1 ping: no tables
+					if writeFrame(bw, putU16(resp, 0)) != nil || bw.Flush() != nil {
+						return
+					}
+				}
+			}()
 		}
 	}()
-	var fwd sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		fwd.Add(1)
-		go func(seed uint64) {
-			defer fwd.Done()
-			op := mkRemote()
-			rng := stats.NewRNG(seed)
-			for p := 0; p < passes; p++ {
-				ids := randomIDs(rng, 8*lookups, rows)
-				op.ForwardEx(ids, 8, nil, 1)
-			}
-		}(uint64(g) + 100)
+	c, err := Dial(Options{Addrs: []string{ln.Addr().String()}, DialTimeout: time.Second})
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a version-1 server")
 	}
-	fwd.Wait()
-	close(done)
-	hammer.Wait()
+	if !strings.Contains(err.Error(), "wire version 1") {
+		t.Fatalf("Dial error %q does not name the peer's wire version", err)
+	}
+
+	if tr, err := decodeResp(appendV1RowsResp(nil, 9, 0, 7, 8, 2), 9); err == nil || !strings.Contains(err.Error(), "wire version 1") {
+		t.Fatalf("version-1 gather response decoded as %+v, %v", tr, err)
+	}
+
+	srv, _ := newWireServer(t, 8, 8)
+	req := appendRowsReq(nil, 10, 0, 0, []uint32{1, 2})
+	req[0] = 1
+	out := srv.handle(req, nil, make([]float32, 8))
+	if out[0] != wireVersion || out[1] != statusBadRequest {
+		t.Fatalf("version-1 request answered version %d status %d, want version %d statusBadRequest", out[0], out[1], wireVersion)
+	}
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"recsys/internal/nn"
@@ -16,59 +15,27 @@ import (
 // and scatters the raw rows into the caller's staging tensor.
 // Client-side accumulation then runs in the original per-sample ID
 // order, so the result is bit-identical to local serving regardless of
-// shard count. Generation tokens cross the wire in every response:
-// when a shard's token moves, Wait reports genChanged and the SLS op
-// drops its hot-row cache.
+// shard count. The tier's rows never change under a running server, so
+// a fetched row stays valid for as long as the caller keeps it.
 type tableSource struct {
 	c     *Client
 	table uint32
 	rows  int
 	cols  int
-	// lastGen[shard] is the last generation token seen from that shard
-	// for this table (0 = never seen; servers start at 1).
-	lastGen []atomic.Uint64
 }
 
 // Source returns table's view of the remote tier as an nn.GatherSource
 // for a table of the given height and width. Attach it with
 // nn.SLSOp.SetRowStore.
 func (c *Client) Source(table, rows, cols int) nn.GatherSource {
-	return &tableSource{
-		c:       c,
-		table:   uint32(table),
-		rows:    rows,
-		cols:    cols,
-		lastGen: make([]atomic.Uint64, len(c.peers)),
-	}
+	return &tableSource{c: c, table: uint32(table), rows: rows, cols: cols}
 }
 
-// Rows implements nn.RowStore.
+// Rows implements nn.GatherSource.
 func (t *tableSource) Rows() int { return t.rows }
 
-// Cols implements nn.RowStore.
+// Cols implements nn.GatherSource.
 func (t *tableSource) Cols() int { return t.cols }
-
-// ReadRow implements nn.RowStore with a synchronous single-row fetch.
-// The planned paths never call it (a GatherSource routes through
-// BeginGather); it exists for tooling and interface completeness. A
-// tier failure panics with the wrapped ErrUnavailable, matching the
-// batched path's error channel.
-func (t *tableSource) ReadRow(id int64, dst []float32) {
-	deadline := time.Now().Add(t.c.opts.RequestTimeout)
-	reqID := t.c.reqID.Add(1)
-	p := t.c.peers[ShardOf(id, len(t.c.peers))]
-	req := appendRowsReq(nil, reqID, deadlineMicros(deadline), t.table, []uint32{uint32(id)})
-	bp, err := p.do(req, deadline)
-	if err != nil {
-		panic(err)
-	}
-	defer respPool.Put(bp)
-	tr, err := t.checkResp(*bp, reqID, 1)
-	if err != nil {
-		panic(err)
-	}
-	tr.rowF32(0, dst[:t.cols])
-}
 
 // checkResp decodes and validates one gather response against this
 // table.
@@ -95,11 +62,10 @@ type part struct {
 // pending is one in-flight BeginGather fan-out. Pooled: Wait returns
 // it to the pool.
 type pending struct {
-	src        *tableSource
-	dst        *tensor.Tensor
-	wg         sync.WaitGroup
-	genChanged atomic.Bool
-	parts      []part
+	src   *tableSource
+	dst   *tensor.Tensor
+	wg    sync.WaitGroup
+	parts []part
 }
 
 var pendingPool = sync.Pool{New: func() any { return new(pending) }}
@@ -123,7 +89,6 @@ func (t *tableSource) BeginGather(ids []int64, dstRows []int32, dst *tensor.Tens
 	}
 	g := pendingPool.Get().(*pending)
 	g.src, g.dst = t, dst
-	g.genChanged.Store(false)
 	n := len(t.c.peers)
 	if cap(g.parts) < n {
 		g.parts = make([]part, n)
@@ -177,15 +142,13 @@ func (g *pending) run(si int, deadline time.Time) {
 		p.err = err
 		return
 	}
-	if old := t.lastGen[si].Swap(tr.gen); old != 0 && old != tr.gen {
-		g.genChanged.Store(true)
-	}
 	for i, r := range p.rows {
 		tr.rowF32(i, g.dst.Row(int(r))[:t.cols])
 	}
 }
 
-// Wait implements nn.PendingGather.
+// Wait implements nn.PendingGather; the tier is read-only, so it never
+// reports a generation change.
 func (g *pending) Wait() (bool, error) {
 	g.wg.Wait()
 	var err error
@@ -195,8 +158,7 @@ func (g *pending) Wait() (bool, error) {
 			break
 		}
 	}
-	gc := g.genChanged.Load()
 	g.src, g.dst = nil, nil
 	pendingPool.Put(g)
-	return gc, err
+	return false, err
 }

@@ -20,7 +20,7 @@ import (
 //	table    := u32 tableIdx | u32 nIDs | nIDs×u32 rowID
 //	response := u8 version | u8 status | u32 reqID | body
 //	body(OK) := u16 nTables | tableResp...
-//	tableResp:= u32 tableIdx | u64 gen | u16 cols | u32 nRows |
+//	tableResp:= u32 tableIdx | u16 cols | u32 nRows |
 //	            nRows×cols×f32 row values
 //	body(err):= u16 msgLen | msg bytes
 //
@@ -31,8 +31,11 @@ import (
 // happens client-side, in per-sample ID order, which is what keeps
 // scores bit-identical at any shard count. Opcode 2 is retired (it was
 // a shard-side pooled gather); servers answer it statusBadRequest.
+// A server's rows are fixed for its lifetime, so a tableResp carries
+// no generation token (version 1 had one); either side refuses a frame
+// of another version rather than misparse its table header.
 const (
-	wireVersion = 1
+	wireVersion = 2
 
 	opGatherRows = 1
 	opPing       = 3
@@ -46,9 +49,9 @@ const (
 	// to spare) so a corrupt length prefix cannot balloon allocation.
 	maxFrame = 1 << 26
 
-	// tableRespHeader is the fixed part of a tableResp: tableIdx, gen,
-	// cols, nRows.
-	tableRespHeader = 4 + 8 + 2 + 4
+	// tableRespHeader is the fixed part of a tableResp: tableIdx, cols,
+	// nRows.
+	tableRespHeader = 4 + 2 + 4
 )
 
 // errProto wraps malformed-frame conditions; the side that sees it
@@ -57,7 +60,6 @@ var errProto = errors.New("shard: protocol error")
 
 func putU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 func putU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func putU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
 // reader is a bounds-checked cursor over one frame payload. After any
 // short read it latches err and returns zeros, so decoders can parse
@@ -101,16 +103,6 @@ func (r *reader) u32() uint32 {
 	}
 	v := binary.LittleEndian.Uint32(r.b[r.off:])
 	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
 	return v
 }
 
@@ -192,7 +184,6 @@ func appendPingReq(b []byte, reqID uint32) []byte {
 // connection.
 type tableResp struct {
 	table uint32
-	gen   uint64
 	cols  int
 	nRows int
 	rows  []byte // nRows*cols*4 bytes of little-endian f32
@@ -213,7 +204,7 @@ func (t *tableResp) rowF32(i int, dst []float32) {
 func decodeResp(payload []byte, wantReqID uint32) (*tableResp, error) {
 	r := reader{b: payload}
 	if v := r.u8(); r.err == nil && v != wireVersion {
-		return nil, fmt.Errorf("%w: version %d", errProto, v)
+		return nil, fmt.Errorf("%w: wire version %d, want %d", errProto, v, wireVersion)
 	}
 	status := r.u8()
 	reqID := r.u32()
@@ -234,7 +225,7 @@ func decodeResp(payload []byte, wantReqID uint32) (*tableResp, error) {
 	if r.err == nil && nTables != 1 {
 		return nil, fmt.Errorf("%w: %d tables in response, want 1", errProto, nTables)
 	}
-	t := &tableResp{table: r.u32(), gen: r.u64(), cols: int(r.u16()), nRows: int(r.u32())}
+	t := &tableResp{table: r.u32(), cols: int(r.u16()), nRows: int(r.u32())}
 	t.rows = r.bytes(t.nRows * t.cols * 4)
 	if r.err != nil {
 		return nil, r.err

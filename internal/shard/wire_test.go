@@ -68,6 +68,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(appendErrResp(nil, 13, statusError, "boom"))    // an error response
 	f.Add(srv.handle(appendPingReq(nil, 14), nil, row))   // a ping response
 	f.Add([]byte{wireVersion, 2, 0, 0, 0, 0, 0, 0, 0, 0}) // retired opcode
+	f.Add(appendV1RowsResp(nil, 7, 0, 3, cols, 4))        // a version-1 OK response, gen field included
 
 	got, want := make([]float32, cols), make([]float32, cols)
 	f.Fuzz(func(t *testing.T, payload []byte) {

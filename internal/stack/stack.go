@@ -99,6 +99,8 @@ func (c Config) validate() error {
 		return errors.New("stack: -emb-shards requires a preset -model (shards rebuild tables from preset/scale/seed)")
 	case c.EmbShards != "" && len(c.Models) > 1:
 		return errors.New("stack: -emb-shards serves a single model; repeated -model is not supported")
+	case c.EmbShards != "" && c.Online:
+		return errors.New("stack: -online trains embedding rows the -emb-shards tier cannot receive")
 	case c.Adapt && c.SLA <= 0:
 		return errors.New("stack: -adapt requires a positive -sla target")
 	case c.Watch > 0 && c.Checkpoint == "":

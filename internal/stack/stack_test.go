@@ -54,6 +54,7 @@ func TestCrossFlagRules(t *testing.T) {
 		{"adapt without sla", Config{Models: one, Adapt: true}, "-adapt requires a positive -sla"},
 		{"shards with a checkpoint", Config{Checkpoint: "m.ckpt", EmbShards: "127.0.0.1:1"}, "-emb-shards requires a preset -model"},
 		{"shards with two models", Config{Models: two, EmbShards: "127.0.0.1:1"}, "-emb-shards serves a single model"},
+		{"online over shards", Config{Models: one, EmbShards: "127.0.0.1:1", Online: true}, "-online trains embedding rows the -emb-shards tier cannot receive"},
 		{"watch without a checkpoint", Config{Models: one, Watch: time.Second}, "-watch requires -checkpoint"},
 		{"checkpoint and model", Config{Models: one, Checkpoint: "m.ckpt"}, "mutually exclusive"},
 		{"nothing to serve", Config{}, "nothing to serve"},

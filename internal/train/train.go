@@ -203,19 +203,14 @@ func (t *Trainer) slsBackward(op *nn.SLSOp, ids []int, batch int, dOut *tensor.T
 		}
 	}
 	// On a quantized model, re-quantize every updated row so the int8
-	// serving snapshot tracks the fp32 source of truth; without this the
-	// generation bump below would be moot — the serving gather would
-	// just re-read the same stale codes.
+	// serving snapshot tracks the fp32 source of truth. The trained
+	// tables are in-process, and a local op reads its rows in place, so
+	// no row cache can hold a stale copy.
 	if q := op.Quant; q != nil {
 		for _, id := range ids {
 			q.QuantizeRow(id, op.Table.W.Row(id))
 		}
 	}
-	// The serving hot path may hold updated rows in its hot-row cache;
-	// bump the generation so a model being fine-tuned while served
-	// never gathers stale embeddings — the SLS counterpart of
-	// fc.InvalidatePacked above.
-	op.InvalidateCachedRows()
 }
 
 // reluBackward zeroes gradient entries where the activation output was
