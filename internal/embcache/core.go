@@ -150,17 +150,6 @@ func (c *core) victim() int32 {
 	return v
 }
 
-// reset empties the cache. The map is cleared in place (clear keeps
-// its buckets), so steady-state reuse after an invalidation does not
-// reallocate. The admission tick and the eviction count run on.
-func (c *core) reset() {
-	clear(c.slots)
-	c.used = 0
-	c.head, c.tail = -1, -1
-	c.hand = 0
-	clear(c.ref)
-}
-
 func (c *core) pushFront(n int32) {
 	c.prev[n] = -1
 	c.next[n] = c.head

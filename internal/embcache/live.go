@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Concurrent is the live, serving-path promotion of this package's
@@ -15,27 +14,18 @@ import (
 // popularity of the paper's Figure 14/15. Each shard owns a replacement
 // core (core.go) and a flat row store under one mutex, so lookups from
 // different executor workers stripe across locks instead of
-// serializing.
-//
-// Coherence is generation-based. Every pass captures Gen() once and
-// passes it to Lookup/Insert; Invalidate bumps the generation, after
-// which stale-generation lookups miss and stale-generation inserts are
-// dropped, while shards lazily reset the first time the new generation
-// touches them. The engine invalidates on model hot-swap and the
-// trainer on sparse-row updates — the SLS counterpart of the FC
-// packed-weight invalidation.
+// serializing. The rows it caches come from a read-only tier, so a
+// cached row never goes stale and nothing ever invalidates one.
 type Concurrent struct {
 	cols   int
 	shift  uint // shard index = top bits of the mixed ID
 	shards []shard
-	gen    atomic.Uint64
 }
 
-// shard is one lock stripe: the replacement core, one row of data per
-// core slot, and the generation the contents belong to.
+// shard is one lock stripe: the replacement core and one row of data
+// per core slot.
 type shard struct {
-	mu  sync.Mutex
-	gen uint64
+	mu sync.Mutex
 	core
 	data []float32 // slot-major row store, cap×cols
 
@@ -92,15 +82,11 @@ func (c *Concurrent) shard(id uint64) *shard {
 	return &c.shards[(id*fibMix)>>c.shift]
 }
 
-// Gen returns the current generation token. A forward pass captures it
-// once and passes it to every Lookup/Insert of the pass, so rows cached
-// before an Invalidate can never be served after one.
-func (c *Concurrent) Gen() uint64 { return c.gen.Load() }
-
-// Invalidate discards every cached row by advancing the generation.
-// In-flight passes holding the old token fall back to their own
-// model's tables; shards reset lazily on first new-generation access.
-func (c *Concurrent) Invalidate() { c.gen.Add(1) }
+// Gen returns 0, and Lookup and Insert ignore their first argument:
+// cached rows have no generation. The token shape stays only because
+// the system benchmark (bench/) calls Gen, Lookup(gen, …) and
+// Insert(gen, …).
+func (c *Concurrent) Gen() uint64 { return 0 }
 
 // Cols returns the row width.
 func (c *Concurrent) Cols() int { return c.cols }
@@ -110,39 +96,13 @@ func (c *Concurrent) Capacity() int {
 	return len(c.shards) * c.shards[0].cap
 }
 
-// syncGenLocked reconciles the shard with the caller's generation. It
-// reports whether the caller may use the shard: false means the shard
-// already belongs to a NEWER generation (the caller's pass started
-// before an invalidation and must not touch it).
-func (s *shard) syncGenLocked(gen uint64) bool {
-	if s.gen == gen {
-		return true
-	}
-	if s.gen > gen {
-		return false
-	}
-	s.reset()
-	s.gen = gen
-	return true
-}
-
-// Lookup copies row id into dst and reports a hit. gen must be the
-// token captured by the calling pass; a stale token always misses, so
-// the caller falls back to its own model's table.
-func (c *Concurrent) Lookup(gen, id uint64, dst []float32) bool {
+// Lookup copies row id into dst and reports a hit.
+func (c *Concurrent) Lookup(_, id uint64, dst []float32) bool {
 	if len(dst) != c.cols {
 		panic(fmt.Sprintf("embcache: Lookup dst length %d, want %d", len(dst), c.cols))
 	}
-	if gen != c.gen.Load() {
-		return false
-	}
 	s := c.shard(id)
 	s.mu.Lock()
-	if !s.syncGenLocked(gen) {
-		s.misses++
-		s.mu.Unlock()
-		return false
-	}
 	slot, ok := s.find(id)
 	if !ok {
 		s.misses++
@@ -157,22 +117,15 @@ func (c *Concurrent) Lookup(gen, id uint64, dst []float32) bool {
 }
 
 // Insert admits row id with the given contents (read-through fill
-// after a Lookup miss), evicting per policy when the shard is full.
-// Stale-generation inserts are dropped; a concurrent duplicate insert
-// overwrites in place (both fills read the same source row).
-func (c *Concurrent) Insert(gen, id uint64, src []float32) {
+// after a Lookup miss), evicting per policy when the shard is full. A
+// concurrent duplicate insert overwrites in place (both fills read the
+// same source row).
+func (c *Concurrent) Insert(_, id uint64, src []float32) {
 	if len(src) != c.cols {
 		panic(fmt.Sprintf("embcache: Insert src length %d, want %d", len(src), c.cols))
 	}
-	if gen != c.gen.Load() {
-		return
-	}
 	s := c.shard(id)
 	s.mu.Lock()
-	if !s.syncGenLocked(gen) {
-		s.mu.Unlock()
-		return
-	}
 	slot, ok := s.find(id)
 	if !ok {
 		// A full shard admits lazily (admitEvery).
@@ -190,7 +143,7 @@ type LiveStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	// Len counts resident rows of the current generation.
+	// Len counts resident rows.
 	Len int `json:"len"`
 }
 
@@ -202,11 +155,8 @@ func (st LiveStats) HitRate() float64 {
 	return float64(st.Hits) / float64(st.Hits+st.Misses)
 }
 
-// Stats sums the per-shard counters. Counters are cumulative across
-// invalidations; Len covers only shards already on the current
-// generation (stale shards hold no servable rows).
+// Stats sums the per-shard counters.
 func (c *Concurrent) Stats() LiveStats {
-	cur := c.gen.Load()
 	var st LiveStats
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -214,9 +164,7 @@ func (c *Concurrent) Stats() LiveStats {
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Evictions += s.evictions
-		if s.gen == cur {
-			st.Len += s.used
-		}
+		st.Len += s.used
 		s.mu.Unlock()
 	}
 	return st

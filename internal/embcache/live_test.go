@@ -134,50 +134,10 @@ func TestConcurrentClockSecondChance(t *testing.T) {
 	}
 }
 
-func TestConcurrentGenerationInvalidation(t *testing.T) {
-	for _, pol := range Policies() {
-		t.Run(pol, func(t *testing.T) { testGenerationInvalidation(t, pol) })
-	}
-}
-
-func testGenerationInvalidation(t *testing.T, pol string) {
-	c := mustConcurrent(t, 8, 2, pol, 1)
-	old := c.Gen()
-	dst := make([]float32, 2)
-	c.Insert(old, 1, liveRow(1, 2))
-	c.Invalidate()
-	cur := c.Gen()
-	if cur == old {
-		t.Fatal("Invalidate did not advance generation")
-	}
-	// Stale token: must miss even though the shard still holds the row.
-	if c.Lookup(old, 1, dst) {
-		t.Error("stale-generation lookup served a row")
-	}
-	// Current token: row belongs to the old generation, must miss too.
-	if c.Lookup(cur, 1, dst) {
-		t.Error("new-generation lookup served a pre-invalidation row")
-	}
-	if got := c.Stats().Len; got != 0 {
-		t.Errorf("Len after invalidation = %d, want 0", got)
-	}
-	// Stale insert is dropped: a pass that started before the swap must
-	// not poison the new generation.
-	c.Insert(old, 2, liveRow(2, 2))
-	if c.Lookup(cur, 2, dst) {
-		t.Error("stale-generation insert was admitted")
-	}
-	// The new generation works normally afterwards.
-	c.Insert(cur, 3, liveRow(3, 2))
-	if !c.Lookup(cur, 3, dst) {
-		t.Error("new-generation insert missing")
-	}
-}
-
-// TestConcurrentRace hammers lookups, read-through inserts, and
-// invalidations together. Row contents are a pure function of the ID,
-// so any hit can be checked for staleness-free integrity; run under
-// -race this also exercises the lock striping.
+// TestConcurrentRace hammers lookups and read-through inserts
+// together. Row contents are a pure function of the ID, so any hit can
+// be checked for integrity; run under -race this also exercises the
+// lock striping.
 func TestConcurrentRace(t *testing.T) {
 	const (
 		workers = 8
@@ -210,13 +170,6 @@ func TestConcurrentRace(t *testing.T) {
 			}
 		}(uint64(w) + 1)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			c.Invalidate()
-		}
-	}()
 	wg.Wait()
 	if st := c.Stats(); st.Hits+st.Misses == 0 {
 		t.Error("no accesses recorded")

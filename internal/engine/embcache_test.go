@@ -151,13 +151,14 @@ func TestEmbCacheQuantEquivalence(t *testing.T) {
 
 // TestEmbCacheSwapRace hammers Rank with Zipf traffic through the
 // cached remote gather while the model hot-swaps back and forth
-// between two generations that share the tier's rows. Every result
-// must match one of the two models' plan-free local references — a
-// pass torn across the swap (one generation's dense weights over the
-// other's pass) would match neither. Run under -race this also
-// exercises the attach/invalidate/store protocol, passMu included,
-// against concurrent forwards; TestSwapDuringInFlightRemoteGather pins
-// the quiescence half deterministically.
+// between two generations that share the tier's rows. The row caches
+// survive every swap; every result must still match one of the two
+// models' plan-free local references — a cached row from the wrong
+// tables, or a pass torn across the swap, would match neither. Run
+// under -race this also exercises re-attaching a model that older
+// passes may still be running (A→B→A), which must write nothing;
+// TestSwapDuringInFlightRemoteGather pins a pass that outlives its
+// swap deterministically.
 func TestEmbCacheSwapRace(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(32))
@@ -221,10 +222,10 @@ func TestEmbCacheSwapRace(t *testing.T) {
 }
 
 // TestEmbCacheSwapRaceInt8MLP is the swap-hammer against an int8-MLP
-// model (quantized tables + int8-compute MLPs): a hot swap must also
-// drop each FC's cached QuantizedLinear/PackedBI8 (FC.InvalidatePacked
-// runs inside Swap via CopyWeightsFrom/Clone), or a stale weight pack
-// would keep serving the old model's MLP after the swap. References
+// model (quantized tables + int8-compute MLPs), with the row caches
+// surviving every swap: each model keeps its own FC weight packs
+// (QuantizedLinear/PackedBI8), so a swap must never pair one model's
+// packs, or a cached row from the wrong tables, with the other's pass. References
 // are precomputed through ForwardEx — the same register-tiled int8
 // path the engine executes, bit-identical across workers and tiers —
 // so every hammered result must bit-match one of the two models.

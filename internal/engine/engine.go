@@ -68,9 +68,9 @@ type Options struct {
 // exploitation of the paper's Figure 14/15 sparse-ID locality, placed
 // where a hit saves an RPC's worth of bytes rather than a local load).
 // When enabled, every model registered with EmbShards gets one
-// lock-striped LRU embcache.Concurrent per embedding table, attached
-// before the model is published and invalidated on hot swap; the
-// per-table hit/miss/evict counters land in Stats.EmbCache and the
+// lock-striped LRU embcache.Concurrent per embedding table, built at
+// Register and kept across hot swaps (the tier's rows never change);
+// the per-table hit/miss/evict counters land in Stats.EmbCache and the
 // /metrics exposition.
 type EmbCacheOptions struct {
 	// RowsPerTable is the cache capacity in rows per table, clamped to

@@ -232,15 +232,9 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 	if len(live) == 0 {
 		return
 	}
-	// The pass lock pairs the model pointer with the embedding caches'
-	// generation: Swap bumps the generation and publishes the new model
-	// under the write side, so no forward here can stage rows from one
-	// model's tables under the other model's cache generation. Held
-	// through deliver for simplicity — the response channels are
-	// buffered, so nothing below blocks on a consumer.
-	mq.passMu.RLock()
-	defer mq.passMu.RUnlock()
-	m := mq.model.Load()
+	// One load of the published model: the whole pass runs on it, even
+	// if a Swap publishes the next one meanwhile.
+	m := mq.published.Load().model
 	merged, err := merge(m.Config, live, scratch)
 	if err != nil {
 		// Fall back to per-request execution so one malformed request
@@ -284,9 +278,9 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 
 // passStart reads the clock once for a traced pass (zero when no job
 // is traced): the instant ends the batch-form stage of every traced
-// job — everything since its pop went into holding the batch open,
-// waiting for the pass lock and merging — and starts the execute stage
-// forward measures, so the two abut.
+// job — everything since its pop went into holding the batch open and
+// merging — and starts the execute stage forward measures, so the two
+// abut.
 func passStart(traced bool, jobs []*job) time.Time {
 	if !traced {
 		return time.Time{}

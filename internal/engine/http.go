@@ -134,7 +134,7 @@ func (e *Engine) ingest(w http.ResponseWriter, r *http.Request, mq *modelQueue, 
 	}
 	body := s.body.Bytes()
 	in := ingestStats{bodyBytes: len(body)}
-	cfg := mq.model.Load().Config
+	cfg := mq.published.Load().model.Config
 	var begin time.Time
 	if mq.ring != nil {
 		begin = e.now()

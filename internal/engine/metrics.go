@@ -123,7 +123,7 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	}
 	obs.WriteFamily(w, "recsys_model_generation", "gauge", "Model swap generation: 1 at registration, +1 per hot swap.")
 	for _, v := range views {
-		obs.WriteIntSample(w, "recsys_model_generation", lbl(v), int64(v.mq.gen.Load()))
+		obs.WriteIntSample(w, "recsys_model_generation", lbl(v), int64(v.mq.published.Load().gen))
 	}
 
 	obs.WriteFamily(w, "recsys_rank_latency_seconds", "histogram", "End-to-end Rank latency.")

@@ -9,6 +9,7 @@ import (
 	"recsys/internal/batch"
 	"recsys/internal/embcache"
 	"recsys/internal/model"
+	"recsys/internal/nn"
 	"recsys/internal/obs"
 	"recsys/internal/shard"
 )
@@ -91,9 +92,18 @@ type jobResult struct {
 	err error
 }
 
-// modelQueue is the per-model serving state: the hot-swappable model
-// pointer, a bounded admission queue, the batch-forming policy, the
-// trace ring, and serving counters. Executor workers drain queues;
+// served is what a model queue publishes: the model and the swap
+// generation it was published as. A value is immutable once stored, so
+// a reader that loads it once holds a model and its generation that
+// belong together.
+type served struct {
+	model *model.Model
+	gen   uint64
+}
+
+// modelQueue is the per-model serving state: the hot-swappable
+// published model, a bounded admission queue, the batch-forming policy,
+// the trace ring, and serving counters. Executor workers drain queues;
 // Rank calls feed them.
 type modelQueue struct {
 	name   string
@@ -107,7 +117,13 @@ type modelQueue struct {
 	// per formed batch, so a single dispatch never mixes two policies.
 	policy atomic.Pointer[batch.Policy]
 
-	model atomic.Pointer[model.Model] // swapped atomically by Swap
+	// published is the model and its generation: {m, 1} at
+	// registration, {next, gen+1} per Swap. Every reader loads it once
+	// per decision, so a forward pass serves exactly one generation.
+	published atomic.Pointer[served]
+	// swapMu serializes Swap calls: the check, attach and publish of one
+	// swap never interleave with another's. Passes never take it.
+	swapMu sync.Mutex
 
 	// ring retains the N slowest + N most recent request traces, nil
 	// when tracing is disabled (Options.TraceRing == 0). Jobs carry a
@@ -130,95 +146,56 @@ type modelQueue struct {
 	senders sync.WaitGroup
 
 	// embClient, when non-nil, is the remote embedding tier this model
-	// gathers from (ModelOptions.EmbShards). It outlives swaps:
-	// attachRowStores re-points the incoming model's SLS ops at it, and
-	// the metrics exposition reads its per-shard counters.
-	embClient *shard.Client
-
-	// embCaches holds one read-through hot-row cache per embedding
-	// table in front of embClient (nil without a remote tier, or when
-	// Options.EmbCache is off: in-process rows are read in place and
-	// have no cache). The caches outlive model swaps: attachRowStores
-	// re-wires them into the incoming model's SLS ops and Swap bumps
-	// their generation so stale rows can never be served. embRows
-	// remembers the clamped capacity each cache was built with. swapMu
-	// serializes Swap's attach/invalidate/store sequence (and guards
-	// embCaches/embRows after registration).
-	swapMu    sync.Mutex
-	embCaches []*embcache.Concurrent
-	embRows   []int
-
-	// passMu fences forward passes against Swap's publish. Workers hold
-	// the read side from loading the model pointer until the forward
-	// completes; Swap holds the write side across the generation bump
-	// and the pointer store. Without it a pass could load the OLD model,
-	// then capture the post-bump NEW cache generation inside the SLS op
-	// and insert the old model's rows under the new token — poisoning
-	// the cache for every request after the swap. The write lock
-	// quiesces such passes first, so model pointer and generation are
-	// always observed as a consistent pair.
-	passMu sync.RWMutex
-
-	// gen counts model generations: 1 at registration, +1 per Swap.
-	// Swap bumps it inside the passMu critical section AFTER storing the
-	// model pointer, so an outside observer that reads gen == G knows
-	// the published model is generation ≥ G, and monotonicity bounds any
-	// later read from above — the two-sided interval the scenario
-	// harness's mixed-generation checker relies on.
-	gen atomic.Uint64
+	// gathers from (ModelOptions.EmbShards); the metrics exposition reads
+	// its per-shard counters. embSources holds one gather source per
+	// table and embCaches one read-through hot-row cache per table in
+	// front of it (nil when Options.EmbCache is off). All three are set
+	// at Register and never change: the tier serves the registered
+	// shape, which Swap therefore keeps, and its rows never change, so a
+	// cached row stays valid across swaps.
+	embClient  *shard.Client
+	embSources []nn.GatherSource
+	embCaches  []*embcache.Concurrent
 
 	counters
 }
 
-// attachRowStores points m's SLS ops at the queue's remote embedding
-// tier and, when o is on, at the per-table row caches in front of it,
-// creating a cache on first use and recreating it when the table's
-// width or clamped capacity changes. Without a remote tier it does
-// nothing: in-process rows are read where they lie. Callers must
-// ensure m is not yet published (Register runs before the queue exists
-// to workers, Swap holds swapMu and attaches before the model pointer
-// store), so ops are never serving while their store and cache
-// references are written; re-attaching an unchanged cache is a no-op
-// inside SetRowCache. The per-table sources are created fresh per
-// attach: their per-shard generation trackers start at "never seen",
-// which at worst costs one cache-insert pass after a swap, never a
-// stale read.
-func (mq *modelQueue) attachRowStores(m *model.Model, o EmbCacheOptions) error {
+// buildRowStores creates the per-table gather sources and, when o is
+// on, the row caches for a model registered against a remote tier,
+// shaped like m's tables. Without a remote tier it does nothing:
+// in-process rows are read where they lie.
+func (mq *modelQueue) buildRowStores(m *model.Model, o EmbCacheOptions) error {
 	if mq.embClient == nil {
 		return nil
 	}
+	mq.embSources = make([]nn.GatherSource, len(m.SLS))
 	for i, op := range m.SLS {
-		op.SetRowStore(mq.embClient.Source(i, op.Table.Rows, op.Table.Cols))
+		mq.embSources[i] = mq.embClient.Source(i, op.Table.Rows, op.Table.Cols)
 	}
 	if !o.Enabled() {
 		return nil
 	}
-	if mq.embCaches == nil {
-		mq.embCaches = make([]*embcache.Concurrent, len(m.SLS))
-		mq.embRows = make([]int, len(m.SLS))
-	}
+	mq.embCaches = make([]*embcache.Concurrent, len(m.SLS))
 	for i, op := range m.SLS {
-		want := min(o.RowsPerTable, op.Table.Rows)
-		c := mq.embCaches[i]
-		if c == nil || c.Cols() != op.Table.Cols || mq.embRows[i] != want {
-			fresh, err := embcache.NewConcurrent(want, op.Table.Cols, embCachePolicy, 0)
-			if err != nil {
-				return err
-			}
-			mq.embCaches[i] = fresh
-			mq.embRows[i] = want
+		c, err := embcache.NewConcurrent(min(o.RowsPerTable, op.Table.Rows), op.Table.Cols, embCachePolicy, 0)
+		if err != nil {
+			return err
 		}
-		op.SetRowCache(mq.embCaches[i])
+		mq.embCaches[i] = c
 	}
 	return nil
 }
 
-// invalidateEmbCaches bumps every table cache's generation; rows
-// inserted by passes over the outgoing model become unservable.
-func (mq *modelQueue) invalidateEmbCaches() {
-	for _, c := range mq.embCaches {
-		if c != nil {
-			c.Invalidate()
+// attachRowStores points m's SLS ops at the queue's gather sources and
+// row caches. m must not be serving unless it already carries them
+// (Register attaches before the queue exists to workers, Swap before
+// the publish); re-attaching what an op already has writes nothing, so
+// a model swapped back in while an older pass still runs on it is safe.
+func (mq *modelQueue) attachRowStores(m *model.Model) {
+	for i, src := range mq.embSources {
+		m.SLS[i].SetRowStore(src)
+		if mq.embCaches != nil {
+			m.SLS[i].SetRowCache(mq.embCaches[i])
 		}
 	}
 }
@@ -227,18 +204,9 @@ func (mq *modelQueue) invalidateEmbCaches() {
 // embedding-cache counters.
 func (mq *modelQueue) snapshot() Stats {
 	st := mq.counters.snapshot()
-	// Copy the cache refs under swapMu: Swap may recreate an entry in
-	// place while we read.
-	mq.swapMu.Lock()
-	caches := append([]*embcache.Concurrent(nil), mq.embCaches...)
-	mq.swapMu.Unlock()
-	if len(caches) > 0 {
-		st.EmbCache = make([]EmbCacheStats, len(caches))
-		for i, c := range caches {
-			st.EmbCache[i] = EmbCacheStats{Table: i}
-			if c == nil {
-				continue
-			}
+	if len(mq.embCaches) > 0 {
+		st.EmbCache = make([]EmbCacheStats, len(mq.embCaches))
+		for i, c := range mq.embCaches {
 			ls := c.Stats()
 			st.EmbCache[i] = EmbCacheStats{
 				Table:     i,
@@ -263,8 +231,7 @@ func newModelQueue(name string, m *model.Model, weight int, policy batch.Policy,
 	}
 	mq.storePolicy(policy)
 	mq.counters.init()
-	mq.model.Store(m)
-	mq.gen.Store(1)
+	mq.published.Store(&served{model: m, gen: 1})
 	return mq
 }
 

@@ -80,9 +80,9 @@ type Engine struct {
 // per successful forward pass with the model name, the (possibly
 // coalesced) request, and its scores. Both arguments alias
 // executor-owned buffers that are reused after the call returns — taps
-// must copy what they keep. The tap runs on the serving path, inside
-// the pass lock, concurrently from every executor worker: it must be
-// safe for that concurrency and return quickly.
+// must copy what they keep. The tap runs on the serving path, on the
+// executor worker that ran the pass, concurrently from every worker: it
+// must be safe for that concurrency and return quickly.
 type ServeTap func(model string, req model.Request, scores []float32)
 
 // SetServeTap installs (or, with nil, removes) the engine's serve tap.
@@ -167,9 +167,10 @@ func (e *Engine) Register(name string, m *model.Model, mo ModelOptions) error {
 	}
 	mq := newModelQueue(name, m, weight, pol, e.opts.QueueDepth, e.opts.TraceRing)
 	mq.embClient = mo.EmbShards
-	if err := mq.attachRowStores(m, e.opts.EmbCache); err != nil {
+	if err := mq.buildRowStores(m, e.opts.EmbCache); err != nil {
 		return err
 	}
+	mq.attachRowStores(m)
 	e.queues[name] = mq
 	e.order = append(e.order, mq)
 	e.wrrTotal += weight
@@ -184,20 +185,16 @@ func (e *Engine) Register(name string, m *model.Model, mo ModelOptions) error {
 // future requests run against next. The new model must accept the same
 // input shape (dense width, table count, per-table lookups), so
 // requests validated against the old config stay well-formed — the
-// checkpoint-reload path of a retrain cycle.
+// checkpoint-reload path of a retrain cycle. A model behind a remote
+// tier must also keep every table's rows and width, which is the shape
+// the tier serves.
 //
-// With the embedding cache enabled, the swap protocol is: attach the
-// queue's caches to next's SLS ops (next is not serving yet, so the
-// writes race nothing), then — under the queue's pass lock, which
-// waits out every in-flight forward — bump every cache generation and
-// publish the model pointer together. Quiescence matters: a pass that
-// already loaded the old model must not observe the new generation,
-// or it would insert the old model's rows under the new token and
-// poison the cache for post-swap traffic. Passes that finished before
-// the bump hold the old token — their leftover rows become unservable
-// — and passes starting after the publish see the new model with the
-// new token, so no request ever observes a row from the wrong model's
-// tables.
+// The swap is one publish: next is attached to the queue's row stores
+// (next is not serving yet, so the writes race nothing) and then
+// stored together with the next generation number as one immutable
+// value. A pass loads that value once, so it runs wholly on the model
+// it loaded, whichever swaps happen meanwhile; Swap never waits for a
+// pass, and no pass waits for a Swap.
 func (e *Engine) Swap(name string, next *model.Model) error {
 	if next == nil {
 		return errors.New("engine: nil model")
@@ -210,51 +207,50 @@ func (e *Engine) Swap(name string, next *model.Model) error {
 	}
 	mq.swapMu.Lock()
 	defer mq.swapMu.Unlock()
-	cur := mq.model.Load()
-	if err := compatibleShape(cur.Config, next.Config); err != nil {
+	cur := mq.published.Load()
+	if err := compatibleShape(cur.model.Config, next.Config, mq.embClient != nil); err != nil {
 		return err
 	}
-	if err := mq.attachRowStores(next, e.opts.EmbCache); err != nil {
-		return err
-	}
-	mq.passMu.Lock()
-	mq.invalidateEmbCaches()
-	// Store the model before bumping the generation: a reader that
-	// observes the new generation is then guaranteed the new model is
-	// already published (see the gen field comment).
-	mq.model.Store(next)
-	mq.gen.Add(1)
-	mq.passMu.Unlock()
+	mq.attachRowStores(next)
+	mq.published.Store(&served{model: next, gen: cur.gen + 1})
 	return nil
 }
 
 // Generation returns the named model's swap generation ("" = the
 // default model): 1 when first registered, incremented by every
-// successful Swap. Reading G guarantees requests admitted afterwards
-// are served by a model of generation ≥ G.
+// successful Swap. The generation is published with its model, so
+// reading G guarantees requests admitted afterwards are served by a
+// model of generation ≥ G, and a request that completed before the
+// read was served by one of generation ≤ G.
 func (e *Engine) Generation(name string) (uint64, error) {
 	mq, err := e.lookup(name)
 	if err != nil {
 		return 0, err
 	}
-	return mq.gen.Load(), nil
+	return mq.published.Load().gen, nil
 }
 
 // compatibleShape checks that requests shaped for old remain valid
-// inputs of next.
-func compatibleShape(old, next model.Config) error {
+// inputs of next. Rows may grow and a width may change, except behind
+// a remote tier (tier), which serves the registered tables as they are.
+func compatibleShape(old, next model.Config, tier bool) error {
 	if next.DenseIn != old.DenseIn {
 		return fmt.Errorf("engine: swap changes dense width %d → %d", old.DenseIn, next.DenseIn)
 	}
 	if len(next.Tables) != len(old.Tables) {
 		return fmt.Errorf("engine: swap changes table count %d → %d", len(old.Tables), len(next.Tables))
 	}
-	for i := range next.Tables {
-		if next.Tables[i].Lookups != old.Tables[i].Lookups {
-			return fmt.Errorf("engine: swap changes table %d lookups %d → %d", i, old.Tables[i].Lookups, next.Tables[i].Lookups)
-		}
-		if next.Tables[i].Rows < old.Tables[i].Rows {
-			return fmt.Errorf("engine: swap shrinks table %d rows %d → %d", i, old.Tables[i].Rows, next.Tables[i].Rows)
+	for i, o := range old.Tables {
+		n := next.Tables[i]
+		switch {
+		case n.Lookups != o.Lookups:
+			return fmt.Errorf("engine: swap changes table %d lookups %d → %d", i, o.Lookups, n.Lookups)
+		case n.Rows < o.Rows:
+			return fmt.Errorf("engine: swap shrinks table %d rows %d → %d", i, o.Rows, n.Rows)
+		case tier && n.Rows != o.Rows:
+			return fmt.Errorf("engine: swap changes table %d rows %d → %d behind the remote tier", i, o.Rows, n.Rows)
+		case tier && n.Dim != o.Dim:
+			return fmt.Errorf("engine: swap changes table %d width %d → %d behind the remote tier", i, o.Dim, n.Dim)
 		}
 	}
 	return nil
@@ -360,7 +356,7 @@ func (e *Engine) Model(name string) (*model.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mq.model.Load(), nil
+	return mq.published.Load().model, nil
 }
 
 // DefaultModel returns the name Rank resolves "" to: the oldest
@@ -482,7 +478,7 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 	// worker deep inside a kernel. Swap preserves input shapes, so a
 	// request validated against the current model stays valid for any
 	// later swap-in.
-	cfg := mq.model.Load().Config
+	cfg := mq.published.Load().model.Config
 	verr := model.ValidateRequest(cfg, req)
 	// The trace's stages share their boundary timestamps, so they tile
 	// the request with no gap between one and the next: validate runs
@@ -565,7 +561,7 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 func (e *Engine) rankSplit(ctx context.Context, name string, mq *modelQueue, dst []float32, req model.Request, chunkMax int, in ingestStats) ([]float32, error) {
 	// Validate the parent once up front: a malformed oversized request
 	// is refused with one typed error before any chunk is admitted.
-	cfg := mq.model.Load().Config
+	cfg := mq.published.Load().model.Config
 	if err := model.ValidateRequest(cfg, req); err != nil {
 		mq.rejected.Add(1)
 		mq.errs.Add(1)

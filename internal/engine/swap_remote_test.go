@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,14 +14,14 @@ import (
 	"recsys/internal/tensor"
 )
 
-// TestSwapDuringInFlightRemoteGather extends the passMu protocol test
-// to the remote-shard path: a hot swap issued while a request's sharded
-// embedding gather is stalled in flight must wait out the whole pass.
-// The in-flight request completes entirely on the OLD model (old dense
-// weights paired with the rows its own gather fetched), and post-swap
-// traffic scores bit-identically to the NEW model — at no point can a
-// new model pair with rows staged or cached under the old generation,
-// even though the swap was requested mid-gather.
+// TestSwapDuringInFlightRemoteGather pins the one-publish swap on the
+// remote-shard path: a hot swap made while a request's sharded
+// embedding gather is stalled in flight returns at once, without
+// waiting for the pass. The in-flight request still completes entirely
+// on the OLD model (old dense weights paired with the rows its own
+// gather fetched), because the pass loaded the published model once,
+// and post-swap traffic, cache-hot rows included, scores
+// bit-identically to the NEW model.
 func TestSwapDuringInFlightRemoteGather(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(100)
 	const seed = 7
@@ -110,17 +111,13 @@ func TestSwapDuringInFlightRemoteGather(t *testing.T) {
 	if victimDone.Load() {
 		t.Fatal("victim finished before the swap; stall did not hold the gather in flight")
 	}
-	swapStart := time.Now()
 	if err := eng.Swap("m", mB); err != nil {
 		t.Fatal(err)
 	}
-	// Swap's write-side of passMu must have waited out the in-flight
-	// pass: the victim's gather is parked for 250ms, the swap was issued
-	// ~50ms in, so an excluded swap cannot return in under ~200ms.
-	// Returning quickly would mean it cut into a live pass — exactly the
-	// torn state under test.
-	if waited := time.Since(swapStart); waited < 100*time.Millisecond {
-		t.Fatalf("Swap returned after %v — it did not wait out the in-flight remote gather", waited)
+	// The swap is one publish: it must not wait out the victim's pass,
+	// whose gather stays parked for another ~200ms.
+	if victimDone.Load() {
+		t.Fatal("Swap returned only after the in-flight remote gather finished")
 	}
 	for _, s := range servers {
 		s.SetStall(0, 0)
@@ -133,9 +130,9 @@ func TestSwapDuringInFlightRemoteGather(t *testing.T) {
 	}
 
 	// Post-swap traffic (including replays of pre-swap requests whose
-	// rows are cache-hot) must be pure generation B: any row staged or
-	// cached under generation A leaking into a B pass would break
-	// bit-identity with the detached B reference.
+	// rows are cache-hot) must be pure generation B: generation A's
+	// dense weights leaking into a B pass would break bit-identity with
+	// the detached B reference.
 	for i, req := range []model.Request{warm, victim, model.NewRandomRequest(cfg, 2, rng)} {
 		out, err := eng.Rank(ctx, "m", req)
 		if err != nil {
@@ -143,6 +140,68 @@ func TestSwapDuringInFlightRemoteGather(t *testing.T) {
 		}
 		if want := refB.AppendCTR(nil, req, arena, 1); !bitsMatch(out, want) {
 			t.Fatalf("post-swap request %d is not pure generation B — stale rows paired with the new model", i)
+		}
+	}
+}
+
+// TestSwapKeepsTierShape: the remote tier serves the tables a model was
+// registered with, so a swap behind it that widens a table or gives it
+// more rows is refused with an error naming the table, and serving
+// continues bit-identically on the registered model. The same swaps of
+// an in-process model are accepted: its rows may grow and its widths
+// change.
+func TestSwapKeepsTierShape(t *testing.T) {
+	cfg := model.RMC1Small().Scaled(100)
+	cfg.Interaction = model.Cat // per-table widths may differ
+	const seed = 7
+	_, client := startEmbTier(t, cfg, seed, false, 2, shard.Options{})
+	eng := testEngine(t, shardTestOptions())
+	local := testEngine(t, shardTestOptions())
+	mA := buildShardModel(t, cfg, seed, false)
+	refA, err := mA.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Register("m", mA, ModelOptions{EmbShards: client}); err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Register("m", buildShardModel(t, cfg, seed, false), ModelOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	reshaped := func(f func(*model.TableSpec)) model.Config {
+		c := cfg
+		c.Tables = append([]model.TableSpec(nil), cfg.Tables...)
+		f(&c.Tables[2])
+		return c
+	}
+	req := model.NewRandomRequest(cfg, 2, stats.NewRNG(12))
+	want := refA.AppendCTR(nil, req, tensor.NewArena(), 1)
+	for _, tc := range []struct {
+		name string
+		cfg  model.Config
+	}{
+		{"wider", reshaped(func(ts *model.TableSpec) { ts.Dim += 8 })},
+		{"more rows", reshaped(func(ts *model.TableSpec) { ts.Rows += 40 })},
+	} {
+		err := eng.Swap("m", buildShardModel(t, tc.cfg, seed+1, false))
+		if err == nil || !strings.Contains(err.Error(), "table 2") {
+			t.Fatalf("%s: tier-backed swap error %v, want a refusal naming table 2", tc.name, err)
+		}
+		if g, _ := eng.Generation("m"); g != 1 {
+			t.Fatalf("%s: generation %d after a refused swap, want 1", tc.name, g)
+		}
+		out, err := eng.Rank(context.Background(), "m", req)
+		if err != nil {
+			t.Fatalf("%s: rank after the refused swap: %v", tc.name, err)
+		}
+		for i := range want {
+			if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: score %d = %v after the refused swap, want the registered model's %v", tc.name, i, out[i], want[i])
+			}
+		}
+		if err := local.Swap("m", buildShardModel(t, tc.cfg, seed+1, false)); err != nil {
+			t.Fatalf("%s: in-process swap refused: %v", tc.name, err)
 		}
 	}
 }

@@ -144,32 +144,12 @@ func slsWorkers(workers, rows, elems int) int {
 	return workers
 }
 
-// SparseLengthsMean pools like SparseLengthsSum but averages the
-// gathered rows (Caffe2's SparseLengthsMean; DLRM supports both).
-// Zero-length slices yield zero vectors.
-func (e *EmbeddingTable) SparseLengthsMean(ids []int, lengths []int) *tensor.Tensor {
-	out := e.SparseLengthsSum(ids, lengths)
-	for k, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		inv := 1 / float32(l)
-		row := out.Row(k)
-		for i := range row {
-			row[i] *= inv
-		}
-	}
-	return out
-}
-
 // SLSOp is one embedding-table lookup-and-pool operator inside a model:
 // a table plus the number of sparse IDs gathered per sample
 // ("# lookups" in Table I).
 type SLSOp struct {
 	Table   *EmbeddingTable
 	Lookups int // sparse IDs pooled per sample
-	// Mean selects average pooling (SparseLengthsMean) instead of sum.
-	Mean bool
 	// Quant, when non-nil, redirects the serving gather to the int8
 	// row-wise representation (the fused dequantize-accumulate kernel).
 	// Table remains the fp32 source of truth: training, checkpointing,
@@ -258,7 +238,6 @@ func (s *SLSOp) gatherLocal(q *QuantizedTable, ids []int, batch int, a *tensor.A
 			s.poolRows(q, out, ids, lo, hi)
 		})
 	}
-	s.meanScale(out)
 	return out
 }
 
@@ -275,19 +254,6 @@ func (s *SLSOp) poolRows(q *QuantizedTable, out *tensor.Tensor, ids []int, kLo, 
 		for _, id := range rowIDs {
 			q.AccumRow(id, row)
 		}
-	}
-}
-
-// meanScale turns out's pooled sums into means when the op pools by
-// mean (every sample pools exactly Lookups rows).
-func (s *SLSOp) meanScale(out *tensor.Tensor) {
-	if !s.Mean {
-		return
-	}
-	inv := 1 / float32(s.Lookups)
-	d := out.Data()
-	for i := range d {
-		d[i] *= inv
 	}
 }
 

@@ -171,51 +171,6 @@ func TestSLSOpPanics(t *testing.T) {
 	op.Forward([]int{1, 2}, 1)
 }
 
-func TestSparseLengthsMean(t *testing.T) {
-	rng := stats.NewRNG(7)
-	e := NewEmbeddingTable("emb", 10, 4, rng)
-	ids := []int{1, 3, 5, 2}
-	sum := e.SparseLengthsSum(ids, []int{3, 1})
-	mean := e.SparseLengthsMean(ids, []int{3, 1})
-	for c := 0; c < 4; c++ {
-		if d := mean.At(0, c) - sum.At(0, c)/3; d > 1e-6 || d < -1e-6 {
-			t.Errorf("mean[0][%d] = %v, want sum/3", c, mean.At(0, c))
-		}
-		if mean.At(1, c) != sum.At(1, c) {
-			t.Error("single-element mean should equal sum")
-		}
-	}
-	// Zero-length slice stays zero (no division).
-	z := e.SparseLengthsMean([]int{1}, []int{0, 1})
-	for _, v := range z.Row(0) {
-		if v != 0 {
-			t.Fatal("zero-length mean should be zero")
-		}
-	}
-}
-
-func TestSLSOpMeanPooling(t *testing.T) {
-	rng := stats.NewRNG(8)
-	e := NewEmbeddingTable("emb", 100, 8, rng)
-	sumOp := NewSLSOp(e, 4)
-	meanOp := NewSLSOp(e, 4)
-	meanOp.Mean = true
-	ids := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	s := sumOp.Forward(ids, 2)
-	m := meanOp.Forward(ids, 2)
-	want := e.SparseLengthsMean(ids, []int{4, 4})
-	for k := 0; k < 2; k++ {
-		for c := 0; c < 8; c++ {
-			if d := m.At(k, c) - s.At(k, c)/4; d > 1e-6 || d < -1e-6 {
-				t.Fatalf("mean pooling wrong at [%d][%d]", k, c)
-			}
-			if d := m.At(k, c) - want.At(k, c); d > 1e-6 || d < -1e-6 {
-				t.Fatalf("op mean [%d][%d] = %v, SparseLengthsMean %v", k, c, m.At(k, c), want.At(k, c))
-			}
-		}
-	}
-}
-
 func TestEmbeddingTablePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -12,14 +12,12 @@ import (
 // consults before asking a GatherSource for a row (satisfied by
 // embcache.Concurrent). It sits only in front of a remote store: there
 // a hit saves bytes on the wire, whereas a local row is cheaper to read
-// in place (gatherLocal). Generation tokens make invalidation safe
-// against in-flight passes: a pass captures Gen() once, stale-token
-// lookups always miss, and stale-token inserts are dropped.
+// in place (gatherLocal). The first argument of Lookup and Insert is
+// unused (the gather passes 0); it stays because embcache.Concurrent,
+// which keeps that shape for the system benchmark, must satisfy this.
 type RowCache interface {
-	Gen() uint64
 	Lookup(gen, id uint64, dst []float32) bool
 	Insert(gen, id uint64, src []float32)
-	Invalidate()
 	Cols() int
 }
 
@@ -171,7 +169,6 @@ type SLSForward struct {
 	plan    *gatherPlan
 	out     *tensor.Tensor
 	staging *tensor.Tensor
-	gen     uint64
 	pending PendingGather
 }
 
@@ -209,13 +206,10 @@ func (f *SLSForward) probe() {
 	// accumStaged reads any of it. (out must stay zeroed: accumulation
 	// is +=.)
 	f.staging = allocDenseUninit(f.a, nUniq, cols)
-	if s.cache != nil {
-		f.gen = s.cache.Gen()
-	}
 	p.missIDs = p.missIDs[:0]
 	p.missRows = p.missRows[:0]
 	for u, id := range p.uniq {
-		if s.cache != nil && s.cache.Lookup(f.gen, uint64(id), f.staging.Row(u)) {
+		if s.cache != nil && s.cache.Lookup(0, uint64(id), f.staging.Row(u)) {
 			continue
 		}
 		p.missIDs = append(p.missIDs, id)
@@ -226,10 +220,9 @@ func (f *SLSForward) probe() {
 // Finish completes the forward begun by Begin and returns the pooled
 // output. For the local store that is gatherLocal, whole. For a
 // GatherSource it waits for the rows the cache missed, inserts them
-// into the cache under the generation captured at Begin, and
-// accumulates in the original per-sample ID order, so its output is
-// bit-identical to gatherLocal's as long as the source serves the same
-// row values. A fetch error panics with the source's error value (the
+// into the cache, and accumulates in the original per-sample ID order,
+// so its output is bit-identical to gatherLocal's as long as the source
+// serves the same row values. A fetch error panics with the source's error value (the
 // engine's recover maps it to its HTTP taxonomy).
 func (f *SLSForward) Finish() *tensor.Tensor {
 	s := f.op
@@ -245,7 +238,7 @@ func (f *SLSForward) Finish() *tensor.Tensor {
 	}
 	if s.cache != nil {
 		for i, id := range p.missIDs {
-			s.cache.Insert(f.gen, uint64(id), staging.Row(int(p.missRows[i])))
+			s.cache.Insert(0, uint64(id), staging.Row(int(p.missRows[i])))
 		}
 	}
 	// Inline serial path: the parallel branch's closure must not be
@@ -258,7 +251,6 @@ func (f *SLSForward) Finish() *tensor.Tensor {
 			s.accumStaged(out, staging, p.index, lo, hi)
 		})
 	}
-	s.meanScale(out)
 	planPool.Put(p)
 	return out
 }

@@ -57,7 +57,7 @@ func (s *syncSource) Wait() (bool, error) { return false, nil }
 // syncSource, with a row cache of cacheRows rows (0 = none) in front.
 func planned(t testing.TB, op *SLSOp, cacheRows int, policy string, stripes int) *SLSOp {
 	t.Helper()
-	p := &SLSOp{Table: op.Table, Lookups: op.Lookups, Mean: op.Mean, Quant: op.Quant}
+	p := &SLSOp{Table: op.Table, Lookups: op.Lookups, Quant: op.Quant}
 	p.SetRowStore(&syncSource{p.LocalStore()})
 	if cacheRows > 0 {
 		cache, err := embcache.NewConcurrent(cacheRows, op.Table.Cols, policy, stripes)
@@ -107,19 +107,6 @@ func TestForwardGatherBitIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestForwardGatherMean covers the mean-pooling scaling on the planned
-// path.
-func TestForwardGatherMean(t *testing.T) {
-	rng := stats.NewRNG(12)
-	table := NewEmbeddingTable("t", 200, 32, rng)
-	op := planned(t, &SLSOp{Table: table, Lookups: 8, Mean: true}, 32, "lru", 1)
-	ids := drawIDs(trace.NewZipfian(200, 1.1, rng), 4, 8)
-	want := op.Forward(ids, 4)
-	if got := op.ForwardEx(ids, 4, nil, 1); !tensor.Equal(want, got, 0) {
-		t.Fatal("mean pooling differs on planned path")
 	}
 }
 

@@ -88,9 +88,14 @@ func (s *SLSOp) LocalStore() RowStore { return (*localStore)(s) }
 // restores the in-process tables, and detaches the row cache with the
 // tier it fronted): ForwardEx switches from reading rows in place to
 // the asynchronous planned gather. Like SetRowCache, the op must not be
-// serving when the store changes: the engine attaches stores before a
-// model is published.
+// serving when the store changes, and re-attaching the store it already
+// has writes nothing: the engine attaches its per-table stores before a
+// model is published, and again, as a no-op, when a model it served
+// before is swapped back in.
 func (s *SLSOp) SetRowStore(gs GatherSource) {
+	if gs == s.remote {
+		return
+	}
 	if gs == nil {
 		s.remote, s.cache = nil, nil
 		return

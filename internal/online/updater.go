@@ -48,7 +48,8 @@ type Config struct {
 	BatchSize int
 	// LR is the learning rate (default 0.01).
 	LR float32
-	// Interval is Start's cycle cadence (default 1s).
+	// Interval is Start's cycle cadence (default 1s), timed from the end
+	// of one cycle to the start of the next.
 	Interval time.Duration
 	// Quantize controls candidate quantization (default QuantizeAuto).
 	Quantize QuantizeMode
@@ -236,9 +237,12 @@ func New(eng *engine.Engine, cfg Config) (*Updater, error) {
 // configured split.
 func (u *Updater) Router() *ABRouter { return u.router }
 
-// Start runs cycles every Config.Interval until Stop. Cycle errors are
-// recorded (the last one is kept) without stopping the loop — a transient
-// failure must not end continuous training.
+// Start runs a cycle every Config.Interval until Stop, timing each
+// interval from the end of the previous cycle: a cycle that overruns
+// the interval does not start the next one at once, so a canary always
+// serves a full interval of A/B traffic before it is promoted. Cycle
+// errors are recorded (the last one is kept) without stopping the loop
+// — a transient failure must not end continuous training.
 func (u *Updater) Start() {
 	u.cycleMu.Lock()
 	defer u.cycleMu.Unlock()
@@ -250,7 +254,7 @@ func (u *Updater) Start() {
 	u.stop, u.done = stop, done
 	go func() {
 		defer close(done)
-		t := time.NewTicker(u.cfg.Interval)
+		t := time.NewTimer(u.cfg.Interval)
 		defer t.Stop()
 		for {
 			select {
@@ -261,6 +265,7 @@ func (u *Updater) Start() {
 					e := err
 					u.lastErr.Store(&e)
 				}
+				t.Reset(u.cfg.Interval)
 			}
 		}
 	}()

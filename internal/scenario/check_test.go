@@ -13,13 +13,13 @@ import (
 // scenario.VerifyGenerations): cmd/loadgen links this package for its
 // traffic driver and must not link "testing" with it.
 
-// VerifyGenerations proves no request ever saw a mixed model/cache
-// state: every sampled request's scores must be bitwise identical to
-// what SOME single reference generation in the request's in-flight
-// window [GenBefore, GenAfter] produces on the hot path. A request that
-// matches no whole generation was served by a torn state (new model
-// with stale cache rows, or vice versa) — exactly the corruption the
-// passMu swap protocol exists to rule out.
+// VerifyGenerations proves no request ever saw a mixed state: every
+// sampled request's scores must be bitwise identical to what SOME
+// single reference generation in the request's in-flight window
+// [GenBefore, GenAfter] produces on the hot path. A request that
+// matches no whole generation was served by a torn state (one model's
+// weights paired with another's, or with rows from the wrong tables) —
+// what publishing the model and its generation as one value rules out.
 //
 // refs maps generation → the exact model published at that generation
 // (record them from the swap driver, e.g. Updater.OnSwap). Samples
