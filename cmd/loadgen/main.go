@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"time"
 
 	"recsys/internal/arch"
@@ -328,13 +329,16 @@ func runReal(sc stack.Config, rc realConfig) {
 	st, _ := eng.ModelStats(engine.DefaultModelName) // Start registered it
 	fmt.Printf("\nformed batches: %d (avg %.1f samples); cut because full %d, executor free %d, MaxWait %d, deadline %d, drain %d\n",
 		st.Batches, st.AvgBatch(), st.Cuts["full"], st.Cuts["free"], st.Cuts["wait"], st.Cuts["deadline"], st.Cuts["drain"])
-	sizes := make([]int, 0, len(st.BatchHist))
-	for sz := range st.BatchHist {
-		sizes = append(sizes, sz)
+	// BatchHist is keyed by bucket bound ("1" … "256", "+Inf"); print
+	// the buckets in bound order.
+	les := make([]string, 0, len(st.BatchHist))
+	for le := range st.BatchHist {
+		les = append(les, le)
 	}
-	sort.Ints(sizes)
-	for _, sz := range sizes {
-		fmt.Printf("  batch %4d: %d\n", sz, st.BatchHist[sz])
+	bound := func(le string) float64 { f, _ := strconv.ParseFloat(le, 64); return f }
+	sort.Slice(les, func(i, j int) bool { return bound(les[i]) < bound(les[j]) })
+	for _, le := range les {
+		fmt.Printf("  batch ≤ %4s: %d\n", le, st.BatchHist[le])
 	}
 	if len(st.KindUS) > 0 {
 		fmt.Println("\noperator time:")

@@ -123,7 +123,7 @@ func main() {
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "weight seed for presets")
 	flag.IntVar(&cfg.TraceRing, "trace", 0, "retain N slowest + N most recent request traces per model (GET /trace/{model}; 0 = off)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	flag.IntVar(&cfg.EmbCache.RowsPerTable, "emb-cache", 0, "hot embedding rows cached per table in front of -emb-shards (read-through LRU, generation-invalidated; 0 = off; ignored without -emb-shards)")
+	flag.IntVar(&cfg.EmbCache.RowsPerTable, "emb-cache", 0, "hot embedding rows cached per table in front of -emb-shards (read-through LRU; 0 = off; ignored without -emb-shards)")
 	flag.StringVar(&cfg.EmbShards, "emb-shards", "", "comma-separated shard addresses of a remote embedding tier (cmd/embshard); empty = in-process tables")
 	flag.DurationVar(&cfg.SLA, "sla", 0, "p99 latency target: export windowed tail estimates as recsys_sched_* metrics (0 = off)")
 	flag.BoolVar(&cfg.Adapt, "adapt", false, "with -sla, hill-climb each model's batch policy live against the target")

@@ -11,11 +11,10 @@ import (
 const (
 	polLRU = iota
 	polFIFO
-	polClock
 )
 
 // Policies lists the eviction policies NewConcurrent accepts.
-func Policies() []string { return []string{"lru", "fifo", "clock"} }
+func Policies() []string { return []string{"lru", "fifo"} }
 
 func parsePolicy(p string) (int, error) {
 	switch strings.ToLower(p) {
@@ -23,8 +22,6 @@ func parsePolicy(p string) (int, error) {
 		return polLRU, nil
 	case "fifo":
 		return polFIFO, nil
-	case "clock":
-		return polClock, nil
 	default:
 		return 0, fmt.Errorf("embcache: unknown policy %q (want %s)", p, strings.Join(Policies(), ", "))
 	}
@@ -32,15 +29,14 @@ func parsePolicy(p string) (int, error) {
 
 // core is the replacement state machine: which row IDs hold one of cap
 // slots, and which slot the next admission takes. It is the only
-// implementation of lru, fifo and clock in the package and has two
+// implementation of lru and fifo in the package and has two
 // drivers: a Concurrent lock stripe keeps a row of data per slot and
 // admits every admitEvery'th miss once full, and the offline LRU/FIFO
 // policies keep no rows and admit every miss. Nothing here allocates
 // after newCore.
 //
 // prev/next/head/tail form the intrusive recency list (slot indices,
-// -1 = none) for lru and fifo; ref/hand are the second-chance bits for
-// clock.
+// -1 = none).
 type core struct {
 	policy int
 	cap    int
@@ -51,8 +47,6 @@ type core struct {
 
 	prev, next []int32
 	head, tail int32
-	ref        []bool
-	hand       int32
 
 	// admitTick counts misses offered to a full cache; admitMask
 	// (admission rate − 1, the rate a power of two) picks the ones that
@@ -64,19 +58,14 @@ type core struct {
 }
 
 func newCore(policy, capacity int, admitEvery uint64) core {
-	c := core{
+	return core{
 		policy: policy, cap: capacity, admitMask: admitEvery - 1,
 		slots: make(map[uint64]int32, capacity),
 		ids:   make([]uint64, capacity),
+		prev:  make([]int32, capacity),
+		next:  make([]int32, capacity),
 		head:  -1, tail: -1,
 	}
-	if policy == polClock {
-		c.ref = make([]bool, capacity)
-	} else {
-		c.prev = make([]int32, capacity)
-		c.next = make([]int32, capacity)
-	}
-	return c
 }
 
 // find returns the slot holding row id.
@@ -85,17 +74,12 @@ func (c *core) find(id uint64) (int32, bool) {
 	return slot, ok
 }
 
-// touch records a hit on slot: lru moves it to the front, clock sets
-// its reference bit, fifo keeps admission order.
+// touch records a hit on slot: lru moves it to the front, fifo keeps
+// admission order.
 func (c *core) touch(slot int32) {
-	switch c.policy {
-	case polLRU:
-		if c.head != slot {
-			c.unlink(slot)
-			c.pushFront(slot)
-		}
-	case polClock:
-		c.ref[slot] = true
+	if c.policy == polLRU && c.head != slot {
+		c.unlink(slot)
+		c.pushFront(slot)
 	}
 }
 
@@ -118,33 +102,13 @@ func (c *core) admit(id uint64) (slot int32, ok bool) {
 	}
 	c.ids[slot] = id
 	c.slots[id] = slot
-	if c.policy == polClock {
-		c.ref[slot] = false
-	} else {
-		c.pushFront(slot)
-	}
+	c.pushFront(slot)
 	return slot, true
 }
 
-// victim selects and unlinks the slot to evict. lru and fifo evict the
-// list tail (fifo never reorders on hit, so its tail is the oldest
-// admission); clock sweeps the hand, giving referenced slots a second
-// chance.
+// victim selects and unlinks the slot to evict: the list tail (fifo
+// never reorders on hit, so its tail is the oldest admission).
 func (c *core) victim() int32 {
-	if c.policy == polClock {
-		for {
-			h := c.hand
-			c.hand++
-			if int(c.hand) >= c.cap {
-				c.hand = 0
-			}
-			if c.ref[h] {
-				c.ref[h] = false
-				continue
-			}
-			return h
-		}
-	}
 	v := c.tail
 	c.unlink(v)
 	return v

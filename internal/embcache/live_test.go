@@ -118,22 +118,6 @@ func TestConcurrentFIFOEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestConcurrentClockSecondChance(t *testing.T) {
-	c := mustConcurrent(t, 2, 2, "clock", 1)
-	gen := c.Gen()
-	dst := make([]float32, 2)
-	c.Insert(gen, 1, liveRow(1, 2)) // slot 0
-	c.Insert(gen, 2, liveRow(2, 2)) // slot 1
-	c.Lookup(gen, 1, dst)           // sets slot 0's ref bit
-	c.Insert(gen, 3, liveRow(3, 2)) // hand skips slot 0 (second chance), evicts 2
-	if !c.Lookup(gen, 1, dst) {
-		t.Error("referenced row 1 evicted despite second chance")
-	}
-	if c.Lookup(gen, 2, dst) {
-		t.Error("unreferenced row 2 survived")
-	}
-}
-
 // TestConcurrentRace hammers lookups and read-through inserts
 // together. Row contents are a pure function of the ID, so any hit can
 // be checked for integrity; run under -race this also exercises the

@@ -262,7 +262,7 @@ func TestMalformedRequestDoesNotPoisonBatch(t *testing.T) {
 	if badErr == nil {
 		t.Error("malformed request should fail")
 	}
-	if st := s.Stats(); st.BatchHist[2] != 0 || st.Batches != 2 {
+	if st := s.Stats(); st.BatchHist["2"] != 0 || st.Batches != 2 {
 		t.Errorf("batch hist %v: the poisoned pair should have run as one pass each after the parked one", st.BatchHist)
 	}
 }

@@ -88,21 +88,20 @@ func (e *Engine) pickOrder(buf []*modelQueue) []*modelQueue {
 	}
 	// Smooth WRR (Nginx-style): raise every queue's current priority
 	// by its weight, select the max, charge it the total weight.
-	for _, mq := range buf {
-		e.wrrCur[mq] += mq.weight
-	}
-	best := 0
+	total, best := 0, 0
 	for i, mq := range buf {
-		if e.wrrCur[mq] > e.wrrCur[buf[best]] {
+		mq.wrrCur += mq.weight
+		total += mq.weight
+		if mq.wrrCur > buf[best].wrrCur {
 			best = i
 		}
 	}
-	e.wrrCur[buf[best]] -= e.wrrTotal
+	buf[best].wrrCur -= total
 	// Order by current priority, selected queue first. Insertion sort:
 	// the co-location fan-out is a handful of models, not thousands.
 	buf[0], buf[best] = buf[best], buf[0]
 	for i := 2; i < len(buf); i++ {
-		for j := i; j > 1 && e.wrrCur[buf[j]] > e.wrrCur[buf[j-1]]; j-- {
+		for j := i; j > 1 && buf[j].wrrCur > buf[j-1].wrrCur; j-- {
 			buf[j], buf[j-1] = buf[j-1], buf[j]
 		}
 	}
@@ -329,7 +328,7 @@ func (e *Engine) forward(mq *modelQueue, m *model.Model, req model.Request, scra
 		execUS = float64(time.Since(start)) / 1e3
 		spans = scratch.tap.spans
 	}
-	mq.recordBatch(req.Batch)
+	mq.batchHist.Observe(int64(req.Batch))
 	return out, execUS, spans, nil
 }
 

@@ -436,7 +436,7 @@ func TestProcessShedsExpired(t *testing.T) {
 	if got := mq.sheds.Load(); got != 1 {
 		t.Fatalf("sheds = %d, want 1", got)
 	}
-	if got := mq.batches.Load(); got != 0 {
+	if got := mq.batchHist.Snapshot().Count; got != 0 {
 		t.Fatalf("batches = %d, want 0 (no forward pass for shed work)", got)
 	}
 	select {

@@ -48,9 +48,13 @@ import (
 //	recsys_shard_retries_total{model,shard}       counter (")
 //	recsys_shard_errors_total{model,shard}        counter (")
 //	recsys_shard_latency_seconds{model,shard}     histogram (")
+//
+// The request, sample and batch totals are the _count and _sum of the
+// two histograms, read from the same snapshot as their buckets.
 type metricsView struct {
-	name string
-	mq   *modelQueue
+	name       string
+	mq         *modelQueue
+	lat, batch obs.HistSnapshot
 }
 
 // metricsOrder snapshots the registered queues sorted by model name —
@@ -64,6 +68,10 @@ func (e *Engine) metricsOrder() []metricsView {
 	}
 	e.mu.Unlock()
 	sort.Slice(views, func(i, j int) bool { return views[i].name < views[j].name })
+	for i := range views {
+		views[i].lat = views[i].mq.latHist.Snapshot()
+		views[i].batch = views[i].mq.batchHist.Snapshot()
+	}
 	return views
 }
 
@@ -83,20 +91,20 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	counters := []struct {
 		name string
 		help string
-		load func(*modelQueue) int64
+		load func(metricsView) int64
 	}{
-		{"recsys_requests_total", "Rank calls completed successfully.", func(mq *modelQueue) int64 { return mq.requests.Load() }},
-		{"recsys_samples_total", "User-item pairs ranked.", func(mq *modelQueue) int64 { return mq.samples.Load() }},
-		{"recsys_batches_total", "Coalesced forward passes executed.", func(mq *modelQueue) int64 { return mq.batches.Load() }},
-		{"recsys_errors_total", "Failed requests (bad input, shed, cancelled, or internal).", func(mq *modelQueue) int64 { return mq.errs.Load() }},
-		{"recsys_rejected_total", "Requests refused by admission-time validation.", func(mq *modelQueue) int64 { return mq.rejected.Load() }},
-		{"recsys_sheds_total", "Deadline sheds: requests dropped without a forward pass.", func(mq *modelQueue) int64 { return mq.sheds.Load() }},
-		{"recsys_splits_total", "Oversized requests split across the executor pool (Policy.SplitAbove).", func(mq *modelQueue) int64 { return mq.splits.Load() }},
+		{"recsys_requests_total", "Rank calls completed successfully.", func(v metricsView) int64 { return v.lat.Count }},
+		{"recsys_samples_total", "User-item pairs ranked.", func(v metricsView) int64 { return v.batch.Sum }},
+		{"recsys_batches_total", "Coalesced forward passes executed.", func(v metricsView) int64 { return v.batch.Count }},
+		{"recsys_errors_total", "Failed requests (bad input, shed, cancelled, or internal).", func(v metricsView) int64 { return v.mq.errs.Load() }},
+		{"recsys_rejected_total", "Requests refused by admission-time validation.", func(v metricsView) int64 { return v.mq.rejected.Load() }},
+		{"recsys_sheds_total", "Deadline sheds: requests dropped without a forward pass.", func(v metricsView) int64 { return v.mq.sheds.Load() }},
+		{"recsys_splits_total", "Oversized requests split across the executor pool (Policy.SplitAbove).", func(v metricsView) int64 { return v.mq.splits.Load() }},
 	}
 	for _, c := range counters {
 		obs.WriteFamily(w, c.name, "counter", c.help)
 		for _, v := range views {
-			obs.WriteIntSample(w, c.name, lbl(v), c.load(v.mq))
+			obs.WriteIntSample(w, c.name, lbl(v), c.load(v))
 		}
 	}
 
@@ -128,11 +136,11 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 
 	obs.WriteFamily(w, "recsys_rank_latency_seconds", "histogram", "End-to-end Rank latency.")
 	for _, v := range views {
-		obs.WriteHistogram(w, "recsys_rank_latency_seconds", lbl(v), v.mq.latHist.Snapshot(), 1e9)
+		obs.WriteHistogram(w, "recsys_rank_latency_seconds", lbl(v), v.lat, 1e9)
 	}
 	obs.WriteFamily(w, "recsys_batch_size_samples", "histogram", "Formed-batch size in samples.")
 	for _, v := range views {
-		obs.WriteHistogram(w, "recsys_batch_size_samples", lbl(v), v.mq.batchHist.Snapshot(), 1)
+		obs.WriteHistogram(w, "recsys_batch_size_samples", lbl(v), v.batch, 1)
 	}
 
 	obs.WriteFamily(w, "recsys_batch_cuts_total", "counter", "Formed batches by why the former cut them: full, free executor, MaxWait under load, oldest deadline, drain.")
@@ -238,7 +246,7 @@ func writeEmbCacheMetrics(w io.Writer, views []metricsView, lbl func(metricsView
 	snaps := make([][]EmbCacheStats, len(views))
 	cached := false
 	for i, v := range views {
-		snaps[i] = v.mq.snapshot().EmbCache
+		snaps[i] = v.mq.embCacheStats()
 		cached = cached || len(snaps[i]) > 0
 	}
 	if !cached {

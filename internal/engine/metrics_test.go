@@ -3,14 +3,18 @@ package engine
 import (
 	"bytes"
 	"context"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"recsys/internal/model"
+	"recsys/internal/obs"
 	"recsys/internal/stats"
 )
 
@@ -183,5 +187,122 @@ func TestMetricsMonotonic(t *testing.T) {
 	}
 	if got := after[`recsys_requests_total{model="alpha"}`] - before[`recsys_requests_total{model="alpha"}`]; got != 4 {
 		t.Errorf("alpha requests_total advanced by %v, want 4", got)
+	}
+}
+
+// TestStatsAgreeWithMetrics: Stats and /metrics are two views of one
+// record. After a two-model load with mixed batch sizes, every total,
+// percentile and batch-size bucket that Stats reports equals what a
+// scrape exposes (or what the latency histogram estimates), per model
+// and for the engine-wide aggregate.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	e := testEngine(t, Options{Workers: 2, QueueDepth: 64, MaxBatch: 16, MaxWait: time.Millisecond, IntraOpWorkers: 1})
+	cfgs := map[string]model.Config{"a": model.RMC1Small().Scaled(500), "b": model.RMC3Small().Scaled(500)}
+	for i, name := range []string{"a", "b"} {
+		if err := e.Register(name, buildModel(t, cfgs[name], uint64(i+1)), ModelOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		name := []string{"a", "b"}[g%2]
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := stats.NewRNG(uint64(g) + 1)
+			for i := 0; i < 12; i++ {
+				req := model.NewRandomRequest(cfgs[name], 1+(g+i)%9, rng)
+				if _, err := e.Rank(context.Background(), name, req); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	var buf bytes.Buffer
+	e.WriteMetrics(&buf)
+	scraped := parseMetrics(t, buf.String())
+	// series reads family{model="m"<extra>} from the scrape, or with
+	// m == "" the sum over both models; an absent series reads NaN.
+	var series func(family, m, extra string) float64
+	series = func(family, m, extra string) float64 {
+		if m == "" {
+			return series(family, "a", extra) + series(family, "b", extra)
+		}
+		v, ok := scraped[family+`{model="`+m+`"`+extra+`}`]
+		if !ok {
+			return math.NaN()
+		}
+		return v
+	}
+
+	var aggLat obs.HistSnapshot
+	views := map[string]Stats{"": e.AggregateStats()}
+	lats := map[string]obs.HistSnapshot{}
+	for _, name := range []string{"a", "b"} {
+		st, err := e.ModelStats(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat, err := e.LatencySnapshot(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[name], lats[name] = st, lat
+		aggLat = aggLat.Add(lat)
+	}
+	lats[""] = aggLat
+
+	for name, st := range views {
+		label := name
+		if label == "" {
+			label = "aggregate"
+		}
+		checks := []struct {
+			what string
+			got  int64
+			want []string
+		}{
+			{"Requests", st.Requests, []string{"recsys_requests_total", "recsys_rank_latency_seconds_count"}},
+			{"Batches", st.Batches, []string{"recsys_batches_total", "recsys_batch_size_samples_count"}},
+			{"Samples", st.Samples, []string{"recsys_samples_total", "recsys_batch_size_samples_sum"}},
+		}
+		for _, c := range checks {
+			for _, fam := range c.want {
+				if v := series(fam, name, ""); float64(c.got) != v {
+					t.Errorf("%s: %s = %d, scraped %s = %v", label, c.what, c.got, fam, v)
+				}
+			}
+		}
+		for _, p := range []struct {
+			got float64
+			q   float64
+		}{{st.P50US, 0.50}, {st.P95US, 0.95}, {st.P99US, 0.99}} {
+			if want := lats[name].Quantile(p.q) / 1e3; p.got != want {
+				t.Errorf("%s: p%v = %v µs, latency histogram estimates %v", label, 100*p.q, p.got, want)
+			}
+		}
+		// Per-bucket counts from the scrape's cumulative buckets.
+		want := map[string]int64{}
+		var prev float64
+		for _, b := range obs.BatchBounds {
+			le := strconv.FormatInt(b, 10)
+			cum := series("recsys_batch_size_samples_bucket", name, `,le="`+le+`"`)
+			if n := int64(cum - prev); n > 0 {
+				want[le] = n
+			}
+			prev = cum
+		}
+		if n := int64(series("recsys_batch_size_samples_bucket", name, `,le="+Inf"`) - prev); n > 0 {
+			want["+Inf"] = n
+		}
+		if len(want) < 2 {
+			t.Errorf("%s: scraped buckets %v, want a mix of batch sizes", label, want)
+		}
+		if !maps.Equal(st.BatchHist, want) {
+			t.Errorf("%s: BatchHist %v, scraped per-bucket counts %v", label, st.BatchHist, want)
+		}
 	}
 }

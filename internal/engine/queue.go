@@ -108,6 +108,9 @@ type served struct {
 type modelQueue struct {
 	name   string
 	weight int // executor pick weight (≥ 1)
+	// wrrCur is the smooth-WRR current priority (pickOrder), guarded by
+	// the engine's mu.
+	wrrCur int
 
 	// policy holds the batch former's bounds behind an atomic pointer:
 	// the adaptive scheduling controller retunes it at runtime
@@ -204,21 +207,29 @@ func (mq *modelQueue) attachRowStores(m *model.Model) {
 // embedding-cache counters.
 func (mq *modelQueue) snapshot() Stats {
 	st := mq.counters.snapshot()
-	if len(mq.embCaches) > 0 {
-		st.EmbCache = make([]EmbCacheStats, len(mq.embCaches))
-		for i, c := range mq.embCaches {
-			ls := c.Stats()
-			st.EmbCache[i] = EmbCacheStats{
-				Table:     i,
-				Capacity:  c.Capacity(),
-				Hits:      ls.Hits,
-				Misses:    ls.Misses,
-				Evictions: ls.Evictions,
-				HitRate:   ls.HitRate(),
-			}
+	st.EmbCache = mq.embCacheStats()
+	return st
+}
+
+// embCacheStats reads the per-table row-cache counters, nil when the
+// queue has no caches.
+func (mq *modelQueue) embCacheStats() []EmbCacheStats {
+	if len(mq.embCaches) == 0 {
+		return nil
+	}
+	out := make([]EmbCacheStats, len(mq.embCaches))
+	for i, c := range mq.embCaches {
+		ls := c.Stats()
+		out[i] = EmbCacheStats{
+			Table:     i,
+			Capacity:  c.Capacity(),
+			Hits:      ls.Hits,
+			Misses:    ls.Misses,
+			Evictions: ls.Evictions,
+			HitRate:   ls.HitRate(),
 		}
 	}
-	return st
+	return out
 }
 
 func newModelQueue(name string, m *model.Model, weight int, policy batch.Policy, depth, traceRing int) *modelQueue {

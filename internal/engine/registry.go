@@ -48,13 +48,12 @@ type ModelOptions struct {
 type Engine struct {
 	opts Options
 
-	mu          sync.Mutex
-	queues      map[string]*modelQueue
-	order       []*modelQueue // registration order; WRR scan set
-	defaultName string        // first registered model; POST /rank target
-	wrrTotal    int
-	wrrCur      map[*modelQueue]int // smooth-WRR state, guarded by mu
-	closed      bool
+	mu     sync.Mutex
+	queues map[string]*modelQueue
+	// order is the registration order and the WRR scan set; order[0] is
+	// the default model, the target of "" (POST /rank).
+	order  []*modelQueue
+	closed bool
 	// extraMetrics are exposition contributors layered above the
 	// engine (AddMetricsWriter), guarded by mu.
 	extraMetrics []func(io.Writer)
@@ -115,7 +114,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:    opts,
 		queues:  make(map[string]*modelQueue),
-		wrrCur:  make(map[*modelQueue]int),
 		now:     time.Now,
 		wake:    make(chan struct{}, opts.Workers),
 		closing: make(chan struct{}),
@@ -173,11 +171,6 @@ func (e *Engine) Register(name string, m *model.Model, mo ModelOptions) error {
 	mq.attachRowStores(m)
 	e.queues[name] = mq
 	e.order = append(e.order, mq)
-	e.wrrTotal += weight
-	e.wrrCur[mq] = 0
-	if e.defaultName == "" {
-		e.defaultName = name
-	}
 	return nil
 }
 
@@ -319,14 +312,6 @@ func (e *Engine) Unregister(name string) error {
 				break
 			}
 		}
-		e.wrrTotal -= mq.weight
-		delete(e.wrrCur, mq)
-		if e.defaultName == name {
-			e.defaultName = ""
-			if len(e.order) > 0 {
-				e.defaultName = e.order[0].name
-			}
-		}
 	}
 	e.mu.Unlock()
 	if !ok {
@@ -364,16 +349,29 @@ func (e *Engine) Model(name string) (*model.Model, error) {
 func (e *Engine) DefaultModel() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.defaultName
+	if mq, ok := e.queueLocked(""); ok {
+		return mq.name
+	}
+	return ""
+}
+
+// queueLocked resolves a model name, "" to the default model (order[0]).
+// The caller holds e.mu.
+func (e *Engine) queueLocked(name string) (*modelQueue, bool) {
+	if name != "" {
+		mq, ok := e.queues[name]
+		return mq, ok
+	}
+	if len(e.order) == 0 {
+		return nil, false
+	}
+	return e.order[0], true
 }
 
 func (e *Engine) lookup(name string) (*modelQueue, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if name == "" {
-		name = e.defaultName
-	}
-	mq, ok := e.queues[name]
+	mq, ok := e.queueLocked(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrModelNotFound, name)
 	}
@@ -439,11 +437,7 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	lookupName := name
-	if lookupName == "" {
-		lookupName = e.defaultName
-	}
-	mq, ok := e.queues[lookupName]
+	mq, ok := e.queueLocked(name)
 	if !ok {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrModelNotFound, name)
@@ -519,7 +513,7 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 	case <-mq.gone:
 		mq.senders.Done()
 		mq.errs.Add(1)
-		err := fmt.Errorf("%w: %q", ErrModelNotFound, lookupName)
+		err := fmt.Errorf("%w: %q", ErrModelNotFound, mq.name)
 		sealTrace(mq, tr, obs.OutcomeError, err)
 		putJob(j)
 		return nil, err
@@ -532,8 +526,7 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 			mq.errs.Add(1)
 			return nil, r.err
 		}
-		mq.requests.Add(1)
-		mq.recordLatency(time.Since(start))
+		mq.latHist.Observe(int64(time.Since(start)))
 		return r.ctr, nil
 	case <-ctx.Done():
 		// The worker may still process the job (and write into dst);
@@ -682,20 +675,21 @@ func (e *Engine) Stats() map[string]Stats {
 	return out
 }
 
-// AggregateStats sums every model's counters and recomputes latency
-// percentiles over the pooled windows — the engine-wide view the
-// single-model /stats endpoint exposes.
+// AggregateStats sums every model's counters and reads the totals and
+// latency percentiles off the models' summed histograms — the
+// engine-wide view the single-model /stats endpoint exposes.
 func (e *Engine) AggregateStats() Stats {
 	e.mu.Lock()
 	queues := append([]*modelQueue(nil), e.order...)
 	e.mu.Unlock()
 	var agg Stats
-	var lats []float64
+	var lat, batch obs.HistSnapshot
 	for _, mq := range queues {
 		agg.merge(mq.snapshot())
-		lats = mq.appendLatencies(lats)
+		lat = lat.Add(mq.latHist.Snapshot())
+		batch = batch.Add(mq.batchHist.Snapshot())
 	}
-	agg.P50US, agg.P95US, agg.P99US = percentiles(lats)
+	agg.readHists(lat, batch)
 	return agg
 }
 

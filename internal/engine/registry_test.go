@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -128,16 +129,8 @@ func TestColocatedModelsEndToEnd(t *testing.T) {
 		if st.KindUS["FC"] <= 0 || st.KindUS["SparseLengthsSum"] <= 0 {
 			t.Errorf("%s: missing operator spans: %v", name, st.KindUS)
 		}
-		// Histogram totals must account for every formed batch.
-		var histBatches, histSamples int64
-		for sz, n := range st.BatchHist {
-			histBatches += n
-			histSamples += int64(sz) * n
-		}
-		if histBatches != st.Batches || histSamples != st.Samples {
-			t.Errorf("%s: histogram (%d batches, %d samples) disagrees with counters (%d, %d)",
-				name, histBatches, histSamples, st.Batches, st.Samples)
-		}
+		// Requests of 1-4 samples, six of each size.
+		checkBatchHist(t, name, st, 32, 6*(1+2+3+4))
 	}
 	// The two models must not share counters.
 	agg := e.AggregateStats()
@@ -230,6 +223,50 @@ func TestUnregister(t *testing.T) {
 	// Name is reusable.
 	if err := e.Register("a", mA, ModelOptions{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultModelIsOldest: the default model ("" in Rank, POST /rank)
+// is always the oldest model still registered, through a sequence that
+// removes the default, a non-default and the newest, and registers past
+// a removal; with none left, "" resolves to nothing.
+func TestDefaultModelIsOldest(t *testing.T) {
+	m := buildModel(t, model.RMC1Small().Scaled(500), 1)
+	e := testEngine(t, Options{Workers: 1, QueueDepth: 4, MaxBatch: 1})
+	steps := []struct {
+		op, name, want string
+	}{
+		{"register", "a", "a"},
+		{"register", "b", "a"},
+		{"register", "c", "a"},
+		{"unregister", "a", "b"},
+		{"unregister", "c", "b"},
+		{"register", "d", "b"},
+		{"unregister", "b", "d"},
+		{"unregister", "d", ""},
+	}
+	for _, s := range steps {
+		var err error
+		if s.op == "register" {
+			err = e.Register(s.name, m, ModelOptions{})
+		} else {
+			err = e.Unregister(s.name)
+		}
+		if err != nil {
+			t.Fatalf("%s %s: %v", s.op, s.name, err)
+		}
+		if got := e.DefaultModel(); got != s.want {
+			t.Errorf("after %s %s: DefaultModel() = %q, want %q", s.op, s.name, got, s.want)
+		}
+		resolved := ""
+		if mq, err := e.lookup(""); err == nil {
+			resolved = mq.name
+		} else if !errors.Is(err, ErrModelNotFound) {
+			t.Fatalf("after %s %s: lookup(\"\"): %v", s.op, s.name, err)
+		}
+		if resolved != s.want {
+			t.Errorf("after %s %s: \"\" resolves to %q, want %q", s.op, s.name, resolved, s.want)
+		}
 	}
 }
 
@@ -347,15 +384,32 @@ func TestBatchHistogramShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for sz, n := range st.BatchHist {
-		if sz < 1 || sz > 8 {
-			t.Errorf("batch size %d outside [1, MaxBatch]", sz)
+	checkBatchHist(t, "m", st, 8, 30)
+}
+
+// checkBatchHist checks a model's batch-size buckets: every bucket lies
+// in [1, maxBatch], the buckets count every formed batch, and the sample
+// total (the histogram's sum) is wantSamples and within what the buckets
+// allow. A batch in bucket le=b holds b/2+1 … b samples (BatchBounds are
+// powers of two).
+func checkBatchHist(t *testing.T, name string, st Stats, maxBatch, wantSamples int64) {
+	t.Helper()
+	var batches, lo, hi int64
+	for le, n := range st.BatchHist {
+		b, err := strconv.ParseInt(le, 10, 64)
+		if err != nil || b < 1 || b > maxBatch {
+			t.Errorf("%s: bucket le=%q outside [1, MaxBatch %d]", name, le, maxBatch)
+			continue
 		}
-		total += n
+		batches += n
+		lo += (b/2 + 1) * n
+		hi += b * n
 	}
-	if total != st.Batches {
-		t.Errorf("histogram counts %d batches, stats say %d", total, st.Batches)
+	if batches != st.Batches {
+		t.Errorf("%s: buckets count %d batches, stats say %d", name, batches, st.Batches)
+	}
+	if st.Samples != wantSamples || st.Samples < lo || st.Samples > hi {
+		t.Errorf("%s: %d samples, want %d within the buckets' [%d, %d]", name, st.Samples, wantSamples, lo, hi)
 	}
 }
 

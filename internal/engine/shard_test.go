@@ -192,9 +192,9 @@ func TestEngineDeadShardUnavailable(t *testing.T) {
 
 // TestEngineSwapHammerWithRemoteShards drives hot swaps against
 // in-flight Rank traffic over a remote tier with the row cache on — the
-// swap path's cache invalidation racing cached gathers. Run under -race
-// by the tier-1 recipe; the assertions here are liveness and score
-// sanity, the race detector carries the rest.
+// swap's publish racing cached gathers through caches that outlive it.
+// Run under -race by the tier-1 recipe; the assertions here are
+// liveness and score sanity, the race detector carries the rest.
 func TestEngineSwapHammerWithRemoteShards(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(100)
 	const seed = 7

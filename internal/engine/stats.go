@@ -1,17 +1,19 @@
 package engine
 
 import (
-	"sync"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"recsys/internal/nn"
 	"recsys/internal/obs"
-	"recsys/internal/stats"
 )
 
 // Stats are cumulative serving counters and latency percentiles for
-// one registered model.
+// one registered model. Requests, Samples, Batches, the percentiles and
+// BatchHist are read off the two histograms GET /metrics exposes
+// (recsys_rank_latency_seconds, recsys_batch_size_samples), so /stats
+// and a scrape report one record of each request and each pass.
 type Stats struct {
 	Requests int64 // Rank calls completed successfully
 	Samples  int64 // user-item pairs ranked
@@ -29,12 +31,17 @@ type Stats struct {
 	// request, so Requests grows by the chunk count, Splits by one.
 	Splits int64
 	// P50US, P95US, and P99US are end-to-end Rank latency percentiles
-	// in microseconds over a sliding window of recent requests.
+	// in microseconds since registration, interpolated within the
+	// latency histogram's buckets (obs.HistSnapshot.Quantile, the
+	// estimator of Prometheus's histogram_quantile). The recent tail is
+	// the scheduling controller's windowed view (recsys_sched_p99_seconds).
 	P50US, P95US, P99US float64
-	// BatchHist counts formed batches by their sample count, so an
-	// anomalous AvgBatch can be traced to its size distribution (e.g.
-	// a bimodal mix of timer flushes and full batches).
-	BatchHist map[int]int64
+	// BatchHist counts formed batches per batch-size bucket, keyed by the
+	// bucket's upper bound as /metrics labels it ("1", "2", … "256",
+	// "+Inf"); counts are per bucket, not cumulative, and empty buckets
+	// are left out. An anomalous AvgBatch can be traced to its size
+	// distribution (e.g. a bimodal mix of timer flushes and full batches).
+	BatchHist map[string]int64
 	// Cuts counts formed batches by why the former stopped growing them
 	// ("full", "free", "wait", "deadline", "drain"; see cutReason): the
 	// answer to "is MaxWait being paid, and by whom".
@@ -67,24 +74,35 @@ func (s Stats) AvgBatch() float64 {
 	return float64(s.Samples) / float64(s.Batches)
 }
 
-// merge accumulates other into s (histograms and kind times included),
-// for the engine-wide aggregate view. Latency percentiles cannot be
-// merged from percentiles; the caller recomputes them from the pooled
-// windows.
+// readHists fills the histogram-derived fields from a latency snapshot
+// (nanoseconds) and a batch-size snapshot (samples).
+func (s *Stats) readHists(lat, batch obs.HistSnapshot) {
+	s.Requests = lat.Count
+	s.Batches, s.Samples = batch.Count, batch.Sum
+	s.P50US = lat.Quantile(0.50) / 1e3
+	s.P95US = lat.Quantile(0.95) / 1e3
+	s.P99US = lat.Quantile(0.99) / 1e3
+	s.BatchHist = make(map[string]int64)
+	for i, n := range batch.Counts {
+		le := "+Inf"
+		if i < len(batch.Bounds) {
+			le = strconv.FormatInt(batch.Bounds[i], 10)
+		}
+		if n > 0 {
+			s.BatchHist[le] = n
+		}
+	}
+}
+
+// merge accumulates other's counters, cut reasons, kind times and cache
+// counters into s, for the engine-wide aggregate view. The
+// histogram-derived fields are not merged: the caller reads them off the
+// summed histograms (readHists), since percentiles do not add.
 func (s *Stats) merge(other Stats) {
-	s.Requests += other.Requests
-	s.Samples += other.Samples
-	s.Batches += other.Batches
 	s.Errors += other.Errors
 	s.Rejected += other.Rejected
 	s.Sheds += other.Sheds
 	s.Splits += other.Splits
-	for sz, n := range other.BatchHist {
-		if s.BatchHist == nil {
-			s.BatchHist = make(map[int]int64)
-		}
-		s.BatchHist[sz] += n
-	}
 	for r, n := range other.Cuts {
 		if s.Cuts == nil {
 			s.Cuts = make(map[string]int64)
@@ -114,30 +132,13 @@ func (s *Stats) merge(other Stats) {
 	}
 }
 
-// latencyWindow is the number of recent requests the latency
-// percentiles cover.
-const latencyWindow = 4096
-
-// percentiles computes p50/p95/p99 over a pooled latency window.
-func percentiles(lats []float64) (p50, p95, p99 float64) {
-	if len(lats) == 0 {
-		return 0, 0, 0
-	}
-	sample := stats.NewSample(len(lats))
-	sample.AddAll(lats)
-	return sample.Percentile(50), sample.Percentile(95), sample.Percentile(99)
-}
-
 // nKinds sizes the per-operator-kind accumulators.
 const nKinds = int(nn.KindOther) + 1
 
-// counters is the mutable serving-statistics state of one model queue:
-// lock-free counters on the request path, a mutex-guarded latency ring
-// and batch-size histogram off it.
+// counters is the mutable serving-statistics state of one model queue,
+// lock-free throughout: a served request is recorded once, in latHist,
+// and a formed batch once, in batchHist.
 type counters struct {
-	requests atomic.Int64
-	samples  atomic.Int64
-	batches  atomic.Int64
 	errs     atomic.Int64
 	rejected atomic.Int64 // admission-validation refusals
 	sheds    atomic.Int64 // deadline sheds (no forward pass run)
@@ -150,20 +151,12 @@ type counters struct {
 	// kind, in nanoseconds. Executor workers add concurrently.
 	kindNS [nKinds]atomic.Int64
 
-	// latHist and batchHist are the fixed-bucket histograms behind the
-	// /metrics exposition: cumulative (never reset), lock-free Observe,
-	// machine-readable counterparts of the percentile window and the
-	// exact BatchHist map below.
-	latHist   *obs.Histogram // request latency, nanoseconds
+	// latHist and batchHist are cumulative (never reset) fixed-bucket
+	// histograms: every request and pass total, percentile and size
+	// distribution that Stats, /metrics and the scheduling controller
+	// report is read off them.
+	latHist   *obs.Histogram // served-request latency, nanoseconds
 	batchHist *obs.Histogram // formed-batch size, samples
-
-	latMu  sync.Mutex
-	latBuf []float64 // ring of recent request latencies (µs)
-	latPos int
-	latLen int
-
-	histMu sync.Mutex
-	hist   map[int]int64 // formed-batch sample count → occurrences
 }
 
 // init allocates the fixed-bucket histograms; called once per model
@@ -174,46 +167,10 @@ func (c *counters) init() {
 }
 
 // OpSpan implements model.SpanObserver: per-operator time lands in the
-// per-kind accumulators. The name is deliberately dropped — per-op
-// detail belongs to internal/profile; serving stats track kinds.
+// per-kind accumulators. The name is dropped here; per-op detail goes to
+// the request traces (spanTap), serving stats track kinds.
 func (c *counters) OpSpan(_ string, kind nn.Kind, d time.Duration) {
 	c.kindNS[kind].Add(int64(d))
-}
-
-func (c *counters) recordLatency(d time.Duration) {
-	c.latHist.Observe(int64(d))
-	us := float64(d) / 1e3
-	c.latMu.Lock()
-	if c.latBuf == nil {
-		c.latBuf = make([]float64, latencyWindow)
-	}
-	c.latBuf[c.latPos] = us
-	c.latPos = (c.latPos + 1) % latencyWindow
-	if c.latLen < latencyWindow {
-		c.latLen++
-	}
-	c.latMu.Unlock()
-}
-
-func (c *counters) recordBatch(samples int) {
-	c.batches.Add(1)
-	c.samples.Add(int64(samples))
-	c.batchHist.Observe(int64(samples))
-	c.histMu.Lock()
-	if c.hist == nil {
-		c.hist = make(map[int]int64)
-	}
-	c.hist[samples]++
-	c.histMu.Unlock()
-}
-
-// appendLatencies copies the current latency window into dst, for
-// pooled percentile computation across models.
-func (c *counters) appendLatencies(dst []float64) []float64 {
-	c.latMu.Lock()
-	dst = append(dst, c.latBuf[:c.latLen]...)
-	c.latMu.Unlock()
-	return dst
 }
 
 // snapshot returns a consistent-enough copy of the counters for
@@ -221,31 +178,12 @@ func (c *counters) appendLatencies(dst []float64) []float64 {
 // an in-flight request, which is fine for monitoring.
 func (c *counters) snapshot() Stats {
 	st := Stats{
-		Requests: c.requests.Load(),
-		Samples:  c.samples.Load(),
-		Batches:  c.batches.Load(),
 		Errors:   c.errs.Load(),
 		Rejected: c.rejected.Load(),
 		Sheds:    c.sheds.Load(),
 		Splits:   c.splits.Load(),
 	}
-	c.latMu.Lock()
-	if c.latLen > 0 {
-		sample := stats.NewSample(c.latLen)
-		sample.AddAll(c.latBuf[:c.latLen])
-		st.P50US = sample.Percentile(50)
-		st.P95US = sample.Percentile(95)
-		st.P99US = sample.Percentile(99)
-	}
-	c.latMu.Unlock()
-	c.histMu.Lock()
-	if len(c.hist) > 0 {
-		st.BatchHist = make(map[int]int64, len(c.hist))
-		for sz, n := range c.hist {
-			st.BatchHist[sz] = n
-		}
-	}
-	c.histMu.Unlock()
+	st.readHists(c.latHist.Snapshot(), c.batchHist.Snapshot())
 	for r := range c.cuts {
 		if n := c.cuts[r].Load(); n > 0 {
 			if st.Cuts == nil {

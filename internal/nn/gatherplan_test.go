@@ -120,7 +120,7 @@ func TestForwardQuantBitIdentical(t *testing.T) {
 	ref := NewSLSOp(table, 20)
 	ref.Quant = Quantize(table)
 	for _, cacheRows := range []int{0, 64} {
-		op := planned(t, ref, cacheRows, "clock", 2)
+		op := planned(t, ref, cacheRows, "lru", 2)
 		for name, gen := range gatherCases(table.Rows, rng) {
 			for pass := 0; pass < 3; pass++ {
 				ids := drawIDs(gen, 16, op.Lookups)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -186,6 +187,31 @@ func TestSnapshotSubDelta(t *testing.T) {
 	// Zero-value prev is start-of-time: the delta is the snapshot itself.
 	if d := first.Sub(HistSnapshot{}); d.Count != first.Count {
 		t.Fatalf("Sub(zero) count %d, want %d", d.Count, first.Count)
+	}
+}
+
+// TestSnapshotAdd: the sum of two histograms' snapshots is the snapshot
+// of one histogram that observed both streams, and the sum of the parts
+// of one histogram (Sub, then Add) is the whole.
+func TestSnapshotAdd(t *testing.T) {
+	a, b, both := NewHistogram([]int64{10, 100}), NewHistogram([]int64{10, 100}), NewHistogram([]int64{10, 100})
+	for _, v := range []int64{5, 50, 500} {
+		a.Observe(v)
+		both.Observe(v)
+	}
+	for _, v := range []int64{50, 50, 7} {
+		b.Observe(v)
+		both.Observe(v)
+	}
+	got, want := HistSnapshot{}.Add(a.Snapshot()).Add(b.Snapshot()), both.Snapshot()
+	if got.Count != want.Count || got.Sum != want.Sum || !slices.Equal(got.Counts, want.Counts) {
+		t.Fatalf("sum %+v, want %+v", got, want)
+	}
+	first := a.Snapshot()
+	a.Observe(70)
+	whole := a.Snapshot()
+	if re := first.Add(whole.Sub(first)); re.Count != whole.Count || re.Sum != whole.Sum || !slices.Equal(re.Counts, whole.Counts) {
+		t.Fatalf("first + (whole - first) = %+v, want %+v", re, whole)
 	}
 }
 

@@ -40,6 +40,28 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 	return d
 }
 
+// Add returns the histogram of the values in s and in other together:
+// the engine-wide view of per-model histograms, which share one layout.
+// A zero-value s is the empty snapshot, so a sum can start from one.
+func (s HistSnapshot) Add(other HistSnapshot) HistSnapshot {
+	if s.Counts == nil {
+		return other
+	}
+	if len(other.Counts) != len(s.Counts) {
+		panic("obs: Add across different histogram layouts")
+	}
+	d := HistSnapshot{
+		Bounds: s.Bounds,
+		Counts: make([]int64, len(s.Counts)),
+		Sum:    s.Sum + other.Sum,
+		Count:  s.Count + other.Count,
+	}
+	for i := range s.Counts {
+		d.Counts[i] = s.Counts[i] + other.Counts[i]
+	}
+	return d
+}
+
 // Quantile estimates the q-quantile (0 < q <= 1) of the snapshot by
 // linear interpolation within the bucket holding the target rank,
 // exactly like Prometheus's histogram_quantile: the first bucket

@@ -9,9 +9,8 @@
 //
 // Recommendation models retrain continuously (Gupta et al., HPCA 2020
 // §II; DeepRecSys treats model refresh as part of the serving loop);
-// this package turns the repo's trainer, int8 re-quantization,
-// generation-token cache invalidation, and atomic hot swap into that
-// pipeline, off the serving path.
+// this package turns the repo's trainer, int8 re-quantization and
+// atomic hot swap into that pipeline, off the serving path.
 package online
 
 import (

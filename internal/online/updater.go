@@ -13,21 +13,6 @@ import (
 	"recsys/internal/train"
 )
 
-// QuantizeMode selects how candidate snapshots are quantized before
-// publication.
-type QuantizeMode int
-
-const (
-	// QuantizeAuto mirrors the model being replaced: candidates get int8
-	// tables (and int8 MLP compute) exactly when the serving model had
-	// them at updater construction.
-	QuantizeAuto QuantizeMode = iota
-	// QuantizeTables forces int8 tables on every candidate.
-	QuantizeTables
-	// QuantizeOff publishes pure fp32 candidates.
-	QuantizeOff
-)
-
 // Config parameterizes an Updater.
 type Config struct {
 	// Model names the engine registry entry to keep fresh ("" = the
@@ -51,8 +36,6 @@ type Config struct {
 	// Interval is Start's cycle cadence (default 1s), timed from the end
 	// of one cycle to the start of the next.
 	Interval time.Duration
-	// Quantize controls candidate quantization (default QuantizeAuto).
-	Quantize QuantizeMode
 	// RollbackTol is the relative held-out-loss regression that triggers
 	// a rollback: candLoss > lastLoss×(1+RollbackTol) reverts the twin
 	// to the last good weights instead of publishing (default 0.05).
@@ -108,8 +91,8 @@ type Stats struct {
 //
 // One cycle (RunCycle) is: promote any baked canary → pull up to
 // StepsPerCycle batches from the stream and train the twin → clone a
-// candidate and quantize it per policy → quality-gate it on the
-// held-out set → publish (swap or canary) or roll back. Start runs
+// candidate and quantize it like the served model → quality-gate it on
+// the held-out set → publish (swap or canary) or roll back. Start runs
 // cycles on a ticker until Stop; RunCycle is public so scenario tests
 // can drive deterministic swap storms at their own cadence.
 type Updater struct {
@@ -184,16 +167,11 @@ func New(eng *engine.Engine, cfg Config) (*Updater, error) {
 		return nil, err
 	}
 
-	u := &Updater{eng: eng, cfg: cfg, name: name, canaryName: name + "-next"}
-	switch cfg.Quantize {
-	case QuantizeAuto:
-		u.quantTab = served.Quantized()
-		u.quantMLP = served.Int8MLPs()
-	case QuantizeTables:
-		u.quantTab = true
-	case QuantizeOff:
-	default:
-		return nil, fmt.Errorf("online: unknown quantize mode %d", cfg.Quantize)
+	// Candidates mirror the model being replaced: int8 tables (and int8
+	// MLP compute) exactly when the serving model had them here.
+	u := &Updater{
+		eng: eng, cfg: cfg, name: name, canaryName: name + "-next",
+		quantTab: served.Quantized(), quantMLP: served.Int8MLPs(),
 	}
 
 	// The twin trains at full fp32 precision regardless of how the
@@ -337,7 +315,7 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 		res.TrainLoss = float32(lossSum / float64(res.Steps))
 	}
 
-	// 3. Snapshot a candidate and quantize it per policy.
+	// 3. Snapshot a candidate and quantize it like the served model.
 	cand, err := u.twin.Clone()
 	if err != nil {
 		return res, err

@@ -105,6 +105,8 @@ func (c Config) validate() error {
 		return errors.New("stack: -adapt requires a positive -sla target")
 	case c.Watch > 0 && c.Checkpoint == "":
 		return errors.New("stack: -watch requires -checkpoint")
+	case c.Watch > 0 && c.Online:
+		return errors.New("stack: -watch and -online both replace the default model; the updater's next swap would discard the watched checkpoint")
 	}
 	return nil
 }

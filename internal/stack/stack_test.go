@@ -56,6 +56,7 @@ func TestCrossFlagRules(t *testing.T) {
 		{"shards with two models", Config{Models: two, EmbShards: "127.0.0.1:1"}, "-emb-shards serves a single model"},
 		{"online over shards", Config{Models: one, EmbShards: "127.0.0.1:1", Online: true}, "-online trains embedding rows the -emb-shards tier cannot receive"},
 		{"watch without a checkpoint", Config{Models: one, Watch: time.Second}, "-watch requires -checkpoint"},
+		{"watch and online", Config{Checkpoint: "m.ckpt", Watch: time.Second, Online: true}, "-watch and -online both replace the default model"},
 		{"checkpoint and model", Config{Models: one, Checkpoint: "m.ckpt"}, "mutually exclusive"},
 		{"nothing to serve", Config{}, "nothing to serve"},
 	}
