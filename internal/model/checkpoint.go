@@ -22,8 +22,13 @@ const (
 	checkpointVersion = uint32(1)
 )
 
-// Save writes the model's configuration and weights to w.
+// Save writes the model's configuration and weights to w. The format
+// holds fp32 tables, so a model with int8 rows only is refused
+// (ErrInt8Only) before anything is written.
 func (m *Model) Save(w io.Writer) error {
+	if err := m.needFP32("save"); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	crc := crc32.NewIEEE()
 	out := io.MultiWriter(bw, crc)

@@ -17,8 +17,12 @@ import (
 //
 // Serving attachments (row caches, remote row stores) are deliberately
 // not cloned: they belong to the engine's model queue, which re-attaches
-// them when the clone is registered or swapped in.
+// them when the clone is registered or swapped in. A model with int8
+// rows only has no fp32 weights to copy (ErrInt8Only).
 func (m *Model) Clone() (*Model, error) {
+	if err := m.needFP32("clone"); err != nil {
+		return nil, err
+	}
 	// Build a skeleton (its random init is immediately overwritten).
 	c, err := Build(m.Config, stats.NewRNG(1))
 	if err != nil {
@@ -43,8 +47,13 @@ func (m *Model) Clone() (*Model, error) {
 // config (same parameter block shapes). The receiver must not be
 // serving concurrently; it is meant for offline copies (rollback
 // restore, candidate snapshots), not for models registered in an
-// engine.
+// engine. Both must hold fp32 tables (ErrInt8Only).
 func (dst *Model) CopyWeightsFrom(src *Model) error {
+	for _, m := range []*Model{src, dst} {
+		if err := m.needFP32("copy weights of"); err != nil {
+			return err
+		}
+	}
 	db, sb := dst.paramBlocks(), src.paramBlocks()
 	if len(db) != len(sb) {
 		return fmt.Errorf("model: copy weights across incompatible models (%d vs %d parameter blocks)", len(db), len(sb))
@@ -78,12 +87,16 @@ func (m *Model) refreshDerived() {
 	}
 }
 
-// Dequantize drops the int8 serving representations (table snapshots
+// Dequantize drops the int8 serving representations (int8 table rows
 // and MLP int8 compute), returning the model to pure fp32 serving. The
-// fp32 weights are untouched. Returns the model for chaining; the
-// online updater uses it to train its twin at full precision regardless
-// of how the serving copy is quantized.
-func (m *Model) Dequantize() *Model {
+// fp32 weights are untouched; the online updater uses it to train its
+// twin at full precision regardless of how the serving copy is
+// quantized. A model with int8 rows only has no fp32 rows to return to
+// (ErrInt8Only), and is left as it was.
+func (m *Model) Dequantize() error {
+	if err := m.needFP32("dequantize"); err != nil {
+		return err
+	}
 	for _, op := range m.SLS {
 		op.Quant = nil
 	}
@@ -91,5 +104,14 @@ func (m *Model) Dequantize() *Model {
 		m.Bottom.SetInt8Compute(false)
 	}
 	m.Top.SetInt8Compute(false)
-	return m
+	return nil
+}
+
+// needFP32 is the ErrInt8Only check of every reader of the fp32
+// embedding rows; what names the operation that needed them.
+func (m *Model) needFP32(what string) error {
+	if m.Int8Only() {
+		return fmt.Errorf("%s %s: %w", what, m.Config.Name, ErrInt8Only)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -29,16 +30,29 @@ type Model struct {
 	Top      *nn.MLP
 }
 
+// ErrInt8Only is the error every reader of a model's fp32 embedding
+// rows (Save, Clone, CopyWeightsFrom, Dequantize, the trainer) returns
+// for a model whose tables hold int8 rows only (Spec.Build with
+// Int8Tables): there are no fp32 rows to read.
+var ErrInt8Only = errors.New("model: embedding tables hold int8 rows only, no fp32 rows")
+
 // Build materializes a runnable model with weights drawn from rng.
 // It returns an error if the config is invalid or its embedding storage
 // exceeds MaxBuildBytes.
 func Build(cfg Config, rng *stats.RNG) (*Model, error) {
+	return build(cfg, rng, false)
+}
+
+// build is the one body of Build and Spec.Build. With int8Tables every
+// table is drawn straight into int8 rows (nn.NewQuantizedEmbeddingTable)
+// and no fp32 table is allocated; the rows, and every weight drawn after
+// them, are bit-identical to Build followed by QuantizeTables.
+func build(cfg Config, rng *stats.RNG, int8Tables bool) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if b := cfg.EmbeddingBytes(); b > MaxBuildBytes {
-		return nil, fmt.Errorf("model: %s needs %.1f GB of embeddings (cap %d GB); use Config.Scaled or the performance simulator",
-			cfg.Name, float64(b)/(1<<30), MaxBuildBytes>>30)
+	if err := checkBuildBytes(cfg, int8Tables); err != nil {
+		return nil, err
 	}
 	m := &Model{Config: cfg}
 	if cfg.DenseIn > 0 {
@@ -46,8 +60,15 @@ func Build(cfg Config, rng *stats.RNG) (*Model, error) {
 		m.Bottom = nn.NewMLP(cfg.Name+"/bottom", dims, true, rng)
 	}
 	for i, t := range cfg.Tables {
-		table := nn.NewEmbeddingTable(fmt.Sprintf("%s/emb%d", cfg.Name, i), t.Rows, t.Dim, rng)
-		m.SLS = append(m.SLS, nn.NewSLSOp(table, t.Lookups))
+		label := fmt.Sprintf("%s/emb%d", cfg.Name, i)
+		if !int8Tables {
+			m.SLS = append(m.SLS, nn.NewSLSOp(nn.NewEmbeddingTable(label, t.Rows, t.Dim, rng), t.Lookups))
+			continue
+		}
+		table, q := nn.NewQuantizedEmbeddingTable(label, t.Rows, t.Dim, rng)
+		op := nn.NewSLSOp(table, t.Lookups)
+		op.Quant = q
+		m.SLS = append(m.SLS, op)
 	}
 	widths := make([]int, 0, len(cfg.Tables)+1)
 	if cfg.BottomOut() > 0 {
@@ -63,6 +84,39 @@ func Build(cfg Config, rng *stats.RNG) (*Model, error) {
 	dims := append([]int{cfg.TopMLPIn()}, cfg.TopMLP...)
 	m.Top = nn.NewMLP(cfg.Name+"/top", dims, false, rng)
 	return m, nil
+}
+
+// checkBuildBytes refuses a build whose tables would exceed
+// MaxBuildBytes as they are held: 4 bytes an element in fp32, or, with
+// int8Tables, one byte an element plus the 8-byte scale/offset pair a
+// row. Config.EmbeddingBytes stays the fp32 figure the analytic models
+// read.
+func checkBuildBytes(cfg Config, int8Tables bool) error {
+	b, kind := cfg.EmbeddingBytes(), "fp32"
+	if int8Tables {
+		b, kind = 0, "int8"
+		for _, t := range cfg.Tables {
+			b += int64(t.Rows) * int64(t.Dim+8)
+		}
+	}
+	if b > MaxBuildBytes {
+		return fmt.Errorf("model: %s needs %.1f GB of %s embeddings (cap %d GB); use Config.Scaled or the performance simulator",
+			cfg.Name, float64(b)/(1<<30), kind, MaxBuildBytes>>30)
+	}
+	return nil
+}
+
+// Int8Only reports whether the model's embedding tables hold int8 rows
+// only (W nil), as Spec.Build makes them for serving: such a model can
+// serve and be sharded, but not be saved, cloned or trained
+// (ErrInt8Only).
+func (m *Model) Int8Only() bool {
+	for _, op := range m.SLS {
+		if op.Table.W == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Request is one batched inference input.

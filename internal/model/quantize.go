@@ -2,20 +2,23 @@ package model
 
 import "recsys/internal/nn"
 
-// QuantizeTables converts every embedding table to the int8 row-wise
-// representation (Takeaway 5's "aggressive compression"): each SLS op
-// gains an nn.QuantizedTable that the serving gather reads instead of
-// fp32 W, dequantizing at most once per unique row per batch (and at
-// most once per cache residency when a hot-row cache is attached). The
-// fp32 tables stay in place as the source of truth for training,
-// checkpointing, and re-quantization after weight updates.
+// QuantizeTables gives every fp32 embedding table its int8 row-wise
+// rows (Takeaway 5's "aggressive compression"): each SLS op gains an
+// nn.QuantizedTable that the serving gather reads instead of W. W is
+// kept, so the model holds each row twice; that is the copy training
+// needs (the online updater's candidates, the trainer's re-quantized
+// rows) and what Save and Clone read. A model that only serves is
+// built with its int8 rows alone instead (Spec.Build with Int8Tables);
+// on such a model, whose tables have no W, QuantizeTables changes
+// nothing.
 //
 // The method returns the model for chaining (m :=
-// must(Build(cfg)).QuantizeTables()). Presets select it with the
-// "-int8" model-spec suffix in cmd/serve and cmd/recbench.
+// must(Build(cfg)).QuantizeTables()).
 func (m *Model) QuantizeTables() *Model {
 	for _, op := range m.SLS {
-		op.Quant = nn.Quantize(op.Table)
+		if op.Table.W != nil {
+			op.Quant = nn.Quantize(op.Table)
+		}
 	}
 	return m
 }

@@ -1,10 +1,14 @@
 package model
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"recsys/internal/nn"
 	"recsys/internal/stats"
+	"recsys/internal/tensor"
 )
 
 // TestParseSpec is the -model grammar: every form serve, embshard,
@@ -117,10 +121,107 @@ func TestSpecBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := models[1].SLS[0].Table.W.Data(), second.SLS[0].Table.W.Data()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("BuildSpecs spec 1 differs from the second split at weight %d", i)
+	if r := diffRows(models[1].SLS[0].Quant, second.SLS[0].Quant); r >= 0 {
+		t.Fatalf("BuildSpecs spec 1 differs from the second split at row %d", r)
+	}
+}
+
+// diffRows returns the first row whose dequantized values differ
+// between a and b, or -1 when every row is bit-identical.
+func diffRows(a, b *nn.QuantizedTable) int {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return 0
+	}
+	ra, rb := make([]float32, a.Cols), make([]float32, b.Cols)
+	for r := 0; r < a.Rows; r++ {
+		a.Row(r, ra)
+		b.Row(r, rb)
+		for c := range ra {
+			if math.Float32bits(ra[c]) != math.Float32bits(rb[c]) {
+				return r
+			}
 		}
+	}
+	return -1
+}
+
+// TestInt8SpecHoldsRowsOnce: an -int8 or -int8mlp spec builds int8
+// rows only, allocates no fp32 table on the way, and serves exactly
+// what Build followed by QuantizeTables serves from the same split.
+func TestInt8SpecHoldsRowsOnce(t *testing.T) {
+	for _, preset := range []string{"rmc1", "rmc2", "rmc3"} {
+		for _, suffix := range []string{"-int8", "-int8mlp"} {
+			spec, err := ParseSpec(preset+suffix+":100", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := spec.Build(stats.NewRNG(7).Split())
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Build(spec.Config(), stats.NewRNG(7).Split())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.QuantizeTables()
+			if spec.Int8MLPs {
+				want.QuantizeMLPs()
+			}
+			if !got.Int8Only() || !got.Quantized() || got.Int8MLPs() != spec.Int8MLPs {
+				t.Fatalf("%s%s: Int8Only=%v Quantized=%v Int8MLPs=%v", preset, suffix, got.Int8Only(), got.Quantized(), got.Int8MLPs())
+			}
+
+			var rowBytes int64
+			for i, op := range got.SLS {
+				if op.Table.W != nil {
+					t.Errorf("%s%s table %d: fp32 rows allocated", preset, suffix, i)
+				}
+				if r := diffRows(op.Quant, want.SLS[i].Quant); r >= 0 {
+					t.Fatalf("%s%s table %d: row %d differs from Build+QuantizeTables", preset, suffix, i, r)
+				}
+				rowBytes += int64(op.Quant.Rows) * int64(op.Quant.Cols+8)
+			}
+			// The build allocates the int8 rows and the fp32 MLP weights
+			// both builds draw, plus a tenth for size-class rounding,
+			// labels and the one-row scratch; an fp32 table would add
+			// 4×Cols more bytes a row (3.2× the int8 rows at Cols 32).
+			budget := uint64(1.1 * float64(rowBytes+4*int64(spec.Config().MLPParams())))
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > budget {
+				t.Errorf("%s%s: build allocated %d bytes, budget %d (int8 rows %d)", preset, suffix, alloc, budget, rowBytes)
+			}
+
+			rng := stats.NewRNG(11)
+			ga, wa := tensor.NewArena(), tensor.NewArena()
+			for i := 0; i < 20; i++ {
+				req := NewRandomRequest(spec.Config(), 16, rng)
+				if !tensor.Equal(got.Forward(req), want.Forward(req), 0) {
+					t.Fatalf("%s%s batch %d: Forward differs from Build+QuantizeTables", preset, suffix, i)
+				}
+				ga.Reset()
+				wa.Reset()
+				if !tensor.Equal(got.ForwardEx(req, ga, 1), want.ForwardEx(req, wa, 1), 0) {
+					t.Fatalf("%s%s batch %d: ForwardEx differs from Build+QuantizeTables", preset, suffix, i)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildCapCountsHeldBytes: the 1 GiB build cap counts tables as a
+// build holds them, so rmc2-int8:5 (≈0.36 GiB of int8 rows, ≈1.14 GiB
+// as fp32) passes where its fp32 build is refused. No table is built.
+func TestBuildCapCountsHeldBytes(t *testing.T) {
+	cfg := RMC2Small().Scaled(5)
+	if err := checkBuildBytes(cfg, true); err != nil {
+		t.Errorf("int8 rmc2:5 refused: %v", err)
+	}
+	if err := checkBuildBytes(cfg, false); err == nil || !strings.Contains(err.Error(), "fp32") {
+		t.Errorf("fp32 rmc2:5: err %v, want the fp32 cap refusal", err)
+	}
+	if err := checkBuildBytes(RMC2Small(), true); err == nil || !strings.Contains(err.Error(), "int8") {
+		t.Errorf("int8 rmc2 at full size: err %v, want the int8 cap refusal", err)
 	}
 }

@@ -21,16 +21,37 @@ type EmbeddingTable struct {
 
 // NewEmbeddingTable returns a table with small uniform-random entries.
 func NewEmbeddingTable(label string, rows, cols int, rng *stats.RNG) *EmbeddingTable {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("nn: embedding table dimensions must be positive, got %d×%d", rows, cols))
-	}
-	t := &EmbeddingTable{Rows: rows, Cols: cols, W: tensor.New(rows, cols), label: label}
-	d := t.W.Data()
-	scale := float32(1.0 / float64(cols))
-	for i := range d {
-		d[i] = (rng.Float32()*2 - 1) * scale
-	}
+	t := NewEmbeddingTableSpec(label, rows, cols)
+	t.W = tensor.New(rows, cols)
+	drawRows(t.W.Data(), cols, rng)
 	return t
+}
+
+// NewQuantizedEmbeddingTable draws the rows NewEmbeddingTable would
+// draw from rng, in the same order, and quantizes each one as it is
+// drawn: the table it returns is shape-only (W nil) and q holds the
+// int8 rows, bit-identical to Quantize(NewEmbeddingTable(...)). No fp32
+// table is ever allocated, only a one-row scratch.
+func NewQuantizedEmbeddingTable(label string, rows, cols int, rng *stats.RNG) (t *EmbeddingTable, q *QuantizedTable) {
+	t = NewEmbeddingTableSpec(label, rows, cols)
+	q = newQuantizedTable(t)
+	row := make([]float32, cols)
+	for r := 0; r < rows; r++ {
+		drawRows(row, cols, rng)
+		q.QuantizeRow(r, row)
+	}
+	return t, q
+}
+
+// drawRows fills dst, whole rows of cols entries each, with small
+// uniform-random entries: the one weight stream both table
+// constructors draw, the fp32 one over the whole table at once, the
+// int8 one a row at a time.
+func drawRows(dst []float32, cols int, rng *stats.RNG) {
+	scale := float32(1.0 / float64(cols))
+	for i := range dst {
+		dst[i] = (rng.Float32()*2 - 1) * scale
+	}
 }
 
 // Name returns the table label.
@@ -150,10 +171,12 @@ func slsWorkers(workers, rows, elems int) int {
 type SLSOp struct {
 	Table   *EmbeddingTable
 	Lookups int // sparse IDs pooled per sample
-	// Quant, when non-nil, redirects the serving gather to the int8
-	// row-wise representation (the fused dequantize-accumulate kernel).
-	// Table remains the fp32 source of truth: training, checkpointing,
-	// and re-quantization still read W.
+	// Quant, when non-nil, holds the table's int8 row-wise rows, which
+	// the serving gather reads (the fused dequantize-accumulate kernel).
+	// A table built for serving (NewQuantizedEmbeddingTable) has no other
+	// copy: Table is shape-only, W nil. Only a table that is also trained
+	// keeps W beside Quant, as the rows the optimizer updates and
+	// re-quantizes from.
 	Quant *QuantizedTable
 	// remote, when non-nil, is the shard tier gathers fetch rows from
 	// (SetRowStore), and only then does the plan/dedup/cache machinery
@@ -189,10 +212,11 @@ func (s *SLSOp) Forward(ids []int, batch int) *tensor.Tensor {
 }
 
 // ForwardTrain is the training-time forward: it always pools from the
-// fp32 table, the source of truth the optimizer updates, never from
-// the int8 snapshot. Routing the trainer through Forward instead would
-// pin a fine-tuned quantized model to its frozen pre-training int8
-// codes, silently training against stale weights.
+// fp32 table W, the rows the optimizer updates, never from Quant.
+// Routing the trainer through Forward instead would pin a fine-tuned
+// quantized model to its frozen pre-training int8 codes, silently
+// training against stale weights. A table without W (int8 rows only)
+// cannot be trained; the trainer refuses such a model up front.
 func (s *SLSOp) ForwardTrain(ids []int, batch int) *tensor.Tensor {
 	s.checkIDCount(ids, batch)
 	return s.gatherLocal(nil, ids, batch, nil, 1)

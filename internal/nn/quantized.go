@@ -23,22 +23,29 @@ type QuantizedTable struct {
 
 // Quantize converts an fp32 embedding table to int8 row-wise.
 func Quantize(t *EmbeddingTable) *QuantizedTable {
-	q := &QuantizedTable{
-		Rows: t.Rows, Cols: t.Cols,
-		codes:  make([]int8, t.Rows*t.Cols),
-		scale:  make([]float32, t.Rows),
-		offset: make([]float32, t.Rows),
-		label:  t.label + "/int8",
-	}
+	q := newQuantizedTable(t)
 	for r := 0; r < t.Rows; r++ {
 		q.QuantizeRow(r, t.W.Row(r))
 	}
 	return q
 }
 
+// newQuantizedTable allocates the zeroed int8 rows for t's shape.
+func newQuantizedTable(t *EmbeddingTable) *QuantizedTable {
+	return &QuantizedTable{
+		Rows: t.Rows, Cols: t.Cols,
+		codes:  make([]int8, t.Rows*t.Cols),
+		scale:  make([]float32, t.Rows),
+		offset: make([]float32, t.Rows),
+		label:  t.label + "/int8",
+	}
+}
+
 // QuantizeRow recomputes row r's scale, offset, and codes from src
-// (length Cols). The trainer uses it to keep the int8 serving snapshot
-// coherent after sparse-row updates to the fp32 source table.
+// (length Cols). NewQuantizedEmbeddingTable fills a table with it row
+// by row as the rows are drawn, and the trainer uses it to keep a
+// model's int8 rows coherent after sparse-row updates to its fp32
+// table.
 func (q *QuantizedTable) QuantizeRow(r int, src []float32) {
 	if r < 0 || r >= q.Rows {
 		panic(fmt.Sprintf("nn: quantized row %d out of range [0,%d)", r, q.Rows))

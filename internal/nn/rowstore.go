@@ -8,9 +8,10 @@ import (
 )
 
 // RowStore is what a shard server serves rows from: somewhere a row ID
-// can be materialized as fp32 values (LocalStore — fp32 copy or int8
-// dequant). Implementations must be safe for concurrent readers: a
-// server answers many connections against one store.
+// can be materialized as fp32 values (LocalStore — an fp32 table's row
+// as stored, or an int8 table's row dequantized). Implementations must
+// be safe for concurrent readers: a server answers many connections
+// against one store.
 type RowStore interface {
 	// Rows is the table height; IDs are validated against it upstream.
 	Rows() int
@@ -54,9 +55,9 @@ type PendingGather interface {
 	Wait() (bool, error)
 }
 
-// localStore adapts an SLSOp's in-process tables to RowStore: the fp32
-// table is the source of truth, with the optional row-wise int8
-// representation taking over serving reads. It is a type-converted
+// localStore adapts an SLSOp's in-process table to RowStore: it reads
+// the int8 rows when the op has them (an int8 table built for serving
+// has nothing else) and the fp32 rows otherwise. It is a type-converted
 // view of the op itself, so attaching Quant after construction is
 // still observed and the interface value costs no allocation.
 type localStore SLSOp
@@ -67,8 +68,8 @@ func (t *localStore) Rows() int { return t.Table.Rows }
 // Cols implements RowStore.
 func (t *localStore) Cols() int { return t.Table.Cols }
 
-// ReadRow implements RowStore: int8 dequant when the op serves a
-// quantized table, exact fp32 copy otherwise.
+// ReadRow implements RowStore: the int8 row dequantized when the op
+// has int8 rows, the fp32 row as stored otherwise.
 func (t *localStore) ReadRow(id int64, dst []float32) {
 	if t.Quant != nil {
 		t.Quant.Row(int(id), dst)

@@ -180,7 +180,9 @@ func New(eng *engine.Engine, cfg Config) (*Updater, error) {
 	if err != nil {
 		return nil, err
 	}
-	u.twin.Dequantize()
+	if err := u.twin.Dequantize(); err != nil {
+		return nil, err
+	}
 	u.lastGood, err = u.twin.Clone()
 	if err != nil {
 		return nil, err

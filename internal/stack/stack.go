@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -227,9 +228,22 @@ func (s *Stack) register() error {
 		}
 		return s.Engine.Register(engine.DefaultModelName, m, engine.ModelOptions{Policy: pol})
 	}
-	models, err := model.BuildSpecs(s.cfg.Models, s.cfg.Seed)
+	// An -int8 spec builds int8 rows only. The online updater clones the
+	// default model into the fp32 twin it trains, so under -online an
+	// int8 default keeps its fp32 tables too: built as fp32, then
+	// quantized, from the same weight stream.
+	specs := s.cfg.Models
+	fp32Twin := s.cfg.Online && specs[0].Int8Tables
+	if fp32Twin {
+		specs = slices.Clone(specs)
+		specs[0].Int8Tables = false
+	}
+	models, err := model.BuildSpecs(specs, s.cfg.Seed)
 	if err != nil {
 		return err
+	}
+	if fp32Twin {
+		models[0].QuantizeTables()
 	}
 	for i, spec := range s.cfg.Models {
 		name := spec.Name

@@ -16,6 +16,7 @@ import (
 	"recsys/internal/engine"
 	"recsys/internal/model"
 	"recsys/internal/stats"
+	"recsys/internal/tensor"
 )
 
 // specs parses flag-shaped -model values at -scale 1000.
@@ -164,6 +165,56 @@ func TestOnlineABWiring(t *testing.T) {
 	}
 	if st.Clicks.Fed() != 8 {
 		t.Errorf("serve tap labeled %d samples, want 8", st.Clicks.Fed())
+	}
+}
+
+// TestOnlineInt8Tables: an -int8 spec builds int8 rows only, but under
+// -online the default model keeps the fp32 tables the updater clones
+// its twin from. It serves the same scores as the serving-only build,
+// and each cycle trains and swaps in an int8 candidate.
+func TestOnlineInt8Tables(t *testing.T) {
+	sp := specs(t, "rmc1-int8")
+	st := start(t, Config{
+		Models: sp, Seed: 1, Workers: 1, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+		Online: true, OnlineInterval: time.Hour, OnlineSteps: 2, OnlineBatch: 4, OnlineLR: 0.05, OnlineBuffer: 64,
+	})
+	served, err := st.Engine.Model(engine.DefaultModelName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !served.Quantized() || served.Int8Only() {
+		t.Fatalf("-online rmc1-int8: Quantized=%v Int8Only=%v, want int8 rows beside fp32", served.Quantized(), served.Int8Only())
+	}
+	serving, err := model.BuildSpecs(sp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := model.NewRandomRequest(served.Config, 4, stats.NewRNG(3))
+	got, err := st.Engine.Rank(context.Background(), engine.DefaultModelName, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range serving[0].AppendCTR(nil, req, tensor.NewArena(), 1) {
+		if got[i] != want {
+			t.Fatalf("score %d: %v under -online, %v serving-only", i, got[i], want)
+		}
+	}
+
+	for cycle := 0; cycle < 2; cycle++ {
+		res, err := st.Updater.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Swapped || res.Steps == 0 {
+			t.Fatalf("cycle %d: swapped=%v after %d steps, want a trained swap", cycle, res.Swapped, res.Steps)
+		}
+		cand, err := st.Engine.Model(engine.DefaultModelName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cand.Quantized() {
+			t.Fatalf("cycle %d: the swapped-in candidate serves fp32 tables", cycle)
+		}
 	}
 }
 

@@ -28,20 +28,26 @@ type Trainer struct {
 }
 
 // NewTrainer wraps a model built with model.Build, using plain SGD at
-// the given learning rate. It panics on a nil model or non-positive
-// learning rate.
+// the given learning rate. It panics on a nil model, a non-positive
+// learning rate, or a model whose tables hold int8 rows only.
 func NewTrainer(m *model.Model, lr float32) *Trainer {
 	return NewTrainerWithOptimizer(m, NewSGD(lr))
 }
 
 // NewTrainerWithOptimizer wraps a model with an explicit optimizer
-// (e.g. AdaGrad for production-style sparse training).
+// (e.g. AdaGrad for production-style sparse training). Training reads
+// and updates the fp32 embedding rows, so a model with int8 rows only
+// panics here with an error wrapping model.ErrInt8Only rather than on
+// the first step's nil table.
 func NewTrainerWithOptimizer(m *model.Model, opt Optimizer) *Trainer {
 	if m == nil {
 		panic("train: nil model")
 	}
 	if opt == nil {
 		panic("train: nil optimizer")
+	}
+	if m.Int8Only() {
+		panic(fmt.Errorf("train: %s: %w", m.Config.Name, model.ErrInt8Only))
 	}
 	return &Trainer{m: m, opt: opt}
 }
@@ -203,7 +209,7 @@ func (t *Trainer) slsBackward(op *nn.SLSOp, ids []int, batch int, dOut *tensor.T
 		}
 	}
 	// On a quantized model, re-quantize every updated row so the int8
-	// serving snapshot tracks the fp32 source of truth. The trained
+	// rows the model serves track the fp32 rows it trains. The trained
 	// tables are in-process, and a local op reads its rows in place, so
 	// no row cache can hold a stale copy.
 	if q := op.Quant; q != nil {

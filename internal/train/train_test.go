@@ -1,6 +1,8 @@
 package train
 
 import (
+	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -55,6 +57,51 @@ func TestNewTrainerPanics(t *testing.T) {
 	}()
 	req := model.NewRandomRequest(m.Config, 4, stats.NewRNG(2))
 	tr.Step(req, []float32{1})
+}
+
+// TestInt8OnlyFailsClosed: every reader of the fp32 embedding rows
+// refuses a model built with int8 rows only with model.ErrInt8Only —
+// returned, or carried by the trainer constructors' panic — and never
+// reaches the missing table.
+func TestInt8OnlyFailsClosed(t *testing.T) {
+	spec, err := model.ParseSpec("rmc1-int8:1000", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spec.Build(stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp32, err := model.Build(spec.Config(), stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	panicked := func(fn func()) (err error) {
+		defer func() { err, _ = recover().(error) }()
+		fn()
+		return nil
+	}
+	for name, fn := range map[string]func() error{
+		"Save":                    func() error { return m.Save(io.Discard) },
+		"Clone":                   func() error { _, err := m.Clone(); return err },
+		"CopyWeightsFrom (src)":   func() error { return fp32.CopyWeightsFrom(m) },
+		"CopyWeightsFrom (dst)":   func() error { return m.CopyWeightsFrom(fp32) },
+		"Dequantize":              func() error { return m.Dequantize() },
+		"NewTrainer":              func() error { return panicked(func() { NewTrainer(m, 0.1) }) },
+		"NewTrainerWithOptimizer": func() error { return panicked(func() { NewTrainerWithOptimizer(m, NewAdaGrad(0.1)) }) },
+	} {
+		if err := fn(); !errors.Is(err, model.ErrInt8Only) {
+			t.Errorf("%s: err %v, want model.ErrInt8Only", name, err)
+		}
+	}
+	// The refusals changed nothing: the model still serves its int8 rows.
+	if !m.Int8Only() || !m.Quantized() {
+		t.Fatalf("after the refusals: Int8Only=%v Quantized=%v", m.Int8Only(), m.Quantized())
+	}
+	req := model.NewRandomRequest(m.Config, 2, stats.NewRNG(2))
+	if got := m.CTR(req); len(got) != 2 {
+		t.Fatalf("CTR = %v", got)
+	}
 }
 
 // TestGradientCheck verifies the analytic gradients against numerical
