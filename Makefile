@@ -90,6 +90,7 @@ bench-hot:
 # -fuzz pattern per invocation, so run them sequentially).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzValidateRequest -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run xxx -fuzz FuzzCheckpointLoad -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run xxx -fuzz FuzzRankRequestDecode -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzFloat32Token -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzGemmKernelEquiv -fuzztime $(FUZZTIME) ./internal/tensor

@@ -232,8 +232,9 @@ func TestEmbCacheSwapRace(t *testing.T) {
 func TestEmbCacheSwapRaceInt8MLP(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(32))
-	mA := buildModel(t, cfg, 7).QuantizeTables().QuantizeMLPs()
+	mA := buildModel(t, cfg, 7)
 	mB := withTables(t, cfg, 8, mA, true).QuantizeMLPs()
+	mA.QuantizeTables().QuantizeMLPs()
 	if !mA.Int8MLPs() || !mB.Int8MLPs() {
 		t.Fatal("QuantizeMLPs did not enable int8 compute")
 	}

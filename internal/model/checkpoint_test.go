@@ -2,7 +2,10 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"recsys/internal/stats"
@@ -94,5 +97,63 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	// Truncated.
 	if _, err := Load(bytes.NewReader(good[:len(good)/3])); err == nil {
 		t.Error("truncated checkpoint should fail")
+	}
+
+	// A dtype byte naming no dtype, and bytes after the CRC.
+	dtype := append([]byte(nil), good...)
+	dtype[16+binary.LittleEndian.Uint32(good[12:16])] = 7
+	if _, err := Load(bytes.NewReader(dtype)); err == nil || !strings.Contains(err.Error(), "dtype 7") {
+		t.Errorf("unknown table dtype: err %v", err)
+	}
+	if _, err := Load(bytes.NewReader(append(append([]byte(nil), good...), 0))); err == nil {
+		t.Error("data after the CRC should fail")
+	}
+}
+
+// saveBytes is m's checkpoint.
+func saveBytes(tb testing.TB, m *Model) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// asVersion1 rewrites a version-2 save of an fp32 model as the file the
+// version-1 writer made of the same model: version 1, no dtype byte,
+// the CRC recomputed.
+func asVersion1(tb testing.TB, v2 []byte) []byte {
+	tb.Helper()
+	cfgEnd := 16 + int(binary.LittleEndian.Uint32(v2[12:16]))
+	if v2[cfgEnd] != tablesFP32 {
+		tb.Fatal("asVersion1 needs the save of an fp32 model")
+	}
+	v1 := append([]byte(nil), v2[:cfgEnd]...)
+	binary.LittleEndian.PutUint32(v1[8:12], 1)
+	v1 = append(v1, v2[cfgEnd+1:len(v2)-4]...)
+	return binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+}
+
+// TestCheckpointLoadsVersion1: a version-1 file (no dtype byte, fp32
+// tables) loads through the same reader with bit-identical weights and
+// scores, and re-saves as the version-2 file of the same model.
+func TestCheckpointLoadsVersion1(t *testing.T) {
+	cfg := RMC1Small().Scaled(500)
+	src, err := Build(cfg, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := saveBytes(t, src)
+	m, err := Load(bytes.NewReader(asVersion1(t, v2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := NewRandomRequest(cfg, 6, stats.NewRNG(7))
+	if !bitsEqual(src.CTR(req), m.CTR(req)) {
+		t.Fatal("version-1 load scores differently from the saved model")
+	}
+	if !bytes.Equal(saveBytes(t, m), v2) {
+		t.Fatal("version-1 load re-saves to other bytes than the model's version-2 save")
 	}
 }

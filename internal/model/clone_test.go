@@ -80,8 +80,8 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, block := range c.paramBlocks() {
-		for i := range block {
-			block[i] += 0.25
+		for i := range block.f32 {
+			block.f32[i] += 0.25
 		}
 	}
 	c.refreshDerived()
@@ -112,8 +112,8 @@ func TestCopyWeightsFrom(t *testing.T) {
 
 	// Corrupt the live model, then restore from the snapshot.
 	for _, block := range m.paramBlocks() {
-		for i := range block {
-			block[i] *= 1.5
+		for i := range block.f32 {
+			block.f32[i] *= 1.5
 		}
 	}
 	m.refreshDerived()

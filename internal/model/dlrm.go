@@ -30,10 +30,9 @@ type Model struct {
 	Top      *nn.MLP
 }
 
-// ErrInt8Only is the error every reader of a model's fp32 embedding
-// rows (Save, Clone, CopyWeightsFrom, Dequantize, the trainer) returns
-// for a model whose tables hold int8 rows only (Spec.Build with
-// Int8Tables): there are no fp32 rows to read.
+// ErrInt8Only is the error the trainer refuses a model with whose
+// tables hold int8 rows (QuantizeTables, or Spec.Build with
+// Int8Tables): there are no fp32 rows to train.
 var ErrInt8Only = errors.New("model: embedding tables hold int8 rows only, no fp32 rows")
 
 // Build materializes a runnable model with weights drawn from rng.
@@ -104,19 +103,6 @@ func checkBuildBytes(cfg Config, int8Tables bool) error {
 			cfg.Name, float64(b)/(1<<30), kind, MaxBuildBytes>>30)
 	}
 	return nil
-}
-
-// Int8Only reports whether the model's embedding tables hold int8 rows
-// only (W nil), as Spec.Build makes them for serving: such a model can
-// serve and be sharded, but not be saved, cloned or trained
-// (ErrInt8Only).
-func (m *Model) Int8Only() bool {
-	for _, op := range m.SLS {
-		if op.Table.W == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // Request is one batched inference input.

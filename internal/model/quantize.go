@@ -2,15 +2,14 @@ package model
 
 import "recsys/internal/nn"
 
-// QuantizeTables gives every fp32 embedding table its int8 row-wise
+// QuantizeTables converts every fp32 embedding table to int8 row-wise
 // rows (Takeaway 5's "aggressive compression"): each SLS op gains an
-// nn.QuantizedTable that the serving gather reads instead of W. W is
-// kept, so the model holds each row twice; that is the copy training
-// needs (the online updater's candidates, the trainer's re-quantized
-// rows) and what Save and Clone read. A model that only serves is
-// built with its int8 rows alone instead (Spec.Build with Int8Tables);
-// on such a model, whose tables have no W, QuantizeTables changes
-// nothing.
+// nn.QuantizedTable, which every gather reads, and drops its fp32 W, so
+// the model holds each row once. The conversion is one way: an int8
+// model serves, clones and checkpoints, but cannot be trained
+// (ErrInt8Only). Spec.Build with Int8Tables builds the same rows
+// without ever holding the fp32 tables; on such a model, or any whose
+// tables are already int8, QuantizeTables changes nothing.
 //
 // The method returns the model for chaining (m :=
 // must(Build(cfg)).QuantizeTables()).
@@ -18,6 +17,7 @@ func (m *Model) QuantizeTables() *Model {
 	for _, op := range m.SLS {
 		if op.Table.W != nil {
 			op.Quant = nn.Quantize(op.Table)
+			op.Table.W = nil
 		}
 	}
 	return m
@@ -47,8 +47,9 @@ func (m *Model) Int8MLPs() bool {
 	return m.Top.Int8Compute()
 }
 
-// Quantized reports whether every embedding table has an int8 serving
-// representation attached.
+// Quantized reports whether the model's embedding tables hold int8
+// rows (QuantizeTables, or Spec.Build with Int8Tables) rather than
+// fp32 ones.
 func (m *Model) Quantized() bool {
 	if len(m.SLS) == 0 {
 		return false

@@ -97,21 +97,3 @@ func TestQuantizeMLPsEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// The quantized model must also keep its fp32 weights intact (training
-// and checkpointing read W).
-func TestQuantizeTablesKeepsFP32(t *testing.T) {
-	cfg := RMC1Small().Scaled(200)
-	m, err := Build(cfg, stats.NewRNG(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]float32(nil), m.SLS[0].Table.W.Data()...)
-	m.QuantizeTables()
-	after := m.SLS[0].Table.W.Data()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("QuantizeTables mutated the fp32 table")
-		}
-	}
-}

@@ -109,8 +109,8 @@ func (s Spec) Config() Config {
 
 // Build materializes the spec with weights drawn from rng, quantized
 // as its suffix says. An Int8Tables spec is built for serving: its
-// tables hold their int8 rows only, drawn without an fp32 table
-// (Int8Only), and bit-identical to Build followed by QuantizeTables.
+// tables hold int8 rows, drawn without an fp32 table, and
+// bit-identical to Build followed by QuantizeTables.
 func (s Spec) Build(rng *stats.RNG) (*Model, error) {
 	m, err := build(s.Config(), rng, s.Int8Tables)
 	if err != nil {

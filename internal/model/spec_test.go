@@ -147,7 +147,8 @@ func diffRows(a, b *nn.QuantizedTable) int {
 
 // TestInt8SpecHoldsRowsOnce: an -int8 or -int8mlp spec builds int8
 // rows only, allocates no fp32 table on the way, and serves exactly
-// what Build followed by QuantizeTables serves from the same split.
+// what Build followed by QuantizeTables serves from the same split;
+// that conversion, too, leaves no fp32 table behind.
 func TestInt8SpecHoldsRowsOnce(t *testing.T) {
 	for _, preset := range []string{"rmc1", "rmc2", "rmc3"} {
 		for _, suffix := range []string{"-int8", "-int8mlp"} {
@@ -170,14 +171,17 @@ func TestInt8SpecHoldsRowsOnce(t *testing.T) {
 			if spec.Int8MLPs {
 				want.QuantizeMLPs()
 			}
-			if !got.Int8Only() || !got.Quantized() || got.Int8MLPs() != spec.Int8MLPs {
-				t.Fatalf("%s%s: Int8Only=%v Quantized=%v Int8MLPs=%v", preset, suffix, got.Int8Only(), got.Quantized(), got.Int8MLPs())
+			if !got.Quantized() || got.Int8MLPs() != spec.Int8MLPs {
+				t.Fatalf("%s%s: Quantized=%v Int8MLPs=%v", preset, suffix, got.Quantized(), got.Int8MLPs())
 			}
 
 			var rowBytes int64
 			for i, op := range got.SLS {
 				if op.Table.W != nil {
 					t.Errorf("%s%s table %d: fp32 rows allocated", preset, suffix, i)
+				}
+				if want.SLS[i].Table.W != nil {
+					t.Errorf("%s%s table %d: QuantizeTables kept the fp32 rows beside the int8 ones", preset, suffix, i)
 				}
 				if r := diffRows(op.Quant, want.SLS[i].Quant); r >= 0 {
 					t.Fatalf("%s%s table %d: row %d differs from Build+QuantizeTables", preset, suffix, i, r)

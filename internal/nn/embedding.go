@@ -82,45 +82,44 @@ func checkLengths(ids, lengths []int) {
 	}
 }
 
-// accumRow sums the addressed table rows into dst (len Cols). IDs must
-// already be validated; the loop carries no per-ID range check. On the
-// AVX2 kernel tier each row add runs through tensor.AddF32 (8 lanes per
+// addRows sums the rows of rows (row-major, cols wide) that idx
+// addresses into dst (len cols): table rows by ID for the local gather,
+// staged rows by plan index for the planned one. Indices must already
+// be validated; the loop carries no per-index range check. On the AVX2
+// kernel tier each row add runs through tensor.AddF32 (8 lanes per
 // step, bit-identical to the scalar loop) — the SIMD batching the paper
 // leans on for SLS (§V). On the pure-Go tier the common production
 // widths 32 and 64 (Table I) take fixed-size array paths so the
-// compiler drops bounds checks in the element loop.
-func (e *EmbeddingTable) accumRow(dst []float32, rowIDs []int) {
-	w := e.W.Data()
+// compiler drops bounds checks in the element loop; the default path
+// covers the narrow NCF widths.
+func addRows[I int | int32](dst, rows []float32, cols int, idx []I) {
 	if tensor.SIMDActive() {
-		cols := e.Cols
-		for _, id := range rowIDs {
-			tensor.AddF32(dst, w[id*cols:id*cols+cols])
+		for _, i := range idx {
+			tensor.AddF32(dst, rows[int(i)*cols:int(i)*cols+cols])
 		}
 		return
 	}
-	switch e.Cols {
+	switch cols {
 	case 32:
 		d := (*[32]float32)(dst)
-		for _, id := range rowIDs {
-			src := (*[32]float32)(w[id*32:])
-			for i := range d {
-				d[i] += src[i]
+		for _, i := range idx {
+			src := (*[32]float32)(rows[int(i)*32:])
+			for j := range d {
+				d[j] += src[j]
 			}
 		}
 	case 64:
 		d := (*[64]float32)(dst)
-		for _, id := range rowIDs {
-			src := (*[64]float32)(w[id*64:])
-			for i := range d {
-				d[i] += src[i]
+		for _, i := range idx {
+			src := (*[64]float32)(rows[int(i)*64:])
+			for j := range d {
+				d[j] += src[j]
 			}
 		}
 	default:
-		cols := e.Cols
-		for _, id := range rowIDs {
-			src := w[id*cols : id*cols+cols]
-			for i, v := range src {
-				dst[i] += v
+		for _, i := range idx {
+			for j, v := range rows[int(i)*cols : int(i)*cols+cols] {
+				dst[j] += v
 			}
 		}
 	}
@@ -142,7 +141,7 @@ func (e *EmbeddingTable) SparseLengthsSum(ids []int, lengths []int) *tensor.Tens
 	out := tensor.New(len(lengths), e.Cols)
 	cur := 0
 	for k, l := range lengths {
-		e.accumRow(out.Row(k), ids[cur:cur+l])
+		addRows(out.Row(k), e.W.Data(), e.Cols, ids[cur:cur+l])
 		cur += l
 	}
 	return out
@@ -172,11 +171,12 @@ type SLSOp struct {
 	Table   *EmbeddingTable
 	Lookups int // sparse IDs pooled per sample
 	// Quant, when non-nil, holds the table's int8 row-wise rows, which
-	// the serving gather reads (the fused dequantize-accumulate kernel).
-	// A table built for serving (NewQuantizedEmbeddingTable) has no other
-	// copy: Table is shape-only, W nil. Only a table that is also trained
-	// keeps W beside Quant, as the rows the optimizer updates and
-	// re-quantizes from.
+	// every gather reads (the fused dequantize-accumulate kernel) in
+	// place of Table.W. A model holds each table once: fp32 in Table.W,
+	// which can be trained, or int8 here with Table shape-only (W nil),
+	// which can only be served (model.QuantizeTables converts the one
+	// into the other; NewQuantizedEmbeddingTable builds the int8 table
+	// directly).
 	Quant *QuantizedTable
 	// remote, when non-nil, is the shard tier gathers fetch rows from
 	// (SetRowStore), and only then does the plan/dedup/cache machinery
@@ -204,22 +204,11 @@ func (s *SLSOp) Kind() Kind { return KindSLS }
 // Forward pools Lookups rows per sample for a batch of ID lists. ids
 // must contain batch×Lookups entries. It always reads the in-process
 // tables, serially and without an arena: the reference the planned
-// remote gather is compared against, and the same body (gatherLocal)
-// that serves every op without a remote store.
+// remote gather is compared against, the trainer's forward, and the
+// same body (gatherLocal) that serves every op without a remote store.
 func (s *SLSOp) Forward(ids []int, batch int) *tensor.Tensor {
 	s.checkIDCount(ids, batch)
-	return s.gatherLocal(s.Quant, ids, batch, nil, 1)
-}
-
-// ForwardTrain is the training-time forward: it always pools from the
-// fp32 table W, the rows the optimizer updates, never from Quant.
-// Routing the trainer through Forward instead would pin a fine-tuned
-// quantized model to its frozen pre-training int8 codes, silently
-// training against stale weights. A table without W (int8 rows only)
-// cannot be trained; the trainer refuses such a model up front.
-func (s *SLSOp) ForwardTrain(ids []int, batch int) *tensor.Tensor {
-	s.checkIDCount(ids, batch)
-	return s.gatherLocal(nil, ids, batch, nil, 1)
+	return s.gatherLocal(ids, batch, nil, 1)
 }
 
 func (s *SLSOp) checkIDCount(ids []int, batch int) {
@@ -241,12 +230,12 @@ func (s *SLSOp) ForwardEx(ids []int, batch int, a *tensor.Arena, workers int) *t
 }
 
 // gatherLocal is the one gather over in-process tables: every
-// occurrence reads its row where it lies, fp32 rows through accumRow,
-// int8 rows (q non-nil) through the fused dequantize-accumulate
+// occurrence reads its row where it lies, fp32 rows through addRows,
+// int8 rows (Quant non-nil) through the fused dequantize-accumulate
 // kernel. No dedup plan, no staging, no cache: a row repeated within
 // the pass is a hit in the hardware's own hierarchy, which is closer
 // to the rows than any software cache in the same address space.
-func (s *SLSOp) gatherLocal(q *QuantizedTable, ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
+func (s *SLSOp) gatherLocal(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
 	out := allocDense(a, batch, s.Table.Cols)
 	s.Table.validateIDs(ids)
 	workers = slsWorkers(workers, batch, len(ids)*s.Table.Cols)
@@ -254,12 +243,12 @@ func (s *SLSOp) gatherLocal(q *QuantizedTable, ids []int, batch int, a *tensor.A
 		// Inline serial path: the parallel branch's closure must not be
 		// reached here, or its allocation would break the steady-state
 		// zero-alloc contract.
-		s.poolRows(q, out, ids, 0, batch)
+		s.poolRows(out, ids, 0, batch)
 	} else {
 		// Panic-isolating fan-out: a bad shard re-raises on this
 		// goroutine.
 		tensor.ParallelFor(batch, workers, func(lo, hi int) {
-			s.poolRows(q, out, ids, lo, hi)
+			s.poolRows(out, ids, lo, hi)
 		})
 	}
 	return out
@@ -267,16 +256,16 @@ func (s *SLSOp) gatherLocal(q *QuantizedTable, ids []int, batch int, a *tensor.A
 
 // poolRows pools output rows [kLo, kHi) with the op's uniform lookup
 // count. IDs must be pre-validated.
-func (s *SLSOp) poolRows(q *QuantizedTable, out *tensor.Tensor, ids []int, kLo, kHi int) {
+func (s *SLSOp) poolRows(out *tensor.Tensor, ids []int, kLo, kHi int) {
 	l := s.Lookups
 	for k := kLo; k < kHi; k++ {
 		row, rowIDs := out.Row(k), ids[k*l:(k+1)*l]
-		if q == nil {
-			s.Table.accumRow(row, rowIDs)
+		if s.Quant == nil {
+			addRows(row, s.Table.W.Data(), s.Table.Cols, rowIDs)
 			continue
 		}
 		for _, id := range rowIDs {
-			q.AccumRow(id, row)
+			s.Quant.AccumRow(id, row)
 		}
 	}
 }

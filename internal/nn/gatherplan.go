@@ -227,7 +227,7 @@ func (f *SLSForward) probe() {
 func (f *SLSForward) Finish() *tensor.Tensor {
 	s := f.op
 	if f.plan == nil {
-		return s.gatherLocal(s.Quant, f.ids, f.batch, f.a, f.workers)
+		return s.gatherLocal(f.ids, f.batch, f.a, f.workers)
 	}
 	p, out, staging := f.plan, f.out, f.staging
 	if f.pending != nil {
@@ -256,55 +256,11 @@ func (f *SLSForward) Finish() *tensor.Tensor {
 }
 
 // accumStaged pools output rows [kLo, kHi) from staged rows via plan
-// indices, in original per-sample ID order. On the AVX2 tier each
-// staged-row add runs through tensor.AddF32 (bit-identical to the
-// scalar loop); the pure-Go tier mirrors accumRow's fixed-width 32/64
-// specializations (bounds-check-free), with the default path covering
-// the narrow NCF widths.
+// indices, in original per-sample ID order, through the same row add
+// (addRows) as the local gather.
 func (s *SLSOp) accumStaged(out, staging *tensor.Tensor, index []int32, kLo, kHi int) {
-	sd := staging.Data()
-	l := s.Lookups
-	if tensor.SIMDActive() {
-		cols := s.Table.Cols
-		for k := kLo; k < kHi; k++ {
-			d := out.Row(k)
-			for _, u := range index[k*l : (k+1)*l] {
-				tensor.AddF32(d, sd[int(u)*cols:int(u)*cols+cols])
-			}
-		}
-		return
-	}
-	switch s.Table.Cols {
-	case 32:
-		for k := kLo; k < kHi; k++ {
-			d := (*[32]float32)(out.Row(k))
-			for _, u := range index[k*l : (k+1)*l] {
-				src := (*[32]float32)(sd[int(u)*32:])
-				for i := range d {
-					d[i] += src[i]
-				}
-			}
-		}
-	case 64:
-		for k := kLo; k < kHi; k++ {
-			d := (*[64]float32)(out.Row(k))
-			for _, u := range index[k*l : (k+1)*l] {
-				src := (*[64]float32)(sd[int(u)*64:])
-				for i := range d {
-					d[i] += src[i]
-				}
-			}
-		}
-	default:
-		cols := s.Table.Cols
-		for k := kLo; k < kHi; k++ {
-			d := out.Row(k)
-			for _, u := range index[k*l : (k+1)*l] {
-				src := sd[int(u)*cols : int(u)*cols+cols]
-				for i, v := range src {
-					d[i] += v
-				}
-			}
-		}
+	sd, l := staging.Data(), s.Lookups
+	for k := kLo; k < kHi; k++ {
+		addRows(out.Row(k), sd, s.Table.Cols, index[k*l:(k+1)*l])
 	}
 }

@@ -41,11 +41,9 @@ func newQuantizedTable(t *EmbeddingTable) *QuantizedTable {
 	}
 }
 
-// QuantizeRow recomputes row r's scale, offset, and codes from src
-// (length Cols). NewQuantizedEmbeddingTable fills a table with it row
-// by row as the rows are drawn, and the trainer uses it to keep a
-// model's int8 rows coherent after sparse-row updates to its fp32
-// table.
+// QuantizeRow computes row r's scale, offset, and codes from src
+// (length Cols). Quantize fills a table with it from an fp32 table, and
+// NewQuantizedEmbeddingTable row by row as the rows are drawn.
 func (q *QuantizedTable) QuantizeRow(r int, src []float32) {
 	if r < 0 || r >= q.Rows {
 		panic(fmt.Sprintf("nn: quantized row %d out of range [0,%d)", r, q.Rows))
@@ -77,6 +75,13 @@ func (q *QuantizedTable) QuantizeRow(r int, src []float32) {
 
 // Name returns the table label.
 func (q *QuantizedTable) Name() string { return q.label }
+
+// Data returns the table's storage, shared, not copied: the codes
+// (Rows×Cols, row-major) and the per-row scales and offsets. A
+// checkpoint writes and reads the three as they are stored.
+func (q *QuantizedTable) Data() (codes []int8, scale, offset []float32) {
+	return q.codes, q.scale, q.offset
+}
 
 // Row dequantizes row r into dst (length Cols). The kernel
 // (tensor.DequantI8) is bit-identical across tiers: the AVX2 path

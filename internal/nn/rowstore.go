@@ -56,8 +56,8 @@ type PendingGather interface {
 }
 
 // localStore adapts an SLSOp's in-process table to RowStore: it reads
-// the int8 rows when the op has them (an int8 table built for serving
-// has nothing else) and the fp32 rows otherwise. It is a type-converted
+// the int8 rows when the op has them (an int8 table has nothing else)
+// and the fp32 rows otherwise. It is a type-converted
 // view of the op itself, so attaching Quant after construction is
 // still observed and the interface value costs no allocation.
 type localStore SLSOp

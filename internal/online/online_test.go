@@ -2,6 +2,7 @@ package online
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -187,7 +188,7 @@ func TestUpdaterLearns(t *testing.T) {
 		add(buf, req, teacher.Label(req))
 	}
 
-	upd, err := New(eng, Config{
+	upd, err := New(eng, buildModel(t, cfg, 1), Config{
 		Model:         "m",
 		Stream:        buf,
 		Holdout:       holdout,
@@ -249,7 +250,8 @@ func TestUpdaterLearns(t *testing.T) {
 }
 
 // TestUpdaterQuantizeAuto: when the served model is int8, candidates
-// re-quantize and stay int8 across swaps while the twin trains fp32.
+// are converted to int8 and stay int8 across swaps while the fp32 twin
+// trains; an int8 twin is refused.
 func TestUpdaterQuantizeAuto(t *testing.T) {
 	cfg := testConfig()
 	eng := newTestEngine(t)
@@ -258,7 +260,10 @@ func TestUpdaterQuantizeAuto(t *testing.T) {
 	if err := eng.Register("m", served, engine.ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	upd, err := New(eng, Config{Model: "m"}) // nil stream: swap-only cycles
+	if _, err := New(eng, served, Config{Model: "m"}); !errors.Is(err, model.ErrInt8Only) {
+		t.Fatalf("New over an int8 twin: err %v, want model.ErrInt8Only", err)
+	}
+	upd, err := New(eng, buildModel(t, cfg, 1), Config{Model: "m"}) // nil stream: swap-only cycles
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +274,8 @@ func TestUpdaterQuantizeAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cur.Quantized() {
-		t.Fatal("QuantizeAuto candidate lost int8 tables")
+	if !cur.Quantized() || cur.SLS[0].Table.W != nil {
+		t.Fatal("QuantizeAuto candidate does not hold int8 tables alone")
 	}
 	st := upd.Stats()
 	if st.Swaps != 1 || st.Starved != 1 {
@@ -294,7 +299,7 @@ func TestUpdaterRollback(t *testing.T) {
 	holdout, holdoutLabels := teacher.Sample(128)
 
 	corrupt := false
-	upd, err := New(eng, Config{
+	upd, err := New(eng, buildModel(t, cfg, 1), Config{
 		Model:         "m",
 		Holdout:       holdout,
 		HoldoutLabels: holdoutLabels,
@@ -358,7 +363,7 @@ func TestUpdaterABCanary(t *testing.T) {
 	if err := eng.Register("m", buildModel(t, cfg, 1), engine.ModelOptions{Policy: primaryPolicy}); err != nil {
 		t.Fatal(err)
 	}
-	upd, err := New(eng, Config{Model: "m", ABWeight: 25})
+	upd, err := New(eng, buildModel(t, cfg, 1), Config{Model: "m", ABWeight: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +433,7 @@ func TestUpdaterStartStop(t *testing.T) {
 	if err := eng.Register("m", buildModel(t, cfg, 1), engine.ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	upd, err := New(eng, Config{Model: "m", Interval: 5 * time.Millisecond})
+	upd, err := New(eng, buildModel(t, cfg, 1), Config{Model: "m", Interval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +460,7 @@ func TestWriteMetrics(t *testing.T) {
 	if err := eng.Register("m", buildModel(t, cfg, 1), engine.ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	upd, err := New(eng, Config{Model: "m", ABWeight: 10})
+	upd, err := New(eng, buildModel(t, cfg, 1), Config{Model: "m", ABWeight: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,12 +127,18 @@ type Updater struct {
 	lastErr     atomic.Pointer[error]
 }
 
-// New builds an updater for the named registered model, cloning the
-// currently served weights as the training twin. The engine model is
-// only read, never mutated: candidates are always fresh clones.
-func New(eng *engine.Engine, cfg Config) (*Updater, error) {
+// New builds an updater for the named registered model that trains
+// twin, the fp32 model the served one was derived from (the same
+// weights, before any quantization); the updater owns it from here on.
+// A twin whose tables hold int8 rows cannot be trained
+// (model.ErrInt8Only). The engine model is only read, never mutated:
+// candidates are always fresh clones of the twin.
+func New(eng *engine.Engine, twin *model.Model, cfg Config) (*Updater, error) {
 	if eng == nil {
 		return nil, errors.New("online: nil engine")
+	}
+	if twin.Quantized() {
+		return nil, fmt.Errorf("online: training twin %s: %w", twin.Config.Name, model.ErrInt8Only)
 	}
 	if cfg.StepsPerCycle <= 0 {
 		cfg.StepsPerCycle = 8
@@ -168,22 +174,13 @@ func New(eng *engine.Engine, cfg Config) (*Updater, error) {
 	}
 
 	// Candidates mirror the model being replaced: int8 tables (and int8
-	// MLP compute) exactly when the serving model had them here.
+	// MLP compute) exactly when the serving model had them here. The
+	// twin trains at full fp32 precision whatever the serving copy runs.
 	u := &Updater{
-		eng: eng, cfg: cfg, name: name, canaryName: name + "-next",
+		eng: eng, cfg: cfg, name: name, canaryName: name + "-next", twin: twin,
 		quantTab: served.Quantized(), quantMLP: served.Int8MLPs(),
 	}
-
-	// The twin trains at full fp32 precision regardless of how the
-	// serving copy is quantized; candidates re-quantize from it.
-	u.twin, err = served.Clone()
-	if err != nil {
-		return nil, err
-	}
-	if err := u.twin.Dequantize(); err != nil {
-		return nil, err
-	}
-	u.lastGood, err = u.twin.Clone()
+	u.lastGood, err = twin.Clone()
 	if err != nil {
 		return nil, err
 	}

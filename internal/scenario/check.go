@@ -11,10 +11,11 @@ import (
 	"recsys/internal/model"
 )
 
-// FreshCopy round-trips a model through the checkpoint format and
-// re-applies its quantization — "a freshly loaded copy" in the
-// acceptance criteria's words. Scores from the copy must be bitwise
-// identical to the original's on the hot path.
+// FreshCopy round-trips a model through the checkpoint format, which
+// carries its tables as they are held, and re-applies its MLP compute
+// mode — "a freshly loaded copy" in the acceptance criteria's words.
+// Scores from the copy must be bitwise identical to the original's on
+// the hot path.
 func FreshCopy(m *model.Model) (*model.Model, error) {
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -23,9 +24,6 @@ func FreshCopy(m *model.Model) (*model.Model, error) {
 	fresh, err := model.Load(&buf)
 	if err != nil {
 		return nil, err
-	}
-	if m.Quantized() {
-		fresh.QuantizeTables()
 	}
 	if m.Int8MLPs() {
 		fresh.QuantizeMLPs()

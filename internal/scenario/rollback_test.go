@@ -51,7 +51,7 @@ func TestRollbackScenario(t *testing.T) {
 	// candidate's held-out loss equals the baseline exactly and the only
 	// thing that can trip the gate is the injected corruption — the test
 	// is deterministic by construction.
-	upd, err := online.New(eng, online.Config{
+	upd, err := online.New(eng, buildModel(t, cfg, 1), online.Config{
 		Model:         "m",
 		Holdout:       holdout,
 		HoldoutLabels: holdoutLabels,

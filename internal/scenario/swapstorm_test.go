@@ -73,7 +73,7 @@ func runSwapStorm(t *testing.T, int8Tables bool, seed uint64) (*scenario.Result,
 	// behavior is covered deterministically by TestRollbackScenario —
 	// the storm's invariants are swap safety, not model quality.
 	refs := newGenRefs(t, 1, served)
-	upd, err := online.New(eng, online.Config{
+	upd, err := online.New(eng, buildModel(t, cfg, seed), online.Config{
 		Model:         "m",
 		Stream:        buf,
 		StepsPerCycle: 2,

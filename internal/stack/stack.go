@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -228,22 +227,9 @@ func (s *Stack) register() error {
 		}
 		return s.Engine.Register(engine.DefaultModelName, m, engine.ModelOptions{Policy: pol})
 	}
-	// An -int8 spec builds int8 rows only. The online updater clones the
-	// default model into the fp32 twin it trains, so under -online an
-	// int8 default keeps its fp32 tables too: built as fp32, then
-	// quantized, from the same weight stream.
-	specs := s.cfg.Models
-	fp32Twin := s.cfg.Online && specs[0].Int8Tables
-	if fp32Twin {
-		specs = slices.Clone(specs)
-		specs[0].Int8Tables = false
-	}
-	models, err := model.BuildSpecs(specs, s.cfg.Seed)
+	models, err := model.BuildSpecs(s.cfg.Models, s.cfg.Seed)
 	if err != nil {
 		return err
-	}
-	if fp32Twin {
-		models[0].QuantizeTables()
 	}
 	for i, spec := range s.cfg.Models {
 		name := spec.Name
@@ -323,7 +309,11 @@ func (s *Stack) startOnline() error {
 	}
 	oc.Stream = buf
 	s.Engine.SetServeTap(buf.Tap(teacher))
-	upd, err := online.New(s.Engine, oc)
+	twin, err := s.trainingTwin()
+	if err != nil {
+		return err
+	}
+	upd, err := online.New(s.Engine, twin, oc)
 	if err != nil {
 		return err
 	}
@@ -337,6 +327,24 @@ func (s *Stack) startOnline() error {
 	s.logf("online updater: model=%s interval=%v steps=%d batch=%d quantize=auto %s",
 		name, c.OnlineInterval, c.OnlineSteps, c.OnlineBatch, mode)
 	return nil
+}
+
+// trainingTwin rebuilds the default model from its source as the fp32
+// model the updater trains: the checkpoint, or spec 0 with its int8
+// suffixes cleared, whose weight stream gives exactly the rows a
+// served -int8 copy was quantized from. An int8 checkpoint has no fp32
+// rows, and online.New refuses it (model.ErrInt8Only).
+func (s *Stack) trainingTwin() (*model.Model, error) {
+	if s.cfg.Checkpoint != "" {
+		return model.LoadFile(s.cfg.Checkpoint)
+	}
+	spec := s.cfg.Models[0]
+	spec.Int8Tables, spec.Int8MLPs = false, false
+	models, err := model.BuildSpecs([]model.Spec{spec}, s.cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return models[0], nil
 }
 
 // startWatcher polls the checkpoint file and hot-swaps the default

@@ -3,6 +3,7 @@ package stack
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -168,10 +169,22 @@ func TestOnlineABWiring(t *testing.T) {
 	}
 }
 
-// TestOnlineInt8Tables: an -int8 spec builds int8 rows only, but under
-// -online the default model keeps the fp32 tables the updater clones
-// its twin from. It serves the same scores as the serving-only build,
-// and each cycle trains and swaps in an int8 candidate.
+// int8Alone fails unless every table of m holds int8 rows and no fp32
+// table.
+func int8Alone(t *testing.T, what string, m *model.Model) {
+	t.Helper()
+	for i, op := range m.SLS {
+		if op.Table.W != nil || op.Quant == nil {
+			t.Fatalf("%s: table %d does not hold int8 rows alone", what, i)
+		}
+	}
+}
+
+// TestOnlineInt8Tables: under -online an -int8 default model holds its
+// int8 rows alone, as without -online (the updater trains an fp32 twin
+// rebuilt from the spec). It serves the same scores as the serving-only
+// build, and each cycle trains and swaps in a candidate that holds
+// int8 rows alone too.
 func TestOnlineInt8Tables(t *testing.T) {
 	sp := specs(t, "rmc1-int8")
 	st := start(t, Config{
@@ -182,9 +195,7 @@ func TestOnlineInt8Tables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !served.Quantized() || served.Int8Only() {
-		t.Fatalf("-online rmc1-int8: Quantized=%v Int8Only=%v, want int8 rows beside fp32", served.Quantized(), served.Int8Only())
-	}
+	int8Alone(t, "-online rmc1-int8", served)
 	serving, err := model.BuildSpecs(sp, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -212,55 +223,76 @@ func TestOnlineInt8Tables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !cand.Quantized() {
-			t.Fatalf("cycle %d: the swapped-in candidate serves fp32 tables", cycle)
-		}
+		int8Alone(t, fmt.Sprintf("cycle %d candidate", cycle), cand)
 	}
 }
 
-// TestCheckpointWatch: a -checkpoint stack serves the saved model, and
-// with -watch picks up a newer file as the next generation.
+// TestCheckpointWatch: a -checkpoint stack serves the saved model, fp32
+// or int8, with bit-identical scores, and with -watch picks up a newer
+// file as the next generation. An int8 checkpoint has no fp32 rows to
+// train, so -online over one fails at Start with model.ErrInt8Only.
 func TestCheckpointWatch(t *testing.T) {
-	cfg := model.RMC1Small().Scaled(1000)
-	path := filepath.Join(t.TempDir(), "m.ckpt")
-	save := func(seed uint64) *model.Model {
-		m, err := model.Build(cfg, stats.NewRNG(seed))
-		if err != nil {
-			t.Fatal(err)
+	for _, int8Tables := range []bool{false, true} {
+		name := "fp32"
+		if int8Tables {
+			name = "int8"
 		}
-		if err := m.SaveFile(path); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	first := save(1)
-	st := start(t, Config{Checkpoint: path, Workers: 1, MaxBatch: 1, Watch: 5 * time.Millisecond})
+		t.Run(name, func(t *testing.T) {
+			cfg := model.RMC1Small().Scaled(1000)
+			path := filepath.Join(t.TempDir(), "m.ckpt")
+			save := func(seed uint64) *model.Model {
+				m, err := model.Build(cfg, stats.NewRNG(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if int8Tables {
+					m.QuantizeTables()
+				}
+				if err := m.SaveFile(path); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			first := save(1)
+			st := start(t, Config{Checkpoint: path, Workers: 1, MaxBatch: 1, Watch: 5 * time.Millisecond})
 
-	req := model.NewRandomRequest(cfg, 2, stats.NewRNG(9))
-	got, err := st.Engine.Rank(context.Background(), engine.DefaultModelName, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := first.CTR(req); got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("checkpoint stack scored %v, the saved model %v", got, want)
-	}
+			req := model.NewRandomRequest(cfg, 2, stats.NewRNG(9))
+			got, err := st.Engine.Rank(context.Background(), engine.DefaultModelName, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := first.AppendCTR(nil, req, tensor.NewArena(), 1); got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("checkpoint stack scored %v, the saved model %v", got, want)
+			}
 
-	gen0, _ := st.Engine.Generation(engine.DefaultModelName)
-	second := save(2)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if gen, _ := st.Engine.Generation(engine.DefaultModelName); gen > gen0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the watcher never swapped the rewritten checkpoint in")
-		}
-	}
-	got, err = st.Engine.Rank(context.Background(), engine.DefaultModelName, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := second.CTR(req); got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("after the swap the stack scored %v, the new checkpoint %v", got, want)
+			gen0, _ := st.Engine.Generation(engine.DefaultModelName)
+			second := save(2)
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if gen, _ := st.Engine.Generation(engine.DefaultModelName); gen > gen0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the watcher never swapped the rewritten checkpoint in")
+				}
+			}
+			got, err = st.Engine.Rank(context.Background(), engine.DefaultModelName, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := second.AppendCTR(nil, req, tensor.NewArena(), 1); got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("after the swap the stack scored %v, the new checkpoint %v", got, want)
+			}
+
+			if int8Tables {
+				online, err := Start(Config{Checkpoint: path, Workers: 1, Online: true, OnlineInterval: time.Hour, OnlineBuffer: 16})
+				if err == nil {
+					online.Close()
+				}
+				if !errors.Is(err, model.ErrInt8Only) {
+					t.Fatalf("-online over an int8 checkpoint: err %v, want model.ErrInt8Only", err)
+				}
+			}
+		})
 	}
 }
 

@@ -29,16 +29,16 @@ type Trainer struct {
 
 // NewTrainer wraps a model built with model.Build, using plain SGD at
 // the given learning rate. It panics on a nil model, a non-positive
-// learning rate, or a model whose tables hold int8 rows only.
+// learning rate, or a model whose tables hold int8 rows.
 func NewTrainer(m *model.Model, lr float32) *Trainer {
 	return NewTrainerWithOptimizer(m, NewSGD(lr))
 }
 
 // NewTrainerWithOptimizer wraps a model with an explicit optimizer
 // (e.g. AdaGrad for production-style sparse training). Training reads
-// and updates the fp32 embedding rows, so a model with int8 rows only
-// panics here with an error wrapping model.ErrInt8Only rather than on
-// the first step's nil table.
+// and updates the fp32 embedding rows, so a model whose tables hold
+// int8 rows panics here with an error wrapping model.ErrInt8Only
+// rather than on the first step's nil table.
 func NewTrainerWithOptimizer(m *model.Model, opt Optimizer) *Trainer {
 	if m == nil {
 		panic("train: nil model")
@@ -46,7 +46,7 @@ func NewTrainerWithOptimizer(m *model.Model, opt Optimizer) *Trainer {
 	if opt == nil {
 		panic("train: nil optimizer")
 	}
-	if m.Int8Only() {
+	if m.Quantized() {
 		panic(fmt.Errorf("train: %s: %w", m.Config.Name, model.ErrInt8Only))
 	}
 	return &Trainer{m: m, opt: opt}
@@ -98,10 +98,7 @@ func (t *Trainer) forward(req model.Request) *tape {
 		tp.parts = append(tp.parts, x)
 	}
 	for i, op := range m.SLS {
-		// ForwardTrain, not Forward: training must read the fp32 tables
-		// the optimizer updates, not a quantized model's frozen int8
-		// serving snapshot.
-		tp.parts = append(tp.parts, op.ForwardTrain(req.SparseIDs[i], req.Batch))
+		tp.parts = append(tp.parts, op.Forward(req.SparseIDs[i], req.Batch))
 	}
 	tp.concatOut = m.ConcatOp.Forward(tp.parts)
 	x := tp.concatOut
@@ -206,15 +203,6 @@ func (t *Trainer) slsBackward(op *nn.SLSOp, ids []int, batch int, dOut *tensor.T
 		g := dOut.Row(k)
 		for _, id := range ids[k*op.Lookups : (k+1)*op.Lookups] {
 			t.opt.UpdateSparseRow(key, id, op.Table.W.Row(id), g)
-		}
-	}
-	// On a quantized model, re-quantize every updated row so the int8
-	// rows the model serves track the fp32 rows it trains. The trained
-	// tables are in-process, and a local op reads its rows in place, so
-	// no row cache can hold a stale copy.
-	if q := op.Quant; q != nil {
-		for _, id := range ids {
-			q.QuantizeRow(id, op.Table.W.Row(id))
 		}
 	}
 }

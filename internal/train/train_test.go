@@ -1,13 +1,13 @@
 package train
 
 import (
+	"bytes"
 	"errors"
-	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"recsys/internal/model"
-	"recsys/internal/nn"
 	"recsys/internal/stats"
 )
 
@@ -59,11 +59,12 @@ func TestNewTrainerPanics(t *testing.T) {
 	tr.Step(req, []float32{1})
 }
 
-// TestInt8OnlyFailsClosed: every reader of the fp32 embedding rows
-// refuses a model built with int8 rows only with model.ErrInt8Only —
-// returned, or carried by the trainer constructors' panic — and never
-// reaches the missing table.
-func TestInt8OnlyFailsClosed(t *testing.T) {
+// TestInt8ModelCopiesExactly: Save→Load, Clone and CopyWeightsFrom each
+// reproduce a model whose tables hold int8 rows — the same codes,
+// scales and offsets, still without an fp32 table, and the same scores
+// on 20 random batches, bit for bit. Only the trainer constructors
+// refuse such a model (model.ErrInt8Only, carried by their panic).
+func TestInt8ModelCopiesExactly(t *testing.T) {
 	spec, err := model.ParseSpec("rmc1-int8:1000", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -72,36 +73,63 @@ func TestInt8OnlyFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp32, err := model.Build(spec.Config(), stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
+	for name, copyOf := range map[string]func() (*model.Model, error){
+		"Save→Load": func() (*model.Model, error) {
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				return nil, err
+			}
+			return model.Load(&buf)
+		},
+		"Clone": m.Clone,
+		"CopyWeightsFrom": func() (*model.Model, error) {
+			dst, err := spec.Build(stats.NewRNG(2))
+			if err != nil {
+				return nil, err
+			}
+			return dst, dst.CopyWeightsFrom(m)
+		},
+	} {
+		c, err := copyOf()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, op := range c.SLS {
+			if op.Table.W != nil || op.Quant == nil {
+				t.Fatalf("%s: table %d does not hold int8 rows alone", name, i)
+			}
+			codes, scale, offset := op.Quant.Data()
+			wantCodes, wantScale, wantOffset := m.SLS[i].Quant.Data()
+			if !slices.Equal(codes, wantCodes) || !bitsEqual(scale, wantScale) || !bitsEqual(offset, wantOffset) {
+				t.Fatalf("%s: table %d rows differ from the source's", name, i)
+			}
+		}
+		rng := stats.NewRNG(3)
+		for b := 0; b < 20; b++ {
+			req := model.NewRandomRequest(m.Config, 4, rng)
+			if !bitsEqual(c.CTR(req), m.CTR(req)) {
+				t.Fatalf("%s: batch %d scores differ from the source's", name, b)
+			}
+		}
 	}
+
 	panicked := func(fn func()) (err error) {
 		defer func() { err, _ = recover().(error) }()
 		fn()
 		return nil
 	}
-	for name, fn := range map[string]func() error{
-		"Save":                    func() error { return m.Save(io.Discard) },
-		"Clone":                   func() error { _, err := m.Clone(); return err },
-		"CopyWeightsFrom (src)":   func() error { return fp32.CopyWeightsFrom(m) },
-		"CopyWeightsFrom (dst)":   func() error { return m.CopyWeightsFrom(fp32) },
-		"Dequantize":              func() error { return m.Dequantize() },
-		"NewTrainer":              func() error { return panicked(func() { NewTrainer(m, 0.1) }) },
-		"NewTrainerWithOptimizer": func() error { return panicked(func() { NewTrainerWithOptimizer(m, NewAdaGrad(0.1)) }) },
+	for name, fn := range map[string]func(){
+		"NewTrainer":              func() { NewTrainer(m, 0.1) },
+		"NewTrainerWithOptimizer": func() { NewTrainerWithOptimizer(m, NewAdaGrad(0.1)) },
 	} {
-		if err := fn(); !errors.Is(err, model.ErrInt8Only) {
-			t.Errorf("%s: err %v, want model.ErrInt8Only", name, err)
+		if err := panicked(fn); !errors.Is(err, model.ErrInt8Only) {
+			t.Errorf("%s: panic %v, want one wrapping model.ErrInt8Only", name, err)
 		}
 	}
-	// The refusals changed nothing: the model still serves its int8 rows.
-	if !m.Int8Only() || !m.Quantized() {
-		t.Fatalf("after the refusals: Int8Only=%v Quantized=%v", m.Int8Only(), m.Quantized())
-	}
-	req := model.NewRandomRequest(m.Config, 2, stats.NewRNG(2))
-	if got := m.CTR(req); len(got) != 2 {
-		t.Fatalf("CTR = %v", got)
-	}
+}
+
+func bitsEqual(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
 // TestGradientCheck verifies the analytic gradients against numerical
@@ -224,60 +252,6 @@ func TestEmbeddingGradientSparse(t *testing.T) {
 	}
 	if changedTouched == 0 {
 		t.Error("no gathered rows updated")
-	}
-}
-
-// TestTrainQuantizedModel: fine-tuning a quantized model must behave
-// exactly like fine-tuning its fp32 twin — the training forward reads
-// the fp32 tables, never the frozen int8 snapshot — and the snapshot
-// must be re-quantized from the updated rows so serving stays coherent
-// with training.
-func TestTrainQuantizedModel(t *testing.T) {
-	mFP := buildTiny(t, model.Cat, 21)
-	mQ := buildTiny(t, model.Cat, 21) // same seed → identical weights
-	mQ.QuantizeTables()
-
-	rng := stats.NewRNG(22)
-	req := model.NewRandomRequest(mFP.Config, 8, rng)
-	labels := make([]float32, 8)
-	for i := range labels {
-		labels[i] = float32(i % 2)
-	}
-
-	trFP := NewTrainer(mFP, 0.05)
-	trQ := NewTrainer(mQ, 0.05)
-	for step := 0; step < 5; step++ {
-		lossFP := trFP.Step(req, labels)
-		lossQ := trQ.Step(req, labels)
-		if lossFP != lossQ {
-			t.Fatalf("step %d: quantized-model loss %v != fp32 loss %v — training forward read the int8 snapshot", step, lossQ, lossFP)
-		}
-	}
-	for i := range mFP.SLS {
-		a, b := mFP.SLS[i].Table.W.Data(), mQ.SLS[i].Table.W.Data()
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("table %d diverged from the fp32 twin after training", i)
-			}
-		}
-	}
-
-	// The int8 snapshot must equal a fresh re-quantization of the
-	// updated fp32 table: touched rows were re-quantized in the step,
-	// untouched rows never went stale.
-	for i, op := range mQ.SLS {
-		row := make([]float32, op.Table.Cols)
-		want := make([]float32, op.Table.Cols)
-		fresh := nn.Quantize(op.Table)
-		for r := 0; r < op.Table.Rows; r++ {
-			op.Quant.Row(r, row)
-			fresh.Row(r, want)
-			for c := range row {
-				if row[c] != want[c] {
-					t.Fatalf("table %d row %d: int8 snapshot stale after sparse update", i, r)
-				}
-			}
-		}
 	}
 }
 
