@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"recsys/internal/nn"
-	"recsys/internal/stats"
 )
 
 // Checkpointing: serialize a materialized model's weights so a trained
@@ -81,34 +80,30 @@ func (m *Model) SaveFile(path string) error {
 	return f.Close()
 }
 
-// Load reads a checkpoint, rebuilding the model it describes with its
-// tables as the file holds them. It accepts exactly what Save writes:
-// the config in its canonical encoding and nothing after the CRC.
-func Load(r io.Reader) (*Model, error) {
+// Load reads a checkpoint of size bytes from r into a model it
+// allocates once and fills, each table held as the file holds it.
+// Before allocating, it refuses a config over MaxBuildBytes and a size
+// other than the header, the blocks the config declares and the CRC.
+// It accepts exactly what Save writes: the canonical config encoding
+// and nothing after the CRC.
+func Load(r io.Reader, size int64) (*Model, error) {
 	br := bufio.NewReader(r)
 	crc := crc32.NewIEEE()
 	in := io.TeeReader(br, crc)
 
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(in, magic); err != nil {
-		return nil, fmt.Errorf("model: reading checkpoint magic: %w", err)
+	var head [16]byte // magic, version, config length
+	if _, err := io.ReadFull(in, head[:]); err != nil {
+		return nil, fmt.Errorf("model: reading checkpoint header: %w", err)
 	}
-	if string(magic) != checkpointMagic {
+	if magic := head[:len(checkpointMagic)]; string(magic) != checkpointMagic {
 		return nil, fmt.Errorf("model: not a recsys checkpoint (magic %q)", magic)
 	}
-	var version uint32
-	if err := binary.Read(in, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
+	version, cfgLen := binary.LittleEndian.Uint32(head[8:]), binary.LittleEndian.Uint32(head[12:])
 	if version != 1 && version != checkpointVersion {
 		return nil, fmt.Errorf("model: unsupported checkpoint version %d", version)
 	}
-	var cfgLen uint32
-	if err := binary.Read(in, binary.LittleEndian, &cfgLen); err != nil {
-		return nil, err
-	}
-	if cfgLen > 1<<20 {
-		return nil, fmt.Errorf("model: implausible config size %d", cfgLen)
+	if cfgLen > 1<<20 || int64(cfgLen) > size {
+		return nil, fmt.Errorf("model: implausible config size %d in a %d-byte checkpoint", cfgLen, size)
 	}
 	cfgJSON := make([]byte, cfgLen)
 	if _, err := io.ReadFull(in, cfgJSON); err != nil {
@@ -121,8 +116,9 @@ func Load(r io.Reader) (*Model, error) {
 	if canon, err := cfg.MarshalJSON(); err != nil || !bytes.Equal(canon, cfgJSON) {
 		return nil, errors.New("model: checkpoint config is not in the encoding Save writes")
 	}
-	dtype := tablesFP32
+	dtype, hdrLen := tablesFP32, int64(len(head))+int64(cfgLen)
 	if version >= 2 {
+		hdrLen++
 		var b [1]byte
 		if _, err := io.ReadFull(in, b[:]); err != nil {
 			return nil, err
@@ -131,10 +127,15 @@ func Load(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("model: unknown checkpoint table dtype %d", dtype)
 		}
 	}
-
-	// Build a skeleton holding its tables in the file's dtype (its random
-	// init is immediately overwritten by the checkpoint blocks).
-	m, err := build(cfg, stats.NewRNG(1), dtype == tablesInt8)
+	held, blocks, err := heldBytes(cfg, dtype == tablesInt8)
+	if err != nil {
+		return nil, err
+	}
+	// Each block is an 8-byte element count and its elements.
+	if want := hdrLen + 8*int64(blocks) + held + 4; want != size {
+		return nil, fmt.Errorf("model: checkpoint is %d bytes, its header declares %d", size, want)
+	}
+	m, err := build(cfg, nil, dtype == tablesInt8)
 	if err != nil {
 		return nil, err
 	}
@@ -151,14 +152,7 @@ func Load(r io.Reader) (*Model, error) {
 	if got != want {
 		return nil, fmt.Errorf("model: checkpoint CRC mismatch (%08x != %08x)", got, want)
 	}
-	switch _, err := br.ReadByte(); err {
-	case io.EOF:
-		return m, nil
-	case nil:
-		return nil, errors.New("model: data after the checkpoint CRC")
-	default:
-		return nil, err
-	}
+	return m, nil
 }
 
 // LoadFile reads a checkpoint from a file.
@@ -168,7 +162,11 @@ func LoadFile(path string) (*Model, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return Load(f, fi.Size())
 }
 
 // paramBlock is one parameter slice: fp32 values, or (i8 non-nil) an

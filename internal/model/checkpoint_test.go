@@ -3,8 +3,10 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,7 +27,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err := src.Save(&buf); err != nil {
 			t.Fatalf("%s: save: %v", cfg.Name, err)
 		}
-		dst, err := Load(&buf)
+		dst, err := Load(&buf, int64(buf.Len()))
 		if err != nil {
 			t.Fatalf("%s: load: %v", cfg.Name, err)
 		}
@@ -84,29 +86,86 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	// Flip a byte in the middle (weight data): CRC must catch it.
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)/2] ^= 0xFF
-	if _, err := Load(bytes.NewReader(corrupt)); err == nil {
+	if _, err := Load(bytes.NewReader(corrupt), int64(len(corrupt))); err == nil {
 		t.Error("corrupted checkpoint should fail CRC")
 	}
 
 	// Wrong magic.
 	bad := append([]byte("NOTMAGIC"), good[8:]...)
-	if _, err := Load(bytes.NewReader(bad)); err == nil {
+	if _, err := Load(bytes.NewReader(bad), int64(len(bad))); err == nil {
 		t.Error("bad magic should fail")
 	}
 
 	// Truncated.
-	if _, err := Load(bytes.NewReader(good[:len(good)/3])); err == nil {
+	if _, err := Load(bytes.NewReader(good[:len(good)/3]), int64(len(good)/3)); err == nil {
 		t.Error("truncated checkpoint should fail")
 	}
 
 	// A dtype byte naming no dtype, and bytes after the CRC.
 	dtype := append([]byte(nil), good...)
 	dtype[16+binary.LittleEndian.Uint32(good[12:16])] = 7
-	if _, err := Load(bytes.NewReader(dtype)); err == nil || !strings.Contains(err.Error(), "dtype 7") {
+	if _, err := Load(bytes.NewReader(dtype), int64(len(dtype))); err == nil || !strings.Contains(err.Error(), "dtype 7") {
 		t.Errorf("unknown table dtype: err %v", err)
 	}
-	if _, err := Load(bytes.NewReader(append(append([]byte(nil), good...), 0))); err == nil {
+	if _, err := Load(bytes.NewReader(append(append([]byte(nil), good...), 0)), int64(len(good)+1)); err == nil {
 		t.Error("data after the CRC should fail")
+	}
+}
+
+// hostileHeader is a version-2 checkpoint header declaring cfg with fp32
+// tables, zero-padded to size bytes: a file far too short for the
+// parameters it declares.
+func hostileHeader(tb testing.TB, cfg Config, size int) string {
+	tb.Helper()
+	cfgJSON, err := cfg.MarshalJSON()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := binary.LittleEndian.AppendUint32([]byte(checkpointMagic), checkpointVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cfgJSON)))
+	b = append(append(b, cfgJSON...), tablesFP32)
+	if len(b) > size {
+		tb.Fatalf("header is %d bytes, more than the %d-byte file", len(b), size)
+	}
+	return string(append(b, make([]byte, size-len(b))...))
+}
+
+// TestLoadRefusesHostileHeaders: a header that declares more parameters
+// than MaxBuildBytes, or than the file holds, and a valid save one byte
+// short or long, are each refused with an error before Load allocates
+// what they declare (under 1 MiB in total per load).
+func TestLoadRefusesHostileHeaders(t *testing.T) {
+	table := func(rows, dim int) Config {
+		return Config{Name: "h", Class: Custom, Tables: []TableSpec{{Rows: rows, Dim: dim, Lookups: 1}}, TopMLP: []int{1}}
+	}
+	src, err := Build(RMC1Small().Scaled(500), stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := saveBytes(t, src)
+	sizeErr := func(size, declared int) string {
+		return fmt.Sprintf("checkpoint is %d bytes, its header declares %d", size, declared)
+	}
+	for _, tc := range []struct {
+		name, data, want string
+	}{
+		{"2^14→2^14 bottom MLP in 120 bytes", hostileHeader(t, Config{Name: "h", Class: Custom, DenseIn: 1 << 14, BottomMLP: []int{1 << 14}, TopMLP: []int{1}}, 120), "cap"},
+		{"2^23×32 table in 144 bytes", hostileHeader(t, table(1<<23, 32), 144), "cap"},
+		{"2^22×32 table (under the cap) in 144 bytes", hostileHeader(t, table(1<<22, 32), 144), "checkpoint is 144 bytes, its header declares 536871"},
+		{"rows 2^40 × dim 2^24", hostileHeader(t, table(1<<40, 1<<24), 160), "cap"},
+		{"a valid save less its last byte", string(good[:len(good)-1]), sizeErr(len(good)-1, len(good))},
+		{"a valid save plus one byte", string(good) + "\x00", sizeErr(len(good)+1, len(good))},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Load(strings.NewReader(tc.data), int64(len(tc.data)))
+		runtime.ReadMemStats(&after)
+		if err == nil || m != nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: Load allocated %d bytes before refusing it", tc.name, grew)
+		}
 	}
 }
 
@@ -145,7 +204,8 @@ func TestCheckpointLoadsVersion1(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := saveBytes(t, src)
-	m, err := Load(bytes.NewReader(asVersion1(t, v2)))
+	v1 := asVersion1(t, v2)
+	m, err := Load(bytes.NewReader(v1), int64(len(v1)))
 	if err != nil {
 		t.Fatal(err)
 	}

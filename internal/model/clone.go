@@ -1,23 +1,19 @@
 package model
 
-import (
-	"fmt"
+import "fmt"
 
-	"recsys/internal/stats"
-)
-
-// Clone returns a deep copy of the model: fresh parameter storage with
-// bit-identical weights, each table held as the receiver holds it (fp32
-// or int8), and the same MLP compute mode. The clone shares nothing
-// mutable with the receiver, so one side can train while the other
-// serves — the twin-model structure of the online-learning loop.
+// Clone returns a deep copy of the model: parameters allocated once and
+// filled with the receiver's weights bit for bit, each table held as
+// the receiver holds it (fp32 or int8), and the same MLP compute mode.
+// The clone shares nothing mutable with the receiver, so one side can
+// train while the other serves — the twin-model structure of the
+// online-learning loop.
 //
 // Serving attachments (row caches, remote row stores) are deliberately
 // not cloned: they belong to the engine's model queue, which re-attaches
 // them when the clone is registered or swapped in.
 func (m *Model) Clone() (*Model, error) {
-	// Build a skeleton (its random init is immediately overwritten).
-	c, err := build(m.Config, stats.NewRNG(1), m.Quantized())
+	c, err := build(m.Config, nil, m.Quantized())
 	if err != nil {
 		return nil, err
 	}

@@ -145,11 +145,6 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if got, want := c.topIn(), c.TopMLPIn(); got != want {
-		// topIn and TopMLPIn are the same computation; this cannot
-		// fail, but keeps the invariant explicit.
-		return fmt.Errorf("model: inconsistent top input %d vs %d", got, want)
-	}
 	return nil
 }
 
@@ -162,22 +157,14 @@ func (c Config) BottomOut() int {
 }
 
 // TopMLPIn returns the Top-MLP input width implied by the interaction.
-func (c Config) TopMLPIn() int { return c.topIn() }
-
-func (c Config) topIn() int {
-	switch c.Interaction {
-	case Dot:
+func (c Config) TopMLPIn() int {
+	if c.Interaction == Dot {
 		// Vectors: bottom output plus one per table; pairwise dots plus
 		// the dense vector itself (DLRM-style IncludeDense).
 		n := len(c.Tables) + 1
 		return n*(n-1)/2 + c.BottomOut()
-	default:
-		return c.BottomOut() + c.embWidthSum()
 	}
-}
-
-func (c Config) embWidthSum() int {
-	n := 0
+	n := c.BottomOut()
 	for _, t := range c.Tables {
 		n += t.Dim
 	}

@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"recsys/internal/nn"
@@ -10,10 +11,10 @@ import (
 	"recsys/internal/tensor"
 )
 
-// MaxBuildBytes caps the embedding storage Build will materialize, as a
-// guard against accidentally allocating a production-scale (10GB+)
-// model in a test or example. Use Config.Scaled to shrink a production
-// config below the cap.
+// MaxBuildBytes caps the parameter bytes a model holds (heldBytes: MLPs
+// and tables, as held), so neither a production-scale (10GB+) config
+// nor a hostile checkpoint header is allocated: Build and Load refuse
+// a config over it first. Config.Scaled shrinks a preset below it.
 const MaxBuildBytes = 1 << 30 // 1 GiB
 
 // Model is a runnable recommendation model: real fp32 weights, real
@@ -36,8 +37,8 @@ type Model struct {
 var ErrInt8Only = errors.New("model: embedding tables hold int8 rows only, no fp32 rows")
 
 // Build materializes a runnable model with weights drawn from rng.
-// It returns an error if the config is invalid or its embedding storage
-// exceeds MaxBuildBytes.
+// It returns an error if the config is invalid or its parameters exceed
+// MaxBuildBytes.
 func Build(cfg Config, rng *stats.RNG) (*Model, error) {
 	return build(cfg, rng, false)
 }
@@ -47,10 +48,7 @@ func Build(cfg Config, rng *stats.RNG) (*Model, error) {
 // and no fp32 table is allocated; the rows, and every weight drawn after
 // them, are bit-identical to Build followed by QuantizeTables.
 func build(cfg Config, rng *stats.RNG, int8Tables bool) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkBuildBytes(cfg, int8Tables); err != nil {
+	if _, _, err := heldBytes(cfg, int8Tables); err != nil {
 		return nil, err
 	}
 	m := &Model{Config: cfg}
@@ -85,24 +83,53 @@ func build(cfg Config, rng *stats.RNG, int8Tables bool) (*Model, error) {
 	return m, nil
 }
 
-// checkBuildBytes refuses a build whose tables would exceed
-// MaxBuildBytes as they are held: 4 bytes an element in fp32, or, with
-// int8Tables, one byte an element plus the 8-byte scale/offset pair a
-// row. Config.EmbeddingBytes stays the fp32 figure the analytic models
-// read.
-func checkBuildBytes(cfg Config, int8Tables bool) error {
-	b, kind := cfg.EmbeddingBytes(), "fp32"
-	if int8Tables {
-		b, kind = 0, "int8"
-		for _, t := range cfg.Tables {
-			b += int64(t.Rows) * int64(t.Dim+8)
+// heldBytes validates cfg and returns its parameter bytes as a build
+// holds them, and the number of paramBlocks: each FC's W and b in fp32,
+// each table in fp32 or (int8Tables) as codes plus 8 bytes a row. It
+// refuses a total over MaxBuildBytes, or one that would wrap 64 bits.
+func heldBytes(cfg Config, int8Tables bool) (n int64, blocks int, err error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, 0, err
+	}
+	var sum, wrapped uint64
+	add := func(a, b, size int) { // a·b elements of size bytes
+		hi, lo := bits.Mul64(uint64(a), uint64(b))
+		hi2, lo := bits.Mul64(lo, uint64(size))
+		var carry uint64
+		sum, carry = bits.Add64(sum, lo, 0)
+		wrapped |= hi | hi2 | carry
+	}
+	mlp := func(in int, widths []int) {
+		for _, w := range widths {
+			add(in+1, w, 4) // W and b
+			in = w
+		}
+		blocks += 2 * len(widths)
+	}
+	mlp(cfg.DenseIn, cfg.BottomMLP)
+	for _, t := range cfg.Tables {
+		if int8Tables {
+			add(t.Rows, t.Dim, 1)
+			add(t.Rows, 2, 4) // a scale and an offset
+			blocks += 3
+		} else {
+			add(t.Rows, t.Dim, 4)
+			blocks++
 		}
 	}
-	if b > MaxBuildBytes {
-		return fmt.Errorf("model: %s needs %.1f GB of %s embeddings (cap %d GB); use Config.Scaled or the performance simulator",
-			cfg.Name, float64(b)/(1<<30), kind, MaxBuildBytes>>30)
+	mlp(cfg.TopMLPIn(), cfg.TopMLP)
+	if wrapped != 0 || sum > MaxBuildBytes {
+		need, kind := fmt.Sprintf("%d bytes", sum), "fp32"
+		if wrapped != 0 {
+			need = "over 2^64 bytes"
+		}
+		if int8Tables {
+			kind = "int8"
+		}
+		return 0, 0, fmt.Errorf("model: %s needs %s of parameters with %s tables, over the %d-byte cap; use Config.Scaled or the performance simulator",
+			cfg.Name, need, kind, MaxBuildBytes)
 	}
-	return nil
+	return int64(sum), blocks, nil
 }
 
 // Request is one batched inference input.

@@ -214,18 +214,53 @@ func TestInt8SpecHoldsRowsOnce(t *testing.T) {
 	}
 }
 
-// TestBuildCapCountsHeldBytes: the 1 GiB build cap counts tables as a
-// build holds them, so rmc2-int8:5 (≈0.36 GiB of int8 rows, ≈1.14 GiB
-// as fp32) passes where its fp32 build is refused. No table is built.
+// TestBuildCapCountsHeldBytes: the 1 GiB build cap counts parameters as
+// a build holds them, so rmc2-int8:5 (≈0.36 GiB of int8 rows, ≈1.14 GiB
+// as fp32) passes where its fp32 build is refused; it counts MLP widths
+// as well as tables; and a declared shape whose byte count would wrap
+// 64 bits is refused, not counted as its wrapped remainder. Nothing is
+// built.
 func TestBuildCapCountsHeldBytes(t *testing.T) {
 	cfg := RMC2Small().Scaled(5)
-	if err := checkBuildBytes(cfg, true); err != nil {
+	if _, _, err := heldBytes(cfg, true); err != nil {
 		t.Errorf("int8 rmc2:5 refused: %v", err)
 	}
-	if err := checkBuildBytes(cfg, false); err == nil || !strings.Contains(err.Error(), "fp32") {
+	if _, _, err := heldBytes(cfg, false); err == nil || !strings.Contains(err.Error(), "fp32") {
 		t.Errorf("fp32 rmc2:5: err %v, want the fp32 cap refusal", err)
 	}
-	if err := checkBuildBytes(RMC2Small(), true); err == nil || !strings.Contains(err.Error(), "int8") {
+	if _, _, err := heldBytes(RMC2Small(), true); err == nil || !strings.Contains(err.Error(), "int8") {
 		t.Errorf("int8 rmc2 at full size: err %v, want the int8 cap refusal", err)
+	}
+
+	mlp := func(width int) Config {
+		return Config{Name: "wide", Class: Custom, DenseIn: width, BottomMLP: []int{width}, TopMLP: []int{1}}
+	}
+	table := func(rows, dim int) Config {
+		return Config{Name: "tall", Class: Custom, Tables: []TableSpec{{Rows: rows, Dim: dim, Lookups: 1}}, TopMLP: []int{1}}
+	}
+	// 1000→1000 bottom, 1000→1 top: two FCs of W and b each.
+	if n, blocks, err := heldBytes(mlp(1000), false); err != nil || n != 4*(1000*1000+1000+1000+1) || blocks != 4 {
+		t.Errorf("1000-wide MLP: %d bytes in %d blocks, err %v", n, blocks, err)
+	}
+	// A 2^12-row int8 table: codes, scales, offsets, then the top FC.
+	if n, blocks, err := heldBytes(table(1<<12, 32), true); err != nil || n != (1<<12)*(32+8)+4*(32+1) || blocks != 5 {
+		t.Errorf("int8 table: %d bytes in %d blocks, err %v", n, blocks, err)
+	}
+	// An fp32 table of exactly the cap is over it once the top FC counts.
+	if _, _, err := heldBytes(table(1<<23, 32), false); err == nil {
+		t.Error("a 1 GiB fp32 table plus its top FC passed the 1 GiB cap")
+	}
+	for name, c := range map[string]Config{
+		"2^14→2^14 MLP (1 GiB of W alone)":    mlp(1 << 14),
+		"rows 2^40 × dim 2^24 (wraps to 0)":   table(1<<40, 1<<24),
+		"rows 2^40 × dim 2^30":                table(1<<40, 1<<30),
+		"rows 2^62 × dim 1 (×4 bytes wraps)":  table(1<<62, 1),
+		"rows 2^61 × dim 2^3 (2^64 elements)": table(1<<61, 8),
+	} {
+		for _, int8Tables := range []bool{false, true} {
+			if _, _, err := heldBytes(c, int8Tables); err == nil || !strings.Contains(err.Error(), "cap") {
+				t.Errorf("%s (int8 %v): err %v, want the cap refusal", name, int8Tables, err)
+			}
+		}
 	}
 }

@@ -19,22 +19,28 @@ type EmbeddingTable struct {
 	label      string
 }
 
-// NewEmbeddingTable returns a table with small uniform-random entries.
+// NewEmbeddingTable returns a table with small uniform-random entries
+// drawn from rng, or zeroed ones when rng is nil.
 func NewEmbeddingTable(label string, rows, cols int, rng *stats.RNG) *EmbeddingTable {
 	t := NewEmbeddingTableSpec(label, rows, cols)
 	t.W = tensor.New(rows, cols)
-	drawRows(t.W.Data(), cols, rng)
+	if rng != nil {
+		drawRows(t.W.Data(), cols, rng)
+	}
 	return t
 }
 
 // NewQuantizedEmbeddingTable draws the rows NewEmbeddingTable would
 // draw from rng, in the same order, and quantizes each one as it is
 // drawn: the table it returns is shape-only (W nil) and q holds the
-// int8 rows, bit-identical to Quantize(NewEmbeddingTable(...)). No fp32
-// table is ever allocated, only a one-row scratch.
+// int8 rows, bit-identical to Quantize(NewEmbeddingTable(...)), or
+// zeroed when rng is nil. No fp32 table is allocated, only a row.
 func NewQuantizedEmbeddingTable(label string, rows, cols int, rng *stats.RNG) (t *EmbeddingTable, q *QuantizedTable) {
 	t = NewEmbeddingTableSpec(label, rows, cols)
 	q = newQuantizedTable(t)
+	if rng == nil {
+		return t, q
+	}
 	row := make([]float32, cols)
 	for r := 0; r < rows; r++ {
 		drawRows(row, cols, rng)

@@ -32,13 +32,14 @@ type FC struct {
 	quant       atomic.Pointer[QuantizedLinear]
 }
 
-// NewFC returns an FC layer with Xavier/Glorot-uniform initialized
-// weights drawn from rng. It panics on non-positive dimensions.
+// NewFC returns an FC layer with Xavier/Glorot-uniform weights drawn
+// from rng (zeroed when rng is nil); it panics on non-positive dims.
 func NewFC(label string, in, out int, rng *stats.RNG) *FC {
-	if in <= 0 || out <= 0 {
-		panic(fmt.Sprintf("nn: FC dimensions must be positive, got %d×%d", in, out))
+	fc := NewFCSpec(label, in, out)
+	fc.W, fc.B = tensor.New(in, out), make([]float32, out)
+	if rng == nil {
+		return fc
 	}
-	fc := &FC{In: in, Out: out, W: tensor.New(in, out), B: make([]float32, out), label: label}
 	bound := float32(math.Sqrt(6.0 / float64(in+out)))
 	w := fc.W.Data()
 	for i := range w {
@@ -128,8 +129,8 @@ type MLP struct {
 	label     string
 }
 
-// NewMLP builds an MLP with the given layer widths. dims must contain
-// at least two entries (input and one output width).
+// NewMLP builds an MLP of NewFC layers with the given widths. dims
+// must contain at least two entries (input and one output width).
 func NewMLP(label string, dims []int, finalReLU bool, rng *stats.RNG) *MLP {
 	if len(dims) < 2 {
 		panic(fmt.Sprintf("nn: MLP %q needs at least 2 dims, got %v", label, dims))

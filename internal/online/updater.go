@@ -191,7 +191,7 @@ func New(eng *engine.Engine, twin *model.Model, cfg Config) (*Updater, error) {
 	if len(cfg.HoldoutLabels) > 0 {
 		// Baseline: what the currently served weights score on the
 		// held-out set (read-only concurrent forward is safe).
-		u.baseLoss = float64(bce(served.CTR(cfg.Holdout), cfg.HoldoutLabels))
+		u.baseLoss = float64(train.BCELoss(served.CTR(cfg.Holdout), cfg.HoldoutLabels))
 	}
 
 	gen, err := eng.Generation(name)
@@ -335,7 +335,7 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 	// tolerance. On regression the twin reverts to the last good
 	// weights and nothing is published.
 	if len(u.cfg.HoldoutLabels) > 0 {
-		hl := float64(bce(cand.CTR(u.cfg.Holdout), u.cfg.HoldoutLabels))
+		hl := float64(train.BCELoss(cand.CTR(u.cfg.Holdout), u.cfg.HoldoutLabels))
 		res.HoldoutLoss = float32(hl)
 		u.holdoutBits.Store(math.Float64bits(hl))
 		if !math.IsNaN(u.baseLoss) && hl > u.baseLoss*(1+u.cfg.RollbackTol) {
@@ -348,7 +348,7 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 		}
 		u.baseLoss = hl
 	}
-	if u.lastGood, err = u.twin.Clone(); err != nil {
+	if err := u.lastGood.CopyWeightsFrom(u.twin); err != nil {
 		return res, err
 	}
 
@@ -410,24 +410,4 @@ func (u *Updater) Stats() Stats {
 	s.BaselineLoss = u.baseLoss
 	u.cycleMu.Unlock()
 	return s
-}
-
-// bce is mean binary cross-entropy, clamped for numerical safety
-// (mirrors the trainer's loss so gate and training measure the same
-// quantity).
-func bce(probs, labels []float32) float32 {
-	const eps = 1e-7
-	var sum float64
-	for i, p := range probs {
-		pp := float64(p)
-		if pp < eps {
-			pp = eps
-		}
-		if pp > 1-eps {
-			pp = 1 - eps
-		}
-		y := float64(labels[i])
-		sum += -(y*math.Log(pp) + (1-y)*math.Log(1-pp))
-	}
-	return float32(sum / float64(len(probs)))
 }

@@ -21,7 +21,7 @@ func FreshCopy(m *model.Model) (*model.Model, error) {
 	if err := m.Save(&buf); err != nil {
 		return nil, err
 	}
-	fresh, err := model.Load(&buf)
+	fresh, err := model.Load(&buf, int64(buf.Len()))
 	if err != nil {
 		return nil, err
 	}

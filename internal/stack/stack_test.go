@@ -3,6 +3,7 @@ package stack
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -297,9 +298,11 @@ func TestCheckpointWatch(t *testing.T) {
 }
 
 // TestWatchRefusesASnapshotOnce: a checkpoint the watcher cannot serve
-// (another model's shape, or bytes model.LoadFile rejects) keeps the
-// served model, is logged once however many ticks see it, and a later
-// compatible rewrite still swaps in as the next generation.
+// (another model's shape, bytes model.LoadFile rejects, or a header
+// declaring a 1 GiB bottom MLP in a 120-byte file, refused before it is
+// allocated) keeps the served model serving, is logged once however
+// many ticks see it, and a later compatible rewrite still swaps in as
+// the next generation.
 func TestWatchRefusesASnapshotOnce(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(1000)
 	dir := t.TempDir()
@@ -347,6 +350,17 @@ func TestWatchRefusesASnapshotOnce(t *testing.T) {
 	for i, bad := range []func(string) error{
 		saved(model.RMC3Small().Scaled(1000), 1), // loads, but Swap refuses the shape
 		func(tmp string) error { return os.WriteFile(tmp, []byte("not a checkpoint"), 0o644) },
+		func(tmp string) error {
+			wide := model.Config{Name: "h", Class: model.Custom, DenseIn: 1 << 14, BottomMLP: []int{1 << 14}, TopMLP: []int{1}}
+			cfgJSON, err := wide.MarshalJSON()
+			if err != nil {
+				return err
+			}
+			hdr := binary.LittleEndian.AppendUint32([]byte("RECSYS01"), 2)
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(cfgJSON)))
+			hdr = append(append(hdr, cfgJSON...), 0)
+			return os.WriteFile(tmp, append(hdr, make([]byte, 120-len(hdr))...), 0o644)
+		},
 	} {
 		install(bad)
 		for deadline := time.Now().Add(10 * time.Second); refused() < i+1; time.Sleep(tick) {
@@ -360,6 +374,9 @@ func TestWatchRefusesASnapshotOnce(t *testing.T) {
 		}
 		if gen, _ := st.Engine.Generation(engine.DefaultModelName); gen != gen0 {
 			t.Fatalf("a refused snapshot moved the generation %d → %d", gen0, gen)
+		}
+		if _, err := st.Engine.Rank(context.Background(), engine.DefaultModelName, model.NewRandomRequest(cfg, 2, stats.NewRNG(9))); err != nil {
+			t.Fatalf("after snapshot %d the served model stopped serving: %v", i, err)
 		}
 	}
 

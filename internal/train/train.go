@@ -71,7 +71,7 @@ func (t *Trainer) Step(req model.Request, labels []float32) float32 {
 		panic(fmt.Sprintf("train: %d labels for batch %d", len(labels), req.Batch))
 	}
 	tp := t.forward(req)
-	loss := bceLoss(tp.probs, labels)
+	loss := BCELoss(tp.probs, labels)
 	t.backward(req, tp, labels)
 	return loss
 }
@@ -81,7 +81,7 @@ func (t *Trainer) Loss(req model.Request, labels []float32) float32 {
 	if len(labels) != req.Batch {
 		panic(fmt.Sprintf("train: %d labels for batch %d", len(labels), req.Batch))
 	}
-	return bceLoss(t.forward(req).probs, labels)
+	return BCELoss(t.forward(req).probs, labels)
 }
 
 func (t *Trainer) forward(req model.Request) *tape {
@@ -273,8 +273,10 @@ func sigmoid(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
-// bceLoss is mean binary cross-entropy, clamped for numerical safety.
-func bceLoss(probs, labels []float32) float32 {
+// BCELoss is mean binary cross-entropy, clamped for numerical safety:
+// the loss the trainer minimizes and the online updater's quality gate
+// measures.
+func BCELoss(probs, labels []float32) float32 {
 	const eps = 1e-7
 	var sum float64
 	for i, p := range probs {

@@ -79,7 +79,7 @@ func TestInt8ModelCopiesExactly(t *testing.T) {
 			if err := m.Save(&buf); err != nil {
 				return nil, err
 			}
-			return model.Load(&buf)
+			return model.Load(&buf, int64(buf.Len()))
 		},
 		"Clone": m.Clone,
 		"CopyWeightsFrom": func() (*model.Model, error) {
