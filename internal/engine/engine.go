@@ -2,8 +2,8 @@
 // server, layered the way the paper's serving analysis (§III, §V-VI)
 // and DeepRecSys motivate:
 //
-//   - a model registry of named, hot-registerable/swappable models
-//     (registry.go);
+//   - a model registry of named, hot-swappable models, registered at
+//     bring-up and never removed (registry.go);
 //   - one admission queue and batch former per model, sharing the
 //     dispatch policy and its work-conserving cut rule with the serving
 //     simulator (queue.go, internal/batch);

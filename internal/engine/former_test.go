@@ -110,13 +110,13 @@ func TestFormBatchHoldCutByPassEnd(t *testing.T) {
 // whose peers are all busy again: the holder re-asks the rule.
 func TestFormBatchStaleTokenDoesNotCut(t *testing.T) {
 	mq := queueForBatching(hour(8))
-	busy, _ := holdingFormer(2)
+	busy, stop := holdingFormer(2)
 	busy.pool.passEnded <- struct{}{}
 	done := formAsync(mq, busy)
 	feedHolder(t, mq)
 	waitFor(t, "the stale token to be consumed", func() bool { return len(busy.pool.passEnded) == 0 })
 	feedHolder(t, mq) // still holding after the token
-	close(mq.gone)
+	close(stop)
 	if got := <-done; len(got.jobs) != 3 {
 		t.Fatalf("batch = %d jobs, want 3 (the hold outlived the stale token)", len(got.jobs))
 	}

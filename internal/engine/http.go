@@ -240,7 +240,7 @@ func (e *Engine) handleModels(w http.ResponseWriter, _ *http.Request) {
 //	ErrBadRequest           → 400 client sent a malformed request
 //	*http.MaxBytesError     → 413 body larger than maxBodyBytes
 //	context deadline/cancel → 408 request shed or abandoned in time
-//	ErrModelNotFound        → 404 unknown model (or unregistered mid-flight)
+//	ErrModelNotFound        → 404 unknown model
 //	ErrClosed               → 503 engine shutting down
 //	shard.ErrUnavailable    → 503 remote embedding tier unreachable
 //	ErrInference, others    → 500 internal fault (recovered panic)
@@ -255,7 +255,6 @@ func rankStatus(err error) int {
 		// overran mid-queue) or the client went away.
 		return http.StatusRequestTimeout
 	case errors.Is(err, ErrModelNotFound):
-		// Unregistered between resolution and admission.
 		return http.StatusNotFound
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable

@@ -318,28 +318,11 @@ func TestFormBatchOversizedSingle(t *testing.T) {
 	}
 }
 
-// TestFormBatchGoneUnblocks: q is never closed, so an Unregister must
-// cut a hold short via the gone channel — the receive on q would
-// otherwise block for MaxWait against a channel nobody will ever send
-// to again. The former is really holding (its peer is in a pass that
-// never ends and MaxWait is an hour), so only gone can return it.
-func TestFormBatchGoneUnblocks(t *testing.T) {
-	mq := queueForBatching(batch.Policy{MaxBatch: 8, MaxWait: time.Hour})
-	busy, _ := holdingFormer(2)
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		close(mq.gone)
-	}()
-	jobs, samples, _ := mq.formBatch(liveJob(simpleReq(1)), nil, busy)
-	if len(jobs) != 1 || samples != 1 {
-		t.Fatalf("batch = %d jobs / %d samples, want the first job alone", len(jobs), samples)
-	}
-	if got := cutCounts(mq); got["drain"] != 1 || len(got) != 1 {
-		t.Fatalf("cuts = %v, want one drain cut", got)
-	}
-}
-
-// TestFormBatchStopUnblocks is the same for the engine's drain signal.
+// TestFormBatchStopUnblocks: q is never closed, so the engine's drain
+// signal must cut a hold short — the receive on q would otherwise block
+// for MaxWait against a channel nobody will ever send to again. The
+// former is really holding (its peer is in a pass that never ends and
+// MaxWait is an hour), so only stop can return it.
 func TestFormBatchStopUnblocks(t *testing.T) {
 	mq := queueForBatching(batch.Policy{MaxBatch: 8, MaxWait: time.Hour})
 	busy, stop := holdingFormer(2)

@@ -135,17 +135,13 @@ type modelQueue struct {
 
 	// q is the admission queue. A full queue blocks Rank (admission
 	// control / backpressure), exactly like the single-model engine.
-	// q is never closed: Unregister and Close stop senders via gone /
-	// closing, wait out mq.senders, then drain the channel with
-	// failPending — so receivers never observe a closed q, and the
-	// batch former's receive needs no ok check.
+	// q is never closed: Close stops senders via closing, waits out
+	// mq.senders, then lets the workers drain the channel — so
+	// receivers never observe a closed q, and the batch former's
+	// receive needs no ok check.
 	q chan *job
-	// gone is closed by Unregister so blocked senders and batch
-	// formers stop waiting on a removed model.
-	gone chan struct{}
 	// senders tracks Rank calls between admission and enqueue, so
-	// Unregister and Close can drain the queue without racing a
-	// late send.
+	// Close can drain the queue without racing a late send.
 	senders sync.WaitGroup
 
 	// embClient, when non-nil, is the remote embedding tier this model
@@ -238,7 +234,6 @@ func newModelQueue(name string, m *model.Model, weight int, policy batch.Policy,
 		weight: weight,
 		ring:   obs.NewRing(traceRing),
 		q:      make(chan *job, depth),
-		gone:   make(chan struct{}),
 	}
 	mq.storePolicy(policy)
 	mq.counters.init()
@@ -364,7 +359,7 @@ const (
 	cutWait
 	// cutDeadline: the oldest job's deadline ended (or forbade) a hold.
 	cutDeadline
-	// cutDrain: the engine is closing or the model was unregistered.
+	// cutDrain: the engine is closing.
 	cutDrain
 	nCutReasons
 )
@@ -380,8 +375,7 @@ func (r cutReason) String() string { return cutNames[r] }
 // executor worker is inside a forward pass; only then hold, for at most
 // MaxWait, and ask again each time a pass ends — so no request is held
 // while an executor is free, and a one-worker engine never holds. A
-// closed stop (or a removed model) cuts a hold short but never abandons
-// jobs already taken.
+// closed stop cuts a hold short but never abandons jobs already taken.
 //
 // Robustness properties of the request lifecycle:
 //
@@ -438,9 +432,6 @@ fill:
 			case <-f.pool.stop:
 				reason = cutDrain
 				break fill
-			case <-mq.gone:
-				reason = cutDrain
-				break fill
 			}
 		}
 		if next.expired() {
@@ -484,18 +475,4 @@ func (mq *modelQueue) recordCut(reason cutReason, jobs []*job) {
 func (mq *modelQueue) shed(j *job) {
 	mq.sheds.Add(1)
 	j.finish(mq, jobResult{err: j.ctx.Err()}, obs.OutcomeShed)
-}
-
-// failPending drains the admission queue and fails every queued job
-// with err. Callers must guarantee no concurrent senders (gone closed
-// and senders drained).
-func (mq *modelQueue) failPending(err error) {
-	for {
-		j, ok := mq.tryPop()
-		if !ok {
-			return
-		}
-		mq.errs.Add(1)
-		j.finish(mq, jobResult{err: err}, obs.OutcomeError)
-	}
 }

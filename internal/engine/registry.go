@@ -17,7 +17,7 @@ import (
 )
 
 // ErrModelNotFound is returned (wrapped with the model name) by Rank,
-// Swap, Unregister, and the HTTP front-end for unknown models.
+// Swap, and the HTTP front-end for unknown models.
 var ErrModelNotFound = errors.New("engine: model not found")
 
 // ModelOptions configures one registered model.
@@ -134,6 +134,8 @@ func (e *Engine) defaultPolicy() batch.Policy {
 
 // Register adds a named model. The first registered model becomes the
 // default target of the single-model API (Server.Rank, POST /rank).
+// Nothing removes a model: after bring-up a name only changes what it
+// serves, by Swap.
 func (e *Engine) Register(name string, m *model.Model, mo ModelOptions) error {
 	if name == "" {
 		return errors.New("engine: empty model name")
@@ -298,31 +300,6 @@ func (e *Engine) LatencySnapshot(name string) (obs.HistSnapshot, error) {
 // queue admits.
 func (e *Engine) QueueDepth() int { return e.opts.QueueDepth }
 
-// Unregister removes a model: new Rank calls fail, blocked admissions
-// abort, and already-queued requests fail with ErrModelNotFound.
-// Batches already picked up by a worker complete normally.
-func (e *Engine) Unregister(name string) error {
-	e.mu.Lock()
-	mq, ok := e.queues[name]
-	if ok {
-		delete(e.queues, name)
-		for i, q := range e.order {
-			if q == mq {
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				break
-			}
-		}
-	}
-	e.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrModelNotFound, name)
-	}
-	close(mq.gone)
-	mq.senders.Wait()
-	mq.failPending(fmt.Errorf("%w: %q", ErrModelNotFound, name))
-	return nil
-}
-
 // Models returns the registered model names in registration order.
 func (e *Engine) Models() []string {
 	e.mu.Lock()
@@ -344,8 +321,8 @@ func (e *Engine) Model(name string) (*model.Model, error) {
 	return mq.published.Load().model, nil
 }
 
-// DefaultModel returns the name Rank resolves "" to: the oldest
-// registered model still present.
+// DefaultModel returns the name Rank resolves "" to: the first
+// registered model.
 func (e *Engine) DefaultModel() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -430,8 +407,8 @@ func (e *Engine) RankInto(ctx context.Context, name string, dst []float32, req m
 // rides into the request's trace.
 func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req model.Request, in ingestStats, split bool) ([]float32, error) {
 	// Admission: resolve the queue and register as a sender under the
-	// lock, so Close and Unregister wait for the enqueue (or its
-	// abort) before draining.
+	// lock, so Close waits for the enqueue (or its abort) before
+	// draining.
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -510,13 +487,6 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 		sealTrace(mq, tr, obs.OutcomeError, ErrClosed)
 		putJob(j)
 		return nil, ErrClosed
-	case <-mq.gone:
-		mq.senders.Done()
-		mq.errs.Add(1)
-		err := fmt.Errorf("%w: %q", ErrModelNotFound, mq.name)
-		sealTrace(mq, tr, obs.OutcomeError, err)
-		putJob(j)
-		return nil, err
 	}
 	start := time.Now()
 	select {

@@ -185,122 +185,33 @@ func TestHotSwap(t *testing.T) {
 	}
 }
 
-// TestUnregister: removal fails queued work cleanly and frees the name
-// for re-registration; the default model moves to the next survivor.
-func TestUnregister(t *testing.T) {
-	cfg := model.RMC1Small().Scaled(500)
-	mA := buildModel(t, cfg, 1)
-	mB := buildModel(t, cfg, 2)
-	e := testEngine(t, Options{Workers: 1, QueueDepth: 16, MaxBatch: 1})
-	if err := e.Register("a", mA, ModelOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Register("b", mB, ModelOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Unregister("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Unregister("a"); !errors.Is(err, ErrModelNotFound) {
-		t.Errorf("double unregister: %v", err)
-	}
-	if _, err := e.Rank(context.Background(), "a", model.Request{Batch: 1}); !errors.Is(err, ErrModelNotFound) {
-		t.Errorf("rank after unregister: %v", err)
-	}
-	if e.DefaultModel() != "b" {
-		t.Errorf("default after unregister = %q, want b", e.DefaultModel())
-	}
-	// The empty name resolves to the new default.
-	req := model.NewRandomRequest(cfg, 2, stats.NewRNG(3))
-	got, err := e.Rank(context.Background(), "", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mB.CTR(req)
-	if got[0] != want[0] {
-		t.Error("default routing did not reach model b")
-	}
-	// Name is reusable.
-	if err := e.Register("a", mA, ModelOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDefaultModelIsOldest: the default model ("" in Rank, POST /rank)
-// is always the oldest model still registered, through a sequence that
-// removes the default, a non-default and the newest, and registers past
-// a removal; with none left, "" resolves to nothing.
+// is the first model registered; before any registration "" resolves to
+// nothing.
 func TestDefaultModelIsOldest(t *testing.T) {
 	m := buildModel(t, model.RMC1Small().Scaled(500), 1)
 	e := testEngine(t, Options{Workers: 1, QueueDepth: 4, MaxBatch: 1})
-	steps := []struct {
-		op, name, want string
-	}{
-		{"register", "a", "a"},
-		{"register", "b", "a"},
-		{"register", "c", "a"},
-		{"unregister", "a", "b"},
-		{"unregister", "c", "b"},
-		{"register", "d", "b"},
-		{"unregister", "b", "d"},
-		{"unregister", "d", ""},
-	}
-	for _, s := range steps {
-		var err error
-		if s.op == "register" {
-			err = e.Register(s.name, m, ModelOptions{})
-		} else {
-			err = e.Unregister(s.name)
-		}
-		if err != nil {
-			t.Fatalf("%s %s: %v", s.op, s.name, err)
-		}
-		if got := e.DefaultModel(); got != s.want {
-			t.Errorf("after %s %s: DefaultModel() = %q, want %q", s.op, s.name, got, s.want)
+	check := func(after, want string) {
+		t.Helper()
+		if got := e.DefaultModel(); got != want {
+			t.Errorf("after %s: DefaultModel() = %q, want %q", after, got, want)
 		}
 		resolved := ""
 		if mq, err := e.lookup(""); err == nil {
 			resolved = mq.name
 		} else if !errors.Is(err, ErrModelNotFound) {
-			t.Fatalf("after %s %s: lookup(\"\"): %v", s.op, s.name, err)
+			t.Fatalf("after %s: lookup(\"\"): %v", after, err)
 		}
-		if resolved != s.want {
-			t.Errorf("after %s %s: \"\" resolves to %q, want %q", s.op, s.name, resolved, s.want)
+		if resolved != want {
+			t.Errorf("after %s: \"\" resolves to %q, want %q", after, resolved, want)
 		}
 	}
-}
-
-// TestUnregisterUnderLoad: removing a model while requests are in
-// flight must not deadlock or panic; every request either succeeds or
-// reports a model/engine error.
-func TestUnregisterUnderLoad(t *testing.T) {
-	cfg := model.RMC1Small().Scaled(500)
-	m := buildModel(t, cfg, 1)
-	e := testEngine(t, Options{Workers: 1, QueueDepth: 2, MaxBatch: 4, MaxWait: time.Millisecond})
-	if err := e.Register("m", m, ModelOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, 64)
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := model.NewRandomRequest(cfg, 4, stats.NewRNG(uint64(i)+1))
-			_, err := e.Rank(context.Background(), "m", req)
-			errCh <- err
-		}(i)
-	}
-	time.Sleep(time.Millisecond)
-	if err := e.Unregister("m"); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil && !errors.Is(err, ErrModelNotFound) && !errors.Is(err, ErrClosed) {
-			t.Errorf("unexpected error: %v", err)
+	check("no registration", "")
+	for _, name := range []string{"a", "b", "c"} {
+		if err := e.Register(name, m, ModelOptions{}); err != nil {
+			t.Fatalf("register %s: %v", name, err)
 		}
+		check("register "+name, "a")
 	}
 }
 

@@ -103,8 +103,20 @@ func TestClickBufferCopyAndRing(t *testing.T) {
 	}
 }
 
+// rankRouted ranks req the way serve routes a bare POST /rank: on the
+// arm r.Pick returns. It returns that arm.
+func rankRouted(t *testing.T, eng *engine.Engine, r *ABRouter, req model.Request) string {
+	t.Helper()
+	arm := r.Pick()
+	if _, err := eng.Rank(context.Background(), arm, req); err != nil {
+		t.Fatalf("rank on arm %q: %v", arm, err)
+	}
+	return arm
+}
+
 // TestABRouterSplit: smooth WRR realizes the configured split exactly
-// over any multiple of the total weight, and ranks through the engine.
+// over any multiple of the total weight, and every pick ranks through
+// the engine.
 func TestABRouterSplit(t *testing.T) {
 	cfg := testConfig()
 	eng := newTestEngine(t)
@@ -114,7 +126,7 @@ func TestABRouterSplit(t *testing.T) {
 	if err := eng.Register("cand", buildModel(t, cfg, 2), engine.ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewABRouter(eng, "prod")
+	r, err := NewABRouter("prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,36 +134,17 @@ func TestABRouterSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(3)
-	ctx := context.Background()
 	for i := 0; i < 100; i++ {
-		if _, _, err := r.Rank(ctx, model.NewRandomRequest(cfg, 1, rng)); err != nil {
-			t.Fatal(err)
-		}
+		rankRouted(t, eng, r, model.NewRandomRequest(cfg, 1, rng))
 	}
 	if prod, cand := r.pickCount("prod"), r.pickCount("cand"); prod != 70 || cand != 30 {
 		t.Fatalf("split prod=%d cand=%d, want prod=70 cand=30", prod, cand)
 	}
-	if r.Fallbacks() != 0 {
-		t.Fatalf("unexpected fallbacks: %d", r.Fallbacks())
-	}
-
-	// Dropping the canary mid-split: Rank falls back to primary instead
-	// of erroring.
-	if err := eng.Unregister("cand"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, served, err := r.Rank(ctx, model.NewRandomRequest(cfg, 1, rng)); err != nil {
-			t.Fatal(err)
-		} else if served != "prod" {
-			t.Fatalf("served %q after canary unregistered", served)
-		}
-	}
-	if r.Fallbacks() != 3 {
-		t.Fatalf("fallbacks = %d, want 3 (canary's share of 10)", r.Fallbacks())
-	}
 
 	// Invalid arm sets are rejected.
+	if _, err := NewABRouter(""); err == nil {
+		t.Fatal("router without a primary accepted")
+	}
 	if err := r.SetArms(); err == nil {
 		t.Fatal("empty arm set accepted")
 	}
@@ -352,18 +345,33 @@ func TestUpdaterRollback(t *testing.T) {
 	}
 }
 
-// TestUpdaterABCanary: with ABWeight set, a passing candidate is
-// co-located as <model>-next with the configured split and under the
-// primary's live batch policy, then promoted into the primary slot at
-// the start of the next cycle.
+// TestUpdaterABCanary: with ABWeight set, New registers <model>-next
+// once, serving the primary's model under the primary's policy. A
+// passing candidate is swapped into that slot with the configured split
+// and the primary's live batch policy, then promoted into the primary
+// at the start of the next cycle. A rolled-back cycle leaves the slot
+// registered and idle, and no cycle ever removes a model.
 func TestUpdaterABCanary(t *testing.T) {
 	cfg := testConfig()
 	eng := newTestEngine(t)
-	primaryPolicy := batch.Policy{MaxBatch: 2, MaxWait: 3 * time.Millisecond, SplitAbove: 2}
-	if err := eng.Register("m", buildModel(t, cfg, 1), engine.ModelOptions{Policy: primaryPolicy}); err != nil {
+	if err := eng.Register("m", buildModel(t, cfg, 1), engine.ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	upd, err := New(eng, buildModel(t, cfg, 1), Config{Model: "m", ABWeight: 25})
+	teacher, err := train.NewTeacher(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdout, holdoutLabels := teacher.Sample(128)
+	corrupt := false
+	upd, err := New(eng, buildModel(t, cfg, 1), Config{
+		Model: "m", ABWeight: 25,
+		Holdout: holdout, HoldoutLabels: holdoutLabels, RollbackTol: 0.2,
+		PreSwapHook: func(_ uint64, cand *model.Model) {
+			if corrupt {
+				sabotage(t, cand)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,17 +379,48 @@ func TestUpdaterABCanary(t *testing.T) {
 	if router == nil {
 		t.Fatal("ABWeight > 0 without a router")
 	}
+	registered := func(when string) {
+		t.Helper()
+		if got := eng.Models(); len(got) != 2 || got[0] != "m" || got[1] != "m-next" {
+			t.Fatalf("%s: models %v, want [m m-next]", when, got)
+		}
+	}
+	serving := func(name string) *model.Model {
+		t.Helper()
+		m, err := eng.Model(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 
-	// Cycle 1: candidate lands as a canary, no swap yet.
+	// Bring-up: the slot shares the primary's model and policy.
+	registered("after New")
+	if serving("m-next") != serving("m") {
+		t.Fatal("canary slot does not serve the primary's model")
+	}
+	if pol := mustPolicy(t, eng, "m-next"); pol != mustPolicy(t, eng, "m") {
+		t.Fatalf("canary slot policy %+v, want the primary's", pol)
+	}
+	// The primary is retuned after bring-up: the canary must take the
+	// live policy, not the one it was registered under.
+	primaryPolicy := batch.Policy{MaxBatch: 2, MaxWait: 3 * time.Millisecond, SplitAbove: 2}
+	if err := eng.SetPolicy("m", primaryPolicy); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cycle 1: candidate lands in the canary slot, no swap yet.
 	r1, err := upd.RunCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Swapped || r1.Promoted {
-		t.Fatalf("first AB cycle published in place: %+v", r1)
+	if r1.Swapped || r1.Promoted || r1.RolledBack {
+		t.Fatalf("first AB cycle: %+v, want a canary only", r1)
 	}
-	if _, err := eng.Model("m-next"); err != nil {
-		t.Fatalf("canary not registered: %v", err)
+	registered("after cycle 1")
+	canary1 := serving("m-next")
+	if canary1 == serving("m") {
+		t.Fatal("canary slot still serves the primary's model")
 	}
 	arms := router.arms
 	if len(arms) != 2 || arms[0].Weight != 75 || arms[1].Weight != 25 {
@@ -391,8 +430,8 @@ func TestUpdaterABCanary(t *testing.T) {
 	ctx := context.Background()
 	// The canary is scheduled like the primary, not under the engine
 	// default: same policy, so a request over the threshold splits.
-	if pol, err := eng.Policy("m-next"); err != nil || pol != primaryPolicy {
-		t.Fatalf("canary policy %+v (err %v), want the primary's %+v", pol, err, primaryPolicy)
+	if pol := mustPolicy(t, eng, "m-next"); pol != primaryPolicy {
+		t.Fatalf("canary policy %+v, want the primary's live %+v", pol, primaryPolicy)
 	}
 	if _, err := eng.Rank(ctx, "m-next", model.NewRandomRequest(cfg, 5, rng)); err != nil {
 		t.Fatal(err)
@@ -401,9 +440,7 @@ func TestUpdaterABCanary(t *testing.T) {
 		t.Fatalf("canary served a 5-sample request with %d splits (err %v), want 1", st.Splits, err)
 	}
 	for i := 0; i < 40; i++ {
-		if _, _, err := router.Rank(ctx, model.NewRandomRequest(cfg, 1, rng)); err != nil {
-			t.Fatal(err)
-		}
+		rankRouted(t, eng, router, model.NewRandomRequest(cfg, 1, rng))
 	}
 	if m, next := router.pickCount("m"), router.pickCount("m-next"); m != 30 || next != 10 {
 		t.Fatalf("picks m=%d m-next=%d, want m=30 m-next=10 over 40 (25%% split)", m, next)
@@ -414,15 +451,48 @@ func TestUpdaterABCanary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r2.Promoted {
-		t.Fatalf("second AB cycle did not promote: %+v", r2)
+	if !r2.Promoted || r2.RolledBack {
+		t.Fatalf("second AB cycle: %+v, want a promotion and a new canary", r2)
 	}
 	if g, _ := eng.Generation("m"); g != 2 {
 		t.Fatalf("generation %d after promotion, want 2", g)
 	}
-	if st := upd.Stats(); st.Promotions != 1 || st.Swaps != 1 {
-		t.Fatalf("stats %+v, want 1 promotion, 1 swap", st)
+	if serving("m") != canary1 {
+		t.Fatal("promotion did not move the canary's model into the primary")
 	}
+	registered("after cycle 2")
+
+	// Cycle 3: cycle 2's canary promotes, then the corrupted candidate
+	// rolls back. The slot stays registered and still serves, at weight
+	// 0, so a request already routed to it succeeds.
+	corrupt = true
+	r3, err := upd.RunCycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r3.Promoted || !r3.RolledBack {
+		t.Fatalf("third AB cycle: %+v, want a promotion and a rollback", r3)
+	}
+	registered("after a rollback")
+	if arms := router.arms; len(arms) != 1 || arms[0].Name != "m" {
+		t.Fatalf("arms %+v after a rollback, want m alone", arms)
+	}
+	if _, err := eng.Rank(ctx, "m-next", model.NewRandomRequest(cfg, 1, rng)); err != nil {
+		t.Fatalf("idle canary slot: %v", err)
+	}
+	if st := upd.Stats(); st.Promotions != 2 || st.Swaps != 2 || st.Rollbacks != 1 {
+		t.Fatalf("stats %+v, want 2 promotions, 2 swaps, 1 rollback", st)
+	}
+}
+
+// mustPolicy returns a registered model's batch policy.
+func mustPolicy(t *testing.T, eng *engine.Engine, name string) batch.Policy {
+	t.Helper()
+	pol, err := eng.Policy(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
 }
 
 // TestUpdaterStartStop: the ticker loop runs cycles and shuts down

@@ -1,14 +1,10 @@
 package online
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
-
-	"recsys/internal/engine"
-	"recsys/internal/model"
 )
 
 // Arm is one weighted routing target of an A/B split.
@@ -18,46 +14,31 @@ type Arm struct {
 }
 
 // ABRouter splits ranking traffic across co-located model generations
-// by weight — the A/B front of the online-learning loop. Picks use
+// by weight — the A/B front of the online-learning loop. Pick is its
+// only decision: the caller ranks on the arm it returns. Picks use
 // smooth weighted round-robin (the same discipline as the executor's
 // fair pick), so the observed split tracks the configured weights
 // exactly over any window of total-weight picks, not just in
-// expectation. The arm set is swapped atomically under a lock; a Rank
-// that drew a canary arm which vanished mid-flight (the updater
-// promoted or dropped it) falls back to the primary.
+// expectation. The arm set is swapped atomically under a lock. Every
+// arm names a model that stays registered (the updater's canary slot
+// is permanent), so a picked arm is always servable.
 type ABRouter struct {
-	eng     *engine.Engine
-	primary string
-
-	mu        sync.Mutex
-	arms      []Arm
-	cur       []int // smooth-WRR current priorities, parallel to arms
-	total     int
-	picks     map[string]int64
-	fallbacks int64
+	mu    sync.Mutex
+	arms  []Arm
+	cur   []int // smooth-WRR current priorities, parallel to arms
+	total int
+	picks map[string]int64
 }
 
 // NewABRouter routes everything to primary until SetArms widens the
 // split.
-func NewABRouter(eng *engine.Engine, primary string) (*ABRouter, error) {
-	if eng == nil {
-		return nil, errors.New("online: nil engine")
-	}
-	if primary == "" {
-		primary = eng.DefaultModel()
-	}
-	if primary == "" {
-		return nil, errors.New("online: router needs a primary model")
-	}
-	r := &ABRouter{eng: eng, primary: primary, picks: make(map[string]int64)}
+func NewABRouter(primary string) (*ABRouter, error) {
+	r := &ABRouter{picks: make(map[string]int64)}
 	if err := r.SetArms(Arm{Name: primary, Weight: 1}); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
-
-// Primary returns the fallback arm's model name.
-func (r *ABRouter) Primary() string { return r.primary }
 
 // SetArms replaces the routing table. Weights are relative; every arm
 // needs a name and a positive weight. The WRR state resets, so the new
@@ -104,31 +85,6 @@ func (r *ABRouter) pickLocked() string {
 	name := r.arms[best].Name
 	r.picks[name]++
 	return name
-}
-
-// Fallbacks returns how many ranks fell back to the primary after
-// drawing an arm that had been unregistered.
-func (r *ABRouter) Fallbacks() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fallbacks
-}
-
-// Rank scores req against the next weighted arm, returning the scores
-// and the model name that actually served. A canary arm unregistered
-// between pick and rank (a promote/drop racing traffic) is retried on
-// the primary rather than surfacing a spurious error to the caller.
-func (r *ABRouter) Rank(ctx context.Context, req model.Request) ([]float32, string, error) {
-	name := r.Pick()
-	out, err := r.eng.Rank(ctx, name, req)
-	if err != nil && name != r.primary && errors.Is(err, engine.ErrModelNotFound) {
-		r.mu.Lock()
-		r.fallbacks++
-		r.mu.Unlock()
-		name = r.primary
-		out, err = r.eng.Rank(ctx, name, req)
-	}
-	return out, name, err
 }
 
 // sortedArmNames returns the lexically sorted union of ever-picked arm

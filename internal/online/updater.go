@@ -41,10 +41,10 @@ type Config struct {
 	// to the last good weights instead of publishing (default 0.05).
 	RollbackTol float64
 	// ABWeight, when in [1,99], publishes candidates as a weighted
-	// canary instead of swapping in place: the candidate is co-located
-	// under Model+"-next" receiving ABWeight% of routed traffic, and is
-	// promoted into Model at the start of the next cycle. 0 swaps in
-	// place.
+	// canary instead of swapping in place: New registers Model+"-next"
+	// once, and each candidate is swapped into that slot, receives
+	// ABWeight% of routed traffic, and is promoted into Model at the
+	// start of the next cycle. 0 swaps in place.
 	ABWeight int
 	// OnSwap, when non-nil, observes every publication that changed the
 	// serving model (in-place swap or canary promotion) with the new
@@ -201,8 +201,18 @@ func New(eng *engine.Engine, twin *model.Model, cfg Config) (*Updater, error) {
 	u.generation.Store(gen)
 
 	if cfg.ABWeight > 0 {
-		u.router, err = NewABRouter(eng, name)
+		// The canary slot is permanent: it serves the primary's model
+		// under the primary's policy until the first canary is
+		// published, and keeps serving the last one, idle at weight 0,
+		// after a promotion. A request routed to it is always served.
+		pol, err := eng.Policy(name)
 		if err != nil {
+			return nil, err
+		}
+		if err := eng.Register(u.canaryName, served, engine.ModelOptions{Policy: pol}); err != nil {
+			return nil, err
+		}
+		if u.router, err = NewABRouter(name); err != nil {
 			return nil, err
 		}
 	}
@@ -210,8 +220,8 @@ func New(eng *engine.Engine, twin *model.Model, cfg Config) (*Updater, error) {
 }
 
 // Router returns the A/B router (nil unless Config.ABWeight > 0).
-// Callers route ranking traffic through Router().Rank to realize the
-// configured split.
+// Callers realize the configured split by ranking each request on the
+// arm Router().Pick returns.
 func (u *Updater) Router() *ABRouter { return u.router }
 
 // Start runs a cycle every Config.Interval until Stop, timing each
@@ -271,16 +281,14 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 	res.Generation = u.generation.Load()
 
 	// 1. Promote last cycle's canary: it passed the gate when it was
-	// registered and has baked for a full interval of A/B traffic.
+	// published and has baked for a full interval of A/B traffic. The
+	// slot keeps serving it, idle at weight 0, until the next canary.
 	if u.canary != nil {
 		cand := u.canary
 		if err := u.eng.Swap(u.name, cand); err != nil {
 			return res, err
 		}
 		u.canary = nil
-		if err := u.eng.Unregister(u.canaryName); err != nil {
-			return res, err
-		}
 		if err := u.router.SetArms(Arm{Name: u.name, Weight: 1}); err != nil {
 			return res, err
 		}
@@ -352,7 +360,8 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 		return res, err
 	}
 
-	// 5. Publish: in-place hot swap, or co-locate as a weighted canary.
+	// 5. Publish: in-place hot swap, or a swap into the canary slot,
+	// which then takes its weighted share of routed traffic.
 	if u.cfg.ABWeight <= 0 {
 		if err := u.eng.Swap(u.name, cand); err != nil {
 			return res, err
@@ -368,7 +377,10 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 	if err != nil {
 		return res, err
 	}
-	if err := u.eng.Register(u.canaryName, cand, engine.ModelOptions{Policy: pol}); err != nil {
+	if err := u.eng.SetPolicy(u.canaryName, pol); err != nil {
+		return res, err
+	}
+	if err := u.eng.Swap(u.canaryName, cand); err != nil {
 		return res, err
 	}
 	u.canary = cand

@@ -35,7 +35,7 @@ func TestABColocationSplit(t *testing.T) {
 	if err := eng.Register("cand", cand, engine.ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	router, err := online.NewABRouter(eng, "prod")
+	router, err := online.NewABRouter("prod")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestABColocationSplit(t *testing.T) {
 	res, err := scenario.Run(scenario.Config{
 		Engine:      eng,
 		Model:       "prod",
-		Rank:        router.Rank,
+		Rank:        routed(eng, router),
 		NewRequest:  func(rng *stats.RNG) model.Request { return model.NewRandomRequest(cfg, 2, rng) },
 		Arrivals:    arrivals,
 		Requests:    500,
@@ -67,9 +67,6 @@ func TestABColocationSplit(t *testing.T) {
 	requireClean(t, res)
 	if res.Shed != 0 {
 		t.Fatalf("%d sheds under uncontended Poisson load", res.Shed)
-	}
-	if router.Fallbacks() != 0 {
-		t.Fatalf("%d router fallbacks with both arms registered", router.Fallbacks())
 	}
 
 	// Split exactness: WRR gives cand exactly 3 of every 10 picks.

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"recsys/internal/engine"
 	"recsys/internal/model"
+	"recsys/internal/online"
 	"recsys/internal/scenario"
 	"recsys/internal/stats"
 	"recsys/internal/train"
@@ -44,6 +46,16 @@ func newTeacher(t *testing.T, cfg model.Config, seed uint64) *train.Teacher {
 		t.Fatal(err)
 	}
 	return teacher
+}
+
+// routed ranks each request the way serve routes a bare POST /rank: on
+// the arm router.Pick returns, reported as the arm that served it.
+func routed(eng *engine.Engine, router *online.ABRouter) scenario.RankFunc {
+	return func(ctx context.Context, req model.Request) ([]float32, string, error) {
+		arm := router.Pick()
+		out, err := eng.Rank(ctx, arm, req)
+		return out, arm, err
+	}
 }
 
 // genRefs records a detached clone of the model published at each swap

@@ -48,7 +48,7 @@ func TestOnlineABLeavesNoGoroutines(t *testing.T) {
 	cfg := spec.Config()
 	res, err := scenario.Run(scenario.Config{
 		Engine:     stk.Engine,
-		Rank:       stk.Updater.Router().Rank,
+		Rank:       routed(stk.Engine, stk.Updater.Router()),
 		NewRequest: func(rng *stats.RNG) model.Request { return model.NewRandomRequest(cfg, 2, rng) },
 		Arrivals:   arrivals,
 		Requests:   300,

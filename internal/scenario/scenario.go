@@ -1,11 +1,12 @@
 // Package scenario is a reusable chaos/scenario harness for the serving
 // stack: a traffic driver that replays an arrival process against an
-// engine (or any RankFunc, e.g. an online.ABRouter), fault-injection
-// helpers (Storm) that fire hot swaps, quantize-swaps, or shard stalls
-// while traffic is in flight, and invariant checkers that prove the
-// safety properties the online-learning pipeline depends on: no
-// non-shed errors, bounded tail latency, per-generation bit-identical
-// scores, and no mixed model/cache generations.
+// engine (or any RankFunc, e.g. one that ranks on an online.ABRouter's
+// picks), fault-injection helpers (Storm) that fire hot swaps,
+// quantize-swaps, or shard stalls while traffic is in flight, and
+// invariant checkers that prove the safety properties the
+// online-learning pipeline depends on: no non-shed errors, bounded tail
+// latency, per-generation bit-identical scores, and no mixed
+// model/cache generations.
 //
 // Tests compose the three parts: drive traffic with Run, storm faults
 // with Storm, then assert over the Result's samples and counters with
@@ -26,8 +27,7 @@ import (
 )
 
 // RankFunc scores one request, reporting which registry entry served
-// it. engine.Rank is adapted automatically when Config.Rank is nil;
-// online.ABRouter.Rank matches directly.
+// it. engine.Rank is adapted automatically when Config.Rank is nil.
 type RankFunc func(ctx context.Context, req model.Request) (scores []float32, served string, err error)
 
 // Config parameterizes one traffic run.
@@ -37,8 +37,8 @@ type Config struct {
 	// Model is the registry entry to drive ("" = engine default). Used
 	// both for the default RankFunc and for generation snapshots.
 	Model string
-	// Rank overrides the default engine.Rank adapter — e.g. a router's
-	// Rank for A/B scenarios. Generation snapshots still track Model.
+	// Rank overrides the default engine.Rank adapter — e.g. ranking on
+	// an A/B router's picks. Generation snapshots still track Model.
 	Rank RankFunc
 	// NewRequest builds one request; rng is the driver's own (requests
 	// are composed serially, so a non-concurrency-safe generator is

@@ -41,7 +41,8 @@ import (
 // Target is the controllable serving surface. *engine.Engine
 // implements it; tests substitute a synthetic latency model.
 type Target interface {
-	// Models lists the tunable model names.
+	// Models lists the tunable model names. A listed model is never
+	// removed, so the controller never forgets one.
 	Models() []string
 	// Policy returns one model's current batch policy.
 	Policy(name string) (batch.Policy, error)
@@ -181,21 +182,13 @@ func (c *Controller) Step() {
 	names := c.t.Models()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	live := make(map[string]bool, len(names))
 	for _, name := range names {
-		live[name] = true
 		st := c.models[name]
 		if st == nil {
 			st = &modelState{step: 1}
 			c.models[name] = st
 		}
 		c.stepModel(name, st)
-	}
-	// Forget unregistered models so their cursors cannot leak.
-	for name := range c.models {
-		if !live[name] {
-			delete(c.models, name)
-		}
 	}
 }
 
@@ -204,7 +197,7 @@ func (c *Controller) Step() {
 func (c *Controller) stepModel(name string, st *modelState) {
 	snap, err := c.t.LatencySnapshot(name)
 	if err != nil {
-		return // unregistered between Models() and here
+		return // a Target may refuse a name; leave this model as it was
 	}
 	delta := snap.Sub(st.prev)
 	st.prev = snap

@@ -21,9 +21,8 @@ type fakeTarget struct {
 	pol   batch.Policy
 	hist  *obs.Histogram
 	curve func(maxBatch int) time.Duration
-	feed  int  // observations simulated per window
-	sets  int  // SetPolicy calls seen
-	gone  bool // simulate the model unregistering
+	feed  int // observations simulated per window
+	sets  int // SetPolicy calls seen
 }
 
 // fineBounds is a 25µs-granularity latency layout up to 20ms, so
@@ -46,13 +45,8 @@ func newFakeTarget(depth, startBatch int, curve func(int) time.Duration) *fakeTa
 	}
 }
 
-func (f *fakeTarget) Models() []string {
-	if f.gone {
-		return nil
-	}
-	return []string{"m"}
-}
-func (f *fakeTarget) QueueDepth() int { return f.depth }
+func (f *fakeTarget) Models() []string { return []string{"m"} }
+func (f *fakeTarget) QueueDepth() int  { return f.depth }
 
 func (f *fakeTarget) policy() batch.Policy {
 	f.mu.Lock()
@@ -321,22 +315,6 @@ func TestStartStop(t *testing.T) {
 	c.Stop() // idempotent
 	if st := c.Snapshot(); len(st) == 0 || st[0].Window == 0 {
 		t.Fatalf("background loop never produced a trusted window: %+v", st)
-	}
-}
-
-// TestForgetsUnregisteredModels: cursors for models that disappear from
-// Models() must be dropped, not leaked.
-func TestForgetsUnregisteredModels(t *testing.T) {
-	ft := newFakeTarget(128, 4, linear(200*time.Microsecond, 40*time.Microsecond))
-	c := newTestController(t, ft, Config{SLA: 2 * time.Millisecond})
-	c.Step()
-	if len(c.Snapshot()) != 1 {
-		t.Fatalf("expected 1 model state, got %d", len(c.Snapshot()))
-	}
-	ft.gone = true
-	c.Step()
-	if len(c.Snapshot()) != 0 {
-		t.Fatalf("expected model state dropped after unregistration")
 	}
 }
 

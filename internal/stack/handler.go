@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"recsys/internal/engine"
 	"recsys/internal/online"
 )
 
@@ -39,7 +38,7 @@ func (s *Stack) Handler() http.Handler {
 		handler = mux
 	}
 	if s.Updater != nil && s.Updater.Router() != nil {
-		handler = abMiddleware(s.Engine, s.Updater.Router(), handler)
+		handler = abMiddleware(s.Updater.Router(), handler)
 	}
 	return handler
 }
@@ -48,19 +47,13 @@ func (s *Stack) Handler() http.Handler {
 // updater's A/B arms by rewriting them to POST /rank/{arm} before the
 // engine handler sees them: the canary takes its configured share of
 // default-model traffic while explicit /rank/{model} requests pass
-// through untouched. An arm that vanished between pick and dispatch (a
-// promotion racing traffic) falls back to the primary.
-func abMiddleware(eng *engine.Engine, router *online.ABRouter, next http.Handler) http.Handler {
+// through untouched. Every arm stays registered, so a promotion racing
+// traffic fails no request.
+func abMiddleware(router *online.ABRouter, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && (r.URL.Path == "/rank" || r.URL.Path == "/rank/") {
-			arm := router.Pick()
-			if arm != router.Primary() {
-				if _, err := eng.Model(arm); err != nil {
-					arm = router.Primary()
-				}
-			}
 			r2 := r.Clone(r.Context())
-			r2.URL.Path = "/rank/" + arm
+			r2.URL.Path = "/rank/" + router.Pick()
 			next.ServeHTTP(w, r2)
 			return
 		}

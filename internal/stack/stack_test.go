@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,9 +119,10 @@ func rankBody(m *model.Model, batch int) []byte {
 }
 
 // TestOnlineABWiring: with -online -online-ab the updater is built over
-// the default model, its families join /metrics, its canary inherits the
-// registration policy (-split included), and the handler spreads bare
-// POST /rank across the two arms.
+// the default model, GET /models lists its canary slot from bring-up,
+// its families join /metrics, its canary inherits the registration
+// policy (-split included), and the handler spreads bare POST /rank
+// across the two arms.
 func TestOnlineABWiring(t *testing.T) {
 	st := start(t, Config{
 		Models: specs(t, "rmc1"), Seed: 1, Workers: 2, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
@@ -126,19 +131,36 @@ func TestOnlineABWiring(t *testing.T) {
 	if st.Updater == nil || st.Clicks == nil || st.Updater.Router() == nil {
 		t.Fatalf("updater %v, buffer %v: -online -online-ab started neither", st.Updater, st.Clicks)
 	}
+	srv := httptest.NewServer(st.Handler())
+	defer srv.Close()
+	canary := engine.DefaultModelName + "-next"
+	// The canary slot is registered at bring-up, before any cycle.
+	resp, err := http.Get(srv.URL + "/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed struct {
+		Models  []string `json:"models"`
+		Default string   `json:"default"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&listed)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{engine.DefaultModelName, canary}; !slices.Equal(listed.Models, want) || listed.Default != engine.DefaultModelName {
+		t.Fatalf("GET /models before the first cycle: %+v, want models %v, default %q", listed, want, engine.DefaultModelName)
+	}
 	// One cycle by hand (the hour-long interval never fires) publishes
 	// the first canary.
 	if _, err := st.Updater.RunCycle(); err != nil {
 		t.Fatal(err)
 	}
-	canary := engine.DefaultModelName + "-next"
 	want, _ := st.Engine.Policy(engine.DefaultModelName)
 	if got, err := st.Engine.Policy(canary); err != nil || got != want || got.SplitAbove != 2 {
 		t.Fatalf("canary policy %+v (err %v), want the primary's %+v", got, err, want)
 	}
 
-	srv := httptest.NewServer(st.Handler())
-	defer srv.Close()
 	m, err := st.Engine.Model(engine.DefaultModelName)
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +190,93 @@ func TestOnlineABWiring(t *testing.T) {
 	if st.Clicks.Fed() != 8 {
 		t.Errorf("serve tap labeled %d samples, want 8", st.Clicks.Fed())
 	}
+}
+
+// TestOnlineABPromotionFailsNoRequest: under -online -online-ab, bare
+// POST /rank traffic from eight clients runs through a hundred canary
+// cycles, each of which promotes the previous canary while requests
+// routed to it are queued or in a pass. Every response is 200: a
+// promotion only swaps models, so the canary slot a request was routed
+// to still serves it.
+func TestOnlineABPromotionFailsNoRequest(t *testing.T) {
+	st := start(t, Config{
+		Models: specs(t, "rmc1"), Seed: 1, Workers: 2, MaxBatch: 4, MaxWait: 200 * time.Microsecond,
+		Online: true, OnlineInterval: time.Hour, OnlineAB: 50,
+		OnlineSteps: 1, OnlineBatch: 4, OnlineBuffer: 64,
+	})
+	srv := httptest.NewServer(st.Handler())
+	defer srv.Close()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
+	defer client.CloseIdleConnections()
+	m, err := st.Engine.Model(engine.DefaultModelName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := rankBody(m, 1)
+
+	const clients, cycles = 8, 100
+	var sent, failed atomic.Int64
+	var firstErr atomic.Pointer[string]
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := client.Post(srv.URL+"/rank", "application/json", bytes.NewReader(body))
+				sent.Add(1)
+				if err != nil {
+					msg := err.Error()
+					failed.Add(1)
+					firstErr.CompareAndSwap(nil, &msg)
+					continue
+				}
+				b, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					msg := fmt.Sprintf("status %d: %s", resp.StatusCode, b)
+					failed.Add(1)
+					firstErr.CompareAndSwap(nil, &msg)
+				}
+			}
+		}()
+	}
+	// Between cycles the clients send one request each, so about half
+	// of them are on the canary arm when the next cycle promotes it.
+	var promotions int
+	deadline := time.Now().Add(20 * time.Second)
+	for range cycles {
+		res, err := st.Updater.RunCycle()
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		if res.Promoted {
+			promotions++
+		}
+		for want := sent.Load() + clients; sent.Load() < want && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d of %d POST /rank failed across %d promotions (first: %s)", n, sent.Load(), promotions, *firstErr.Load())
+	}
+	canary, err := st.Engine.ModelStats(engine.DefaultModelName + "-next")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if promotions < cycles-1 || canary.Requests == 0 {
+		t.Fatalf("%d promotions, %d requests served by the canary: the A/B loop never ran under traffic", promotions, canary.Requests)
+	}
+	t.Logf("%d requests, %d on the canary, %d promotions", sent.Load(), canary.Requests, promotions)
 }
 
 // int8Alone fails unless every table of m holds int8 rows and no fp32
