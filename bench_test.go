@@ -377,6 +377,8 @@ func benchmarkSLS(b *testing.B, workers int) {
 // hot head stays resident across batches while the tail churns.
 type slsGatherBench struct {
 	rows      int     // table height (0 = 100k)
+	cols      int     // table width (0 = 64)
+	batch     int     // samples per gather (0 = 64)
 	s         float64 // Zipf skew (0 = uniform)
 	int8Table bool    // row-wise int8 table instead of fp32
 	planned   bool    // gather through a syncSource: dedup plan + staged accumulate
@@ -399,12 +401,18 @@ func (s *syncSource) BeginGather(ids []int64, dstRows []int32, dst *tensor.Tenso
 func (s *syncSource) Wait() (bool, error) { return false, nil }
 
 func benchmarkSLSGather(b *testing.B, cfg slsGatherBench) {
-	rows := cfg.rows
+	rows, cols, batch := cfg.rows, cfg.cols, cfg.batch
 	if rows == 0 {
 		rows = 100_000
 	}
+	if cols == 0 {
+		cols = 64
+	}
+	if batch == 0 {
+		batch = 64
+	}
 	rng := stats.NewRNG(7)
-	table := nn.NewEmbeddingTable("bench", rows, 64, rng)
+	table := nn.NewEmbeddingTable("bench", rows, cols, rng)
 	op := nn.NewSLSOp(table, 80)
 	if cfg.int8Table {
 		op.Quant = nn.Quantize(table)
@@ -414,7 +422,7 @@ func benchmarkSLSGather(b *testing.B, cfg slsGatherBench) {
 		op.SetRowStore(&syncSource{op.LocalStore()})
 		if cfg.cacheRows > 0 {
 			var err error
-			if cache, err = embcache.NewConcurrent(cfg.cacheRows, 64, "lru", 1); err != nil {
+			if cache, err = embcache.NewConcurrent(cfg.cacheRows, cols, "lru", 1); err != nil {
 				b.Fatal(err)
 			}
 			op.SetRowCache(cache)
@@ -430,7 +438,7 @@ func benchmarkSLSGather(b *testing.B, cfg slsGatherBench) {
 	// set far exceeds the cache, or steady state degenerates into a
 	// pure replay where even the coldest tail row is resident and the
 	// hit rate reads ~100%.
-	const batch, nSets = 64, 64
+	const nSets = 64
 	sets := make([][]int, nSets)
 	for i := range sets {
 		sets[i] = make([]int, batch*op.Lookups)
@@ -454,13 +462,16 @@ func benchmarkSLSGather(b *testing.B, cfg slsGatherBench) {
 	}
 }
 
-// The plan-free local gather, fp32 and int8 (the fused
-// dequantize-accumulate kernel), on Zipf(1.1) and uniform IDs. The
-// int8 Zipf case is the gated sls_gather_zipf_b64: what rmc2_zipf
-// serves.
+// The plan-free local gather, fp32 and int8 (tensor.PoolRowsI8, one
+// call per bag), on Zipf(1.1) and uniform IDs. The 64-column int8 Zipf
+// case is the gated sls_gather_zipf_b64; the Dim32 one is the shape
+// rmc2_zipf serves (150k × 32 rows, batch 16), ungated.
 func BenchmarkSLSGatherZipf(b *testing.B) { benchmarkSLSGather(b, slsGatherBench{s: 1.1}) }
 func BenchmarkSLSGatherZipfInt8(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{s: 1.1, int8Table: true})
+}
+func BenchmarkSLSGatherZipfInt8Dim32(b *testing.B) {
+	benchmarkSLSGather(b, slsGatherBench{rows: 150_000, cols: 32, batch: 16, s: 1.1, int8Table: true})
 }
 func BenchmarkSLSGatherUniformInt8(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{int8Table: true})

@@ -169,14 +169,19 @@ func LoadFile(path string) (*Model, error) {
 	return Load(f, fi.Size())
 }
 
-// paramBlock is one parameter slice: fp32 values, or (i8 non-nil) an
-// int8 table's codes.
+// paramBlock is one parameter block: fp32 values, or (rows non-nil) a
+// strided view of an int8 table's fused rows (nn.QuantizedTable): the
+// width bytes at byte at of every stride-byte row, elements of esize
+// bytes each. A table's codes (esize 1), per-row scales and per-row
+// offsets (esize 4, little-endian as the file holds them) are three
+// views of one buffer.
 type paramBlock struct {
-	f32 []float32
-	i8  []int8
+	f32                      []float32
+	rows                     []byte
+	stride, at, width, esize int
 }
 
-// paramBlocks returns every parameter slice in a fixed, documented
+// paramBlocks returns every parameter block in a fixed, documented
 // order: bottom FCs (W then b, layer order), then each embedding table
 // as its op holds it (the fp32 rows W, or the int8 codes, per-row
 // scales and per-row offsets), then top FCs. Save, Load, Clone and
@@ -196,8 +201,11 @@ func (m *Model) paramBlocks() []paramBlock {
 			blocks = append(blocks, paramBlock{f32: op.Table.W.Data()})
 			continue
 		}
-		codes, scale, offset := op.Quant.Data()
-		blocks = append(blocks, paramBlock{i8: codes}, paramBlock{f32: scale}, paramBlock{f32: offset})
+		rows, stride := op.Quant.RowBytes()
+		view := func(at, width, esize int) paramBlock {
+			return paramBlock{rows: rows, stride: stride, at: at, width: width, esize: esize}
+		}
+		blocks = append(blocks, view(8, op.Quant.Cols, 1), view(0, 4, 4), view(4, 4, 4))
 	}
 	addFCs(m.Top)
 	return blocks
@@ -205,25 +213,64 @@ func (m *Model) paramBlocks() []paramBlock {
 
 // len is the block's element count, size its bytes per element.
 func (b paramBlock) len() int {
-	if b.i8 != nil {
-		return len(b.i8)
+	if b.rows != nil {
+		return len(b.rows) / b.stride * (b.width / b.esize)
 	}
 	return len(b.f32)
 }
 
 func (b paramBlock) size() int {
-	if b.i8 != nil {
-		return 1
+	if b.rows != nil {
+		return b.esize
 	}
 	return 4
 }
 
 // String names the block's length and dtype.
 func (b paramBlock) String() string {
-	if b.i8 != nil {
+	if b.size() == 1 {
 		return fmt.Sprintf("%d int8", b.len())
 	}
 	return fmt.Sprintf("%d fp32", b.len())
+}
+
+// appendBytes appends elements [lo, hi) to p as a checkpoint holds
+// them: int8 codes as bytes, fp32 values little-endian.
+func (b paramBlock) appendBytes(p []byte, lo, hi int) []byte {
+	if b.rows == nil {
+		for _, v := range b.f32[lo:hi] {
+			p = binary.LittleEndian.AppendUint32(p, math.Float32bits(v))
+		}
+		return p
+	}
+	b.eachRun(lo, hi, func(run []byte) { p = append(p, run...) })
+	return p
+}
+
+// setBytes stores p, elements as appendBytes emits them, from element
+// lo on.
+func (b paramBlock) setBytes(lo int, p []byte) {
+	hi := lo + len(p)/b.size()
+	if b.rows == nil {
+		for i := range b.f32[lo:hi] {
+			b.f32[lo+i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
+		}
+		return
+	}
+	b.eachRun(lo, hi, func(run []byte) { p = p[copy(run, p):] })
+}
+
+// eachRun calls f, in order, on the contiguous byte runs of a view
+// that hold elements [lo, hi): at most one run per row.
+func (b paramBlock) eachRun(lo, hi int, f func(run []byte)) {
+	perRow := b.width / b.esize
+	for i := lo; i < hi; {
+		r, j := i/perRow, i%perRow
+		k := min(perRow-j, hi-i)
+		o := r*b.stride + b.at + j*b.esize
+		f(b.rows[o : o+k*b.esize])
+		i += k
+	}
 }
 
 // blockChunk is the element count one buffered write or read converts.
@@ -238,18 +285,7 @@ func (b paramBlock) write(w io.Writer) error {
 	}
 	buf := make([]byte, 0, b.size()*blockChunk)
 	for off := 0; off < n; off += blockChunk {
-		end := min(off+blockChunk, n)
-		p := buf[:0]
-		if b.i8 != nil {
-			for _, v := range b.i8[off:end] {
-				p = append(p, byte(v))
-			}
-		} else {
-			for _, v := range b.f32[off:end] {
-				p = binary.LittleEndian.AppendUint32(p, math.Float32bits(v))
-			}
-		}
-		if _, err := w.Write(p); err != nil {
+		if _, err := w.Write(b.appendBytes(buf[:0], off, min(off+blockChunk, n))); err != nil {
 			return err
 		}
 	}
@@ -268,20 +304,11 @@ func (b paramBlock) read(r io.Reader) error {
 	}
 	buf := make([]byte, b.size()*blockChunk)
 	for off := 0; off < b.len(); off += blockChunk {
-		end := min(off+blockChunk, b.len())
-		p := buf[:b.size()*(end-off)]
+		p := buf[:b.size()*(min(off+blockChunk, b.len())-off)]
 		if _, err := io.ReadFull(r, p); err != nil {
 			return err
 		}
-		if b.i8 != nil {
-			for i, v := range p {
-				b.i8[off+i] = int8(v)
-			}
-			continue
-		}
-		for i := range end - off {
-			b.f32[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
-		}
+		b.setBytes(off, p)
 	}
 	return nil
 }

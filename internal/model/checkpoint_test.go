@@ -2,9 +2,11 @@ package model
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -215,5 +217,65 @@ func TestCheckpointLoadsVersion1(t *testing.T) {
 	}
 	if !bytes.Equal(saveBytes(t, m), v2) {
 		t.Fatal("version-1 load re-saves to other bytes than the model's version-2 save")
+	}
+}
+
+// TestCheckpointInt8BytesPinned pins what Save writes for two int8
+// models (SHA-256 of the whole file) and what their tables pool (SHA-256
+// of every table's SLS output, on each kernel tier), then checks that
+// Load of those bytes scores bit-identically to the saved model. The
+// round-trip tests would pass if Save and Load changed together; this
+// one fails if the bytes of format version 2, or the pooled values,
+// move at all — whatever layout the tables take in memory.
+func TestCheckpointInt8BytesPinned(t *testing.T) {
+	prev := tensor.KernelTier()
+	defer func() { _ = tensor.SetKernel(prev) }()
+	for _, c := range []struct {
+		cfg       Config
+		size      int
+		file, sls string
+	}{
+		{RMC1Small().Scaled(500), 220779,
+			"ac44752877d60b2455a4e1764c6ea9b157a6cb645125c6c3eac3c39947a3a173",
+			"c0679e7608060753c9e239be59c4746cbe3948648bb7b50bfe71f2d31ff4b1bb"},
+		{RMC2Small().Scaled(1000), 2642432,
+			"0f3ea9011935c485265fb864e4f078ba8fa711a88fe95280a5f438d3168a69ce",
+			"611fdfe3ab7a75ebd0347553013b071ff169507adcb1127bc85b21f9d52f424e"},
+	} {
+		m, err := Build(c.cfg, stats.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.QuantizeTables()
+		file := saveBytes(t, m)
+		if sum := fmt.Sprintf("%x", sha256.Sum256(file)); len(file) != c.size || sum != c.file {
+			t.Errorf("%s: Save wrote %d bytes, SHA-256 %s; want %d, %s", c.cfg.Name, len(file), sum, c.size, c.file)
+		}
+		loaded, err := Load(bytes.NewReader(file), int64(len(file)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := NewRandomRequest(c.cfg, 8, stats.NewRNG(2))
+		for _, tier := range []string{tensor.KernelGo, tensor.KernelAVX2} {
+			if !tensor.KernelSupported(tier) {
+				continue
+			}
+			if err := tensor.SetKernel(tier); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for i, op := range loaded.SLS {
+				for _, v := range op.ForwardEx(req.SparseIDs[i], 8, nil, 1).Data() {
+					h.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+				}
+			}
+			if sum := fmt.Sprintf("%x", h.Sum(nil)); sum != c.sls {
+				t.Errorf("%s %s: pooled tables hash to %s, want %s", c.cfg.Name, tier, sum, c.sls)
+			}
+			a := tensor.NewArena()
+			if !bitsEqual(loaded.AppendCTR(nil, req, a, 1), m.AppendCTR(nil, req, a, 1)) || !bitsEqual(loaded.CTR(req), m.CTR(req)) {
+				t.Errorf("%s %s: the loaded model scores differently from the saved one", c.cfg.Name, tier)
+			}
+		}
 	}
 }

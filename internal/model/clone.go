@@ -43,9 +43,16 @@ func (dst *Model) CopyWeightsFrom(src *Model) error {
 			return fmt.Errorf("model: parameter block %d holds %s, want %s", i, sb[i], db[i])
 		}
 	}
+	var buf []byte
 	for i := range db {
-		copy(db[i].f32, sb[i].f32)
-		copy(db[i].i8, sb[i].i8)
+		if db[i].rows == nil {
+			copy(db[i].f32, sb[i].f32)
+			continue
+		}
+		for off, n := 0, db[i].len(); off < n; off += blockChunk {
+			buf = sb[i].appendBytes(buf[:0], off, min(off+blockChunk, n))
+			db[i].setBytes(off, buf)
+		}
 	}
 	dst.refreshDerived()
 	return nil

@@ -177,7 +177,7 @@ type SLSOp struct {
 	Table   *EmbeddingTable
 	Lookups int // sparse IDs pooled per sample
 	// Quant, when non-nil, holds the table's int8 row-wise rows, which
-	// every gather reads (the fused dequantize-accumulate kernel) in
+	// every gather reads (tensor.PoolRowsI8, one call per bag) in
 	// place of Table.W. A model holds each table once: fp32 in Table.W,
 	// which can be trained, or int8 here with Table shape-only (W nil),
 	// which can only be served (model.QuantizeTables converts the one
@@ -237,10 +237,10 @@ func (s *SLSOp) ForwardEx(ids []int, batch int, a *tensor.Arena, workers int) *t
 
 // gatherLocal is the one gather over in-process tables: every
 // occurrence reads its row where it lies, fp32 rows through addRows,
-// int8 rows (Quant non-nil) through the fused dequantize-accumulate
-// kernel. No dedup plan, no staging, no cache: a row repeated within
-// the pass is a hit in the hardware's own hierarchy, which is closer
-// to the rows than any software cache in the same address space.
+// int8 rows (Quant non-nil) through tensor.PoolRowsI8, one call a bag.
+// No dedup plan, no staging, no cache: a row repeated within the pass
+// is a hit in the hardware's own hierarchy, which is closer to the rows
+// than any software cache in the same address space.
 func (s *SLSOp) gatherLocal(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
 	out := allocDense(a, batch, s.Table.Cols)
 	s.Table.validateIDs(ids)
@@ -270,9 +270,8 @@ func (s *SLSOp) poolRows(out *tensor.Tensor, ids []int, kLo, kHi int) {
 			addRows(row, s.Table.W.Data(), s.Table.Cols, rowIDs)
 			continue
 		}
-		for _, id := range rowIDs {
-			s.Quant.AccumRow(id, row)
-		}
+		rows, stride := s.Quant.RowBytes()
+		tensor.PoolRowsI8(row, rows, stride, rowIDs)
 	}
 }
 
@@ -280,8 +279,9 @@ func (s *SLSOp) poolRows(out *tensor.Tensor, ids []int, kLo, kHi int) {
 // elements and accumulates it (one add per element). The access pattern
 // is irregular — rows are scattered across a table far larger than any
 // cache — which is what produces the 8 MPKI LLC miss rates of Figure 5.
-// With an int8 table the row read shrinks to Cols bytes plus the
-// per-row scale/offset pair.
+// With an int8 table the row read shrinks to one contiguous run of
+// Cols code bytes plus the row's 8-byte scale/offset pair, stored
+// together (QuantizedTable), so the run is the row's whole memory cost.
 func (s *SLSOp) Stats(batch int) OpStats {
 	rowBytes := bytesF32(s.Table.Cols)
 	if s.Quant != nil {

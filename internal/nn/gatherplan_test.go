@@ -110,24 +110,41 @@ func TestForwardGatherBitIdentical(t *testing.T) {
 	}
 }
 
-// TestForwardQuantBitIdentical: the planned int8 gather (dedup +
-// cached dequantized rows) must match the naive per-occurrence dequant
-// reference bit for bit — dequantization is deterministic, so staging
-// a row once yields the same floats as dequantizing each occurrence.
+// TestForwardQuantBitIdentical: the local int8 gather (one
+// tensor.PoolRowsI8 call a bag) and the planned one (dedup + cached
+// dequantized rows), serial and parallel, must both match a
+// dequantize-then-add oracle bit for bit, at the served width 32, at 64,
+// and at 20, which is not a multiple of 8 — dequantization is
+// deterministic, so pooling a row in place, or staging it once, yields
+// the same floats as dequantizing each occurrence and adding it.
 func TestForwardQuantBitIdentical(t *testing.T) {
 	rng := stats.NewRNG(13)
-	table := NewEmbeddingTable("t", 400, 32, rng)
-	ref := NewSLSOp(table, 20)
-	ref.Quant = Quantize(table)
-	for _, cacheRows := range []int{0, 64} {
-		op := planned(t, ref, cacheRows, "lru", 2)
-		for name, gen := range gatherCases(table.Rows, rng) {
-			for pass := 0; pass < 3; pass++ {
-				ids := drawIDs(gen, 16, op.Lookups)
-				want := ref.Forward(ids, 16) // naive dequant reference
-				got := op.ForwardEx(ids, 16, nil, 1)
-				if !tensor.Equal(want, got, 0) {
-					t.Fatalf("cache=%d %s pass=%d: planned int8 gather differs from naive dequant", cacheRows, name, pass)
+	const batch = 16
+	for _, cols := range []int{32, 64, 20} {
+		table := NewEmbeddingTable("t", 400, cols, rng)
+		ref := NewSLSOp(table, 20)
+		ref.Quant = Quantize(table)
+		row := make([]float32, cols)
+		for _, cacheRows := range []int{0, 64} {
+			op := planned(t, ref, cacheRows, "lru", 2)
+			for name, gen := range gatherCases(table.Rows, rng) {
+				for _, workers := range []int{1, 4} {
+					for pass := 0; pass < 3; pass++ {
+						ids := drawIDs(gen, batch, op.Lookups)
+						want := tensor.New(batch, cols)
+						for i, id := range ids {
+							ref.Quant.Row(id, row)
+							for c, v := range row {
+								want.Row(i / op.Lookups)[c] += v
+							}
+						}
+						for path, gather := range map[string]*SLSOp{"local": ref, "planned": op} {
+							if got := gather.ForwardEx(ids, batch, nil, workers); !tensor.Equal(want, got, 0) {
+								t.Fatalf("cols=%d cache=%d %s workers=%d pass=%d: %s int8 gather differs from dequantize-then-add",
+									cols, cacheRows, name, workers, pass, path)
+							}
+						}
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -13,11 +14,14 @@ import (
 // calls for "aggressive compression and novel memory technologies" to
 // tame embedding capacity; row-wise int8 is the standard production
 // compression for serving embeddings.
+//
+// Each row is one contiguous run of Cols+8 bytes: its fp32 scale and
+// offset (little-endian), then its Cols codes — the layout
+// tensor.PoolRowsI8 pools, so a gathered row costs one memory access,
+// not one for the codes and another for the scale and offset.
 type QuantizedTable struct {
 	Rows, Cols int
-	codes      []int8
-	scale      []float32 // per row
-	offset     []float32 // per row
+	rows       []byte // Rows runs of Cols+8 bytes
 	label      string
 }
 
@@ -34,10 +38,8 @@ func Quantize(t *EmbeddingTable) *QuantizedTable {
 func newQuantizedTable(t *EmbeddingTable) *QuantizedTable {
 	return &QuantizedTable{
 		Rows: t.Rows, Cols: t.Cols,
-		codes:  make([]int8, t.Rows*t.Cols),
-		scale:  make([]float32, t.Rows),
-		offset: make([]float32, t.Rows),
-		label:  t.label + "/int8",
+		rows:  make([]byte, t.Rows*(t.Cols+8)),
+		label: t.label + "/int8",
 	}
 }
 
@@ -64,28 +66,36 @@ func (q *QuantizedTable) QuantizeRow(r int, src []float32) {
 	if scale == 0 {
 		scale = 1e-8 // constant row: all codes map to lo
 	}
-	q.scale[r] = scale
-	q.offset[r] = lo
-	codes := q.codes[r*q.Cols : (r+1)*q.Cols]
+	row := q.row(r)
+	binary.LittleEndian.PutUint32(row, math.Float32bits(scale))
+	binary.LittleEndian.PutUint32(row[4:], math.Float32bits(lo))
+	codes := row[8:]
 	for c, v := range src {
 		code := math.Round(float64((v - lo) / scale))
-		codes[c] = int8(code - 128)
+		codes[c] = byte(int8(code - 128))
 	}
 }
 
 // Name returns the table label.
 func (q *QuantizedTable) Name() string { return q.label }
 
-// Data returns the table's storage, shared, not copied: the codes
-// (Rows×Cols, row-major) and the per-row scales and offsets. A
-// checkpoint writes and reads the three as they are stored.
-func (q *QuantizedTable) Data() (codes []int8, scale, offset []float32) {
-	return q.codes, q.scale, q.offset
+// RowBytes returns the table's storage, shared, not copied: Rows runs
+// of stride = Cols+8 bytes, each the row's scale and offset, then its
+// codes. A checkpoint writes and reads the three as separate blocks
+// through strided views of it.
+func (q *QuantizedTable) RowBytes() (rows []byte, stride int) {
+	return q.rows, q.Cols + 8
 }
 
-// Row dequantizes row r into dst (length Cols). The kernel
-// (tensor.DequantI8) is bit-identical across tiers: the AVX2 path
-// converts 8 codes per step but keeps the scalar operation order.
+// row returns row r's run of Cols+8 bytes.
+func (q *QuantizedTable) row(r int) []byte {
+	rows, stride := q.RowBytes()
+	return rows[r*stride : (r+1)*stride]
+}
+
+// Row dequantizes row r into dst (length Cols) with
+// tensor.DequantRowI8: the values tensor.PoolRowsI8 adds when it pools
+// the row, bit for bit.
 func (q *QuantizedTable) Row(r int, dst []float32) {
 	if r < 0 || r >= q.Rows {
 		panic(fmt.Sprintf("nn: quantized row %d out of range [0,%d)", r, q.Rows))
@@ -93,20 +103,7 @@ func (q *QuantizedTable) Row(r int, dst []float32) {
 	if len(dst) != q.Cols {
 		panic(fmt.Sprintf("nn: dst length %d, want %d", len(dst), q.Cols))
 	}
-	tensor.DequantI8(dst, q.codes[r*q.Cols:(r+1)*q.Cols], q.scale[r], q.offset[r])
-}
-
-// AccumRow adds dequantized row r into dst (length Cols) without
-// staging it — the fused dequantize-accumulate kernel. Per element it
-// produces exactly Row-then-add bits on every tier.
-func (q *QuantizedTable) AccumRow(r int, dst []float32) {
-	if r < 0 || r >= q.Rows {
-		panic(fmt.Sprintf("nn: quantized row %d out of range [0,%d)", r, q.Rows))
-	}
-	if len(dst) != q.Cols {
-		panic(fmt.Sprintf("nn: dst length %d, want %d", len(dst), q.Cols))
-	}
-	tensor.DequantAccumI8(dst, q.codes[r*q.Cols:(r+1)*q.Cols], q.scale[r], q.offset[r])
+	tensor.DequantRowI8(dst, q.row(r))
 }
 
 // MaxAbsError returns the worst-case dequantization error of the table

@@ -64,7 +64,7 @@ func TestQuantizedStorageSavings(t *testing.T) {
 	e := NewEmbeddingTable("emb", 10000, 32, rng)
 	q := Quantize(e)
 	fp32 := 4 * len(e.W.Data())
-	i8 := len(q.codes) + 4*(len(q.scale)+len(q.offset))
+	i8 := len(q.rows)
 	ratio := float64(fp32) / float64(i8)
 	if ratio < 3.0 || ratio > 4.0 {
 		t.Errorf("compression ratio %.2f, want ~3.5-4x", ratio)

@@ -16,7 +16,7 @@ import (
 // instead of two) and re-associates edge-row accumulation, so fp32
 // GEMM results differ from the Go tier by a relative epsilon
 // (FloatsClose is the shared assert for that comparison). The SLS
-// kernels (AddF32, DequantI8) deliberately avoid FMA and keep the
+// kernels (AddF32, PoolRowsI8) deliberately avoid FMA and keep the
 // per-element operation order, and the int8 kernels are integer
 // arithmetic — all three are bit-identical across tiers.
 const (

@@ -16,10 +16,7 @@ func gemmKernel1x8(a *float32, tile *float32, c *float32, kc int)
 func addF32(dst, src *float32, n int)
 
 //go:noescape
-func dequantI8(dst *float32, codes *int8, n int, scale, offset float32)
-
-//go:noescape
-func dequantAccumI8(dst *float32, codes *int8, n int, scale, offset float32)
+func poolRowsI8(dst *float32, rows *byte, stride int, ids *int, n, cols int)
 
 //go:noescape
 func gemmI8Kern4x8(a *int16, astride int, tile *int8, y *float32, ldy int, kq int, sx *float32, zp *int32, sw *float32, colSum *int32, bias *float32)

@@ -14,11 +14,7 @@ func addF32(dst, src *float32, n int) {
 	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
 }
 
-func dequantI8(dst *float32, codes *int8, n int, scale, offset float32) {
-	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
-}
-
-func dequantAccumI8(dst *float32, codes *int8, n int, scale, offset float32) {
+func poolRowsI8(dst *float32, rows *byte, stride int, ids *int, n, cols int) {
 	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
 }
 

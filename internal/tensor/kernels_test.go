@@ -1,13 +1,16 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // Equivalence policy (see cpu.go): fp32 GEMM comparisons between the
 // AVX2/FMA tier and the Go reference use FloatsClose — fused rounding
-// differs legitimately — while AddF32 and DequantI8 must be
+// differs legitimately — while AddF32 and PoolRowsI8 must be
 // bit-identical across tiers. The pure-Go tier is bit-exact by
 // definition (it IS the reference).
 
@@ -181,73 +184,139 @@ func TestAddF32BitIdentical(t *testing.T) {
 	}
 }
 
-func TestDequantI8BitIdentical(t *testing.T) {
-	requireAVX2(t)
+// randI8Rows returns n fused int8 rows of cols codes at the given
+// stride: scale, offset, codes, and junk in any padding past them.
+func randI8Rows(rng *rand.Rand, n, cols, stride int) []byte {
+	rows := make([]byte, n*stride)
+	rng.Read(rows)
+	for r := 0; r < n; r++ {
+		row := rows[r*stride:]
+		binary.LittleEndian.PutUint32(row, math.Float32bits(float32(rng.Float64()*0.01)))
+		binary.LittleEndian.PutUint32(row[4:], math.Float32bits(float32(rng.NormFloat64())))
+	}
+	return rows
+}
+
+// TestDequantRowI8BitIdentical: DequantRowI8 is the scalar formula,
+// and pooling one row into a zeroed dst gives the same bits on both
+// tiers.
+func TestDequantRowI8BitIdentical(t *testing.T) {
 	prev := KernelTier()
 	defer func() { _ = SetKernel(prev) }()
 	rng := rand.New(rand.NewSource(22))
 	for _, n := range []int{1, 7, 8, 9, 32, 33, 64, 127} {
-		codes := make([]int8, n)
-		for i := range codes {
-			codes[i] = int8(rng.Intn(256) - 128)
+		row := randI8Rows(rng, 1, n, n+8)
+		scale := math.Float32frombits(binary.LittleEndian.Uint32(row))
+		offset := math.Float32frombits(binary.LittleEndian.Uint32(row[4:]))
+		got := make([]float32, n)
+		DequantRowI8(got, row)
+		for i, b := range row[8:] {
+			want := float32((float32(int8(b))+128)*scale) + offset
+			if math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("n=%d: DequantRowI8[%d] = %v, want %v", n, i, got[i], want)
+			}
 		}
-		scale := float32(rng.Float64() * 0.01)
-		offset := float32(rng.NormFloat64())
-		dstGo := make([]float32, n)
-		dstAsm := make([]float32, n)
-		if err := SetKernel(KernelGo); err != nil {
-			t.Fatal(err)
-		}
-		DequantI8(dstGo, codes, scale, offset)
-		if err := SetKernel(KernelAVX2); err != nil {
-			t.Fatal(err)
-		}
-		DequantI8(dstAsm, codes, scale, offset)
-		for i := range dstGo {
-			if dstGo[i] != dstAsm[i] {
-				t.Fatalf("n=%d: DequantI8 tiers differ at %d: %v vs %v", n, i, dstGo[i], dstAsm[i])
+		for _, tier := range []string{KernelGo, KernelAVX2} {
+			if !KernelSupported(tier) {
+				continue
+			}
+			if err := SetKernel(tier); err != nil {
+				t.Fatal(err)
+			}
+			pooled := make([]float32, n)
+			PoolRowsI8(pooled, row, n+8, []int{0})
+			if !bitsEqualF32(pooled, got) {
+				t.Fatalf("n=%d %s: pooling one row into zeros differs from DequantRowI8", n, tier)
 			}
 		}
 	}
 }
 
-func TestDequantAccumI8BitIdentical(t *testing.T) {
-	requireAVX2(t)
+// TestPoolRowsI8BitIdentical: both tiers pool a bag to the same bits
+// as a per-row dequantize-then-add oracle, at every width from 1 to 72
+// (the register path's multiples of 8 up to 64, and the memory path's
+// rest), for bags of 0–80 IDs with repeats and the first and last
+// rows, into a non-zero dst, with and without padding in the stride.
+func TestPoolRowsI8BitIdentical(t *testing.T) {
 	prev := KernelTier()
 	defer func() { _ = SetKernel(prev) }()
 	rng := rand.New(rand.NewSource(24))
-	for _, n := range []int{1, 7, 8, 9, 32, 33, 64, 127} {
-		codes := make([]int8, n)
-		for i := range codes {
-			codes[i] = int8(rng.Intn(256) - 128)
-		}
-		scale := float32(rng.Float64() * 0.01)
-		offset := float32(rng.NormFloat64())
-		dstGo := randSlice(rng, n) // non-zero: the accumulate must match
-		dstAsm := make([]float32, n)
-		staged := make([]float32, n)
-		copy(dstAsm, dstGo)
-		staged2 := append([]float32(nil), dstGo...)
-		if err := SetKernel(KernelGo); err != nil {
-			t.Fatal(err)
-		}
-		DequantAccumI8(dstGo, codes, scale, offset)
-		// Fused must equal dequantize-then-AddF32 on the Go tier too.
-		DequantI8(staged, codes, scale, offset)
-		AddF32(staged2, staged)
-		if err := SetKernel(KernelAVX2); err != nil {
-			t.Fatal(err)
-		}
-		DequantAccumI8(dstAsm, codes, scale, offset)
-		for i := range dstGo {
-			if dstGo[i] != dstAsm[i] {
-				t.Fatalf("n=%d: DequantAccumI8 tiers differ at %d: %v vs %v", n, i, dstGo[i], dstAsm[i])
-			}
-			if dstGo[i] != staged2[i] {
-				t.Fatalf("n=%d: fused accumulate differs from dequant-then-add at %d", n, i)
+	const nRows = 50
+	for cols := 1; cols <= 72; cols++ {
+		for _, pad := range []int{0, 3} {
+			stride := cols + 8 + pad
+			rows := randI8Rows(rng, nRows, cols, stride)
+			for _, bag := range []int{0, 1, 2, 7, 8, 9, 17, 80} {
+				ids := make([]int, bag)
+				for i := range ids {
+					ids[i] = rng.Intn(nRows)
+				}
+				if bag >= 3 {
+					ids[0], ids[1], ids[bag-1] = 0, nRows-1, ids[2] // first, last, a repeat
+				}
+				init := randSlice(rng, cols)
+				want := slices.Clone(init)
+				deq := make([]float32, cols)
+				for _, id := range ids {
+					DequantRowI8(deq, rows[id*stride:id*stride+cols+8])
+					for i, v := range deq {
+						want[i] += v
+					}
+				}
+				for _, tier := range []string{KernelGo, KernelAVX2} {
+					if !KernelSupported(tier) {
+						continue
+					}
+					if err := SetKernel(tier); err != nil {
+						t.Fatal(err)
+					}
+					got := slices.Clone(init)
+					PoolRowsI8(got, rows, stride, ids)
+					if !bitsEqualF32(got, want) {
+						t.Fatalf("cols=%d stride=%d bag=%d %s: pooled row differs from dequantize-then-add", cols, stride, bag, tier)
+					}
+				}
 			}
 		}
 	}
+}
+
+// TestPoolRowsI8Panics: an ID outside the table or a stride too short
+// for dst panics on both tiers, before dst is touched.
+func TestPoolRowsI8Panics(t *testing.T) {
+	prev := KernelTier()
+	defer func() { _ = SetKernel(prev) }()
+	rows := randI8Rows(rand.New(rand.NewSource(25)), 4, 32, 40)
+	for _, tier := range []string{KernelGo, KernelAVX2} {
+		if !KernelSupported(tier) {
+			continue
+		}
+		if err := SetKernel(tier); err != nil {
+			t.Fatal(err)
+		}
+		for name, call := range map[string]func([]float32){
+			"id past end":  func(dst []float32) { PoolRowsI8(dst, rows, 40, []int{0, 4}) },
+			"negative id":  func(dst []float32) { PoolRowsI8(dst, rows, 40, []int{1, -1}) },
+			"short stride": func(dst []float32) { PoolRowsI8(dst, rows, 39, []int{0}) },
+		} {
+			dst := make([]float32, 32)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: no panic", tier, name)
+					}
+				}()
+				call(dst)
+			}()
+			if slices.ContainsFunc(dst, func(v float32) bool { return v != 0 }) {
+				t.Errorf("%s %s: dst written before the panic", tier, name)
+			}
+		}
+	}
+}
+
+func bitsEqualF32(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
 func TestFloatsClose(t *testing.T) {

@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // SIMDActive reports whether the assembly kernel tier is selected —
 // callers with their own tuned Go fallbacks (e.g. the fixed-width SLS
@@ -25,37 +29,66 @@ func AddF32(dst, src []float32) {
 	}
 }
 
-// DequantI8 computes dst[i] = (float32(codes[i])+128)·scale + offset —
-// the row-wise int8 embedding dequantization. The AVX2 path converts 8
-// codes per step but keeps the scalar operation order (add, multiply,
-// add — no FMA), so results are bit-identical across tiers.
-func DequantI8(dst []float32, codes []int8, scale, offset float32) {
-	if len(dst) != len(codes) {
-		panic(fmt.Sprintf("tensor: DequantI8 length mismatch %d vs %d", len(dst), len(codes)))
+// Row-wise int8 embedding rows (nn.QuantizedTable) are stored fused:
+// each row is one run of len(dst)+8 bytes, its fp32 scale and offset
+// (little-endian) followed by its int8 codes. Element i dequantizes to
+// (float32(code_i)+128)·scale + offset. Both kernels below compute that
+// with a separate multiply and add (no FMA) in this order on every
+// tier, so their results are bit-identical across tiers.
+
+// i8RowHeader is the bytes ahead of a fused row's codes: scale, offset.
+const i8RowHeader = 8
+
+// i8RowParams decodes a fused row's scale and offset.
+func i8RowParams(row []byte) (scale, offset float32) {
+	return math.Float32frombits(binary.LittleEndian.Uint32(row)),
+		math.Float32frombits(binary.LittleEndian.Uint32(row[4:]))
+}
+
+// DequantRowI8 writes the dequantized fused row (len(dst)+8 bytes) into
+// dst. The conversion to float32 of the product is explicit, and the Go
+// spec forbids fusing an explicitly rounded product into an FMA, so
+// this loop is the reference the AVX2 pooling kernel matches on any
+// GOAMD64 level.
+func DequantRowI8(dst []float32, row []byte) {
+	if len(row) != len(dst)+i8RowHeader {
+		panic(fmt.Sprintf("tensor: DequantRowI8 row of %d bytes for %d elements", len(row), len(dst)))
 	}
-	if useAVX2 && len(dst) > 0 {
-		dequantI8(&dst[0], &codes[0], len(dst), scale, offset)
-		return
-	}
-	for i, code := range codes {
-		dst[i] = (float32(code)+128)*scale + offset
+	scale, offset := i8RowParams(row)
+	for i, b := range row[i8RowHeader:] {
+		dst[i] = float32((float32(int8(b))+128)*scale) + offset
 	}
 }
 
-// DequantAccumI8 computes dst[i] += (float32(codes[i])+128)·scale +
-// offset — the fused dequantize-accumulate that pools an int8 row
-// without staging it. The AVX2 path dequantizes with DequantI8's exact
-// operation order and adds once, so results are bit-identical to
-// dequantize-then-AddF32 on every tier.
-func DequantAccumI8(dst []float32, codes []int8, scale, offset float32) {
-	if len(dst) != len(codes) {
-		panic(fmt.Sprintf("tensor: DequantAccumI8 length mismatch %d vs %d", len(dst), len(codes)))
+// PoolRowsI8 adds the dequantized fused rows ids[0], ids[1], … to dst
+// in ids order: row id is rows[id·stride : id·stride+len(dst)+8]. Per
+// element it adds exactly what DequantRowI8 writes, in the same order,
+// so a bag pooled here equals dequantize-then-add on every tier. It
+// panics on an ID outside [0, len(rows)/stride). On the AVX2 tier one
+// call pools the whole bag: for widths that are a multiple of 8 up to
+// 64 the output row stays in YMM registers across the bag, and the row
+// a fixed number of IDs ahead is prefetched (other widths load, add and
+// store dst per row).
+func PoolRowsI8(dst []float32, rows []byte, stride int, ids []int) {
+	if stride < len(dst)+i8RowHeader {
+		panic(fmt.Sprintf("tensor: PoolRowsI8 stride %d for %d elements", stride, len(dst)))
 	}
-	if useAVX2 && len(dst) > 0 {
-		dequantAccumI8(&dst[0], &codes[0], len(dst), scale, offset)
+	n := len(rows) / stride
+	for _, id := range ids {
+		if uint(id) >= uint(n) {
+			panic(fmt.Sprintf("tensor: PoolRowsI8 row %d out of range [0,%d)", id, n))
+		}
+	}
+	if useAVX2 && len(dst) > 0 && len(ids) > 0 {
+		poolRowsI8(&dst[0], &rows[0], stride, &ids[0], len(ids), len(dst))
 		return
 	}
-	for i, code := range codes {
-		dst[i] += (float32(code)+128)*scale + offset
+	for _, id := range ids {
+		row := rows[id*stride : id*stride+i8RowHeader+len(dst)]
+		scale, offset := i8RowParams(row)
+		codes := row[i8RowHeader:]
+		for i := range dst {
+			dst[i] += float32((float32(int8(codes[i]))+128)*scale) + offset
+		}
 	}
 }
