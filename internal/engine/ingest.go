@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -180,17 +182,9 @@ func (d *RankDecoder) scanSparse(s *bodyScanner, tables int) (err error) {
 			if !s.consume('[') {
 				return s.fail("sparse_ids: want an ID list")
 			}
-			for inList := !s.consume(']'); inList; {
-				id, err := s.int()
-				if err != nil {
+			if !s.consume(']') {
+				if d.ids, err = s.idList(d.ids); err != nil {
 					return err
-				}
-				d.ids = append(d.ids, id)
-				switch s.sep() {
-				case ']':
-					inList = false
-				case 0:
-					return s.fail("sparse_ids: want ',' or ']'")
 				}
 			}
 		}
@@ -429,6 +423,74 @@ func (s *bodyScanner) int() (int, error) {
 		return -int(v), nil
 	}
 	return int(v), nil
+}
+
+// idList appends the elements of a non-empty ID list to dst, from the
+// first element through the list's closing ']'. Each element is taken
+// by idRun when it can be and otherwise by one s.int()/s.sep() step.
+func (s *bodyScanner) idList(dst []int) ([]int, error) {
+	for {
+		var closed bool
+		if dst, s.i, closed = idRun(s.b, s.i, dst); closed {
+			return dst, nil
+		}
+		id, err := s.int()
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, id)
+		switch s.sep() {
+		case ']':
+			return dst, nil
+		case 0:
+			return dst, s.fail("sparse_ids: want ',' or ']'")
+		}
+	}
+}
+
+// idRun appends to ids the run of list elements that starts at b[i],
+// each one 0 or [1-9][0-9]{0,6} followed at once by ',' or ']', while
+// at least 8 bytes remain: the elements encoding/json writes for IDs
+// below 10^7. It reads each element as one little-endian uint64: a SWAR
+// mask of the bytes outside '0'-'9' finds the digit count, and three
+// multiply-shift steps fold the digits into the value. It returns the
+// grown ids, the offset after the last element it took, and whether
+// that element closed the list. Everything else — whitespace, '-',
+// null, a leading zero, 8 or more digits, '.', 'e', a short tail — it
+// leaves at i for one s.int()/s.sep() step, so what it takes is exactly
+// what that step would have taken, and every refusal and offset is
+// that step's.
+func idRun(b []byte, i int, ids []int) ([]int, int, bool) {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for len(b)-i >= 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		// A byte is a digit iff its low 7 bits are in [0x30, 0x39] and
+		// its high bit is clear. Adding 0x46 to a low-7-bit value sets
+		// bit 7 from 0x3a up, adding 0x50 sets it from 0x30 up, and
+		// neither sum carries out of its byte.
+		lo := w &^ highs
+		nondigit := (w | (lo + 0x46*ones) | ^(lo + 0x50*ones)) & highs
+		n := bits.TrailingZeros64(nondigit) >> 3
+		if n == 0 || byte(w) == '0' && n > 1 {
+			return ids, i, false
+		}
+		c := byte(w >> (8 * n)) // 0 when all 8 bytes are digits
+		if c != ',' && c != ']' {
+			return ids, i, false
+		}
+		// Shift the n digits to the top bytes, so the vacated low bytes
+		// read as leading zeros, then fold pairs, quads and octets.
+		v := (w & (0x0f * ones)) << (64 - 8*n)
+		v = (v * (10<<8 + 1) >> 8) & 0x00ff00ff00ff00ff
+		v = (v * (100<<16 + 1) >> 16) & 0x0000ffff0000ffff
+		v = v * (10000<<32 + 1) >> 32
+		ids = append(ids, int(v))
+		i += n + 1
+		if c == ']' {
+			return ids, i, true
+		}
+	}
+	return ids, i, false
 }
 
 // rankScratch is the reusable state of one POST /rank in flight: the

@@ -261,6 +261,25 @@ var decodeSeeds = []struct {
 	{`{"dense": [[1, 2]], "sparse_ids": [[-18446744073709551617, 0]]}`, false, false},
 	{`{"dense": [[1, 2]], "sparse_ids": [[184467440737095516167, 0]]}`, false, false},
 	{`{"dense": [[1, 2]], "sparse_ids": [[99999999999999999999999.5, 0]]}`, false, false},
+	// Compact ID lists long enough for idRun, and each shape inside one
+	// that it hands back to the scalar step.
+	{`{"sparse_ids":[[0,1,2,3,4,5,6,7,7,6,5,4,3,2,1,0],[3,2,1,0,0,1,2,3]]}`, false, true},
+	{`{"dense":[[1,2],[3,4],[5,6],[7,8]],"sparse_ids":[[7,6,5,4,3,2,1,0]]}`, true, false},
+	{`{"sparse_ids":[[9999999,10000000,1234567,12345678],[0,1]]}`, false, false},
+	{`{"sparse_ids":[[0,1,2,3,4,5,6,07],[0,1,2,3]]}`, false, false},
+	{`{"sparse_ids":[[0,1,2,3, 4,5,6,7],[0,1,2,3]]}`, false, true},
+	{`{"sparse_ids":[[0,1,2,3 ,4,5,6,7],[0,1,2,3]]}`, false, true},
+	{`{"sparse_ids":[[0,1,2,null,4,5,6,7],[0,1,2,3]]}`, false, true},
+	{`{"sparse_ids":[[0,1,2,-3,4,5,6,7],[0,1,2,3]]}`, false, false},
+	{`{"sparse_ids":[[0,1,2,-0,4,5,6,7],[0,1,2,3]]}`, false, true},
+	{`{"sparse_ids":[[0,1,2,3.0,4,5,6,7],[0,1,2,3]]}`, false, false},
+	{`{"sparse_ids":[[0,1,2,3e0,4,5,6,7],[0,1,2,3]]}`, false, false},
+	{`{"sparse_ids":[[0,1,2,3E0,4,5,6,7],[0,1,2,3]]}`, false, false},
+	{`{"sparse_ids":[[0,1,2,3:4,5,6,7],[0,1,2,3]]}`, false, false},
+	{`{"sparse_ids":[[0,1,2,3/4,5,6,7],[0,1,2,3]]}`, false, false},
+	{"{\"sparse_ids\":[[0,1,2,3\x80,4,5,6,7],[0,1,2,3]]}", false, false},
+	{`{"sparse_ids":[[0,1,2,3,4,5,6,7,],[0,1,2,3]]}`, false, false},
+	{`{"sparse_ids":[[0,1,2,3,4,5,6,7],[0,1,2,3]]}      `, false, true},
 	// null where encoding/json takes it: a member, a row, an element.
 	{`{"dense": null, "sparse_ids": [[0, 1], [3]]}`, false, true},
 	{`{"dense": [[1, 2]], "sparse_ids": null}`, false, false},

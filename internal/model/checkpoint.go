@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 
 	"recsys/internal/nn"
 )
@@ -60,6 +61,7 @@ func (m *Model) Save(w io.Writer) error {
 			return err
 		}
 	}
+	runtime.KeepAlive(m) // the int8 rows the blocks view are m's (paramBlocks)
 	// Trailer: CRC of everything written so far.
 	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
 		return err
@@ -144,6 +146,7 @@ func Load(r io.Reader, size int64) (*Model, error) {
 			return nil, err
 		}
 	}
+	runtime.KeepAlive(m)
 	want := crc.Sum32()
 	var got uint32
 	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
@@ -186,6 +189,8 @@ type paramBlock struct {
 // as its op holds it (the fp32 rows W, or the int8 codes, per-row
 // scales and per-row offsets), then top FCs. Save, Load, Clone and
 // CopyWeightsFrom all walk it, so each works on fp32 and int8 models.
+// An int8 view does not keep its table alive (nn.QuantizedTable.RowBytes),
+// so a walker keeps m alive past its last block access.
 func (m *Model) paramBlocks() []paramBlock {
 	var blocks []paramBlock
 	addFCs := func(mlp *nn.MLP) {

@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Clone returns a deep copy of the model: parameters allocated once and
 // filled with the receiver's weights bit for bit, each table held as
@@ -54,6 +57,7 @@ func (dst *Model) CopyWeightsFrom(src *Model) error {
 			db[i].setBytes(off, buf)
 		}
 	}
+	runtime.KeepAlive(src) // paramBlocks: the views do not keep the rows' tables alive; dst is used below
 	dst.refreshDerived()
 	return nil
 }

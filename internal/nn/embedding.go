@@ -273,6 +273,7 @@ func (s *SLSOp) poolRows(out *tensor.Tensor, ids []int, kLo, kHi int) {
 		rows, stride := s.Quant.RowBytes()
 		tensor.PoolRowsI8(row, rows, stride, rowIDs)
 	}
+	runtime.KeepAlive(s.Quant)
 }
 
 // Stats reports the gather work: each lookup reads one row of Cols fp32

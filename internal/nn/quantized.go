@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 
 	"recsys/internal/tensor"
 )
@@ -34,13 +35,13 @@ func Quantize(t *EmbeddingTable) *QuantizedTable {
 	return q
 }
 
-// newQuantizedTable allocates the zeroed int8 rows for t's shape.
+// newQuantizedTable allocates the zeroed int8 rows for t's shape, the
+// one place rows are allocated: through allocRows, outside the Go heap
+// on linux.
 func newQuantizedTable(t *EmbeddingTable) *QuantizedTable {
-	return &QuantizedTable{
-		Rows: t.Rows, Cols: t.Cols,
-		rows:  make([]byte, t.Rows*(t.Cols+8)),
-		label: t.label + "/int8",
-	}
+	q := &QuantizedTable{Rows: t.Rows, Cols: t.Cols, label: t.label + "/int8"}
+	allocRows(q, t.Rows*(t.Cols+8))
+	return q
 }
 
 // QuantizeRow computes row r's scale, offset, and codes from src
@@ -74,6 +75,7 @@ func (q *QuantizedTable) QuantizeRow(r int, src []float32) {
 		code := math.Round(float64((v - lo) / scale))
 		codes[c] = byte(int8(code - 128))
 	}
+	runtime.KeepAlive(q)
 }
 
 // Name returns the table label.
@@ -82,7 +84,9 @@ func (q *QuantizedTable) Name() string { return q.label }
 // RowBytes returns the table's storage, shared, not copied: Rows runs
 // of stride = Cols+8 bytes, each the row's scale and offset, then its
 // codes. A checkpoint writes and reads the three as separate blocks
-// through strided views of it.
+// through strided views of it. On linux the bytes are outside the Go
+// heap and are unmapped once q is unreachable, so the caller keeps q
+// alive past its last access (runtime.KeepAlive).
 func (q *QuantizedTable) RowBytes() (rows []byte, stride int) {
 	return q.rows, q.Cols + 8
 }
@@ -104,6 +108,7 @@ func (q *QuantizedTable) Row(r int, dst []float32) {
 		panic(fmt.Sprintf("nn: dst length %d, want %d", len(dst), q.Cols))
 	}
 	tensor.DequantRowI8(dst, q.row(r))
+	runtime.KeepAlive(q)
 }
 
 // MaxAbsError returns the worst-case dequantization error of the table

@@ -24,13 +24,14 @@ import (
 //   - at least two hot swaps landed while traffic was in flight;
 //   - zero rollbacks (training on teacher labels must not regress);
 //   - every sampled request's scores are bitwise identical to a single
-//     generation in its in-flight window — no torn model/cache state,
-//     no stale-generation cache hits;
+//     generation in its in-flight window — no torn model state;
 //   - the final generation's scores survive a checkpoint round-trip
 //     bit-exactly ("freshly loaded copy" acceptance).
 //
-// Runs fp32 and int8 (quantize-on-swap with embcache generation
-// invalidation) variants; `make race` runs both under the race
+// Runs fp32 and int8 variants. In the int8 one each swap quantizes the
+// candidate into fresh int8 rows, mapped outside the Go heap, and
+// retires the generation it replaces, whose rows the finalizer unmaps
+// once no forward pass holds them. `make race` runs both under the race
 // detector.
 func TestSwapStormFlashCrowd(t *testing.T) {
 	for _, tc := range []struct {
