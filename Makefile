@@ -97,11 +97,12 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzGemmI8KernelEquiv -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/shard
 
-# The kernel-bearing packages with dispatch forced to the pure-Go
+# The kernel-bearing packages, and the model and trainer whose one
+# forward pass runs those kernels, with dispatch forced to the pure-Go
 # reference tier — the CI matrix leg that keeps the portable fallback
 # green (see DESIGN.md "Kernel dispatch").
 test-gotier:
-	RECSYS_KERNEL=go $(GO) test ./internal/tensor ./internal/nn
+	RECSYS_KERNEL=go $(GO) test ./internal/tensor ./internal/nn ./internal/model ./internal/train
 
 # Non-test source lines (.go and .s) per cmd/* and internal/* package
 # directory, with the cmd, internal and overall totals: ROADMAP's

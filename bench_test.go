@@ -289,6 +289,8 @@ func BenchmarkExtTraining(b *testing.B) {
 
 // --- End-to-end engine benchmarks (real numerics, not the simulator) ---
 
+// benchmarkForward times the serial arena-free pass CTR makes: every
+// activation freshly allocated.
 func benchmarkForward(b *testing.B, cfg model.Config, batch int) {
 	m, err := model.Build(cfg, stats.NewRNG(1))
 	if err != nil {
@@ -298,7 +300,7 @@ func benchmarkForward(b *testing.B, cfg model.Config, batch int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(req)
+		m.ForwardEx(req, nil, 1)
 	}
 }
 
@@ -612,8 +614,7 @@ func benchmarkGemmParallel(b *testing.B) {
 func BenchmarkGemmI8RMBatch256(b *testing.B)     { benchmarkGemmI8RM(b) }
 func BenchmarkGemmParallelBatch256(b *testing.B) { benchmarkGemmParallel(b) }
 
-// benchmarkForwardHot is benchmarkForward on the arena-backed hot
-// path. With workers == 1 the steady-state pass must report 0
+// benchmarkForwardHot is benchmarkForward with a warm arena. With workers == 1 the steady-state pass must report 0
 // allocs/op — the tentpole's allocation contract.
 func benchmarkForwardHot(b *testing.B, cfg model.Config, batch, workers int) {
 	m, err := model.Build(cfg, stats.NewRNG(1))
@@ -845,7 +846,7 @@ func benchmarkEngineRankZipf(b *testing.B, batch int) {
 
 func BenchmarkEngineRankZipfBatch16(b *testing.B) { benchmarkEngineRankZipf(b, 16) }
 
-// Serial allocating references at the same shapes, for before/after.
+// Serial allocating passes (fresh tensors, no arena) at the same shapes.
 func BenchmarkForwardRMC1Batch64(b *testing.B) { benchmarkForward(b, model.RMC1Small().Scaled(10), 64) }
 func BenchmarkForwardRMC2Batch64(b *testing.B) {
 	benchmarkForward(b, model.RMC2Small().Scaled(100), 64)

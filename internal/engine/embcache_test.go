@@ -27,9 +27,9 @@ func cacheOpts(rowsPerTable int) Options {
 
 // withTables returns a model with seed's dense weights and tables's
 // embedding rows (re-quantized when int8Tables): a second generation
-// to swap in over a tier that keeps serving tables's rows, whose local
-// plan-free Forward is therefore the reference for what the engine
-// scores through the tier.
+// to swap in over a tier that keeps serving tables's rows, whose
+// unattached clone's CTR is therefore the reference for what the
+// engine scores through the tier.
 func withTables(t *testing.T, cfg model.Config, seed uint64, tables *model.Model, int8Tables bool) *model.Model {
 	t.Helper()
 	m := buildModel(t, cfg, seed)
@@ -40,6 +40,18 @@ func withTables(t *testing.T, cfg model.Config, seed uint64, tables *model.Model
 		m.QuantizeTables()
 	}
 	return m
+}
+
+// unattached clones m without its serving attachments (Clone never
+// copies them): the clone reads its tables in place, the plan-free
+// local reference a cached remote gather must match.
+func unattached(t *testing.T, m *model.Model) *model.Model {
+	t.Helper()
+	c, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // genRequest draws one request with generator-driven sparse IDs (one
@@ -64,16 +76,8 @@ func tableGens(cfg model.Config, s float64, rng *stats.RNG) []trace.IDGenerator 
 	return gens
 }
 
-// f32Equal compares engine output against a Forward reference under
-// the kernel-tier contract (exact on Go, epsilon on AVX2; see
-// ctrClose). The SLS/cache machinery these tests target is
-// bit-identical across tiers, so the tolerance only absorbs GEMM FMA
-// fusion — a stale cached row perturbs scores orders of magnitude
-// more.
-func f32Equal(a, b []float32) bool { return ctrClose(a, b) }
-
 // TestEmbCacheEquivalence: with dedup + cache on in front of a 2-shard
-// tier, engine output must match the model's plan-free local Forward
+// tier, engine output must match an unattached clone's plan-free CTR
 // across uniform and Zipf traffic, and stay so after a model with new
 // dense weights over the tier's tables is hot-swapped in with the
 // cache warm.
@@ -81,6 +85,7 @@ func TestEmbCacheEquivalence(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(32)) // 32 < 120 rows: real evictions
 	m := buildModel(t, cfg, 1)
+	ref := unattached(t, m)
 	_, client := startEmbTier(t, cfg, 1, false, 2, shard.Options{})
 	if err := e.Register("m", m, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
@@ -95,9 +100,9 @@ func TestEmbCacheEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := m.Forward(req).Data()
-			if !f32Equal(got, want) {
-				t.Fatalf("zipf=%.1f req %d: cached engine output differs from naive forward", s, i)
+			want := ref.CTR(req)
+			if !ctrEqual(got, want) {
+				t.Fatalf("zipf=%.1f req %d: cached engine output differs from the unattached clone", s, i)
 			}
 		}
 	}
@@ -105,6 +110,7 @@ func TestEmbCacheEquivalence(t *testing.T) {
 	// Hot swap to fresh dense weights over the same tables, the cache
 	// warm: scores must follow the swapped-in model exactly.
 	next := withTables(t, cfg, 2, m, false)
+	nextRef := unattached(t, next)
 	if err := e.Swap("m", next); err != nil {
 		t.Fatal(err)
 	}
@@ -115,21 +121,21 @@ func TestEmbCacheEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := next.Forward(req).Data(); !f32Equal(got, want) {
+		if want := nextRef.CTR(req); !ctrEqual(got, want) {
 			t.Fatalf("post-swap req %d: output differs from swapped-in model", i)
 		}
 	}
 }
 
 // TestEmbCacheQuantEquivalence runs an int8 model through the cached
-// engine over a tier of int8 shards: output must match the model's
-// naive per-occurrence dequant reference bit for bit (the rows the
-// shards send, and the cache keeps, are byte-copies of deterministic
-// dequantization).
+// engine over a tier of int8 shards: output must match an unattached
+// clone's in-place int8 gather (the rows the shards send, and the
+// cache keeps, are byte-copies of deterministic dequantization).
 func TestEmbCacheQuantEquivalence(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(48))
 	m := buildModel(t, cfg, 3).QuantizeTables()
+	ref := unattached(t, m)
 	_, client := startEmbTier(t, cfg, 3, true, 2, shard.Options{})
 	if err := e.Register("q", m, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
@@ -143,8 +149,8 @@ func TestEmbCacheQuantEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := m.Forward(req).Data(); !f32Equal(got, want) {
-			t.Fatalf("req %d: cached int8 engine output differs from naive dequant", i)
+		if want := ref.CTR(req); !ctrEqual(got, want) {
+			t.Fatalf("req %d: cached int8 engine output differs from the unattached clone", i)
 		}
 	}
 }
@@ -164,6 +170,7 @@ func TestEmbCacheSwapRace(t *testing.T) {
 	e := testEngine(t, cacheOpts(32))
 	mA := buildModel(t, cfg, 4)
 	mB := withTables(t, cfg, 5, mA, false)
+	refModelA, refModelB := unattached(t, mA), unattached(t, mB)
 	_, client := startEmbTier(t, cfg, 4, false, 2, shard.Options{})
 	if err := e.Register("m", mA, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
@@ -178,8 +185,8 @@ func TestEmbCacheSwapRace(t *testing.T) {
 	refB := make([][]float32, nReq)
 	for k := range reqs {
 		reqs[k] = genRequest(cfg, 2, gens, rng)
-		refA[k] = append([]float32(nil), mA.Forward(reqs[k]).Data()...)
-		refB[k] = append([]float32(nil), mB.Forward(reqs[k]).Data()...)
+		refA[k] = refModelA.CTR(reqs[k])
+		refB[k] = refModelB.CTR(reqs[k])
 	}
 
 	ctx := context.Background()
@@ -196,7 +203,7 @@ func TestEmbCacheSwapRace(t *testing.T) {
 					t.Errorf("rank: %v", err)
 					return
 				}
-				if !f32Equal(got, refA[k]) && !f32Equal(got, refB[k]) {
+				if !ctrEqual(got, refA[k]) && !ctrEqual(got, refB[k]) {
 					t.Errorf("req %d: output matches neither model — stale cache row served", k)
 					return
 				}
@@ -226,9 +233,8 @@ func TestEmbCacheSwapRace(t *testing.T) {
 // surviving every swap: each model keeps its own FC weight packs
 // (QuantizedLinear/PackedBI8), so a swap must never pair one model's
 // packs, or a cached row from the wrong tables, with the other's pass. References
-// are precomputed through ForwardEx — the same register-tiled int8
-// path the engine executes, bit-identical across workers and tiers —
-// so every hammered result must bit-match one of the two models.
+// are precomputed through ForwardEx, the engine's own forward, so every
+// hammered result must bit-match one of the two models.
 func TestEmbCacheSwapRaceInt8MLP(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(32))
@@ -251,9 +257,8 @@ func TestEmbCacheSwapRaceInt8MLP(t *testing.T) {
 	refB := make([][]float32, nReq)
 	for k := range reqs {
 		reqs[k] = genRequest(cfg, 2, gens, rng)
-		// ForwardEx, not Forward: the reference must run the same int8
-		// MLP path the engine serves. Computed before the hammer starts,
-		// so these passes never race the engine's own cache fills.
+		// Computed before the hammer starts, so these passes never
+		// race the engine's own cache fills.
 		refA[k] = append([]float32(nil), mA.ForwardEx(reqs[k], nil, 1).Data()...)
 		refB[k] = append([]float32(nil), mB.ForwardEx(reqs[k], nil, 1).Data()...)
 	}
@@ -272,7 +277,7 @@ func TestEmbCacheSwapRaceInt8MLP(t *testing.T) {
 					t.Errorf("rank: %v", err)
 					return
 				}
-				if !f32Equal(got, refA[k]) && !f32Equal(got, refB[k]) {
+				if !ctrEqual(got, refA[k]) && !ctrEqual(got, refB[k]) {
 					t.Errorf("req %d: int8 output matches neither model — stale weight pack or cache row served", k)
 					return
 				}

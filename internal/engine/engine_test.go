@@ -45,7 +45,7 @@ func TestRankMatchesDirectForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctrClose(got, want) {
+	if !ctrEqual(got, want) {
 		t.Fatalf("served CTR differs: %v vs %v", got, want)
 	}
 }
@@ -88,7 +88,7 @@ func TestBatchingIsTransparent(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		if !ctrClose(gots[i], wants[i]) {
+		if !ctrEqual(gots[i], wants[i]) {
 			t.Fatalf("request %d: %v vs %v", i, gots[i], wants[i])
 		}
 	}

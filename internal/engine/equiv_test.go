@@ -1,37 +1,18 @@
 package engine
 
-import "recsys/internal/tensor"
+import "math"
 
-// ctrTol returns the tolerance for comparing served CTR scores against
-// a reference computed through model.Forward / model.CTR (reference
-// GEMM kernels). On the pure-Go kernel tier the engine's packed hot
-// path is bit-identical, so the tolerance is zero. On the AVX2 tier
-// the hot path's FMA-fused GEMMs are held to the numerics contract's
-// epsilon; CTR outputs are O(1) post-sigmoid, so the absolute term of
-// tensor.GemmTol (at the widest FC inner dimension these test configs
-// reach) dominates. The SLS stages are bit-identical across tiers by
-// kernel design and contribute nothing.
-func ctrTol() float32 {
-	if tensor.GemmBitExact() {
-		return 0
-	}
-	_, atol := tensor.GemmTol(512)
-	return float32(atol)
-}
-
-// ctrClose compares served scores against a reference under the active
-// kernel tier's contract (see ctrTol).
-func ctrClose(got, want []float32) bool {
-	tol := ctrTol()
+// ctrEqual compares served scores against a reference computed through
+// model.CTR (or AppendCTR/ForwardEx), bit for bit: CTR runs the
+// forward pass the engine serves, and row-partitioned batching,
+// splitting and intra-op parallelism leave every row's arithmetic
+// unchanged, on every kernel tier.
+func ctrEqual(got, want []float32) bool {
 	if len(got) != len(want) {
 		return false
 	}
 	for i := range got {
-		d := got[i] - want[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			return false
 		}
 	}

@@ -52,7 +52,7 @@ func TestMergeBufferReuse(t *testing.T) {
 		for i := range reqs {
 			go func(i int) {
 				got, err := s.Rank(context.Background(), reqs[i])
-				if err == nil && !ctrClose(got, wants[i]) {
+				if err == nil && !ctrEqual(got, wants[i]) {
 					err = errMismatch
 				}
 				errc <- err

@@ -83,7 +83,7 @@ func TestAdmissionRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctrClose(got, want) {
+	if !ctrEqual(got, want) {
 		t.Fatal("served CTR differs from direct execution after rejections")
 	}
 	st, _ := e.ModelStats("m")
@@ -144,7 +144,7 @@ func TestBadIDsColocatedUnderRace(t *testing.T) {
 				errCh <- err
 				return
 			}
-			if !ctrClose(got, want) {
+			if !ctrEqual(got, want) {
 				errCh <- errors.New("bystander CTR drifted during attack")
 				return
 			}

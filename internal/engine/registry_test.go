@@ -98,7 +98,7 @@ func TestColocatedModelsEndToEnd(t *testing.T) {
 				errCh <- err
 				return
 			}
-			if !ctrClose(got, want) {
+			if !ctrEqual(got, want) {
 				errCh <- errors.New(name + ": served CTR differs from direct execution")
 				return
 			}
@@ -261,7 +261,7 @@ func TestServerWrapperEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := side.CTR(req)
-	if !ctrClose(got[:1], want[:1]) {
+	if !ctrEqual(got[:1], want[:1]) {
 		t.Error("co-located model served wrong scores")
 	}
 	// Wrapper stats still report only the primary model.

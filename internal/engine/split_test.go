@@ -223,7 +223,7 @@ func TestSetPolicyRaceHammer(t *testing.T) {
 					t.Errorf("rank: %v", err)
 					return
 				}
-				if !ctrClose(got, want) {
+				if !ctrEqual(got, want) {
 					t.Errorf("goroutine %d req %d: scores diverged under policy flips", g, i)
 					return
 				}

@@ -33,8 +33,10 @@ type Model struct {
 
 // ErrInt8Only is the error the trainer refuses a model with whose
 // tables hold int8 rows (QuantizeTables, or Spec.Build with
-// Int8Tables): there are no fp32 rows to train.
-var ErrInt8Only = errors.New("model: embedding tables hold int8 rows only, no fp32 rows")
+// Int8Tables), which leaves no fp32 rows to train, or whose MLPs run
+// int8 compute (QuantizeMLPs), whose forward pass the fp32 backward
+// does not differentiate.
+var ErrInt8Only = errors.New("model: int8 weights (int8 table rows or int8-compute MLPs) cannot be trained")
 
 // Build materializes a runnable model with weights drawn from rng.
 // It returns an error if the config is invalid or its parameters exceed
@@ -165,34 +167,6 @@ func NewRandomRequest(cfg Config, batch int, rng *stats.RNG) Request {
 	return req
 }
 
-// Forward computes the predicted click-through rate for every pair in
-// the request, returning a [batch, 1] tensor of probabilities in (0,1).
-// This is the serial allocating reference path — plain blocked GEMM,
-// unpacked weights, fresh tensors — that the hot path in ForwardEx is
-// tested bit-identical against.
-func (m *Model) Forward(req Request) *tensor.Tensor {
-	if len(req.SparseIDs) != len(m.SLS) {
-		panic(fmt.Sprintf("model: %s expects %d sparse inputs, got %d", m.Config.Name, len(m.SLS), len(req.SparseIDs)))
-	}
-	var parts []*tensor.Tensor
-	if m.Bottom != nil {
-		if req.Dense == nil {
-			panic(fmt.Sprintf("model: %s requires dense features", m.Config.Name))
-		}
-		parts = append(parts, m.Bottom.Forward(req.Dense))
-	}
-	for t, op := range m.SLS {
-		parts = append(parts, op.Forward(req.SparseIDs[t], req.Batch))
-	}
-	x := m.ConcatOp.Forward(parts)
-	if m.Interact != nil {
-		x = m.Interact.Forward(x)
-	}
-	x = m.Top.Forward(x)
-	nn.SigmoidInPlace(x)
-	return x
-}
-
 // SpanObserver receives one per-operator timing span per executed
 // stage of an instrumented forward pass. Implementations must be safe
 // for the caller's concurrency (the engine shares one observer across
@@ -203,13 +177,15 @@ type SpanObserver interface {
 	OpSpan(name string, kind nn.Kind, d time.Duration)
 }
 
-// ForwardEx is the inference hot path: every activation tensor is
-// carved from the arena (when non-nil) so a steady-state pass performs
-// zero heap allocations, FC layers run against packed weights, and the
-// FC and SLS kernels split rows across workers goroutines (1 = serial,
-// 0 = GOMAXPROCS). Row-partitioned parallelism leaves per-row
-// accumulation order unchanged, so results are bit-identical to the
-// serial allocating path for any (arena, workers) combination.
+// ForwardEx computes the predicted click-through rate for every pair
+// in the request, a [batch, 1] tensor of probabilities in (0,1). Every
+// activation tensor is carved from the arena, so a steady-state pass
+// performs zero heap allocations; a nil arena allocates fresh tensors.
+// FC layers run against packed weights (or int8, after QuantizeMLPs),
+// and the FC and SLS kernels split rows across workers goroutines (1 =
+// serial, 0 = GOMAXPROCS). Row-partitioned parallelism leaves per-row
+// accumulation order unchanged, so results are bit-identical for any
+// (arena, workers) combination.
 //
 // The returned tensor aliases the arena; copy what must outlive the
 // next Reset.
@@ -329,12 +305,10 @@ func (m *Model) ForwardDeadline(req Request, a *tensor.Arena, workers int, obs S
 // maxStackSLS is the table count of the widest preset (RMC2Large).
 const maxStackSLS = 40
 
-// CTR runs Forward and returns the probabilities as a plain slice.
+// CTR returns the probabilities the engine serves for req, as a fresh
+// slice: the same forward pass, serial and without an arena.
 func (m *Model) CTR(req Request) []float32 {
-	out := m.Forward(req)
-	res := make([]float32, out.Dim(0))
-	copy(res, out.Data())
-	return res
+	return m.AppendCTR(nil, req, nil, 1)
 }
 
 // AppendCTR runs the hot-path forward pass and appends the

@@ -35,7 +35,7 @@ func TestForwardShapesAndRange(t *testing.T) {
 		rng := stats.NewRNG(7)
 		for _, batch := range []int{1, 4, 33} {
 			req := NewRandomRequest(m.Config, batch, rng)
-			out := m.Forward(req)
+			out := m.ForwardEx(req, nil, 1)
 			if out.Dim(0) != batch || out.Dim(1) != 1 {
 				t.Fatalf("%s: output shape %v, want [%d 1]", cfg.Name, out.Shape(), batch)
 			}
@@ -114,7 +114,7 @@ func TestForwardPanicsOnWrongSparseInputs(t *testing.T) {
 			t.Fatal("expected panic for missing sparse inputs")
 		}
 	}()
-	m.Forward(req)
+	m.ForwardEx(req, nil, 1)
 }
 
 func TestForwardPanicsOnMissingDense(t *testing.T) {
@@ -126,5 +126,5 @@ func TestForwardPanicsOnMissingDense(t *testing.T) {
 			t.Fatal("expected panic for missing dense input")
 		}
 	}()
-	m.Forward(req)
+	m.ForwardEx(req, nil, 1)
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -10,10 +11,11 @@ import (
 	"recsys/internal/tensor"
 )
 
-// TestForwardExMatchesForward checks the arena-backed, packed,
-// parallel hot path is bit-identical to the serial allocating
-// reference across all three model classes, and that one arena can be
-// recycled across requests of different batch sizes.
+// TestForwardExMatchesForward checks the arena-backed parallel pass is
+// bit-identical to the serial arena-free one (what CTR runs) across all
+// three model classes, and that one arena can be recycled across
+// requests of different batch sizes. The kernels themselves are held
+// to their unpacked oracles in internal/nn and internal/tensor.
 func TestForwardExMatchesForward(t *testing.T) {
 	for _, cfg := range []Config{
 		RMC1Small().Scaled(50),
@@ -28,15 +30,12 @@ func TestForwardExMatchesForward(t *testing.T) {
 		arena := tensor.NewArena()
 		for _, batch := range []int{1, 7, 32} {
 			req := NewRandomRequest(cfg, batch, stats.NewRNG(uint64(batch)))
-			want := m.Forward(req)
+			want := m.ForwardEx(req, nil, 1)
 			for _, workers := range []int{0, 1, 2, 5} {
 				arena.Reset()
 				got := m.ForwardEx(req, arena, workers)
-				// Bit-identical on the Go kernel tier; on AVX2 the
-				// FMA-fused GEMMs are held to the epsilon contract (512
-				// bounds the widest FC inner dimension in these configs).
-				if !tensor.GemmClose(got, want, 512) {
-					t.Fatalf("%s batch %d workers %d: hot path deviates from reference", cfg.Name, batch, workers)
+				if !tensor.Equal(got, want, 0) {
+					t.Fatalf("%s batch %d workers %d: arena/parallel pass differs from the serial one", cfg.Name, batch, workers)
 				}
 			}
 		}
@@ -77,19 +76,9 @@ func TestAppendCTRMatchesCTR(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("AppendCTR length %d, want %d", len(got), len(want))
 	}
-	// CTR goes through Forward (reference GEMM), AppendCTR through the
-	// packed hot path — exact on the Go tier, epsilon on AVX2.
-	ctrTol := float32(0)
-	if !tensor.GemmBitExact() {
-		_, atol := tensor.GemmTol(512)
-		ctrTol = float32(atol)
-	}
+	// One forward pass: an arena and intra-op workers change no bit.
 	for i := range want {
-		d := got[i] - want[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > ctrTol {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("AppendCTR[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
@@ -180,7 +169,7 @@ func tailSpans(m *Model) []string {
 // pass reports exactly one span per operator — bottom, every SLS,
 // concat, interaction, top, sigmoid, in that order, with no span for
 // the argument-recording Begin half — and stays bit-identical to the
-// uninstrumented hot path.
+// uninstrumented pass.
 func TestForwardSpansEmitsEveryStage(t *testing.T) {
 	for _, cfg := range []Config{
 		RMC1Small().Scaled(50),  // dot interaction
@@ -192,11 +181,11 @@ func TestForwardSpansEmitsEveryStage(t *testing.T) {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
 		req := NewRandomRequest(cfg, 6, stats.NewRNG(2))
-		want := m.Forward(req)
+		want := m.ForwardEx(req, nil, 1)
 		var rec spanRecord
 		got := m.ForwardSpans(req, tensor.NewArena(), 2, &rec)
-		if !tensor.GemmClose(got, want, 512) {
-			t.Errorf("%s: instrumented pass deviates from reference", cfg.Name)
+		if !tensor.Equal(got, want, 0) {
+			t.Errorf("%s: instrumented pass differs from the uninstrumented one", cfg.Name)
 		}
 		var wantSpans []string
 		if m.Bottom != nil {

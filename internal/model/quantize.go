@@ -26,10 +26,13 @@ func (m *Model) QuantizeTables() *Model {
 // QuantizeMLPs switches the bottom and top MLP stacks to int8 compute
 // on the serving path (nn.FC's quantized integer GEMM): per-channel
 // symmetric int8 weights, dynamic per-row uint8 activations, and
-// u8·s8→i32 dot products. The fp32 weights stay the source of truth —
-// Forward and the trainer are untouched, and InvalidatePacked
-// re-quantizes after weight updates. Returns the model for chaining;
-// presets select it with the "-int8mlp" model-spec suffix.
+// u8·s8→i32 dot products. Every forward of the model runs them from
+// here on: the engine's, CTR, and so the online updater's quality
+// gate. The fp32 weights stay the source of truth (checkpoints save
+// them, and InvalidatePacked re-quantizes after a weight update), but
+// the trainer refuses the model (ErrInt8Only): train the fp32 twin
+// and quantize a clone. Returns the model for chaining; presets select
+// it with the "-int8mlp" model-spec suffix.
 func (m *Model) QuantizeMLPs() *Model {
 	if m.Bottom != nil {
 		m.Bottom.SetInt8Compute(true)

@@ -44,14 +44,9 @@ func (d *DotInteraction) OutDim() int {
 	return n
 }
 
-// Forward computes the interaction. Input is [batch, NumVec*Dim] with
-// the vectors stored consecutively per sample; output is
-// [batch, OutDim()].
-func (d *DotInteraction) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return d.ForwardEx(x, nil)
-}
-
-// ForwardEx is Forward with the output carved from the arena.
+// ForwardEx computes the interaction. Input is [batch, NumVec*Dim]
+// with the vectors stored consecutively per sample; the output,
+// [batch, OutDim()], is carved from the arena (fresh when a is nil).
 func (d *DotInteraction) ForwardEx(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != d.NumVec*d.Dim {
 		panic(fmt.Sprintf("nn: DotInteraction input shape %v, want [batch %d]", x.Shape(), d.NumVec*d.Dim))

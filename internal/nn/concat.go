@@ -45,22 +45,9 @@ func (c *Concat) OutDim() int {
 	return n
 }
 
-// Forward concatenates the inputs along dim 1. All inputs must be
-// rank-2 with equal batch size and widths matching the op definition.
-func (c *Concat) Forward(inputs []*tensor.Tensor) *tensor.Tensor {
-	if len(inputs) != len(c.Widths) {
-		panic(fmt.Sprintf("nn: Concat %q got %d inputs, want %d", c.label, len(inputs), len(c.Widths)))
-	}
-	batch := inputs[0].Dim(0)
-	for i, in := range inputs {
-		if in.Rank() != 2 || in.Dim(0) != batch || in.Dim(1) != c.Widths[i] {
-			panic(fmt.Sprintf("nn: Concat %q input %d shape %v, want [%d %d]", c.label, i, in.Shape(), batch, c.Widths[i]))
-		}
-	}
-	return c.forward(inputs, nil, batch)
-}
-
-// ForwardEx is Forward with the output carved from the arena.
+// ForwardEx concatenates the inputs along dim 1 into a tensor carved
+// from the arena (fresh when a is nil). All inputs must be rank-2 with
+// equal batch size and widths matching the op definition.
 func (c *Concat) ForwardEx(inputs []*tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	if len(inputs) != len(c.Widths) {
 		panic(fmt.Sprintf("nn: Concat %q got %d inputs, want %d", c.label, len(inputs), len(c.Widths)))
@@ -71,10 +58,6 @@ func (c *Concat) ForwardEx(inputs []*tensor.Tensor, a *tensor.Arena) *tensor.Ten
 			panic(fmt.Sprintf("nn: Concat %q input %d shape %v, want [%d %d]", c.label, i, in.Shape(), batch, c.Widths[i]))
 		}
 	}
-	return c.forward(inputs, a, batch)
-}
-
-func (c *Concat) forward(inputs []*tensor.Tensor, a *tensor.Arena, batch int) *tensor.Tensor {
 	out := allocDense(a, batch, c.OutDim())
 	for b := 0; b < batch; b++ {
 		dst := out.Row(b)

@@ -207,28 +207,15 @@ func (s *SLSOp) Name() string { return s.Table.label }
 // Kind reports KindSLS.
 func (s *SLSOp) Kind() Kind { return KindSLS }
 
-// Forward pools Lookups rows per sample for a batch of ID lists. ids
-// must contain batch×Lookups entries. It always reads the in-process
-// tables, serially and without an arena: the reference the planned
-// remote gather is compared against, the trainer's forward, and the
-// same body (gatherLocal) that serves every op without a remote store.
-func (s *SLSOp) Forward(ids []int, batch int) *tensor.Tensor {
-	s.checkIDCount(ids, batch)
-	return s.gatherLocal(ids, batch, nil, 1)
-}
-
-func (s *SLSOp) checkIDCount(ids []int, batch int) {
-	if len(ids) != batch*s.Lookups {
-		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
-	}
-}
-
-// ForwardEx is Forward with an optional scratch arena for the output
-// tensor and an intra-op worker count (1 = serial, 0 = GOMAXPROCS):
-// Begin and Finish back to back. Callers that can overlap a remote
-// store's in-flight gather with other work call the two halves
-// themselves (model.ForwardDeadline). Results are bit-identical to
-// Forward whichever gather the store kind selects.
+// ForwardEx pools Lookups rows per sample for a batch of ID lists
+// (ids holds batch×Lookups entries) into a tensor from the arena
+// (fresh when a is nil), split across workers goroutines (1 = serial,
+// 0 = GOMAXPROCS): Begin and Finish back to back. Callers that can
+// overlap a remote store's in-flight gather with other work call the
+// two halves themselves (model.ForwardDeadline). Results are
+// bit-identical whichever gather the store kind selects: the planned
+// remote gather and the in-process one (gatherLocal) sum the same rows
+// in the same order.
 func (s *SLSOp) ForwardEx(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
 	var f SLSForward
 	s.Begin(&f, ids, batch, a, workers, time.Time{})

@@ -121,7 +121,7 @@ func TestSLSOpForward(t *testing.T) {
 	for i := range ids {
 		ids[i] = i * 7 % 1000
 	}
-	out := op.Forward(ids, 3)
+	out := op.ForwardEx(ids, 3, nil, 1)
 	if out.Dim(0) != 3 || out.Dim(1) != 32 {
 		t.Fatalf("SLSOp output shape %v", out.Shape())
 	}
@@ -168,7 +168,7 @@ func TestSLSOpPanics(t *testing.T) {
 			t.Error("wrong ID count should panic")
 		}
 	}()
-	op.Forward([]int{1, 2}, 1)
+	op.ForwardEx([]int{1, 2}, 1, nil, 1)
 }
 
 func TestEmbeddingTablePanics(t *testing.T) {

@@ -57,26 +57,15 @@ func (f *FC) Name() string { return f.label }
 // Kind reports KindFC.
 func (f *FC) Kind() Kind { return KindFC }
 
-// Forward computes Y = X·W + b. X must be [batch, In]; the result is a
-// freshly allocated [batch, Out] tensor. This is the serial reference
-// path (plain blocked GEMM, no weight packing) that the fast path in
-// ForwardEx is tested bit-identical against.
-func (f *FC) Forward(x *tensor.Tensor) *tensor.Tensor {
-	f.checkIn(x)
-	y := tensor.New(x.Dim(0), f.Out)
-	tensor.Gemm(x, f.W, y)
-	tensor.AddBiasRows(y, f.B)
-	return y
-}
-
-// ForwardEx is the inference hot path: the GEMM runs against the
-// cached packed weights and, above the kernel's work threshold, is
-// split row-wise across workers goroutines (1 = serial, 0 =
-// GOMAXPROCS). The output comes from the arena when one is supplied.
-// Results match Forward under the kernel-tier contract (bit-identical
-// on the Go tier, FMA-fusion epsilon on AVX2). With SetInt8Compute the
-// GEMM instead runs in int8 (see forwardInt8), trading a bounded
-// accuracy delta for integer throughput.
+// ForwardEx computes Y = X·W + b for X of shape [batch, In]: the GEMM
+// runs against the cached packed weights and, above the kernel's work
+// threshold, is split row-wise across workers goroutines (1 = serial,
+// 0 = GOMAXPROCS). The output comes from the arena, or is freshly
+// allocated when a is nil. Results match tensor.Gemm + AddBiasRows
+// under the kernel-tier contract (bit-identical on the Go tier,
+// FMA-fusion epsilon on AVX2). With SetInt8Compute the GEMM instead
+// runs in int8 (see forwardInt8), trading a bounded accuracy delta for
+// integer throughput.
 func (f *FC) ForwardEx(x *tensor.Tensor, a *tensor.Arena, workers int) *tensor.Tensor {
 	f.checkIn(x)
 	if f.int8Compute {
@@ -153,18 +142,6 @@ func (m *MLP) Kind() Kind { return KindFC }
 // InDim returns the expected input width.
 func (m *MLP) InDim() int { return m.Layers[0].In }
 
-// Forward runs the stack, applying ReLU between layers and after the
-// final layer when FinalReLU is set.
-func (m *MLP) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for i, fc := range m.Layers {
-		x = fc.Forward(x)
-		if i+1 < len(m.Layers) || m.FinalReLU {
-			ReLUInPlace(x)
-		}
-	}
-	return x
-}
-
 // SetInt8Compute flips every layer of the stack between fp32 and int8
 // compute. Not safe to call concurrently with in-flight forwards.
 func (m *MLP) SetInt8Compute(on bool) {
@@ -184,9 +161,8 @@ func (m *MLP) Int8Compute() bool {
 	return len(m.Layers) > 0
 }
 
-// ForwardEx runs the stack on the inference hot path (packed weights,
-// optional arena, intra-op workers). Results match Forward under the
-// kernel-tier contract.
+// ForwardEx runs the stack, applying ReLU between layers and after the
+// final layer when FinalReLU is set; arena and workers are FC.ForwardEx's.
 func (m *MLP) ForwardEx(x *tensor.Tensor, a *tensor.Arena, workers int) *tensor.Tensor {
 	for i, fc := range m.Layers {
 		x = fc.ForwardEx(x, a, workers)

@@ -178,7 +178,9 @@ type SLSForward struct {
 // f is caller-owned scratch (typically a stack value or a pooled slice
 // entry) and must not be reused until Finish returns.
 func (s *SLSOp) Begin(f *SLSForward, ids []int, batch int, a *tensor.Arena, workers int, deadline time.Time) {
-	s.checkIDCount(ids, batch)
+	if len(ids) != batch*s.Lookups {
+		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
+	}
 	*f = SLSForward{op: s, ids: ids, batch: batch, a: a, workers: workers}
 	if s.remote != nil {
 		f.probe()

@@ -98,7 +98,7 @@ func TestForwardGatherBitIdentical(t *testing.T) {
 				for pass := 0; pass < 3; pass++ { // pass 0 cold cache, 1-2 warm
 					batch := 16
 					ids := drawIDs(gen, batch, op.Lookups)
-					want := ref.Forward(ids, batch)
+					want := ref.ForwardEx(ids, batch, nil, 1)
 					arena.Reset()
 					got := op.ForwardEx(ids, batch, arena, workers)
 					if !tensor.Equal(want, got, 0) {
@@ -162,7 +162,7 @@ func TestForwardQuantErrorBound(t *testing.T) {
 	q.Quant = Quantize(table)
 	bound := float32(q.Lookups) * q.Quant.MaxAbsError(table)
 	ids := drawIDs(trace.NewZipfian(300, 0.8, rng), 8, 24)
-	want := fp.Forward(ids, 8)
+	want := fp.ForwardEx(ids, 8, nil, 1)
 	got := q.ForwardEx(ids, 8, nil, 1)
 	wd, gd := want.Data(), got.Data()
 	for i := range wd {

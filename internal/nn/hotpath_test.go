@@ -17,9 +17,11 @@ func randIDs(r *stats.RNG, n, rows int) []int {
 }
 
 // TestSLSOpForwardExMatchesForward: the local gather split across
-// intra-op workers is bit-identical to the serial reference, for fp32
-// and int8 tables. Batch 41 puts every width above minParallelGather,
-// so workers > 1 really fan out, in uneven shares.
+// intra-op workers, into an arena, is bit-identical to the serial
+// arena-free pass, for fp32 and int8 tables (TestSLSOpForward and
+// TestForwardQuantBitIdentical hold that pass to SparseLengthsSum and
+// to a dequantize-then-add oracle). Batch 41 puts every width above
+// minParallelGather, so workers > 1 really fan out, in uneven shares.
 func TestSLSOpForwardExMatchesForward(t *testing.T) {
 	rng := stats.NewRNG(32)
 	for _, cols := range []int{32, 64, 24} {
@@ -31,7 +33,7 @@ func TestSLSOpForwardExMatchesForward(t *testing.T) {
 			}
 			batch := 41
 			ids := randIDs(rng, batch*op.Lookups, table.Rows)
-			want := op.Forward(ids, batch)
+			want := op.ForwardEx(ids, batch, nil, 1)
 			arena := tensor.NewArena()
 			for _, workers := range []int{0, 1, 2, 5} {
 				arena.Reset()
@@ -71,7 +73,17 @@ func TestSLSValidatesBeforeGather(t *testing.T) {
 	}
 }
 
-func TestFCForwardExMatchesForward(t *testing.T) {
+// fcRef is the FC oracle: the unpacked blocked tensor.Gemm plus the
+// bias, which the packed kernel is bit-identical to on the Go tier and
+// within tensor.GemmTol of on AVX2.
+func fcRef(fc *FC, x *tensor.Tensor) *tensor.Tensor {
+	y := tensor.New(x.Dim(0), fc.Out)
+	tensor.Gemm(x, fc.W, y)
+	tensor.AddBiasRows(y, fc.B)
+	return y
+}
+
+func TestFCForwardExMatchesGemm(t *testing.T) {
 	rng := stats.NewRNG(34)
 	for _, dims := range [][2]int{{1, 1}, {13, 7}, {64, 129}, {479, 1024}} {
 		fc := NewFC("fc", dims[0], dims[1], rng)
@@ -81,7 +93,7 @@ func TestFCForwardExMatchesForward(t *testing.T) {
 			for i := range d {
 				d[i] = float32(rng.NormFloat64())
 			}
-			want := fc.Forward(x)
+			want := fcRef(fc, x)
 			arena := tensor.NewArena()
 			for _, workers := range []int{0, 1, 2, 7} {
 				arena.Reset()
@@ -89,7 +101,7 @@ func TestFCForwardExMatchesForward(t *testing.T) {
 				// Bit-identical on the Go tier; the AVX2 tier's FMA-fused
 				// GEMM is held to the epsilon contract instead.
 				if !tensor.GemmClose(got, want, dims[0]) {
-					t.Fatalf("fc %v batch %d workers %d: ForwardEx deviates from Forward", dims, batch, workers)
+					t.Fatalf("fc %v batch %d workers %d: ForwardEx deviates from Gemm", dims, batch, workers)
 				}
 			}
 		}
@@ -106,14 +118,14 @@ func TestFCInvalidatePacked(t *testing.T) {
 	_ = fc.ForwardEx(x, nil, 1) // builds the packed cache
 	fc.W.Data()[0] += 1
 	fc.InvalidatePacked()
-	want := fc.Forward(x)
+	want := fcRef(fc, x)
 	got := fc.ForwardEx(x, nil, 1)
 	if !tensor.GemmClose(got, want, 8) {
 		t.Fatal("ForwardEx served stale packed weights after InvalidatePacked")
 	}
 }
 
-func TestMLPForwardExMatchesForward(t *testing.T) {
+func TestMLPForwardExMatchesGemm(t *testing.T) {
 	rng := stats.NewRNG(36)
 	mlp := NewMLP("mlp", []int{13, 64, 32, 8}, true, rng)
 	x := tensor.New(9, 13)
@@ -121,7 +133,11 @@ func TestMLPForwardExMatchesForward(t *testing.T) {
 	for i := range d {
 		d[i] = float32(rng.NormFloat64())
 	}
-	want := mlp.Forward(x)
+	want := x
+	for _, fc := range mlp.Layers { // FinalReLU: a ReLU after every layer
+		want = fcRef(fc, want)
+		ReLUInPlace(want)
+	}
 	arena := tensor.NewArena()
 	for _, workers := range []int{1, 3} {
 		arena.Reset()
@@ -129,7 +145,7 @@ func TestMLPForwardExMatchesForward(t *testing.T) {
 		// Widest layer bounds the per-GEMM epsilon (errors compound
 		// across the 3-layer stack but stay far inside GemmTol's margin).
 		if !tensor.GemmClose(got, want, 64) {
-			t.Fatalf("workers %d: MLP ForwardEx deviates from Forward", workers)
+			t.Fatalf("workers %d: MLP ForwardEx deviates from Gemm", workers)
 		}
 	}
 }
@@ -146,12 +162,12 @@ func TestConcatAndDotForwardEx(t *testing.T) {
 		}
 	}
 	arena := tensor.NewArena()
-	if !tensor.Equal(c.ForwardEx(ins, arena), c.Forward(ins), 0) {
+	x := c.ForwardEx(ins, nil)
+	if !tensor.Equal(c.ForwardEx(ins, arena), x, 0) {
 		t.Fatal("Concat ForwardEx differs")
 	}
 	dot := NewDotInteraction("d", 4, 4, true)
-	x := c.Forward(ins)
-	if !tensor.Equal(dot.ForwardEx(x, arena), dot.Forward(x), 0) {
+	if !tensor.Equal(dot.ForwardEx(x, arena), dot.ForwardEx(x, nil), 0) {
 		t.Fatal("DotInteraction ForwardEx differs")
 	}
 }

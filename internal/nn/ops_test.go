@@ -93,7 +93,7 @@ func TestConcat(t *testing.T) {
 	}
 	a := tensor.FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := tensor.FromSlice([]float32{5, 6, 7, 8, 9, 10}, 2, 3)
-	out := c.Forward([]*tensor.Tensor{a, b})
+	out := c.ForwardEx([]*tensor.Tensor{a, b}, nil)
 	want := tensor.FromSlice([]float32{1, 2, 5, 6, 7, 3, 4, 8, 9, 10}, 2, 5)
 	if !tensor.Equal(out, want, 0) {
 		t.Errorf("Concat = %v", out.Data())
@@ -111,12 +111,12 @@ func TestConcatPanics(t *testing.T) {
 	cases := map[string]func(){
 		"empty":       func() { NewConcat("c", nil) },
 		"zero width":  func() { NewConcat("c", []int{2, 0}) },
-		"wrong count": func() { NewConcat("c", []int{2}).Forward(nil) },
+		"wrong count": func() { NewConcat("c", []int{2}).ForwardEx(nil, nil) },
 		"wrong shape": func() {
-			NewConcat("c", []int{2, 2}).Forward([]*tensor.Tensor{tensor.New(1, 2), tensor.New(1, 3)})
+			NewConcat("c", []int{2, 2}).ForwardEx([]*tensor.Tensor{tensor.New(1, 2), tensor.New(1, 3)}, nil)
 		},
 		"batch mismatch": func() {
-			NewConcat("c", []int{2, 2}).Forward([]*tensor.Tensor{tensor.New(1, 2), tensor.New(2, 2)})
+			NewConcat("c", []int{2, 2}).ForwardEx([]*tensor.Tensor{tensor.New(1, 2), tensor.New(2, 2)}, nil)
 		},
 	}
 	for name, fn := range cases {
@@ -138,7 +138,7 @@ func TestDotInteraction(t *testing.T) {
 	}
 	// Vectors per sample: v0=(1,0) v1=(0,1) v2=(2,2).
 	x := tensor.FromSlice([]float32{1, 0, 0, 1, 2, 2}, 1, 6)
-	out := d.Forward(x)
+	out := d.ForwardEx(x, nil)
 	// Pairs in order (1,0),(2,0),(2,1): v1·v0=0, v2·v0=2, v2·v1=2.
 	want := tensor.FromSlice([]float32{0, 2, 2}, 1, 3)
 	if !tensor.Equal(out, want, 1e-6) {
@@ -152,7 +152,7 @@ func TestDotInteractionIncludeDense(t *testing.T) {
 		t.Fatalf("OutDim = %d", d.OutDim())
 	}
 	x := tensor.FromSlice([]float32{1, 2, 3, 1, 1, 1}, 1, 6)
-	out := d.Forward(x)
+	out := d.ForwardEx(x, nil)
 	want := tensor.FromSlice([]float32{1, 2, 3, 6}, 1, 4)
 	if !tensor.Equal(out, want, 1e-6) {
 		t.Errorf("DotInteraction dense = %v, want %v", out.Data(), want.Data())
@@ -186,7 +186,7 @@ func TestDotInteractionPanics(t *testing.T) {
 			t.Error("bad shape should panic")
 		}
 	}()
-	d.Forward(tensor.New(1, 5))
+	d.ForwardEx(tensor.New(1, 5), nil)
 }
 
 func TestConv2DIdentityKernel(t *testing.T) {

@@ -107,8 +107,10 @@ func quantizeRowI16(src []float32, dst []int16) (scale float32, zp int32) {
 // SetInt8Compute switches the layer's ForwardEx between the fp32
 // packed GEMM and the int8 compute path. Like SetRowCache, it must not
 // race with in-flight forwards — presets flip it before a model is
-// published. Forward (the reference path) and the trainer's fp32 pass
-// are never redirected.
+// published. ForwardEx is the layer's only forward, so every scorer of
+// the model (the engine, Model.CTR, the online updater's quality gate)
+// runs the int8 path once it is on; the trainer refuses such a model
+// (model.ErrInt8Only), since its backward differentiates the fp32 W.
 func (f *FC) SetInt8Compute(on bool) { f.int8Compute = on }
 
 // Int8Compute reports whether ForwardEx runs the int8 path.
@@ -172,8 +174,8 @@ func (f *FC) forwardInt8(x *tensor.Tensor, a *tensor.Arena, workers int) *tensor
 	return y
 }
 
-// checkIn panics with the layer's shape expectation (shared by
-// Forward and both ForwardEx branches).
+// checkIn panics with the layer's shape expectation (shared by both
+// ForwardEx branches).
 func (f *FC) checkIn(x *tensor.Tensor) {
 	if x.Rank() != 2 || x.Dim(1) != f.In {
 		panic(fmt.Sprintf("nn: FC %q input shape %v, want [batch %d]", f.label, x.Shape(), f.In))

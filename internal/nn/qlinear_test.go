@@ -128,7 +128,7 @@ func TestFCInt8AccuracyBound(t *testing.T) {
 		for i := range xd {
 			xd[i] = (rng.Float32()*2 - 1) * 4
 		}
-		want := fc.Forward(x)
+		want := fc.ForwardEx(x, nil, 1) // fp32, before the switch
 		fc.SetInt8Compute(true)
 		if !fc.Int8Compute() {
 			t.Fatal("Int8Compute false after SetInt8Compute")
@@ -227,19 +227,19 @@ func TestInvalidatePackedDropsQuant(t *testing.T) {
 func TestMLPInt8Stack(t *testing.T) {
 	rng := stats.NewRNG(51)
 	m := NewMLP("t", []int{64, 128, 64, 1}, false, rng)
-	if m.Int8Compute() {
-		t.Fatal("Int8Compute true before SetInt8Compute")
-	}
-	m.SetInt8Compute(true)
-	if !m.Int8Compute() {
-		t.Fatal("Int8Compute false after SetInt8Compute")
-	}
 	x := tensor.New(8, 64)
 	xd := x.Data()
 	for i := range xd {
 		xd[i] = (rng.Float32()*2 - 1) * 2
 	}
-	want := m.Forward(x) // fp32 reference: Forward never runs int8
+	if m.Int8Compute() {
+		t.Fatal("Int8Compute true before SetInt8Compute")
+	}
+	want := m.ForwardEx(x, nil, 1) // fp32 reference, before the switch
+	m.SetInt8Compute(true)
+	if !m.Int8Compute() {
+		t.Fatal("Int8Compute false after SetInt8Compute")
+	}
 	got := m.ForwardEx(x, tensor.NewArena(), 1)
 	wd, gd := want.Data(), got.Data()
 	for i := range wd {

@@ -47,9 +47,9 @@ func TestQuantizedSLSMatchesFloat(t *testing.T) {
 			ids[i] = r.Intn(500)
 		}
 		op := NewSLSOp(e, lookups)
-		want := op.Forward(ids, 2)
+		want := op.ForwardEx(ids, 2, nil, 1)
 		op.Quant = q
-		got := op.Forward(ids, 2)
+		got := op.ForwardEx(ids, 2, nil, 1)
 		// Error accumulates over pooled rows: bound by lookups × step.
 		tol := float32(lookups) * 3e-4
 		return tensor.MaxAbsDiff(got, want) <= tol
@@ -108,9 +108,9 @@ func TestQuantizedCTREndToEnd(t *testing.T) {
 	for i := range ids {
 		ids[i] = rng.Intn(1000)
 	}
-	fl := op.Forward(ids, 3)
+	fl := op.ForwardEx(ids, 3, nil, 1)
 	op.Quant = q
-	qt := op.Forward(ids, 3)
+	qt := op.ForwardEx(ids, 3, nil, 1)
 	if d := tensor.MaxAbsDiff(fl, qt); d > 0.01 {
 		t.Errorf("quantized pooling deviates %v", d)
 	}

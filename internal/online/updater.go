@@ -130,14 +130,14 @@ type Updater struct {
 // New builds an updater for the named registered model that trains
 // twin, the fp32 model the served one was derived from (the same
 // weights, before any quantization); the updater owns it from here on.
-// A twin whose tables hold int8 rows cannot be trained
-// (model.ErrInt8Only). The engine model is only read, never mutated:
+// A twin whose tables hold int8 rows, or whose MLPs run int8 compute,
+// cannot be trained (model.ErrInt8Only). The engine model is only read, never mutated:
 // candidates are always fresh clones of the twin.
 func New(eng *engine.Engine, twin *model.Model, cfg Config) (*Updater, error) {
 	if eng == nil {
 		return nil, errors.New("online: nil engine")
 	}
-	if twin.Quantized() {
+	if twin.Quantized() || twin.Int8MLPs() {
 		return nil, fmt.Errorf("online: training twin %s: %w", twin.Config.Name, model.ErrInt8Only)
 	}
 	if cfg.StepsPerCycle <= 0 {
@@ -337,10 +337,10 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 		u.cfg.PreSwapHook(u.generation.Load()+1, cand)
 	}
 
-	// 4. Quality gate: the candidate's held-out loss — measured on the
-	// model that would actually serve, so training blowups AND
-	// quantization damage are both caught — must not regress past the
-	// tolerance. On regression the twin reverts to the last good
+	// 4. Quality gate: the candidate's held-out loss — scored by CTR,
+	// which runs the forward the engine serves (int8 tables and int8
+	// MLPs included), so training blowups AND quantization damage are
+	// both caught — must not regress past the tolerance. On regression the twin reverts to the last good
 	// weights and nothing is published.
 	if len(u.cfg.HoldoutLabels) > 0 {
 		hl := float64(train.BCELoss(cand.CTR(u.cfg.Holdout), u.cfg.HoldoutLabels))

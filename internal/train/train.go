@@ -29,16 +29,17 @@ type Trainer struct {
 
 // NewTrainer wraps a model built with model.Build, using plain SGD at
 // the given learning rate. It panics on a nil model, a non-positive
-// learning rate, or a model whose tables hold int8 rows.
+// learning rate, or a model holding int8 weights (model.ErrInt8Only).
 func NewTrainer(m *model.Model, lr float32) *Trainer {
 	return NewTrainerWithOptimizer(m, NewSGD(lr))
 }
 
 // NewTrainerWithOptimizer wraps a model with an explicit optimizer
 // (e.g. AdaGrad for production-style sparse training). Training reads
-// and updates the fp32 embedding rows, so a model whose tables hold
-// int8 rows panics here with an error wrapping model.ErrInt8Only
-// rather than on the first step's nil table.
+// and updates fp32 weights and differentiates the fp32 forward, so a
+// model whose tables hold int8 rows, or whose MLPs run int8 compute
+// (which the forward pass would then run), panics here with an error
+// wrapping model.ErrInt8Only rather than on the first step.
 func NewTrainerWithOptimizer(m *model.Model, opt Optimizer) *Trainer {
 	if m == nil {
 		panic("train: nil model")
@@ -46,7 +47,7 @@ func NewTrainerWithOptimizer(m *model.Model, opt Optimizer) *Trainer {
 	if opt == nil {
 		panic("train: nil optimizer")
 	}
-	if m.Quantized() {
+	if m.Quantized() || m.Int8MLPs() {
 		panic(fmt.Errorf("train: %s: %w", m.Config.Name, model.ErrInt8Only))
 	}
 	return &Trainer{m: m, opt: opt}
@@ -91,23 +92,23 @@ func (t *Trainer) forward(req model.Request) *tape {
 		x := req.Dense
 		for _, fc := range m.Bottom.Layers {
 			tp.bottomIn = append(tp.bottomIn, x)
-			x = fc.Forward(x)
+			x = fc.ForwardEx(x, nil, 1)
 			nn.ReLUInPlace(x) // MLP built with FinalReLU=true
 			tp.bottomOut = append(tp.bottomOut, x)
 		}
 		tp.parts = append(tp.parts, x)
 	}
 	for i, op := range m.SLS {
-		tp.parts = append(tp.parts, op.Forward(req.SparseIDs[i], req.Batch))
+		tp.parts = append(tp.parts, op.ForwardEx(req.SparseIDs[i], req.Batch, nil, 1))
 	}
-	tp.concatOut = m.ConcatOp.Forward(tp.parts)
+	tp.concatOut = m.ConcatOp.ForwardEx(tp.parts, nil)
 	x := tp.concatOut
 	if m.Interact != nil {
-		x = m.Interact.Forward(x)
+		x = m.Interact.ForwardEx(x, nil)
 	}
 	for i, fc := range m.Top.Layers {
 		tp.topIn = append(tp.topIn, x)
-		x = fc.Forward(x)
+		x = fc.ForwardEx(x, nil, 1)
 		if i+1 < len(m.Top.Layers) {
 			nn.ReLUInPlace(x)
 		}

@@ -49,6 +49,22 @@ func TestNewTrainerPanics(t *testing.T) {
 			fn()
 		}()
 	}
+	// A model whose MLPs run int8 compute would run the int8 kernels
+	// forward and differentiate fp32 backward: refused like int8 rows.
+	int8MLPs := buildTiny(t, model.Dot, 1).QuantizeMLPs()
+	for name, fn := range map[string]func(){
+		"NewTrainer":              func() { NewTrainer(int8MLPs, 0.1) },
+		"NewTrainerWithOptimizer": func() { NewTrainerWithOptimizer(int8MLPs, NewAdaGrad(0.1)) },
+	} {
+		func() {
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, model.ErrInt8Only) {
+					t.Errorf("%s over int8-compute MLPs: panic %v, want one wrapping model.ErrInt8Only", name, err)
+				}
+			}()
+			fn()
+		}()
+	}
 	tr := NewTrainer(m, 0.1)
 	defer func() {
 		if recover() == nil {
@@ -162,17 +178,26 @@ func TestGradientCheck(t *testing.T) {
 			{"top last W", func() *float32 { return &m.Top.Layers[1].W.Data()[2] }},
 			{"embedding row", func() *float32 { return &m.SLS[0].Table.W.Row(req.SparseIDs[0][0])[1] }},
 		}
+		// set writes a parameter in place. The forward pass reads each
+		// FC's packed copy of W, so every write drops those caches, as
+		// the trainer's own update does.
+		set := func(p *float32, v float32) {
+			*p = v
+			for _, fc := range slices.Concat(m.Bottom.Layers, m.Top.Layers) {
+				fc.InvalidatePacked()
+			}
+		}
 		for _, c := range checks {
 			p := c.ptr()
 			orig := *p
 
 			// Numerical gradient via central differences.
 			const h = 1e-3
-			*p = orig + h
+			set(p, orig+h)
 			up := lossAt()
-			*p = orig - h
+			set(p, orig-h)
 			down := lossAt()
-			*p = orig
+			set(p, orig)
 			numGrad := (up - down) / (2 * h)
 
 			// Analytic gradient via one SGD step.
