@@ -525,14 +525,14 @@ func benchmarkFCRM(b *testing.B, int8Compute bool) {
 	arena := tensor.NewArena()
 	for i := 0; i < 2; i++ { // warm: pack/quantize weights, grow slabs
 		arena.Reset()
-		fc.ForwardEx(x, arena, 1)
+		fc.ForwardEx(x, arena, 1, false)
 	}
 	arena.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arena.Reset()
-		fc.ForwardEx(x, arena, 1)
+		fc.ForwardEx(x, arena, 1, false)
 	}
 }
 

@@ -256,12 +256,12 @@ func runFig10(iters int, peak float64, workers int) {
 			arena := tensor.NewArena()
 			for i := 0; i < 3; i++ { // warmup: pack/quantize, grow arena
 				arena.Reset()
-				fc.ForwardEx(x, arena, 1)
+				fc.ForwardEx(x, arena, 1, false)
 			}
 			t0 := time.Now()
 			for i := 0; i < iters; i++ {
 				arena.Reset()
-				fc.ForwardEx(x, arena, 1)
+				fc.ForwardEx(x, arena, 1, false)
 			}
 			el := time.Since(t0).Seconds()
 			return el / float64(iters) * 1e6, ops * float64(iters) / el / 1e9

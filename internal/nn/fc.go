@@ -57,23 +57,30 @@ func (f *FC) Name() string { return f.label }
 // Kind reports KindFC.
 func (f *FC) Kind() Kind { return KindFC }
 
-// ForwardEx computes Y = X·W + b for X of shape [batch, In]: the GEMM
-// runs against the cached packed weights and, above the kernel's work
-// threshold, is split row-wise across workers goroutines (1 = serial,
-// 0 = GOMAXPROCS). The output comes from the arena, or is freshly
-// allocated when a is nil. Results match tensor.Gemm + AddBiasRows
-// under the kernel-tier contract (bit-identical on the Go tier,
-// FMA-fusion epsilon on AVX2). With SetInt8Compute the GEMM instead
-// runs in int8 (see forwardInt8), trading a bounded accuracy delta for
-// integer throughput.
-func (f *FC) ForwardEx(x *tensor.Tensor, a *tensor.Arena, workers int) *tensor.Tensor {
+// ForwardEx computes Y = X·W + b for X of shape [batch, In], or
+// Y = ReLU(X·W + b) when relu is set: the GEMM runs against the cached
+// packed weights and, above the kernel's work threshold, is split
+// row-wise across workers goroutines (1 = serial, 0 = GOMAXPROCS). The
+// output comes from the arena uninitialised, or is freshly allocated
+// when a is nil: the GEMM's first k-panel overwrites every element, and
+// the bias and the ReLU are applied in its last store
+// (tensor.ParallelGemmPackedBias), so Y is written once. Results match
+// tensor.Gemm, then AddBiasRows, then ReLUInPlace, under the
+// kernel-tier contract (bit-identical on the Go tier, FMA-fusion
+// epsilon on AVX2). With SetInt8Compute the GEMM instead runs in int8
+// (see forwardInt8), trading a bounded accuracy delta for integer
+// throughput, and the ReLU is a separate ReLUInPlace pass.
+func (f *FC) ForwardEx(x *tensor.Tensor, a *tensor.Arena, workers int, relu bool) *tensor.Tensor {
 	f.checkIn(x)
 	if f.int8Compute {
-		return f.forwardInt8(x, a, workers)
+		y := f.forwardInt8(x, a, workers)
+		if relu {
+			ReLUInPlace(y)
+		}
+		return y
 	}
-	y := allocDense(a, x.Dim(0), f.Out)
-	tensor.ParallelGemmPacked(x, f.packedW(), y, workers)
-	tensor.AddBiasRows(y, f.B)
+	y := allocDenseUninit(a, x.Dim(0), f.Out)
+	tensor.ParallelGemmPackedBias(x, f.packedW(), f.B, relu, y, workers)
 	return y
 }
 
@@ -161,14 +168,12 @@ func (m *MLP) Int8Compute() bool {
 	return len(m.Layers) > 0
 }
 
-// ForwardEx runs the stack, applying ReLU between layers and after the
-// final layer when FinalReLU is set; arena and workers are FC.ForwardEx's.
+// ForwardEx runs the stack, with ReLU between layers and after the
+// final layer when FinalReLU is set, each fused into its layer's
+// GEMM; arena and workers are FC.ForwardEx's.
 func (m *MLP) ForwardEx(x *tensor.Tensor, a *tensor.Arena, workers int) *tensor.Tensor {
 	for i, fc := range m.Layers {
-		x = fc.ForwardEx(x, a, workers)
-		if i+1 < len(m.Layers) || m.FinalReLU {
-			ReLUInPlace(x)
-		}
+		x = fc.ForwardEx(x, a, workers, i+1 < len(m.Layers) || m.FinalReLU)
 	}
 	return x
 }

@@ -15,7 +15,7 @@ func TestFCForwardExact(t *testing.T) {
 	copy(fc.W.Data(), []float32{1, 2, 3, 4, 5, 6}) // [2,3]
 	copy(fc.B, []float32{0.5, -0.5, 1})
 	x := tensor.FromSlice([]float32{1, 1, 2, 0}, 2, 2)
-	y := fc.ForwardEx(x, nil, 1)
+	y := fc.ForwardEx(x, nil, 1, false)
 	want := tensor.FromSlice([]float32{5.5, 6.5, 10, 2.5, 3.5, 7}, 2, 3)
 	if !tensor.Equal(y, want, 1e-6) {
 		t.Errorf("FC forward = %v, want %v", y.Data(), want.Data())
@@ -30,7 +30,7 @@ func TestFCShapePanic(t *testing.T) {
 			t.Fatal("mismatched input did not panic")
 		}
 	}()
-	fc.ForwardEx(tensor.New(1, 3), nil, 1)
+	fc.ForwardEx(tensor.New(1, 3), nil, 1, false)
 }
 
 func TestFCStats(t *testing.T) {
@@ -138,7 +138,7 @@ func TestMLPPanicsOnShortDims(t *testing.T) {
 func TestFCLinearity(t *testing.T) {
 	rng := stats.NewRNG(6)
 	fc := NewFC("fc", 16, 8, rng)
-	zero := fc.ForwardEx(tensor.New(1, 16), nil, 1)
+	zero := fc.ForwardEx(tensor.New(1, 16), nil, 1, false)
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
 		x := tensor.New(1, 16)
@@ -150,8 +150,8 @@ func TestFCLinearity(t *testing.T) {
 		for i := range x2.Data() {
 			x2.Data()[i] *= alpha
 		}
-		y1 := fc.ForwardEx(x, nil, 1)
-		y2 := fc.ForwardEx(x2, nil, 1)
+		y1 := fc.ForwardEx(x, nil, 1, false)
+		y2 := fc.ForwardEx(x2, nil, 1, false)
 		for i := range y1.Data() {
 			lhs := y2.Data()[i] - zero.Data()[i]
 			rhs := alpha * (y1.Data()[i] - zero.Data()[i])

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"recsys/internal/stats"
@@ -97,7 +99,7 @@ func TestFCForwardExMatchesGemm(t *testing.T) {
 			arena := tensor.NewArena()
 			for _, workers := range []int{0, 1, 2, 7} {
 				arena.Reset()
-				got := fc.ForwardEx(x, arena, workers)
+				got := fc.ForwardEx(x, arena, workers, false)
 				// Bit-identical on the Go tier; the AVX2 tier's FMA-fused
 				// GEMM is held to the epsilon contract instead.
 				if !tensor.GemmClose(got, want, dims[0]) {
@@ -115,11 +117,11 @@ func TestFCInvalidatePacked(t *testing.T) {
 	fc := NewFC("fc", 8, 8, rng)
 	x := tensor.New(2, 8)
 	x.Fill(1)
-	_ = fc.ForwardEx(x, nil, 1) // builds the packed cache
+	_ = fc.ForwardEx(x, nil, 1, false) // builds the packed cache
 	fc.W.Data()[0] += 1
 	fc.InvalidatePacked()
 	want := fcRef(fc, x)
-	got := fc.ForwardEx(x, nil, 1)
+	got := fc.ForwardEx(x, nil, 1, false)
 	if !tensor.GemmClose(got, want, 8) {
 		t.Fatal("ForwardEx served stale packed weights after InvalidatePacked")
 	}
@@ -170,4 +172,60 @@ func TestConcatAndDotForwardEx(t *testing.T) {
 	if !tensor.Equal(dot.ForwardEx(x, arena), dot.ForwardEx(x, nil), 0) {
 		t.Fatal("DotInteraction ForwardEx differs")
 	}
+}
+
+// rmc3Bottom is the rmc3 preset's bottom MLP (512-2560-256-128, ReLU
+// after every layer) with a batch-16 input: the FC stack that
+// dominates the rmc3_dense workload.
+func rmc3Bottom(seed uint64) (*MLP, *tensor.Tensor) {
+	rng := stats.NewRNG(seed)
+	mlp := NewMLP("bottom", []int{512, 2560, 256, 128}, true, rng)
+	x := tensor.New(16, 512)
+	d := x.Data()
+	for i := range d {
+		d[i] = float32(rng.NormFloat64())
+	}
+	return mlp, x
+}
+
+// TestMLPForwardExPoisonedArena: FC outputs come from the arena
+// uninitialised, so a slab that a previous pass left full of NaN must
+// not leak into any output. The pass over the poisoned slab must equal
+// a fresh (heap, zeroed) pass bit for bit, fp32 and int8 compute, at 1
+// and 2 workers.
+func TestMLPForwardExPoisonedArena(t *testing.T) {
+	mlp, x := rmc3Bottom(38)
+	for _, int8Compute := range []bool{false, true} {
+		mlp.SetInt8Compute(int8Compute)
+		for _, workers := range []int{1, 2} {
+			want := mlp.ForwardEx(x, nil, workers)
+			arena := tensor.NewArena()
+			arena.AllocUninit(1 << 17).Fill(float32(math.NaN())) // ≥ the pass's working set
+			arena.Reset()
+			got := mlp.ForwardEx(x, arena, workers)
+			if !bitsEqual(got.Data(), want.Data()) {
+				t.Fatalf("int8=%v workers=%d: pass over a NaN-filled arena differs from a fresh pass", int8Compute, workers)
+			}
+		}
+	}
+}
+
+// TestMLPForwardExZeroAlloc: with a warm arena the fp32 rmc3 bottom
+// MLP at batch 16 allocates nothing per pass.
+func TestMLPForwardExZeroAlloc(t *testing.T) {
+	mlp, x := rmc3Bottom(39)
+	arena := tensor.NewArena()
+	run := func() {
+		arena.Reset()
+		mlp.ForwardEx(x, arena, 1)
+	}
+	run() // pack weights, grow the slab
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("fp32 MLP ForwardEx allocates %v objects/op with a warm arena", allocs)
+	}
+}
+
+func bitsEqual(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }

@@ -128,12 +128,12 @@ func TestFCInt8AccuracyBound(t *testing.T) {
 		for i := range xd {
 			xd[i] = (rng.Float32()*2 - 1) * 4
 		}
-		want := fc.ForwardEx(x, nil, 1) // fp32, before the switch
+		want := fc.ForwardEx(x, nil, 1, false) // fp32, before the switch
 		fc.SetInt8Compute(true)
 		if !fc.Int8Compute() {
 			t.Fatal("Int8Compute false after SetInt8Compute")
 		}
-		got := fc.ForwardEx(x, nil, 1)
+		got := fc.ForwardEx(x, nil, 1, false)
 		q := fc.quantizedW()
 
 		wantD, gotD := want.Data(), got.Data()
@@ -172,9 +172,9 @@ func TestFCInt8ParallelMatchesSerial(t *testing.T) {
 	for i := range xd {
 		xd[i] = rng.Float32()*2 - 1
 	}
-	serial := fc.ForwardEx(x, nil, 1)
+	serial := fc.ForwardEx(x, nil, 1, false)
 	for _, workers := range []int{2, 3, 8} {
-		par := fc.ForwardEx(x, nil, workers)
+		par := fc.ForwardEx(x, nil, workers, false)
 		if !tensor.Equal(par, serial, 0) {
 			t.Fatalf("workers=%d not bit-identical to serial", workers)
 		}
@@ -192,14 +192,14 @@ func TestInvalidatePackedDropsQuant(t *testing.T) {
 	for i := range xd {
 		xd[i] = rng.Float32()
 	}
-	before := append([]float32(nil), fc.ForwardEx(x, nil, 1).Data()...)
+	before := append([]float32(nil), fc.ForwardEx(x, nil, 1, false).Data()...)
 	qBefore := fc.quantizedW()
 	w := fc.W.Data()
 	for i := range w {
 		w[i] *= 3
 	}
 	fc.InvalidatePacked()
-	after := fc.ForwardEx(x, nil, 1).Data()
+	after := fc.ForwardEx(x, nil, 1, false).Data()
 	qAfter := fc.quantizedW()
 	if qBefore == qAfter {
 		t.Fatal("QuantizedLinear not rebuilt after InvalidatePacked")

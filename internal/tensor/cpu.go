@@ -15,7 +15,12 @@ import (
 // each multiply-add of the GEMM inner loop into one FMA (one rounding
 // instead of two) and re-associates edge-row accumulation, so fp32
 // GEMM results differ from the Go tier by a relative epsilon
-// (FloatsClose is the shared assert for that comparison). The SLS
+// (FloatsClose is the shared assert for that comparison). The fused
+// FC epilogue (ParallelGemmPackedBias) adds nothing to that epsilon:
+// on each tier it is bit-identical to the same tier's GemmPacked into a
+// zeroed C, then AddBiasRows, then `if v < 0 { v = 0 }` — the bias add
+// keeps the accumulator as the first source, and the AVX2 ReLU is
+// MAX(0, v) in the operand order that keeps −0 and NaN. The SLS
 // kernels (AddF32, PoolRowsI8) deliberately avoid FMA and keep the
 // per-element operation order, and the int8 kernels are integer
 // arithmetic — all three are bit-identical across tiers.

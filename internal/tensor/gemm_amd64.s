@@ -11,8 +11,17 @@
 // Numerics: each multiply-add is a fused FMA (one rounding), so
 // results differ from the pure-Go tier by a relative epsilon — see the
 // numerics contract in cpu.go.
+//
+// Epilogue (pack.go's epZero/epBias/epReLU, in the flags word): with
+// bit 0 the accumulators start at zero (VXORPS) instead of loading C;
+// with bit 1 each gets + bias[0:8] after the last FMA, the accumulator
+// as the first source as in AddBiasRows; with bit 2 each then becomes
+// Intel MAX(src1=0, src2=v), which returns v unless 0 > v, so it is
+// `if v < 0 { v = 0 }` bit for bit: −0 and NaN pass through. (The
+// other operand order would turn −0 into +0 and NaN into 0.) Then the
+// tile is stored once.
 
-// func gemmKernel8x8(a *float32, lda int, tile *float32, c *float32, ldc int, kc int)
+// func gemmKernel8x8(a *float32, lda int, tile *float32, c *float32, ldc int, kc int, bias *float32, flags int)
 //
 // Register-tiled 8-row × 8-column micro-kernel:
 //
@@ -20,18 +29,21 @@
 //
 // a points at A[row0][p0] (row stride lda elements), tile at the
 // packed 8-wide column tile of the current k-panel, c at C[row0][j0]
-// (row stride ldc elements). Eight ymm accumulators (one per row) stay
-// live across the whole panel; each k-step is one tile load, eight
-// broadcasts, and eight FMAs. The two-base addressing below (DI = row
-// 0, BX = row 3) reaches all eight row pointers with scaled-index
-// modes, so the inner loop advances just three pointers.
-TEXT ·gemmKernel8x8(SB), NOSPLIT, $0-48
+// (row stride ldc elements), bias at bias[j0] (read only under bit 1
+// of flags). Eight ymm accumulators (one per row) stay live across the
+// whole panel; each k-step is one tile load, eight broadcasts, and
+// eight FMAs. The two-base addressing below (DI = row 0, BX = row 3)
+// reaches all eight row pointers with scaled-index modes, so the inner
+// loop advances just three pointers.
+TEXT ·gemmKernel8x8(SB), NOSPLIT, $0-64
 	MOVQ a+0(FP), DI
 	MOVQ lda+8(FP), SI
 	MOVQ tile+16(FP), DX
 	MOVQ c+24(FP), R8
 	MOVQ ldc+32(FP), R9
 	MOVQ kc+40(FP), CX
+	MOVQ bias+48(FP), R11
+	MOVQ flags+56(FP), AX
 
 	SHLQ $2, SI           // lda in bytes
 	SHLQ $2, R9           // ldc in bytes
@@ -40,6 +52,21 @@ TEXT ·gemmKernel8x8(SB), NOSPLIT, $0-48
 	LEAQ (R9)(R9*2), R12  // 3·ldc bytes
 	LEAQ (R8)(R9*4), R13  // &C[row4][j0]
 
+	TESTQ $1, AX
+	JZ    load
+
+	// First panel: the sums start at zero; C is not read.
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	JMP    loop
+
+load:
 	// Load the eight C accumulator rows.
 	VMOVUPS (R8), Y0
 	VMOVUPS (R8)(R9*1), Y1
@@ -74,6 +101,35 @@ loop:
 	DECQ CX
 	JNZ  loop
 
+	TESTQ $2, AX
+	JZ    relu
+
+	// Last panel: c = c + bias (Intel VADDPS Yc, Yc, m256).
+	VADDPS (R11), Y0, Y0
+	VADDPS (R11), Y1, Y1
+	VADDPS (R11), Y2, Y2
+	VADDPS (R11), Y3, Y3
+	VADDPS (R11), Y4, Y4
+	VADDPS (R11), Y5, Y5
+	VADDPS (R11), Y6, Y6
+	VADDPS (R11), Y7, Y7
+
+relu:
+	TESTQ $4, AX
+	JZ    store
+
+	// c = MAX(src1=0, src2=c): Go's operand order is src2, src1, dst.
+	VXORPS Y9, Y9, Y9
+	VMAXPS Y0, Y9, Y0
+	VMAXPS Y1, Y9, Y1
+	VMAXPS Y2, Y9, Y2
+	VMAXPS Y3, Y9, Y3
+	VMAXPS Y4, Y9, Y4
+	VMAXPS Y5, Y9, Y5
+	VMAXPS Y6, Y9, Y6
+	VMAXPS Y7, Y9, Y7
+
+store:
 	VMOVUPS Y0, (R8)
 	VMOVUPS Y1, (R8)(R9*1)
 	VMOVUPS Y2, (R8)(R9*2)
@@ -85,26 +141,36 @@ loop:
 	VZEROUPPER
 	RET
 
-// func gemmKernel1x8(a *float32, tile *float32, c *float32, kc int)
+// func gemmKernel1x8(a *float32, tile *float32, c *float32, kc int, bias *float32, flags int)
 //
 // Single-row edge kernel for the m%8 remainder rows:
 //
 //	C[0:8] += Σ_{p<kc} a[p] · tile[p*8 : p*8+8]
 //
-// A single accumulator keeps the per-row operation order identical to
-// one row of gemmKernel8x8 (sequential fused FMA in ascending p), so a
-// row produces the same bits whether a shard boundary routes it
-// through the 8×8 tile or this kernel — ParallelGemmPacked stays
-// bit-identical to serial GemmPacked on the AVX2 tier. The 4-way
+// with the same epilogue flags as gemmKernel8x8. A single accumulator
+// keeps the per-row operation order identical to one row of
+// gemmKernel8x8 (sequential fused FMA in ascending p, then the same
+// epilogue), so a row produces the same bits whether a shard boundary
+// routes it through the 8×8 tile or this kernel — ParallelGemmPacked
+// stays bit-identical to serial GemmPacked on the AVX2 tier. The 4-way
 // unroll only amortizes loop overhead; it does not re-associate.
-TEXT ·gemmKernel1x8(SB), NOSPLIT, $0-32
+TEXT ·gemmKernel1x8(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), DI
 	MOVQ tile+8(FP), DX
 	MOVQ c+16(FP), R8
 	MOVQ kc+24(FP), CX
+	MOVQ bias+32(FP), R11
+	MOVQ flags+40(FP), R10
 
+	TESTQ $1, R10
+	JZ    load
+	VXORPS Y0, Y0, Y0
+	JMP    start
+
+load:
 	VMOVUPS (R8), Y0
 
+start:
 	MOVQ CX, AX
 	SHRQ $2, AX
 	JZ   tail
@@ -136,6 +202,17 @@ tail1:
 	JNZ  tail1
 
 done:
+	TESTQ $2, R10
+	JZ    relu
+	VADDPS (R11), Y0, Y0
+
+relu:
+	TESTQ $4, R10
+	JZ    store
+	VXORPS Y9, Y9, Y9
+	VMAXPS Y0, Y9, Y0
+
+store:
 	VMOVUPS Y0, (R8)
 	VZEROUPPER
 	RET

@@ -7,10 +7,10 @@ package tensor
 // the slice backing arrays off the heap.
 
 //go:noescape
-func gemmKernel8x8(a *float32, lda int, tile *float32, c *float32, ldc int, kc int)
+func gemmKernel8x8(a *float32, lda int, tile *float32, c *float32, ldc int, kc int, bias *float32, flags int)
 
 //go:noescape
-func gemmKernel1x8(a *float32, tile *float32, c *float32, kc int)
+func gemmKernel1x8(a *float32, tile *float32, c *float32, kc int, bias *float32, flags int)
 
 //go:noescape
 func addF32(dst, src *float32, n int)
@@ -38,33 +38,45 @@ func quantizeI16(dst *int16, src *float32, n int, inv, zpf float32)
 // every path — gemmKernel1x8 deliberately mirrors one row of
 // gemmKernel8x8 — so a row's bits do not depend on where shard
 // boundaries fall, and the only numeric deviation from the Go tier is
-// FMA fusion, bounded by the FloatsClose contract.
-func gemmPackedRowsAVX2(ad []float32, pb *PackedB, cd []float32, lo, hi, pLo, pHi, k, n int) {
+// FMA fusion, bounded by the FloatsClose contract. The epilogue runs
+// inside the kernels, on the accumulators, with the same operations as
+// the Go tier's.
+func gemmPackedRowsAVX2(ad []float32, pb *PackedB, cd []float32, lo, hi, pLo, pHi, k, n int, ep epilogue) {
 	for p0 := pLo; p0 < pHi; p0 += blockSize {
 		pMax := min(p0+blockSize, pHi)
 		kc := pMax - p0
 		panel := pb.data[p0*n : p0*n+kc*n]
+		flags := ep.flags(p0, pMax, k)
 		nFull := n &^ (nr - 1)
 		i := lo
 		for ; i+8 <= hi; i += 8 {
 			for j0 := 0; j0 < nFull; j0 += nr {
-				gemmKernel8x8(&ad[i*k+p0], k, &panel[kc*j0], &cd[i*n+j0], n, kc)
+				gemmKernel8x8(&ad[i*k+p0], k, &panel[kc*j0], &cd[i*n+j0], n, kc, biasAt(ep.bias, j0), flags)
 			}
 			if nFull < n {
 				for r := i; r < i+8; r++ {
-					gemmPackedEdge(ad[r*k+p0:r*k+pMax], panel, cd[r*n:(r+1)*n], kc, nFull, n)
+					gemmPackedEdge(ad[r*k+p0:r*k+pMax], panel, cd[r*n:(r+1)*n], kc, nFull, n, ep.bias, flags)
 				}
 			}
 		}
 		for ; i < hi; i++ {
 			for j0 := 0; j0 < nFull; j0 += nr {
-				gemmKernel1x8(&ad[i*k+p0], &panel[kc*j0], &cd[i*n+j0], kc)
+				gemmKernel1x8(&ad[i*k+p0], &panel[kc*j0], &cd[i*n+j0], kc, biasAt(ep.bias, j0), flags)
 			}
 			if nFull < n {
-				gemmPackedEdge(ad[i*k+p0:i*k+pMax], panel, cd[i*n:(i+1)*n], kc, nFull, n)
+				gemmPackedEdge(ad[i*k+p0:i*k+pMax], panel, cd[i*n:(i+1)*n], kc, nFull, n, ep.bias, flags)
 			}
 		}
 	}
+}
+
+// biasAt returns &bias[j0] for a kernel's bias argument, or nil when
+// there is no bias (the kernel reads it only under epBias).
+func biasAt(bias []float32, j0 int) *float32 {
+	if bias == nil {
+		return nil
+	}
+	return &bias[j0]
 }
 
 // gemmI8RowsAVX2 is the assembly-tier twin of gemmI8RowsGo: the same

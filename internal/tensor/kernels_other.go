@@ -6,7 +6,7 @@ package tensor
 // returns false and SetKernel refuses the tier), so none of these can
 // be reached; they exist only to satisfy the dispatch call sites.
 
-func gemmPackedRowsAVX2(ad []float32, pb *PackedB, cd []float32, lo, hi, pLo, pHi, k, n int) {
+func gemmPackedRowsAVX2(ad []float32, pb *PackedB, cd []float32, lo, hi, pLo, pHi, k, n int, ep epilogue) {
 	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
 }
 

@@ -43,8 +43,8 @@ func runBothGemmTiers(rng *rand.Rand, m, k, n, lo, hi int) (goC, asmC []float32)
 	goC = randSlice(rng, m*n) // non-zero C: accumulation must match too
 	asmC = make([]float32, m*n)
 	copy(asmC, goC)
-	gemmPackedRowsGo(a.data, pb, goC, lo, hi, 0, k, k, n)
-	gemmPackedRowsAVX2(a.data, pb, asmC, lo, hi, 0, k, k, n)
+	gemmPackedRowsGo(a.data, pb, goC, lo, hi, 0, k, k, n, epilogue{})
+	gemmPackedRowsAVX2(a.data, pb, asmC, lo, hi, 0, k, k, n, epilogue{})
 	return goC, asmC
 }
 

@@ -92,8 +92,7 @@ func (t *Trainer) forward(req model.Request) *tape {
 		x := req.Dense
 		for _, fc := range m.Bottom.Layers {
 			tp.bottomIn = append(tp.bottomIn, x)
-			x = fc.ForwardEx(x, nil, 1)
-			nn.ReLUInPlace(x) // MLP built with FinalReLU=true
+			x = fc.ForwardEx(x, nil, 1, true) // MLP built with FinalReLU=true
 			tp.bottomOut = append(tp.bottomOut, x)
 		}
 		tp.parts = append(tp.parts, x)
@@ -108,10 +107,7 @@ func (t *Trainer) forward(req model.Request) *tape {
 	}
 	for i, fc := range m.Top.Layers {
 		tp.topIn = append(tp.topIn, x)
-		x = fc.ForwardEx(x, nil, 1)
-		if i+1 < len(m.Top.Layers) {
-			nn.ReLUInPlace(x)
-		}
+		x = fc.ForwardEx(x, nil, 1, i+1 < len(m.Top.Layers))
 	}
 	probs := make([]float32, req.Batch)
 	for i := range probs {
