@@ -94,7 +94,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRankRequestDecode -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzFloat32Token -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzGemmKernelEquiv -fuzztime $(FUZZTIME) ./internal/tensor
-	$(GO) test -run xxx -fuzz FuzzGemmI8KernelEquiv -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/shard
 
 # The kernel-bearing packages, and the model and trainer whose one

@@ -138,23 +138,15 @@ func regressionCases() []benchCase {
 			run: func(b *testing.B) {
 				benchmarkSLSGather(b, slsGatherBench{s: 1.1, planned: true, cacheRows: 5000})
 			}},
-		// The kernel-dispatch acceptance shapes: the RM-scale FC GEMM
-		// (batch 256, 512→256) on one worker, fp32 and int8 compute.
-		// Both carry the zero-alloc contract (arena float and byte
-		// slabs).
-		{name: "gemm_rm_b256", zeroAlloc: true,
-			run: func(b *testing.B) { benchmarkFCRM(b, false) }},
-		{name: "fc_int8_rm_b256", zeroAlloc: true,
-			run: func(b *testing.B) { benchmarkFCRM(b, true) }},
-		// The register-tiled int8 GEMM in isolation (packed weights,
-		// pre-quantized activations) — the kernel the fc_int8 case rides
-		// on — and the cache-blocked parallel fp32 GEMM at batch 256,
-		// which must hold ≥ serial (gemm_rm_b256 measures the serial
-		// kernel plus bias/pack plumbing at the same shape). The parallel
-		// case cannot carry zeroAlloc: multi-worker fan-out allocates its
+		// The kernel-dispatch acceptance shape: the RM-scale FC GEMM
+		// (batch 256, 512→256) on one worker, zero-alloc (arena slab);
+		// and the cache-blocked parallel fp32 GEMM at batch 256, which
+		// must hold ≥ serial (gemm_rm_b256 measures the serial kernel
+		// plus bias/pack plumbing at the same shape). The parallel case
+		// cannot carry zeroAlloc: multi-worker fan-out allocates its
 		// closure and shard bookkeeping on multi-core hosts.
-		{name: "gemm_i8_rm_b256", zeroAlloc: true,
-			run: func(b *testing.B) { benchmarkGemmI8RM(b) }},
+		{name: "gemm_rm_b256", zeroAlloc: true,
+			run: func(b *testing.B) { benchmarkFCRM(b) }},
 		{name: "gemm_parallel_b256", allCores: true,
 			run: func(b *testing.B) { benchmarkGemmParallel(b) }},
 		// The fixed-bucket histogram Observe (binary-searched bucket

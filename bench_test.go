@@ -511,19 +511,18 @@ func BenchmarkSLSGatherPlannedCachedBigInt8(b *testing.B) {
 
 // benchmarkFCRM times the acceptance-shape FC layer (batch 256,
 // 512→256 — the RM-scale GEMM of the kernel-dispatch tentpole) on the
-// serving path with one worker, fp32 packed GEMM or int8 compute.
-// Both variants carry the zero-alloc contract via the regression gate.
-func benchmarkFCRM(b *testing.B, int8Compute bool) {
+// serving path with one worker. It carries the zero-alloc contract via
+// the regression gate.
+func benchmarkFCRM(b *testing.B) {
 	rng := stats.NewRNG(9)
 	fc := nn.NewFC("bench", 512, 256, rng)
-	fc.SetInt8Compute(int8Compute)
 	x := tensor.New(256, 512)
 	xd := x.Data()
 	for i := range xd {
 		xd[i] = rng.Float32()*2 - 1
 	}
 	arena := tensor.NewArena()
-	for i := 0; i < 2; i++ { // warm: pack/quantize weights, grow slabs
+	for i := 0; i < 2; i++ { // warm: pack weights, grow the slab
 		arena.Reset()
 		fc.ForwardEx(x, arena, 1, false)
 	}
@@ -536,52 +535,7 @@ func benchmarkFCRM(b *testing.B, int8Compute bool) {
 	}
 }
 
-func BenchmarkFCRMBatch256(b *testing.B)     { benchmarkFCRM(b, false) }
-func BenchmarkFCInt8RMBatch256(b *testing.B) { benchmarkFCRM(b, true) }
-
-// benchmarkGemmI8RM times the register-tiled int8 GEMM alone (no
-// activation quantization) at the acceptance shape 256×512×256:
-// packed weights and pre-quantized activation codes, one GemmI8 per
-// iteration. Zero-alloc by construction — every buffer is preallocated.
-func benchmarkGemmI8RM(b *testing.B) {
-	const batch, k, n = 256, 512, 256
-	rng := stats.NewRNG(9)
-	codes := make([]int8, k*n)
-	for i := range codes {
-		codes[i] = int8(rng.Intn(255) - 127)
-	}
-	scale := make([]float32, n)
-	colSum := make([]int32, n)
-	for j := 0; j < n; j++ {
-		scale[j] = 0.01
-		var s int32
-		for i := 0; i < k; i++ {
-			s += int32(codes[j*k+i])
-		}
-		colSum[j] = s
-	}
-	pb := tensor.PackBI8(codes, k, n, scale, colSum)
-	ks := pb.KStride()
-	x := make([]int16, batch*ks)
-	sx := make([]float32, batch)
-	zp := make([]int32, batch)
-	row := make([]float32, k)
-	for r := 0; r < batch; r++ {
-		for i := range row {
-			row[i] = rng.Float32()*2 - 1
-		}
-		sx[r] = 2.0 / 255
-		zp[r] = 128
-		tensor.QuantizeRowI16(x[r*ks:r*ks+k], row, 255/2.0, 128.5)
-	}
-	bias := make([]float32, n)
-	y := make([]float32, batch*n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.GemmI8(x, sx, zp, pb, bias, y, batch)
-	}
-}
+func BenchmarkFCRMBatch256(b *testing.B) { benchmarkFCRM(b) }
 
 // benchmarkGemmParallel times the cache-blocked ParallelGemmPacked at
 // batch 256 (256×512×512, resolved workers = GOMAXPROCS): the gate
@@ -611,7 +565,6 @@ func benchmarkGemmParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkGemmI8RMBatch256(b *testing.B)     { benchmarkGemmI8RM(b) }
 func BenchmarkGemmParallelBatch256(b *testing.B) { benchmarkGemmParallel(b) }
 
 // benchmarkForwardHot is benchmarkForward with a warm arena. With workers == 1 the steady-state pass must report 0

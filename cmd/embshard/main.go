@@ -93,8 +93,6 @@ func buildStores(spec string, defaultScale int, seed uint64) ([]nn.RowStore, str
 	if err != nil {
 		return nil, "", err
 	}
-	// Only the table representation matters on a shard.
-	sp.Int8MLPs = false
 	models, err := model.BuildSpecs([]model.Spec{sp}, seed)
 	if err != nil {
 		return nil, "", err

@@ -25,8 +25,8 @@
 // -fig10 reproduces the paper's Figure 10 axis on this host: an
 // RM-scale FC GEMM (512→256) swept over batch 1..256, reporting
 // GFLOP/s and, when -peak-gflops is given, percent of single-core
-// peak, for the active kernel tier plus the register-tiled int8
-// compute path on every tier this machine supports. With -workers N
+// peak, for the active kernel tier (RECSYS_KERNEL=go selects the
+// portable one). With -workers N
 // (N > 1) it appends a parallel-vs-serial crossover sweep of the
 // cache-blocked ParallelGemmPacked against the serial packed GEMM.
 package main
@@ -91,7 +91,7 @@ func main() {
 		os.Exit(1)
 	}
 	if (spec.Int8Tables || *zipfS != 0) && !*measure {
-		fmt.Fprintln(os.Stderr, "recbench: -int8/-int8mlp presets and -zipf require -measure (the analytic model is fp32/uniform)")
+		fmt.Fprintln(os.Stderr, "recbench: -int8 presets and -zipf require -measure (the analytic model is fp32/uniform)")
 		os.Exit(1)
 	}
 	if *saveConfig != "" {
@@ -187,10 +187,6 @@ func runMeasure(spec model.Spec, batch, iters, intraOp int, zipfS float64) error
 	if spec.Int8Tables {
 		tableKind = "int8"
 	}
-	mlpKind := "fp32"
-	if spec.Int8MLPs {
-		mlpKind = "int8"
-	}
 	idKind := "fixed-uniform"
 	if len(idGens) > 0 {
 		idKind = idGens[0].Name()
@@ -198,8 +194,8 @@ func runMeasure(spec model.Spec, batch, iters, intraOp int, zipfS float64) error
 	// shards=local: recbench measures the in-process gather path; the
 	// remote-tier analogue is loadgen -real -emb-shards, which stamps
 	// the tier topology in the same position.
-	fmt.Printf("%s measured on this host  batch=%d scale=%d intra-op=%d iters=%d tables=%s mlps=%s ids=%s kernel=%s shards=local\n",
-		cfg.Name, batch, spec.Scale, intraOp, iters, tableKind, mlpKind, idKind, tensor.KernelTier())
+	fmt.Printf("%s measured on this host  batch=%d scale=%d intra-op=%d iters=%d tables=%s ids=%s kernel=%s shards=local\n",
+		cfg.Name, batch, spec.Scale, intraOp, iters, tableKind, idKind, tensor.KernelTier())
 	fmt.Printf("p50 %.1fµs  p95 %.1fµs  p99 %.1fµs  mean %.1fµs\n",
 		sample.Percentile(50), sample.Percentile(95), sample.Percentile(99),
 		float64(total.Microseconds())/float64(iters))
@@ -213,38 +209,20 @@ func runMeasure(spec model.Spec, batch, iters, intraOp int, zipfS float64) error
 // GEMM throughput as a function of batch size. The shape is the
 // RM-scale 512→256 layer; each batch 1..256 (powers of two) runs the
 // serving path's packed GEMM on one core (workers=1 — the figure is a
-// per-core roofline, parallel scaling is a separate axis) plus the
-// int8 compute path. With -peak-gflops the fp32 column is also
-// reported as percent of single-core peak (e.g. 67.2 for a 2.1 GHz
-// core with two 8-wide FMA ports).
+// per-core roofline, parallel scaling is a separate axis). With
+// -peak-gflops the GFLOP/s column is also reported as percent of
+// single-core peak (e.g. 67.2 for a 2.1 GHz core with two 8-wide FMA
+// ports).
 func runFig10(iters int, peak float64, workers int) {
 	const in, out = 512, 256
-	// The int8 column runs on every tier this host supports, so one
-	// invocation shows the register-tiled kernel and its pure-Go twin
-	// side by side (same integer math: the µs columns differ, the
-	// results are bit-identical).
-	tiers := []string{tensor.KernelTier()}
-	for _, t := range []string{tensor.KernelAVX2, tensor.KernelGo} {
-		if t != tiers[0] && tensor.KernelSupported(t) {
-			tiers = append(tiers, t)
-		}
-	}
-	active := tensor.KernelTier()
-	defer tensor.SetKernel(active)
-
-	fmt.Printf("Figure 10 sweep: FC %d→%d, fp32 kernel=%s, iters=%d\n", in, out, active, iters)
+	fmt.Printf("Figure 10 sweep: FC %d→%d, fp32 kernel=%s, iters=%d\n", in, out, tensor.KernelTier(), iters)
 	header := fmt.Sprintf("%7s %12s %14s", "batch", "fp32 µs/op", "fp32 GFLOP/s")
 	if peak > 0 {
 		header += fmt.Sprintf(" %8s", "% peak")
 	}
-	for _, tier := range tiers {
-		header += fmt.Sprintf(" %15s %12s", "int8["+tier+"] µs", "int8 GOP/s")
-	}
 	fmt.Println(header)
 	rng := stats.NewRNG(1)
-	fp32 := nn.NewFC("fig10", in, out, rng)
-	int8 := nn.NewFC("fig10-int8", in, out, rng)
-	int8.SetInt8Compute(true)
+	fc := nn.NewFC("fig10", in, out, rng)
 	for batch := 1; batch <= 256; batch *= 2 {
 		x := tensor.New(batch, in)
 		xd := x.Data()
@@ -252,31 +230,22 @@ func runFig10(iters int, peak float64, workers int) {
 			xd[i] = rng.Float32()*2 - 1
 		}
 		ops := 2 * float64(batch) * in * out
-		timeFC := func(fc *nn.FC) (usPerOp, gops float64) {
-			arena := tensor.NewArena()
-			for i := 0; i < 3; i++ { // warmup: pack/quantize, grow arena
-				arena.Reset()
-				fc.ForwardEx(x, arena, 1, false)
-			}
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				arena.Reset()
-				fc.ForwardEx(x, arena, 1, false)
-			}
-			el := time.Since(t0).Seconds()
-			return el / float64(iters) * 1e6, ops * float64(iters) / el / 1e9
+		arena := tensor.NewArena()
+		for i := 0; i < 3; i++ { // warmup: pack, grow arena
+			arena.Reset()
+			fc.ForwardEx(x, arena, 1, false)
 		}
-		fpUS, fpG := timeFC(fp32)
-		row := fmt.Sprintf("%7d %12.1f %14.1f", batch, fpUS, fpG)
+		t0 := time.Now()
+		for i := 0; i < iters; i++ {
+			arena.Reset()
+			fc.ForwardEx(x, arena, 1, false)
+		}
+		el := time.Since(t0).Seconds()
+		gflops := ops * float64(iters) / el / 1e9
+		row := fmt.Sprintf("%7d %12.1f %14.1f", batch, el/float64(iters)*1e6, gflops)
 		if peak > 0 {
-			row += fmt.Sprintf(" %7.1f%%", 100*fpG/peak)
+			row += fmt.Sprintf(" %7.1f%%", 100*gflops/peak)
 		}
-		for _, tier := range tiers {
-			tensor.SetKernel(tier)
-			qUS, qG := timeFC(int8)
-			row += fmt.Sprintf(" %15.1f %12.1f", qUS, qG)
-		}
-		tensor.SetKernel(active)
 		fmt.Println(row)
 	}
 	if workers > 1 {

@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"os/signal"
 	"runtime"
 	"strings"
@@ -303,6 +306,32 @@ func TestServeSplitAndSLA(t *testing.T) {
 		if !strings.Contains(string(mb), want) {
 			t.Errorf("GET /metrics missing %q", want)
 		}
+	}
+}
+
+// TestServeRefusesRetiredSuffix: the int8-MLP tier is retired, so
+// `-model rmc3-int8mlp` must stop serve at start-up with the parser's
+// "unknown preset" error and a non-zero exit, not serve fp32 MLPs under
+// the old name. main runs in a child process, this test binary
+// re-executed with a trailing "serve-main" argument, since log.Fatal
+// exits.
+func TestServeRefusesRetiredSuffix(t *testing.T) {
+	if flag.Arg(0) == "serve-main" {
+		os.Args = []string{"serve", "-model", "rmc3-int8mlp", "-scale", "1000", "-addr", "127.0.0.1:0"}
+		main()
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestServeRefusesRetiredSuffix$", "serve-main").CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("serve -model rmc3-int8mlp was still running after 30 s (serving?); output:\n%s", out)
+	}
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
+		t.Fatalf("serve -model rmc3-int8mlp: err %v, want a non-zero exit; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "unknown preset") {
+		t.Errorf("serve -model rmc3-int8mlp output lacks \"unknown preset\":\n%s", out)
 	}
 }
 

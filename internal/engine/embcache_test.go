@@ -228,22 +228,20 @@ func TestEmbCacheSwapRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEmbCacheSwapRaceInt8MLP is the swap-hammer against an int8-MLP
-// model (quantized tables + int8-compute MLPs), with the row caches
-// surviving every swap: each model keeps its own FC weight packs
-// (QuantizedLinear/PackedBI8), so a swap must never pair one model's
-// packs, or a cached row from the wrong tables, with the other's pass. References
-// are precomputed through ForwardEx, the engine's own forward, so every
-// hammered result must bit-match one of the two models.
-func TestEmbCacheSwapRaceInt8MLP(t *testing.T) {
+// TestEmbCacheSwapRaceInt8 is the swap-hammer against a model with
+// int8 tables and fp32 MLPs, with the row caches surviving every swap:
+// the two generations share the tier's rows but not their MLP weights,
+// and each keeps its own packed FC weights (PackedB), so a swap must
+// never pair one model's packs, or a cached row from the wrong tables,
+// with the other's pass. References are precomputed through ForwardEx,
+// the engine's own forward, so every hammered result must bit-match
+// one of the two models.
+func TestEmbCacheSwapRaceInt8(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	e := testEngine(t, cacheOpts(32))
 	mA := buildModel(t, cfg, 7)
-	mB := withTables(t, cfg, 8, mA, true).QuantizeMLPs()
-	mA.QuantizeTables().QuantizeMLPs()
-	if !mA.Int8MLPs() || !mB.Int8MLPs() {
-		t.Fatal("QuantizeMLPs did not enable int8 compute")
-	}
+	mB := withTables(t, cfg, 8, mA, true)
+	mA.QuantizeTables()
 	_, client := startEmbTier(t, cfg, 7, true, 2, shard.Options{})
 	if err := e.Register("m", mA, ModelOptions{EmbShards: client}); err != nil {
 		t.Fatal(err)
@@ -278,7 +276,7 @@ func TestEmbCacheSwapRaceInt8MLP(t *testing.T) {
 					return
 				}
 				if !ctrEqual(got, refA[k]) && !ctrEqual(got, refB[k]) {
-					t.Errorf("req %d: int8 output matches neither model — stale weight pack or cache row served", k)
+					t.Errorf("req %d: int8-table output matches neither model — stale weight pack or cache row served", k)
 					return
 				}
 			}

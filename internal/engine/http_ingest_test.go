@@ -228,14 +228,13 @@ func TestRankScratchRetention(t *testing.T) {
 
 // TestHTTPRankMatchesEngineRank: a request marshalled, sent over HTTP,
 // parsed in place and ranked out of pooled buffers scores bit for bit
-// what Engine.Rank scores on the original request, on fp32 tables, on
-// int8 tables and on int8 MLPs.
+// what Engine.Rank scores on the original request, on fp32 tables and
+// on int8 tables.
 func TestHTTPRankMatchesEngineRank(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	variants := map[string]func(*model.Model) *model.Model{
-		"fp32":      func(m *model.Model) *model.Model { return m },
-		"int8":      func(m *model.Model) *model.Model { return m.QuantizeTables() },
-		"int8-mlps": func(m *model.Model) *model.Model { return m.QuantizeTables().QuantizeMLPs() },
+		"fp32": func(m *model.Model) *model.Model { return m },
+		"int8": func(m *model.Model) *model.Model { return m.QuantizeTables() },
 	}
 	for name, quantize := range variants {
 		t.Run(name, func(t *testing.T) {

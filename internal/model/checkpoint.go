@@ -35,8 +35,7 @@ const (
 )
 
 // Save writes the model's configuration and weights to w, each table as
-// the model holds it. The int8 MLP compute mode is not part of the
-// checkpoint: a loaded model runs fp32 MLPs until QuantizeMLPs.
+// the model holds it.
 func (m *Model) Save(w io.Writer) error {
 	cfgJSON, err := m.Config.MarshalJSON()
 	if err != nil {

@@ -7,10 +7,9 @@ import (
 
 // Clone returns a deep copy of the model: parameters allocated once and
 // filled with the receiver's weights bit for bit, each table held as
-// the receiver holds it (fp32 or int8), and the same MLP compute mode.
-// The clone shares nothing mutable with the receiver, so one side can
-// train while the other serves — the twin-model structure of the
-// online-learning loop.
+// the receiver holds it (fp32 or int8). The clone shares nothing
+// mutable with the receiver, so one side can train while the other
+// serves — the twin-model structure of the online-learning loop.
 //
 // Serving attachments (row caches, remote row stores) are deliberately
 // not cloned: they belong to the engine's model queue, which re-attaches
@@ -23,14 +22,11 @@ func (m *Model) Clone() (*Model, error) {
 	if err := c.CopyWeightsFrom(m); err != nil {
 		return nil, err
 	}
-	if m.Int8MLPs() {
-		c.QuantizeMLPs()
-	}
 	return c, nil
 }
 
 // CopyWeightsFrom overwrites the receiver's parameters with src's and
-// drops the packed (and int8) MLP weight caches, so the next forward
+// drops the packed MLP weight caches, so the next forward
 // pass cannot serve stale state. Both models must share a config and
 // hold their tables the same way (same parameter blocks); otherwise
 // nothing is copied. The receiver must not be serving concurrently; it
@@ -62,8 +58,8 @@ func (dst *Model) CopyWeightsFrom(src *Model) error {
 	return nil
 }
 
-// refreshDerived drops the packed (and int8) MLP weight caches for lazy
-// rebuild from the current fp32 weights.
+// refreshDerived drops the packed MLP weight caches for lazy rebuild
+// from the current fp32 weights.
 func (m *Model) refreshDerived() {
 	if m.Bottom != nil {
 		for _, fc := range m.Bottom.Layers {

@@ -24,8 +24,7 @@ func TestCloneBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		int8Tab bool
-		int8MLP bool
-	}{{"fp32", false, false}, {"int8", true, false}, {"int8mlp", true, true}} {
+	}{{"fp32", false}, {"int8", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := RMC1Small().Scaled(1000)
 			m, err := Build(cfg, stats.NewRNG(11))
@@ -35,16 +34,12 @@ func TestCloneBitIdentical(t *testing.T) {
 			if tc.int8Tab {
 				m.QuantizeTables()
 			}
-			if tc.int8MLP {
-				m.QuantizeMLPs()
-			}
 			c, err := m.Clone()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.Quantized() != m.Quantized() || c.Int8MLPs() != m.Int8MLPs() {
-				t.Fatalf("clone quantization state (%v,%v) != source (%v,%v)",
-					c.Quantized(), c.Int8MLPs(), m.Quantized(), m.Int8MLPs())
+			if c.Quantized() != m.Quantized() {
+				t.Fatalf("clone quantization state %v != source %v", c.Quantized(), m.Quantized())
 			}
 			// Same scores on both the reference and the hot path.
 			rng := stats.NewRNG(7)

@@ -33,10 +33,8 @@ type Model struct {
 
 // ErrInt8Only is the error the trainer refuses a model with whose
 // tables hold int8 rows (QuantizeTables, or Spec.Build with
-// Int8Tables), which leaves no fp32 rows to train, or whose MLPs run
-// int8 compute (QuantizeMLPs), whose forward pass the fp32 backward
-// does not differentiate.
-var ErrInt8Only = errors.New("model: int8 weights (int8 table rows or int8-compute MLPs) cannot be trained")
+// Int8Tables), which leaves no fp32 rows to train.
+var ErrInt8Only = errors.New("model: int8 table rows cannot be trained")
 
 // Build materializes a runnable model with weights drawn from rng.
 // It returns an error if the config is invalid or its parameters exceed
@@ -181,11 +179,11 @@ type SpanObserver interface {
 // in the request, a [batch, 1] tensor of probabilities in (0,1). Every
 // activation tensor is carved from the arena, so a steady-state pass
 // performs zero heap allocations; a nil arena allocates fresh tensors.
-// FC layers run against packed weights (or int8, after QuantizeMLPs),
-// and the FC and SLS kernels split rows across workers goroutines (1 =
-// serial, 0 = GOMAXPROCS). Row-partitioned parallelism leaves per-row
-// accumulation order unchanged, so results are bit-identical for any
-// (arena, workers) combination.
+// FC layers run against packed weights, and the FC and SLS kernels
+// split rows across workers goroutines (1 = serial, 0 = GOMAXPROCS).
+// Row-partitioned parallelism leaves per-row accumulation order
+// unchanged, so results are bit-identical for any (arena, workers)
+// combination.
 //
 // The returned tensor aliases the arena; copy what must outlive the
 // next Reset.

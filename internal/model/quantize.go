@@ -23,33 +23,6 @@ func (m *Model) QuantizeTables() *Model {
 	return m
 }
 
-// QuantizeMLPs switches the bottom and top MLP stacks to int8 compute
-// on the serving path (nn.FC's quantized integer GEMM): per-channel
-// symmetric int8 weights, dynamic per-row uint8 activations, and
-// u8·s8→i32 dot products. Every forward of the model runs them from
-// here on: the engine's, CTR, and so the online updater's quality
-// gate. The fp32 weights stay the source of truth (checkpoints save
-// them, and InvalidatePacked re-quantizes after a weight update), but
-// the trainer refuses the model (ErrInt8Only): train the fp32 twin
-// and quantize a clone. Returns the model for chaining; presets select
-// it with the "-int8mlp" model-spec suffix.
-func (m *Model) QuantizeMLPs() *Model {
-	if m.Bottom != nil {
-		m.Bottom.SetInt8Compute(true)
-	}
-	m.Top.SetInt8Compute(true)
-	return m
-}
-
-// Int8MLPs reports whether the MLP stacks run int8 compute (the bottom
-// stack is exempt when the model has no dense path).
-func (m *Model) Int8MLPs() bool {
-	if m.Bottom != nil && !m.Bottom.Int8Compute() {
-		return false
-	}
-	return m.Top.Int8Compute()
-}
-
 // Quantized reports whether the model's embedding tables hold int8
 // rows (QuantizeTables, or Spec.Build with Int8Tables) rather than
 // fp32 ones.

@@ -47,45 +47,3 @@ func TestQuantizeTablesEquivalence(t *testing.T) {
 		t.Fatal("quantized arena pass differs from the arena-free one")
 	}
 }
-
-// TestQuantizeMLPsEquivalence: with int8-compute MLPs, the model's
-// CTR must stay near the fp32 twin. Per-layer error is analytically
-// bounded (nn's TestFCInt8AccuracyBound); post-sigmoid it lands well
-// inside a quantization-scale tolerance.
-func TestQuantizeMLPsEquivalence(t *testing.T) {
-	for _, cfg := range []Config{
-		RMC1Small().Scaled(100), // dense bottom + top
-		MLPerfNCF().Scaled(10),  // no dense path: Bottom nil
-	} {
-		fp, err := Build(cfg, stats.NewRNG(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := Build(cfg, stats.NewRNG(7)) // same seed → identical weights
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.Int8MLPs() {
-			t.Fatalf("%s: Int8MLPs() true before QuantizeMLPs", cfg.Name)
-		}
-		q.QuantizeMLPs()
-		if !q.Int8MLPs() {
-			t.Fatalf("%s: Int8MLPs() false after QuantizeMLPs", cfg.Name)
-		}
-
-		req := NewRandomRequest(cfg, 8, stats.NewRNG(8))
-		want := fp.ForwardEx(req, nil, 1)
-		got := q.ForwardEx(req, tensor.NewArena(), 1)
-		const tol = 2e-2
-		wd, gd := want.Data(), got.Data()
-		for i := range wd {
-			d := gd[i] - wd[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > tol {
-				t.Fatalf("%s: int8-MLP CTR[%d] = %g, fp32 %g (|Δ|=%g > %g)", cfg.Name, i, gd[i], wd[i], d, tol)
-			}
-		}
-	}
-}

@@ -11,12 +11,12 @@ import (
 )
 
 // TestCTRScoresWhatServes: CTR is the score the engine serves, bit for
-// bit, whatever the model runs: fp32 MLPs, int8 tables, int8-compute
-// MLPs. Anything that scores a model offline through CTR (the online
-// updater's quality gate, train.Teacher, rank.Pipeline) therefore
-// judges the program that serves, quantization included.
+// bit, whatever tables the model holds, fp32 or int8, with or without
+// a dense bottom MLP. Anything that scores a model offline through CTR
+// (the online updater's quality gate, train.Teacher, rank.Pipeline)
+// therefore judges the program that serves, quantization included.
 func TestCTRScoresWhatServes(t *testing.T) {
-	for _, s := range []string{"rmc1-int8mlp", "rmc3-int8mlp", "ncf-int8mlp", "rmc2-int8", "rmc3"} {
+	for _, s := range []string{"rmc1-int8", "rmc3-int8", "ncf-int8", "rmc2-int8", "rmc3"} {
 		t.Run(s, func(t *testing.T) {
 			spec, err := model.ParseSingleSpec(s, 100)
 			if err != nil {

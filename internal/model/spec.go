@@ -13,8 +13,8 @@ import (
 // full account.
 const (
 	presetUsage     = "preset is rmc1, rmc2 or rmc3 (each also -large) or ncf"
-	SpecUsage       = "[name=]preset[-int8|-int8mlp][:scale][@weight]; " + presetUsage
-	SingleSpecUsage = "preset[-int8|-int8mlp][:scale]; " + presetUsage
+	SpecUsage       = "[name=]preset[-int8][:scale][@weight]; " + presetUsage
+	SingleSpecUsage = "preset[-int8][:scale]; " + presetUsage
 )
 
 // Spec is one parsed -model value: which Table I preset to build, how
@@ -31,9 +31,8 @@ type Spec struct {
 	// Weight is the executor's fair-pick weight (1 without @weight).
 	Weight int
 	// Int8Tables serves row-wise int8-quantized embedding tables (the
-	// "-int8" suffix); Int8MLPs additionally runs the bottom/top MLPs in
-	// int8 compute ("-int8mlp", which implies Int8Tables).
-	Int8Tables, Int8MLPs bool
+	// "-int8" suffix).
+	Int8Tables bool
 }
 
 // ParseSpec parses one -model value. defaultScale applies when the
@@ -62,11 +61,8 @@ func ParseSpec(s string, defaultScale int) (Spec, error) {
 		}
 		rest = rest[:colon]
 	}
-	base, ok := strings.CutSuffix(strings.ToLower(rest), "-int8mlp")
-	spec.Int8MLPs, spec.Int8Tables = ok, ok
-	if !ok {
-		base, spec.Int8Tables = strings.CutSuffix(base, "-int8")
-	}
+	var base string
+	base, spec.Int8Tables = strings.CutSuffix(strings.ToLower(rest), "-int8")
 	switch base {
 	case "rmc1":
 		spec.Preset = RMC1Small()
@@ -112,14 +108,7 @@ func (s Spec) Config() Config {
 // tables hold int8 rows, drawn without an fp32 table, and
 // bit-identical to Build followed by QuantizeTables.
 func (s Spec) Build(rng *stats.RNG) (*Model, error) {
-	m, err := build(s.Config(), rng, s.Int8Tables)
-	if err != nil {
-		return nil, err
-	}
-	if s.Int8MLPs {
-		m.QuantizeMLPs()
-	}
-	return m, nil
+	return build(s.Config(), rng, s.Int8Tables)
 }
 
 // BuildSpecs is the weight-stream rule every process of a deployment

@@ -23,7 +23,6 @@ func TestParseSpec(t *testing.T) {
 		scale  int
 		weight int
 		tables bool
-		mlps   bool
 		errHas string // non-empty: ParseSpec must fail mentioning this
 	}{
 		{in: "rmc1", class: RMC1, preset: "RMC1-small", scale: defaultScale, weight: 1},
@@ -35,13 +34,11 @@ func TestParseSpec(t *testing.T) {
 		{in: "rmc3-large", class: RMC3, preset: "RMC3-large", scale: defaultScale, weight: 1},
 		{in: "rmc2-int8", class: RMC2, preset: "RMC2-small", scale: defaultScale, weight: 1, tables: true},
 		{in: "rmc2-int8:50", class: RMC2, preset: "RMC2-small", scale: 50, weight: 1, tables: true},
-		{in: "rmc1-int8mlp", class: RMC1, preset: "RMC1-small", scale: defaultScale, weight: 1, tables: true, mlps: true},
 		{in: "rmc2-large-int8", class: RMC2, preset: "RMC2-large", scale: defaultScale, weight: 1, tables: true},
 		{in: "rmc1:1", class: RMC1, preset: "RMC1-small", scale: 1, weight: 1},
 		{in: "filter=rmc1:500@2", name: "filter", class: RMC1, preset: "RMC1-small", scale: 500, weight: 2},
 		{in: "ranker=rmc3:500", name: "ranker", class: RMC3, preset: "RMC3-small", scale: 500, weight: 1},
 		{in: "q=rmc2-int8:500", name: "q", class: RMC2, preset: "RMC2-small", scale: 500, weight: 1, tables: true},
-		{in: "qm=rmc1-int8mlp:500", name: "qm", class: RMC1, preset: "RMC1-small", scale: 500, weight: 1, tables: true, mlps: true},
 		{in: "rmc1@3", class: RMC1, preset: "RMC1-small", scale: defaultScale, weight: 3},
 
 		{in: "=rmc1", errHas: "empty model name"},
@@ -53,6 +50,10 @@ func TestParseSpec(t *testing.T) {
 		{in: "nope", errHas: "unknown preset"},
 		{in: "", errHas: "unknown preset"},
 		{in: "rmc1-int8mlpx", errHas: "unknown preset"},
+		// The int8-MLP tier is retired: its suffix fails closed rather
+		// than serving fp32 MLPs under the old name.
+		{in: "rmc1-int8mlp", errHas: "unknown preset"},
+		{in: "qm=rmc1-int8mlp:500", errHas: "unknown preset"},
 		{in: "rmc9", errHas: "unknown preset"},
 	}
 	for _, c := range cases {
@@ -68,9 +69,9 @@ func TestParseSpec(t *testing.T) {
 			continue
 		}
 		if got.Name != c.name || got.Preset.Class != c.class || got.Preset.Name != c.preset ||
-			got.Scale != c.scale || got.Weight != c.weight || got.Int8Tables != c.tables || got.Int8MLPs != c.mlps {
-			t.Errorf("ParseSpec(%q) = %+v, want name %q preset %q scale %d weight %d int8 %v/%v",
-				c.in, got, c.name, c.preset, c.scale, c.weight, c.tables, c.mlps)
+			got.Scale != c.scale || got.Weight != c.weight || got.Int8Tables != c.tables {
+			t.Errorf("ParseSpec(%q) = %+v, want name %q preset %q scale %d weight %d int8 %v",
+				c.in, got, c.name, c.preset, c.scale, c.weight, c.tables)
 		}
 	}
 }
@@ -93,7 +94,7 @@ func TestParseSingleSpec(t *testing.T) {
 // suffix names, and BuildSpecs hands spec i the i-th split of the seed.
 func TestSpecBuild(t *testing.T) {
 	var specs []Spec
-	for _, in := range []string{"rmc1:1000", "rmc1-int8:1000", "rmc1-int8mlp:1000"} {
+	for _, in := range []string{"rmc1:1000", "rmc1-int8:1000"} {
 		s, err := ParseSpec(in, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -111,8 +112,8 @@ func TestSpecBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range models {
-		if m.Quantized() != specs[i].Int8Tables || m.Int8MLPs() != specs[i].Int8MLPs {
-			t.Errorf("spec %d: tables=%v mlps=%v, want %v/%v", i, m.Quantized(), m.Int8MLPs(), specs[i].Int8Tables, specs[i].Int8MLPs)
+		if m.Quantized() != specs[i].Int8Tables {
+			t.Errorf("spec %d: int8 tables %v, want %v", i, m.Quantized(), specs[i].Int8Tables)
 		}
 	}
 	rng := stats.NewRNG(7)
@@ -145,70 +146,65 @@ func diffRows(a, b *nn.QuantizedTable) int {
 	return -1
 }
 
-// TestInt8SpecHoldsRowsOnce: an -int8 or -int8mlp spec builds int8
+// TestInt8SpecHoldsRowsOnce: an -int8 spec builds int8
 // rows only, allocates no fp32 table on the way, and serves exactly
 // what Build followed by QuantizeTables serves from the same split;
 // that conversion, too, leaves no fp32 table behind.
 func TestInt8SpecHoldsRowsOnce(t *testing.T) {
 	for _, preset := range []string{"rmc1", "rmc2", "rmc3"} {
-		for _, suffix := range []string{"-int8", "-int8mlp"} {
-			spec, err := ParseSpec(preset+suffix+":100", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			got, err := spec.Build(stats.NewRNG(7).Split())
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := Build(spec.Config(), stats.NewRNG(7).Split())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.QuantizeTables()
-			if spec.Int8MLPs {
-				want.QuantizeMLPs()
-			}
-			if !got.Quantized() || got.Int8MLPs() != spec.Int8MLPs {
-				t.Fatalf("%s%s: Quantized=%v Int8MLPs=%v", preset, suffix, got.Quantized(), got.Int8MLPs())
-			}
+		spec, err := ParseSpec(preset+"-int8:100", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := spec.Build(stats.NewRNG(7).Split())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Build(spec.Config(), stats.NewRNG(7).Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.QuantizeTables()
+		if !got.Quantized() {
+			t.Fatalf("%s-int8: Quantized=false", preset)
+		}
 
-			var rowBytes int64
-			for i, op := range got.SLS {
-				if op.Table.W != nil {
-					t.Errorf("%s%s table %d: fp32 rows allocated", preset, suffix, i)
-				}
-				if want.SLS[i].Table.W != nil {
-					t.Errorf("%s%s table %d: QuantizeTables kept the fp32 rows beside the int8 ones", preset, suffix, i)
-				}
-				if r := diffRows(op.Quant, want.SLS[i].Quant); r >= 0 {
-					t.Fatalf("%s%s table %d: row %d differs from Build+QuantizeTables", preset, suffix, i, r)
-				}
-				rowBytes += int64(op.Quant.Rows) * int64(op.Quant.Cols+8)
+		var rowBytes int64
+		for i, op := range got.SLS {
+			if op.Table.W != nil {
+				t.Errorf("%s-int8 table %d: fp32 rows allocated", preset, i)
 			}
-			// The build allocates the int8 rows and the fp32 MLP weights
-			// both builds draw, plus a tenth for size-class rounding,
-			// labels and the one-row scratch; an fp32 table would add
-			// 4×Cols more bytes a row (3.2× the int8 rows at Cols 32).
-			budget := uint64(1.1 * float64(rowBytes+4*int64(spec.Config().MLPParams())))
-			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > budget {
-				t.Errorf("%s%s: build allocated %d bytes, budget %d (int8 rows %d)", preset, suffix, alloc, budget, rowBytes)
+			if want.SLS[i].Table.W != nil {
+				t.Errorf("%s-int8 table %d: QuantizeTables kept the fp32 rows beside the int8 ones", preset, i)
 			}
+			if r := diffRows(op.Quant, want.SLS[i].Quant); r >= 0 {
+				t.Fatalf("%s-int8 table %d: row %d differs from Build+QuantizeTables", preset, i, r)
+			}
+			rowBytes += int64(op.Quant.Rows) * int64(op.Quant.Cols+8)
+		}
+		// The build allocates the int8 rows and the fp32 MLP weights
+		// both builds draw, plus a tenth for size-class rounding,
+		// labels and the one-row scratch; an fp32 table would add
+		// 4×Cols more bytes a row (3.2× the int8 rows at Cols 32).
+		budget := uint64(1.1 * float64(rowBytes+4*int64(spec.Config().MLPParams())))
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > budget {
+			t.Errorf("%s-int8: build allocated %d bytes, budget %d (int8 rows %d)", preset, alloc, budget, rowBytes)
+		}
 
-			rng := stats.NewRNG(11)
-			ga, wa := tensor.NewArena(), tensor.NewArena()
-			for i := 0; i < 20; i++ {
-				req := NewRandomRequest(spec.Config(), 16, rng)
-				if !bitsEqual(got.CTR(req), want.CTR(req)) {
-					t.Fatalf("%s%s batch %d: CTR differs from Build+QuantizeTables", preset, suffix, i)
-				}
-				ga.Reset()
-				wa.Reset()
-				if !tensor.Equal(got.ForwardEx(req, ga, 1), want.ForwardEx(req, wa, 1), 0) {
-					t.Fatalf("%s%s batch %d: ForwardEx differs from Build+QuantizeTables", preset, suffix, i)
-				}
+		rng := stats.NewRNG(11)
+		ga, wa := tensor.NewArena(), tensor.NewArena()
+		for i := 0; i < 20; i++ {
+			req := NewRandomRequest(spec.Config(), 16, rng)
+			if !bitsEqual(got.CTR(req), want.CTR(req)) {
+				t.Fatalf("%s-int8 batch %d: CTR differs from Build+QuantizeTables", preset, i)
+			}
+			ga.Reset()
+			wa.Reset()
+			if !tensor.Equal(got.ForwardEx(req, ga, 1), want.ForwardEx(req, wa, 1), 0) {
+				t.Fatalf("%s-int8 batch %d: ForwardEx differs from Build+QuantizeTables", preset, i)
 			}
 		}
 	}

@@ -6,20 +6,6 @@ import (
 	"recsys/internal/tensor"
 )
 
-// ReLUInPlace replaces every element v < 0 with +0. −0 and NaN are
-// kept as they are (Go's max(0, v) would turn −0 into +0); this is the
-// exact rule the fused FC epilogue applies
-// (tensor.ParallelGemmPackedBias). The fp32 serving path no longer
-// calls it; the int8-compute FC does, after its GEMM.
-func ReLUInPlace(t *tensor.Tensor) {
-	d := t.Data()
-	for i, v := range d {
-		if v < 0 {
-			d[i] = 0
-		}
-	}
-}
-
 // SigmoidInPlace applies the logistic function element-wise. The final
 // Top-FC output of a recommendation model passes through Sigmoid to
 // produce the predicted click-through rate.

@@ -24,12 +24,6 @@ type FC struct {
 	// rather than once per request. InvalidatePacked drops it after a
 	// weight update.
 	packed atomic.Pointer[tensor.PackedB]
-
-	// int8Compute switches ForwardEx to the quantized integer GEMM
-	// path; quant lazily caches the int8 weight representation, also
-	// dropped by InvalidatePacked. See qlinear.go.
-	int8Compute bool
-	quant       atomic.Pointer[QuantizedLinear]
 }
 
 // NewFC returns an FC layer with Xavier/Glorot-uniform weights drawn
@@ -65,19 +59,12 @@ func (f *FC) Kind() Kind { return KindFC }
 // when a is nil: the GEMM's first k-panel overwrites every element, and
 // the bias and the ReLU are applied in its last store
 // (tensor.ParallelGemmPackedBias), so Y is written once. Results match
-// tensor.Gemm, then AddBiasRows, then ReLUInPlace, under the
+// tensor.Gemm, then AddBiasRows, then `if v < 0 { v = 0 }`, under the
 // kernel-tier contract (bit-identical on the Go tier, FMA-fusion
-// epsilon on AVX2). With SetInt8Compute the GEMM instead runs in int8
-// (see forwardInt8), trading a bounded accuracy delta for integer
-// throughput, and the ReLU is a separate ReLUInPlace pass.
+// epsilon on AVX2).
 func (f *FC) ForwardEx(x *tensor.Tensor, a *tensor.Arena, workers int, relu bool) *tensor.Tensor {
-	f.checkIn(x)
-	if f.int8Compute {
-		y := f.forwardInt8(x, a, workers)
-		if relu {
-			ReLUInPlace(y)
-		}
-		return y
+	if x.Rank() != 2 || x.Dim(1) != f.In {
+		panic(fmt.Sprintf("nn: FC %q input shape %v, want [batch %d]", f.label, x.Shape(), f.In))
 	}
 	y := allocDenseUninit(a, x.Dim(0), f.Out)
 	tensor.ParallelGemmPackedBias(x, f.packedW(), f.B, relu, y, workers)
@@ -96,12 +83,11 @@ func (f *FC) packedW() *tensor.PackedB {
 	return pb
 }
 
-// InvalidatePacked drops the cached packed weights and the cached int8
-// quantization. Anything that mutates W (the trainer's optimizer,
-// checkpoint restore) must call this before the next ForwardEx.
+// InvalidatePacked drops the cached packed weights. Anything that
+// mutates W (the trainer's optimizer, checkpoint restore) must call
+// this before the next ForwardEx.
 func (f *FC) InvalidatePacked() {
 	f.packed.Store(nil)
-	f.quant.Store(nil)
 }
 
 // Stats reports the per-inference work: 2·batch·In·Out FLOPs for the
@@ -148,25 +134,6 @@ func (m *MLP) Kind() Kind { return KindFC }
 
 // InDim returns the expected input width.
 func (m *MLP) InDim() int { return m.Layers[0].In }
-
-// SetInt8Compute flips every layer of the stack between fp32 and int8
-// compute. Not safe to call concurrently with in-flight forwards.
-func (m *MLP) SetInt8Compute(on bool) {
-	for _, fc := range m.Layers {
-		fc.SetInt8Compute(on)
-	}
-}
-
-// Int8Compute reports whether the stack runs the int8 path (true when
-// every layer does).
-func (m *MLP) Int8Compute() bool {
-	for _, fc := range m.Layers {
-		if !fc.Int8Compute() {
-			return false
-		}
-	}
-	return len(m.Layers) > 0
-}
 
 // ForwardEx runs the stack, with ReLU between layers and after the
 // final layer when FinalReLU is set, each fused into its layer's

@@ -138,7 +138,7 @@ func TestMLPForwardExMatchesGemm(t *testing.T) {
 	want := x
 	for _, fc := range mlp.Layers { // FinalReLU: a ReLU after every layer
 		want = fcRef(fc, want)
-		ReLUInPlace(want)
+		reluInPlace(want)
 	}
 	arena := tensor.NewArena()
 	for _, workers := range []int{1, 3} {
@@ -191,21 +191,17 @@ func rmc3Bottom(seed uint64) (*MLP, *tensor.Tensor) {
 // TestMLPForwardExPoisonedArena: FC outputs come from the arena
 // uninitialised, so a slab that a previous pass left full of NaN must
 // not leak into any output. The pass over the poisoned slab must equal
-// a fresh (heap, zeroed) pass bit for bit, fp32 and int8 compute, at 1
-// and 2 workers.
+// a fresh (heap, zeroed) pass bit for bit, at 1 and 2 workers.
 func TestMLPForwardExPoisonedArena(t *testing.T) {
 	mlp, x := rmc3Bottom(38)
-	for _, int8Compute := range []bool{false, true} {
-		mlp.SetInt8Compute(int8Compute)
-		for _, workers := range []int{1, 2} {
-			want := mlp.ForwardEx(x, nil, workers)
-			arena := tensor.NewArena()
-			arena.AllocUninit(1 << 17).Fill(float32(math.NaN())) // ≥ the pass's working set
-			arena.Reset()
-			got := mlp.ForwardEx(x, arena, workers)
-			if !bitsEqual(got.Data(), want.Data()) {
-				t.Fatalf("int8=%v workers=%d: pass over a NaN-filled arena differs from a fresh pass", int8Compute, workers)
-			}
+	for _, workers := range []int{1, 2} {
+		want := mlp.ForwardEx(x, nil, workers)
+		arena := tensor.NewArena()
+		arena.AllocUninit(1 << 17).Fill(float32(math.NaN())) // ≥ the pass's working set
+		arena.Reset()
+		got := mlp.ForwardEx(x, arena, workers)
+		if !bitsEqual(got.Data(), want.Data()) {
+			t.Fatalf("workers=%d: pass over a NaN-filled arena differs from a fresh pass", workers)
 		}
 	}
 }

@@ -36,9 +36,23 @@ func TestOpStatsAddAndIntensity(t *testing.T) {
 	}
 }
 
+// reluInPlace replaces every element v < 0 with +0. −0 and NaN are
+// kept as they are (Go's max(0, v) would turn −0 into +0); this is the
+// exact rule the fused FC epilogue applies
+// (tensor.ParallelGemmPackedBias), and the unfused reference the FC
+// tests hold it to.
+func reluInPlace(t *tensor.Tensor) {
+	d := t.Data()
+	for i, v := range d {
+		if v < 0 {
+			d[i] = 0
+		}
+	}
+}
+
 func TestReLUInPlace(t *testing.T) {
 	x := tensor.FromSlice([]float32{-1, 0, 2, -3.5}, 4)
-	ReLUInPlace(x)
+	reluInPlace(x)
 	want := []float32{0, 0, 2, 0}
 	for i, v := range x.Data() {
 		if v != want[i] {
@@ -72,9 +86,9 @@ func TestActivationOp(t *testing.T) {
 		t.Errorf("sigmoid stats %+v", sg.Stats(1))
 	}
 	x := tensor.FromSlice([]float32{-2, 3}, 1, 2)
-	ReLUInPlace(x)
+	reluInPlace(x)
 	if x.Data()[0] != 0 || x.Data()[1] != 3 {
-		t.Error("ReLUInPlace wrong")
+		t.Error("reluInPlace wrong")
 	}
 	func() {
 		defer func() {

@@ -244,7 +244,7 @@ func TestUpdaterLearns(t *testing.T) {
 
 // TestUpdaterQuantizeAuto: when the served model is int8, candidates
 // are converted to int8 and stay int8 across swaps while the fp32 twin
-// trains; a twin with int8 tables or int8-compute MLPs is refused.
+// trains; a twin with int8 tables is refused.
 func TestUpdaterQuantizeAuto(t *testing.T) {
 	cfg := testConfig()
 	eng := newTestEngine(t)
@@ -255,9 +255,6 @@ func TestUpdaterQuantizeAuto(t *testing.T) {
 	}
 	if _, err := New(eng, served, Config{Model: "m"}); !errors.Is(err, model.ErrInt8Only) {
 		t.Fatalf("New over an int8 twin: err %v, want model.ErrInt8Only", err)
-	}
-	if _, err := New(eng, buildModel(t, cfg, 1).QuantizeMLPs(), Config{Model: "m"}); !errors.Is(err, model.ErrInt8Only) {
-		t.Fatalf("New over an int8-MLP twin: err %v, want model.ErrInt8Only", err)
 	}
 	upd, err := New(eng, buildModel(t, cfg, 1), Config{Model: "m"}) // nil stream: swap-only cycles
 	if err != nil {

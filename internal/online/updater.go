@@ -107,8 +107,7 @@ type Updater struct {
 	twin       *model.Model // fp32 training copy, never served
 	lastGood   *model.Model // weights of the last accepted generation
 	baseLoss   float64      // held-out loss of the last accepted generation (NaN = none yet)
-	quantTab   bool
-	quantMLP   bool
+	quantTab   bool         // candidates get int8 tables, as the served model has
 	canary     *model.Model // outstanding A/B candidate, nil when none
 	canaryName string
 	router     *ABRouter
@@ -130,14 +129,14 @@ type Updater struct {
 // New builds an updater for the named registered model that trains
 // twin, the fp32 model the served one was derived from (the same
 // weights, before any quantization); the updater owns it from here on.
-// A twin whose tables hold int8 rows, or whose MLPs run int8 compute,
-// cannot be trained (model.ErrInt8Only). The engine model is only read, never mutated:
+// A twin whose tables hold int8 rows cannot be trained
+// (model.ErrInt8Only). The engine model is only read, never mutated:
 // candidates are always fresh clones of the twin.
 func New(eng *engine.Engine, twin *model.Model, cfg Config) (*Updater, error) {
 	if eng == nil {
 		return nil, errors.New("online: nil engine")
 	}
-	if twin.Quantized() || twin.Int8MLPs() {
+	if twin.Quantized() {
 		return nil, fmt.Errorf("online: training twin %s: %w", twin.Config.Name, model.ErrInt8Only)
 	}
 	if cfg.StepsPerCycle <= 0 {
@@ -173,12 +172,12 @@ func New(eng *engine.Engine, twin *model.Model, cfg Config) (*Updater, error) {
 		return nil, err
 	}
 
-	// Candidates mirror the model being replaced: int8 tables (and int8
-	// MLP compute) exactly when the serving model had them here. The
-	// twin trains at full fp32 precision whatever the serving copy runs.
+	// Candidates mirror the model being replaced: int8 tables exactly
+	// when the serving model had them here. The twin trains at full fp32
+	// precision whatever the serving copy holds.
 	u := &Updater{
 		eng: eng, cfg: cfg, name: name, canaryName: name + "-next", twin: twin,
-		quantTab: served.Quantized(), quantMLP: served.Int8MLPs(),
+		quantTab: served.Quantized(),
 	}
 	u.lastGood, err = twin.Clone()
 	if err != nil {
@@ -330,18 +329,15 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 	if u.quantTab {
 		cand.QuantizeTables()
 	}
-	if u.quantMLP {
-		cand.QuantizeMLPs()
-	}
 	if u.cfg.PreSwapHook != nil {
 		u.cfg.PreSwapHook(u.generation.Load()+1, cand)
 	}
 
 	// 4. Quality gate: the candidate's held-out loss — scored by CTR,
-	// which runs the forward the engine serves (int8 tables and int8
-	// MLPs included), so training blowups AND quantization damage are
-	// both caught — must not regress past the tolerance. On regression the twin reverts to the last good
-	// weights and nothing is published.
+	// which runs the forward the engine serves (int8 tables included),
+	// so training blowups AND quantization damage are both caught — must
+	// not regress past the tolerance. On regression the twin reverts to
+	// the last good weights and nothing is published.
 	if len(u.cfg.HoldoutLabels) > 0 {
 		hl := float64(train.BCELoss(cand.CTR(u.cfg.Holdout), u.cfg.HoldoutLabels))
 		res.HoldoutLoss = float32(hl)

@@ -12,23 +12,15 @@ import (
 )
 
 // FreshCopy round-trips a model through the checkpoint format, which
-// carries its tables as they are held, and re-applies its MLP compute
-// mode — "a freshly loaded copy" in the acceptance criteria's words.
-// Scores from the copy must be bitwise identical to the original's on
-// the hot path.
+// carries its tables as they are held — "a freshly loaded copy" in the
+// acceptance criteria's words. Scores from the copy must be bitwise
+// identical to the original's on the hot path.
 func FreshCopy(m *model.Model) (*model.Model, error) {
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		return nil, err
 	}
-	fresh, err := model.Load(&buf, int64(buf.Len()))
-	if err != nil {
-		return nil, err
-	}
-	if m.Int8MLPs() {
-		fresh.QuantizeMLPs()
-	}
-	return fresh, nil
+	return model.Load(&buf, int64(buf.Len()))
 }
 
 // Metrics is a parsed Prometheus exposition: "name{label="v"}" → value.

@@ -331,7 +331,7 @@ func (s *Stack) startOnline() error {
 
 // trainingTwin rebuilds the default model from its source as the fp32
 // model the updater trains: the checkpoint, or spec 0 with its int8
-// suffixes cleared, whose weight stream gives exactly the rows a
+// suffix cleared, whose weight stream gives exactly the rows a
 // served -int8 copy was quantized from. An int8 checkpoint has no fp32
 // rows, and online.New refuses it (model.ErrInt8Only).
 func (s *Stack) trainingTwin() (*model.Model, error) {
@@ -339,7 +339,7 @@ func (s *Stack) trainingTwin() (*model.Model, error) {
 		return model.LoadFile(s.cfg.Checkpoint)
 	}
 	spec := s.cfg.Models[0]
-	spec.Int8Tables, spec.Int8MLPs = false, false
+	spec.Int8Tables = false
 	models, err := model.BuildSpecs([]model.Spec{spec}, s.cfg.Seed)
 	if err != nil {
 		return nil, err

@@ -28,17 +28,6 @@ type Arena struct {
 	used    int
 
 	ptrs []*Tensor // scratch for Ptrs
-
-	// i16slab/i32slab: integer scratch for the register-tiled int8 GEMM
-	// (widened activation codes and per-row zero points), bump-allocated
-	// and right-sized like the float slab so the int8 hot path also
-	// reaches zero steady-state allocations.
-	i16slab  []int16
-	i16off   int
-	i16total int
-	i32slab  []int32
-	i32off   int
-	i32total int
 }
 
 // NewArena returns an empty arena; the slab grows on demand.
@@ -134,51 +123,6 @@ func (a *Arena) allocRaw(n int) []float32 {
 	return d
 }
 
-// AllocI16 carves n uninitialized int16s from the arena's i16 slab —
-// the widened activation-code buffer of the register-tiled int8 GEMM
-// (VPMADDWD consumes i16 lanes, so codes are stored pre-widened). Like
-// AllocUninit, the contents are whatever a previous pass left behind —
-// only for scratch fully overwritten before any read — and the slice
-// is invalidated by Reset.
-func (a *Arena) AllocI16(n int) []int16 {
-	a.i16total += n
-	if a.i16off+n > len(a.i16slab) {
-		size := 2 * len(a.i16slab)
-		if size < a.i16total {
-			size = a.i16total
-		}
-		if size < 1024 {
-			size = 1024
-		}
-		a.i16slab = make([]int16, size)
-		a.i16off = 0
-	}
-	d := a.i16slab[a.i16off : a.i16off+n : a.i16off+n]
-	a.i16off += n
-	return d
-}
-
-// AllocI32 carves n uninitialized int32s from the arena's i32 slab —
-// per-row zero points for the int8 GEMM epilogue. Same contract as
-// AllocI16.
-func (a *Arena) AllocI32(n int) []int32 {
-	a.i32total += n
-	if a.i32off+n > len(a.i32slab) {
-		size := 2 * len(a.i32slab)
-		if size < a.i32total {
-			size = a.i32total
-		}
-		if size < 256 {
-			size = 256
-		}
-		a.i32slab = make([]int32, size)
-		a.i32off = 0
-	}
-	d := a.i32slab[a.i32off : a.i32off+n : a.i32off+n]
-	a.i32off += n
-	return d
-}
-
 // Ptrs returns a reusable []*Tensor of length n with nil entries,
 // for operator-input scratch (e.g. the Concat input list). The slice
 // is owned by the arena and overwritten by the next Ptrs call.
@@ -201,17 +145,7 @@ func (a *Arena) Reset() {
 	if a.total > len(a.slab) {
 		a.slab = make([]float32, a.total)
 	}
-	if a.i16total > len(a.i16slab) {
-		a.i16slab = make([]int16, a.i16total)
-	}
-	if a.i32total > len(a.i32slab) {
-		a.i32slab = make([]int32, a.i32total)
-	}
 	a.off = 0
 	a.total = 0
 	a.used = 0
-	a.i16off = 0
-	a.i16total = 0
-	a.i32off = 0
-	a.i32total = 0
 }

@@ -22,8 +22,7 @@ import (
 // keeps the accumulator as the first source, and the AVX2 ReLU is
 // MAX(0, v) in the operand order that keeps −0 and NaN. The SLS
 // kernels (AddF32, PoolRowsI8) deliberately avoid FMA and keep the
-// per-element operation order, and the int8 kernels are integer
-// arithmetic — all three are bit-identical across tiers.
+// per-element operation order, so both are bit-identical across tiers.
 const (
 	KernelGo   = "go"
 	KernelAVX2 = "avx2"
@@ -62,17 +61,6 @@ func KernelTier() string {
 		return KernelAVX2
 	}
 	return KernelGo
-}
-
-// KernelSupported reports whether this machine can run the given tier.
-func KernelSupported(tier string) bool {
-	switch tier {
-	case KernelGo:
-		return true
-	case KernelAVX2:
-		return hasAVX2FMA
-	}
-	return false
 }
 
 // SetKernel selects the active kernel tier. It returns an error (and

@@ -18,18 +18,6 @@ func addF32(dst, src *float32, n int)
 //go:noescape
 func poolRowsI8(dst *float32, rows *byte, stride int, ids *int, n, cols int)
 
-//go:noescape
-func gemmI8Kern4x8(a *int16, astride int, tile *int8, y *float32, ldy int, kq int, sx *float32, zp *int32, sw *float32, colSum *int32, bias *float32)
-
-//go:noescape
-func gemmI8Kern1x8(a *int16, tile *int8, y *float32, kq int, sx float32, zp int32, sw *float32, colSum *int32, bias *float32)
-
-//go:noescape
-func minMaxF32(s *float32, n int) (lo, hi float32)
-
-//go:noescape
-func quantizeI16(dst *int16, src *float32, n int, inv, zpf float32)
-
 // gemmPackedRowsAVX2 is the assembly-tier twin of gemmPackedRowsGo:
 // the same k-panel blocking and row ownership, with full 8-row ×
 // 8-column register tiles dispatched to gemmKernel8x8, remainder rows
@@ -77,56 +65,4 @@ func biasAt(bias []float32, j0 int) *float32 {
 		return nil
 	}
 	return &bias[j0]
-}
-
-// gemmI8RowsAVX2 is the assembly-tier twin of gemmI8RowsGo: the same
-// (mc=4, nc=L2) blocking nest, with full column tiles dispatched to
-// the 4×8 micro-kernel, remainder rows to the 1×8 kernel, and the
-// zero-padded tail tile (n%8) to the shared Go micro-kernel. Integer
-// dots are exact and the asm epilogue replays gemmI8Tile's float
-// sequence, so all paths agree bit-for-bit with the Go tier.
-func gemmI8RowsAVX2(x []int16, sx []float32, zp []int32, pb *PackedBI8, bias []float32, y []float32, lo, hi int) {
-	n, kq, ks := pb.N, pb.kq, pb.KStride()
-	tiles := pb.Tiles()
-	full := n / nrI8
-	tileLen := kq * quadK * nrI8
-	group := i8TileGroup(pb)
-	for t0 := 0; t0 < tiles; t0 += group {
-		tMax := min(t0+group, tiles)
-		r := lo
-		for ; r+mrI8 <= hi; r += mrI8 {
-			for t := t0; t < tMax; t++ {
-				j0 := t * nrI8
-				if t < full {
-					biasp := &zeroBiasI8[0]
-					if bias != nil {
-						biasp = &bias[j0]
-					}
-					gemmI8Kern4x8(&x[r*ks], ks, &pb.codes[t*tileLen], &y[r*n+j0], n, kq,
-						&sx[r], &zp[r], &pb.Scale[j0], &pb.ColSum[j0], biasp)
-				} else {
-					for rr := r; rr < r+mrI8; rr++ {
-						gemmI8Tile(x[rr*ks:(rr+1)*ks], pb.codes[t*tileLen:], y[rr*n:(rr+1)*n],
-							kq, j0, n-j0, sx[rr], zp[rr], pb, bias)
-					}
-				}
-			}
-		}
-		for ; r < hi; r++ {
-			for t := t0; t < tMax; t++ {
-				j0 := t * nrI8
-				if t < full {
-					biasp := &zeroBiasI8[0]
-					if bias != nil {
-						biasp = &bias[j0]
-					}
-					gemmI8Kern1x8(&x[r*ks], &pb.codes[t*tileLen], &y[r*n+j0], kq,
-						sx[r], zp[r], &pb.Scale[j0], &pb.ColSum[j0], biasp)
-				} else {
-					gemmI8Tile(x[r*ks:(r+1)*ks], pb.codes[t*tileLen:], y[r*n:(r+1)*n],
-						kq, j0, n-j0, sx[r], zp[r], pb, bias)
-				}
-			}
-		}
-	}
 }

@@ -17,15 +17,3 @@ func addF32(dst, src *float32, n int) {
 func poolRowsI8(dst *float32, rows *byte, stride int, ids *int, n, cols int) {
 	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
 }
-
-func gemmI8RowsAVX2(x []int16, sx []float32, zp []int32, pb *PackedBI8, bias []float32, y []float32, lo, hi int) {
-	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
-}
-
-func minMaxF32(s *float32, n int) (lo, hi float32) {
-	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
-}
-
-func quantizeI16(dst *int16, src *float32, n int, inv, zpf float32) {
-	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
-}

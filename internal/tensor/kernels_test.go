@@ -19,9 +19,44 @@ import (
 func gemmRtolOf(k int) float64 { rtol, _ := GemmTol(k); return rtol }
 func gemmAtol(k int) float64   { _, atol := GemmTol(k); return atol }
 
+// kernelSupported reports whether this machine can run the given tier.
+func kernelSupported(tier string) bool {
+	switch tier {
+	case KernelGo:
+		return true
+	case KernelAVX2:
+		return hasAVX2FMA
+	}
+	return false
+}
+
+// availableTiers lists the kernel tiers testable on this host.
+func availableTiers(testing.TB) []string {
+	tiers := []string{KernelGo}
+	if kernelSupported(KernelAVX2) {
+		tiers = append(tiers, KernelAVX2)
+	}
+	return tiers
+}
+
+// setTierForTest switches the active kernel tier, returning a restore
+// func for the previous tier.
+func setTierForTest(t testing.TB, tier string) (restore func()) {
+	t.Helper()
+	prev := KernelTier()
+	if err := SetKernel(tier); err != nil {
+		t.Fatalf("SetKernel(%q): %v", tier, err)
+	}
+	return func() {
+		if err := SetKernel(prev); err != nil {
+			t.Fatalf("restore kernel tier %q: %v", prev, err)
+		}
+	}
+}
+
 func requireAVX2(t testing.TB) {
 	t.Helper()
-	if !KernelSupported(KernelAVX2) {
+	if !kernelSupported(KernelAVX2) {
 		t.Skip("no AVX2/FMA on this machine; asm tier untestable")
 	}
 }
@@ -113,7 +148,7 @@ func TestGemmPackedDispatch(t *testing.T) {
 		}
 	}
 
-	if KernelSupported(KernelAVX2) {
+	if kernelSupported(KernelAVX2) {
 		if err := SetKernel(KernelAVX2); err != nil {
 			t.Fatal(err)
 		}
@@ -142,16 +177,13 @@ func TestSetKernelErrors(t *testing.T) {
 	if err := SetKernel("sse9"); err == nil {
 		t.Fatal("SetKernel accepted an unknown tier")
 	}
-	if !KernelSupported(KernelGo) {
-		t.Fatal("go tier must always be supported")
-	}
 	if err := SetKernel(KernelGo); err != nil {
 		t.Fatal(err)
 	}
 	if KernelTier() != KernelGo {
 		t.Fatalf("tier = %q after SetKernel(go)", KernelTier())
 	}
-	if !KernelSupported(KernelAVX2) {
+	if !kernelSupported(KernelAVX2) {
 		if err := SetKernel(KernelAVX2); err == nil {
 			t.Fatal("SetKernel(avx2) must fail without hardware support")
 		}
@@ -217,7 +249,7 @@ func TestDequantRowI8BitIdentical(t *testing.T) {
 			}
 		}
 		for _, tier := range []string{KernelGo, KernelAVX2} {
-			if !KernelSupported(tier) {
+			if !kernelSupported(tier) {
 				continue
 			}
 			if err := SetKernel(tier); err != nil {
@@ -264,7 +296,7 @@ func TestPoolRowsI8BitIdentical(t *testing.T) {
 					}
 				}
 				for _, tier := range []string{KernelGo, KernelAVX2} {
-					if !KernelSupported(tier) {
+					if !kernelSupported(tier) {
 						continue
 					}
 					if err := SetKernel(tier); err != nil {
@@ -288,7 +320,7 @@ func TestPoolRowsI8Panics(t *testing.T) {
 	defer func() { _ = SetKernel(prev) }()
 	rows := randI8Rows(rand.New(rand.NewSource(25)), 4, 32, 40)
 	for _, tier := range []string{KernelGo, KernelAVX2} {
-		if !KernelSupported(tier) {
+		if !kernelSupported(tier) {
 			continue
 		}
 		if err := SetKernel(tier); err != nil {
@@ -347,7 +379,7 @@ func FuzzGemmKernelEquiv(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(4))
 	f.Add(uint8(17), uint8(64), uint8(7), uint8(16), int64(5))
 	f.Fuzz(func(t *testing.T, mr, kr, nr8, lor uint8, seed int64) {
-		if !KernelSupported(KernelAVX2) {
+		if !kernelSupported(KernelAVX2) {
 			t.Skip("no AVX2/FMA")
 		}
 		m := int(mr)%40 + 1

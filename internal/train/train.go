@@ -29,17 +29,16 @@ type Trainer struct {
 
 // NewTrainer wraps a model built with model.Build, using plain SGD at
 // the given learning rate. It panics on a nil model, a non-positive
-// learning rate, or a model holding int8 weights (model.ErrInt8Only).
+// learning rate, or a model holding int8 table rows (model.ErrInt8Only).
 func NewTrainer(m *model.Model, lr float32) *Trainer {
 	return NewTrainerWithOptimizer(m, NewSGD(lr))
 }
 
 // NewTrainerWithOptimizer wraps a model with an explicit optimizer
 // (e.g. AdaGrad for production-style sparse training). Training reads
-// and updates fp32 weights and differentiates the fp32 forward, so a
-// model whose tables hold int8 rows, or whose MLPs run int8 compute
-// (which the forward pass would then run), panics here with an error
-// wrapping model.ErrInt8Only rather than on the first step.
+// and updates fp32 weights, so a model whose tables hold int8 rows
+// panics here with an error wrapping model.ErrInt8Only rather than on
+// the first step.
 func NewTrainerWithOptimizer(m *model.Model, opt Optimizer) *Trainer {
 	if m == nil {
 		panic("train: nil model")
@@ -47,7 +46,7 @@ func NewTrainerWithOptimizer(m *model.Model, opt Optimizer) *Trainer {
 	if opt == nil {
 		panic("train: nil optimizer")
 	}
-	if m.Quantized() || m.Int8MLPs() {
+	if m.Quantized() {
 		panic(fmt.Errorf("train: %s: %w", m.Config.Name, model.ErrInt8Only))
 	}
 	return &Trainer{m: m, opt: opt}

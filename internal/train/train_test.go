@@ -49,22 +49,6 @@ func TestNewTrainerPanics(t *testing.T) {
 			fn()
 		}()
 	}
-	// A model whose MLPs run int8 compute would run the int8 kernels
-	// forward and differentiate fp32 backward: refused like int8 rows.
-	int8MLPs := buildTiny(t, model.Dot, 1).QuantizeMLPs()
-	for name, fn := range map[string]func(){
-		"NewTrainer":              func() { NewTrainer(int8MLPs, 0.1) },
-		"NewTrainerWithOptimizer": func() { NewTrainerWithOptimizer(int8MLPs, NewAdaGrad(0.1)) },
-	} {
-		func() {
-			defer func() {
-				if err, _ := recover().(error); !errors.Is(err, model.ErrInt8Only) {
-					t.Errorf("%s over int8-compute MLPs: panic %v, want one wrapping model.ErrInt8Only", name, err)
-				}
-			}()
-			fn()
-		}()
-	}
 	tr := NewTrainer(m, 0.1)
 	defer func() {
 		if recover() == nil {
