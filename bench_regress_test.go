@@ -203,6 +203,10 @@ func regressionCases() []benchCase {
 			gather: func(testing.TB) (func(), tableRows) { return slsOp(1) }},
 		{name: "forward_hot_rmc1_b16", ref: refCompute, zeroAlloc: true,
 			op: func(tb testing.TB) func() { return forwardHotOp(tb, model.RMC1Small().Scaled(10), 16, 1) }},
+		// The shape rmc1_smallreq serves at saturation: 4-item batches,
+		// whose FC rows are all m%8 tail rows.
+		{name: "forward_hot_rmc1_b4", ref: refCompute, zeroAlloc: true,
+			op: func(tb testing.TB) func() { return forwardHotOp(tb, model.RMC1Small().Scaled(10), 4, 1) }},
 		{name: "engine_rank_b16", ref: refHandoff, zeroAlloc: true,
 			op: func(tb testing.TB) func() { return engineRankOp(tb, 16) }},
 		// Batching on, the other worker idle: nothing may be held.

@@ -617,7 +617,12 @@ func forwardHotOp(tb testing.TB, cfg model.Config, batch, workers int) func() {
 }
 
 // The paper's inference batch sizes: service-time batching clusters
-// around 16-64 samples (§III, Figure 8 sweeps 1-256).
+// around 16-64 samples (§III, Figure 8 sweeps 1-256). Batch 4 is the
+// small-request shape the filtering model serves (rmc1_smallreq): its
+// FC layers run only m%8 tail rows.
+func BenchmarkForwardHotRMC1Batch4(b *testing.B) {
+	benchmarkForwardHot(b, model.RMC1Small().Scaled(10), 4, 1)
+}
 func BenchmarkForwardHotRMC1Batch16(b *testing.B) {
 	benchmarkForwardHot(b, model.RMC1Small().Scaled(10), 16, 1)
 }

@@ -88,49 +88,6 @@ func checkLengths(ids, lengths []int) {
 	}
 }
 
-// addRows sums the rows of rows (row-major, cols wide) that idx
-// addresses into dst (len cols): table rows by ID for the local gather,
-// staged rows by plan index for the planned one. Indices must already
-// be validated; the loop carries no per-index range check. On the AVX2
-// kernel tier each row add runs through tensor.AddF32 (8 lanes per
-// step, bit-identical to the scalar loop) — the SIMD batching the paper
-// leans on for SLS (§V). On the pure-Go tier the common production
-// widths 32 and 64 (Table I) take fixed-size array paths so the
-// compiler drops bounds checks in the element loop; the default path
-// covers the narrow NCF widths.
-func addRows[I int | int32](dst, rows []float32, cols int, idx []I) {
-	if tensor.SIMDActive() {
-		for _, i := range idx {
-			tensor.AddF32(dst, rows[int(i)*cols:int(i)*cols+cols])
-		}
-		return
-	}
-	switch cols {
-	case 32:
-		d := (*[32]float32)(dst)
-		for _, i := range idx {
-			src := (*[32]float32)(rows[int(i)*32:])
-			for j := range d {
-				d[j] += src[j]
-			}
-		}
-	case 64:
-		d := (*[64]float32)(dst)
-		for _, i := range idx {
-			src := (*[64]float32)(rows[int(i)*64:])
-			for j := range d {
-				d[j] += src[j]
-			}
-		}
-	default:
-		for _, i := range idx {
-			for j, v := range rows[int(i)*cols : int(i)*cols+cols] {
-				dst[j] += v
-			}
-		}
-	}
-}
-
 // SparseLengthsSum implements Algorithm 1 of the paper: for each of the
 // K slices described by lengths, gather the rows of the table addressed
 // by the corresponding IDs and sum them element-wise into one output
@@ -147,7 +104,7 @@ func (e *EmbeddingTable) SparseLengthsSum(ids []int, lengths []int) *tensor.Tens
 	out := tensor.New(len(lengths), e.Cols)
 	cur := 0
 	for k, l := range lengths {
-		addRows(out.Row(k), e.W.Data(), e.Cols, ids[cur:cur+l])
+		tensor.PoolRowsF32(out.Row(k), e.W.Data(), ids[cur:cur+l])
 		cur += l
 	}
 	return out
@@ -223,11 +180,11 @@ func (s *SLSOp) ForwardEx(ids []int, batch int, a *tensor.Arena, workers int) *t
 }
 
 // gatherLocal is the one gather over in-process tables: every
-// occurrence reads its row where it lies, fp32 rows through addRows,
-// int8 rows (Quant non-nil) through tensor.PoolRowsI8, one call a bag.
-// No dedup plan, no staging, no cache: a row repeated within the pass
-// is a hit in the hardware's own hierarchy, which is closer to the rows
-// than any software cache in the same address space.
+// occurrence reads its row where it lies, one kernel call a bag
+// (poolRows). No dedup plan, no staging, no cache: a row repeated
+// within the pass is a hit in the hardware's own hierarchy, which is
+// closer to the rows than any software cache in the same address
+// space.
 func (s *SLSOp) gatherLocal(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
 	out := allocDense(a, batch, s.Table.Cols)
 	s.Table.validateIDs(ids)
@@ -248,13 +205,19 @@ func (s *SLSOp) gatherLocal(ids []int, batch int, a *tensor.Arena, workers int) 
 }
 
 // poolRows pools output rows [kLo, kHi) with the op's uniform lookup
-// count. IDs must be pre-validated.
+// count, one kernel call a bag: fp32 rows through tensor.PoolRowsF32,
+// int8 rows (Quant non-nil) through tensor.PoolRowsI8. On the AVX2 tier
+// both keep the bag's output row in YMM registers when the width is a
+// multiple of 8 up to 64 (the RMC presets' 32, NCF's 8 and 16) and
+// otherwise add into it in memory a row at a time; on the Go tier the
+// fp32 widths 32 and 64 run fixed-size array loops. IDs must be
+// pre-validated.
 func (s *SLSOp) poolRows(out *tensor.Tensor, ids []int, kLo, kHi int) {
 	l := s.Lookups
 	for k := kLo; k < kHi; k++ {
 		row, rowIDs := out.Row(k), ids[k*l:(k+1)*l]
 		if s.Quant == nil {
-			addRows(row, s.Table.W.Data(), s.Table.Cols, rowIDs)
+			tensor.PoolRowsF32(row, s.Table.W.Data(), rowIDs)
 			continue
 		}
 		rows, stride := s.Quant.RowBytes()

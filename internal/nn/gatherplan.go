@@ -46,7 +46,7 @@ type gatherPlan struct {
 	keys  []int64 // packed (id << planPosBits) | position, then sorted
 	tmp   []int64 // radix-sort ping-pong buffer
 	uniq  []int64 // unique row IDs, ascending
-	index []int32 // per original position: row index into the staging buffer
+	index []int   // per original position: row index into the staging buffer
 
 	// Miss list: the unique rows the cache could not serve, as (row ID,
 	// staging row) pairs — the sub-plan BeginGather fans out per shard.
@@ -68,7 +68,7 @@ func (p *gatherPlan) build(ids []int) int {
 	if cap(p.keys) < n {
 		p.keys = make([]int64, n)
 		p.tmp = make([]int64, n)
-		p.index = make([]int32, n)
+		p.index = make([]int, n)
 		p.uniq = make([]int64, 0, n)
 	}
 	p.keys = p.keys[:n]
@@ -91,7 +91,7 @@ func (p *gatherPlan) build(ids []int) int {
 			p.uniq = append(p.uniq, id)
 			prev = id
 		}
-		p.index[pos] = int32(len(p.uniq) - 1)
+		p.index[pos] = len(p.uniq) - 1
 	}
 	return len(p.uniq)
 }
@@ -257,12 +257,14 @@ func (f *SLSForward) Finish() *tensor.Tensor {
 	return out
 }
 
-// accumStaged pools output rows [kLo, kHi) from staged rows via plan
-// indices, in original per-sample ID order, through the same row add
-// (addRows) as the local gather.
-func (s *SLSOp) accumStaged(out, staging *tensor.Tensor, index []int32, kLo, kHi int) {
+// accumStaged pools output rows [kLo, kHi) from the staged rows, each
+// bag's plan indices in its original per-sample ID order, through the
+// fp32 kernel the local gather runs (tensor.PoolRowsF32, one call a
+// bag; staged rows are fp32 whatever the store holds), so the sums are
+// bit-identical to gatherLocal's.
+func (s *SLSOp) accumStaged(out, staging *tensor.Tensor, index []int, kLo, kHi int) {
 	sd, l := staging.Data(), s.Lookups
 	for k := kLo; k < kHi; k++ {
-		addRows(out.Row(k), sd, s.Table.Cols, index[k*l:(k+1)*l])
+		tensor.PoolRowsF32(out.Row(k), sd, index[k*l:(k+1)*l])
 	}
 }

@@ -24,7 +24,7 @@ func TestGatherPlanBuild(t *testing.T) {
 		}
 	}
 	// index maps each original position back to its staging row.
-	wantIdx := []int32{1, 0, 1, 2, 0, 1}
+	wantIdx := []int{1, 0, 1, 2, 0, 1}
 	for i, u := range wantIdx {
 		if p.index[i] != u {
 			t.Fatalf("index = %v, want %v", p.index[:n], wantIdx)

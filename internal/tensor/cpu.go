@@ -20,8 +20,10 @@ import (
 // on each tier it is bit-identical to the same tier's GemmPacked into a
 // zeroed C, then AddBiasRows, then `if v < 0 { v = 0 }` — the bias add
 // keeps the accumulator as the first source, and the AVX2 ReLU is
-// MAX(0, v) in the operand order that keeps −0 and NaN. The SLS
-// kernels (AddF32, PoolRowsI8) deliberately avoid FMA and keep the
+// MAX(0, v) in the operand order that keeps −0 and NaN. Within a tier
+// a GEMM row's bits do not depend on which micro-kernel (8-row tile,
+// 4-row tail block or single row) or which shard computed it. The SLS
+// kernels (PoolRowsF32, PoolRowsI8) deliberately avoid FMA and keep the
 // per-element operation order, so both are bit-identical across tiers.
 const (
 	KernelGo   = "go"

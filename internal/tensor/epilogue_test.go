@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -221,5 +222,52 @@ func TestGemmPackedBiasPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestGemmTailRowsBitIdentical: a row's bits do not depend on which
+// kernel runs it. For every m from 1 to 17 (each mix of 8-row tiles, a
+// 4-row tail block and single rows), with no epilogue (C += A·B on a
+// non-zero C), a bias, and a bias and ReLU, each row of an m-row
+// product equals that row computed alone, on each tier, at 1, 2 and 3
+// workers (k spans two parallelKC blocks when the product fans out).
+func TestGemmTailRowsBitIdentical(t *testing.T) {
+	const k, n = 200, 700
+	for _, tier := range availableTiers(t) {
+		t.Run(tier, func(t *testing.T) {
+			defer setTierForTest(t, tier)()
+			rng := rand.New(rand.NewSource(47))
+			for m := 1; m <= 17; m++ {
+				a, pb, bias := specialProblem(rng, m, k, n)
+				c0 := randSlice(rng, m*n)
+				for _, ep := range []struct {
+					name string
+					bias []float32
+					relu bool
+				}{{"none", nil, false}, {"bias", bias, false}, {"bias+relu", bias, true}} {
+					run := func(a *Tensor, c0 []float32, workers int) []float32 {
+						c := FromSlice(slices.Clone(c0), a.Dim(0), n)
+						if ep.bias == nil {
+							ParallelGemmPacked(a, pb, c, workers)
+						} else {
+							ParallelGemmPackedBias(a, pb, ep.bias, ep.relu, c, workers)
+						}
+						return c.data
+					}
+					alone := make([][]float32, m)
+					for r := range alone {
+						alone[r] = run(FromSlice(a.data[r*k:(r+1)*k], 1, k), c0[r*n:(r+1)*n], 1)
+					}
+					for _, workers := range []int{1, 2, 3} {
+						got := run(a, c0, workers)
+						for r := range alone {
+							if i := firstBitDiff(got[r*n:(r+1)*n], alone[r]); i >= 0 {
+								t.Fatalf("m=%d %s workers=%d: row %d column %d differs from the row computed alone", m, ep.name, workers, r, i)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

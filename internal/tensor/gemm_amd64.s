@@ -141,9 +141,88 @@ store:
 	VZEROUPPER
 	RET
 
+// func gemmKernel4x8(a *float32, lda int, tile *float32, c *float32, ldc int, kc int, bias *float32, flags int)
+//
+// Four-row tail kernel: gemmKernel8x8's loop and epilogue over rows
+// 0..3, for four of the m%8 remainder rows at a time, so those rows
+// stream the B tile once instead of once a row. Each row keeps its own
+// accumulator with the same sequential fused FMA in ascending p and the
+// same epilogue, so a row's bits are those of gemmKernel8x8 and
+// gemmKernel1x8.
+TEXT ·gemmKernel4x8(SB), NOSPLIT, $0-64
+	MOVQ a+0(FP), DI
+	MOVQ lda+8(FP), SI
+	MOVQ tile+16(FP), DX
+	MOVQ c+24(FP), R8
+	MOVQ ldc+32(FP), R9
+	MOVQ kc+40(FP), CX
+	MOVQ bias+48(FP), R11
+	MOVQ flags+56(FP), AX
+
+	SHLQ $2, SI           // lda in bytes
+	SHLQ $2, R9           // ldc in bytes
+	LEAQ (SI)(SI*2), R10  // 3·lda bytes
+	LEAQ (R9)(R9*2), R12  // 3·ldc bytes
+
+	TESTQ $1, AX
+	JZ    load
+
+	// First panel: the sums start at zero; C is not read.
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	JMP    loop
+
+load:
+	VMOVUPS (R8), Y0
+	VMOVUPS (R8)(R9*1), Y1
+	VMOVUPS (R8)(R9*2), Y2
+	VMOVUPS (R8)(R12*1), Y3
+
+loop:
+	VMOVUPS (DX), Y8          // 8-wide B tile row for this p
+	VBROADCASTSS (DI), Y9
+	VFMADD231PS Y8, Y9, Y0
+	VBROADCASTSS (DI)(SI*1), Y9
+	VFMADD231PS Y8, Y9, Y1
+	VBROADCASTSS (DI)(SI*2), Y9
+	VFMADD231PS Y8, Y9, Y2
+	VBROADCASTSS (DI)(R10*1), Y9
+	VFMADD231PS Y8, Y9, Y3
+	ADDQ $32, DX
+	ADDQ $4, DI
+	DECQ CX
+	JNZ  loop
+
+	TESTQ $2, AX
+	JZ    relu
+	VADDPS (R11), Y0, Y0
+	VADDPS (R11), Y1, Y1
+	VADDPS (R11), Y2, Y2
+	VADDPS (R11), Y3, Y3
+
+relu:
+	TESTQ $4, AX
+	JZ    store
+	VXORPS Y9, Y9, Y9
+	VMAXPS Y0, Y9, Y0
+	VMAXPS Y1, Y9, Y1
+	VMAXPS Y2, Y9, Y2
+	VMAXPS Y3, Y9, Y3
+
+store:
+	VMOVUPS Y0, (R8)
+	VMOVUPS Y1, (R8)(R9*1)
+	VMOVUPS Y2, (R8)(R9*2)
+	VMOVUPS Y3, (R8)(R12*1)
+	VZEROUPPER
+	RET
+
 // func gemmKernel1x8(a *float32, tile *float32, c *float32, kc int, bias *float32, flags int)
 //
-// Single-row edge kernel for the m%8 remainder rows:
+// Single-row edge kernel for the 1–3 rows of the m%8 remainder that
+// gemmKernel4x8 leaves:
 //
 //	C[0:8] += Σ_{p<kc} a[p] · tile[p*8 : p*8+8]
 //
@@ -151,7 +230,7 @@ store:
 // keeps the per-row operation order identical to one row of
 // gemmKernel8x8 (sequential fused FMA in ascending p, then the same
 // epilogue), so a row produces the same bits whether a shard boundary
-// routes it through the 8×8 tile or this kernel — ParallelGemmPacked
+// routes it through the 8×8 or 4×8 tile or this kernel — ParallelGemmPacked
 // stays bit-identical to serial GemmPacked on the AVX2 tier. The 4-way
 // unroll only amortizes loop overhead; it does not re-associate.
 TEXT ·gemmKernel1x8(SB), NOSPLIT, $0-48

@@ -10,25 +10,31 @@ package tensor
 func gemmKernel8x8(a *float32, lda int, tile *float32, c *float32, ldc int, kc int, bias *float32, flags int)
 
 //go:noescape
+func gemmKernel4x8(a *float32, lda int, tile *float32, c *float32, ldc int, kc int, bias *float32, flags int)
+
+//go:noescape
 func gemmKernel1x8(a *float32, tile *float32, c *float32, kc int, bias *float32, flags int)
 
 //go:noescape
-func addF32(dst, src *float32, n int)
+func poolRowsF32(dst, rows *float32, ids *int, n, cols int)
 
 //go:noescape
 func poolRowsI8(dst *float32, rows *byte, stride int, ids *int, n, cols int)
 
 // gemmPackedRowsAVX2 is the assembly-tier twin of gemmPackedRowsGo:
-// the same k-panel blocking and row ownership, with full 8-row ×
-// 8-column register tiles dispatched to gemmKernel8x8, remainder rows
-// to gemmKernel1x8, and the n%8 edge columns to the shared Go edge
-// loop. Per-row accumulation proceeds panel by panel in ascending p on
-// every path — gemmKernel1x8 deliberately mirrors one row of
-// gemmKernel8x8 — so a row's bits do not depend on where shard
-// boundaries fall, and the only numeric deviation from the Go tier is
-// FMA fusion, bounded by the FloatsClose contract. The epilogue runs
-// inside the kernels, on the accumulators, with the same operations as
-// the Go tier's.
+// the same k-panel blocking and row ownership. Rows go through the
+// kernels in blocks: every full 8 rows to gemmKernel8x8, then four of
+// the m%8 remainder to gemmKernel4x8 when at least four are left, then
+// the last 1–3 rows one at a time to gemmKernel1x8 (so a batch of 4
+// runs one 4×8 call per column tile, a batch of 7 one 4×8 and three
+// 1×8); the n%8 edge columns of every row take the shared Go edge loop.
+// Per-row accumulation proceeds panel by panel in ascending p on every
+// path — each kernel runs one sequential FMA chain a row, in the same
+// order — so a row's bits do not depend on which kernel or shard ran
+// it, and the only numeric deviation from the Go tier is FMA fusion,
+// bounded by the FloatsClose contract. The epilogue runs inside the
+// kernels, on the accumulators, with the same operations as the Go
+// tier's.
 func gemmPackedRowsAVX2(ad []float32, pb *PackedB, cd []float32, lo, hi, pLo, pHi, k, n int, ep epilogue) {
 	for p0 := pLo; p0 < pHi; p0 += blockSize {
 		pMax := min(p0+blockSize, pHi)
@@ -36,24 +42,32 @@ func gemmPackedRowsAVX2(ad []float32, pb *PackedB, cd []float32, lo, hi, pLo, pH
 		panel := pb.data[p0*n : p0*n+kc*n]
 		flags := ep.flags(p0, pMax, k)
 		nFull := n &^ (nr - 1)
+		edge := func(rLo, rHi int) {
+			if nFull < n {
+				for r := rLo; r < rHi; r++ {
+					gemmPackedEdge(ad[r*k+p0:r*k+pMax], panel, cd[r*n:(r+1)*n], kc, nFull, n, ep.bias, flags)
+				}
+			}
+		}
 		i := lo
 		for ; i+8 <= hi; i += 8 {
 			for j0 := 0; j0 < nFull; j0 += nr {
 				gemmKernel8x8(&ad[i*k+p0], k, &panel[kc*j0], &cd[i*n+j0], n, kc, biasAt(ep.bias, j0), flags)
 			}
-			if nFull < n {
-				for r := i; r < i+8; r++ {
-					gemmPackedEdge(ad[r*k+p0:r*k+pMax], panel, cd[r*n:(r+1)*n], kc, nFull, n, ep.bias, flags)
-				}
+			edge(i, i+8)
+		}
+		if i+4 <= hi {
+			for j0 := 0; j0 < nFull; j0 += nr {
+				gemmKernel4x8(&ad[i*k+p0], k, &panel[kc*j0], &cd[i*n+j0], n, kc, biasAt(ep.bias, j0), flags)
 			}
+			edge(i, i+4)
+			i += 4
 		}
 		for ; i < hi; i++ {
 			for j0 := 0; j0 < nFull; j0 += nr {
 				gemmKernel1x8(&ad[i*k+p0], &panel[kc*j0], &cd[i*n+j0], kc, biasAt(ep.bias, j0), flags)
 			}
-			if nFull < n {
-				gemmPackedEdge(ad[i*k+p0:i*k+pMax], panel, cd[i*n:(i+1)*n], kc, nFull, n, ep.bias, flags)
-			}
+			edge(i, i+1)
 		}
 	}
 }

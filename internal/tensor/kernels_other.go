@@ -10,7 +10,7 @@ func gemmPackedRowsAVX2(ad []float32, pb *PackedB, cd []float32, lo, hi, pLo, pH
 	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
 }
 
-func addF32(dst, src *float32, n int) {
+func poolRowsF32(dst, rows *float32, ids *int, n, cols int) {
 	panic("tensor: AVX2 kernel tier selected on a non-amd64 build")
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Equivalence policy (see cpu.go): fp32 GEMM comparisons between the
 // AVX2/FMA tier and the Go reference use FloatsClose — fused rounding
-// differs legitimately — while AddF32 and PoolRowsI8 must be
+// differs legitimately — while PoolRowsF32 and PoolRowsI8 must be
 // bit-identical across tiers. The pure-Go tier is bit-exact by
 // definition (it IS the reference).
 
@@ -190,27 +190,73 @@ func TestSetKernelErrors(t *testing.T) {
 	}
 }
 
-func TestAddF32BitIdentical(t *testing.T) {
-	requireAVX2(t)
+// TestPoolRowsF32BitIdentical: both tiers pool a bag to the same bits
+// as adding its rows one at a time, at every width from 1 to 72 (the
+// register path's multiples of 8 up to 64, the memory path's rest, and
+// the Go tier's fixed-width 32 and 64), for bags of 0–80 IDs with
+// repeats and the first and last rows, into a non-zero dst.
+func TestPoolRowsF32BitIdentical(t *testing.T) {
 	prev := KernelTier()
 	defer func() { _ = SetKernel(prev) }()
 	rng := rand.New(rand.NewSource(21))
-	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 64, 100, 129} {
-		src := randSlice(rng, n)
-		dstGo := randSlice(rng, n)
-		dstAsm := make([]float32, n)
-		copy(dstAsm, dstGo)
-		if err := SetKernel(KernelGo); err != nil {
+	const nRows = 50
+	for cols := 1; cols <= 72; cols++ {
+		rows := randSlice(rng, nRows*cols)
+		for _, bag := range []int{0, 1, 2, 7, 8, 9, 17, 80} {
+			ids := make([]int, bag)
+			for i := range ids {
+				ids[i] = rng.Intn(nRows)
+			}
+			if bag >= 3 {
+				ids[0], ids[1], ids[bag-1] = 0, nRows-1, ids[2] // first, last, a repeat
+			}
+			init := randSlice(rng, cols)
+			want := slices.Clone(init)
+			for _, id := range ids {
+				for i, v := range rows[id*cols : (id+1)*cols] {
+					want[i] += v
+				}
+			}
+			for _, tier := range availableTiers(t) {
+				if err := SetKernel(tier); err != nil {
+					t.Fatal(err)
+				}
+				got := slices.Clone(init)
+				PoolRowsF32(got, rows, ids)
+				if !bitsEqualF32(got, want) {
+					t.Fatalf("cols=%d bag=%d %s: pooled row differs from adding the rows one at a time", cols, bag, tier)
+				}
+			}
+		}
+	}
+}
+
+// TestPoolRowsF32Panics: an ID outside the table, or naming a row the
+// table holds only part of, panics on both tiers before dst is touched.
+func TestPoolRowsF32Panics(t *testing.T) {
+	prev := KernelTier()
+	defer func() { _ = SetKernel(prev) }()
+	rows := randSlice(rand.New(rand.NewSource(23)), 4*32)
+	for _, tier := range availableTiers(t) {
+		if err := SetKernel(tier); err != nil {
 			t.Fatal(err)
 		}
-		AddF32(dstGo, src)
-		if err := SetKernel(KernelAVX2); err != nil {
-			t.Fatal(err)
-		}
-		AddF32(dstAsm, src)
-		for i := range dstGo {
-			if dstGo[i] != dstAsm[i] {
-				t.Fatalf("n=%d: AddF32 tiers differ at %d: %v vs %v", n, i, dstGo[i], dstAsm[i])
+		for name, call := range map[string]func([]float32){
+			"id past end": func(dst []float32) { PoolRowsF32(dst, rows, []int{0, 4}) },
+			"negative id": func(dst []float32) { PoolRowsF32(dst, rows, []int{1, -1}) },
+			"partial row": func(dst []float32) { PoolRowsF32(dst, rows[:4*32-1], []int{0, 3}) },
+		} {
+			dst := make([]float32, 32)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: no panic", tier, name)
+					}
+				}()
+				call(dst)
+			}()
+			if slices.ContainsFunc(dst, func(v float32) bool { return v != 0 }) {
+				t.Errorf("%s %s: dst written before the panic", tier, name)
 			}
 		}
 	}
@@ -378,6 +424,11 @@ func FuzzGemmKernelEquiv(f *testing.F) {
 	f.Add(uint8(33), uint8(129), uint8(40), uint8(9), int64(3))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(4))
 	f.Add(uint8(17), uint8(64), uint8(7), uint8(16), int64(5))
+	// m % 8 from 4 to 7: a 4×8 tail block, alone or before 1–3 rows.
+	f.Add(uint8(3), uint8(70), uint8(19), uint8(0), int64(6))
+	f.Add(uint8(12), uint8(129), uint8(16), uint8(0), int64(7))
+	f.Add(uint8(13), uint8(33), uint8(9), uint8(1), int64(8))
+	f.Add(uint8(38), uint8(150), uint8(40), uint8(3), int64(9))
 	f.Fuzz(func(t *testing.T, mr, kr, nr8, lor uint8, seed int64) {
 		if !kernelSupported(KernelAVX2) {
 			t.Skip("no AVX2/FMA")

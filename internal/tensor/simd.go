@@ -6,26 +6,56 @@ import (
 	"math"
 )
 
-// SIMDActive reports whether the assembly kernel tier is selected —
-// callers with their own tuned Go fallbacks (e.g. the fixed-width SLS
-// loops in internal/nn) branch on it once per row rather than paying a
-// dispatch check per element.
-func SIMDActive() bool { return useAVX2 }
-
-// AddF32 computes dst[i] += src[i] element-wise. On the AVX2 tier the
-// adds run 8 lanes wide; element order and rounding are unchanged, so
-// results are bit-identical across tiers. This is the SLS pooled-sum
-// accumulation primitive (one call per gathered row).
-func AddF32(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: AddF32 length mismatch %d vs %d", len(dst), len(src)))
-	}
-	if useAVX2 && len(dst) > 0 {
-		addF32(&dst[0], &src[0], len(dst))
+// PoolRowsF32 adds the rows ids[0], ids[1], … of rows (row-major,
+// len(dst) wide) to dst in ids order: dst[i] += rows[id·len(dst)+i],
+// the accumulator the first operand of each add. It panics on an ID
+// outside [0, len(rows)/len(dst)); a zero-width dst pools nothing. This
+// is the fp32 SLS pooled sum, one call per bag. On the AVX2 tier the
+// adds run 8 lanes wide: for widths that are a multiple of 8 up to 64
+// the output row stays in YMM registers across the bag and the row a
+// fixed number of IDs ahead is prefetched; other widths load, add and
+// store dst per row. On the Go tier the production widths 32 and 64
+// (Table I) take fixed-size array loops, which the compiler runs free
+// of bounds checks. Every element sees the same adds in the same order
+// on both tiers, so results are bit-identical across tiers.
+func PoolRowsF32(dst, rows []float32, ids []int) {
+	cols := len(dst)
+	if cols == 0 {
 		return
 	}
-	for i, v := range src {
-		dst[i] += v
+	n := len(rows) / cols
+	for _, id := range ids {
+		if uint(id) >= uint(n) {
+			panic(fmt.Sprintf("tensor: PoolRowsF32 row %d out of range [0,%d)", id, n))
+		}
+	}
+	if useAVX2 && len(ids) > 0 {
+		poolRowsF32(&dst[0], &rows[0], &ids[0], len(ids), cols)
+		return
+	}
+	switch cols {
+	case 32:
+		d := (*[32]float32)(dst)
+		for _, id := range ids {
+			src := (*[32]float32)(rows[id*32:])
+			for j := range d {
+				d[j] += src[j]
+			}
+		}
+	case 64:
+		d := (*[64]float32)(dst)
+		for _, id := range ids {
+			src := (*[64]float32)(rows[id*64:])
+			for j := range d {
+				d[j] += src[j]
+			}
+		}
+	default:
+		for _, id := range ids {
+			for j, v := range rows[id*cols : id*cols+cols] {
+				dst[j] += v
+			}
+		}
 	}
 }
 
