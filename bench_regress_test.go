@@ -111,10 +111,6 @@ const (
 	// refCompute is computeRef: throughput-bound plain-Go fp32
 	// arithmetic out of L1, for the cases that keep the FP ports busy.
 	refCompute refKind = "compute"
-	// refHandoff is a smaller computeRef pass run by a worker goroutine
-	// behind a channel round trip, as the engine hands a request to its
-	// executor.
-	refHandoff refKind = "handoff"
 	// refInteger is integerRef: digits parsed eight bytes at a time in
 	// integer registers.
 	refInteger refKind = "integer"
@@ -207,10 +203,10 @@ func regressionCases() []benchCase {
 		// whose FC rows are all m%8 tail rows.
 		{name: "forward_hot_rmc1_b4", ref: refCompute, zeroAlloc: true,
 			op: func(tb testing.TB) func() { return forwardHotOp(tb, model.RMC1Small().Scaled(10), 4, 1) }},
-		{name: "engine_rank_b16", ref: refHandoff, zeroAlloc: true,
+		{name: "engine_rank_b16", ref: refCompute, zeroAlloc: true,
 			op: func(tb testing.TB) func() { return engineRankOp(tb, 16) }},
-		// Batching on, the other worker idle: nothing may be held.
-		{name: "engine_rank_coalesce_b4", ref: refHandoff, zeroAlloc: true,
+		// Batching on, the other token free: nothing may be held.
+		{name: "engine_rank_coalesce_b4", ref: refCompute, zeroAlloc: true,
 			op: func(tb testing.TB) func() { return engineRankCoalesceOp(tb, 4) }},
 		// One gather per store kind. In-process rows: the plan-free
 		// int8 gather on Zipf(1.1) IDs (what rmc2_zipf serves), alone
@@ -263,7 +259,7 @@ func regressionCases() []benchCase {
 				op, _, _ := httpDecodeOp(tb, model.RMC2Small().Scaled(10), 4)
 				return op
 			}},
-		{name: "http_rank_rmc3_b16", ref: refHandoff,
+		{name: "http_rank_rmc3_b16", ref: refCompute,
 			op: func(tb testing.TB) func() {
 				op, _ := httpRankOp(tb, 16)
 				return op
@@ -517,8 +513,7 @@ func quantile(xs []float64, q float64) float64 {
 // setUp prepares c's op and returns it with one pass of its reference
 // kernel; for an allCores case, one pass on each of GOMAXPROCS
 // goroutines, so that a core taken by another process slows the
-// reference as it slows the case. A goroutine it starts exits at tb's
-// cleanup.
+// reference as it slows the case.
 func setUp(tb testing.TB, c benchCase) (op, ref func()) {
 	if c.ref == refMemory {
 		op, rows := c.gather(tb)
@@ -526,7 +521,6 @@ func setUp(tb testing.TB, c benchCase) (op, ref func()) {
 	}
 	kernel := map[refKind]func() func(){
 		refCompute: func() func() { return computeRef(32) },
-		refHandoff: func() func() { return handoff(tb, computeRef(16)) },
 		refInteger: integerRef,
 		refAtomic:  atomicRef,
 	}[c.ref]
@@ -588,24 +582,6 @@ func computeRef(m int) func() {
 				c[(i+3)*n+j], c[(i+3)*n+j+1], c[(i+3)*n+j+2], c[(i+3)*n+j+3] = c30, c31, c32, c33
 			}
 		}
-	}
-}
-
-// handoff returns pass run by a worker goroutine, one channel round
-// trip a call, as RankInto hands a request to an executor and waits for
-// its reply. The worker exits at tb's cleanup.
-func handoff(tb testing.TB, pass func()) func() {
-	req, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		for range req {
-			pass()
-			done <- struct{}{}
-		}
-	}()
-	tb.Cleanup(func() { close(req) })
-	return func() {
-		req <- struct{}{}
-		<-done
 	}
 }
 

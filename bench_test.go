@@ -640,10 +640,10 @@ func BenchmarkForwardHotParallelRMC2Batch64(b *testing.B) {
 }
 
 // benchmarkEngineRank times the full request lifecycle — admission,
-// validation, queue, executor dispatch, forward pass, reply — on the
-// pooled RankInto path with batching and tracing off. Steady state
-// must report 0 allocs/op: the whole-engine extension of the
-// ForwardEx allocation contract, enforced by TestBenchRegression.
+// validation, queue, the caller's own pass on an executor token,
+// reply — on the pooled RankInto path with batching and tracing off.
+// Steady state must report 0 allocs/op: the whole-engine extension of
+// the ForwardEx allocation contract, enforced by TestBenchRegression.
 func benchmarkEngineRank(b *testing.B, batch int) { runOp(b, engineRankOp(b, batch)) }
 
 func engineRankOp(tb testing.TB, batch int) func() {
@@ -654,8 +654,8 @@ func engineRankOp(tb testing.TB, batch int) func() {
 }
 
 // benchmarkEngineRankCoalesce is the same lifecycle with batching on at
-// the serving defaults (32 samples / 2 ms) and a second worker: one
-// caller at a time always finds an executor free, so the batch former
+// the serving defaults (32 samples / 2 ms) and a second token: one
+// caller at a time always finds a token free, so the batch former
 // must dispatch each request at once, holding nothing and touching no
 // timer. A former that waits out MaxWait shows here as 2 ms/op.
 func benchmarkEngineRankCoalesce(b *testing.B, batch int) {
@@ -687,7 +687,7 @@ func engineRankWithOp(tb testing.TB, opts engine.Options, batch int) func() {
 			tb.Fatal(err)
 		}
 	}
-	// Warm the job pool, worker scratch, and latency window.
+	// Warm the job pool, token scratch, and latency window.
 	for i := 0; i < 50; i++ {
 		rank()
 	}
@@ -784,7 +784,7 @@ func httpRankOp(tb testing.TB, batch int) (post func(), bodyLen int) {
 			tb.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 		}
 	}
-	for i := 0; i < 20; i++ { // warm the pools and the worker scratch
+	for i := 0; i < 20; i++ { // warm the pools and the token scratch
 		post()
 	}
 	return post, len(body)

@@ -27,8 +27,8 @@ type Policy struct {
 	// coalescing.
 	MaxBatch int
 	// MaxWait is the longest a partial batch is held open while every
-	// other executor worker is busy; with a worker free nothing is held
-	// at all. 0 never holds — only requests already queued (or arriving
+	// other executor worker (token, in the engine) is busy; with one
+	// free nothing is held at all. 0 never holds — only requests already queued (or arriving
 	// at the same instant, for the simulator) share a batch.
 	MaxWait time.Duration
 	// SplitAbove, when positive, splits requests carrying more than
@@ -66,7 +66,8 @@ func (p Policy) WaitUS() float64 { return float64(p.MaxWait) / float64(time.Micr
 // Hold is the cut rule both batch formers share. A former first takes
 // everything already queued; when the queue runs dry with n items
 // taken it asks Hold, and dispatches at once unless Hold says to wait.
-// others is the number of executor workers besides the asker and free
+// others is the number of executor workers (the engine's tokens)
+// besides the asker and free
 // is how many of those are not inside a forward pass at this instant.
 //
 // The rule is work-conserving: hold only while every other worker is

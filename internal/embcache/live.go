@@ -13,7 +13,7 @@ import (
 // RecNMP's hot-row memoization, exploiting the skewed sparse-ID
 // popularity of the paper's Figure 14/15. Each shard owns a replacement
 // core (core.go) and a flat row store under one mutex, so lookups from
-// different executor workers stripe across locks instead of
+// concurrent forward passes stripe across locks instead of
 // serializing. The rows it caches come from a read-only tier, so a
 // cached row never goes stale and nothing ever invalidates one.
 type Concurrent struct {

@@ -7,8 +7,9 @@
 //   - one admission queue and batch former per model, sharing the
 //     dispatch policy and its work-conserving cut rule with the serving
 //     simulator (queue.go, internal/batch);
-//   - a shared executor worker pool that drains every queue with a
-//     weighted-fair pick (executor.go);
+//   - a shared pool of executor tokens: a request's own goroutine takes
+//     one and drains the queues with a weighted-fair pick until its job
+//     is served (executor.go);
 //   - an instrumented forward pass whose per-operator spans feed
 //     per-model serving stats (stats.go, model.ForwardSpans).
 //
@@ -28,8 +29,8 @@ import (
 
 // Options configures the engine.
 type Options struct {
-	// Workers is the number of parallel executor goroutines shared by
-	// all registered models.
+	// Workers is the number of forward passes that may run at once,
+	// shared by all registered models: the executor's tokens.
 	Workers int
 	// QueueDepth bounds each model's pending-request queue.
 	QueueDepth int
@@ -38,9 +39,9 @@ type Options struct {
 	// models can override it via ModelOptions.Policy.
 	MaxBatch int
 	// MaxWait is the default bound on how long a batch former holds a
-	// partial batch open. A hold happens only while every other worker
+	// partial batch open. A hold happens only while every other token
 	// is inside a forward pass and ends when one of them finishes; with
-	// an executor free a batch dispatches at once (batch.Policy.Hold).
+	// a token free a batch dispatches at once (batch.Policy.Hold).
 	MaxWait time.Duration
 	// IntraOpWorkers is the goroutine fan-out inside one forward pass
 	// (packed GEMM and SLS row partitioning). 0 derives
@@ -91,7 +92,7 @@ func DefaultOptions() Options {
 }
 
 // resolveIntraOp applies the IntraOpWorkers default: divide the
-// machine between the inter-request workers.
+// machine between the passes that may run at once.
 func resolveIntraOp(opts Options) int {
 	if opts.IntraOpWorkers > 0 {
 		return opts.IntraOpWorkers
@@ -112,8 +113,8 @@ var ErrClosed = errors.New("engine: server closed")
 // works with errors.Is; the HTTP front-end maps the family to 400.
 var ErrBadRequest = model.ErrBadRequest
 
-// ErrInference wraps a forward-pass panic recovered by an executor
-// worker — an internal fault (HTTP 500), distinct from the client's
+// ErrInference wraps a forward-pass panic recovered by the executor
+// — an internal fault (HTTP 500), distinct from the client's
 // ErrBadRequest: admission validation should have caught anything the
 // request itself could cause.
 var ErrInference = errors.New("engine: inference failed")
@@ -145,8 +146,8 @@ func New(m *model.Model, opts Options) (*Server, error) {
 	return &Server{eng: eng, model: m}, nil
 }
 
-// Rank scores one batched request, blocking until a worker completes
-// it or ctx is done.
+// Rank scores one batched request, blocking until its pass completes
+// or ctx is done.
 func (s *Server) Rank(ctx context.Context, req model.Request) ([]float32, error) {
 	return s.eng.Rank(ctx, DefaultModelName, req)
 }
@@ -157,8 +158,8 @@ func (s *Server) RankInto(ctx context.Context, dst []float32, req model.Request)
 	return s.eng.RankInto(ctx, DefaultModelName, dst, req)
 }
 
-// Close stops accepting requests, drains the queue, and waits for
-// workers to finish. Rank calls blocked on a full queue are aborted
+// Close stops accepting requests, waits for the passes in flight, and
+// drains the queue. Rank calls blocked on a full queue are aborted
 // with ErrClosed. Close is idempotent.
 func (s *Server) Close() { s.eng.Close() }
 

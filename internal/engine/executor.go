@@ -12,19 +12,22 @@ import (
 	"recsys/internal/tensor"
 )
 
-// The executor is the shared worker pool that drains every model
-// queue. Workers pick queues weighted-fairly (smooth weighted
-// round-robin), form a batch with the queue's policy, and run the
-// instrumented forward pass on per-worker scratch state. Dividing one
-// socket's cores between inter-request workers and intra-op kernel
-// goroutines is the co-location structure of the paper's §V-§VI.
+// The executor is a pool of Options.Workers tokens, not of goroutines.
+// A token is one pass's scratch state; the caller that holds it runs the
+// pick → form → process loop on its own goroutine (the one net/http
+// gave the request): it picks queues weighted-fairly (smooth weighted
+// round-robin), forms a batch with the queue's policy and runs the
+// instrumented forward pass. Dividing one socket's cores between
+// concurrent passes and intra-op kernel goroutines is the co-location
+// structure of the paper's §V-§VI.
 
-// spanTap is the per-worker model.SpanObserver: every span always
+// spanTap is the per-token model.SpanObserver: every span always
 // lands in the current queue's per-kind accumulators, and when the
 // dispatch carries a traced request the spans are additionally
 // captured into a reusable buffer for the request traces. One tap per
-// worker goroutine, so retargeting it per dispatch needs no locking
-// and the interface value passed to ForwardSpans never allocates.
+// token, and one holder per token at a time, so retargeting it per
+// dispatch needs no locking and the interface value passed to
+// ForwardSpans never allocates.
 type spanTap struct {
 	counters *counters
 	capture  bool
@@ -39,18 +42,20 @@ func (o *spanTap) OpSpan(name string, kind nn.Kind, d time.Duration) {
 	}
 }
 
-// workerScratch is the per-worker reusable state: a tensor arena for
-// every activation of the forward pass, the coalesced-request buffers
-// merge refills in place, and the span tap. One scratch per worker
-// goroutine, so no locking — the paper's intra/inter-op split keeps
-// each request's working set private to one worker.
+// workerScratch is one executor token: the reusable state of one pass
+// at a time — a tensor arena for every activation of the forward pass,
+// the coalesced-request buffers merge refills in place, the span tap
+// and the hold timer. Only the goroutine holding the token touches it,
+// so no locking — the paper's intra/inter-op split keeps each pass's
+// working set private to one holder.
 type workerScratch struct {
 	arena *tensor.Arena
 	tap   spanTap
-	batch []*job    // forming-batch buffer, reused across dispatches
-	form  former    // this worker's view of the pool and its hold timer
-	dense []float32 // merged dense features, grown to high-water mark
-	ids   [][]int   // per-table merged ID lists, capacities reused
+	order []*modelQueue // pick-order buffer
+	batch []*job        // forming-batch buffer, reused across dispatches
+	form  former        // this token's view of the pool and its hold timer
+	dense []float32     // merged dense features, grown to high-water mark
+	ids   [][]int       // per-table merged ID lists, capacities reused
 }
 
 // tables returns the per-table ID buffers sized for n tables, reusing
@@ -62,22 +67,11 @@ func (w *workerScratch) tables(n int) [][]int {
 	return w.ids[:n]
 }
 
-// kick wakes an idle worker. The send is non-blocking and wake holds
-// one token per worker, so a token is dropped only when every worker
-// already has a wake-up pending; each of those rescans every queue
-// after the enqueue that was refused its token, so the job is found.
-func (e *Engine) kick() {
-	select {
-	case e.wake <- struct{}{}:
-	default:
-	}
-}
-
 // pickOrder advances the smooth weighted round-robin state once and
 // returns the queues in preference order: the selected queue first,
 // then the rest by descending WRR priority. Weighted fairness shapes
 // who is *offered* the next dispatch slot; a preferred queue that
-// turns out empty costs nothing because the worker just tries the
+// turns out empty costs nothing because the holder just tries the
 // next.
 func (e *Engine) pickOrder(buf []*modelQueue) []*modelQueue {
 	e.mu.Lock()
@@ -110,62 +104,30 @@ func (e *Engine) pickOrder(buf []*modelQueue) []*modelQueue {
 
 // tryPick scans the queues in weighted-fair order and pops the first
 // available job, returning its queue.
-func (e *Engine) tryPick(buf []*modelQueue) (*modelQueue, *job, []*modelQueue) {
-	buf = e.pickOrder(buf)
-	for _, mq := range buf {
+func (e *Engine) tryPick(s *workerScratch) (*modelQueue, *job) {
+	s.order = e.pickOrder(s.order)
+	for _, mq := range s.order {
 		if j, ok := mq.tryPop(); ok {
-			return mq, j, buf
+			return mq, j
 		}
 	}
-	return nil, nil, buf
+	return nil, nil
 }
 
-// worker is one executor goroutine: scan for work, dispatch, sleep
-// only when every queue is empty.
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	scratch := &workerScratch{arena: tensor.NewArena(), form: former{pool: e.pool}}
-	var order []*modelQueue
-	for {
-		var mq *modelQueue
-		var j *job
-		mq, j, order = e.tryPick(order)
+// run is a token holder's loop: pick a job, form and process its
+// batch, repeat. It returns once own is delivered or own's caller gave
+// up, or as soon as every queue is dry; own nil runs until then. A
+// popped job is always finished by the holder that popped it, so a
+// caller whose job is still undelivered when the queues run dry can
+// give the token back and wait: another holder has its job.
+func (e *Engine) run(s *workerScratch, own *job) {
+	for own == nil || (len(own.resp) == 0 && own.ctx.Err() == nil) {
+		mq, j := e.tryPick(s)
 		if j == nil {
-			select {
-			case <-e.wake:
-				continue
-			case <-e.done:
-				// Final drain: admissions have stopped; empty every
-				// queue, then exit.
-				for {
-					mq, j, order = e.tryPick(order)
-					if j == nil {
-						return
-					}
-					e.dispatch(mq, j, scratch)
-				}
-			}
+			return
 		}
-		// Hand scanning off to an idle peer before committing to this
-		// batch, but only if something is left to scan for: every enqueue
-		// kicks for itself (see kick for why a dropped token loses
-		// nothing), so on an otherwise idle system a kick here would cost
-		// the peer one wake, one empty scan and one park per request.
-		if queued(order) {
-			e.kick()
-		}
-		e.dispatch(mq, j, scratch)
+		e.dispatch(mq, j, s)
 	}
-}
-
-// queued reports whether any of the queues has a job waiting.
-func queued(queues []*modelQueue) bool {
-	for _, mq := range queues {
-		if len(mq.q) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // dispatch forms batches behind first and processes them. A job the
@@ -259,7 +221,7 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 		return
 	}
 	// The serve tap observes the coalesced pass before results are
-	// delivered; merged and the scores alias worker scratch, valid only
+	// delivered; merged and the scores alias the token's scratch, valid only
 	// during the call.
 	if tap := e.serveTap.Load(); tap != nil {
 		(*tap)(mq.name, merged, out.Data())
@@ -298,12 +260,12 @@ func passStart(traced bool, jobs []*job) time.Time {
 // recover is airtight against intra-op parallelism because every
 // kernel fan-out goes through tensor.ParallelFor / tensor.ShardGroup,
 // which re-raise shard panics on this goroutine. The returned tensor
-// aliases the worker's arena and is valid until the next forward on
-// the same worker — callers copy rows out per job before returning.
+// aliases the token's arena and is valid until the next forward on
+// the same token — callers copy rows out per job before returning.
 // Per-operator spans always land in the queue's kind accumulators;
 // when traced (a non-zero start, from passStart) they are additionally
 // captured, with the wall-clock execute time since start, into the
-// worker's reusable span buffer, returned as spans. deadline bounds
+// token's reusable span buffer, returned as spans. deadline bounds
 // remote embedding gathers (zero = none); a dead shard tier panics out
 // of the gather with shard.ErrUnavailable, which the recover keeps in
 // the error chain so the HTTP front-end can answer 503 instead of 500.
@@ -332,14 +294,14 @@ func (e *Engine) forward(mq *modelQueue, m *model.Model, req model.Request, scra
 	return out, execUS, spans, nil
 }
 
-// merge concatenates requests into one, reusing the worker's dense and
+// merge concatenates requests into one, reusing the token's dense and
 // per-table ID buffers so steady-state coalescing does not allocate.
 // Every job — including a lone one, which previously bypassed all
 // checks — is shape-validated against the model config before any
 // buffer copy indexes by those shapes: admission validation makes this
 // redundant for requests that came through Rank, but the executor does
 // not assume its queue is clean. The returned request aliases scratch
-// and is valid until the next merge on the same worker.
+// and is valid until the next merge on the same token.
 func merge(cfg model.Config, jobs []*job, scratch *workerScratch) (model.Request, error) {
 	total := 0
 	for _, j := range jobs {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -241,4 +243,83 @@ func waitQueued(t *testing.T, e *Engine, name string, n int) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the backlog to build", func() bool { return len(mq.q) == n })
+}
+
+// settledGoroutines reads runtime.NumGoroutine once the count has held
+// still for a few reads, so a goroutine an earlier test left exiting
+// does not count against this one.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); same < 5 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestEngineStartsNoGoroutines: the executor is a pool of tokens that
+// requests run passes on, not of goroutines. An idle engine, models
+// registered, runs no goroutine of its own, and Close leaves none.
+func TestEngineStartsNoGoroutines(t *testing.T) {
+	m := testModel(t)
+	before := settledGoroutines()
+	e, err := NewEngine(Options{Workers: 4, QueueDepth: 16, MaxBatch: 8, MaxWait: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("m", m, ModelOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := settledGoroutines(); got != before {
+		t.Fatalf("%d goroutines after NewEngine and Register, %d before", got, before)
+	}
+	e.Close()
+	if got := settledGoroutines(); got != before {
+		t.Fatalf("%d goroutines after Close, %d before NewEngine", got, before)
+	}
+}
+
+// TestAbandonedJobLosesNoToken: a request that gives up while queued
+// behind the only token, held by a parked pass, leaves its job in the
+// queue. The next holder sheds it, and the token is still there for
+// every request after. The queue holds one job, so the next request
+// finds it full of the abandoned one with no caller left to run it,
+// and must make room itself.
+func TestAbandonedJobLosesNoToken(t *testing.T) {
+	m := testModel(t)
+	e := testEngine(t, Options{Workers: 1, QueueDepth: 1, MaxBatch: 8, MaxWait: time.Hour, IntraOpWorkers: 1})
+	if err := e.Register("m", m, ModelOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	req := model.NewRandomRequest(m.Config, 2, stats.NewRNG(1))
+	release := parkWorkers(t, e, "m", req)
+	ctx, cancel := context.WithCancel(context.Background())
+	gaveUp := make(chan error, 1)
+	go func() {
+		_, err := e.Rank(ctx, "m", req)
+		gaveUp <- err
+	}()
+	waitQueued(t, e, "m", 1)
+	cancel()
+	if err := <-gaveUp; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned request: err = %v, want context.Canceled", err)
+	}
+	release()
+	want := m.CTR(req)
+	for i := 0; i < 3; i++ {
+		got, err := e.Rank(context.Background(), "m", req)
+		if err != nil {
+			t.Fatalf("rank %d after the abandoned one: %v", i, err)
+		}
+		if !ctrEqual(got, want) {
+			t.Fatalf("rank %d after the abandoned one scored %v, want %v", i, got, want)
+		}
+	}
+	if st, _ := e.ModelStats("m"); st.Sheds != 1 {
+		t.Fatalf("sheds = %d, want 1: the abandoned job, shed by the next holder", st.Sheds)
+	}
 }

@@ -95,8 +95,8 @@ func (e *Engine) handleRank(w http.ResponseWriter, r *http.Request, name string)
 	ctr, err := e.rankOne(r.Context(), name, s.scores, req, in, true)
 	if err != nil {
 		// RankInto's ownership contract: once the request's context is
-		// done, a worker may still be reading the features and writing
-		// the scores, so an abandoned request leaves s to the GC.
+		// done, a token holder may still be reading the features and
+		// writing the scores, so an abandoned request leaves s to the GC.
 		if r.Context().Err() == nil {
 			putRankScratch(s)
 		}

@@ -197,7 +197,7 @@ func TestForwardRecoversInjectedKernelPanic(t *testing.T) {
 	mq.senders.Add(1)
 	mq.q <- j
 	mq.senders.Done()
-	e.kick()
+	go func() { s := <-e.tokens; e.run(s, nil); e.tokens <- s }()
 
 	select {
 	case r := <-j.resp:

@@ -83,7 +83,7 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 		return []obs.Label{{Name: "model", Value: v.name}}
 	}
 
-	obs.WriteFamily(w, "recsys_engine_workers", "gauge", "Executor goroutines shared by all models.")
+	obs.WriteFamily(w, "recsys_engine_workers", "gauge", "Forward passes that may run at once, shared by all models (executor tokens).")
 	obs.WriteIntSample(w, "recsys_engine_workers", nil, int64(e.opts.Workers))
 	obs.WriteFamily(w, "recsys_engine_models", "gauge", "Registered models.")
 	obs.WriteIntSample(w, "recsys_engine_models", nil, int64(len(views)))

@@ -14,7 +14,7 @@ import (
 	"recsys/internal/shard"
 )
 
-// job is one admitted Rank call waiting for an executor worker.
+// job is one admitted Rank call waiting for its pass.
 type job struct {
 	ctx  context.Context
 	req  model.Request
@@ -23,7 +23,7 @@ type job struct {
 	// context has none), so the batch former can bound its wait without
 	// re-querying the context interface per pop.
 	deadline time.Time
-	// dst, when non-nil, receives the scores (RankInto): the worker
+	// dst, when non-nil, receives the scores (RankInto): the pass
 	// appends into dst[:0] instead of allocating a fresh result slice.
 	dst []float32
 
@@ -45,8 +45,8 @@ func (j *job) expired() bool { return j.ctx.Err() != nil }
 // across Rank calls, keeping the steady-state admission path
 // allocation-free. Jobs are pooled only by the Rank goroutine after it
 // has consumed the response (or aborted before enqueue) — a job
-// abandoned on ctx.Done stays with the worker and is dropped to the
-// GC, never double-pooled.
+// abandoned on ctx.Done stays with its queue or the holder that popped
+// it and is dropped to the GC, never double-pooled.
 var jobPool = sync.Pool{
 	New: func() any { return &job{resp: make(chan jobResult, 1)} },
 }
@@ -103,8 +103,8 @@ type served struct {
 
 // modelQueue is the per-model serving state: the hot-swappable
 // published model, a bounded admission queue, the batch-forming policy,
-// the trace ring, and serving counters. Executor workers drain queues;
-// Rank calls feed them.
+// the trace ring, and serving counters. Rank calls feed the queues and,
+// holding an executor token, drain them.
 type modelQueue struct {
 	name   string
 	weight int // executor pick weight (≥ 1)
@@ -114,7 +114,7 @@ type modelQueue struct {
 
 	// policy holds the batch former's bounds behind an atomic pointer:
 	// the adaptive scheduling controller retunes it at runtime
-	// (Engine.SetPolicy) while executor workers are forming batches,
+	// (Engine.SetPolicy) while token holders are forming batches,
 	// so a direct struct field would be a read/write race. Accessors
 	// below are the only touch points; formBatch loads one snapshot
 	// per formed batch, so a single dispatch never mixes two policies.
@@ -136,9 +136,9 @@ type modelQueue struct {
 	// q is the admission queue. A full queue blocks Rank (admission
 	// control / backpressure), exactly like the single-model engine.
 	// q is never closed: Close stops senders via closing, waits out
-	// mq.senders, then lets the workers drain the channel — so
-	// receivers never observe a closed q, and the batch former's
-	// receive needs no ok check.
+	// mq.senders, then drains the channel itself — so receivers never
+	// observe a closed q, and the batch former's receive needs no ok
+	// check.
 	q chan *job
 	// senders tracks Rank calls between admission and enqueue, so
 	// Close can drain the queue without racing a late send.
@@ -187,7 +187,7 @@ func (mq *modelQueue) buildRowStores(m *model.Model, o EmbCacheOptions) error {
 
 // attachRowStores points m's SLS ops at the queue's gather sources and
 // row caches. m must not be serving unless it already carries them
-// (Register attaches before the queue exists to workers, Swap before
+// (Register attaches before the queue is visible to Rank, Swap before
 // the publish); re-attaching what an op already has writes nothing, so
 // a model swapped back in while an older pass still runs on it is safe.
 func (mq *modelQueue) attachRowStores(m *model.Model) {
@@ -270,24 +270,24 @@ func (mq *modelQueue) tryPop() (*job, bool) {
 	}
 }
 
-// pool is what the executor's workers know about each other, which is
-// all a batch former needs to decide a hold: how many workers there
-// are, how many are inside a forward pass right now, and a signal that
-// a pass has just ended.
+// pool is what the executor's tokens know about each other, which is
+// all a batch former needs to decide a hold: how many tokens there are
+// (Options.Workers, the passes that may run at once), how many are
+// inside a forward pass right now, and a signal that a pass has just
+// ended. A token nobody holds is not in a pass, so it counts as free.
 type pool struct {
 	workers int
-	// inPass counts workers inside process. A former is never in a pass
-	// itself, so the other workers not in one number
-	// workers-1-inPass.
+	// inPass counts tokens inside process. A former is never in a pass
+	// itself, so the other tokens not in one number workers-1-inPass.
 	inPass atomic.Int32
-	// passEnded carries one token from a worker leaving process to the
+	// passEnded carries one signal from a holder leaving process to the
 	// former that may be holding. One slot is enough: a hold needs every
-	// other worker in a pass, so at most one former holds at a time. The
-	// token can be stale (left by a pass that ended while nobody held),
+	// other token in a pass, so at most one former holds at a time. The
+	// signal can be stale (left by a pass that ended while nobody held),
 	// which is why a holder re-asks the rule after taking it instead of
 	// treating it as the answer.
 	passEnded chan struct{}
-	// stop is the engine's drain signal.
+	// stop is the engine's close signal.
 	stop <-chan struct{}
 }
 
@@ -295,12 +295,12 @@ func newPool(workers int, stop <-chan struct{}) *pool {
 	return &pool{workers: workers, passEnded: make(chan struct{}, 1), stop: stop}
 }
 
-// free is the number of other workers not inside a forward pass, as
-// seen by a worker that is forming a batch.
+// free is the number of other tokens not inside a forward pass, as
+// seen by the holder that is forming a batch.
 func (p *pool) free() int { return p.workers - 1 - int(p.inPass.Load()) }
 
 // enterPass and leavePass bracket process. The count drops before the
-// token is sent, so a holder woken by the token reads the new count.
+// signal is sent, so a holder woken by it reads the new count.
 func (p *pool) enterPass() { p.inPass.Add(1) }
 
 func (p *pool) leavePass() {
@@ -311,8 +311,8 @@ func (p *pool) leavePass() {
 	}
 }
 
-// former is one executor worker's side of batch forming: the pool it
-// asks before holding, and the hold timer, created on the worker's
+// former is one executor token's side of batch forming: the pool it
+// asks before holding, and the hold timer, created on the token's
 // first hold and re-armed for each later one, so a batch that does not
 // hold touches no timer at all.
 type former struct {
@@ -351,9 +351,9 @@ const (
 	// cutFull: the batch reached MaxBatch, the next job would overshoot
 	// it (carry), or coalescing is off.
 	cutFull cutReason = iota
-	// cutFree: the queue ran dry and the rule did not hold — an
-	// executor was free (at once, or when a pass ended mid-hold), the
-	// pool has one worker, or MaxWait is 0.
+	// cutFree: the queue ran dry and the rule did not hold — a token
+	// was free (at once, or when a pass ended mid-hold), the pool has
+	// one token, or MaxWait is 0.
 	cutFree
 	// cutWait: a hold lasted MaxWait.
 	cutWait
@@ -372,10 +372,10 @@ func (r cutReason) String() string { return cutNames[r] }
 // Queued jobs are always taken greedily, stopping strictly at MaxBatch
 // samples. When the queue runs dry with the batch not full, the
 // policy's Hold rule decides: dispatch at once unless every other
-// executor worker is inside a forward pass; only then hold, for at most
+// executor token is inside a forward pass; only then hold, for at most
 // MaxWait, and ask again each time a pass ends — so no request is held
-// while an executor is free, and a one-worker engine never holds. A
-// closed stop cuts a hold short but never abandons jobs already taken.
+// while a token is free, and a one-token engine never holds. A closed
+// stop cuts a hold short but never abandons jobs already taken.
 //
 // Robustness properties of the request lifecycle:
 //
@@ -385,7 +385,7 @@ func (r cutReason) String() string { return cutNames[r] }
 //   - Pop-time shedding: jobs whose context is already done are failed
 //     here, before they can consume a forward pass.
 //   - Hard sample cap: a popped job that would push the batch past
-//     MaxBatch is returned as carry for the worker to seed the next
+//     MaxBatch is returned as carry for the holder to seed the next
 //     batch with, so Policy.MaxBatch bounds every dispatch. (A single
 //     request larger than MaxBatch still dispatches alone — requests
 //     are never split.)

@@ -42,7 +42,7 @@ type ModelOptions struct {
 
 // Engine is the multi-model serving core: a registry of named,
 // hot-swappable models, each with its own admission queue and batch
-// former, drained by one shared executor worker pool — the layering
+// former, drained by one shared pool of executor tokens — the layering
 // DeepRecSys (Gupta et al., 2020) argues for, and the substrate for
 // the paper's heterogeneous co-location scenarios (§VI).
 type Engine struct {
@@ -60,7 +60,7 @@ type Engine struct {
 
 	// serveTap, when set, observes every successfully served batch
 	// (SetServeTap) — the click-stream source of the online-learning
-	// loop. Atomic so executor workers load it without the registry
+	// loop. Atomic so token holders load it without the registry
 	// lock; nil costs one pointer load per batch.
 	serveTap atomic.Pointer[ServeTap]
 
@@ -68,11 +68,9 @@ type Engine struct {
 	// a field so a test can count its reads.
 	now func() time.Time
 
-	wake    chan struct{} // executor wakeup tokens
-	pool    *pool         // in-pass count and pass-ended signal (queue.go)
-	closing chan struct{} // closed first: reject/abort admissions
-	done    chan struct{} // closed after senders drain: workers may exit
-	wg      sync.WaitGroup
+	tokens  chan *workerScratch // the executor tokens not in use (executor.go)
+	pool    *pool               // in-pass count and pass-ended signal (queue.go)
+	closing chan struct{}       // closed by Close: reject/abort admissions, cut holds
 }
 
 // ServeTap observes served traffic: the executor invokes the tap once
@@ -80,8 +78,8 @@ type Engine struct {
 // coalesced) request, and its scores. Both arguments alias
 // executor-owned buffers that are reused after the call returns — taps
 // must copy what they keep. The tap runs on the serving path, on the
-// executor worker that ran the pass, concurrently from every worker: it
-// must be safe for that concurrency and return quickly.
+// goroutine that ran the pass, concurrently from every pass in flight:
+// it must be safe for that concurrency and return quickly.
 type ServeTap func(model string, req model.Request, scores []float32)
 
 // SetServeTap installs (or, with nil, removes) the engine's serve tap.
@@ -95,8 +93,8 @@ func (e *Engine) SetServeTap(tap ServeTap) {
 	e.serveTap.Store(&tap)
 }
 
-// NewEngine starts an engine with no registered models. It returns an
-// error on non-positive worker or queue options.
+// NewEngine returns an engine with no registered models; it starts no
+// goroutine. It returns an error on non-positive worker or queue options.
 func NewEngine(opts Options) (*Engine, error) {
 	if opts.Workers <= 0 || opts.QueueDepth <= 0 {
 		return nil, fmt.Errorf("engine: workers and queue depth must be positive, got %d, %d", opts.Workers, opts.QueueDepth)
@@ -115,14 +113,12 @@ func NewEngine(opts Options) (*Engine, error) {
 		opts:    opts,
 		queues:  make(map[string]*modelQueue),
 		now:     time.Now,
-		wake:    make(chan struct{}, opts.Workers),
+		tokens:  make(chan *workerScratch, opts.Workers),
 		closing: make(chan struct{}),
-		done:    make(chan struct{}),
 	}
-	e.pool = newPool(opts.Workers, e.done)
-	e.wg.Add(opts.Workers)
-	for i := 0; i < opts.Workers; i++ {
-		go e.worker()
+	e.pool = newPool(opts.Workers, e.closing)
+	for range opts.Workers {
+		e.tokens <- &workerScratch{arena: tensor.NewArena(), form: former{pool: e.pool}}
 	}
 	return e, nil
 }
@@ -356,8 +352,7 @@ func (e *Engine) lookup(name string) (*modelQueue, error) {
 }
 
 // Rank scores one batched request against the named model ("" = the
-// default model), blocking until an executor worker completes it or
-// ctx is done.
+// default model), blocking until its pass completes or ctx is done.
 func (e *Engine) Rank(ctx context.Context, name string, req model.Request) ([]float32, error) {
 	return e.RankInto(ctx, name, nil, req)
 }
@@ -386,14 +381,14 @@ func sealTrace(mq *modelQueue, tr *obs.Trace, outcome string, err error) {
 // Ownership: on success the returned slice is dst's backing array (or
 // a grown replacement). On error the buffer's contents are
 // unspecified; if the error came from ctx (the request was abandoned
-// mid-flight) a worker may still be writing into dst's backing array,
-// so the caller must not reuse dst until the request's batch has
-// surely drained — pass a fresh buffer per attempt when deadlines can
-// lapse.
+// mid-flight) the goroutine holding the token that runs its batch may
+// still be writing into dst's backing array, so the caller must not
+// reuse dst until that batch has surely drained — pass a fresh buffer
+// per attempt when deadlines can lapse.
 //
 // When the model's policy sets SplitAbove and the request carries more
 // samples than that, the request is split into near-equal chunks
-// dispatched independently across the executor pool and merged back in
+// dispatched independently across the executor tokens and merged back in
 // sample order (rankSplit) — scores are bit-identical to the unsplit
 // path because the forward pass is row-independent.
 func (e *Engine) RankInto(ctx context.Context, name string, dst []float32, req model.Request) ([]float32, error) {
@@ -402,7 +397,7 @@ func (e *Engine) RankInto(ctx context.Context, name string, dst []float32, req m
 
 // rankOne is the admission path: resolve the model, split an oversized
 // request when split is set and the model's policy asks for it,
-// otherwise validate, enqueue and await the executor's response. in is
+// otherwise validate, enqueue and run or await the job's pass. in is
 // what the HTTP front-end measured (zero for in-process callers) and
 // rides into the request's trace.
 func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req model.Request, in ingestStats, split bool) ([]float32, error) {
@@ -445,8 +440,8 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 		return nil, err
 	}
 	// Admission-time validation: malformed requests are refused here
-	// with a typed ErrBadRequest instead of panicking a shared executor
-	// worker deep inside a kernel. Swap preserves input shapes, so a
+	// with a typed ErrBadRequest instead of panicking a shared pass
+	// deep inside a kernel. Swap preserves input shapes, so a
 	// request validated against the current model stays valid for any
 	// later swap-in.
 	cfg := mq.published.Load().model.Config
@@ -471,46 +466,79 @@ func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req mo
 	j := getJob()
 	j.ctx, j.req, j.deadline, j.dst, j.tr = ctx, req, deadline, dst, tr
 	j.enqueuedAt = validated
-	select {
-	case mq.q <- j:
-		mq.senders.Done()
-		e.kick()
-	case <-ctx.Done():
-		mq.senders.Done()
+	err := e.enqueue(ctx, mq, j)
+	mq.senders.Done()
+	if err != nil {
 		mq.errs.Add(1)
-		sealTrace(mq, tr, obs.OutcomeShed, ctx.Err())
+		outcome := obs.OutcomeShed
+		if err == ErrClosed {
+			outcome = obs.OutcomeError
+		}
+		sealTrace(mq, tr, outcome, err)
 		putJob(j)
-		return nil, ctx.Err()
-	case <-e.closing:
-		mq.senders.Done()
-		mq.errs.Add(1)
-		sealTrace(mq, tr, obs.OutcomeError, ErrClosed)
-		putJob(j)
-		return nil, ErrClosed
+		return nil, err
 	}
 	start := time.Now()
-	select {
-	case r := <-j.resp:
-		putJob(j)
-		if r.err != nil {
+	tokens := e.tokens
+	for {
+		select {
+		case r := <-j.resp:
+			putJob(j)
+			if r.err != nil {
+				mq.errs.Add(1)
+				return nil, r.err
+			}
+			mq.latHist.Observe(int64(time.Since(start)))
+			return r.ctr, nil
+		case s := <-tokens:
+			// Whatever run returned on, the job needs no token any
+			// more: it is delivered, another holder has it, or the
+			// caller is giving up.
+			e.run(s, j)
+			e.tokens <- s
+			tokens = nil
+		case <-ctx.Done():
+			// A holder may still process the job (and write into dst);
+			// its result is dropped and the job is left to the GC
+			// rather than pooled. A job still queued is shed by the
+			// next holder that pops it.
 			mq.errs.Add(1)
-			return nil, r.err
+			return nil, ctx.Err()
 		}
-		mq.latHist.Observe(int64(time.Since(start)))
-		return r.ctr, nil
-	case <-ctx.Done():
-		// The worker may still process the job (and write into dst);
-		// its result is dropped and the job is left to the GC rather
-		// than pooled.
-		mq.errs.Add(1)
-		return nil, ctx.Err()
+	}
+}
+
+// enqueue puts j on mq's queue. When the queue is full and a token is
+// free, nobody is running the queue — the callers of what it holds
+// gave up, and only a live caller waits for a token — so the sender
+// takes the token and runs one batch to make room.
+func (e *Engine) enqueue(ctx context.Context, mq *modelQueue, j *job) error {
+	select {
+	case mq.q <- j:
+		return nil
+	default:
+	}
+	for {
+		select {
+		case mq.q <- j:
+			return nil
+		case s := <-e.tokens:
+			if mq, first := e.tryPick(s); first != nil {
+				e.dispatch(mq, first, s)
+			}
+			e.tokens <- s
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-e.closing:
+			return ErrClosed
+		}
 	}
 }
 
 // rankSplit fans one oversized request out as ceil(batch/chunkMax)
 // near-equal chunks — DeepRecSys's query splitting: a large candidate
 // set stops serializing behind one forward pass and instead occupies
-// several executor workers concurrently, trading aggregate work for
+// several executor tokens concurrently, trading aggregate work for
 // tail latency. Each chunk rides the normal admission path and is never
 // split again (validated, queued, batched, counted, and
 // latency-recorded like any request — the controller's p99 window
@@ -663,9 +691,9 @@ func (e *Engine) AggregateStats() Stats {
 	return agg
 }
 
-// Close stops accepting requests, drains every queue, and waits for
-// the executor workers to finish. Rank calls blocked on a full queue
-// abort with ErrClosed. Close is idempotent.
+// Close stops accepting requests, waits for every pass in flight, and
+// drains every queue. Rank calls blocked on a full queue abort with
+// ErrClosed. Close is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -676,11 +704,16 @@ func (e *Engine) Close() {
 	close(e.closing)
 	queues := append([]*modelQueue(nil), e.order...)
 	e.mu.Unlock()
-	// Wait for in-flight enqueues to land or abort, then release the
-	// workers to drain the queues and exit.
+	// Wait for in-flight enqueues to land or abort, then take every
+	// token — each pass in flight has ended — and drain the queues with
+	// one. The tokens are never handed back: whoever still waits on a
+	// job is answered by the drain.
 	for _, mq := range queues {
 		mq.senders.Wait()
 	}
-	close(e.done)
-	e.wg.Wait()
+	var s *workerScratch
+	for range e.opts.Workers {
+		s = <-e.tokens
+	}
+	e.run(s, nil)
 }

@@ -148,7 +148,7 @@ type counters struct {
 	cuts [nCutReasons]atomic.Int64
 
 	// kindNS accumulates instrumented forward-pass time per operator
-	// kind, in nanoseconds. Executor workers add concurrently.
+	// kind, in nanoseconds. Concurrent passes add concurrently.
 	kindNS [nKinds]atomic.Int64
 
 	// latHist and batchHist are cumulative (never reset) fixed-bucket

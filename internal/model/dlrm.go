@@ -167,8 +167,8 @@ func NewRandomRequest(cfg Config, batch int, rng *stats.RNG) Request {
 
 // SpanObserver receives one per-operator timing span per executed
 // stage of an instrumented forward pass. Implementations must be safe
-// for the caller's concurrency (the engine shares one observer across
-// its executor workers) and must not allocate if the hot path's
+// for the caller's concurrency (the engine runs one pass per executor
+// token, concurrently) and must not allocate if the hot path's
 // zero-allocation contract matters to them.
 type SpanObserver interface {
 	// OpSpan reports that operator name of the given kind ran for d.

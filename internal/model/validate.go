@@ -11,7 +11,7 @@ import (
 // response (HTTP 400) without inspecting messages. The serving engine
 // runs ValidateRequest before enqueueing a request, so malformed inputs
 // are refused at the door with a typed error instead of panicking a
-// shared executor worker deep inside a kernel.
+// shared forward pass deep inside a kernel.
 var ErrBadRequest = errors.New("model: bad request")
 
 // ValidateShape checks the structural fit of req against cfg: batch

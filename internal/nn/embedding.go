@@ -63,8 +63,9 @@ func drawRows(dst []float32, cols int, rng *stats.RNG) {
 // Name returns the table label.
 func (e *EmbeddingTable) Name() string { return e.label }
 
-// validateIDs checks every ID against [0, Rows) up front so the gather
-// inner loops can run check-free.
+// validateIDs checks every ID against [0, Rows) up front. The planned
+// gather needs it: its IDs go on the wire, and its kernel indexes the
+// staging rows, not the table.
 func (e *EmbeddingTable) validateIDs(ids []int) {
 	for _, id := range ids {
 		if id < 0 || id >= e.Rows {
@@ -96,11 +97,10 @@ func checkLengths(ids, lengths []int) {
 //	Out[k] = Σ_{id ∈ slice k} Table[id]
 //
 // ids holds the concatenated per-slice ID lists; sum(lengths) must equal
-// len(ids). Every ID must be in [0, Rows). IDs are validated up front so
-// the gather loop itself runs without per-ID checks.
+// len(ids). Every ID must be in [0, Rows): tensor.PoolRowsF32 panics on
+// one that is not, before it writes that bag's row.
 func (e *EmbeddingTable) SparseLengthsSum(ids []int, lengths []int) *tensor.Tensor {
 	checkLengths(ids, lengths)
-	e.validateIDs(ids)
 	out := tensor.New(len(lengths), e.Cols)
 	cur := 0
 	for k, l := range lengths {
@@ -187,7 +187,6 @@ func (s *SLSOp) ForwardEx(ids []int, batch int, a *tensor.Arena, workers int) *t
 // space.
 func (s *SLSOp) gatherLocal(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
 	out := allocDense(a, batch, s.Table.Cols)
-	s.Table.validateIDs(ids)
 	workers = slsWorkers(workers, batch, len(ids)*s.Table.Cols)
 	if workers <= 1 {
 		// Inline serial path: the parallel branch's closure must not be
@@ -210,8 +209,11 @@ func (s *SLSOp) gatherLocal(ids []int, batch int, a *tensor.Arena, workers int) 
 // both keep the bag's output row in YMM registers when the width is a
 // multiple of 8 up to 64 (the RMC presets' 32, NCF's 8 and 16) and
 // otherwise add into it in memory a row at a time; on the Go tier the
-// fp32 widths 32 and 64 run fixed-size array loops. IDs must be
-// pre-validated.
+// fp32 widths 32 and 64 run fixed-size array loops. The kernel's range
+// check is the gather's only one: both stores hold exactly Table.Rows
+// rows (W is Rows×Cols, the int8 rows Rows×stride bytes), so the
+// kernel's row count is the table's, and an ID outside [0, Rows)
+// panics before its bag is written.
 func (s *SLSOp) poolRows(out *tensor.Tensor, ids []int, kLo, kHi int) {
 	l := s.Lookups
 	for k := kLo; k < kHi; k++ {

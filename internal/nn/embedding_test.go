@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +171,35 @@ func TestSLSOpPanics(t *testing.T) {
 		}
 	}()
 	op.ForwardEx([]int{1, 2}, 1, nil, 1)
+}
+
+// TestSLSOpForwardPanicsOnBadID: the local gather has one range check,
+// the pooling kernel's, and it holds for both stores, serial and
+// fanned out.
+func TestSLSOpForwardPanicsOnBadID(t *testing.T) {
+	const rows, lookups, batch = 10, 4, 8
+	for _, int8Rows := range []bool{false, true} {
+		for _, bad := range []int{rows, -1} {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("int8=%v/id=%d/workers=%d", int8Rows, bad, workers)
+				t.Run(name, func(t *testing.T) {
+					e := NewEmbeddingTable("emb", rows, 512, stats.NewRNG(7))
+					op := NewSLSOp(e, lookups)
+					if int8Rows {
+						op.Quant = Quantize(e)
+					}
+					ids := make([]int, batch*lookups)
+					ids[len(ids)-1] = bad
+					defer func() {
+						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "out of range") {
+							t.Fatalf("recovered %v, want an out-of-range panic", r)
+						}
+					}()
+					op.ForwardEx(ids, batch, nil, workers)
+				})
+			}
+		}
+	}
 }
 
 func TestEmbeddingTablePanics(t *testing.T) {

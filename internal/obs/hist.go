@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Histogram is a fixed-bucket histogram with lock-free observation:
 // one atomic add per Observe, no allocation, safe for the engine's
-// executor workers to hit concurrently. Bounds are inclusive upper
+// concurrent passes to hit at once. Bounds are inclusive upper
 // bounds in ascending order; values above the last bound land in the
 // implicit +Inf bucket. Values are int64 so the same type serves
 // nanosecond latencies and sample counts without float atomics.

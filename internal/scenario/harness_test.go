@@ -118,9 +118,9 @@ func requireClean(t *testing.T, res *scenario.Result) {
 // goroutine count before a bring-up and returns the check to call after
 // the teardown (Engine.Close, Stack.Close), which waits up to two
 // seconds for the count to come back down to the baseline and fails
-// with every goroutine's stack when it does not. Executor workers,
-// batch formers, the controller, the updater and the request goroutines
-// of Run must all be gone once Close returns; the wait only covers
+// with every goroutine's stack when it does not. Batch formers, the
+// controller, the updater and the request goroutines of Run must all
+// be gone once Close returns; the wait only covers
 // goroutines that have been released but not yet descheduled.
 func goroutineBaseline(t *testing.T) (check func()) {
 	t.Helper()

@@ -57,8 +57,8 @@ func simulate(bc BatcherConfig, items int) Result {
 // arrival-time stream (non-decreasing, in µs) of items items per
 // arrival, so dispatch edge cases — simultaneous arrivals, deadline
 // ties, holds cut by a peer — can be driven directly. The earliest-free
-// worker forms each batch, as an executor worker of the real engine
-// does: it takes everything queued at its virtual instant, then asks
+// worker forms each batch, as the holder of an executor token in the
+// real engine does: it takes everything queued at its virtual instant, then asks
 // Policy.Hold with the other workers' state at that instant.
 func runBatched(bc BatcherConfig, items int, arrivalsUS []float64, rng *stats.RNG) Result {
 	noise := newNoise(bc.Machine, bc.Workers, rng.Split())
