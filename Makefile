@@ -5,7 +5,7 @@ PARENT ?=
 N ?= 10
 SEED ?= 1
 
-.PHONY: build test vet fmt-check race lint verify deadcode bench bench-module bench-hot bench-regress bench-sensitivity bench-pairs fuzz test-gotier loc
+.PHONY: build test vet fmt-check race lint verify deadcode bench bench-module bench-hot bench-regress bench-sensitivity bench-pairs fuzz test-gotier test-avx2tier loc
 
 build:
 	$(GO) build ./...
@@ -113,6 +113,13 @@ fuzz:
 # green (see DESIGN.md "Kernel dispatch").
 test-gotier:
 	RECSYS_KERNEL=go $(GO) test ./internal/tensor ./internal/nn ./internal/model ./internal/train
+
+# The same packages with dispatch pinned to the YMM assembly tier: on
+# AVX-512 hosts the default avx512 tier runs every full 16-row GEMM
+# block through the ZMM kernel, and this leg keeps gemmKernel8x8's
+# full-block path tested there.
+test-avx2tier:
+	RECSYS_KERNEL=avx2 $(GO) test ./internal/tensor ./internal/nn ./internal/model ./internal/train
 
 # Non-test source lines (.go and .s) per cmd/* and internal/* package
 # directory, with the cmd, internal and overall totals: ROADMAP's

@@ -654,11 +654,14 @@ func atomicRef() func() {
 }
 
 // tableRows is what a memory case reads: its fp32 table, row-major
-// with dim columns, and the ID sets its iterations cycle through.
+// with dim columns, and the ID sets its iterations cycle through. The
+// table's rows are mapped outside the Go heap and unmapped with its W
+// (nn.NewEmbeddingTable), which w keeps alive while the reference runs.
 type tableRows struct {
 	data []float32
 	dim  int
 	sets [][]int
+	w    *tensor.Tensor
 }
 
 // memoryRef returns one pass of the memory reference: the rows of one
@@ -680,6 +683,7 @@ func memoryRef(rows tableRows) func() {
 			}
 		}
 		i++
+		runtime.KeepAlive(rows.w)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -380,7 +381,7 @@ func slsOp(workers int) (func(), tableRows) {
 	return func() {
 		arena.Reset()
 		op.ForwardEx(ids, batch, arena, workers)
-	}, tableRows{table.W.Data(), table.Cols, [][]int{ids}}
+	}, tableRows{table.W.Data(), table.Cols, [][]int{ids}, table.W}
 }
 
 // --- Gather benchmarks: one gather per store kind ---
@@ -488,7 +489,7 @@ func slsGatherOp(tb testing.TB, cfg slsGatherBench) (func(), *embcache.Concurren
 		arena.Reset()
 		op.ForwardEx(sets[i%nSets], batch, arena, 1)
 		i++
-	}, cache, tableRows{table.W.Data(), cols, sets}
+	}, cache, tableRows{table.W.Data(), cols, sets, table.W}
 }
 
 // The plan-free local gather, fp32 and int8 (tensor.PoolRowsI8, one
@@ -563,6 +564,33 @@ func fcRMOp() func() {
 }
 
 func BenchmarkFCRMBatch256(b *testing.B) { benchmarkFCRM(b) }
+
+// BenchmarkFCRMC3Batch16 times each of rmc3's bottom-MLP FC layers
+// (512→2560→256→128, each with its ReLU) at batch 16 on one worker:
+// the m = 16 GEMMs that are most of rmc3_dense's serve CPU, and the
+// shape the avx512 tier's 16-row kernel takes whole. It reports
+// GFLOP/s; RECSYS_KERNEL=avx2 (or go) times another tier.
+func BenchmarkFCRMC3Batch16(b *testing.B) {
+	const batch = 16
+	rng := stats.NewRNG(9)
+	for _, s := range []struct{ in, out int }{{512, 2560}, {2560, 256}, {256, 128}} {
+		b.Run(fmt.Sprintf("%dx%d", s.in, s.out), func(b *testing.B) {
+			fc := nn.NewFC("bench", s.in, s.out, rng)
+			x := tensor.New(batch, s.in)
+			xd := x.Data()
+			for i := range xd {
+				xd[i] = rng.Float32()*2 - 1
+			}
+			arena := tensor.NewArena()
+			fc.ForwardEx(x, arena, 1, true) // warm: pack weights, grow the slab
+			runOp(b, func() {
+				arena.Reset()
+				fc.ForwardEx(x, arena, 1, true)
+			})
+			b.ReportMetric(2*batch*float64(s.in*s.out)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
 
 // benchmarkGemmParallel times the cache-blocked ParallelGemmPacked at
 // batch 256 (256×512×512, resolved workers = GOMAXPROCS): the gate

@@ -12,7 +12,7 @@
 //	recbench -config custom.json                   # the edited custom model
 //	recbench -model rmc3 -machine Skylake -batch 128 -tenants 4
 //	recbench -model rmc2-int8 -measure -zipf 1.1
-//	recbench -fig10 -peak-gflops 67.2              # GEMM roofline sweep
+//	recbench -fig10 -peak-gflops avx2=92,avx512=176 # GEMM roofline sweep
 //
 // -model takes the single-model spec grammar of DESIGN.md "Bring-up";
 // its quantized forms need -measure. -config reads the JSON that
@@ -25,10 +25,14 @@
 // -fig10 reproduces the paper's Figure 10 axis on this host: an
 // RM-scale FC GEMM (512→256) swept over batch 1..256, reporting
 // GFLOP/s and, when -peak-gflops is given, percent of single-core
-// peak, for the active kernel tier (RECSYS_KERNEL=go selects the
-// portable one). With -workers N
-// (N > 1) it appends a parallel-vs-serial crossover sweep of the
-// cache-blocked ParallelGemmPacked against the serial packed GEMM.
+// peak, for each of the avx2 and avx512 kernel tiers this host runs
+// (the go tier where it runs neither) — the paper's AVX-2 against
+// AVX-512 batching curve in one invocation. -peak-gflops takes
+// tier=GFLOP/s pairs (avx2=92,avx512=176), since a ZMM FMA does twice
+// a YMM one's work. With -workers N (N > 1) it appends a
+// parallel-vs-serial crossover sweep of the cache-blocked
+// ParallelGemmPacked against the serial packed GEMM, on the tier
+// selected at start-up.
 package main
 
 import (
@@ -36,6 +40,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"recsys/internal/arch"
@@ -59,7 +66,7 @@ func main() {
 
 		measure      = flag.Bool("measure", false, "run real forward passes instead of the analytic model")
 		fig10        = flag.Bool("fig10", false, "sweep an RM-scale FC GEMM over batch 1..256 and report GFLOP/s (Figure 10)")
-		peakGFLOPS   = flag.Float64("peak-gflops", 0, "with -fig10, single-core fp32 peak for the %%-of-peak column (0 = omit)")
+		peakGFLOPS   = flag.String("peak-gflops", "", "with -fig10, each tier's single-core fp32 peak for its %-of-peak column, as tier=GFLOP/s pairs (avx2=92,avx512=176); a tier left out has no column")
 		fig10Workers = flag.Int("workers", 0, "with -fig10, also sweep the blocked parallel GEMM with this many workers against serial (0 = skip)")
 		measureIters = flag.Int("measure-iters", 200, "measured forward passes after warmup")
 		measureScale = flag.Int("measure-scale", 100, "embedding-table shrink factor for -measure")
@@ -69,7 +76,10 @@ func main() {
 	flag.Parse()
 
 	if *fig10 {
-		runFig10(*measureIters, *peakGFLOPS, *fig10Workers)
+		if err := runFig10(*measureIters, *peakGFLOPS, *fig10Workers); err != nil {
+			fmt.Fprintln(os.Stderr, "recbench:", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -206,19 +216,32 @@ func runMeasure(spec model.Spec, batch, iters, intraOp int, zipfS float64) error
 }
 
 // runFig10 is the paper's Figure 10 axis measured on this host: FC
-// GEMM throughput as a function of batch size. The shape is the
-// RM-scale 512→256 layer; each batch 1..256 (powers of two) runs the
-// serving path's packed GEMM on one core (workers=1 — the figure is a
-// per-core roofline, parallel scaling is a separate axis). With
-// -peak-gflops the GFLOP/s column is also reported as percent of
-// single-core peak (e.g. 67.2 for a 2.1 GHz core with two 8-wide FMA
-// ports).
-func runFig10(iters int, peak float64, workers int) {
+// GEMM throughput as a function of batch size, per kernel tier. The
+// shape is the RM-scale 512→256 layer; each batch 1..256 (powers of
+// two) runs the serving path's packed GEMM on one core (workers=1 —
+// the figure is a per-core roofline, parallel scaling is a separate
+// axis), the tiers taking turns at each batch so a drift of the host
+// reaches them alike. Each tier's GFLOP/s is also reported as percent
+// of its peak when peaks names one (e.g. 67.2 for a 2.1 GHz core with
+// two 8-wide FMA ports, twice that with 16-wide ones).
+func runFig10(iters int, peaks string, workers int) error {
 	const in, out = 512, 256
-	fmt.Printf("Figure 10 sweep: FC %d→%d, fp32 kernel=%s, iters=%d\n", in, out, tensor.KernelTier(), iters)
-	header := fmt.Sprintf("%7s %12s %14s", "batch", "fp32 µs/op", "fp32 GFLOP/s")
-	if peak > 0 {
-		header += fmt.Sprintf(" %8s", "% peak")
+	if iters <= 0 {
+		return fmt.Errorf("-measure-iters must be positive, got %d", iters)
+	}
+	tiers := fig10Tiers()
+	peak, err := parsePeaks(peaks, tiers)
+	if err != nil {
+		return err
+	}
+	start := tensor.KernelTier()
+	fmt.Printf("Figure 10 sweep: FC %d→%d, fp32 kernels=%s, iters=%d\n", in, out, strings.Join(tiers, ","), iters)
+	header := fmt.Sprintf("%7s", "batch")
+	for _, tier := range tiers {
+		header += fmt.Sprintf(" %14s %14s", tier+" µs/op", tier+" GFLOP/s")
+		if peak[tier] > 0 {
+			header += fmt.Sprintf(" %8s", "% peak")
+		}
 	}
 	fmt.Println(header)
 	rng := stats.NewRNG(1)
@@ -231,26 +254,71 @@ func runFig10(iters int, peak float64, workers int) {
 		}
 		ops := 2 * float64(batch) * in * out
 		arena := tensor.NewArena()
-		for i := 0; i < 3; i++ { // warmup: pack, grow arena
-			arena.Reset()
-			fc.ForwardEx(x, arena, 1, false)
-		}
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			arena.Reset()
-			fc.ForwardEx(x, arena, 1, false)
-		}
-		el := time.Since(t0).Seconds()
-		gflops := ops * float64(iters) / el / 1e9
-		row := fmt.Sprintf("%7d %12.1f %14.1f", batch, el/float64(iters)*1e6, gflops)
-		if peak > 0 {
-			row += fmt.Sprintf(" %7.1f%%", 100*gflops/peak)
+		row := fmt.Sprintf("%7d", batch)
+		for _, tier := range tiers {
+			if err := tensor.SetKernel(tier); err != nil {
+				return err
+			}
+			for i := 0; i < 3; i++ { // warmup: pack, grow arena
+				arena.Reset()
+				fc.ForwardEx(x, arena, 1, false)
+			}
+			t0 := time.Now()
+			for i := 0; i < iters; i++ {
+				arena.Reset()
+				fc.ForwardEx(x, arena, 1, false)
+			}
+			el := time.Since(t0).Seconds()
+			gflops := ops * float64(iters) / el / 1e9
+			row += fmt.Sprintf(" %14.1f %14.1f", el/float64(iters)*1e6, gflops)
+			if peak[tier] > 0 {
+				row += fmt.Sprintf(" %7.1f%%", 100*gflops/peak[tier])
+			}
 		}
 		fmt.Println(row)
+	}
+	if err := tensor.SetKernel(start); err != nil {
+		return err
 	}
 	if workers > 1 {
 		runFig10Parallel(iters, workers)
 	}
+	return nil
+}
+
+// fig10Tiers returns the tiers -fig10 sweeps: avx2 and avx512 where
+// this host runs them, the go tier where it runs neither.
+func fig10Tiers() []string {
+	start := tensor.KernelTier()
+	defer func() { _ = tensor.SetKernel(start) }()
+	var tiers []string
+	for _, tier := range []string{tensor.KernelAVX2, tensor.KernelAVX512} {
+		if tensor.SetKernel(tier) == nil {
+			tiers = append(tiers, tier)
+		}
+	}
+	if len(tiers) == 0 {
+		tiers = []string{tensor.KernelGo}
+	}
+	return tiers
+}
+
+// parsePeaks reads -peak-gflops: comma-separated tier=GFLOP/s pairs,
+// each for a tier in tiers; empty names no peak.
+func parsePeaks(s string, tiers []string) (map[string]float64, error) {
+	peak := map[string]float64{}
+	if s == "" {
+		return peak, nil
+	}
+	for _, pair := range strings.Split(s, ",") {
+		tier, val, ok := strings.Cut(pair, "=")
+		v, err := strconv.ParseFloat(val, 64)
+		if !ok || err != nil || v <= 0 || !slices.Contains(tiers, tier) {
+			return nil, fmt.Errorf("-peak-gflops %q: want tier=GFLOP/s pairs for the swept tiers %v", s, tiers)
+		}
+		peak[tier] = v
+	}
+	return peak, nil
 }
 
 // runFig10Parallel is the parallel-vs-serial crossover sweep: the raw

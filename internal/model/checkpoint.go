@@ -60,7 +60,7 @@ func (m *Model) Save(w io.Writer) error {
 			return err
 		}
 	}
-	runtime.KeepAlive(m) // the int8 rows the blocks view are m's (paramBlocks)
+	runtime.KeepAlive(m) // the embedding rows the blocks view are m's (paramBlocks)
 	// Trailer: CRC of everything written so far.
 	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
 		return err
@@ -188,8 +188,10 @@ type paramBlock struct {
 // as its op holds it (the fp32 rows W, or the int8 codes, per-row
 // scales and per-row offsets), then top FCs. Save, Load, Clone and
 // CopyWeightsFrom all walk it, so each works on fp32 and int8 models.
-// An int8 view does not keep its table alive (nn.QuantizedTable.RowBytes),
-// so a walker keeps m alive past its last block access.
+// No block keeps its rows alive: on linux the embedding rows, an fp32
+// W's data or the int8 codes (nn.QuantizedTable.RowBytes), are mapped
+// outside the Go heap and unmapped with their owner, so a walker keeps
+// m alive past its last block access.
 func (m *Model) paramBlocks() []paramBlock {
 	var blocks []paramBlock
 	addFCs := func(mlp *nn.MLP) {

@@ -256,7 +256,7 @@ func TestCheckpointInt8BytesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := NewRandomRequest(c.cfg, 8, stats.NewRNG(2))
-		for _, tier := range []string{tensor.KernelGo, tensor.KernelAVX2} {
+		for _, tier := range []string{tensor.KernelGo, tensor.KernelAVX2, tensor.KernelAVX512} {
 			if tensor.SetKernel(tier) != nil {
 				continue // this machine cannot run the tier
 			}

@@ -20,10 +20,12 @@ type EmbeddingTable struct {
 }
 
 // NewEmbeddingTable returns a table with small uniform-random entries
-// drawn from rng, or zeroed ones when rng is nil.
+// drawn from rng, or zeroed ones when rng is nil. On linux W's data is
+// mapped outside the Go heap and unmapped with W (rows_linux.go), so a
+// reader of W.Data() keeps W alive past the read (runtime.KeepAlive).
 func NewEmbeddingTable(label string, rows, cols int, rng *stats.RNG) *EmbeddingTable {
 	t := NewEmbeddingTableSpec(label, rows, cols)
-	t.W = tensor.New(rows, cols)
+	t.W = newTableRows(rows, cols)
 	if rng != nil {
 		drawRows(t.W.Data(), cols, rng)
 	}
@@ -107,6 +109,7 @@ func (e *EmbeddingTable) SparseLengthsSum(ids []int, lengths []int) *tensor.Tens
 		tensor.PoolRowsF32(out.Row(k), e.W.Data(), ids[cur:cur+l])
 		cur += l
 	}
+	runtime.KeepAlive(e.W)
 	return out
 }
 
@@ -225,6 +228,7 @@ func (s *SLSOp) poolRows(out *tensor.Tensor, ids []int, kLo, kHi int) {
 		rows, stride := s.Quant.RowBytes()
 		tensor.PoolRowsI8(row, rows, stride, rowIDs)
 	}
+	runtime.KeepAlive(s.Table.W)
 	runtime.KeepAlive(s.Quant)
 }
 

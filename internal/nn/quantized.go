@@ -32,6 +32,7 @@ func Quantize(t *EmbeddingTable) *QuantizedTable {
 	for r := 0; r < t.Rows; r++ {
 		q.QuantizeRow(r, t.W.Row(r))
 	}
+	runtime.KeepAlive(t.W)
 	return q
 }
 
@@ -132,5 +133,6 @@ func (q *QuantizedTable) MaxAbsError(src *EmbeddingTable) float32 {
 			}
 		}
 	}
+	runtime.KeepAlive(src.W)
 	return worst
 }

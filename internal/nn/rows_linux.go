@@ -5,34 +5,64 @@ import (
 	"runtime"
 	"sync/atomic"
 	"syscall"
+	"unsafe"
+
+	"recsys/internal/tensor"
 )
 
-// mappedBytes is the int8 row bytes mapped and not yet unmapped.
+// Embedding rows, fp32 and int8, live outside the Go heap on linux: an
+// anonymous private mapping per table, advised for transparent huge
+// pages, that a finalizer unmaps once the table's owner is unreachable.
+// The rows are pointer-free and live as long as the model, so on the
+// heap they would only set the GC's pace: a 100–200 MB table set puts
+// the heap goal at twice that, no cycle runs while serving, and the
+// request garbage in between stays resident. Whoever reads the rows
+// keeps their owner (the QuantizedTable, or the EmbeddingTable's W
+// tensor) alive past the read (runtime.KeepAlive), since a slice into
+// the mapping does not.
+
+// mappedBytes is the embedding row bytes, fp32 and int8, mapped and
+// not yet unmapped.
 var mappedBytes atomic.Int64
 
-// allocRows gives q n zeroed bytes of rows outside the Go heap: an
-// anonymous private mapping, advised for transparent huge pages, that a
-// finalizer unmaps once q is unreachable. The rows are pointer-free and
-// live as long as the model, so on the heap they would only set the
-// GC's pace: a 192 MB table set puts the heap goal at twice that, and
-// the request garbage in between is resident until the next cycle.
-// Whoever reads q.rows keeps q alive past the read (runtime.KeepAlive),
-// since the slice alone does not.
+// allocRows gives q n zeroed bytes of int8 rows, unmapped with q.
 func allocRows(q *QuantizedTable, n int) {
 	if n == 0 {
 		return
 	}
+	q.rows = mapRows(n)
+	unmapWith(q, q.rows)
+}
+
+// newTableRows returns a zeroed rows×cols fp32 tensor whose data is
+// mapped, and unmapped with the tensor. rows and cols are positive
+// (NewEmbeddingTableSpec checks).
+func newTableRows(rows, cols int) *tensor.Tensor {
+	b := mapRows(4 * rows * cols)
+	w := tensor.FromSlice(unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), rows*cols), rows, cols)
+	unmapWith(w, b)
+	return w
+}
+
+// mapRows maps n zeroed bytes outside the Go heap and counts them in
+// mappedBytes.
+func mapRows(n int) []byte {
 	rows, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
-		panic(fmt.Sprintf("nn: mapping %d bytes of int8 rows: %v", n, err))
+		panic(fmt.Sprintf("nn: mapping %d bytes of embedding rows: %v", n, err))
 	}
 	_ = syscall.Madvise(rows, syscall.MADV_HUGEPAGE) // advice: a kernel without THP ignores it
 	mappedBytes.Add(int64(n))
-	q.rows = rows
-	runtime.SetFinalizer(q, func(q *QuantizedTable) {
-		if err := syscall.Munmap(q.rows); err != nil {
-			panic(fmt.Sprintf("nn: unmapping %d bytes of int8 rows: %v", len(q.rows), err))
+	return rows
+}
+
+// unmapWith unmaps rows, and takes them off mappedBytes, once owner is
+// unreachable.
+func unmapWith[T any](owner *T, rows []byte) {
+	runtime.SetFinalizer(owner, func(*T) {
+		if err := syscall.Munmap(rows); err != nil {
+			panic(fmt.Sprintf("nn: unmapping %d bytes of embedding rows: %v", len(rows), err))
 		}
-		mappedBytes.Add(-int64(len(q.rows)))
+		mappedBytes.Add(-int64(len(rows)))
 	})
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"recsys/internal/tensor"
@@ -78,6 +79,7 @@ func (t *localStore) ReadRow(id int64, dst []float32) {
 	cols := t.Table.Cols
 	w := t.Table.W.Data()
 	copy(dst, w[int(id)*cols:(int(id)+1)*cols])
+	runtime.KeepAlive(t.Table.W)
 }
 
 // LocalStore returns the op's in-process tables as a RowStore — the

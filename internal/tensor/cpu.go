@@ -7,49 +7,61 @@ import (
 
 // Kernel tiers. The package selects the fastest supported tier once at
 // init; RECSYS_KERNEL overrides the choice (for CI legs that must
-// exercise the portable kernels on AVX2 hardware, and for A/B
-// measurement in cmd/recbench -fig10).
+// exercise the portable kernels, or the YMM GEMM kernels, on AVX-512
+// hardware, and for A/B measurement of one binary), and SetKernel
+// switches it between passes (tests, cmd/recbench -fig10).
 //
 // Numerics contract: the KernelGo tier is the reference — its results
 // are bit-identical across platforms and releases. KernelAVX2 fuses
 // each multiply-add of the GEMM inner loop into one FMA (one rounding
 // instead of two) and re-associates edge-row accumulation, so fp32
 // GEMM results differ from the Go tier by a relative epsilon
-// (FloatsClose is the shared assert for that comparison). The fused
-// FC epilogue (ParallelGemmPackedBias) adds nothing to that epsilon:
-// on each tier it is bit-identical to the same tier's GemmPacked into a
-// zeroed C, then AddBiasRows, then `if v < 0 { v = 0 }` — the bias add
-// keeps the accumulator as the first source, and the AVX2 ReLU is
-// MAX(0, v) in the operand order that keeps −0 and NaN. Within a tier
-// a GEMM row's bits do not depend on which micro-kernel (8-row tile,
-// 4-row tail block or single row) or which shard computed it. The SLS
-// kernels (PoolRowsF32, PoolRowsI8) deliberately avoid FMA and keep the
-// per-element operation order, so both are bit-identical across tiers.
+// (FloatsClose is the shared assert for that comparison). KernelAVX512
+// changes only the packed fp32 GEMM, which runs every full 16-row block
+// through a ZMM kernel, and is bit-identical to KernelAVX2: each output
+// element is the same fused FMA chain in ascending p with the same
+// epilogue, whichever kernel ran it (the one exception is the payload
+// of a NaN produced from an A and a B factor that are both NaN). The
+// fused FC epilogue (ParallelGemmPackedBias) adds nothing to that
+// epsilon: on each tier it is bit-identical to the same tier's
+// GemmPacked into a zeroed C, then AddBiasRows, then
+// `if v < 0 { v = 0 }` — the bias add keeps the accumulator as the
+// first source, and the assembly ReLU is MAX(0, v) in the operand order
+// that keeps −0 and NaN. Within a tier a GEMM row's bits do not depend
+// on which micro-kernel (16-row or 8-row tile, 4-row tail block or
+// single row) or which shard computed it. The SLS kernels (PoolRowsF32,
+// PoolRowsI8) deliberately avoid FMA and keep the per-element operation
+// order, so both are bit-identical across tiers.
 const (
-	KernelGo   = "go"
-	KernelAVX2 = "avx2"
+	KernelGo     = "go"
+	KernelAVX2   = "avx2"
+	KernelAVX512 = "avx512"
 )
 
 // kernelEnv is the environment variable consulted once at init to
 // force a tier: RECSYS_KERNEL=go pins the portable reference kernels,
-// RECSYS_KERNEL=avx2 demands the assembly tier (falling back with a
-// warning when the CPU lacks AVX2+FMA).
+// RECSYS_KERNEL=avx2 the YMM assembly tier, RECSYS_KERNEL=avx512 the
+// ZMM GEMM on top of it (a tier the CPU lacks is refused with a
+// warning, leaving the one selected at init).
 const kernelEnv = "RECSYS_KERNEL"
 
 var (
 	// hasAVX2FMA records hardware+OS support (CPUID AVX2 and FMA, OS
-	// YMM state saving), detected once at init.
-	hasAVX2FMA bool
-	// useAVX2 is the active selection consulted by every dispatching
-	// kernel. It is written at init and by SetKernel; SetKernel must
-	// not race with running kernels (switch tiers only while no
-	// inference is in flight — tests and recbench sweeps do).
-	useAVX2 bool
+	// YMM state saving), detected once at init; hasAVX512 adds
+	// AVX-512F and OS ZMM state saving on top of it.
+	hasAVX2FMA, hasAVX512 bool
+	// useAVX2 and useAVX512 are the active selection consulted by every
+	// dispatching kernel (useAVX512 implies useAVX2). They are written
+	// at init and by SetKernel; SetKernel must not race with running
+	// kernels (switch tiers only while no inference is in flight —
+	// tests and recbench sweeps do).
+	useAVX2, useAVX512 bool
 )
 
 func init() {
 	hasAVX2FMA = detectAVX2FMA()
-	useAVX2 = hasAVX2FMA
+	hasAVX512 = hasAVX2FMA && detectAVX512()
+	useAVX2, useAVX512 = hasAVX2FMA, hasAVX512
 	if env := os.Getenv(kernelEnv); env != "" {
 		if err := SetKernel(env); err != nil {
 			fmt.Fprintf(os.Stderr, "tensor: %s=%q ignored: %v\n", kernelEnv, env, err)
@@ -57,9 +69,13 @@ func init() {
 	}
 }
 
-// KernelTier returns the active kernel tier (KernelGo or KernelAVX2).
+// KernelTier returns the active kernel tier (KernelGo, KernelAVX2 or
+// KernelAVX512).
 func KernelTier() string {
-	if useAVX2 {
+	switch {
+	case useAVX512:
+		return KernelAVX512
+	case useAVX2:
 		return KernelAVX2
 	}
 	return KernelGo
@@ -72,14 +88,19 @@ func KernelTier() string {
 func SetKernel(tier string) error {
 	switch tier {
 	case KernelGo:
-		useAVX2 = false
+		useAVX2, useAVX512 = false, false
 	case KernelAVX2:
 		if !hasAVX2FMA {
 			return fmt.Errorf("tensor: kernel tier %q not supported on this CPU (need AVX2+FMA)", tier)
 		}
-		useAVX2 = true
+		useAVX2, useAVX512 = true, false
+	case KernelAVX512:
+		if !hasAVX512 {
+			return fmt.Errorf("tensor: kernel tier %q not supported on this CPU (need AVX-512F with OS ZMM state on top of AVX2+FMA)", tier)
+		}
+		useAVX2, useAVX512 = true, true
 	default:
-		return fmt.Errorf("tensor: unknown kernel tier %q (want %q or %q)", tier, KernelGo, KernelAVX2)
+		return fmt.Errorf("tensor: unknown kernel tier %q (want %q, %q or %q)", tier, KernelGo, KernelAVX2, KernelAVX512)
 	}
 	return nil
 }

@@ -39,3 +39,23 @@ func detectAVX2FMA() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&cpuidAVX2 != 0
 }
+
+// detectAVX512 reports whether this CPU and OS can also run the avx512
+// tier's GEMM kernel: CPUID leaf 7 must advertise AVX-512F, and the OS
+// must save the opmask and full ZMM register state (XCR0 bits 5–7).
+// Every instruction gemmKernel16x16 uses is AVX-512F. The caller has
+// already checked AVX2, FMA and OSXSAVE (detectAVX2FMA).
+func detectAVX512() bool {
+	const (
+		cpuidAVX512F = 1 << 16 // leaf 7 EBX
+		xcr0Opmask   = 1 << 5
+		xcr0ZMMHi256 = 1 << 6
+		xcr0Hi16ZMM  = 1 << 7
+		xcr0ZMM      = xcr0Opmask | xcr0ZMMHi256 | xcr0Hi16ZMM
+	)
+	if xcr0, _ := xgetbv(); xcr0&xcr0ZMM != xcr0ZMM {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&cpuidAVX512F != 0
+}

@@ -295,3 +295,210 @@ store:
 	VMOVUPS Y0, (R8)
 	VZEROUPPER
 	RET
+
+// func gemmKernel16x16(a *float32, lda int, tile *float32, c *float32, ldc int, kc int, bias *float32, flags int)
+//
+// AVX-512 micro-kernel for the avx512 tier: 16 rows × 16 columns, the
+// two adjacent 8-wide column tiles of the current k-panel at tile and
+// tile + kc·8 floats (pack.go lays them out back to back), so PackB's
+// layout is the one the YMM kernels read:
+//
+//	C[r][0:16] += Σ_{p<kc} A[r*lda+p] · (tile0[p*8:p*8+8] ‖ tile1[p*8:p*8+8])   for r in 0..15
+//
+// Each k-step loads the two tile rows into one ZMM register (a YMM load
+// and a VINSERTF64X4 of the other half, both AVX-512F) and runs sixteen
+// FMAs whose A operand is broadcast from memory inside the instruction
+// (the .BCST form), one per row into its own ZMM accumulator, Z16–Z31.
+// Every lane is the YMM kernels' operation: one fused FMA a p, in
+// ascending p, then the same epilogue (bias add with the accumulator as
+// the first source, MAX(src1=0, src2=v)), so each output element has
+// gemmKernel8x8's bits. The only difference is which multiplicand an
+// FMA names first, which decides nothing but the payload of a NaN
+// product whose A and B factors are both NaN.
+//
+// Rows are reached from two bases, DI = row 0 and BX = row 3, with
+// indexes SI = 1, R10 = 3, R12 = 5 and R13 = 7 rows, so the inner loop
+// advances three pointers. R14 walks C in the prologue and epilogue and
+// holds the kc·32-byte distance to the second tile in the loop.
+TEXT ·gemmKernel16x16(SB), NOSPLIT, $0-64
+	MOVQ a+0(FP), DI
+	MOVQ lda+8(FP), SI
+	MOVQ tile+16(FP), DX
+	MOVQ c+24(FP), R8
+	MOVQ ldc+32(FP), R9
+	MOVQ kc+40(FP), CX
+	MOVQ bias+48(FP), R11
+	MOVQ flags+56(FP), AX
+
+	SHLQ $2, SI            // lda in bytes
+	SHLQ $2, R9            // ldc in bytes
+	LEAQ (SI)(SI*2), R10   // 3·lda bytes
+	LEAQ (SI)(SI*4), R12   // 5·lda bytes
+	LEAQ (R10)(SI*4), R13  // 7·lda bytes
+	LEAQ (DI)(R10*1), BX   // &A[row3][p0]
+
+	TESTQ $1, AX
+	JZ    load
+
+	// First panel: the sums start at zero; C is not read.
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	VPXORD Z20, Z20, Z20
+	VPXORD Z21, Z21, Z21
+	VPXORD Z22, Z22, Z22
+	VPXORD Z23, Z23, Z23
+	VPXORD Z24, Z24, Z24
+	VPXORD Z25, Z25, Z25
+	VPXORD Z26, Z26, Z26
+	VPXORD Z27, Z27, Z27
+	VPXORD Z28, Z28, Z28
+	VPXORD Z29, Z29, Z29
+	VPXORD Z30, Z30, Z30
+	VPXORD Z31, Z31, Z31
+	JMP    start
+
+load:
+	// Load the sixteen C accumulator rows.
+	MOVQ    R8, R14
+	VMOVUPS (R14), Z16
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z17
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z18
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z19
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z20
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z21
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z22
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z23
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z24
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z25
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z26
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z27
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z28
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z29
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z30
+	ADDQ    R9, R14
+	VMOVUPS (R14), Z31
+
+start:
+	MOVQ CX, R14
+	SHLQ $5, R14           // kc·8 floats: the second tile's offset
+
+loop:
+	VMOVUPS      (DX), Y0                   // tile0 row p: lanes 0–7
+	VINSERTF64X4 $1, (DX)(R14*1), Z0, Z0    // tile1 row p: lanes 8–15
+	VFMADD231PS.BCST (DI), Z0, Z16          // row 0
+	VFMADD231PS.BCST (DI)(SI*1), Z0, Z17    // row 1
+	VFMADD231PS.BCST (DI)(SI*2), Z0, Z18    // row 2
+	VFMADD231PS.BCST (BX), Z0, Z19          // row 3
+	VFMADD231PS.BCST (DI)(SI*4), Z0, Z20    // row 4
+	VFMADD231PS.BCST (DI)(R12*1), Z0, Z21   // row 5
+	VFMADD231PS.BCST (DI)(R10*2), Z0, Z22   // row 6
+	VFMADD231PS.BCST (DI)(R13*1), Z0, Z23   // row 7
+	VFMADD231PS.BCST (DI)(SI*8), Z0, Z24    // row 8
+	VFMADD231PS.BCST (BX)(R10*2), Z0, Z25   // row 9
+	VFMADD231PS.BCST (DI)(R12*2), Z0, Z26   // row 10
+	VFMADD231PS.BCST (BX)(SI*8), Z0, Z27    // row 11
+	VFMADD231PS.BCST (DI)(R10*4), Z0, Z28   // row 12
+	VFMADD231PS.BCST (BX)(R12*2), Z0, Z29   // row 13
+	VFMADD231PS.BCST (DI)(R13*2), Z0, Z30   // row 14
+	VFMADD231PS.BCST (BX)(R10*4), Z0, Z31   // row 15
+	ADDQ $32, DX
+	ADDQ $4, DI
+	ADDQ $4, BX
+	DECQ CX
+	JNZ  loop
+
+	TESTQ $2, AX
+	JZ    relu
+
+	// Last panel: c = c + bias (Intel VADDPS Zc, Zc, m512).
+	VADDPS (R11), Z16, Z16
+	VADDPS (R11), Z17, Z17
+	VADDPS (R11), Z18, Z18
+	VADDPS (R11), Z19, Z19
+	VADDPS (R11), Z20, Z20
+	VADDPS (R11), Z21, Z21
+	VADDPS (R11), Z22, Z22
+	VADDPS (R11), Z23, Z23
+	VADDPS (R11), Z24, Z24
+	VADDPS (R11), Z25, Z25
+	VADDPS (R11), Z26, Z26
+	VADDPS (R11), Z27, Z27
+	VADDPS (R11), Z28, Z28
+	VADDPS (R11), Z29, Z29
+	VADDPS (R11), Z30, Z30
+	VADDPS (R11), Z31, Z31
+
+relu:
+	TESTQ $4, AX
+	JZ    store
+
+	// c = MAX(src1=0, src2=c): Go's operand order is src2, src1, dst.
+	VPXORD Z0, Z0, Z0
+	VMAXPS Z16, Z0, Z16
+	VMAXPS Z17, Z0, Z17
+	VMAXPS Z18, Z0, Z18
+	VMAXPS Z19, Z0, Z19
+	VMAXPS Z20, Z0, Z20
+	VMAXPS Z21, Z0, Z21
+	VMAXPS Z22, Z0, Z22
+	VMAXPS Z23, Z0, Z23
+	VMAXPS Z24, Z0, Z24
+	VMAXPS Z25, Z0, Z25
+	VMAXPS Z26, Z0, Z26
+	VMAXPS Z27, Z0, Z27
+	VMAXPS Z28, Z0, Z28
+	VMAXPS Z29, Z0, Z29
+	VMAXPS Z30, Z0, Z30
+	VMAXPS Z31, Z0, Z31
+
+store:
+	MOVQ    R8, R14
+	VMOVUPS Z16, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z17, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z18, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z19, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z20, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z21, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z22, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z23, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z24, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z25, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z26, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z27, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z28, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z29, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z30, (R14)
+	ADDQ    R9, R14
+	VMOVUPS Z31, (R14)
+	VZEROUPPER
+	RET

@@ -26,6 +26,8 @@ func kernelSupported(tier string) bool {
 		return true
 	case KernelAVX2:
 		return hasAVX2FMA
+	case KernelAVX512:
+		return hasAVX512
 	}
 	return false
 }
@@ -33,8 +35,10 @@ func kernelSupported(tier string) bool {
 // availableTiers lists the kernel tiers testable on this host.
 func availableTiers(testing.TB) []string {
 	tiers := []string{KernelGo}
-	if kernelSupported(KernelAVX2) {
-		tiers = append(tiers, KernelAVX2)
+	for _, tier := range []string{KernelAVX2, KernelAVX512} {
+		if kernelSupported(tier) {
+			tiers = append(tiers, tier)
+		}
 	}
 	return tiers
 }
@@ -190,6 +194,78 @@ func TestSetKernelErrors(t *testing.T) {
 	}
 }
 
+// TestSetKernelAVX512WithoutHardware: on a CPU (or OS) without AVX-512
+// state, SetKernel("avx512") returns an error and leaves the active
+// tier as it was. The hardware flag is cleared for the test, so the
+// refusal is exercised on AVX-512 hosts too.
+func TestSetKernelAVX512WithoutHardware(t *testing.T) {
+	prev, had := KernelTier(), hasAVX512
+	defer func() {
+		hasAVX512 = had
+		if err := SetKernel(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	hasAVX512 = false
+	for _, tier := range availableTiers(t) {
+		if err := SetKernel(tier); err != nil {
+			t.Fatal(err)
+		}
+		if err := SetKernel(KernelAVX512); err == nil {
+			t.Fatalf("SetKernel(avx512) accepted without hardware support (from %s)", tier)
+		}
+		if KernelTier() != tier {
+			t.Fatalf("a refused SetKernel(avx512) changed the tier from %s to %s", tier, KernelTier())
+		}
+	}
+}
+
+// TestGemmAVX512MatchesAVX2: the avx512 tier's GEMM is the avx2 tier's
+// bit for bit. Every m from 1 to 40 (16-row blocks with every mix of
+// 8-row tiles, a 4-row tail block and single rows), widths with and
+// without a lone 8-wide tile or an edge, k inside one panel, on a panel
+// boundary and across several, with no epilogue (C += A·B on a
+// non-zero C), a bias, and a bias and ReLU, at 1, 2 and 3 workers
+// (whose row shards start off any multiple of 16).
+func TestGemmAVX512MatchesAVX2(t *testing.T) {
+	if !kernelSupported(KernelAVX512) {
+		t.Skip("no AVX-512F with OS ZMM state on this machine; avx512 tier untestable")
+	}
+	prev := KernelTier()
+	defer func() { _ = SetKernel(prev) }()
+	rng := rand.New(rand.NewSource(48))
+	const maxM = 40
+	for _, k := range []int{13, 64, 65, 512} {
+		aAll := randSlice(rng, maxM*k)
+		for _, n := range []int{1, 8, 16, 24, 27, 40, 2560} {
+			pb := PackB(FromSlice(randSlice(rng, k*n), k, n))
+			bias := randSlice(rng, n)
+			cAll := randSlice(rng, maxM*n)
+			for m := 1; m <= maxM; m++ {
+				a := FromSlice(aAll[:m*k], m, k)
+				for _, ep := range []epilogue{{}, {bias: bias}, {bias: bias, relu: true}} {
+					for _, workers := range []int{1, 2, 3} {
+						var out [2][]float32
+						for i, tier := range []string{KernelAVX2, KernelAVX512} {
+							if err := SetKernel(tier); err != nil {
+								t.Fatal(err)
+							}
+							c := FromSlice(slices.Clone(cAll[:m*n]), m, n)
+							parallelGemmPacked(a, pb, c, workers, ep)
+							out[i] = c.data
+						}
+						if i := firstBitDiff(out[1], out[0]); i >= 0 {
+							t.Fatalf("m=%d k=%d n=%d bias=%v relu=%v workers=%d: element (%d,%d) avx512 %v (%#08x), avx2 %v (%#08x)",
+								m, k, n, ep.bias != nil, ep.relu, workers, i/n, i%n,
+								out[1][i], math.Float32bits(out[1][i]), out[0][i], math.Float32bits(out[0][i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPoolRowsF32BitIdentical: both tiers pool a bag to the same bits
 // as adding its rows one at a time, at every width from 1 to 72 (the
 // register path's multiples of 8 up to 64, the memory path's rest, and
@@ -294,10 +370,7 @@ func TestDequantRowI8BitIdentical(t *testing.T) {
 				t.Fatalf("n=%d: DequantRowI8[%d] = %v, want %v", n, i, got[i], want)
 			}
 		}
-		for _, tier := range []string{KernelGo, KernelAVX2} {
-			if !kernelSupported(tier) {
-				continue
-			}
+		for _, tier := range availableTiers(t) {
 			if err := SetKernel(tier); err != nil {
 				t.Fatal(err)
 			}
@@ -341,10 +414,7 @@ func TestPoolRowsI8BitIdentical(t *testing.T) {
 						want[i] += v
 					}
 				}
-				for _, tier := range []string{KernelGo, KernelAVX2} {
-					if !kernelSupported(tier) {
-						continue
-					}
+				for _, tier := range availableTiers(t) {
 					if err := SetKernel(tier); err != nil {
 						t.Fatal(err)
 					}
@@ -365,10 +435,7 @@ func TestPoolRowsI8Panics(t *testing.T) {
 	prev := KernelTier()
 	defer func() { _ = SetKernel(prev) }()
 	rows := randI8Rows(rand.New(rand.NewSource(25)), 4, 32, 40)
-	for _, tier := range []string{KernelGo, KernelAVX2} {
-		if !kernelSupported(tier) {
-			continue
-		}
+	for _, tier := range availableTiers(t) {
 		if err := SetKernel(tier); err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +484,9 @@ func TestFloatsClose(t *testing.T) {
 
 // FuzzGemmKernelEquiv randomizes shapes (including ragged edges and
 // k-panel crossings) and row ranges, asserting the AVX2 GEMM kernel
-// stays within the relative-epsilon contract of the Go reference.
+// stays within the relative-epsilon contract of the Go reference, and,
+// where the CPU has AVX-512, that the avx512 tier's rows are the avx2
+// tier's bit for bit.
 func FuzzGemmKernelEquiv(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(8), uint8(0), int64(1))
 	f.Add(uint8(7), uint8(13), uint8(9), uint8(2), int64(2))
@@ -429,6 +498,8 @@ func FuzzGemmKernelEquiv(f *testing.F) {
 	f.Add(uint8(12), uint8(129), uint8(16), uint8(0), int64(7))
 	f.Add(uint8(13), uint8(33), uint8(9), uint8(1), int64(8))
 	f.Add(uint8(38), uint8(150), uint8(40), uint8(3), int64(9))
+	// A 16-row block from a shard-like offset, with a pair, a lone tile and an edge.
+	f.Add(uint8(35), uint8(64), uint8(27), uint8(5), int64(10))
 	f.Fuzz(func(t *testing.T, mr, kr, nr8, lor uint8, seed int64) {
 		if !kernelSupported(KernelAVX2) {
 			t.Skip("no AVX2/FMA")
@@ -437,10 +508,28 @@ func FuzzGemmKernelEquiv(f *testing.F) {
 		k := int(kr)%150 + 1 // crosses the 64-row panel boundary
 		n := int(nr8)%50 + 1
 		lo := int(lor) % m
-		rng := rand.New(rand.NewSource(seed))
-		goC, asmC := runBothGemmTiers(rng, m, k, n, lo, m)
-		if !FloatsClose(asmC, goC, gemmRtolOf(k), gemmAtol(k)) {
-			t.Errorf("m=%d k=%d n=%d lo=%d seed=%d: AVX2 GEMM beyond rtol of Go reference", m, k, n, lo, seed)
+		prev := KernelTier()
+		defer func() { _ = SetKernel(prev) }()
+		tiers := []string{KernelAVX2}
+		if kernelSupported(KernelAVX512) {
+			tiers = append(tiers, KernelAVX512)
+		}
+		var asm [][]float32
+		for _, tier := range tiers {
+			if err := SetKernel(tier); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			goC, asmC := runBothGemmTiers(rng, m, k, n, lo, m)
+			if !FloatsClose(asmC, goC, gemmRtolOf(k), gemmAtol(k)) {
+				t.Errorf("m=%d k=%d n=%d lo=%d seed=%d: %s GEMM beyond rtol of Go reference", m, k, n, lo, seed, tier)
+			}
+			asm = append(asm, asmC)
+		}
+		if len(asm) == 2 {
+			if i := firstBitDiff(asm[1], asm[0]); i >= 0 {
+				t.Errorf("m=%d k=%d n=%d lo=%d seed=%d: avx512 GEMM differs from avx2 at element %d", m, k, n, lo, seed, i)
+			}
 		}
 	})
 }

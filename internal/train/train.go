@@ -15,6 +15,7 @@ package train
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"recsys/internal/model"
 	"recsys/internal/nn"
@@ -201,6 +202,7 @@ func (t *Trainer) slsBackward(op *nn.SLSOp, ids []int, batch int, dOut *tensor.T
 			t.opt.UpdateSparseRow(key, id, op.Table.W.Row(id), g)
 		}
 	}
+	runtime.KeepAlive(op.Table.W) // the rows are mapped, not on the heap (nn.NewEmbeddingTable)
 }
 
 // reluBackward zeroes gradient entries where the activation output was
