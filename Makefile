@@ -107,19 +107,21 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzGemmKernelEquiv -fuzztime $(FUZZTIME) ./internal/tensor
 	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/shard
 
-# The kernel-bearing packages, and the model and trainer whose one
-# forward pass runs those kernels, with dispatch forced to the pure-Go
+# The kernel-bearing packages, the model and trainer whose one forward
+# pass runs those kernels, and the engine whose ID-list decode the
+# avx512 tier also dispatches, with dispatch forced to the pure-Go
 # reference tier — the CI matrix leg that keeps the portable fallback
 # green (see DESIGN.md "Kernel dispatch").
 test-gotier:
-	RECSYS_KERNEL=go $(GO) test ./internal/tensor ./internal/nn ./internal/model ./internal/train
+	RECSYS_KERNEL=go $(GO) test ./internal/tensor ./internal/nn ./internal/model ./internal/train ./internal/engine
 
 # The same packages with dispatch pinned to the YMM assembly tier: on
 # AVX-512 hosts the default avx512 tier runs every full 16-row GEMM
-# block through the ZMM kernel, and this leg keeps gemmKernel8x8's
-# full-block path tested there.
+# block through the ZMM kernel and every ID list through the 64-byte
+# block step, and this leg keeps gemmKernel8x8's full-block path and
+# idRun with the scalar ID step tested there.
 test-avx2tier:
-	RECSYS_KERNEL=avx2 $(GO) test ./internal/tensor ./internal/nn ./internal/model ./internal/train
+	RECSYS_KERNEL=avx2 $(GO) test ./internal/tensor ./internal/nn ./internal/model ./internal/train ./internal/engine
 
 # Non-test source lines (.go and .s) per cmd/* and internal/* package
 # directory, with the cmd, internal and overall totals: ROADMAP's

@@ -9,6 +9,7 @@ import (
 
 	"recsys/internal/model"
 	"recsys/internal/stats"
+	"recsys/internal/tensor"
 )
 
 // scalarIDList is idList without idRun: every element through one
@@ -139,6 +140,90 @@ func TestIDRunPaths(t *testing.T) {
 		}
 		if !slices.Equal(ids, want) {
 			t.Fatalf("%s: the run read other IDs than the request's", cfg.Name)
+		}
+	}
+}
+
+// TestIDScanMatchesScalar holds the 64-byte block step to the scalar
+// element loop: each idRunElements element is placed at every offset of
+// the first block and across its end, in a list longer than a block,
+// and parsed into a dst with 0, 1, 31, 32 or 33 slots of room. idList
+// must return the IDs, error and offset scalarIDList does. On a host
+// where the block step is not selected this is TestIDRunMatchesScalar
+// over longer lists.
+func TestIDScanMatchesScalar(t *testing.T) {
+	if !tensor.UseAVX512VBMI() {
+		t.Log("the 64-byte block step is not selected on this host; idList runs idRun alone")
+	}
+	// fill returns n bytes of elements the block step takes, ending in
+	// a separator: "1," and "22," reach every length but 1.
+	fill := func(n int) string {
+		if n%2 == 0 {
+			return strings.Repeat("1,", n/2)
+		}
+		return "22," + strings.Repeat("1,", (n-3)/2)
+	}
+	const after = "12345678,87654321,1,0,55555,22,333,4444,7777777,99999999,10000000,6,"
+	var got, want []int
+	rooms := []int{0, 1, 31, 32, 33}
+	for _, e := range idRunElements() {
+		for offset := 0; offset <= 72; offset++ {
+			if offset == 1 {
+				continue
+			}
+			for _, tail := range []string{"]", ",", ",1]", "]]", ""} {
+				b := []byte("[" + fill(offset) + e + tail + after + after + "3]")
+				room := rooms[(offset+len(e)+len(tail))%len(rooms)]
+				dst := make([]int, 3, 3+room)
+				ss := bodyScanner{b: b, i: 1}
+				ws := bodyScanner{b: b, i: 1}
+				var err, werr error
+				got, err = ss.idList(dst)
+				want, werr = scalarIDList(&ws, append(want[:0], dst...))
+				if diff := sameIDList(got, want, err, werr, ss.i, ws.i); diff != "" {
+					t.Fatalf("list %q, room %d: %s", b, room, diff)
+				}
+			}
+		}
+	}
+}
+
+// TestIDScanPaths pins that the block step carries a compact
+// encoding/json body where it is selected: of an RMC2 and an RMC1
+// request, every ID is taken a block at a time except those in the
+// body's last 63 bytes. The timing gate could not see the step switched
+// off; this does.
+func TestIDScanPaths(t *testing.T) {
+	if !tensor.UseAVX512VBMI() {
+		t.Skip("the 64-byte block step is not selected on this host (tier " + tensor.KernelTier() + ")")
+	}
+	for _, cfg := range []model.Config{model.RMC2Small().Scaled(10), model.RMC1Small().Scaled(10)} {
+		req := model.NewRandomRequest(cfg, 4, stats.NewRNG(2))
+		body := marshalRequest(t, req)
+		const key = `"sparse_ids":[`
+		i := bytes.Index(body, []byte(key)) + len(key)
+		var ids, want []int
+		for range req.SparseIDs {
+			i++ // the list's '['
+			var closed bool
+			if ids, i, closed = idBlocks(body, i, ids); !closed {
+				if len(body)-i >= 64 {
+					t.Fatalf("%s: the block step stopped at offset %d, %d bytes before the end: %q",
+						cfg.Name, i, len(body)-i, body[i:min(i+16, len(body))])
+				}
+				s := bodyScanner{b: body, i: i}
+				if ids, _ = scalarIDList(&s, ids); s.i == i {
+					t.Fatalf("%s: the scalar step took nothing at offset %d", cfg.Name, i)
+				}
+				i = s.i
+			}
+			i++ // ',' before the next list, or the closing ']'
+		}
+		for _, list := range req.SparseIDs {
+			want = append(want, list...)
+		}
+		if !slices.Equal(ids, want) {
+			t.Fatalf("%s: the block step read other IDs than the request's", cfg.Name)
 		}
 	}
 }

@@ -32,6 +32,12 @@ import (
 // single row) or which shard computed it. The SLS kernels (PoolRowsF32,
 // PoolRowsI8) deliberately avoid FMA and keep the per-element operation
 // order, so both are bit-identical across tiers.
+//
+// KernelAVX512 also selects one kernel outside this package, when the
+// CPU has the byte-permute set as well (UseAVX512VBMI): the engine's
+// 64-byte ID-list scan. It parses integers, so it has no numerics of
+// its own: it takes only what the scalar parser would take, with the
+// same values.
 const (
 	KernelGo     = "go"
 	KernelAVX2   = "avx2"
@@ -48,8 +54,10 @@ const kernelEnv = "RECSYS_KERNEL"
 var (
 	// hasAVX2FMA records hardware+OS support (CPUID AVX2 and FMA, OS
 	// YMM state saving), detected once at init; hasAVX512 adds
-	// AVX-512F and OS ZMM state saving on top of it.
-	hasAVX2FMA, hasAVX512 bool
+	// AVX-512F and OS ZMM state saving on top of it, and hasVBMI the
+	// byte-permute and bit-manipulation set on top of that
+	// (detectVBMI).
+	hasAVX2FMA, hasAVX512, hasVBMI bool
 	// useAVX2 and useAVX512 are the active selection consulted by every
 	// dispatching kernel (useAVX512 implies useAVX2). They are written
 	// at init and by SetKernel; SetKernel must not race with running
@@ -61,6 +69,7 @@ var (
 func init() {
 	hasAVX2FMA = detectAVX2FMA()
 	hasAVX512 = hasAVX2FMA && detectAVX512()
+	hasVBMI = hasAVX512 && detectVBMI()
 	useAVX2, useAVX512 = hasAVX2FMA, hasAVX512
 	if env := os.Getenv(kernelEnv); env != "" {
 		if err := SetKernel(env); err != nil {
@@ -80,6 +89,13 @@ func KernelTier() string {
 	}
 	return KernelGo
 }
+
+// UseAVX512VBMI reports whether the avx512 tier is active on a CPU
+// that also has AVX512BW, AVX512_VBMI, AVX512_VBMI2, BMI1, BMI2, LZCNT
+// and POPCNT: the condition under which the engine decodes ID lists a
+// 64-byte block at a time. RECSYS_KERNEL=avx2 or go turns it off with
+// the rest of the tier.
+func UseAVX512VBMI() bool { return useAVX512 && hasVBMI }
 
 // SetKernel selects the active kernel tier. It returns an error (and
 // leaves the selection unchanged) for an unknown tier or one this

@@ -59,3 +59,34 @@ func detectAVX512() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&cpuidAVX512F != 0
 }
+
+// detectVBMI reports whether this CPU also has the byte-granular
+// AVX-512 set and the bit-manipulation instructions the engine's
+// 64-byte ID-list scan uses: AVX512BW (byte compares into masks),
+// AVX512_VBMI (VPERMB), AVX512_VBMI2 (VPCOMPRESSB), BMI1 (BLSMSK,
+// ANDN), BMI2 (BZHI), LZCNT and POPCNT. The caller has already checked
+// AVX-512F and the OS's ZMM state (detectAVX512).
+func detectVBMI() bool {
+	const (
+		cpuidPOPCNT    = 1 << 23 // leaf 1 ECX
+		cpuidBMI1      = 1 << 3  // leaf 7 EBX
+		cpuidBMI2      = 1 << 8  // leaf 7 EBX
+		cpuidAVX512BW  = 1 << 30 // leaf 7 EBX
+		cpuidVBMI      = 1 << 1  // leaf 7 ECX
+		cpuidVBMI2     = 1 << 6  // leaf 7 ECX
+		cpuidLZCNT     = 1 << 5  // leaf 0x80000001 ECX
+		leaf7EBX       = cpuidBMI1 | cpuidBMI2 | cpuidAVX512BW
+		leaf7ECX       = cpuidVBMI | cpuidVBMI2
+		extendedLeaves = 0x80000000
+	)
+	_, _, ecx1, _ := cpuid(1, 0)
+	_, ebx7, ecx7, _ := cpuid(7, 0)
+	if ecx1&cpuidPOPCNT == 0 || ebx7&leaf7EBX != leaf7EBX || ecx7&leaf7ECX != leaf7ECX {
+		return false
+	}
+	if maxExt, _, _, _ := cpuid(extendedLeaves, 0); maxExt < extendedLeaves+1 {
+		return false
+	}
+	_, _, ecxExt, _ := cpuid(extendedLeaves+1, 0)
+	return ecxExt&cpuidLZCNT != 0
+}
