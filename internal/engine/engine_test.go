@@ -226,43 +226,3 @@ func TestCloseWhileQueueFull(t *testing.T) {
 		}
 	}
 }
-
-// TestMalformedRequestDoesNotPoisonBatch: a malformed job that reaches
-// the executor in the same batch as a good one (injected past
-// admission, which would have refused it) fails alone; merge falls back
-// to per-request execution and the good request is still served.
-func TestMalformedRequestDoesNotPoisonBatch(t *testing.T) {
-	m := testModel(t)
-	s, err := New(m, Options{Workers: 1, QueueDepth: 16, MaxBatch: 8, MaxWait: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	good := model.NewRandomRequest(m.Config, 1, stats.NewRNG(2))
-	bad := model.NewRandomRequest(m.Config, 1, stats.NewRNG(3))
-	bad.SparseIDs = bad.SparseIDs[:1] // wrong table count
-
-	// Both wait in the queue behind a parked pass, so they share a batch.
-	release := parkWorkers(t, s.eng, DefaultModelName, good)
-	mq, _ := s.eng.lookup(DefaultModelName)
-	badJob := liveJob(bad)
-	mq.q <- badJob
-	var wg sync.WaitGroup
-	var goodErr error
-	wg.Add(1)
-	go func() { defer wg.Done(); _, goodErr = s.Rank(context.Background(), good) }()
-	waitQueued(t, s.eng, DefaultModelName, 2)
-	release()
-	wg.Wait()
-	badErr := (<-badJob.resp).err
-	if goodErr != nil {
-		t.Errorf("good request failed alongside bad one: %v", goodErr)
-	}
-	if badErr == nil {
-		t.Error("malformed request should fail")
-	}
-	if st := s.Stats(); st.BatchHist["2"] != 0 || st.Batches != 2 {
-		t.Errorf("batch hist %v: the poisoned pair should have run as one pass each after the parked one", st.BatchHist)
-	}
-}

@@ -3,7 +3,7 @@ package engine
 import "math"
 
 // ctrEqual compares served scores against a reference computed through
-// model.CTR (or AppendCTR/ForwardEx), bit for bit: CTR runs the
+// model.CTR (or ForwardEx), bit for bit: CTR runs the
 // forward pass the engine serves, and row-partitioned batching,
 // splitting and intra-op parallelism leave every row's arithmetic
 // unchanged, on every kernel tier.

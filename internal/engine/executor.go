@@ -196,24 +196,7 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 	// One load of the published model: the whole pass runs on it, even
 	// if a Swap publishes the next one meanwhile.
 	m := mq.published.Load().model
-	merged, err := merge(m.Config, live, scratch)
-	if err != nil {
-		// Fall back to per-request execution so one malformed request
-		// cannot poison its batch peers.
-		for i, j := range live {
-			out, execUS, spans, ferr := e.forward(mq, m, j.req, scratch, passStart(j.tr != nil, live[i:i+1]), j.deadline)
-			if ferr != nil {
-				fail(mq, j, ferr)
-				continue
-			}
-			if tap := e.serveTap.Load(); tap != nil {
-				(*tap)(mq.name, j.req, out.Data())
-			}
-			deliver(mq, j, out.Data(), execUS, spans, j.req.Batch)
-		}
-		return
-	}
-	out, execUS, spans, err := e.forward(mq, m, merged, scratch, passStart(traced, live), deadline)
+	merged, out, execUS, spans, err := e.forward(mq, m, live, traced, scratch, deadline)
 	if err != nil {
 		for _, j := range live {
 			fail(mq, j, err)
@@ -255,21 +238,25 @@ func passStart(traced bool, jobs []*job) time.Time {
 	return now
 }
 
-// forward runs the instrumented model forward pass on the arena-backed
-// hot path, converting panics into ErrInference-wrapped errors. The
-// recover is airtight against intra-op parallelism because every
-// kernel fan-out goes through tensor.ParallelFor / tensor.ShardGroup,
-// which re-raise shard panics on this goroutine. The returned tensor
-// aliases the token's arena and is valid until the next forward on
-// the same token — callers copy rows out per job before returning.
-// Per-operator spans always land in the queue's kind accumulators;
-// when traced (a non-zero start, from passStart) they are additionally
-// captured, with the wall-clock execute time since start, into the
-// token's reusable span buffer, returned as spans. deadline bounds
-// remote embedding gathers (zero = none); a dead shard tier panics out
-// of the gather with shard.ErrUnavailable, which the recover keeps in
-// the error chain so the HTTP front-end can answer 503 instead of 500.
-func (e *Engine) forward(mq *modelQueue, m *model.Model, req model.Request, scratch *workerScratch, start time.Time, deadline time.Time) (out *tensor.Tensor, execUS float64, spans []obs.Span, err error) {
+// forward merges the jobs' requests and runs the instrumented model
+// forward pass on the arena-backed hot path, converting panics into
+// ErrInference-wrapped errors. Admission validated every request, so
+// merge trusts the shapes; a job that reached the queue some other way
+// panics in merge or in a kernel, and fails its pass like any kernel
+// fault while the token survives. The recover is airtight against
+// intra-op parallelism because every kernel fan-out goes through
+// tensor.ParallelFor / tensor.ShardGroup, which re-raise shard panics
+// on this goroutine. The returned request aliases the token's merge
+// buffers and the tensor its arena; both are valid until the next
+// forward on the same token — callers copy rows out per job before
+// returning. Per-operator spans always land in the queue's kind
+// accumulators; when traced they are additionally captured, with the
+// wall-clock execute time since passStart, into the token's reusable
+// span buffer, returned as spans. deadline bounds remote embedding
+// gathers (zero = none); a dead shard tier panics out of the gather
+// with shard.ErrUnavailable, which the recover keeps in the error chain
+// so the HTTP front-end can answer 503 instead of 500.
+func (e *Engine) forward(mq *modelQueue, m *model.Model, jobs []*job, traced bool, scratch *workerScratch, deadline time.Time) (req model.Request, out *tensor.Tensor, execUS float64, spans []obs.Span, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
@@ -280,9 +267,10 @@ func (e *Engine) forward(mq *modelQueue, m *model.Model, req model.Request, scra
 			err = fmt.Errorf("%w: %v", ErrInference, r)
 		}
 	}()
+	req = merge(m.Config, jobs, scratch)
+	start := passStart(traced, jobs)
 	scratch.arena.Reset()
 	scratch.tap.counters = &mq.counters
-	traced := !start.IsZero()
 	scratch.tap.capture = traced
 	scratch.tap.spans = scratch.tap.spans[:0]
 	out = m.ForwardDeadline(req, scratch.arena, e.opts.IntraOpWorkers, &scratch.tap, deadline)
@@ -291,27 +279,23 @@ func (e *Engine) forward(mq *modelQueue, m *model.Model, req model.Request, scra
 		spans = scratch.tap.spans
 	}
 	mq.batchHist.Observe(int64(req.Batch))
-	return out, execUS, spans, nil
+	return req, out, execUS, spans, nil
 }
 
 // merge concatenates requests into one, reusing the token's dense and
-// per-table ID buffers so steady-state coalescing does not allocate.
-// Every job — including a lone one, which previously bypassed all
-// checks — is shape-validated against the model config before any
-// buffer copy indexes by those shapes: admission validation makes this
-// redundant for requests that came through Rank, but the executor does
-// not assume its queue is clean. The returned request aliases scratch
-// and is valid until the next merge on the same token.
-func merge(cfg model.Config, jobs []*job, scratch *workerScratch) (model.Request, error) {
+// per-table ID buffers so steady-state coalescing does not allocate. A
+// lone job's request passes through as it is. Every request was shaped
+// against the model at admission (and Swap keeps that shape), so merge
+// indexes by those shapes without checking them again. The returned
+// request aliases scratch and is valid until the next merge on the
+// same token.
+func merge(cfg model.Config, jobs []*job, scratch *workerScratch) model.Request {
+	if len(jobs) == 1 {
+		return jobs[0].req
+	}
 	total := 0
 	for _, j := range jobs {
-		if err := model.ValidateShape(cfg, j.req); err != nil {
-			return model.Request{}, err
-		}
 		total += j.req.Batch
-	}
-	if len(jobs) == 1 {
-		return jobs[0].req, nil
 	}
 	out := model.Request{Batch: total}
 	if cfg.DenseIn > 0 {
@@ -340,5 +324,5 @@ func merge(cfg model.Config, jobs []*job, scratch *workerScratch) (model.Request
 		}
 		tables[ti] = ids
 	}
-	return out, nil
+	return out
 }

@@ -284,17 +284,21 @@ func TestEngineStartsNoGoroutines(t *testing.T) {
 }
 
 // TestAbandonedJobLosesNoToken: a request that gives up while queued
-// behind the only token, held by a parked pass, leaves its job in the
-// queue. The next holder sheds it, and the token is still there for
-// every request after. The queue holds one job, so the next request
-// finds it full of the abandoned one with no caller left to run it,
-// and must make room itself.
+// behind the only token, held by a parked pass, gets ctx.Err() at once
+// but leaves its job in the queue: the parked holder returns once its
+// own job is delivered, without draining the queue, so Stats.Sheds
+// reads 0 until the next holder pops the job, and 1 after. The queue
+// holds one job, so the next request finds it full of the abandoned one
+// with no caller left to run it, and must make room itself (enqueue);
+// the abandoned job is shed at pop, no pass runs for it, and the token
+// is still there for every request after.
 func TestAbandonedJobLosesNoToken(t *testing.T) {
 	m := testModel(t)
 	e := testEngine(t, Options{Workers: 1, QueueDepth: 1, MaxBatch: 8, MaxWait: time.Hour, IntraOpWorkers: 1})
 	if err := e.Register("m", m, ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	mq, _ := e.lookup("m")
 	req := model.NewRandomRequest(m.Config, 2, stats.NewRNG(1))
 	release := parkWorkers(t, e, "m", req)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -305,10 +309,13 @@ func TestAbandonedJobLosesNoToken(t *testing.T) {
 	}()
 	waitQueued(t, e, "m", 1)
 	cancel()
-	if err := <-gaveUp; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoned request: err = %v, want context.Canceled", err)
+	if err := <-gaveUp; !errors.Is(err, ctx.Err()) {
+		t.Fatalf("abandoned request: err = %v, want ctx.Err() = %v", err, ctx.Err())
 	}
 	release()
+	if st, _ := e.ModelStats("m"); st.Sheds != 0 || len(mq.q) != 1 {
+		t.Fatalf("after the parked pass: sheds %d, queued %d; want 0 and 1 (the abandoned job waits for the next holder)", st.Sheds, len(mq.q))
+	}
 	want := m.CTR(req)
 	for i := 0; i < 3; i++ {
 		got, err := e.Rank(context.Background(), "m", req)
@@ -317,6 +324,16 @@ func TestAbandonedJobLosesNoToken(t *testing.T) {
 		}
 		if !ctrEqual(got, want) {
 			t.Fatalf("rank %d after the abandoned one scored %v, want %v", i, got, want)
+		}
+		if i > 0 {
+			continue
+		}
+		st, _ := e.ModelStats("m")
+		if st.Sheds != 1 || len(mq.q) != 0 {
+			t.Fatalf("after the next request: sheds %d, queued %d; want 1 and 0", st.Sheds, len(mq.q))
+		}
+		if st.Batches != 2 || st.Samples != 2*int64(req.Batch) {
+			t.Fatalf("%d passes over %d samples, want 2 over %d: no pass may run for the abandoned job", st.Batches, st.Samples, 2*req.Batch)
 		}
 	}
 	if st, _ := e.ModelStats("m"); st.Sheds != 1 {

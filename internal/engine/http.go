@@ -92,7 +92,7 @@ func (e *Engine) handleRank(w http.ResponseWriter, r *http.Request, name string)
 		httpError(w, rankStatus(err), err)
 		return
 	}
-	ctr, err := e.rankOne(r.Context(), name, s.scores, req, in, true)
+	ctr, err := e.rankOne(r.Context(), mq, s.scores, req, in)
 	if err != nil {
 		// RankInto's ownership contract: once the request's context is
 		// done, a token holder may still be reading the features and

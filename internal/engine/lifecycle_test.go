@@ -170,11 +170,12 @@ func errText(err error) string {
 }
 
 // TestForwardRecoversInjectedKernelPanic exercises the defense in
-// depth behind admission validation: a malformed job injected directly
-// into the queue (bypassing Rank, as a future refactor bug might)
-// reaches the forward pass, panics inside the kernels under intra-op
-// fan-out, and comes back as a typed ErrInference on the job's response
-// channel — worker alive, engine serving.
+// depth behind admission validation: malformed jobs injected directly
+// into the queue (bypassing Rank, as a future refactor bug might) reach
+// the forward pass, panic inside it — in the gather kernel under
+// intra-op fan-out, or at the pass's own input check — and come back as
+// a typed ErrInference on the job's response channel: worker alive,
+// engine serving.
 func TestForwardRecoversInjectedKernelPanic(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
 	m := buildModel(t, cfg, 1)
@@ -189,52 +190,43 @@ func TestForwardRecoversInjectedKernelPanic(t *testing.T) {
 	mq := e.queues["m"]
 	e.mu.Unlock()
 
-	// Shape-valid, range-invalid: passes merge's ValidateShape, panics
-	// in the gather kernel.
-	req := model.NewRandomRequest(cfg, 4, stats.NewRNG(2))
-	req.SparseIDs[0][0] = cfg.Tables[0].Rows + 1
-	j := liveJob(req)
-	mq.senders.Add(1)
-	mq.q <- j
-	mq.senders.Done()
-	go func() { s := <-e.tokens; e.run(s, nil); e.tokens <- s }()
+	// Shape-valid, range-invalid: panics in the gather kernel.
+	outOfRange := model.NewRandomRequest(cfg, 4, stats.NewRNG(2))
+	outOfRange.SparseIDs[0][0] = cfg.Tables[0].Rows + 1
+	// One table short: panics before any kernel runs.
+	short := model.NewRandomRequest(cfg, 2, stats.NewRNG(4))
+	short.SparseIDs = short.SparseIDs[:len(short.SparseIDs)-1]
 
-	select {
-	case r := <-j.resp:
-		if !errors.Is(r.err, ErrInference) {
-			t.Fatalf("injected job: err = %v, want ErrInference", r.err)
+	for i, tc := range []struct {
+		req  model.Request
+		want string
+	}{
+		{outOfRange, "out of range"},
+		{short, "sparse inputs"},
+	} {
+		j := liveJob(tc.req)
+		mq.senders.Add(1)
+		mq.q <- j
+		mq.senders.Done()
+		go func() { s := <-e.tokens; e.run(s, nil); e.tokens <- s }()
+
+		select {
+		case r := <-j.resp:
+			if !errors.Is(r.err, ErrInference) {
+				t.Fatalf("injected job %d: err = %v, want ErrInference", i, r.err)
+			}
+			if !strings.Contains(errText(r.err), tc.want) {
+				t.Fatalf("injected job %d: recovered error %v does not say %q", i, r.err, tc.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("injected job %d never answered: worker died or wedged", i)
 		}
-		if !strings.Contains(errText(r.err), "out of range") {
-			t.Fatalf("recovered error %v does not describe the bad ID", r.err)
+
+		// The worker that recovered must still process real work.
+		good := model.NewRandomRequest(cfg, 2, stats.NewRNG(3))
+		if _, err := e.Rank(context.Background(), "m", good); err != nil {
+			t.Fatalf("engine wedged after recovered panic %d: %v", i, err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("injected job never answered: worker died or wedged")
-	}
-
-	// The worker that recovered must still process real work.
-	good := model.NewRandomRequest(cfg, 2, stats.NewRNG(3))
-	if _, err := e.Rank(context.Background(), "m", good); err != nil {
-		t.Fatalf("engine wedged after recovered panic: %v", err)
-	}
-}
-
-// TestMergeValidatesLoneJob pins the fixed bypass: merge's single-job
-// early return used to skip all shape checks, handing the kernels a
-// malformed request whenever a batch happened to contain one job.
-func TestMergeValidatesLoneJob(t *testing.T) {
-	cfg := model.RMC1Small().Scaled(500)
-	scratch := &workerScratch{arena: tensor.NewArena()}
-	bad := liveJob(model.Request{Batch: 2}) // no dense, no sparse IDs
-	if _, err := merge(cfg, []*job{bad}, scratch); !errors.Is(err, model.ErrBadRequest) {
-		t.Fatalf("lone malformed job: merge err = %v, want ErrBadRequest", err)
-	}
-	good := liveJob(model.NewRandomRequest(cfg, 2, stats.NewRNG(1)))
-	merged, err := merge(cfg, []*job{good}, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Batch != 2 {
-		t.Fatalf("lone-job merge batch %d, want 2", merged.Batch)
 	}
 }
 

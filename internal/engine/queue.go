@@ -68,23 +68,33 @@ func putJob(j *job) {
 	jobPool.Put(j)
 }
 
-// finish delivers the job's terminal event: it completes the trace
-// (queue wait from the recorded timestamps, outcome, total) and sends
-// the result. Exactly one finish happens per dequeued job — shed,
-// failed, or scored.
+// finish delivers the job's terminal event: it stamps the queue wait
+// from the recorded timestamps, seals the trace and sends the result.
+// Exactly one finish happens per dequeued job — shed, failed, or
+// scored.
 func (j *job) finish(mq *modelQueue, res jobResult, outcome string) {
-	if j.tr != nil {
-		if !j.popAt.IsZero() {
-			j.tr.QueueWaitUS = float64(j.popAt.Sub(j.enqueuedAt)) / 1e3
-		}
-		j.tr.Outcome = outcome
-		if res.err != nil {
-			j.tr.Err = res.err.Error()
-		}
-		j.tr.TotalUS = float64(time.Since(j.tr.Start)) / 1e3
-		mq.ring.Add(j.tr)
+	if j.tr != nil && !j.popAt.IsZero() {
+		j.tr.QueueWaitUS = float64(j.popAt.Sub(j.enqueuedAt)) / 1e3
 	}
+	sealTrace(mq, j.tr, outcome, res.err)
 	j.resp <- res
+}
+
+// sealTrace writes a request's terminal event into its trace — outcome,
+// error text, total time — and retains it in the model's ring. Every
+// trace is sealed here once: by finish for a job that reached a token
+// holder, by rankOne for one that never did (admission shed,
+// validation reject, or an aborted enqueue). A nil trace is a no-op.
+func sealTrace(mq *modelQueue, tr *obs.Trace, outcome string, err error) {
+	if tr == nil {
+		return
+	}
+	tr.Outcome = outcome
+	if err != nil {
+		tr.Err = err.Error()
+	}
+	tr.TotalUS = float64(time.Since(tr.Start)) / 1e3
+	mq.ring.Add(tr)
 }
 
 type jobResult struct {

@@ -357,21 +357,6 @@ func (e *Engine) Rank(ctx context.Context, name string, req model.Request) ([]fl
 	return e.RankInto(ctx, name, nil, req)
 }
 
-// sealTrace records a terminal event for a request that never reached
-// the executor (admission shed, validation reject, or an aborted
-// enqueue).
-func sealTrace(mq *modelQueue, tr *obs.Trace, outcome string, err error) {
-	if tr == nil {
-		return
-	}
-	tr.Outcome = outcome
-	if err != nil {
-		tr.Err = err.Error()
-	}
-	tr.TotalUS = float64(time.Since(tr.Start)) / 1e3
-	mq.ring.Add(tr)
-}
-
 // RankInto is Rank with a caller-owned result buffer: the scores are
 // appended into dst[:0] (grown when capacity is short) so a caller
 // reusing its buffer ranks with zero steady-state allocations — the
@@ -392,31 +377,29 @@ func sealTrace(mq *modelQueue, tr *obs.Trace, outcome string, err error) {
 // sample order (rankSplit) — scores are bit-identical to the unsplit
 // path because the forward pass is row-independent.
 func (e *Engine) RankInto(ctx context.Context, name string, dst []float32, req model.Request) ([]float32, error) {
-	return e.rankOne(ctx, name, dst, req, ingestStats{}, true)
+	mq, err := e.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.rankOne(ctx, mq, dst, req, ingestStats{})
 }
 
-// rankOne is the admission path: resolve the model, split an oversized
-// request when split is set and the model's policy asks for it,
-// otherwise validate, enqueue and run or await the job's pass. in is
-// what the HTTP front-end measured (zero for in-process callers) and
-// rides into the request's trace.
-func (e *Engine) rankOne(ctx context.Context, name string, dst []float32, req model.Request, in ingestStats, split bool) ([]float32, error) {
-	// Admission: resolve the queue and register as a sender under the
-	// lock, so Close waits for the enqueue (or its abort) before
-	// draining.
+// rankOne is the admission path for a resolved model queue: split an
+// oversized request when the model's policy asks for it, otherwise
+// validate, enqueue and run or await the job's pass. in is what the
+// HTTP front-end measured (zero for in-process callers) and rides into
+// the request's trace.
+func (e *Engine) rankOne(ctx context.Context, mq *modelQueue, dst []float32, req model.Request, in ingestStats) ([]float32, error) {
+	// Admission: register as a sender under the lock, so Close waits
+	// for the enqueue (or its abort) before draining.
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	mq, ok := e.queueLocked(name)
-	if !ok {
+	if pol := mq.loadPolicy(); pol.SplitAbove > 0 && req.Batch > pol.SplitAbove {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrModelNotFound, name)
-	}
-	if pol := mq.loadPolicy(); split && pol.SplitAbove > 0 && req.Batch > pol.SplitAbove {
-		e.mu.Unlock()
-		return e.rankSplit(ctx, name, mq, dst, req, pol.SplitAbove, in)
+		return e.rankSplit(ctx, mq, dst, req, pol.SplitAbove, in)
 	}
 	mq.senders.Add(1)
 	e.mu.Unlock()
@@ -539,17 +522,20 @@ func (e *Engine) enqueue(ctx context.Context, mq *modelQueue, j *job) error {
 // near-equal chunks — DeepRecSys's query splitting: a large candidate
 // set stops serializing behind one forward pass and instead occupies
 // several executor tokens concurrently, trading aggregate work for
-// tail latency. Each chunk rides the normal admission path and is never
-// split again (validated, queued, batched, counted, and
-// latency-recorded like any request — the controller's p99 window
-// therefore sees chunk latencies, which are what the batch policy
-// actually controls), while the parent counts once in Stats.Splits.
+// tail latency. Each chunk rides the normal admission path (validated,
+// queued, batched, counted, and latency-recorded like any request — the
+// controller's p99 window therefore sees chunk latencies, which are
+// what the batch policy actually controls), while the parent counts
+// once in Stats.Splits. A chunk holds at most chunkMax samples
+// (ceil(B/ceil(B/c)) ≤ c), so rankOne's size test alone keeps it whole;
+// only a SetPolicy that shrinks SplitAbove meanwhile splits it again,
+// and the scores stay bit-identical.
 //
 // Ordered merge: chunk i's scores land in res[off_i:off_i+n_i], a
 // subslice of the parent's result buffer carved before dispatch — the
 // merge is positional, so no ordering is ever recovered after the
 // fact and the concatenation is bit-identical to the unsplit pass.
-func (e *Engine) rankSplit(ctx context.Context, name string, mq *modelQueue, dst []float32, req model.Request, chunkMax int, in ingestStats) ([]float32, error) {
+func (e *Engine) rankSplit(ctx context.Context, mq *modelQueue, dst []float32, req model.Request, chunkMax int, in ingestStats) ([]float32, error) {
 	// Validate the parent once up front: a malformed oversized request
 	// is refused with one typed error before any chunk is admitted.
 	cfg := mq.published.Load().model.Config
@@ -581,7 +567,7 @@ func (e *Engine) rankSplit(ctx context.Context, name string, mq *modelQueue, dst
 		// chunk's rows.
 		buf := res[off : off : off+size]
 		run := func(i int, sub model.Request, buf []float32) {
-			out, err := e.rankOne(ctx, name, buf, sub, in, false)
+			out, err := e.rankOne(ctx, mq, buf, sub, in)
 			if err != nil {
 				errs[i] = err
 				return

@@ -84,7 +84,7 @@ func TestSwapDuringInFlightRemoteGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := refA.AppendCTR(nil, warm, arena, 1); !bitsMatch(out, want) {
+	if want := refA.ForwardEx(warm, arena, 1).Data(); !bitsMatch(out, want) {
 		t.Fatal("warm-up scores differ from the generation-A reference")
 	}
 
@@ -125,7 +125,7 @@ func TestSwapDuringInFlightRemoteGather(t *testing.T) {
 	if err := <-victimErr; err != nil {
 		t.Fatalf("victim rank: %v", err)
 	}
-	if got := <-victimScores; !bitsMatch(got, refA.AppendCTR(nil, victim, arena, 1)) {
+	if got := <-victimScores; !bitsMatch(got, refA.ForwardEx(victim, arena, 1).Data()) {
 		t.Fatal("in-flight request's scores are not pure generation A — swap tore the pass")
 	}
 
@@ -138,7 +138,7 @@ func TestSwapDuringInFlightRemoteGather(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-swap rank %d: %v", i, err)
 		}
-		if want := refB.AppendCTR(nil, req, arena, 1); !bitsMatch(out, want) {
+		if want := refB.ForwardEx(req, arena, 1).Data(); !bitsMatch(out, want) {
 			t.Fatalf("post-swap request %d is not pure generation B — stale rows paired with the new model", i)
 		}
 	}
@@ -176,7 +176,7 @@ func TestSwapKeepsTierShape(t *testing.T) {
 		return c
 	}
 	req := model.NewRandomRequest(cfg, 2, stats.NewRNG(12))
-	want := refA.AppendCTR(nil, req, tensor.NewArena(), 1)
+	want := refA.ForwardEx(req, tensor.NewArena(), 1).Data()
 	for _, tc := range []struct {
 		name string
 		cfg  model.Config

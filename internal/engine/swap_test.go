@@ -87,7 +87,7 @@ func TestSwapDoesNotWaitForInFlightPass(t *testing.T) {
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
-		want := refB.AppendCTR(nil, req, tensor.NewArena(), 1)
+		want := refB.ForwardEx(req, tensor.NewArena(), 1).Data()
 		if len(r.out) != len(want) {
 			t.Fatalf("%d scores, want %d", len(r.out), len(want))
 		}

@@ -270,7 +270,7 @@ func TestCheckpointInt8BytesPinned(t *testing.T) {
 				t.Errorf("%s %s: pooled tables hash to %s, want %s", c.cfg.Name, tier, sum, c.sls)
 			}
 			a := tensor.NewArena()
-			if !bitsEqual(loaded.AppendCTR(nil, req, a, 1), m.AppendCTR(nil, req, a, 1)) || !bitsEqual(loaded.CTR(req), m.CTR(req)) {
+			if !bitsEqual(arenaCTR(loaded, req, a, 1), arenaCTR(m, req, a, 1)) || !bitsEqual(loaded.CTR(req), m.CTR(req)) {
 				t.Errorf("%s %s: the loaded model scores differently from the saved one", c.cfg.Name, tier)
 			}
 		}

@@ -49,8 +49,8 @@ func TestCloneBitIdentical(t *testing.T) {
 				if !bitsEqual(m.CTR(req), c.CTR(req)) {
 					t.Fatalf("pass %d: reference-path scores differ", pass)
 				}
-				want := m.AppendCTR(nil, req, a, 1)
-				got := c.AppendCTR(nil, req, a, 1)
+				want := arenaCTR(m, req, a, 1)
+				got := arenaCTR(c, req, a, 1)
 				if !bitsEqual(want, got) {
 					t.Fatalf("pass %d: hot-path scores differ", pass)
 				}
@@ -103,7 +103,7 @@ func TestCopyWeightsFrom(t *testing.T) {
 	}
 	req := NewRandomRequest(cfg, 4, stats.NewRNG(5))
 	a := tensor.NewArena()
-	want := m.AppendCTR(nil, req, a, 1)
+	want := arenaCTR(m, req, a, 1)
 
 	// Corrupt the live model, then restore from the snapshot.
 	for _, block := range m.paramBlocks() {
@@ -112,13 +112,13 @@ func TestCopyWeightsFrom(t *testing.T) {
 		}
 	}
 	m.refreshDerived()
-	if bitsEqual(m.AppendCTR(nil, req, a, 1), want) {
+	if bitsEqual(arenaCTR(m, req, a, 1), want) {
 		t.Fatal("corruption did not change scores")
 	}
 	if err := m.CopyWeightsFrom(snap); err != nil {
 		t.Fatal(err)
 	}
-	got := m.AppendCTR(nil, req, a, 1)
+	got := arenaCTR(m, req, a, 1)
 	if !bitsEqual(got, want) {
 		t.Fatal("scores not restored bit-identically after CopyWeightsFrom")
 	}

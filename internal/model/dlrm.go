@@ -211,6 +211,10 @@ func (m *Model) ForwardSpans(req Request, a *tensor.Arena, workers int, obs Span
 // flight, the overlap internal/dist's Estimate prices as max(Bottom,
 // Shard+Net) + Top. Such an op emits a dispatch span and a finish span
 // under the same name (observers sum them).
+//
+// The spans tile the pass: each one ends at the clock read that starts
+// the next, so they sum to the pass's wall time and a local op's
+// argument-recording Begin lands in the span after it.
 func (m *Model) ForwardDeadline(req Request, a *tensor.Arena, workers int, obs SpanObserver, deadline time.Time) *tensor.Tensor {
 	if len(req.SparseIDs) != len(m.SLS) {
 		panic(fmt.Sprintf("model: %s expects %d sparse inputs, got %d", m.Config.Name, len(m.SLS), len(req.SparseIDs)))
@@ -232,15 +236,12 @@ func (m *Model) ForwardDeadline(req Request, a *tensor.Arena, workers int, obs S
 	if len(m.SLS) > len(slots) {
 		fwds = make([]nn.SLSForward, len(m.SLS))
 	}
-	var t0 time.Time
+	clk := lapClock{obs: obs}
+	clk.start()
 	for t, op := range m.SLS {
-		timed := obs != nil && op.Async()
-		if timed {
-			t0 = time.Now()
-		}
 		op.Begin(&fwds[t], req.SparseIDs[t], req.Batch, a, workers, deadline)
-		if timed {
-			obs.OpSpan(op.Name(), nn.KindSLS, time.Since(t0))
+		if op.Async() {
+			clk.lap(op.Name(), nn.KindSLS)
 		}
 	}
 	i := 0
@@ -248,56 +249,51 @@ func (m *Model) ForwardDeadline(req Request, a *tensor.Arena, workers int, obs S
 		if req.Dense == nil {
 			panic(fmt.Sprintf("model: %s requires dense features", m.Config.Name))
 		}
-		if obs != nil {
-			t0 = time.Now()
-		}
 		parts[i] = m.Bottom.ForwardEx(req.Dense, a, workers)
-		if obs != nil {
-			obs.OpSpan(m.Bottom.Name(), nn.KindFC, time.Since(t0))
-		}
+		clk.lap(m.Bottom.Name(), nn.KindFC)
 		i++
 	}
 	for t, op := range m.SLS {
-		if obs != nil {
-			t0 = time.Now()
-		}
 		parts[i] = fwds[t].Finish()
-		if obs != nil {
-			obs.OpSpan(op.Name(), nn.KindSLS, time.Since(t0))
-		}
+		clk.lap(op.Name(), nn.KindSLS)
 		i++
 	}
-	if obs != nil {
-		t0 = time.Now()
-	}
 	x := m.ConcatOp.ForwardEx(parts, a)
-	if obs != nil {
-		obs.OpSpan(m.ConcatOp.Name(), nn.KindConcat, time.Since(t0))
-	}
+	clk.lap(m.ConcatOp.Name(), nn.KindConcat)
 	if m.Interact != nil {
-		if obs != nil {
-			t0 = time.Now()
-		}
 		x = m.Interact.ForwardEx(x, a)
-		if obs != nil {
-			obs.OpSpan(m.Interact.Name(), nn.KindBatchMM, time.Since(t0))
-		}
-	}
-	if obs != nil {
-		t0 = time.Now()
+		clk.lap(m.Interact.Name(), nn.KindBatchMM)
 	}
 	x = m.Top.ForwardEx(x, a, workers)
-	if obs != nil {
-		obs.OpSpan(m.Top.Name(), nn.KindFC, time.Since(t0))
-	}
-	if obs != nil {
-		t0 = time.Now()
-	}
+	clk.lap(m.Top.Name(), nn.KindFC)
 	nn.SigmoidInPlace(x)
-	if obs != nil {
-		obs.OpSpan("sigmoid", nn.KindActivation, time.Since(t0))
-	}
+	clk.lap("sigmoid", nn.KindActivation)
 	return x
+}
+
+// lapClock times consecutive spans of one pass with one clock read per
+// boundary: each lap ends at the instant the next begins. With a nil
+// observer it reads no clock at all.
+type lapClock struct {
+	obs  SpanObserver
+	last time.Time
+}
+
+// start reads the instant the first span begins.
+func (c *lapClock) start() {
+	if c.obs != nil {
+		c.last = time.Now()
+	}
+}
+
+// lap ends the current span, reports it, and begins the next.
+func (c *lapClock) lap(name string, kind nn.Kind) {
+	if c.obs == nil {
+		return
+	}
+	now := time.Now()
+	c.obs.OpSpan(name, kind, now.Sub(c.last))
+	c.last = now
 }
 
 // maxStackSLS is the table count of the widest preset (RMC2Large).
@@ -306,14 +302,5 @@ const maxStackSLS = 40
 // CTR returns the probabilities the engine serves for req, as a fresh
 // slice: the same forward pass, serial and without an arena.
 func (m *Model) CTR(req Request) []float32 {
-	return m.AppendCTR(nil, req, nil, 1)
-}
-
-// AppendCTR runs the hot-path forward pass and appends the
-// probabilities to dst, which is returned. The arena holds every
-// intermediate, so with a warm arena and workers == 1 the only heap
-// growth is dst itself when it lacks capacity.
-func (m *Model) AppendCTR(dst []float32, req Request, a *tensor.Arena, workers int) []float32 {
-	out := m.ForwardEx(req, a, workers)
-	return append(dst, out.Data()...)
+	return m.ForwardEx(req, nil, 1).Data()
 }

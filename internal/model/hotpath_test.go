@@ -63,7 +63,15 @@ func TestForwardExSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestAppendCTRMatchesCTR(t *testing.T) {
+// arenaCTR runs the hot-path pass (an arena, workers kernel
+// goroutines) and copies the scores out of the arena.
+func arenaCTR(m *Model, req Request, a *tensor.Arena, workers int) []float32 {
+	return slices.Clone(m.ForwardEx(req, a, workers).Data())
+}
+
+// TestArenaPassMatchesCTR: CTR is the serial arena-free pass, and an
+// arena and intra-op workers change no bit of it.
+func TestArenaPassMatchesCTR(t *testing.T) {
 	cfg := RMC2Small().Scaled(200)
 	m, err := Build(cfg, stats.NewRNG(3))
 	if err != nil {
@@ -72,14 +80,13 @@ func TestAppendCTRMatchesCTR(t *testing.T) {
 	req := NewRandomRequest(cfg, 9, stats.NewRNG(4))
 	want := m.CTR(req)
 	arena := tensor.NewArena()
-	got := m.AppendCTR(nil, req, arena, 2)
+	got := arenaCTR(m, req, arena, 2)
 	if len(got) != len(want) {
-		t.Fatalf("AppendCTR length %d, want %d", len(got), len(want))
+		t.Fatalf("arena pass length %d, want %d", len(got), len(want))
 	}
-	// One forward pass: an arena and intra-op workers change no bit.
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("AppendCTR[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("arena pass[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

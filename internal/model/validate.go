@@ -14,12 +14,13 @@ import (
 // shared forward pass deep inside a kernel.
 var ErrBadRequest = errors.New("model: bad request")
 
-// ValidateShape checks the structural fit of req against cfg: batch
-// positivity, dense-matrix shape, sparse-input count, and per-table ID
-// counts — everything except the per-ID range scan. It is O(tables)
-// with no allocations on success, cheap enough to re-run per dispatch.
-// All failures wrap ErrBadRequest.
-func ValidateShape(cfg Config, req Request) error {
+// ValidateRequest is the admission check: the structural fit of req
+// against cfg (batch positivity, dense-matrix shape, sparse-input count,
+// per-table ID counts), then a range scan of every sparse ID against its
+// table's row count — the check that keeps an out-of-range ID from
+// reaching a gather kernel. O(total IDs) with no allocations on
+// success; all failures wrap ErrBadRequest.
+func ValidateRequest(cfg Config, req Request) error {
 	if req.Batch <= 0 {
 		return fmt.Errorf("%w: non-positive batch %d", ErrBadRequest, req.Batch)
 	}
@@ -40,18 +41,6 @@ func ValidateShape(cfg Config, req Request) error {
 		if want := req.Batch * cfg.Tables[ti].Lookups; len(ids) != want {
 			return fmt.Errorf("%w: table %d has %d IDs, want %d", ErrBadRequest, ti, len(ids), want)
 		}
-	}
-	return nil
-}
-
-// ValidateRequest is the full admission check: ValidateShape plus a
-// range scan of every sparse ID against its table's row count — the
-// check that keeps an out-of-range ID from reaching a gather kernel.
-// O(total IDs) with no allocations on success; all failures wrap
-// ErrBadRequest.
-func ValidateRequest(cfg Config, req Request) error {
-	if err := ValidateShape(cfg, req); err != nil {
-		return err
 	}
 	for ti, ids := range req.SparseIDs {
 		rows := cfg.Tables[ti].Rows

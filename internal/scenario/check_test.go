@@ -42,7 +42,7 @@ func VerifyGenerations(t *testing.T, samples []Sample, refs map[uint64]*model.Mo
 				continue
 			}
 			known++
-			want := ref.AppendCTR(nil, s.Req, arena, 1)
+			want := ref.ForwardEx(s.Req, arena, 1).Data()
 			matched = bitsEqual(s.Scores, want)
 		}
 		if known == 0 {
@@ -67,7 +67,7 @@ func VerifyServedGenerations(t *testing.T, samples []Sample, refs map[string]*mo
 		if !ok {
 			t.Fatalf("sample %d: no reference for served model %q", i, s.Served)
 		}
-		want := ref.AppendCTR(nil, s.Req, arena, 1)
+		want := ref.ForwardEx(s.Req, arena, 1).Data()
 		if !bitsEqual(s.Scores, want) {
 			t.Fatalf("sample %d: scores differ from reference for arm %q", i, s.Served)
 		}

@@ -18,7 +18,7 @@ import (
 func scenarioConfig() model.Config { return model.RMC1Small().Scaled(1000) }
 
 // scenarioEngineOptions pins IntraOpWorkers to 1 so the engine's hot
-// path computes exactly what the checkers' AppendCTR(…, workers=1)
+// path computes exactly what the checkers' ForwardEx(…, workers=1)
 // reference computes — the bit-identity contract under test.
 func scenarioEngineOptions() engine.Options {
 	return engine.Options{

@@ -163,8 +163,8 @@ func runSwapStorm(t *testing.T, int8Tables bool, seed uint64) (*scenario.Result,
 	}
 	arena := tensor.NewArena()
 	probe := model.NewRandomRequest(cfg, 8, stats.NewRNG(seed+600))
-	a := active.AppendCTR(nil, probe, arena, 1)
-	b := fresh.AppendCTR(nil, probe, arena, 1)
+	a := active.ForwardEx(probe, arena, 1).Data()
+	b := fresh.ForwardEx(probe, arena, 1).Data()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("active generation differs from its freshly loaded copy at %d: %v vs %v", i, a[i], b[i])

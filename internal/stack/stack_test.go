@@ -315,7 +315,7 @@ func TestOnlineInt8Tables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range serving[0].AppendCTR(nil, req, tensor.NewArena(), 1) {
+	for i, want := range serving[0].ForwardEx(req, tensor.NewArena(), 1).Data() {
 		if got[i] != want {
 			t.Fatalf("score %d: %v under -online, %v serving-only", i, got[i], want)
 		}
@@ -371,7 +371,7 @@ func TestCheckpointWatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := first.AppendCTR(nil, req, tensor.NewArena(), 1); got[0] != want[0] || got[1] != want[1] {
+			if want := first.ForwardEx(req, tensor.NewArena(), 1).Data(); got[0] != want[0] || got[1] != want[1] {
 				t.Fatalf("checkpoint stack scored %v, the saved model %v", got, want)
 			}
 
@@ -389,7 +389,7 @@ func TestCheckpointWatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := second.AppendCTR(nil, req, tensor.NewArena(), 1); got[0] != want[0] || got[1] != want[1] {
+			if want := second.ForwardEx(req, tensor.NewArena(), 1).Data(); got[0] != want[0] || got[1] != want[1] {
 				t.Fatalf("after the swap the stack scored %v, the new checkpoint %v", got, want)
 			}
 

@@ -109,11 +109,8 @@ func (t *Trainer) forward(req model.Request) *tape {
 		tp.topIn = append(tp.topIn, x)
 		x = fc.ForwardEx(x, nil, 1, i+1 < len(m.Top.Layers))
 	}
-	probs := make([]float32, req.Batch)
-	for i := range probs {
-		probs[i] = sigmoid(x.At(i, 0))
-	}
-	tp.probs = probs
+	nn.SigmoidInPlace(x) // x is [batch, 1]: the final Top width is 1
+	tp.probs = x.Data()
 	return tp
 }
 
@@ -265,10 +262,6 @@ func splitConcat(c *nn.Concat, grad *tensor.Tensor) []*tensor.Tensor {
 		off += w
 	}
 	return parts
-}
-
-func sigmoid(v float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
 // BCELoss is mean binary cross-entropy, clamped for numerical safety:
