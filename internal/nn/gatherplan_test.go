@@ -111,7 +111,7 @@ func TestForwardGatherBitIdentical(t *testing.T) {
 }
 
 // TestForwardQuantBitIdentical: the local int8 gather (one
-// tensor.PoolRowsI8 call a bag) and the planned one (dedup + cached
+// tensor.PoolRowsI8 call a row shard) and the planned one (dedup + cached
 // dequantized rows), serial and parallel, must both match a
 // dequantize-then-add oracle bit for bit, at the served width 32, at 64,
 // and at 20, which is not a multiple of 8 — dequantization is
