@@ -742,22 +742,32 @@ func engineRankCoalesceOp(tb testing.TB, batch int) func() {
 	return engineRankWithOp(tb, opts, batch)
 }
 
+// servingEngine returns an engine serving m as its default model,
+// closed when tb ends.
+func servingEngine(tb testing.TB, m *model.Model, opts engine.Options) *engine.Engine {
+	eng, err := engine.NewEngine(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(eng.Close)
+	if err := eng.Register(engine.DefaultModelName, m, engine.ModelOptions{}); err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
 func engineRankWithOp(tb testing.TB, opts engine.Options, batch int) func() {
 	cfg := model.RMC1Small().Scaled(500)
 	m, err := model.Build(cfg, stats.NewRNG(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := engine.New(m, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(srv.Close)
+	eng := servingEngine(tb, m, opts)
 	req := model.NewRandomRequest(cfg, batch, stats.NewRNG(2))
 	dst := make([]float32, 0, batch)
 	ctx := context.Background()
 	rank := func() {
-		if _, err := srv.RankInto(ctx, dst, req); err != nil {
+		if _, err := eng.RankInto(ctx, "", dst, req); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -841,15 +851,10 @@ func httpRankOp(tb testing.TB, batch int) (post func(), bodyLen int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := engine.New(m, engine.Options{
+	h := servingEngine(tb, m, engine.Options{
 		Workers: 1, QueueDepth: 8, MaxBatch: 1,
 		MaxWait: time.Millisecond, IntraOpWorkers: 1,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(srv.Close)
-	h := srv.Handler()
+	}).Handler()
 	body := rankBody(tb, model.NewRandomRequest(cfg, batch, stats.NewRNG(2)))
 	post = func() {
 		rec := httptest.NewRecorder()
@@ -879,14 +884,10 @@ func engineRankZipfOp(tb testing.TB, batch int) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := engine.New(m.QuantizeTables(), engine.Options{
+	eng := servingEngine(tb, m.QuantizeTables(), engine.Options{
 		Workers: 1, QueueDepth: 8, MaxBatch: 1,
 		MaxWait: time.Millisecond, IntraOpWorkers: 1,
 	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(srv.Close)
 	rng := stats.NewRNG(2)
 	gens := make([]trace.IDGenerator, len(cfg.Tables))
 	for i, tb := range cfg.Tables {
@@ -904,7 +905,7 @@ func engineRankZipfOp(tb testing.TB, batch int) func() {
 	ctx := context.Background()
 	i := 0
 	rank := func() {
-		if _, err := srv.RankInto(ctx, dst, reqs[i%nReq]); err != nil {
+		if _, err := eng.RankInto(ctx, "", dst, reqs[i%nReq]); err != nil {
 			tb.Fatal(err)
 		}
 		i++

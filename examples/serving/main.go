@@ -49,11 +49,13 @@ func main() {
 	fmt.Printf("checkpoint round trip: %s\n", ckpt)
 
 	// 3. Serve with the concurrent engine: 4 workers, cross-request
-	// batching up to 64 samples or 1ms.
-	srv, err := recsys.NewServer(served, recsys.ServeOptions{
+	// batching up to 64 samples or 1ms. The first registered model is
+	// the default, named "" below.
+	eng, err := recsys.NewEngine(recsys.ServeOptions{
 		Workers: 4, QueueDepth: 256, MaxBatch: 64, MaxWait: time.Millisecond,
 	})
 	must(err)
+	must(eng.Register("ctr", served, recsys.ModelOptions{}))
 
 	// 4. Concurrent clients.
 	const clients, perClient = 8, 50
@@ -66,7 +68,7 @@ func main() {
 			rng := recsys.NewRNG(uint64(c) + 100)
 			for i := 0; i < perClient; i++ {
 				req := recsys.NewRandomRequest(cfg, 4, rng)
-				if _, err := srv.Rank(context.Background(), req); err != nil {
+				if _, err := eng.Rank(context.Background(), "", req); err != nil {
 					panic(err)
 				}
 			}
@@ -74,9 +76,10 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	srv.Close()
+	eng.Close()
 
-	st := srv.Stats()
+	st, err := eng.ModelStats("")
+	must(err)
 	fmt.Printf("served %d requests (%d samples) in %v\n", st.Requests, st.Samples, elapsed.Round(time.Millisecond))
 	fmt.Printf("forward passes: %d (avg batch %.1f samples — cross-request coalescing)\n", st.Batches, st.AvgBatch())
 	fmt.Printf("throughput: %.0f samples/s\n", float64(st.Samples)/elapsed.Seconds())

@@ -59,19 +59,22 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 
 	// Serve over HTTP.
-	srv, err := recsys.NewServer(served, recsys.ServeOptions{
+	eng, err := recsys.NewEngine(recsys.ServeOptions{
 		Workers: 2, QueueDepth: 16, MaxBatch: 16, MaxWait: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
+	defer eng.Close()
+	if err := eng.Register("e2e", served, recsys.ModelOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(eng.Handler())
 	defer ts.Close()
 
 	// Build a request both ways: direct and via JSON.
 	req := recsys.NewRandomRequest(cfg, 2, recsys.NewRNG(31))
-	want, err := srv.Rank(context.Background(), req)
+	want, err := eng.Rank(context.Background(), "", req)
 	if err != nil {
 		t.Fatal(err)
 	}

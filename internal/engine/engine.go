@@ -14,12 +14,12 @@
 //     per-model serving stats (stats.go, model.ForwardSpans).
 //
 // Results are bit-identical to unbatched direct execution because the
-// forward pass is row-independent. The single-model Server below is a
-// thin wrapper over a one-entry registry, preserving the original API.
+// forward pass is row-independent. A single-model caller registers one
+// model and names it "" (the default model) in Rank, RankInto and
+// ModelStats.
 package engine
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"time"
@@ -119,56 +119,6 @@ var ErrBadRequest = model.ErrBadRequest
 // request itself could cause.
 var ErrInference = errors.New("engine: inference failed")
 
-// DefaultModelName is the registry entry the single-model Server uses.
+// DefaultModelName is the conventional name of a single-model
+// engine's one registration.
 const DefaultModelName = "default"
-
-// Server serves a single materialized model: a one-entry Engine kept
-// for the original single-model API and its callers.
-type Server struct {
-	eng   *Engine
-	model *model.Model
-}
-
-// New starts a server for the model. It returns an error on nil model
-// or non-positive worker/queue options.
-func New(m *model.Model, opts Options) (*Server, error) {
-	if m == nil {
-		return nil, errors.New("engine: nil model")
-	}
-	eng, err := NewEngine(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Register(DefaultModelName, m, ModelOptions{}); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	return &Server{eng: eng, model: m}, nil
-}
-
-// Rank scores one batched request, blocking until its pass completes
-// or ctx is done.
-func (s *Server) Rank(ctx context.Context, req model.Request) ([]float32, error) {
-	return s.eng.Rank(ctx, DefaultModelName, req)
-}
-
-// RankInto is Rank with a caller-owned result buffer; see
-// Engine.RankInto for the ownership contract.
-func (s *Server) RankInto(ctx context.Context, dst []float32, req model.Request) ([]float32, error) {
-	return s.eng.RankInto(ctx, DefaultModelName, dst, req)
-}
-
-// Close stops accepting requests, waits for the passes in flight, and
-// drains the queue. Rank calls blocked on a full queue are aborted
-// with ErrClosed. Close is idempotent.
-func (s *Server) Close() { s.eng.Close() }
-
-// Stats returns a snapshot of the serving counters and latency
-// percentiles.
-func (s *Server) Stats() Stats {
-	st, err := s.eng.ModelStats(DefaultModelName)
-	if err != nil {
-		return Stats{}
-	}
-	return st
-}

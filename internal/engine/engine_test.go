@@ -19,29 +19,45 @@ func testModel(t *testing.T) *model.Model {
 	return m
 }
 
-func TestNewRejectsInvalid(t *testing.T) {
-	if _, err := New(nil, DefaultOptions()); err == nil {
-		t.Error("nil model should error")
+// defaultEngine returns an engine serving m as its default model,
+// closed when the test ends.
+func defaultEngine(t *testing.T, m *model.Model, opts Options) *Engine {
+	t.Helper()
+	e := testEngine(t, opts)
+	if err := e.Register(DefaultModelName, m, ModelOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	m := testModel(t)
-	if _, err := New(m, Options{Workers: 0, QueueDepth: 1}); err == nil {
+	return e
+}
+
+// defaultStats returns the default model's counters.
+func defaultStats(t *testing.T, e *Engine) Stats {
+	t.Helper()
+	st, err := e.ModelStats("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func TestNewRejectsInvalid(t *testing.T) {
+	if _, err := NewEngine(Options{Workers: 0, QueueDepth: 1}); err == nil {
 		t.Error("zero workers should error")
 	}
-	if _, err := New(m, Options{Workers: 1, QueueDepth: 0}); err == nil {
+	if _, err := NewEngine(Options{Workers: 1, QueueDepth: 0}); err == nil {
 		t.Error("zero queue should error")
+	}
+	if err := testEngine(t, DefaultOptions()).Register(DefaultModelName, nil, ModelOptions{}); err == nil {
+		t.Error("nil model should error")
 	}
 }
 
 func TestRankMatchesDirectForward(t *testing.T) {
 	m := testModel(t)
-	s, err := New(m, Options{Workers: 2, QueueDepth: 8, MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	e := defaultEngine(t, m, Options{Workers: 2, QueueDepth: 8, MaxBatch: 1})
 	req := model.NewRandomRequest(m.Config, 5, stats.NewRNG(1))
 	want := m.CTR(req)
-	got, err := s.Rank(context.Background(), req)
+	got, err := e.Rank(context.Background(), "", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +73,7 @@ func TestRankMatchesDirectForward(t *testing.T) {
 // is parked inside a pass, and it takes them all in one batch after.
 func TestBatchingIsTransparent(t *testing.T) {
 	m := testModel(t)
-	s, err := New(m, Options{Workers: 1, QueueDepth: 64, MaxBatch: 64, MaxWait: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	e := defaultEngine(t, m, Options{Workers: 1, QueueDepth: 64, MaxBatch: 64, MaxWait: 20 * time.Millisecond})
 
 	const n = 24
 	reqs := make([]model.Request, n)
@@ -70,7 +82,7 @@ func TestBatchingIsTransparent(t *testing.T) {
 		reqs[i] = model.NewRandomRequest(m.Config, 1+i%3, stats.NewRNG(uint64(i)+10))
 		wants[i] = m.CTR(reqs[i])
 	}
-	release := parkWorkers(t, s.eng, DefaultModelName, reqs[0])
+	release := parkWorkers(t, e, DefaultModelName, reqs[0])
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	gots := make([][]float32, n)
@@ -78,10 +90,10 @@ func TestBatchingIsTransparent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			gots[i], errs[i] = s.Rank(context.Background(), reqs[i])
+			gots[i], errs[i] = e.Rank(context.Background(), "", reqs[i])
 		}(i)
 	}
-	waitQueued(t, s.eng, DefaultModelName, n)
+	waitQueued(t, e, DefaultModelName, n)
 	release()
 	wg.Wait()
 	for i := range reqs {
@@ -93,7 +105,7 @@ func TestBatchingIsTransparent(t *testing.T) {
 		}
 	}
 	// Coalescing must actually have happened.
-	st := s.Stats()
+	st := defaultStats(t, e)
 	if st.Batches >= st.Requests {
 		t.Errorf("no coalescing: %d batches for %d requests", st.Batches, st.Requests)
 	}
@@ -104,11 +116,7 @@ func TestBatchingIsTransparent(t *testing.T) {
 
 func TestConcurrentLoad(t *testing.T) {
 	m := testModel(t)
-	s, err := New(m, Options{Workers: 4, QueueDepth: 32, MaxBatch: 16, MaxWait: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	e := defaultEngine(t, m, Options{Workers: 4, QueueDepth: 32, MaxBatch: 16, MaxWait: time.Millisecond})
 	var wg sync.WaitGroup
 	const goroutines, perG = 16, 20
 	errCh := make(chan error, goroutines*perG)
@@ -119,7 +127,7 @@ func TestConcurrentLoad(t *testing.T) {
 			rng := stats.NewRNG(uint64(g) + 1)
 			for i := 0; i < perG; i++ {
 				req := model.NewRandomRequest(m.Config, 2, rng)
-				if _, err := s.Rank(context.Background(), req); err != nil {
+				if _, err := e.Rank(context.Background(), "", req); err != nil {
 					errCh <- err
 				}
 			}
@@ -130,25 +138,21 @@ func TestConcurrentLoad(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Requests != goroutines*perG || st.Samples != 2*goroutines*perG {
+	if st := defaultStats(t, e); st.Requests != goroutines*perG || st.Samples != 2*goroutines*perG {
 		t.Errorf("stats %+v", st)
 	}
 }
 
 func TestLatencyPercentiles(t *testing.T) {
 	m := testModel(t)
-	s, err := New(m, Options{Workers: 2, QueueDepth: 8, MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	e := defaultEngine(t, m, Options{Workers: 2, QueueDepth: 8, MaxBatch: 1})
 	rng := stats.NewRNG(1)
 	for i := 0; i < 30; i++ {
-		if _, err := s.Rank(context.Background(), model.NewRandomRequest(m.Config, 2, rng)); err != nil {
+		if _, err := e.Rank(context.Background(), "", model.NewRandomRequest(m.Config, 2, rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	st := defaultStats(t, e)
 	if st.P50US <= 0 || st.P99US < st.P50US || st.P95US < st.P50US || st.P99US < st.P95US {
 		t.Errorf("latency percentiles inconsistent: p50=%.1f p95=%.1f p99=%.1f", st.P50US, st.P95US, st.P99US)
 	}
@@ -156,33 +160,26 @@ func TestLatencyPercentiles(t *testing.T) {
 
 func TestContextCancellation(t *testing.T) {
 	m := testModel(t)
-	s, err := New(m, Options{Workers: 1, QueueDepth: 4, MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	e := defaultEngine(t, m, Options{Workers: 1, QueueDepth: 4, MaxBatch: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := model.NewRandomRequest(m.Config, 1, stats.NewRNG(1))
-	if _, err := s.Rank(ctx, req); err == nil {
+	if _, err := e.Rank(ctx, "", req); err == nil {
 		t.Error("cancelled context should fail")
 	}
 }
 
 func TestCloseSemantics(t *testing.T) {
 	m := testModel(t)
-	s, err := New(m, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := defaultEngine(t, m, DefaultOptions())
 	// In-flight request completes before Close returns.
 	req := model.NewRandomRequest(m.Config, 1, stats.NewRNG(1))
-	if _, err := s.Rank(context.Background(), req); err != nil {
+	if _, err := e.Rank(context.Background(), "", req); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	s.Close() // idempotent
-	if _, err := s.Rank(context.Background(), req); err != ErrClosed {
+	e.Close()
+	e.Close() // idempotent
+	if _, err := e.Rank(context.Background(), "", req); err != ErrClosed {
 		t.Errorf("Rank after Close = %v, want ErrClosed", err)
 	}
 }
@@ -192,10 +189,7 @@ func TestCloseSemantics(t *testing.T) {
 // shuts down.
 func TestCloseWhileQueueFull(t *testing.T) {
 	m := testModel(t)
-	s, err := New(m, Options{Workers: 1, QueueDepth: 1, MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := defaultEngine(t, m, Options{Workers: 1, QueueDepth: 1, MaxBatch: 1})
 	// Saturate: many concurrent big-ish requests on one worker.
 	var wg sync.WaitGroup
 	results := make(chan error, 32)
@@ -204,13 +198,13 @@ func TestCloseWhileQueueFull(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			req := model.NewRandomRequest(m.Config, 8, stats.NewRNG(uint64(i)+1))
-			_, err := s.Rank(context.Background(), req)
+			_, err := e.Rank(context.Background(), "", req)
 			results <- err
 		}(i)
 	}
 	time.Sleep(2 * time.Millisecond)
 	done := make(chan struct{})
-	go func() { s.Close(); close(done) }()
+	go func() { e.Close(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):

@@ -34,11 +34,7 @@ func TestResolveIntraOpDefault(t *testing.T) {
 // one coalesced batch.
 func TestMergeBufferReuse(t *testing.T) {
 	m := testModel(t)
-	s, err := New(m, Options{Workers: 1, QueueDepth: 64, MaxBatch: 64, MaxWait: 10 * time.Millisecond, IntraOpWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	e := defaultEngine(t, m, Options{Workers: 1, QueueDepth: 64, MaxBatch: 64, MaxWait: 10 * time.Millisecond, IntraOpWorkers: 2})
 	const rounds, n = 8, 6
 	for round := 0; round < rounds; round++ {
 		reqs := make([]model.Request, n)
@@ -47,18 +43,18 @@ func TestMergeBufferReuse(t *testing.T) {
 			reqs[i] = model.NewRandomRequest(m.Config, 1+i%4, stats.NewRNG(uint64(round*100+i+1)))
 			wants[i] = m.CTR(reqs[i])
 		}
-		release := parkWorkers(t, s.eng, DefaultModelName, reqs[0])
+		release := parkWorkers(t, e, DefaultModelName, reqs[0])
 		errc := make(chan error, n)
 		for i := range reqs {
 			go func(i int) {
-				got, err := s.Rank(context.Background(), reqs[i])
+				got, err := e.Rank(context.Background(), "", reqs[i])
 				if err == nil && !ctrEqual(got, wants[i]) {
 					err = errMismatch
 				}
 				errc <- err
 			}(i)
 		}
-		waitQueued(t, s.eng, DefaultModelName, n)
+		waitQueued(t, e, DefaultModelName, n)
 		release()
 		for i := 0; i < n; i++ {
 			if err := <-errc; err != nil {
@@ -67,7 +63,7 @@ func TestMergeBufferReuse(t *testing.T) {
 		}
 	}
 	// Per round: the plug's pass, then one pass for the whole backlog.
-	if st := s.Stats(); st.Batches != 2*rounds {
+	if st := defaultStats(t, e); st.Batches != 2*rounds {
 		t.Fatalf("%d passes for %d rounds of %d requests (avg batch %.2f): the backlog did not coalesce, reuse path unexercised", st.Batches, rounds, n, st.AvgBatch())
 	}
 }

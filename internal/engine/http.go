@@ -69,10 +69,6 @@ func (e *Engine) Handler() http.Handler {
 	return mux
 }
 
-// Handler returns an http.Handler exposing the server's engine (the
-// single registered model answers POST /rank).
-func (s *Server) Handler() http.Handler { return s.eng.Handler() }
-
 func (e *Engine) handleRank(w http.ResponseWriter, r *http.Request, name string) {
 	mq, err := e.lookup(name)
 	if err != nil {

@@ -48,8 +48,7 @@ func serveRank(h http.Handler, ctx context.Context, body io.Reader) *httptest.Re
 // counted once in rejected; a body the parser refuses never reaches
 // admission and is not counted. The server keeps serving afterwards.
 func TestHTTPRankStatusPerMalformedClass(t *testing.T) {
-	s, ts := httpServer(t)
-	cfg := s.model.Config // 13 dense features; 4 tables of 80 lookups, 120 rows
+	e, cfg, ts := httpServer(t) // 13 dense features; 4 tables of 80 lookups, 120 rows
 	good := string(rankBody(t, cfg, 1))
 	row := func(n int) string { return "[" + strings.TrimSuffix(strings.Repeat("0.5,", n), ",") + "]" }
 	ids := func(n int) string { return "[" + strings.TrimSuffix(strings.Repeat("1,", n), ",") + "]" }
@@ -82,7 +81,7 @@ func TestHTTPRankStatusPerMalformedClass(t *testing.T) {
 	// The classes admission refuses; the parser refuses the rest.
 	atAdmission := map[string]bool{"too few tables": true, "too few IDs": true, "ID out of range": true, "negative ID": true}
 	for name, body := range cases {
-		before := s.Stats()
+		before := defaultStats(t, e)
 		code, out := postRank(t, ts.URL, strings.NewReader(body))
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, code, out)
@@ -91,7 +90,7 @@ func TestHTTPRankStatusPerMalformedClass(t *testing.T) {
 		if err := json.Unmarshal(out, &msg); err != nil || msg["error"] == "" {
 			t.Errorf("%s: error body %q is not {\"error\": ...}", name, out)
 		}
-		after := s.Stats()
+		after := defaultStats(t, e)
 		var want int64
 		if atAdmission[name] {
 			want = 1
@@ -126,8 +125,8 @@ func (r failingReader) Read([]byte) (int, error) {
 // the cap is a 413 before a byte is read; a body of unknown length is
 // cut off at the cap with the same 413; the server keeps serving.
 func TestHTTPRankBodyCap(t *testing.T) {
-	s, ts := httpServer(t)
-	h := s.Handler()
+	e, cfg, ts := httpServer(t)
+	h := e.Handler()
 
 	req := httptest.NewRequest(http.MethodPost, "/rank", failingReader{t})
 	req.ContentLength = maxBodyBytes + 1
@@ -157,7 +156,7 @@ func TestHTTPRankBodyCap(t *testing.T) {
 	if code, _ := postRank(t, ts.URL, bytes.NewReader(flood[:maxBodyBytes])); code != http.StatusBadRequest {
 		t.Errorf("body at the cap: status %d, want 400", code)
 	}
-	if code, out := postRank(t, ts.URL, bytes.NewReader(rankBody(t, s.model.Config, 2))); code != http.StatusOK {
+	if code, out := postRank(t, ts.URL, bytes.NewReader(rankBody(t, cfg, 2))); code != http.StatusOK {
 		t.Fatalf("valid body after the oversized ones: status %d (%s)", code, out)
 	}
 }
@@ -176,8 +175,8 @@ func (r stalledReader) Read([]byte) (int, error) {
 // most maxBodyPresize of buffer before a body byte arrives, so a client
 // that declares the full cap and stalls does not pin 8 MiB.
 func TestHTTPRankStalledBodyPinsLittle(t *testing.T) {
-	s, _ := httpServer(t)
-	mq, err := s.eng.lookup("")
+	e, _, _ := httpServer(t)
+	mq, err := e.lookup("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestHTTPRankStalledBodyPinsLittle(t *testing.T) {
 	scratch := new(rankScratch)
 	done := make(chan error)
 	go func() {
-		_, _, err := s.eng.ingest(httptest.NewRecorder(), req, mq, scratch)
+		_, _, err := e.ingest(httptest.NewRecorder(), req, mq, scratch)
 		done <- err
 	}()
 	<-body.reached
@@ -273,8 +272,8 @@ func TestHTTPRankMatchesEngineRank(t *testing.T) {
 }
 
 // TestHTTPAbandonedRequestsKeepBuffersPrivate is the buffer-ownership
-// contract under -race: requests abandoned on deadlines from 1 µs up
-// (shed at admission, in the queue, or mid-pass with a worker still
+// contract under -race: abandoned requests (shed at admission, in the
+// queue, or, on deadlines from 1 µs up, mid-pass with a worker still
 // holding their buffers) share the scratch pool with healthy requests,
 // and no healthy response ever carries another request's features.
 func TestHTTPAbandonedRequestsKeepBuffersPrivate(t *testing.T) {
@@ -299,9 +298,36 @@ func TestHTTPAbandonedRequestsKeepBuffersPrivate(t *testing.T) {
 		wants[i] = want
 	}
 
+	// Two abandonments that do not wait on a timer: a request whose
+	// context is done before the call (shed at admission), and one
+	// cancelled while every executor token is held, so its job is left
+	// in the queue for the first holder of the mix below to pop and
+	// shed. The deadlined half of the mix adds the timed cases.
+	var abandoned sync.Map
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rec := serveRank(h, expired, bytes.NewReader(bodies[0])); rec.Code != http.StatusRequestTimeout {
+		t.Fatalf("request cancelled before the call: status %d (%s)", rec.Code, rec.Body.Bytes())
+	}
+	abandoned.Store(http.StatusRequestTimeout, true)
+	held := make([]*workerScratch, 0, e.opts.Workers)
+	for range e.opts.Workers {
+		held = append(held, <-e.tokens)
+	}
+	queued, cancel := context.WithCancel(context.Background())
+	code := make(chan int, 1)
+	go func() { code <- serveRank(h, queued, bytes.NewReader(bodies[1])).Code }()
+	waitQueued(t, e, DefaultModelName, 1)
+	cancel()
+	if c := <-code; c != http.StatusRequestTimeout {
+		t.Fatalf("request cancelled in the queue: status %d", c)
+	}
+	for _, s := range held {
+		e.tokens <- s
+	}
+
 	timeouts := []time.Duration{time.Microsecond, 100 * time.Microsecond, 300 * time.Microsecond, time.Millisecond}
 	var wg sync.WaitGroup
-	var abandoned sync.Map
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -458,8 +484,8 @@ func TestHTTPRankAllocsIndependentOfBody(t *testing.T) {
 // TestHTTPRankBodyReadError: a body that fails mid-read (the client hung
 // up) is the client's fault, not a 500.
 func TestHTTPRankBodyReadError(t *testing.T) {
-	s, _ := httpServer(t)
-	rec := serveRank(s.Handler(), context.Background(), io.MultiReader(strings.NewReader(`{"dense":[[`), errReader{}))
+	e, _, _ := httpServer(t)
+	rec := serveRank(e.Handler(), context.Background(), io.MultiReader(strings.NewReader(`{"dense":[[`), errReader{}))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("status %d, want 400 (%s)", rec.Code, rec.Body.Bytes())
 	}

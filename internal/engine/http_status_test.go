@@ -47,9 +47,7 @@ func TestRankStatus(t *testing.T) {
 // visible through GET /stats/{model} so operators can watch shed and
 // rejection rates per model.
 func TestHTTPStatsExposeShedsAndRejected(t *testing.T) {
-	s, ts := httpServer(t)
-	eng := s.eng
-	cfg := s.model.Config
+	eng, cfg, ts := httpServer(t)
 
 	// One admission rejection (malformed request)...
 	if _, err := eng.Rank(context.Background(), "", model.Request{Batch: 1}); !errors.Is(err, ErrBadRequest) {

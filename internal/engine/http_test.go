@@ -11,19 +11,15 @@ import (
 	"recsys/internal/stats"
 )
 
-func httpServer(t *testing.T) (*Server, *httptest.Server) {
+// httpServer serves a default-model engine over a test HTTP server and
+// returns the model's config with the server.
+func httpServer(t *testing.T) (*Engine, model.Config, *httptest.Server) {
 	t.Helper()
 	m := testModel(t)
-	s, err := New(m, Options{Workers: 2, QueueDepth: 16, MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, ts
+	e := defaultEngine(t, m, Options{Workers: 2, QueueDepth: 16, MaxBatch: 8})
+	ts := httptest.NewServer(e.Handler())
+	t.Cleanup(ts.Close)
+	return e, m.Config, ts
 }
 
 func rankBody(t *testing.T, cfg model.Config, batch int) []byte {
@@ -32,8 +28,8 @@ func rankBody(t *testing.T, cfg model.Config, batch int) []byte {
 }
 
 func TestHTTPRank(t *testing.T) {
-	s, ts := httpServer(t)
-	body := rankBody(t, s.model.Config, 3)
+	_, cfg, ts := httpServer(t)
+	body := rankBody(t, cfg, 3)
 	resp, err := http.Post(ts.URL+"/rank", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +53,7 @@ func TestHTTPRank(t *testing.T) {
 }
 
 func TestHTTPRankRejectsBadInput(t *testing.T) {
-	s, ts := httpServer(t)
-	cfg := s.model.Config
+	_, cfg, ts := httpServer(t)
 	post := func(data []byte) int {
 		resp, err := http.Post(ts.URL+"/rank", "application/json", bytes.NewReader(data))
 		if err != nil {
@@ -98,9 +93,9 @@ func TestHTTPRankRejectsBadInput(t *testing.T) {
 }
 
 func TestHTTPStatsAndHealth(t *testing.T) {
-	s, ts := httpServer(t)
+	_, cfg, ts := httpServer(t)
 	// Rank once so counters move.
-	body := rankBody(t, s.model.Config, 2)
+	body := rankBody(t, cfg, 2)
 	resp, err := http.Post(ts.URL+"/rank", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +126,12 @@ func TestHTTPStatsAndHealth(t *testing.T) {
 // /rank/{model}, GET /stats/{model}, GET /models, and 404s for
 // unknown names.
 func TestHTTPMultiModel(t *testing.T) {
-	s, ts := httpServer(t)
+	e, _, ts := httpServer(t)
 	side, err := model.Build(model.RMC3Small().Scaled(500), stats.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.eng.Register("ranker", side, ModelOptions{}); err != nil {
+	if err := e.Register("ranker", side, ModelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +226,7 @@ func TestHTTPMultiModel(t *testing.T) {
 }
 
 func TestHTTPMethodRouting(t *testing.T) {
-	_, ts := httpServer(t)
+	_, _, ts := httpServer(t)
 	resp, err := http.Get(ts.URL + "/rank")
 	if err != nil {
 		t.Fatal(err)

@@ -129,7 +129,7 @@ func (e *Engine) defaultPolicy() batch.Policy {
 }
 
 // Register adds a named model. The first registered model becomes the
-// default target of the single-model API (Server.Rank, POST /rank).
+// default model, the target of "" (Rank, POST /rank).
 // Nothing removes a model: after bring-up a name only changes what it
 // serves, by Swap.
 func (e *Engine) Register(name string, m *model.Model, mo ModelOptions) error {
@@ -384,42 +384,15 @@ func (e *Engine) RankInto(ctx context.Context, name string, dst []float32, req m
 	return e.rankOne(ctx, mq, dst, req, ingestStats{})
 }
 
-// rankOne is the admission path for a resolved model queue: split an
-// oversized request when the model's policy asks for it, otherwise
-// validate, enqueue and run or await the job's pass. in is what the
-// HTTP front-end measured (zero for in-process callers) and rides into
-// the request's trace.
+// rankOne is the admission path for a resolved model queue: admit the
+// request, validate it, then either fan it out as chunks when the
+// model's policy splits requests of its size (rankSplit) or enqueue it
+// and run or await its pass (serve). in is what the HTTP front-end
+// measured (zero for in-process callers) and rides into the request's
+// trace.
 func (e *Engine) rankOne(ctx context.Context, mq *modelQueue, dst []float32, req model.Request, in ingestStats) ([]float32, error) {
-	// Admission: register as a sender under the lock, so Close waits
-	// for the enqueue (or its abort) before draining.
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if pol := mq.loadPolicy(); pol.SplitAbove > 0 && req.Batch > pol.SplitAbove {
-		e.mu.Unlock()
-		return e.rankSplit(ctx, mq, dst, req, pol.SplitAbove, in)
-	}
-	mq.senders.Add(1)
-	e.mu.Unlock()
-
-	// Trace admission: one allocation per request when the model's
-	// ring is configured, none at all when tracing is off — every
-	// trace-gated clock read below keys off tr != nil.
-	var tr *obs.Trace
-	if mq.ring != nil {
-		tr = &obs.Trace{Model: mq.name, Batch: req.Batch, DecodeUS: in.decodeUS, BodyBytes: in.bodyBytes, Start: time.Now()}
-	}
-
-	// Deadline-aware shedding starts at admission: a request whose
-	// context is already done is dropped before it can occupy queue
-	// space or a batch-forming wait.
-	if err := ctx.Err(); err != nil {
-		mq.senders.Done()
-		mq.sheds.Add(1)
-		mq.errs.Add(1)
-		sealTrace(mq, tr, obs.OutcomeShed, err)
+	tr, err := e.admit(ctx, mq, req.Batch, in)
+	if err != nil {
 		return nil, err
 	}
 	// Admission-time validation: malformed requests are refused here
@@ -444,11 +417,61 @@ func (e *Engine) rankOne(ctx context.Context, mq *modelQueue, dst []float32, req
 		sealTrace(mq, tr, obs.OutcomeRejected, verr)
 		return nil, verr
 	}
+	if pol := mq.loadPolicy(); pol.SplitAbove > 0 && req.Batch > pol.SplitAbove {
+		// The parent enqueues nothing and leaves no trace: each chunk
+		// is admitted, queued and traced as a request of its own.
+		mq.senders.Done()
+		return e.rankSplit(ctx, mq, dst, cfg, req, pol.SplitAbove, in)
+	}
+	return e.serve(ctx, mq, dst, req, tr, validated)
+}
 
+// admit is the part of admission that needs no look at the request's
+// contents: it registers the caller as a sender under the lock, so
+// Close waits for the enqueue (or its abort) before draining, starts
+// the request's trace, and sheds a request whose context is already
+// done. On success the caller holds the sender registration and must
+// release it (serve does). A chunk of a split request enters here and
+// then serve: its parent was validated whole.
+func (e *Engine) admit(ctx context.Context, mq *modelQueue, batch int, in ingestStats) (*obs.Trace, error) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil, ErrClosed
+	}
+	mq.senders.Add(1)
+	e.mu.Unlock()
+
+	// Trace admission: one allocation per request when the model's
+	// ring is configured, none at all when tracing is off — every
+	// trace-gated clock read keys off tr != nil.
+	var tr *obs.Trace
+	if mq.ring != nil {
+		tr = &obs.Trace{Model: mq.name, Batch: batch, DecodeUS: in.decodeUS, BodyBytes: in.bodyBytes, Start: time.Now()}
+	}
+
+	// Deadline-aware shedding starts at admission: a request whose
+	// context is already done is dropped before it can occupy queue
+	// space or a batch-forming wait.
+	if err := ctx.Err(); err != nil {
+		mq.senders.Done()
+		mq.sheds.Add(1)
+		mq.errs.Add(1)
+		sealTrace(mq, tr, obs.OutcomeShed, err)
+		return nil, err
+	}
+	return tr, nil
+}
+
+// serve enqueues an admitted, validated request and runs or awaits its
+// pass, releasing the sender registration admit took once the enqueue
+// has landed or aborted. queuedAt opens the trace's queue-wait stage
+// (zero when tr is nil).
+func (e *Engine) serve(ctx context.Context, mq *modelQueue, dst []float32, req model.Request, tr *obs.Trace, queuedAt time.Time) ([]float32, error) {
 	deadline, _ := ctx.Deadline()
 	j := getJob()
 	j.ctx, j.req, j.deadline, j.dst, j.tr = ctx, req, deadline, dst, tr
-	j.enqueuedAt = validated
+	j.enqueuedAt = queuedAt
 	err := e.enqueue(ctx, mq, j)
 	mq.senders.Done()
 	if err != nil {
@@ -518,32 +541,23 @@ func (e *Engine) enqueue(ctx context.Context, mq *modelQueue, j *job) error {
 	}
 }
 
-// rankSplit fans one oversized request out as ceil(batch/chunkMax)
-// near-equal chunks — DeepRecSys's query splitting: a large candidate
-// set stops serializing behind one forward pass and instead occupies
-// several executor tokens concurrently, trading aggregate work for
-// tail latency. Each chunk rides the normal admission path (validated,
-// queued, batched, counted, and latency-recorded like any request — the
-// controller's p99 window therefore sees chunk latencies, which are
-// what the batch policy actually controls), while the parent counts
-// once in Stats.Splits. A chunk holds at most chunkMax samples
-// (ceil(B/ceil(B/c)) ≤ c), so rankOne's size test alone keeps it whole;
-// only a SetPolicy that shrinks SplitAbove meanwhile splits it again,
-// and the scores stay bit-identical.
+// rankSplit fans one validated oversized request out as
+// ceil(batch/chunkMax) near-equal chunks — DeepRecSys's query
+// splitting: a large candidate set stops serializing behind one
+// forward pass and instead occupies several executor tokens
+// concurrently, trading aggregate work for tail latency. Each chunk
+// holds at most chunkMax samples (ceil(B/ceil(B/c)) ≤ c) and is a view
+// of the validated parent, so it skips validation and the split test:
+// it is admitted (admit) and served (serve) — queued, batched, counted,
+// traced and latency-recorded like any request, so the controller's
+// p99 window sees chunk latencies, which are what the batch policy
+// actually controls — while the parent counts once in Stats.Splits.
 //
 // Ordered merge: chunk i's scores land in res[off_i:off_i+n_i], a
 // subslice of the parent's result buffer carved before dispatch — the
 // merge is positional, so no ordering is ever recovered after the
 // fact and the concatenation is bit-identical to the unsplit pass.
-func (e *Engine) rankSplit(ctx context.Context, mq *modelQueue, dst []float32, req model.Request, chunkMax int, in ingestStats) ([]float32, error) {
-	// Validate the parent once up front: a malformed oversized request
-	// is refused with one typed error before any chunk is admitted.
-	cfg := mq.published.Load().model.Config
-	if err := model.ValidateRequest(cfg, req); err != nil {
-		mq.rejected.Add(1)
-		mq.errs.Add(1)
-		return nil, err
-	}
+func (e *Engine) rankSplit(ctx context.Context, mq *modelQueue, dst []float32, cfg model.Config, req model.Request, chunkMax int, in ingestStats) ([]float32, error) {
 	chunks := (req.Batch + chunkMax - 1) / chunkMax
 	mq.splits.Add(1)
 	res := dst[:0]
@@ -567,7 +581,16 @@ func (e *Engine) rankSplit(ctx context.Context, mq *modelQueue, dst []float32, r
 		// chunk's rows.
 		buf := res[off : off : off+size]
 		run := func(i int, sub model.Request, buf []float32) {
-			out, err := e.rankOne(ctx, mq, buf, sub, in)
+			tr, err := e.admit(ctx, mq, sub.Batch, in)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var admitted time.Time
+			if tr != nil {
+				admitted = tr.Start
+			}
+			out, err := e.serve(ctx, mq, buf, sub, tr, admitted)
 			if err != nil {
 				errs[i] = err
 				return

@@ -237,26 +237,21 @@ func TestWeightedPickOrder(t *testing.T) {
 	}
 }
 
-// TestServerWrapperEngine: the single-model Server is a thin wrapper
-// over a one-entry registry, and more models can be co-located next to
-// its primary.
-func TestServerWrapperEngine(t *testing.T) {
+// TestDefaultModelBesideColocated: the first registered model is the
+// default ("" resolves to it), more models can be co-located next to
+// it, and the default's counters see none of their traffic.
+func TestDefaultModelBesideColocated(t *testing.T) {
 	cfg := model.RMC1Small().Scaled(500)
-	m := buildModel(t, cfg, 1)
-	s, err := New(m, Options{Workers: 2, QueueDepth: 8, MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.eng.Models(); len(got) != 1 || got[0] != DefaultModelName {
-		t.Fatalf("wrapper registry = %v", got)
-	}
+	e := defaultEngine(t, buildModel(t, cfg, 1), Options{Workers: 2, QueueDepth: 8, MaxBatch: 1})
 	side := buildModel(t, model.RMC3Small().Scaled(500), 2)
-	if err := s.eng.Register("side", side, ModelOptions{}); err != nil {
+	if err := e.Register("side", side, ModelOptions{}); err != nil {
 		t.Fatal(err)
+	}
+	if got := e.Models(); len(got) != 2 || got[0] != DefaultModelName || e.DefaultModel() != DefaultModelName {
+		t.Fatalf("registry = %v, default %q", got, e.DefaultModel())
 	}
 	req := model.NewRandomRequest(side.Config, 2, stats.NewRNG(5))
-	got, err := s.eng.Rank(context.Background(), "side", req)
+	got, err := e.Rank(context.Background(), "side", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +259,8 @@ func TestServerWrapperEngine(t *testing.T) {
 	if !ctrEqual(got[:1], want[:1]) {
 		t.Error("co-located model served wrong scores")
 	}
-	// Wrapper stats still report only the primary model.
-	if st := s.Stats(); st.Requests != 0 {
-		t.Errorf("primary stats contaminated by side model: %+v", st)
+	if st := defaultStats(t, e); st.Requests != 0 {
+		t.Errorf("default model's stats contaminated by side model: %+v", st)
 	}
 }
 

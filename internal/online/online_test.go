@@ -189,7 +189,6 @@ func TestUpdaterLearns(t *testing.T) {
 		StepsPerCycle: 16,
 		BatchSize:     32,
 		LR:            0.05,
-		RollbackTol:   10, // learning test: gate must not trip on noise
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +295,6 @@ func TestUpdaterRollback(t *testing.T) {
 		Model:         "m",
 		Holdout:       holdout,
 		HoldoutLabels: holdoutLabels,
-		RollbackTol:   0.2,
 		PreSwapHook: func(gen uint64, cand *model.Model) {
 			if corrupt {
 				sabotage(t, cand)
@@ -365,7 +363,7 @@ func TestUpdaterABCanary(t *testing.T) {
 	corrupt := false
 	upd, err := New(eng, buildModel(t, cfg, 1), Config{
 		Model: "m", ABWeight: 25,
-		Holdout: holdout, HoldoutLabels: holdoutLabels, RollbackTol: 0.2,
+		Holdout: holdout, HoldoutLabels: holdoutLabels,
 		PreSwapHook: func(_ uint64, cand *model.Model) {
 			if corrupt {
 				sabotage(t, cand)

@@ -36,10 +36,6 @@ type Config struct {
 	// Interval is Start's cycle cadence (default 1s), timed from the end
 	// of one cycle to the start of the next.
 	Interval time.Duration
-	// RollbackTol is the relative held-out-loss regression that triggers
-	// a rollback: candLoss > lastLoss×(1+RollbackTol) reverts the twin
-	// to the last good weights instead of publishing (default 0.05).
-	RollbackTol float64
 	// ABWeight, when in [1,99], publishes candidates as a weighted
 	// canary instead of swapping in place: New registers Model+"-next"
 	// once, and each candidate is swapped into that slot, receives
@@ -57,6 +53,11 @@ type Config struct {
 	// generation the candidate would become.
 	PreSwapHook func(gen uint64, cand *model.Model)
 }
+
+// rollbackTol is the quality gate's tolerance: a candidate whose
+// held-out loss exceeds the last accepted generation's by more than
+// this fraction is rolled back instead of published.
+const rollbackTol = 0.05
 
 // CycleResult summarizes one RunCycle.
 type CycleResult struct {
@@ -150,9 +151,6 @@ func New(eng *engine.Engine, twin *model.Model, cfg Config) (*Updater, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.RollbackTol <= 0 {
-		cfg.RollbackTol = 0.05
 	}
 	if cfg.ABWeight < 0 || cfg.ABWeight > 99 {
 		return nil, fmt.Errorf("online: ABWeight %d outside [0, 99]", cfg.ABWeight)
@@ -342,7 +340,7 @@ func (u *Updater) RunCycle() (CycleResult, error) {
 		hl := float64(train.BCELoss(cand.CTR(u.cfg.Holdout), u.cfg.HoldoutLabels))
 		res.HoldoutLoss = float32(hl)
 		u.holdoutBits.Store(math.Float64bits(hl))
-		if !math.IsNaN(u.baseLoss) && hl > u.baseLoss*(1+u.cfg.RollbackTol) {
+		if !math.IsNaN(u.baseLoss) && hl > u.baseLoss*(1+rollbackTol) {
 			if err := u.twin.CopyWeightsFrom(u.lastGood); err != nil {
 				return res, err
 			}

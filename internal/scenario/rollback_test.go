@@ -55,7 +55,6 @@ func TestRollbackScenario(t *testing.T) {
 		Model:         "m",
 		Holdout:       holdout,
 		HoldoutLabels: holdoutLabels,
-		RollbackTol:   0.2,
 		OnSwap:        refs.Record,
 		PreSwapHook: func(gen uint64, cand *model.Model) {
 			if corrupt {

@@ -85,10 +85,3 @@ func Transpose(a *Tensor) *Tensor {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -125,11 +125,18 @@ var (
 	NewTeacher              = train.NewTeacher
 )
 
-// ServeOptions configures the concurrent inference server.
-type ServeOptions = engine.Options
+// Concurrent serving: an engine of named models behind one scheduler.
+type (
+	// ServeOptions configures the engine (executor tokens, queue depth,
+	// batching).
+	ServeOptions = engine.Options
+	// ModelOptions configures one registered model.
+	ModelOptions = engine.ModelOptions
+)
 
-// NewServer starts a single-model concurrent inference server.
-var NewServer = engine.New
+// NewEngine returns a serving engine with no models; Register adds
+// them, and "" names the first in Rank, RankInto and ModelStats.
+var NewEngine = engine.NewEngine
 
 // CriteoRecord is one parsed click-log line.
 type CriteoRecord = dataset.Record
